@@ -10,13 +10,14 @@
 //! helmet, synthetic multi-dipole measurements, the sample covariance and
 //! its eigendecomposition (the "vector machine" part), and the MUSIC
 //! grid scan over candidate source locations (the "massively parallel"
-//! part — rayon-parallel here, with an `gtw-mpi` split variant that
-//! reproduces the latency-sensitive traffic pattern).
+//! part — on `gtw-par` scoped threads here, one grid point per item and
+//! per spectrum entry, so the scan is bit-identical at any thread count;
+//! an `gtw-mpi` split variant reproduces the latency-sensitive traffic
+//! pattern).
 
 use gtw_desim::StreamRng;
 use gtw_fire::linalg::{jacobi_eigen, Matrix};
 use gtw_mpi::{Comm, ReduceOp};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A 3-vector.
@@ -260,10 +261,12 @@ pub fn head_grid(steps: usize) -> Vec<Vec3> {
     grid
 }
 
-/// Rayon-parallel MUSIC scan (the "massively parallel" half of pmusic).
+/// Thread-parallel MUSIC scan (the "massively parallel" half of pmusic).
 pub fn music_scan(array: &SensorArray, signal_basis: &Matrix, grid: Vec<Vec3>) -> MusicScan {
-    let spectrum: Vec<f64> =
-        grid.par_iter().map(|&p| music_metric(array, signal_basis, p)).collect();
+    let mut spectrum = vec![0.0f64; grid.len()];
+    gtw_par::for_each(spectrum.iter_mut().zip(&grid), |(s, &p)| {
+        *s = music_metric(array, signal_basis, p)
+    });
     MusicScan { grid, spectrum }
 }
 
@@ -297,7 +300,8 @@ pub fn distributed_music(
         .filter(|(i, _)| i % comm.size() == comm.rank())
         .map(|(_, p)| p)
         .collect();
-    let local = music_scan(array, &basis, my);
+    // A rank is a PE: it scans its share on its own thread only.
+    let local = gtw_par::with_threads(1, || music_scan(array, &basis, my));
     // Gather the full spectrum at every rank by summing strided slots.
     let mut spectrum = vec![0.0f64; full_grid.len()];
     for (j, &v) in local.spectrum.iter().enumerate() {
@@ -342,6 +346,26 @@ mod tests {
         assert!(err < 0.15, "localization error {err}");
         for (_, v) in &peaks {
             assert!(*v > 0.95, "peak metric {v}");
+        }
+    }
+
+    #[test]
+    fn music_scan_is_bit_identical_at_every_width() {
+        let array = SensorArray::helmet(4, 8);
+        let basis = signal_subspace(&synthesize(&array, &two_dipoles(), 64, 0.02, 1), 2);
+        // 7 points do not divide among 2, 3 or 8 threads; then no point.
+        for grid in [head_grid(5)[..7].to_vec(), Vec::new()] {
+            let bits = |width| {
+                let scan =
+                    gtw_par::with_threads(width, || music_scan(&array, &basis, grid.clone()));
+                assert_eq!(scan.grid, grid);
+                scan.spectrum.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            };
+            let sequential = bits(1);
+            assert_eq!(sequential.len(), grid.len());
+            for width in [2usize, 3, 8] {
+                assert_eq!(bits(width), sequential, "{width} threads");
+            }
         }
     }
 

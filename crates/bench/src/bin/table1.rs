@@ -3,21 +3,25 @@
 //!
 //! Prints the calibrated machine-model table next to the paper's
 //! measured values, and with `--real` additionally measures *actual*
-//! wall-clock scaling of the real FIRE modules on host threads (rayon
-//! pools of 1..N threads) — absolute numbers differ from a 1999 T3E, the
-//! speedup shape is the comparable quantity.
+//! wall-clock scaling of the real FIRE modules on `gtw-par` scoped
+//! threads: one row per power-of-two width up to the host's cores, then
+//! one labelled `(oversubscribed)` row, each module's measured speedup
+//! beside the T3E cost model's prediction for the same PE count.
+//! Absolute numbers differ from a 1999 T3E; the speedup shape is the
+//! comparable quantity. Every row also carries a digest of the modules'
+//! outputs, which must not depend on the width.
 //!
 //! ```text
 //! cargo run --release -p gtw-bench --bin table1 [-- --real] [-- --json]
 //! ```
 //!
 //! With `--json` the calibrated model table (and the paper's measured
-//! anchors) is emitted as one machine-readable document.
+//! anchors) is emitted as one machine-readable document; `--real` adds
+//! the measured rows under a `"real"` key.
 
 use std::time::Instant;
 
 use gtw_bench::rel_pct;
-use gtw_fire::decomp::with_pe_count;
 use gtw_fire::filters::median_filter;
 use gtw_fire::motion::MotionCorrector;
 use gtw_fire::rvo::{self, RvoBounds, RvoMethod};
@@ -60,62 +64,130 @@ fn model_table() {
     }
 }
 
-fn real_scaling() {
-    println!("\n== Measured wall-clock scaling of the real modules (host threads as PEs) ==");
+/// The timed modules, in Table 1's column order.
+const MODULES: [&str; 3] = ["filter", "motion", "rvo"];
+
+/// One `--real` row: [`MODULES`] timed at one `gtw-par` width.
+struct RealRow {
+    threads: usize,
+    oversubscribed: bool,
+    secs: [f64; 3],
+    /// FNV-1a over every output bit of the three modules.
+    digest: u64,
+}
+
+/// The quickest of `reps` timed calls of `f`, with its (last) result.
+fn quickest<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut best = (f64::INFINITY, None);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let out = std::hint::black_box(f());
+        best = (best.0.min(t0.elapsed().as_secs_f64()), Some(out));
+    }
+    (best.0, best.1.expect("at least one repetition"))
+}
+
+/// Time filter, motion estimation and RVO at every power-of-two width
+/// the host has cores for, plus one oversubscribed width. Panics if any
+/// width's outputs differ from the 1-thread run by a single bit.
+fn real_rows() -> Vec<RealRow> {
     let scanner = Scanner::new(ScannerConfig::paper_default(24, 3), Phantom::standard());
     let vol = scanner.acquire(5);
-    let reference = scanner.anatomy().clone();
+    let corrector = MotionCorrector::new(scanner.anatomy().clone(), 2, 50.0);
     let moved = RigidTransform::translation(0.6, -0.4, 0.2).resample(&vol);
     let series: Vec<_> = (0..24).map(|t| scanner.acquire(t)).collect();
     let mask: Vec<bool> = scanner.activation().data.iter().map(|&a| a >= 0.0).collect();
-    // Oversubscribing threads on a small host still shows the shape
-    // (perfect scaling flattens once PEs exceed physical cores).
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(4);
-    let pes_list: Vec<usize> =
-        [1usize, 2, 4, 8, 16].into_iter().filter(|&p| p <= max_threads).collect();
-    println!(
-        "{:>5} {:>12} {:>12} {:>12} {:>9}",
-        "PEs", "filter (ms)", "motion (ms)", "RVO (ms)", "speedup"
-    );
-    let mut t1_total = 0.0f64;
-    for &pes in &pes_list {
-        let (t_filter, t_motion, t_rvo) = with_pe_count(pes, || {
-            let t0 = Instant::now();
-            for _ in 0..4 {
-                std::hint::black_box(median_filter(&vol));
-            }
-            let t_filter = t0.elapsed().as_secs_f64() / 4.0;
+    let method = RvoMethod::FullGrid { delay_steps: 7, dispersion_steps: 4 };
 
-            let corrector = MotionCorrector::new(reference.clone(), 2, 50.0);
-            let t0 = Instant::now();
-            std::hint::black_box(corrector.estimate(&moved));
-            let t_motion = t0.elapsed().as_secs_f64();
-
-            let t0 = Instant::now();
-            std::hint::black_box(rvo::optimize(
-                &series,
-                &scanner.config().stimulus,
-                RvoBounds::default(),
-                RvoMethod::FullGrid { delay_steps: 7, dispersion_steps: 4 },
-                Some(&mask),
-            ));
-            let t_rvo = t0.elapsed().as_secs_f64();
-            (t_filter, t_motion, t_rvo)
+    let cores = gtw_par::threads();
+    let mut widths: Vec<usize> =
+        PAPER_TABLE1.iter().map(|row| row.0).filter(|&pes| pes <= cores).collect();
+    let widest = *widths.last().expect("width 1 always fits");
+    widths.push(2 * widest);
+    let time_at = |threads: usize| {
+        let (filter_s, filtered) = quickest(5, || median_filter(&vol));
+        let (motion_s, motion) = quickest(2, || corrector.estimate(&moved));
+        let stimulus = &scanner.config().stimulus;
+        let (rvo_s, fit) = quickest(5, || {
+            rvo::optimize(&series, stimulus, RvoBounds::default(), method, Some(&mask))
         });
-        let total = t_filter + t_motion + t_rvo;
-        if pes == 1 {
-            t1_total = total;
-        }
-        println!(
-            "{:>5} {:>12.1} {:>12.1} {:>12.1} {:>9.2}",
-            pes,
-            t_filter * 1e3,
-            t_motion * 1e3,
-            t_rvo * 1e3,
-            t1_total / total
-        );
+        let bits = [&filtered, &fit.delay, &fit.dispersion, &fit.correlation]
+            .into_iter()
+            .flat_map(|map| map.data.iter().map(|v| v.to_bits() as u64))
+            .chain(motion.transform.params().map(|p| p.to_bits() as u64))
+            .chain([fit.evaluations]);
+        let digest =
+            bits.fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b).wrapping_mul(0x0000_0100_0000_01b3));
+        let secs = [filter_s, motion_s, rvo_s];
+        RealRow { threads, oversubscribed: threads > widest, secs, digest }
+    };
+    let rows: Vec<RealRow> =
+        widths.into_iter().map(|w| gtw_par::with_threads(w, || time_at(w))).collect();
+    for row in &rows {
+        let threads = row.threads;
+        assert_eq!(row.digest, rows[0].digest, "outputs at {threads} threads differ from 1 thread");
     }
-    println!("(motion estimation is mostly serial per image — matching the paper's flat column)");
+    rows
+}
+
+/// Per module of `row`: `(ms, measured speedup over base, the T3E cost
+/// model's speedup at the same PE count)`.
+fn columns(model: &T3eModel, base: &RealRow, row: &RealRow) -> [(f64, f64, f64); 3] {
+    let secs = |pes| {
+        let r = model.row(pes, Dims::EPI);
+        [r.filter_s, r.motion_s, r.rvo_s]
+    };
+    let (m1, mp) = (secs(1), secs(row.threads));
+    std::array::from_fn(|i| (row.secs[i] * 1e3, base.secs[i] / row.secs[i], m1[i] / mp[i]))
+}
+
+fn real_scaling(model: &T3eModel) {
+    println!(
+        "\n== Measured scaling of the real modules (gtw-par threads as PEs, {} host cores) ==",
+        gtw_par::threads()
+    );
+    print!("{:>7}", "threads");
+    for module in MODULES {
+        print!(" | {:>11} {:>6} {:>6}", format!("{module} (ms)"), "x", "model");
+    }
+    println!();
+    gtw_bench::rule(91);
+    let rows = real_rows();
+    for row in &rows {
+        print!("{:>7}", row.threads);
+        for (ms, x, modelled) in columns(model, &rows[0], row) {
+            print!(" | {ms:>11.1} {x:>6.2} {modelled:>6.2}");
+        }
+        println!("{}", if row.oversubscribed { "  (oversubscribed)" } else { "" });
+    }
+    println!(
+        "(x = measured speedup over 1 thread, model = the T3E cost model at the same PE count;\n \
+         motion estimation is serial per image here; outputs bit-identical at every width,\n \
+         digest {:016x})",
+        rows[0].digest
+    );
+}
+
+fn real_json(model: &T3eModel) -> gtw_desim::Json {
+    use gtw_desim::Json;
+    let rows = real_rows();
+    let rows_json = rows.iter().map(|row| {
+        let mut obj = Json::obj([
+            ("threads", Json::from(row.threads)),
+            ("oversubscribed", Json::from(row.oversubscribed)),
+            ("digest", Json::from(format!("{:016x}", row.digest))),
+        ]);
+        for (module, (ms, x, modelled)) in MODULES.iter().zip(columns(model, &rows[0], row)) {
+            obj.push(format!("{module}_ms"), ms);
+            obj.push(format!("{module}_speedup"), x);
+            obj.push(format!("model_{module}_speedup"), modelled);
+        }
+        obj
+    });
+    Json::obj([
+        ("host_cores", Json::from(gtw_par::threads())),
+        ("rows", Json::Arr(rows_json.collect())),
+    ])
 }
 
 /// Flat vs topology-aware allreduce cost when Table 1's processing is
@@ -165,7 +237,7 @@ fn topo_collectives_table(model: &T3eModel) {
     println!("(one allreduce per processed scan; topo pays one WAN crossing per site, flat one per rank)");
 }
 
-fn emit_json(topo_collectives: bool) {
+fn emit_json(topo_collectives: bool, real: bool) {
     use gtw_desim::Json;
     let model = T3eModel::t3e_600();
     let mut rows = Vec::new();
@@ -201,21 +273,25 @@ fn emit_json(topo_collectives: bool) {
             ]),
         );
     }
+    if real {
+        doc.push("real", real_json(&model));
+    }
     println!("{}", doc.pretty());
 }
 
 fn main() {
     let args = gtw_bench::BenchArgs::parse();
+    let real = gtw_bench::has_flag("--real");
     if args.json {
-        emit_json(args.topo_collectives);
+        emit_json(args.topo_collectives, real);
         return;
     }
     model_table();
     if args.topo_collectives {
         topo_collectives_table(&T3eModel::t3e_600());
     }
-    if gtw_bench::has_flag("--real") {
-        real_scaling();
+    if real {
+        real_scaling(&T3eModel::t3e_600());
     } else {
         println!("\n(add `-- --real` for measured thread-scaling of the actual modules)");
     }

@@ -9,7 +9,8 @@
 
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::volume::{Dims, Volume};
-use rayon::prelude::*;
+
+use crate::VOXEL_CHUNK;
 
 /// Running per-voxel correlation state.
 pub struct CorrelationState {
@@ -89,20 +90,14 @@ impl CorrelationState {
         let r = self.reference[self.n];
         self.sum_r += r;
         self.sum_r2 += r * r;
-        let sx = &mut self.sum_x;
-        let sx2 = &mut self.sum_x2;
-        let sxr = &mut self.sum_xr;
-        vol.data
-            .par_iter()
-            .zip(sx.par_iter_mut())
-            .zip(sx2.par_iter_mut())
-            .zip(sxr.par_iter_mut())
-            .for_each(|(((&v, x), x2), xr)| {
-                let v = v as f64;
-                *x += v;
-                *x2 += v * v;
-                *xr += v * r;
-            });
+        // A few tens of µs of streaming arithmetic: not worth a thread.
+        let sums = self.sum_x.iter_mut().zip(&mut self.sum_x2).zip(&mut self.sum_xr);
+        for (&v, ((x, x2), xr)) in vol.data.iter().zip(sums) {
+            let v = v as f64;
+            *x += v;
+            *x2 += v * v;
+            *xr += v * r;
+        }
         self.n += 1;
     }
 
@@ -124,7 +119,9 @@ impl CorrelationState {
     /// The full correlation map over the scans so far.
     pub fn correlation_map(&self) -> Volume {
         let mut out = Volume::zeros(self.dims);
-        out.data.par_iter_mut().enumerate().for_each(|(i, v)| *v = self.voxel_correlation(i));
+        for (i, v) in out.data.iter_mut().enumerate() {
+            *v = self.voxel_correlation(i);
+        }
         out
     }
 
@@ -197,17 +194,22 @@ impl SlidingCorrelation {
         if r_var <= 0.0 {
             return out; // constant reference in the window: undefined
         }
-        out.data.par_iter_mut().enumerate().for_each(|(i, c)| {
-            let xs: Vec<f64> = self.ring.iter().map(|(_, v)| v.data[i] as f64).collect();
-            let x_mean = xs.iter().sum::<f64>() / n as f64;
-            let mut cov = 0.0;
-            let mut x_var = 0.0;
-            for (x, r) in xs.iter().zip(&refs) {
-                cov += (x - x_mean) * (r - r_mean);
-                x_var += (x - x_mean).powi(2);
-            }
-            if x_var > 0.0 {
-                *c = ((cov / (x_var * r_var).sqrt()) as f32).clamp(-1.0, 1.0);
+        gtw_par::for_each(out.data.chunks_mut(VOXEL_CHUNK).enumerate(), |(k, chunk)| {
+            let mut xs = vec![0.0f64; n];
+            for (i, c) in (k * VOXEL_CHUNK..).zip(chunk) {
+                for (x, (_, v)) in xs.iter_mut().zip(&self.ring) {
+                    *x = v.data[i] as f64;
+                }
+                let x_mean = xs.iter().sum::<f64>() / n as f64;
+                let mut cov = 0.0;
+                let mut x_var = 0.0;
+                for (x, r) in xs.iter().zip(&refs) {
+                    cov += (x - x_mean) * (r - r_mean);
+                    x_var += (x - x_mean).powi(2);
+                }
+                if x_var > 0.0 {
+                    *c = ((cov / (x_var * r_var).sqrt()) as f32).clamp(-1.0, 1.0);
+                }
             }
         });
         out

@@ -8,9 +8,10 @@
 //!   communication surfaces,
 //! * a real message-passing execution path: scatter slabs over a
 //!   `gtw-mpi` communicator, filter locally, gather (validated against
-//!   the serial result),
-//! * a thread-pool "real PE" executor for measured (not modelled)
-//!   speedup curves.
+//!   the serial result). A rank *is* a PE: each rank runs its local
+//!   block under `gtw_par::with_threads(1, …)`, so `pes` ranks never
+//!   become `pes × cores` threads. (Measured thread scaling of the
+//!   kernels themselves is `table1 --real`, via `gtw_par::with_threads`.)
 
 use gtw_mpi::{Comm, Tag};
 use gtw_scan::volume::{Dims, Volume};
@@ -158,7 +159,7 @@ pub fn distributed_median_filter(comm: &Comm, vol: Option<&Volume>) -> Option<Vo
         let dims_slab = Dims::new(dims.nx, dims.ny, nz);
         (Volume::from_vec(dims_slab, data[3..].to_vec()), interior, len)
     };
-    let filtered = crate::filters::median_filter(&my_slab);
+    let filtered = gtw_par::with_threads(1, || crate::filters::median_filter(&my_slab));
     // Extract the interior slices (drop halos) and send to root.
     let mut interior_data = Vec::with_capacity(dims.nx * dims.ny * my_len);
     for z in my_interior..my_interior + my_len {
@@ -242,7 +243,9 @@ pub fn distributed_rvo(
             })
             .collect()
     };
-    let local = crate::rvo::optimize(&my_series, stimulus, bounds, method, None);
+    let local = gtw_par::with_threads(1, || {
+        crate::rvo::optimize(&my_series, stimulus, bounds, method, None)
+    });
     // Gather (delay, dispersion, correlation) triples at root.
     if me == ROOT {
         let mut delay = vec![0.0f32; dims.len()];
@@ -276,14 +279,6 @@ pub fn distributed_rvo(
         comm.send_f32s(ROOT, TAG_RVO_OUT, &payload);
         None
     }
-}
-
-/// Run `f` on a dedicated rayon pool of `pes` threads — the "real PE"
-/// executor used for measured speedup curves.
-pub fn with_pe_count<R: Send>(pes: usize, f: impl FnOnce() -> R + Send) -> R {
-    let pool =
-        rayon::ThreadPoolBuilder::new().num_threads(pes).build().expect("failed to build PE pool");
-    pool.install(f)
 }
 
 #[cfg(test)]
@@ -424,9 +419,13 @@ mod tests {
 
     #[test]
     fn pe_pool_controls_parallelism() {
-        let n = with_pe_count(3, rayon::current_num_threads);
-        assert_eq!(n, 3);
-        let n1 = with_pe_count(1, rayon::current_num_threads);
-        assert_eq!(n1, 1);
+        use gtw_par::{threads, with_threads};
+        assert_eq!(with_threads(3, threads), 3);
+        assert_eq!(with_threads(1, threads), 1);
+        // Nested widths: the inner one wins, the outer one comes back.
+        with_threads(3, || {
+            assert_eq!(with_threads(7, threads), 7);
+            assert_eq!(threads(), 3);
+        });
     }
 }

@@ -3,10 +3,11 @@
 //! smoothened by an averaging filter."
 //!
 //! Both operate on a 3×3×3 neighbourhood with edge clamping, and both
-//! have rayon-parallel slab variants used by the real-PE executor.
+//! run one z-slab per `gtw_par::for_each` item: every output voxel is
+//! written by exactly one call, so the result is bit-identical at any
+//! thread count.
 
 use gtw_scan::volume::Volume;
-use rayon::prelude::*;
 
 /// Collect the 27 edge-clamped neighbourhood values of `(x, y, z)`.
 #[inline]
@@ -41,13 +42,13 @@ pub fn average_filter(vol: &Volume) -> Volume {
 }
 
 /// Shared kernel driver: applies `f` to every voxel's neighbourhood,
-/// parallelizing over z-slabs with rayon (each slab is one "PE"'s work in
-/// the domain decomposition).
+/// parallelizing over z-slabs on `gtw-par` scoped threads (each slab is
+/// one "PE"'s work in the domain decomposition).
 fn filter_rows(vol: &Volume, f: impl Fn(&mut [f32; 27]) -> f32 + Sync) -> Volume {
     let d = vol.dims;
     let mut out = Volume::zeros(d);
     let slab = d.nx * d.ny;
-    out.data.par_chunks_mut(slab).enumerate().for_each(|(z, out_slab)| {
+    gtw_par::for_each(out.data.chunks_mut(slab.max(1)).enumerate(), |(z, out_slab)| {
         let mut vals = [0.0f32; 27];
         for y in 0..d.ny {
             for x in 0..d.nx {

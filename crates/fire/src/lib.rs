@@ -24,9 +24,8 @@
 //! * [`rvo`] — reference-vector optimization: per-voxel least-squares fit
 //!   of HRF delay and dispersion by rastering the parameter space, plus
 //!   the paper's planned coarse-grid + conjugate-gradient refinement,
-//! * [`decomp`] — the domain decomposition used on the T3E, with a real
-//!   thread-parallel executor (rayon) and an `gtw-mpi` scatter/gather
-//!   path,
+//! * [`decomp`] — the domain decomposition used on the T3E, run as a
+//!   `gtw-mpi` scatter/gather over in-process ranks,
 //! * [`t3e`] — the calibrated Cray T3E-600 cost model that regenerates
 //!   Table 1,
 //! * [`rt`] — the RT-server / RT-client protocol and the end-to-end delay
@@ -42,6 +41,13 @@
 //! * [`linalg`] — the small dense solver kit (Gaussian elimination,
 //!   least squares, Jacobi eigendecomposition, conjugate gradients)
 //!   shared across the workspace.
+//!
+//! The per-voxel kernels (`filters`, `rvo`, the detrended and the
+//! sliding-window correlation maps) run on `gtw-par` scoped threads:
+//! the output is cut into chunks and each chunk is written by exactly
+//! one call, with no reduction across chunks except the integer
+//! `evaluations` sum, so every result is bit-identical at any thread
+//! count.
 
 pub mod analysis;
 pub mod biofeedback;
@@ -56,6 +62,10 @@ pub mod realtime;
 pub mod rt;
 pub mod rvo;
 pub mod t3e;
+
+/// Voxels per `gtw_par::for_each` item in the per-voxel kernels: enough
+/// work to pay for the queue lock, few enough to balance 64×64×16.
+pub(crate) const VOXEL_CHUNK: usize = 1024;
 
 pub use analysis::{CorrelationState, RoiStats, SlidingCorrelation};
 pub use checkpoint::{Checkpoint, CheckpointError};

@@ -17,6 +17,7 @@ use crate::detrend::DetrendBasis;
 use crate::filters::{average_filter, median_filter};
 use crate::motion::{MotionCorrector, MotionEstimate};
 use crate::rvo::{self, RvoBounds, RvoMethod, RvoResult};
+use crate::VOXEL_CHUNK;
 
 /// Which modules are enabled (the checkboxes of the FIRE GUI).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -299,13 +300,17 @@ impl FirePipeline {
                     }
                     ReferenceVector { values, ..rv }
                 };
-                use rayon::prelude::*;
                 let t = self.epoch.elapsed();
                 let series = &self.series;
-                out.data.par_iter_mut().enumerate().for_each(|(idx, c)| {
-                    let mut voxel: Vec<f32> = series.iter().map(|v| v.data[idx]).collect();
-                    basis.detrend(&mut voxel);
-                    *c = rv.correlate(&voxel) as f32;
+                gtw_par::for_each(out.data.chunks_mut(VOXEL_CHUNK).enumerate(), |(k, chunk)| {
+                    let mut voxel = vec![0.0f32; n];
+                    for (idx, c) in (k * VOXEL_CHUNK..).zip(chunk) {
+                        for (x, v) in voxel.iter_mut().zip(series) {
+                            *x = v.data[idx];
+                        }
+                        basis.detrend(&mut voxel);
+                        *c = rv.correlate(&voxel) as f32;
+                    }
                 });
                 self.stage_span("detrend", t);
                 out

@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gtw_scan::hrf::{ReferenceVector, Stimulus};
 use gtw_scan::volume::Volume;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+use crate::VOXEL_CHUNK;
 
 /// Parameter-space bounds for the fit.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -86,6 +87,50 @@ pub struct RvoResult {
     pub evaluations: u64,
 }
 
+/// One voxel's time series with its mean removed, kept so the raster
+/// correlates it against many reference vectors without re-deriving the
+/// mean, the centred series and Σd² each time. [`CentredVoxel::correlate`]
+/// returns the bits [`ReferenceVector::correlate`] would: the same sums
+/// in the same operand order.
+struct CentredVoxel {
+    /// `x[t] − mean`, one per scan.
+    d: Vec<f64>,
+    /// `sqrt(Σd²)`, or 0 for a series that correlates with nothing
+    /// (fewer than two scans, or constant).
+    norm: f64,
+}
+
+impl CentredVoxel {
+    fn new(scans: usize) -> Self {
+        CentredVoxel { d: vec![0.0; scans], norm: 0.0 }
+    }
+
+    /// Centre voxel `idx` of `series` into the buffer.
+    fn load(&mut self, series: &[Volume], idx: usize) {
+        let n = series.len() as f64;
+        let mean = series.iter().map(|v| v.data[idx] as f64).sum::<f64>() / n;
+        let mut ss = 0.0;
+        for (d, v) in self.d.iter_mut().zip(series) {
+            *d = v.data[idx] as f64 - mean;
+            ss += *d * *d;
+        }
+        self.norm = if n < 2.0 || ss <= 0.0 { 0.0 } else { ss.sqrt() };
+    }
+
+    /// Pearson correlation of the loaded voxel against `rv`.
+    fn correlate(&self, rv: &ReferenceVector) -> f64 {
+        if self.norm == 0.0 {
+            return 0.0;
+        }
+        let mut dot = 0.0;
+        for (d, r) in self.d.iter().zip(&rv.values) {
+            dot += d * r;
+        }
+        // `values` already has zero mean and unit norm.
+        (dot / self.norm).clamp(-1.0, 1.0)
+    }
+}
+
 fn grid(bounds: (f64, f64), steps: usize) -> Vec<f64> {
     assert!(steps >= 2, "grid needs at least 2 steps");
     (0..steps).map(|i| bounds.0 + (bounds.1 - bounds.0) * i as f64 / (steps - 1) as f64).collect()
@@ -137,25 +182,26 @@ pub fn optimize(
     let mut disp_out = vec![0.0f32; n_vox];
     let mut corr_out = vec![0.0f32; n_vox];
 
-    delay_out
-        .par_iter_mut()
-        .zip(disp_out.par_iter_mut())
-        .zip(corr_out.par_iter_mut())
-        .enumerate()
-        .for_each(|(idx, ((d_out, w_out), c_out))| {
-            if let Some(m) = mask {
-                if !m[idx] {
-                    *d_out = gtw_scan::hrf::CANONICAL_DELAY_S as f32;
-                    *w_out = gtw_scan::hrf::CANONICAL_DISPERSION_S as f32;
-                    return;
-                }
+    let chunks = delay_out
+        .chunks_mut(VOXEL_CHUNK)
+        .zip(disp_out.chunks_mut(VOXEL_CHUNK))
+        .zip(corr_out.chunks_mut(VOXEL_CHUNK))
+        .enumerate();
+    gtw_par::for_each(chunks, |(k, ((d_chunk, w_chunk), c_chunk))| {
+        let mut voxel = CentredVoxel::new(series.len());
+        let mut evals = 0u64;
+        let outs = d_chunk.iter_mut().zip(w_chunk).zip(c_chunk);
+        for (idx, ((d_out, w_out), c_out)) in (k * VOXEL_CHUNK..).zip(outs) {
+            if mask.is_some_and(|m| !m[idx]) {
+                *d_out = gtw_scan::hrf::CANONICAL_DELAY_S as f32;
+                *w_out = gtw_scan::hrf::CANONICAL_DISPERSION_S as f32;
+                continue;
             }
-            let voxel: Vec<f32> = series.iter().map(|v| v.data[idx]).collect();
-            let mut evals = 0u64;
+            voxel.load(series, idx);
             // Raster.
             let (mut best_d, mut best_w, mut best_c) = (delays[0], dispersions[0], f64::MIN);
             for (d, w, rv) in &raster {
-                let c = rv.correlate(&voxel);
+                let c = voxel.correlate(rv);
                 evals += 1;
                 if c > best_c {
                     best_c = c;
@@ -172,16 +218,16 @@ pub fn optimize(
                 let mut h_w = (bounds.dispersion_s.1 - bounds.dispersion_s.0)
                     / (dispersions.len() - 1) as f64
                     / 2.0;
-                let eval = |d: f64, w: f64, evals: &mut u64| {
-                    *evals += 1;
-                    ReferenceVector::from_stimulus(stimulus, d, w).correlate(&voxel)
+                let mut eval = |d: f64, w: f64| {
+                    evals += 1;
+                    voxel.correlate(&ReferenceVector::from_stimulus(stimulus, d, w))
                 };
                 for _ in 0..refine_iters {
                     // Delay axis.
                     let lo = (best_d - h_d).max(bounds.delay_s.0);
                     let hi = (best_d + h_d).min(bounds.delay_s.1);
                     for cand in [lo, hi] {
-                        let c = eval(cand, best_w, &mut evals);
+                        let c = eval(cand, best_w);
                         if c > best_c {
                             best_c = c;
                             best_d = cand;
@@ -191,7 +237,7 @@ pub fn optimize(
                     let lo = (best_w - h_w).max(bounds.dispersion_s.0);
                     let hi = (best_w + h_w).min(bounds.dispersion_s.1);
                     for cand in [lo, hi] {
-                        let c = eval(best_d, cand, &mut evals);
+                        let c = eval(best_d, cand);
                         if c > best_c {
                             best_c = c;
                             best_w = cand;
@@ -201,11 +247,13 @@ pub fn optimize(
                     h_w /= 2.0;
                 }
             }
-            evaluations.fetch_add(evals, Ordering::Relaxed);
             *d_out = best_d as f32;
             *w_out = best_w as f32;
             *c_out = best_c as f32;
-        });
+        }
+        // An integer sum: the one cross-chunk reduction, order-free.
+        evaluations.fetch_add(evals, Ordering::Relaxed);
+    });
 
     RvoResult {
         delay: Volume::from_vec(dims, delay_out),
@@ -380,6 +428,74 @@ mod tests {
             let w = res.dispersion.data[i] as f64;
             assert!(d >= b.delay_s.0 - 1e-9 && d <= b.delay_s.1 + 1e-9);
             assert!(w >= b.dispersion_s.0 - 1e-9 && w <= b.dispersion_s.1 + 1e-9);
+        }
+    }
+
+    /// The raster as it was before the voxel was centred once: one
+    /// `ReferenceVector::correlate` per (voxel, raster point).
+    fn reference_raster(
+        series: &[Volume],
+        stim: &Stimulus,
+        steps: (usize, usize),
+    ) -> [Vec<u32>; 3] {
+        let b = RvoBounds::default();
+        let mut out = [vec![], vec![], vec![]];
+        for idx in 0..series[0].dims.len() {
+            let voxel: Vec<f32> = series.iter().map(|v| v.data[idx]).collect();
+            let mut best = (f64::NAN, f64::NAN, f64::MIN);
+            for &d in &grid(b.delay_s, steps.0) {
+                for &w in &grid(b.dispersion_s, steps.1) {
+                    let c = ReferenceVector::from_stimulus(stim, d, w).correlate(&voxel);
+                    if c > best.2 {
+                        best = (d, w, c);
+                    }
+                }
+            }
+            for (map, v) in out.iter_mut().zip([best.0, best.1, best.2]) {
+                map.push((v as f32).to_bits());
+            }
+        }
+        out
+    }
+
+    fn result_bits(res: &RvoResult) -> [Vec<u32>; 3] {
+        [&res.delay, &res.dispersion, &res.correlation]
+            .map(|m| m.data.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn hoisted_kernel_matches_reference_correlate_bit_for_bit() {
+        let dims = Dims::new(16, 16, 4);
+        let (mut series, stim, _) = synthetic_series(dims, 32, 5.5, 1.25, 4.0, 6);
+        // A constant voxel (Σd² = 0) correlates with nothing.
+        for v in &mut series {
+            v.data[7] = 42.0;
+        }
+        let method = RvoMethod::FullGrid { delay_steps: 13, dispersion_steps: 7 };
+        let res = optimize(&series, &stim, RvoBounds::default(), method, None);
+        assert_eq!(result_bits(&res), reference_raster(&series, &stim, (13, 7)));
+        assert_eq!(res.evaluations, (dims.len() * 13 * 7) as u64);
+        // ... and reports the first raster point with correlation 0.
+        let b = RvoBounds::default();
+        assert_eq!(res.correlation.data[7], 0.0);
+        assert_eq!(res.delay.data[7], b.delay_s.0 as f32);
+        assert_eq!(res.dispersion.data[7], b.dispersion_s.0 as f32);
+    }
+
+    #[test]
+    fn single_scan_series_correlates_zero_everywhere() {
+        // Fewer than two scans: no correlation is defined, whatever the
+        // values (an infinite one would otherwise turn Σd² into NaN).
+        let dims = Dims::new(3, 2, 1);
+        let mut scan = Volume::filled(dims, 100.0);
+        scan.data[1] = f32::INFINITY;
+        let stim = Stimulus { course: vec![1.0], tr_s: 2.0 };
+        let b = RvoBounds::default();
+        for method in [RvoMethod::paper_grid(), RvoMethod::paper_refined()] {
+            let res = optimize(std::slice::from_ref(&scan), &stim, b, method, None);
+            assert_eq!(result_bits(&res), reference_raster(&[scan.clone()], &stim, (2, 2)));
+            assert!(res.correlation.data.iter().all(|&c| c == 0.0));
+            assert!(res.delay.data.iter().all(|&d| d == b.delay_s.0 as f32));
         }
     }
 

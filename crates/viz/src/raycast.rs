@@ -4,12 +4,13 @@
 //! density-to-opacity transfer function. Activated regions ("the light
 //! areas ... activated by moving the right hand") are highlighted by
 //! blending the activation map's hot colour over the anatomy density.
-//! Parallelized over output rows with rayon — this is the Onyx 2's job
-//! in the testbed, and its render time per frame is what the workbench
+//! Parallelized over output rows on `gtw-par` scoped threads (one row
+//! per item, each pixel written by exactly one call, so a frame is
+//! bit-identical at any thread count) — this is the Onyx 2's job in the
+//! testbed, and its render time per frame is what the workbench
 //! transport has to keep up with.
 
 use gtw_scan::volume::Volume;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::color::hot;
@@ -82,7 +83,7 @@ impl VolumeRenderer {
 
         let mut img = Image::new(p.width, p.height);
         let width = p.width;
-        img.pixels.par_chunks_mut(width).enumerate().for_each(|(py, row)| {
+        gtw_par::for_each(img.pixels.chunks_mut(width.max(1)).enumerate(), |(py, row)| {
             for (px, out) in row.iter_mut().enumerate() {
                 let u = (px as f32 - p.width as f32 / 2.0) * scale;
                 let v = (py as f32 - p.height as f32 / 2.0) * scale;
@@ -174,6 +175,22 @@ mod tests {
         // Reasonable coverage: the head silhouette.
         let cov = img.coverage();
         assert!(cov > 0.08 && cov < 0.9, "coverage {cov}");
+    }
+
+    #[test]
+    fn frames_are_bit_identical_at_every_width() {
+        let r = renderer();
+        // 5 rows and 1 row do not divide among 2, 3 or 8 threads; then
+        // frames with no pixel at all.
+        for (width, height) in [(48, 5), (64, 1), (16, 0), (0, 4)] {
+            let p = RenderParams { width, height, ..RenderParams::default() };
+            let sequential = gtw_par::with_threads(1, || r.render(&p));
+            assert_eq!(sequential.pixels.len(), width * height);
+            for threads in [2usize, 3, 8] {
+                let frame = gtw_par::with_threads(threads, || r.render(&p));
+                assert_eq!(frame.pixels, sequential.pixels, "{width}x{height}, {threads} threads");
+            }
+        }
     }
 
     #[test]

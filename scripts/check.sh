@@ -79,6 +79,17 @@ cargo run --release -q -p gtw-bench --bin trajectory -- --deterministic > "$trac
 cmp "$trace_tmp/traj_a.json" "$trace_tmp/traj_b.json"
 cargo run --release -q -p gtw-bench --bin trajectory -- --check
 
+# Thread-width gate: `table1 --real` times the FIRE modules on gtw-par
+# threads at every width up to the host's cores (plus one oversubscribed)
+# and digests their outputs. The digest is the deterministic part: it
+# must be one value at every width within a run (the bin also asserts
+# this) and across two runs. Under a hard timeout, so a deadlocked
+# executor fails the gate instead of hanging it.
+timeout 300 cargo run --release -q -p gtw-bench --bin table1 -- --real --json | grep '"digest"' > "$trace_tmp/real_a.txt"
+timeout 300 cargo run --release -q -p gtw-bench --bin table1 -- --real --json | grep '"digest"' > "$trace_tmp/real_b.txt"
+cmp "$trace_tmp/real_a.txt" "$trace_tmp/real_b.txt"
+test "$(sort -u "$trace_tmp/real_a.txt" | wc -l)" -eq 1
+
 # Collectives gate: the flat-vs-topology equivalence suite (bit-identical
 # reductions incl. NaN/-0.0 payloads, try_* trajectory matching under
 # seeded crash plans, WAN crossings O(sites) not O(ranks)) under a hard
