@@ -4,7 +4,8 @@
 //! (`gtw-net`) and the end-to-end application scenarios. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a deterministic time-ordered priority queue,
+//! * [`EventQueue`] — a deterministic time-ordered priority queue (a
+//!   merge of per-source sorted runs, see [`queue`]),
 //! * [`Simulator`] — the event loop, dispatching to registered
 //!   [`Component`]s or to one-shot closures,
 //! * [`rng`] — named, reproducible random-number streams.

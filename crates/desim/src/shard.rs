@@ -267,9 +267,9 @@ impl Shard {
                 self.now = ev.time;
                 self.processed += 1;
                 self.dispatch_counts[t] += 1;
-                let mut comp = self.components[t]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {target:?}"));
+                let comp = self.components[t]
+                    .as_deref_mut()
+                    .unwrap_or_else(|| panic!("dispatch to empty slot {target:?}"));
                 // A solitary shard has nowhere to forward to; skipping
                 // the remote context spares every send the locality
                 // check on the hot path.
@@ -288,7 +288,6 @@ impl Shard {
                     tracer: None,
                 };
                 comp.handle(&mut ctx, msg);
-                self.components[t] = Some(comp);
             }
             Event::Call(_) => unreachable!("Call events are rejected at partition time"),
         }

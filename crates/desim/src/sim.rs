@@ -9,7 +9,7 @@
 use std::any::Any;
 
 use crate::component::{Component, ComponentId, Ctx, Msg};
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, QueuedEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -210,18 +210,28 @@ impl Simulator {
         let Some(ev) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(ev);
+        true
+    }
+
+    // Forced inline: left to the heuristic, the shared body stays out of
+    // line and `run_until` reads ~3 % slower on the 64-flow TCP scenario.
+    #[inline(always)]
+    fn dispatch(&mut self, ev: QueuedEvent<Event>) {
         debug_assert!(ev.time >= self.now, "event queue returned a past event");
         self.now = ev.time;
         self.processed += 1;
         match ev.payload {
             Event::Deliver { target, msg } => {
-                // Take the component out of its slot so it can receive a
-                // `Ctx` borrowing the queue without aliasing.
+                // The component, the queue, its send counter and the
+                // tracer are disjoint fields, so the component handles
+                // the event in its slot while `Ctx` borrows the rest.
                 self.dispatch_counts[target.0] += 1;
-                let mut comp = self.components[target.0]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {:?}", target));
-                if let Some(tr) = self.tracer.as_deref_mut() {
+                let comp = self.components[target.0]
+                    .as_deref_mut()
+                    .unwrap_or_else(|| panic!("dispatch to empty slot {:?}", target));
+                let mut tracer = self.tracer.as_deref_mut();
+                if let Some(tr) = tracer.as_deref_mut() {
                     tr.on_dispatch(self.now, target, &self.names[target.0]);
                 }
                 let mut ctx = Ctx {
@@ -230,10 +240,9 @@ impl Simulator {
                     queue: &mut self.queue,
                     src_seq: &mut self.send_seqs[target.0],
                     remote: None,
-                    tracer: self.tracer.as_deref_mut(),
+                    tracer,
                 };
                 comp.handle(&mut ctx, msg);
-                self.components[target.0] = Some(comp);
             }
             Event::Call(f) => {
                 if let Some(tr) = self.tracer.as_deref_mut() {
@@ -242,7 +251,6 @@ impl Simulator {
                 f(self)
             }
         }
-        true
     }
 
     /// Run until the queue drains (or the event budget is exhausted).
@@ -258,12 +266,10 @@ impl Simulator {
             if self.processed >= self.event_budget {
                 return RunResult::BudgetExhausted;
             }
-            match self.queue.peek_time() {
-                None => return RunResult::Drained,
-                Some(t) if t > horizon => return RunResult::HorizonReached,
-                Some(_) => {
-                    self.step();
-                }
+            match self.queue.pop_through(horizon) {
+                Some(ev) => self.dispatch(ev),
+                None if self.queue.is_empty() => return RunResult::Drained,
+                None => return RunResult::HorizonReached,
             }
         }
     }

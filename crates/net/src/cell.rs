@@ -26,16 +26,36 @@ pub const ATM_PAYLOAD_BYTES: usize = 48;
 /// Header size.
 pub const ATM_HEADER_BYTES: usize = 5;
 
-/// CRC-8 with generator x⁸ + x² + x + 1 (0x07), as used by the ATM HEC.
-fn crc8_atm(data: &[u8]) -> u8 {
-    let mut crc: u8 = 0;
-    for &byte in data {
-        crc ^= byte;
-        for _ in 0..8 {
-            crc = if crc & 0x80 != 0 { (crc << 1) ^ 0x07 } else { crc << 1 };
-        }
+/// One step of the bit-at-a-time CRC-8: `crc` shifted through eight
+/// times under the generator x⁸ + x² + x + 1 (0x07).
+const fn crc8_shift(mut crc: u8) -> u8 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = if crc & 0x80 != 0 { (crc << 1) ^ 0x07 } else { crc << 1 };
+        bit += 1;
     }
     crc
+}
+
+static CRC8_TABLE: [u8; 256] = const {
+    let mut t = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = crc8_shift(b as u8);
+        b += 1;
+    }
+    t
+};
+
+/// CRC-8 with generator x⁸ + x² + x + 1 (0x07), as used by the ATM HEC.
+fn crc8_atm(data: &[u8]) -> u8 {
+    data.iter().fold(0, |crc, &byte| CRC8_TABLE[(crc ^ byte) as usize])
+}
+
+/// The bit-at-a-time definition [`crc8_atm`] must agree with.
+#[cfg(test)]
+fn crc8_atm_bitwise(data: &[u8]) -> u8 {
+    data.iter().fold(0, |crc, &byte| crc8_shift(crc ^ byte))
 }
 
 /// The ITU-T I.432 coset leader added to the HEC.
@@ -249,6 +269,19 @@ mod tests {
     #[test]
     fn payload_fraction() {
         assert!((CELL_PAYLOAD_FRACTION - 0.90566).abs() < 1e-4);
+    }
+
+    #[test]
+    fn table_hec_equals_bitwise_on_all_vcis() {
+        for vci in 0..=u16::MAX {
+            for &vpi in &[0u8, 1, 0x0f, 0xf0, 0xff] {
+                for &(pti, clp) in &[(0u8, false), (1, false), (7, true)] {
+                    let h = CellHeader { gfc: 0, vpi, vci, pti: Pti(pti), clp }.pack();
+                    assert_eq!(crc8_atm(&h), crc8_atm_bitwise(&h), "header {h:02x?}");
+                }
+            }
+        }
+        assert_eq!(crc8_atm_bitwise(b"123456789"), 0xF4);
     }
 
     #[test]

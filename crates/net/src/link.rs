@@ -140,6 +140,10 @@ pub struct PipeStage {
     /// Fault injector judging every arriving packet; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
+    /// Messages the stage could not act on (unknown type, `TxDone` with
+    /// an empty queue): dropped and counted instead of crashing the hop.
+    /// Not part of any report.
+    pub dropped_msgs: u64,
     queue: std::collections::VecDeque<Packet>,
     backlog_bytes: u64,
     transmitting: bool,
@@ -155,6 +159,7 @@ impl PipeStage {
             stats: StageStats::default(),
             spans: SpanSink::disabled(),
             injector: None,
+            dropped_msgs: 0,
             queue: std::collections::VecDeque::new(),
             backlog_bytes: 0,
             transmitting: false,
@@ -239,9 +244,14 @@ impl Component for PipeStage {
             if !self.transmitting {
                 self.start_tx(ctx);
             }
-        } else {
-            let _ = gtw_desim::component::downcast::<TxDone>(m);
-            let pkt = self.queue.pop_front().expect("TxDone with empty queue");
+        } else if m.downcast::<TxDone>().is_ok() {
+            // A `TxDone` that finds nothing waiting was not armed by
+            // `start_tx`: count it and leave the transmitter idle.
+            let Some(pkt) = self.queue.pop_front() else {
+                self.transmitting = false;
+                self.dropped_msgs += 1;
+                return;
+            };
             self.backlog_bytes -= pkt.ip_bytes.bytes();
             self.stats.packets_out += 1;
             self.stats.bytes_out += pkt.payload.bytes();
@@ -253,6 +263,9 @@ impl Component for PipeStage {
             let next = self.next;
             ctx.send_in(self.config.propagation, next, gtw_desim::component::msg(Arrive(pkt)));
             self.start_tx(ctx);
+        } else {
+            // A stray message of an unknown type must not crash the hop.
+            self.dropped_msgs += 1;
         }
     }
 
@@ -412,6 +425,27 @@ mod tests {
         sim.run();
         // Store-and-forward: 1 ms + 1 ms.
         assert_eq!(sim.component::<Sink>(sink).received[0].0, SimTime::from_millis(2));
+    }
+
+    #[test]
+    fn stray_messages_are_counted_not_fatal() {
+        let mut sim = Simulator::new();
+        let sink = sim.add_component(Sink::default());
+        let link = sim.add_component(raw_stage(100.0, sink));
+        struct Stray;
+        sim.send_in(SimDuration::ZERO, link, msg(Stray));
+        // A TxDone nobody armed, on an empty queue.
+        sim.send_in(SimDuration::ZERO, link, msg(TxDone));
+        sim.send_in(
+            SimDuration::from_millis(1),
+            link,
+            msg(Arrive(data_packet(0, 12_500, SimTime::ZERO))),
+        );
+        sim.run();
+        assert_eq!(sim.component::<PipeStage>(link).dropped_msgs, 2);
+        let s = sim.component::<Sink>(sink);
+        assert_eq!(s.received.len(), 1);
+        assert_eq!(s.received[0].0, SimTime::from_millis(2));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! point under congestion. Cells whose HEC does not verify are discarded
 //! at the input, exactly as real hardware does.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SpanSink};
@@ -36,7 +36,7 @@ pub struct WireCellArrive {
 struct PortTxDone(usize);
 
 /// Routing key: where the cell came in and on which VC.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct VcKey {
     /// Input port.
     pub port: usize,
@@ -133,7 +133,7 @@ struct PortState {
     transmitting: bool,
     /// Per-VC AAL5 frame state, keyed by the outgoing `(VPI, VCI)`.
     /// Empty (and never touched) unless `cfg.epd_threshold` is set.
-    frames: HashMap<(u8, u16), FrameState>,
+    frames: BTreeMap<(u8, u16), FrameState>,
 }
 
 /// Per-switch counters.
@@ -196,7 +196,7 @@ impl SwitchStats {
 
 /// The switch component.
 pub struct AtmSwitch {
-    routes: HashMap<VcKey, VcRoute>,
+    routes: BTreeMap<VcKey, VcRoute>,
     ports: Vec<PortState>,
     /// Fixed fabric latency from input to the output queue.
     pub fabric_latency: SimDuration,
@@ -218,14 +218,14 @@ impl AtmSwitch {
     /// Create a switch with the given output ports.
     pub fn new(label: impl Into<String>, ports: Vec<OutputPort>) -> Self {
         AtmSwitch {
-            routes: HashMap::new(),
+            routes: BTreeMap::new(),
             ports: ports
                 .into_iter()
                 .map(|cfg| PortState {
                     cfg,
                     queue: VecDeque::new(),
                     transmitting: false,
-                    frames: HashMap::new(),
+                    frames: BTreeMap::new(),
                 })
                 .collect(),
             fabric_latency: SimDuration::from_micros(10),
@@ -281,7 +281,7 @@ impl AtmSwitch {
 /// instead of wasting queue space on a frame that can no longer
 /// reassemble. No-op when EPD is off or the dropped cell ended the frame.
 fn mark_ppd(
-    frames: &mut HashMap<(u8, u16), FrameState>,
+    frames: &mut BTreeMap<(u8, u16), FrameState>,
     frame_key: Option<((u8, u16), bool, usize)>,
 ) {
     if let Some((vc, end, _)) = frame_key {
@@ -441,7 +441,7 @@ impl Component for AtmSwitch {
 /// cell-level tests.
 #[derive(Default)]
 pub struct CellEndpoint {
-    reassemblers: HashMap<(u8, u16), crate::aal5::Reassembler>,
+    reassemblers: BTreeMap<(u8, u16), crate::aal5::Reassembler>,
     /// Completed payloads in arrival order, tagged with their VC.
     pub delivered: Vec<((u8, u16), Vec<u8>)>,
     /// Reassembly errors observed (sum of the per-cause counters).
