@@ -162,8 +162,7 @@ fn real_scaling(model: &T3eModel) {
     }
     println!(
         "(x = measured speedup over 1 thread, model = the T3E cost model at the same PE count;\n \
-         motion estimation is serial per image here; outputs bit-identical at every width,\n \
-         digest {:016x})",
+         outputs bit-identical at every width, digest {:016x})",
         rows[0].digest
     );
 }

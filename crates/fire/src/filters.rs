@@ -6,55 +6,157 @@
 //! run one z-slab per `gtw_par::for_each` item: every output voxel is
 //! written by exactly one call, so the result is bit-identical at any
 //! thread count.
+//!
+//! Both are vectorised across x. Per output row the nine edge-clamped
+//! source rows are copied once into x-padded buffers, so neighbour `k`
+//! of every voxel of the row is one contiguous, shifted slice. The
+//! average adds the 27 slices into the output row; the median takes
+//! [`LANES`] neighbouring voxels at a time and runs one selection step
+//! on all lanes at once (plain `[f32; LANES]` loops, which LLVM turns
+//! into SSE `minps`/`maxps`).
+//!
+//! **Median.** [`median27`] is a selection network of compare-exchanges
+//! (`if b < a { swap }`) run by *forgetful selection*: of any 15 of the
+//! 27 values the smallest has at least 14 values above it and the
+//! largest 14 below, so neither is the median (rank 13); drop both, admit
+//! the next input, and repeat on 14, 13, … 3 values. A compare-exchange
+//! only permutes its two inputs, so the network returns one of the 27
+//! input values unchanged, and it is the value a sort would leave at
+//! rank 13: the same bits the old per-voxel `select_nth_unstable` gave
+//! (where +0.0 and -0.0 tie, either may come out; they compare equal).
+//!
+//! **NaN.** `b < a` is false when either side is NaN, so a NaN is never
+//! moved and nothing panics. A voxel whose neighbourhood holds a NaN
+//! gets *some* value of that neighbourhood (possibly the NaN); every
+//! other voxel is exact. The averaging filter propagates NaN as any sum
+//! does.
 
 use gtw_scan::volume::Volume;
 
-/// Collect the 27 edge-clamped neighbourhood values of `(x, y, z)`.
-#[inline]
-fn neighbourhood(vol: &Volume, x: usize, y: usize, z: usize, out: &mut [f32; 27]) {
-    let d = vol.dims;
-    let mut k = 0;
-    for dz in -1isize..=1 {
-        let zz = (z as isize + dz).clamp(0, d.nz as isize - 1) as usize;
-        for dy in -1isize..=1 {
-            let yy = (y as isize + dy).clamp(0, d.ny as isize - 1) as usize;
-            for dx in -1isize..=1 {
-                let xx = (x as isize + dx).clamp(0, d.nx as isize - 1) as usize;
-                out[k] = vol.at(xx, yy, zz);
-                k += 1;
-            }
-        }
-    }
-}
+/// Output voxels per step of the median network: neighbours along x,
+/// one per lane.
+const LANES: usize = 8;
+type Lanes = [f32; LANES];
 
 /// 3×3×3 median filter (the FIRE noise-reduction module).
 pub fn median_filter(vol: &Volume) -> Volume {
-    filter_rows(vol, |vals| {
-        // Median of 27 via select_nth.
-        vals.select_nth_unstable_by(13, |a, b| a.partial_cmp(b).unwrap());
-        vals[13]
+    filter_rows(vol, |rows, out_row| {
+        for (block, out) in out_row.chunks_mut(LANES).enumerate() {
+            let vals = std::array::from_fn(|k| {
+                let lanes = &rows.shifted(k)[block * LANES..][..LANES];
+                lanes.try_into().expect("a padded row ends on a whole block")
+            });
+            out.copy_from_slice(&median27(&vals)[..out.len()]);
+        }
     })
 }
 
 /// 3×3×3 averaging (boxcar) filter (the FIRE smoothing module).
 pub fn average_filter(vol: &Volume) -> Volume {
-    filter_rows(vol, |vals| vals.iter().sum::<f32>() / 27.0)
+    // Each voxel adds its 27 values in neighbourhood order, starting from
+    // the first: what `iter().sum()` over the neighbourhood computes.
+    filter_rows(vol, |rows, out_row| {
+        out_row.copy_from_slice(&rows.shifted(0)[..out_row.len()]);
+        for k in 1..27 {
+            for (sum, v) in out_row.iter_mut().zip(rows.shifted(k)) {
+                *sum += v;
+            }
+        }
+        out_row.iter_mut().for_each(|sum| *sum /= 27.0);
+    })
 }
 
-/// Shared kernel driver: applies `f` to every voxel's neighbourhood,
-/// parallelizing over z-slabs on `gtw-par` scoped threads (each slab is
-/// one "PE"'s work in the domain decomposition).
-fn filter_rows(vol: &Volume, f: impl Fn(&mut [f32; 27]) -> f32 + Sync) -> Volume {
+/// Order lanes of `w[i]` and `w[j]` so that `w[i] <= w[j]` in each.
+#[inline(always)]
+fn compare_exchange(w: &mut [Lanes; 15], i: usize, j: usize) {
+    let (a, b) = (w[i], w[j]);
+    for l in 0..LANES {
+        let swap = b[l] < a[l];
+        w[i][l] = if swap { b[l] } else { a[l] };
+        w[j][l] = if swap { a[l] } else { b[l] };
+    }
+}
+
+/// One round of forgetful selection on `w[..N]`: move the minimum to
+/// `w[0]` and the maximum to `w[N - 1]`, then forget both: `next` takes
+/// the minimum's place and the next round is one shorter. `N` is a
+/// constant so that every index is one and `w` can live in registers.
+#[inline(always)]
+fn forget_extremes<const N: usize>(w: &mut [Lanes; 15], next: Lanes) {
+    // Pair the ends inwards: every pair's smaller value goes left, so
+    // the minimum is in the left half and the maximum in the right.
+    for i in 0..N / 2 {
+        compare_exchange(w, i, N - 1 - i);
+    }
+    // An odd N's middle value plays in both halves.
+    for i in 1..N.div_ceil(2) {
+        compare_exchange(w, 0, i);
+        compare_exchange(w, N - 1 - i, N - 1);
+    }
+    w[0] = next;
+}
+
+/// Per lane, the median (rank 13) of 27 values; see the module docs.
+fn median27(vals: &[Lanes; 27]) -> Lanes {
+    let mut w = [[0.0f32; LANES]; 15];
+    w.copy_from_slice(&vals[..15]);
+    forget_extremes::<15>(&mut w, vals[15]);
+    forget_extremes::<14>(&mut w, vals[16]);
+    forget_extremes::<13>(&mut w, vals[17]);
+    forget_extremes::<12>(&mut w, vals[18]);
+    forget_extremes::<11>(&mut w, vals[19]);
+    forget_extremes::<10>(&mut w, vals[20]);
+    forget_extremes::<9>(&mut w, vals[21]);
+    forget_extremes::<8>(&mut w, vals[22]);
+    forget_extremes::<7>(&mut w, vals[23]);
+    forget_extremes::<6>(&mut w, vals[24]);
+    forget_extremes::<5>(&mut w, vals[25]);
+    forget_extremes::<4>(&mut w, vals[26]);
+    compare_exchange(&mut w, 0, 1);
+    compare_exchange(&mut w, 1, 2);
+    compare_exchange(&mut w, 0, 1);
+    w[1]
+}
+
+/// The nine edge-clamped source rows around one output row, each padded
+/// along x: the clamped voxel x = -1, the nx voxels, then the clamped
+/// x = nx repeated to the end of a whole last block of [`LANES`].
+struct PaddedRows {
+    buf: Vec<f32>,
+    stride: usize,
+}
+
+impl PaddedRows {
+    /// Neighbour `k` (z-major, then y, then x) of every voxel of the
+    /// output row: element `x` is neighbour `k` of voxel `x`.
+    #[inline(always)]
+    fn shifted(&self, k: usize) -> &[f32] {
+        &self.buf[(k / 3) * self.stride + k % 3..][..self.stride - 2]
+    }
+}
+
+/// Shared kernel driver: `kernel` fills one output row from its padded
+/// source rows. Parallel over z-slabs on `gtw-par` scoped threads (each
+/// slab is one "PE"'s work in the domain decomposition).
+fn filter_rows(vol: &Volume, kernel: impl Fn(&PaddedRows, &mut [f32]) + Sync) -> Volume {
     let d = vol.dims;
     let mut out = Volume::zeros(d);
-    let slab = d.nx * d.ny;
-    gtw_par::for_each(out.data.chunks_mut(slab.max(1)).enumerate(), |(z, out_slab)| {
-        let mut vals = [0.0f32; 27];
-        for y in 0..d.ny {
-            for x in 0..d.nx {
-                neighbourhood(vol, x, y, z, &mut vals);
-                out_slab[x + d.nx * y] = f(&mut vals);
+    if d.is_empty() {
+        return out;
+    }
+    let stride = d.nx.next_multiple_of(LANES) + 2;
+    gtw_par::for_each(out.data.chunks_mut(d.nx * d.ny).enumerate(), |(z, out_slab)| {
+        let mut rows = PaddedRows { buf: vec![0.0f32; 9 * stride], stride };
+        for (y, out_row) in out_slab.chunks_mut(d.nx).enumerate() {
+            for (r, padded) in rows.buf.chunks_mut(stride).enumerate() {
+                let zz = (z + r / 3).saturating_sub(1).min(d.nz - 1);
+                let yy = (y + r % 3).saturating_sub(1).min(d.ny - 1);
+                let src = &vol.data[d.index(0, yy, zz)..][..d.nx];
+                padded[0] = src[0];
+                padded[1..=d.nx].copy_from_slice(src);
+                padded[d.nx + 1..].fill(src[d.nx - 1]);
             }
+            kernel(&rows, out_row);
         }
     });
     out

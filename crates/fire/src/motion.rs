@@ -9,6 +9,17 @@
 //! above-threshold (brain) voxels on a subsampled grid — the same
 //! volume-of-interest trick the real-time original needed to stay inside
 //! the acquisition window.
+//!
+//! One iteration costs 12 perturbed residual vectors for the Jacobian
+//! plus one per line-search trial. The 12 are one fused pass, a single
+//! `gtw_par::for_each` over chunks of sample points: each item builds
+//! its own rows of the Jacobian from the 12 probes (rotation matrices
+//! built once per iteration, not per point), so every row has one writer
+//! and the fit is bit-identical at any thread count. `JᵀJ` and `Jᵀr` are
+//! then summed sequentially in point order. The base residual is never
+//! recomputed: the trial the line search accepts *is* the next
+//! iteration's base (same parameters, same bits), and the last one
+//! gives `residual_rms`.
 
 use gtw_scan::motion::RigidTransform;
 use gtw_scan::volume::Volume;
@@ -50,6 +61,27 @@ pub struct MotionCorrector {
 /// aligned probe samples the moving image exactly, creating a spurious
 /// cost dip at zero — a classic registration trap).
 const GRID_OFFSET: f32 = 0.37;
+
+/// Parameter perturbations of the numeric Jacobian: ~0.2° rotations,
+/// 0.1-voxel shifts.
+const EPS: [f32; 6] = [3e-3, 3e-3, 3e-3, 0.1, 0.1, 0.1];
+
+/// Sample points per `gtw_par::for_each` item of the Jacobian pass:
+/// 12 trilinear samples each, so an item is worth a lock round-trip.
+const POINT_CHUNK: usize = 256;
+
+/// A trial transform with its rotation matrix built once.
+struct Probe {
+    transform: RigidTransform,
+    rot: [[f32; 3]; 3],
+}
+
+impl Probe {
+    fn new(params: [f32; 6]) -> Self {
+        let transform = RigidTransform::from_params(params);
+        Probe { transform, rot: transform.rotation_matrix() }
+    }
+}
 
 impl MotionCorrector {
     /// Build a corrector; `stride` subsamples the grid (2 or 3 is
@@ -93,12 +125,40 @@ impl MotionCorrector {
         self.sample_points.len()
     }
 
-    fn residuals(&self, moved: &Volume, t: &RigidTransform, out: &mut [f64]) {
+    /// Intensity residual of sample point `k` with `moved` seen through
+    /// `probe`.
+    #[inline]
+    fn residual(&self, moved: &Volume, probe: &Probe, k: usize) -> f64 {
         let centre = self.reference.dims.centre();
-        for (k, &(x, y, z)) in self.sample_points.iter().enumerate() {
-            let (sx, sy, sz) = t.apply_point((x, y, z), centre);
-            out[k] = (moved.sample(sx, sy, sz) - self.ref_values[k]) as f64;
+        let (sx, sy, sz) = probe.transform.apply_rotated(&probe.rot, self.sample_points[k], centre);
+        (moved.sample(sx, sy, sz) - self.ref_values[k]) as f64
+    }
+
+    fn residuals(&self, moved: &Volume, params: [f32; 6], out: &mut [f64]) {
+        let probe = Probe::new(params);
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = self.residual(moved, &probe, k);
         }
+    }
+
+    /// Central-difference Jacobian of the residuals around `params`:
+    /// the fused, parallel pass of the module docs.
+    fn jacobian(&self, moved: &Volume, params: [f32; 6], jac: &mut [[f64; 6]]) {
+        let probes: [[Probe; 2]; 6] = std::array::from_fn(|p| {
+            let (mut lo, mut hi) = (params, params);
+            lo[p] -= EPS[p];
+            hi[p] += EPS[p];
+            [Probe::new(lo), Probe::new(hi)]
+        });
+        gtw_par::for_each(jac.chunks_mut(POINT_CHUNK).enumerate(), |(c, rows)| {
+            for (i, row) in rows.iter_mut().enumerate() {
+                let k = c * POINT_CHUNK + i;
+                for (p, [lo, hi]) in probes.iter().enumerate() {
+                    let scale = 1.0 / (2.0 * EPS[p] as f64);
+                    row[p] = (self.residual(moved, hi, k) - self.residual(moved, lo, k)) * scale;
+                }
+            }
+        });
     }
 
     /// Estimate the correction transform for `moved`.
@@ -107,43 +167,30 @@ impl MotionCorrector {
         let moved = &average_filter(moved);
         let m = self.sample_points.len();
         let mut params = [0.0f32; 6];
+        // `r` is always the residual at `params`.
         let mut r = vec![0.0f64; m];
-        let mut r_lo = vec![0.0f64; m];
-        let mut r_hi = vec![0.0f64; m];
-        // Parameter perturbations: ~0.2° rotations, 0.1-voxel shifts.
-        const EPS: [f32; 6] = [3e-3, 3e-3, 3e-3, 0.1, 0.1, 0.1];
+        let mut r_trial = vec![0.0f64; m];
+        let mut jac = vec![[0.0f64; 6]; m];
+        let mut jt_j = Matrix::zeros(6, 6);
+        self.residuals(moved, params, &mut r);
         let mut iterations = 0;
         for iter in 0..self.max_iters {
             iterations = iter + 1;
-            let t = RigidTransform::from_params(params);
-            self.residuals(moved, &t, &mut r);
-            // Numeric Jacobian, one parameter at a time.
-            let mut jt_j = Matrix::zeros(6, 6);
+            self.jacobian(moved, params, &mut jac);
+            // Normal equations: one sequential sum in point order.
             let mut jt_r = [0.0f64; 6];
-            let mut jac = vec![[0.0f64; 6]; m];
-            for p in 0..6 {
-                let mut lo = params;
-                let mut hi = params;
-                lo[p] -= EPS[p];
-                hi[p] += EPS[p];
-                self.residuals(moved, &RigidTransform::from_params(lo), &mut r_lo);
-                self.residuals(moved, &RigidTransform::from_params(hi), &mut r_hi);
-                let scale = 1.0 / (2.0 * EPS[p] as f64);
-                for k in 0..m {
-                    jac[k][p] = (r_hi[k] - r_lo[k]) * scale;
-                }
-            }
-            for k in 0..m {
+            let mut upper = [[0.0f64; 6]; 6];
+            for (row, &rk) in jac.iter().zip(&r) {
                 for a in 0..6 {
-                    jt_r[a] += jac[k][a] * r[k];
+                    jt_r[a] += row[a] * rk;
                     for b in a..6 {
-                        jt_j[(a, b)] += jac[k][a] * jac[k][b];
+                        upper[a][b] += row[a] * row[b];
                     }
                 }
             }
             for a in 0..6 {
-                for b in 0..a {
-                    jt_j[(a, b)] = jt_j[(b, a)];
+                for b in 0..6 {
+                    jt_j[(a, b)] = upper[a.min(b)][a.max(b)];
                 }
                 // Levenberg damping keeps the step sane when the
                 // Jacobian is poorly conditioned (flat regions).
@@ -164,12 +211,13 @@ impl MotionCorrector {
                 for p in 0..6 {
                     trial[p] -= lambda * step[p] as f32;
                 }
-                self.residuals(moved, &RigidTransform::from_params(trial), &mut r_lo);
-                let sse_after: f64 = r_lo.iter().map(|v| v * v).sum();
+                self.residuals(moved, trial, &mut r_trial);
+                let sse_after: f64 = r_trial.iter().map(|v| v * v).sum();
                 if sse_after < sse_before {
                     step_mag = step.iter().map(|&v| (lambda as f64 * v).powi(2)).sum::<f64>().sqrt()
                         as f32;
                     params = trial;
+                    std::mem::swap(&mut r, &mut r_trial);
                     accepted = true;
                     break;
                 }
@@ -179,10 +227,12 @@ impl MotionCorrector {
                 break;
             }
         }
-        let t = RigidTransform::from_params(params);
-        self.residuals(moved, &t, &mut r);
         let rms = (r.iter().map(|v| v * v).sum::<f64>() / m as f64).sqrt() as f32;
-        MotionEstimate { transform: t, iterations, residual_rms: rms }
+        MotionEstimate {
+            transform: RigidTransform::from_params(params),
+            iterations,
+            residual_rms: rms,
+        }
     }
 
     /// Estimate and apply the correction: returns the realigned volume.
@@ -267,19 +317,142 @@ mod tests {
         assert!(est.residual_rms < 1.0);
     }
 
-    #[test]
-    fn noisy_volume_still_converges() {
-        let refv = reference();
-        let t = RigidTransform::translation(0.6, 0.2, -0.2);
-        let mut moved = t.resample(&refv);
+    /// The reference shifted and given ±2 units of uniform noise.
+    fn noisy_moved(refv: &Volume) -> Volume {
+        let mut moved = RigidTransform::translation(0.6, 0.2, -0.2).resample(refv);
         let mut state = 77u64;
         for v in &mut moved.data {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             *v += 4.0 * (((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5);
         }
+        moved
+    }
+
+    #[test]
+    fn noisy_volume_still_converges() {
+        let refv = reference();
+        let moved = noisy_moved(&refv);
         let corrector = MotionCorrector::new(refv, 2, 50.0);
         let est = corrector.estimate(&moved);
         assert!((est.transform.tx + 0.6).abs() < 0.2, "{:?}", est.transform);
+    }
+
+    /// The residual as it was before the matrix form: six trig calls per
+    /// sample point inside `apply_point`.
+    fn reference_residuals(c: &MotionCorrector, moved: &Volume, params: [f32; 6], out: &mut [f64]) {
+        let t = RigidTransform::from_params(params);
+        let centre = c.reference.dims.centre();
+        for (k, &p) in c.sample_points.iter().enumerate() {
+            let (sx, sy, sz) = t.apply_point(p, centre);
+            out[k] = (moved.sample(sx, sy, sz) - c.ref_values[k]) as f64;
+        }
+    }
+
+    /// The serial fit `estimate` replaced, kept as the reference: every
+    /// residual vector recomputed, one parameter at a time.
+    fn reference_estimate(c: &MotionCorrector, moved: &Volume) -> MotionEstimate {
+        let moved = &average_filter(moved);
+        let m = c.sample_points.len();
+        let mut params = [0.0f32; 6];
+        let mut r = vec![0.0f64; m];
+        let mut r_lo = vec![0.0f64; m];
+        let mut r_hi = vec![0.0f64; m];
+        let mut iterations = 0;
+        for iter in 0..c.max_iters {
+            iterations = iter + 1;
+            reference_residuals(c, moved, params, &mut r);
+            let mut jt_j = Matrix::zeros(6, 6);
+            let mut jt_r = [0.0f64; 6];
+            let mut jac = vec![[0.0f64; 6]; m];
+            for p in 0..6 {
+                let mut lo = params;
+                let mut hi = params;
+                lo[p] -= EPS[p];
+                hi[p] += EPS[p];
+                reference_residuals(c, moved, lo, &mut r_lo);
+                reference_residuals(c, moved, hi, &mut r_hi);
+                let scale = 1.0 / (2.0 * EPS[p] as f64);
+                for k in 0..m {
+                    jac[k][p] = (r_hi[k] - r_lo[k]) * scale;
+                }
+            }
+            for k in 0..m {
+                for a in 0..6 {
+                    jt_r[a] += jac[k][a] * r[k];
+                    for b in a..6 {
+                        jt_j[(a, b)] += jac[k][a] * jac[k][b];
+                    }
+                }
+            }
+            for a in 0..6 {
+                for b in 0..a {
+                    jt_j[(a, b)] = jt_j[(b, a)];
+                }
+                jt_j[(a, a)] *= 1.0 + 1e-3;
+                jt_j[(a, a)] += 1e-9;
+            }
+            let Some(step) = solve(&jt_j, &jt_r) else {
+                break;
+            };
+            let sse_before: f64 = r.iter().map(|v| v * v).sum();
+            let mut lambda = 1.0f32;
+            let mut accepted = false;
+            let mut step_mag = 0.0f32;
+            for _ in 0..6 {
+                let mut trial = params;
+                for p in 0..6 {
+                    trial[p] -= lambda * step[p] as f32;
+                }
+                reference_residuals(c, moved, trial, &mut r_lo);
+                let sse_after: f64 = r_lo.iter().map(|v| v * v).sum();
+                if sse_after < sse_before {
+                    step_mag = step.iter().map(|&v| (lambda as f64 * v).powi(2)).sum::<f64>().sqrt()
+                        as f32;
+                    params = trial;
+                    accepted = true;
+                    break;
+                }
+                lambda *= 0.5;
+            }
+            if !accepted || step_mag < c.step_tol {
+                break;
+            }
+        }
+        reference_residuals(c, moved, params, &mut r);
+        let rms = (r.iter().map(|v| v * v).sum::<f64>() / m as f64).sqrt() as f32;
+        MotionEstimate {
+            transform: RigidTransform::from_params(params),
+            iterations,
+            residual_rms: rms,
+        }
+    }
+
+    #[test]
+    fn estimate_matches_the_serial_fit_bit_for_bit_at_every_width() {
+        let refv = reference();
+        let corrector = MotionCorrector::new(refv.clone(), 2, 50.0);
+        let mut cases: Vec<Volume> = [
+            RigidTransform::translation(0.8, -0.5, 0.3),
+            RigidTransform::rotation(0.02, -0.015, 0.025),
+            RigidTransform { rx: 0.015, ry: 0.01, rz: -0.02, tx: 0.5, ty: 0.4, tz: -0.3 },
+        ]
+        .iter()
+        .map(|t| t.resample(&refv))
+        .collect();
+        cases.push(noisy_moved(&refv));
+        for moved in &cases {
+            let want = reference_estimate(&corrector, moved);
+            assert!(want.iterations > 1, "the case must iterate: {want:?}");
+            for width in [1usize, 2, 3, 8] {
+                let got = gtw_par::with_threads(width, || corrector.estimate(moved));
+                assert_eq!(
+                    got.transform.params().map(f32::to_bits),
+                    want.transform.params().map(f32::to_bits)
+                );
+                assert_eq!(got.iterations, want.iterations);
+                assert_eq!(got.residual_rms.to_bits(), want.residual_rms.to_bits());
+            }
+        }
     }
 
     #[test]

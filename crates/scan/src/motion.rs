@@ -4,6 +4,11 @@
 //! the correlation coefficient due to the high intrinsic contrast of the
 //! MR images." The scanner injects motion with these transforms; FIRE's
 //! 3-D movement-correction module estimates and undoes them.
+//!
+//! A transform is applied in matrix form: `rotation_matrix()` (three
+//! `sin_cos`) is computed once per transform, and `apply_rotated` maps
+//! each point with nine multiplies. `apply_point` is the same expression
+//! on a freshly built matrix, so both give the same bits.
 
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +62,20 @@ impl RigidTransform {
 
     /// Map a point (about `centre`) through the transform.
     pub fn apply_point(&self, p: (f32, f32, f32), centre: (f32, f32, f32)) -> (f32, f32, f32) {
-        let r = self.rotation_matrix();
+        self.apply_rotated(&self.rotation_matrix(), p, centre)
+    }
+
+    /// [`RigidTransform::apply_point`] with this transform's
+    /// [`RigidTransform::rotation_matrix`] already in hand: a loop over
+    /// points pays the six trig calls once, and maps every point to the
+    /// same bits `apply_point` gives.
+    #[inline]
+    pub fn apply_rotated(
+        &self,
+        r: &[[f32; 3]; 3],
+        p: (f32, f32, f32),
+        centre: (f32, f32, f32),
+    ) -> (f32, f32, f32) {
         let (px, py, pz) = (p.0 - centre.0, p.1 - centre.1, p.2 - centre.2);
         (
             r[0][0] * px + r[0][1] * py + r[0][2] * pz + centre.0 + self.tx,
@@ -85,18 +103,23 @@ impl RigidTransform {
 
     /// Resample `vol` through this transform: output voxel `o` takes the
     /// value of the input at `T(o)` (pull/backward warping, trilinear).
+    /// One z-slab per `gtw_par::for_each` item, one writer per voxel:
+    /// the same bits at any thread count.
     pub fn resample(&self, vol: &Volume) -> Volume {
         let dims = vol.dims;
         let centre = dims.centre();
+        let r = self.rotation_matrix();
         let mut out = Volume::zeros(dims);
-        for z in 0..dims.nz {
-            for y in 0..dims.ny {
-                for x in 0..dims.nx {
-                    let (sx, sy, sz) = self.apply_point((x as f32, y as f32, z as f32), centre);
-                    out.data[dims.index(x, y, z)] = vol.sample(sx, sy, sz);
+        let slab = (dims.nx * dims.ny).max(1);
+        gtw_par::for_each(out.data.chunks_mut(slab).enumerate(), |(z, out_slab)| {
+            for (y, out_row) in out_slab.chunks_mut(dims.nx).enumerate() {
+                for (x, o) in out_row.iter_mut().enumerate() {
+                    let p = (x as f32, y as f32, z as f32);
+                    let (sx, sy, sz) = self.apply_rotated(&r, p, centre);
+                    *o = vol.sample(sx, sy, sz);
                 }
             }
-        }
+        });
         out
     }
 

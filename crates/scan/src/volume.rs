@@ -102,12 +102,18 @@ impl Volume {
 
     /// Trilinear sample at a fractional voxel coordinate; coordinates
     /// outside the volume clamp to the boundary (the behaviour motion
-    /// correction wants at the head edge).
+    /// correction wants at the head edge). A NaN coordinate samples
+    /// cell 0 with a NaN weight; a zero-sized volume samples as 0.0.
     pub fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
+        if self.dims.is_empty() {
+            return 0.0;
+        }
         let cx = x.clamp(0.0, (self.dims.nx - 1) as f32);
         let cy = y.clamp(0.0, (self.dims.ny - 1) as f32);
         let cz = z.clamp(0.0, (self.dims.nz - 1) as f32);
-        let (x0, y0, z0) = (cx.floor() as usize, cy.floor() as usize, cz.floor() as usize);
+        // After the clamp the cast truncates exactly as `floor` would
+        // (-0.0 and NaN both land on 0), without the libm call.
+        let (x0, y0, z0) = (cx as usize, cy as usize, cz as usize);
         let x1 = (x0 + 1).min(self.dims.nx - 1);
         let y1 = (y0 + 1).min(self.dims.ny - 1);
         let z1 = (z0 + 1).min(self.dims.nz - 1);

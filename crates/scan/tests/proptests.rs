@@ -7,8 +7,81 @@ use gtw_scan::phantom::Phantom;
 use gtw_scan::volume::{Dims, Volume};
 use proptest::prelude::*;
 
+/// `Volume::sample` as it was: `floor` before the cast, eight `at` calls.
+fn floor_sample(v: &Volume, x: f32, y: f32, z: f32) -> f32 {
+    let d = v.dims;
+    let cx = x.clamp(0.0, (d.nx - 1) as f32);
+    let cy = y.clamp(0.0, (d.ny - 1) as f32);
+    let cz = z.clamp(0.0, (d.nz - 1) as f32);
+    let (x0, y0, z0) = (cx.floor() as usize, cy.floor() as usize, cz.floor() as usize);
+    let (x1, y1, z1) = ((x0 + 1).min(d.nx - 1), (y0 + 1).min(d.ny - 1), (z0 + 1).min(d.nz - 1));
+    let (fx, fy, fz) = (cx - x0 as f32, cy - y0 as f32, cz - z0 as f32);
+    let c00 = v.at(x0, y0, z0) + fx * (v.at(x1, y0, z0) - v.at(x0, y0, z0));
+    let c10 = v.at(x0, y1, z0) + fx * (v.at(x1, y1, z0) - v.at(x0, y1, z0));
+    let c01 = v.at(x0, y0, z1) + fx * (v.at(x1, y0, z1) - v.at(x0, y0, z1));
+    let c11 = v.at(x0, y1, z1) + fx * (v.at(x1, y1, z1) - v.at(x0, y1, z1));
+    let c0 = c00 + fy * (c10 - c00);
+    let c1 = c01 + fy * (c11 - c01);
+    c0 + fz * (c1 - c0)
+}
+
+/// A coordinate: one of the awkward values, or `v`.
+fn coordinate(kind: usize, v: f32) -> f32 {
+    [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY].get(kind).copied().unwrap_or(v)
+}
+
+#[test]
+fn zero_sized_volumes_sample_and_resample_without_underflow() {
+    for dims in [Dims::new(0, 0, 0), Dims::new(0, 4, 4), Dims::new(4, 0, 4), Dims::new(4, 4, 0)] {
+        let vol = Volume::zeros(dims);
+        assert_eq!(vol.sample(1.0, 1.0, 1.0), 0.0);
+        assert_eq!(RigidTransform::translation(0.5, 0.0, 0.0).resample(&vol), vol);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The truncating `sample` is the `floor` form bit for bit, on
+    /// coordinates inside, outside (either side) and not a number.
+    #[test]
+    fn sample_equals_the_floor_form(
+        dims in (1usize..7, 1usize..7, 1usize..7),
+        kinds in (0usize..12, 0usize..12, 0usize..12),
+        at in (-9.0f32..15.0, -9.0f32..15.0, -9.0f32..15.0),
+        seed in 0u64..1000,
+    ) {
+        let dims = Dims::new(dims.0, dims.1, dims.2);
+        let mut rng = gtw_desim::StreamRng::new(seed, "sample-floor");
+        let vol = Volume::from_vec(dims, (0..dims.len()).map(|_| rng.normal() as f32).collect());
+        let (x, y, z) = (coordinate(kinds.0, at.0), coordinate(kinds.1, at.1), coordinate(kinds.2, at.2));
+        // Exact grid points and the far face as well as the draw.
+        for (x, y, z) in [(x, y, z), (x.round(), y.round(), z.round()), (x, (dims.ny - 1) as f32, z)] {
+            prop_assert_eq!(vol.sample(x, y, z).to_bits(), floor_sample(&vol, x, y, z).to_bits());
+        }
+    }
+
+    /// The slab-parallel matrix-form `resample` is per-voxel
+    /// `apply_point` + `sample`, bit for bit, at every thread count.
+    #[test]
+    fn resample_equals_apply_point_then_sample(
+        rot in (-0.2f32..0.2, -0.2f32..0.2, -0.2f32..0.2),
+        shift in (-3.0f32..3.0, -3.0f32..3.0, -3.0f32..3.0),
+        dims in (1usize..12, 1usize..12, 1usize..6),
+    ) {
+        let dims = Dims::new(dims.0, dims.1, dims.2);
+        let vol = Phantom::standard().anatomy(dims);
+        let t = RigidTransform { rx: rot.0, ry: rot.1, rz: rot.2, tx: shift.0, ty: shift.1, tz: shift.2 };
+        let want: Vec<u32> = (0..dims.len()).map(|i| {
+            let (x, y, z) = dims.coords(i);
+            let (sx, sy, sz) = t.apply_point((x as f32, y as f32, z as f32), dims.centre());
+            vol.sample(sx, sy, sz).to_bits()
+        }).collect();
+        for width in [1usize, 2, 3, 8] {
+            let got = gtw_par::with_threads(width, || t.resample(&vol));
+            prop_assert_eq!(got.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want.clone());
+        }
+    }
 
     /// The HRF is non-negative, finite, and peaks at the delay.
     #[test]
