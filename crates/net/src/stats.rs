@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::units::{Bandwidth, DataSize};
 
 /// Counters kept by every pipeline stage (link, gateway, NIC).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageStats {
     /// Packets accepted for transmission.
     pub packets_in: u64,
@@ -234,8 +234,23 @@ impl StatsRegistry {
 
     /// Snapshot every registered probe out of `sim`.
     pub fn collect(&self, sim: &Simulator) -> RunReport {
+        self.collect_until(sim, sim.now())
+    }
+
+    /// [`collect`](Self::collect) after `run_until(horizon)`. A stage's
+    /// departures are not events, so the clock may have stopped short of
+    /// the last one inside the horizon; the report speaks for that
+    /// instant, as it did when each departure was an event.
+    pub(crate) fn collect_until(&self, sim: &Simulator, horizon: SimTime) -> RunReport {
+        let stage = |id| sim.component::<crate::link::PipeStage>(id);
+        let now = self
+            .probes
+            .iter()
+            .filter(|p| p.1 == ProbeKind::Stage)
+            .filter_map(|p| stage(p.0).last_departure_by(horizon))
+            .fold(sim.now(), SimTime::max);
         let mut report = RunReport {
-            elapsed: sim.now().saturating_since(SimTime::ZERO),
+            elapsed: now.saturating_since(SimTime::ZERO),
             events_processed: sim.events_processed(),
             hops: Vec::new(),
             switches: Vec::new(),
@@ -251,15 +266,16 @@ impl StatsRegistry {
             let label = sim.component_name(id).to_string();
             match kind {
                 ProbeKind::Stage => {
-                    let st = sim.component::<crate::link::PipeStage>(id);
+                    let st = stage(id);
+                    let stats = st.stats_at(now);
                     report.hops.push(HopReport {
                         label,
                         medium: st.config.medium.kind_label(),
-                        stats: st.stats.clone(),
                         faults: st.injector.as_ref().map(|i| i.stats()),
                         per_packet: st.config.per_packet,
                         propagation: st.config.propagation,
-                        propagation_total: st.config.propagation * st.stats.packets_out,
+                        propagation_total: st.config.propagation * stats.packets_out,
+                        stats,
                     });
                 }
                 ProbeKind::Switch => {

@@ -351,11 +351,18 @@ impl StripedTransfer {
                 &MetricsSink::disabled(),
             )
         };
-        let report = self.collect(&sim, &wiring);
-        (report, reg.collect(&sim))
+        let run = reg.collect_until(&sim, horizon);
+        (self.collect(&sim, &wiring, run.elapsed), run)
     }
 
-    fn collect(&self, sim: &Simulator, wiring: &StripedWiring) -> StripedReport {
+    /// `run_elapsed` is the run report's `elapsed`: what a transfer that
+    /// did not complete reports as its own.
+    fn collect(
+        &self,
+        sim: &Simulator,
+        wiring: &StripedWiring,
+        run_elapsed: SimDuration,
+    ) -> StripedReport {
         let ranges = stripe_offsets(self.bytes, self.streams);
         let mut stripes = Vec::with_capacity(self.streams);
         let mut completed = true;
@@ -377,7 +384,7 @@ impl StripedTransfer {
             });
         }
         if !completed {
-            elapsed = sim.now().saturating_since(SimTime::ZERO);
+            elapsed = run_elapsed;
         }
         StripedReport {
             bytes: self.bytes,

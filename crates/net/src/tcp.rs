@@ -214,6 +214,10 @@ pub struct TcpSender {
     pub rtt_samples: u64,
     /// Span sink: `transfer` and `rto-wait` spans; disabled by default.
     pub spans: SpanSink,
+    /// Messages the sender could not act on (unknown type, a packet that
+    /// is not an ACK): dropped and counted instead of aborting the run.
+    /// Not part of any report.
+    pub dropped_msgs: u64,
 }
 
 impl TcpSender {
@@ -242,6 +246,7 @@ impl TcpSender {
             rtt_probe: None,
             rtt_samples: 0,
             spans: SpanSink::disabled(),
+            dropped_msgs: 0,
         }
     }
 
@@ -346,7 +351,10 @@ impl Component for TcpSender {
             self.pump(ctx);
         } else if m.is::<Arrive>() {
             let Arrive(pkt) = *gtw_desim::component::downcast::<Arrive>(m);
-            debug_assert_eq!(pkt.kind, PacketKind::Ack);
+            if pkt.kind != PacketKind::Ack {
+                self.dropped_msgs += 1;
+                return;
+            }
             if pkt.seq > self.acked {
                 // Slow-start growth: one MSS per ACK that advances,
                 // capped at the socket buffer.
@@ -402,9 +410,8 @@ impl Component for TcpSender {
                 return;
             }
             self.pump(ctx);
-        } else {
-            let RtoCheck { acked_at_arm, armed_at } =
-                *gtw_desim::component::downcast::<RtoCheck>(m);
+        } else if let Ok(check) = m.downcast::<RtoCheck>() {
+            let RtoCheck { acked_at_arm, armed_at } = *check;
             self.rto_outstanding = false;
             if self.finished_at.is_some() {
                 return;
@@ -429,6 +436,8 @@ impl Component for TcpSender {
             // the timeout, up to the configured cap.
             self.rto_current = (self.rto_current * 2).min(self.cfg.rto_max);
             self.pump(ctx);
+        } else {
+            self.dropped_msgs += 1;
         }
     }
 
@@ -460,6 +469,10 @@ pub struct TcpReceiver {
     /// segment contributes its `created -> arrival` latency, so traced
     /// runs can report p50/p90/p99 one-way latency per flow.
     pub recorder: FlowRecorder,
+    /// Messages the receiver could not act on (unknown type, a packet
+    /// that is not data): dropped and counted instead of aborting the
+    /// run. Not part of any report.
+    pub dropped_msgs: u64,
     since_last_ack: u64,
 }
 
@@ -476,6 +489,7 @@ impl TcpReceiver {
             segments_out_of_order: 0,
             acks_sent: 0,
             recorder: FlowRecorder::default(),
+            dropped_msgs: 0,
             since_last_ack: 0,
         }
     }
@@ -503,8 +517,13 @@ impl TcpReceiver {
 
 impl Component for TcpReceiver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        let Arrive(pkt) = *gtw_desim::component::downcast::<Arrive>(m);
-        debug_assert_eq!(pkt.kind, PacketKind::Data);
+        let pkt = match m.downcast::<Arrive>() {
+            Ok(arrive) if arrive.0.kind == PacketKind::Data => arrive.0,
+            _ => {
+                self.dropped_msgs += 1;
+                return;
+            }
+        };
         if pkt.seq == self.expected {
             self.recorder.record(pkt.created, ctx.now(), pkt.payload);
             self.expected += pkt.payload.bytes();
@@ -534,13 +553,26 @@ mod tests {
     use gtw_desim::Simulator;
 
     /// Build sender -> stage -> receiver -> stage -> sender over symmetric
-    /// raw links.
+    /// raw links and run the transfer.
     fn run_transfer(
         rate: Bandwidth,
         prop: SimDuration,
         per_packet: SimDuration,
         cfg: TcpConfig,
     ) -> (Simulator, ComponentId) {
+        let (mut sim, sender, _) = wire_transfer(rate, prop, per_packet, cfg);
+        sim.run();
+        (sim, sender)
+    }
+
+    /// The wiring of [`run_transfer`] with the start event queued, not
+    /// yet run; returns `(sim, sender, receiver)`.
+    fn wire_transfer(
+        rate: Bandwidth,
+        prop: SimDuration,
+        per_packet: SimDuration,
+        cfg: TcpConfig,
+    ) -> (Simulator, ComponentId, ComponentId) {
         let mut sim = Simulator::new();
         // Placeholder wiring: create receiver and sender after stages by
         // two-phase init. Stage components need their `next` at
@@ -562,8 +594,50 @@ mod tests {
         sim.component_mut::<PipeStage>(fwd).next = receiver;
         sim.component_mut::<PipeStage>(rev).next = sender;
         sim.send_in(SimDuration::ZERO, sender, msg(StartTransfer));
+        (sim, sender, receiver)
+    }
+
+    #[test]
+    fn stray_messages_and_wrong_kind_packets_are_counted_not_fatal() {
+        let cfg = TcpConfig::bulk(1, 1024 * 1024, IpConfig { mtu: 9180 }, 256 * 1024);
+        let wire = || {
+            let rate = Bandwidth::from_mbps(155.0);
+            wire_transfer(rate, SimDuration::from_micros(250), SimDuration::ZERO, cfg)
+        };
+        let (mut clean, clean_sender, _) = wire();
+        clean.run();
+        let (mut sim, sender, receiver) = wire();
+        struct Stray;
+        let packet = |kind| {
+            let size = DataSize::from_bytes(40);
+            Arrive(Packet {
+                flow: 1,
+                seq: 1 << 40,
+                ip_bytes: size,
+                payload: size,
+                created: SimTime::ZERO,
+                kind,
+            })
+        };
+        // Mid-transfer, each endpoint gets a message of a type it does
+        // not know and a packet of the kind only its peer handles; the
+        // bogus sequence number must neither ack nor deliver anything.
+        let at = SimDuration::from_millis(10);
+        sim.send_in(at, sender, msg(Stray));
+        sim.send_in(at, sender, msg(packet(PacketKind::Data)));
+        sim.send_in(at, receiver, msg(Stray));
+        sim.send_in(at, receiver, msg(packet(PacketKind::Ack)));
         sim.run();
-        (sim, sender)
+        let (s, r) = (sim.component::<TcpSender>(sender), sim.component::<TcpReceiver>(receiver));
+        assert_eq!((s.dropped_msgs, r.dropped_msgs), (2, 2));
+        let c = clean.component::<TcpSender>(clean_sender);
+        assert_eq!(c.dropped_msgs, 0);
+        assert!(c.finished_at.is_some() && c.finished_at > Some(SimTime::ZERO + at));
+        assert_eq!(
+            (s.finished_at, s.segments_sent, s.retransmits),
+            (c.finished_at, c.segments_sent, 0)
+        );
+        assert_eq!((r.bytes_delivered(), r.acks_sent), (1024 * 1024, s.segments_sent.div_ceil(2)));
     }
 
     #[test]
@@ -688,7 +762,7 @@ mod tests {
         sim.run();
         let s = sim.component::<TcpSender>(sender);
         assert!(s.finished_at.is_some(), "transfer stalled");
-        let dropped = sim.component::<PipeStage>(fwd).stats.packets_dropped;
+        let dropped = sim.component::<PipeStage>(fwd).stats_at(sim.now()).packets_dropped;
         if dropped > 0 {
             assert!(s.retransmits > 0, "drops occurred but no retransmits recorded");
         }

@@ -73,7 +73,8 @@ proptest! {
     /// A TCP transfer over a lossy bottleneck still delivers every byte
     /// exactly once at the application level, and every pipeline stage's
     /// packet counters balance — cross-checked against the kernel's own
-    /// per-component dispatch counts (arrivals + drops + TxDone timers).
+    /// per-component dispatch counts (one event per arrival, accepted or
+    /// dropped, and no timer: a departure is not an event).
     #[test]
     fn tcp_conserves_bytes_end_to_end(total_kib in 16u64..192,
                                       window_kib in 16u64..512,
@@ -121,19 +122,17 @@ proptest! {
             prop_assert_eq!(hop.stats.packets_in, hop.stats.packets_out, "{}", &hop.label);
         }
         // Kernel cross-check: a stage is dispatched once per arrival
-        // (accepted or dropped) and once per TxDone self-timer.
+        // (accepted or dropped), arms no timer, and sends one event per
+        // packet it forwards.
         let tracer = sim.take_tracer().expect("tracer attached");
         let counter = (tracer as Box<dyn std::any::Any>)
             .downcast::<EventCounter>()
             .expect("EventCounter");
         for (id, hop) in [(fwd, &run.hops[0]), (rev, &run.hops[1])] {
             let arrivals = hop.stats.packets_in + hop.stats.packets_dropped;
-            prop_assert_eq!(
-                counter.dispatches_to(id),
-                arrivals + hop.stats.packets_out,
-                "{}", &hop.label
-            );
-            prop_assert_eq!(counter.timers_armed_by(id), hop.stats.packets_out, "{}", &hop.label);
+            prop_assert_eq!(counter.dispatches_to(id), arrivals, "{}", &hop.label);
+            prop_assert_eq!(counter.timers_armed_by(id), 0, "{}", &hop.label);
+            prop_assert_eq!(counter.sends_by(id), hop.stats.packets_out, "{}", &hop.label);
         }
     }
 }

@@ -63,6 +63,12 @@ cmp "$trace_tmp/congested_a.json" "$trace_tmp/congested_b.json"
 # the sequential sweep exactly, and two kernel_bench digest runs must
 # agree with each other.
 timeout 600 cargo test -q -p gtw-core --test kernel_equivalence
+# The packet path computes departures instead of arming timers: the
+# stage's reference-model suite and the pinned transfer digests run
+# under a hard timeout, so a stage that stops departing (a transfer
+# that never finishes) fails the gate instead of hanging it.
+timeout 300 cargo test -q -p gtw-net link::
+timeout 300 cargo test -q -p gtw-core --test transfer_pinned
 cargo run --release -q -p gtw-bench --bin fig1_network -- --json > "$trace_tmp/kernel_seq.json"
 cargo run --release -q -p gtw-bench --bin fig1_network -- --json --shards 2 > "$trace_tmp/kernel_2shard.json"
 cmp "$trace_tmp/kernel_seq.json" "$trace_tmp/kernel_2shard.json"
