@@ -9,7 +9,10 @@
 //! ```
 //!
 //! With `--json` the render timing, compression ratio and per-transport
-//! frame rates are emitted as one machine-readable document.
+//! frame rates are emitted as one machine-readable document. Everything
+//! in it but `render_ms` is deterministic; `frame_digest` (FNV-1a over
+//! the frame's RGB bytes) is what `scripts/check.sh` compares between
+//! two runs.
 
 use std::time::Instant;
 
@@ -19,10 +22,11 @@ use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_net::ip::IpConfig;
 use gtw_scan::phantom::Phantom;
 use gtw_scan::volume::Dims;
+use gtw_viz::image::Image;
 use gtw_viz::raycast::{RenderParams, VolumeRenderer};
 use gtw_viz::workbench::{measured_compression, workbench_frame_rate, FrameTransport, Workbench};
 
-fn emit_json(render_ms: f64, coverage: f64, ratio: f64) {
+fn emit_json(render_ms: f64, frame: &Image, ratio: f64) {
     let wb = Workbench::paper();
     let tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
     let (_, mtu, hops) = tb.topology.path(tb.onyx_gmd, tb.onyx_juelich).expect("viz path");
@@ -41,10 +45,15 @@ fn emit_json(render_ms: f64, coverage: f64, ratio: f64) {
         gtw_net::host::HostNic::workstation_atm622().hop(gtw_desim::SimDuration::from_micros(500));
     let (fps622, _) =
         workbench_frame_rate(&wb, FrameTransport::RawIp, &[hop622], IpConfig::large_mtu());
+    let digest = frame
+        .to_rgb_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
     let doc = Json::obj([
         ("experiment", Json::from("fig4_workbench_frame_rates")),
         ("render_ms", Json::from(render_ms)),
-        ("coverage", Json::from(coverage)),
+        ("coverage", Json::from(frame.coverage())),
+        ("frame_digest", Json::from(format!("{digest:016x}"))),
         ("rle_ratio", Json::from(ratio)),
         ("frame_bytes", Json::from(wb.frame_bytes())),
         ("gmd_to_juelich", Json::Arr(transports)),
@@ -63,7 +72,7 @@ fn main() {
     let render_ms = t0.elapsed().as_secs_f64() * 1e3;
     if gtw_bench::BenchArgs::parse().json {
         let ratio = measured_compression(&frame);
-        emit_json(render_ms, frame.coverage(), ratio);
+        emit_json(render_ms, &frame, ratio);
         return;
     }
     let path = std::env::temp_dir().join("gtw_fig4_head.ppm");

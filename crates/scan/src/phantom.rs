@@ -125,14 +125,7 @@ impl Phantom {
     /// Render the anatomical baseline at the given resolution.
     pub fn anatomy(&self, dims: Dims) -> Volume {
         let mut vol = Volume::zeros(dims);
-        for z in 0..dims.nz {
-            for y in 0..dims.ny {
-                for x in 0..dims.nx {
-                    let (u, v, w) = Self::norm_coords(dims, x, y, z);
-                    vol.data[dims.index(x, y, z)] = Self::tissue(u, v, w);
-                }
-            }
-        }
+        Self::fill_slabs(&mut vol, |(u, v, w)| Some(Self::tissue(u, v, w)));
         vol
     }
 
@@ -140,29 +133,42 @@ impl Phantom {
     /// BOLD amplitude (0 outside sites).
     pub fn activation_map(&self, dims: Dims) -> Volume {
         let mut vol = Volume::zeros(dims);
-        for z in 0..dims.nz {
-            for y in 0..dims.ny {
-                for x in 0..dims.nx {
-                    let (u, v, w) = Self::norm_coords(dims, x, y, z);
-                    if Self::tissue(u, v, w) < SKULL + 1.0 {
-                        continue; // activation only in brain tissue
-                    }
-                    let mut amp = 0.0f32;
-                    for s in &self.sites {
-                        let d2 = (u - s.centre[0]).powi(2)
-                            + (v - s.centre[1]).powi(2)
-                            + (w - s.centre[2]).powi(2);
-                        if d2 < s.radius * s.radius {
-                            // Smooth falloff to the edge of the sphere.
-                            let fall = 1.0 - (d2 / (s.radius * s.radius));
-                            amp = amp.max(s.amplitude * fall);
-                        }
-                    }
-                    vol.data[dims.index(x, y, z)] = amp;
+        Self::fill_slabs(&mut vol, |(u, v, w)| {
+            if Self::tissue(u, v, w) < SKULL + 1.0 {
+                return None; // activation only in brain tissue
+            }
+            let mut amp = 0.0f32;
+            for s in &self.sites {
+                let d2 = (u - s.centre[0]).powi(2)
+                    + (v - s.centre[1]).powi(2)
+                    + (w - s.centre[2]).powi(2);
+                if d2 < s.radius * s.radius {
+                    // Smooth falloff to the edge of the sphere.
+                    let fall = 1.0 - (d2 / (s.radius * s.radius));
+                    amp = amp.max(s.amplitude * fall);
                 }
             }
-        }
+            Some(amp)
+        });
         vol
+    }
+
+    /// Set every voxel of `vol` for which `value` (of the voxel's
+    /// normalized coordinates) returns one, one z-slab per `gtw-par`
+    /// item. A voxel it passes over is not written, so pages of a fresh
+    /// zeroed volume that hold only such voxels are never touched.
+    fn fill_slabs(vol: &mut Volume, value: impl Fn((f32, f32, f32)) -> Option<f32> + Sync) {
+        let dims = vol.dims;
+        let slabs = vol.data.chunks_mut((dims.nx * dims.ny).max(1)).enumerate();
+        gtw_par::for_each(slabs, |(z, slab)| {
+            for y in 0..dims.ny {
+                for x in 0..dims.nx {
+                    if let Some(v) = value(Self::norm_coords(dims, x, y, z)) {
+                        slab[x + dims.nx * y] = v;
+                    }
+                }
+            }
+        });
     }
 
     /// Boolean ground-truth mask of activated voxels (amplitude above

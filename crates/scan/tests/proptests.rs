@@ -36,6 +36,8 @@ fn zero_sized_volumes_sample_and_resample_without_underflow() {
         let vol = Volume::zeros(dims);
         assert_eq!(vol.sample(1.0, 1.0, 1.0), 0.0);
         assert_eq!(RigidTransform::translation(0.5, 0.0, 0.0).resample(&vol), vol);
+        assert_eq!(Phantom::standard().anatomy(dims), vol);
+        assert_eq!(Phantom::standard().activation_map(dims), vol);
     }
 }
 
@@ -151,6 +153,25 @@ proptest! {
         let s1 = Scanner::new(cfg.clone(), Phantom::standard());
         let s2 = Scanner::new(cfg, Phantom::standard());
         prop_assert_eq!(s1.acquire(t_pick), s2.acquire(t_pick));
+    }
+
+    /// The phantom's volumes are filled one z-slab per `gtw-par` item:
+    /// every bit is the same at any thread count, whether or not the
+    /// slabs divide among the threads (a 1-voxel axis makes the
+    /// normalized coordinate NaN, so bits are compared, not values).
+    #[test]
+    fn phantom_volumes_are_bit_identical_at_every_width(
+        nx in 1usize..24, ny in 1usize..24, nz in 1usize..20, inactive in any::<bool>(),
+    ) {
+        let dims = Dims::new(nx, ny, nz);
+        let phantom = if inactive { Phantom::inactive() } else { Phantom::standard() };
+        let bits = |v: Volume| v.data.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let build = || (bits(phantom.anatomy(dims)), bits(phantom.activation_map(dims)));
+        let sequential = gtw_par::with_threads(1, build);
+        prop_assert_eq!(sequential.0.len(), dims.len());
+        for threads in [2usize, 3, 8] {
+            prop_assert_eq!(&gtw_par::with_threads(threads, build), &sequential);
+        }
     }
 
     /// Volume trilinear sampling interpolates within the local value

@@ -1,13 +1,11 @@
 //! RGB images, PPM export and a run-length codec.
 
-use serde::{Deserialize, Serialize};
-
 /// An 8-bit RGB pixel.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Rgb(pub u8, pub u8, pub u8);
 
 /// A dense RGB image.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Image {
     /// Width in pixels.
     pub width: usize,

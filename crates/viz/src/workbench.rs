@@ -12,12 +12,11 @@ use gtw_desim::SimDuration;
 use gtw_net::ip::IpConfig;
 use gtw_net::tcp::HopModel;
 use gtw_net::transfer::frame_stream_rate;
-use serde::{Deserialize, Serialize};
 
 use crate::image::{rle_encode, Image};
 
 /// Geometry of the workbench display.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Workbench {
     /// Projection planes.
     pub planes: usize,
@@ -49,7 +48,7 @@ impl Workbench {
 }
 
 /// How frames travel to the remote workbench.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum FrameTransport {
     /// Raw true-colour pixels over classical IP (the paper's baseline).
     RawIp,

@@ -96,6 +96,18 @@ timeout 300 cargo run --release -q -p gtw-bench --bin table1 -- --real --json | 
 cmp "$trace_tmp/real_a.txt" "$trace_tmp/real_b.txt"
 test "$(sort -u "$trace_tmp/real_a.txt" | wc -l)" -eq 1
 
+# Render gate: the ray-caster skips steps by an occupancy summary, and a
+# skip that fails to advance would spin for ever, so its suites (per-step
+# reference at 1/2/3/8 threads, frames pinned on the commit before the
+# summary) run under a hard timeout. Then two fig4 runs must emit
+# byte-identical JSON, frame digest included, once the one measured line
+# (`render_ms`) is stripped.
+timeout 300 cargo test -q -p gtw-viz
+cargo run --release -q -p gtw-bench --bin fig4_workbench -- --json | grep -v '"render_ms"' > "$trace_tmp/fig4_a.json"
+cargo run --release -q -p gtw-bench --bin fig4_workbench -- --json | grep -v '"render_ms"' > "$trace_tmp/fig4_b.json"
+grep -q '"frame_digest"' "$trace_tmp/fig4_a.json"
+cmp "$trace_tmp/fig4_a.json" "$trace_tmp/fig4_b.json"
+
 # Collectives gate: the flat-vs-topology equivalence suite (bit-identical
 # reductions incl. NaN/-0.0 payloads, try_* trajectory matching under
 # seeded crash plans, WAN crossings O(sites) not O(ranks)) under a hard
