@@ -13,11 +13,10 @@
 //! (different-resolution) grids bilinearly — the defining job of the CSM
 //! flux coupler — and ships the surface fields every step.
 
-use gtw_mpi::{Comm, Tag};
-use serde::{Deserialize, Serialize};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 
 /// A 2-D lat/lon field on a regular grid.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Field2d {
     /// Columns (longitude).
     pub nx: usize,
@@ -179,7 +178,7 @@ const TAG_SST_FLUX: Tag = Tag(400);
 const TAG_TAIR: Tag = Tag(401);
 
 /// Report of a coupled climate run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClimateReport {
     /// Steps run.
     pub steps: usize,
@@ -207,7 +206,7 @@ pub fn coupled_run(
         let mut tair_mean = Vec::with_capacity(steps);
         for _ in 0..steps {
             // Receive air temperature (atmos grid), regrid to ocean.
-            let (tair_raw, _) = comm.recv_f64s(1, TAG_TAIR);
+            let (tair_raw, _) = comm.recv::<f64>(1, TAG_TAIR);
             let tair = Field2d { nx: atmos_grid.0, ny: atmos_grid.1, data: tair_raw }
                 .regrid(ocean_grid.0, ocean_grid.1);
             tair_mean.push(tair.mean());
@@ -215,15 +214,15 @@ pub fn coupled_run(
             // Regrid the flux to the atmosphere grid and send.
             let flux_a = flux.regrid(atmos_grid.0, atmos_grid.1);
             bytes = flux_a.byte_len() + (atmos_grid.0 * atmos_grid.1 * 8) as u64;
-            comm.send_f64s(1, TAG_SST_FLUX, &flux_a.data);
+            comm.send(1, TAG_SST_FLUX, &flux_a.data);
             sst_mean.push(ocean.sst.mean());
         }
         Some(ClimateReport { steps, bytes_per_step: bytes, sst_mean, tair_mean })
     } else {
         let mut atmos = Atmosphere::new(atmos_grid.0, atmos_grid.1);
         for _ in 0..steps {
-            comm.send_f64s(0, TAG_TAIR, &atmos.t_air.data);
-            let (flux_raw, _) = comm.recv_f64s(0, TAG_SST_FLUX);
+            comm.send(0, TAG_TAIR, &atmos.t_air.data);
+            let (flux_raw, _) = comm.recv::<f64>(0, TAG_SST_FLUX);
             let flux = Field2d { nx: atmos_grid.0, ny: atmos_grid.1, data: flux_raw };
             atmos.step(&flux);
         }

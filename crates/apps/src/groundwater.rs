@@ -15,11 +15,10 @@
 //! both ends.
 
 use gtw_desim::StreamRng;
-use gtw_mpi::{Comm, Tag};
-use serde::{Deserialize, Serialize};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 
 /// Grid dimensions of the flow domain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Grid {
     /// Cells along x (flow direction).
     pub nx: usize,
@@ -47,7 +46,7 @@ impl Grid {
 }
 
 /// The Darcy velocity field (cell-centred components).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowField {
     /// Grid.
     pub grid: Grid,
@@ -284,7 +283,7 @@ const TAG_FIELD: Tag = Tag(300);
 const TAG_STATS: Tag = Tag(301);
 
 /// Report of a coupled run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoupledReport {
     /// Timesteps executed.
     pub steps: usize,
@@ -327,10 +326,10 @@ pub fn coupled_run(
             payload.extend_from_slice(&field.vx);
             payload.extend_from_slice(&field.vy);
             payload.extend_from_slice(&field.vz);
-            comm.send_f32s(1, TAG_FIELD, &payload);
+            comm.send(1, TAG_FIELD, &payload);
         }
         // Receive the tracker's report.
-        let (stats, _) = comm.recv_f64s(1, TAG_STATS);
+        let (stats, _) = comm.recv::<f64>(1, TAG_STATS);
         let breakthrough = stats[0] as usize;
         let plume_x = stats[1..].to_vec();
         Some(CoupledReport { steps, bytes_per_step, plume_x, breakthrough })
@@ -339,7 +338,7 @@ pub fn coupled_run(
         let mut tracker = Partrace::release_plane(grid, 500, seed);
         let mut plume = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let (payload, _) = comm.recv_f32s(0, TAG_FIELD);
+            let (payload, _) = comm.recv::<f32>(0, TAG_FIELD);
             let n = grid.len();
             let field = FlowField {
                 grid,
@@ -352,7 +351,7 @@ pub fn coupled_run(
         }
         let mut stats = vec![tracker.breakthrough as f64];
         stats.extend_from_slice(&plume);
-        comm.send_f64s(0, TAG_STATS, &stats);
+        comm.send(0, TAG_STATS, &stats);
         None
     }
 }

@@ -20,11 +20,10 @@
 //! not Gauss–Seidel, so the decomposition is *exactly* equivalent to the
 //! serial solver).
 
-use gtw_mpi::{Comm, Tag};
-use serde::{Deserialize, Serialize};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 
 /// The convection cell state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PorousConvection {
     /// Columns (periodic).
     pub nx: usize,
@@ -203,10 +202,10 @@ pub fn distributed_run(
     };
     let exchange = |comm: &Comm, field: &mut Vec<f64>, tag: Tag| {
         // Send my edge columns outward, receive neighbours' edges.
-        comm.send_f64s(left, tag, &column(field, x0));
-        comm.send_f64s(right, tag, &column(field, x1 - 1));
-        let (from_right, _) = comm.recv_f64s(right, tag);
-        let (from_left, _) = comm.recv_f64s(left, tag);
+        comm.send(left, tag, &column(field, x0));
+        comm.send(right, tag, &column(field, x1 - 1));
+        let (from_right, _) = comm.recv::<f64>(right, tag);
+        let (from_left, _) = comm.recv::<f64>(left, tag);
         put_column(field, x1 % nx, &from_right);
         put_column(field, (x0 + nx - 1) % nx, &from_left);
     };

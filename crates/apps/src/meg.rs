@@ -18,7 +18,6 @@
 use gtw_desim::StreamRng;
 use gtw_fire::linalg::{jacobi_eigen, Matrix};
 use gtw_mpi::{Comm, ReduceOp};
-use serde::{Deserialize, Serialize};
 
 /// A 3-vector.
 pub type Vec3 = [f64; 3];
@@ -37,7 +36,7 @@ fn norm(a: Vec3) -> f64 {
 
 /// The sensor array: magnetometers on a hemispherical helmet, each
 /// measuring the field component along its radial orientation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SensorArray {
     /// Sensor positions (head radius = 1).
     pub positions: Vec<Vec3>,
@@ -110,7 +109,7 @@ impl SensorArray {
 }
 
 /// A true source used for synthesis.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Dipole {
     /// Location (|r| < 1).
     pub position: Vec3,
@@ -201,7 +200,7 @@ pub fn music_metric(array: &SensorArray, signal_basis: &Matrix, r0: Vec3) -> f64
 }
 
 /// Result of a MUSIC scan.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MusicScan {
     /// Grid points scanned.
     pub grid: Vec<Vec3>,
@@ -289,7 +288,7 @@ pub fn distributed_music(
     } else {
         Vec::new()
     };
-    let flat = comm.bcast_f64s(0, &flat);
+    let flat = comm.bcast(0, &flat);
     let basis = Matrix { rows: m, cols: n_sources, data: flat };
     // Each rank scans its strided share of the grid.
     let full_grid = head_grid(grid_steps);

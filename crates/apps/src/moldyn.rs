@@ -12,11 +12,10 @@
 //! splits exactly along that line over `gtw-mpi`.
 
 use gtw_desim::StreamRng;
-use gtw_mpi::{Comm, Tag};
-use serde::{Deserialize, Serialize};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 
 /// Simulation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MdConfig {
     /// Box side (periodic square box).
     pub box_side: f64,
@@ -39,7 +38,7 @@ impl MdConfig {
 }
 
 /// The particle system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct System {
     /// Positions (x, y), wrapped into the box.
     pub pos: Vec<[f64; 2]>,
@@ -214,30 +213,30 @@ pub fn coupled_run(comm: &Comm, mut system: System, steps: usize) -> Option<Vec<
             // Ship state to the bath rank (it mirrors the system).
             let flat_p: Vec<f64> = system.pos.iter().flatten().copied().collect();
             let flat_v: Vec<f64> = system.vel.iter().flatten().copied().collect();
-            comm.send_f64s(1, TAG_POS, &flat_p);
-            comm.send_f64s(1, TAG_VEL, &flat_v);
+            comm.send(1, TAG_POS, &flat_p);
+            comm.send(1, TAG_VEL, &flat_v);
             system.multiscale_step();
             // The bath returns its recomputed energy as a cross-check.
-            let (bath_energy, _) = comm.recv_f64s(1, TAG_POS);
+            let (bath_energy, _) = comm.recv::<f64>(1, TAG_POS);
             let own = system.total_energy();
             // Energies are computed at different phases (pre/post step);
             // record ours, assert the bath mirrored a finite value.
             assert!(bath_energy[0].is_finite());
             energies.push(own);
         }
-        comm.send_f64s(1, TAG_POS, &[]); // termination: empty position set
+        comm.send::<f64>(1, TAG_POS, &[]); // termination: empty position set
         Some(energies)
     } else {
         loop {
-            let (flat_p, _) = comm.recv_f64s(0, TAG_POS);
+            let (flat_p, _) = comm.recv::<f64>(0, TAG_POS);
             if flat_p.is_empty() {
                 return None;
             }
-            let (flat_v, _) = comm.recv_f64s(0, TAG_VEL);
+            let (flat_v, _) = comm.recv::<f64>(0, TAG_VEL);
             let mut mirror = system.clone();
             mirror.pos = flat_p.chunks_exact(2).map(|c| [c[0], c[1]]).collect();
             mirror.vel = flat_v.chunks_exact(2).map(|c| [c[0], c[1]]).collect();
-            comm.send_f64s(0, TAG_POS, &[mirror.total_energy()]);
+            comm.send(0, TAG_POS, &[mirror.total_energy()]);
         }
     }
 }

@@ -4,10 +4,9 @@
 //! 155 Mbit/s available in the B-WiN").
 
 use gtw_net::units::{Bandwidth, DataSize};
-use serde::{Deserialize, Serialize};
 
 /// The shape of an application's WAN traffic.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum TrafficPattern {
     /// Sustained stream at a fixed rate (video, field transfers).
     Continuous {
@@ -36,7 +35,7 @@ pub enum TrafficPattern {
 }
 
 /// A named application profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppProfile {
     /// Application name (as in the paper's list).
     pub name: &'static str,
@@ -45,7 +44,7 @@ pub struct AppProfile {
 }
 
 /// Feasibility of a profile on a link.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Feasibility {
     /// Whether the requirement is met.
     pub ok: bool,

@@ -13,14 +13,13 @@
 //! simulation segments across the WAN.
 
 use gtw_desim::StreamRng;
-use gtw_mpi::{Comm, Tag};
-use serde::{Deserialize, Serialize};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 
 /// Maximum velocity (cells per step), the classic NaSch value.
 pub const V_MAX: usize = 5;
 
 /// A road segment: `cells[i]` is `None` (empty) or `Some(velocity)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Road {
     /// Cell occupancy.
     pub cells: Vec<Option<u8>>,
@@ -154,8 +153,8 @@ pub fn distributed_step(comm: &Comm, segment: &mut Road, rng: &mut StreamRng) ->
     // 1. Halo exchange: my first V_MAX cells go upstream.
     let head: Vec<f64> =
         segment.cells[..V_MAX].iter().map(|c| if c.is_some() { 1.0 } else { 0.0 }).collect();
-    comm.send_f64s(left, TAG_HALO, &head);
-    let (halo, _) = comm.recv_f64s(right, TAG_HALO);
+    comm.send(left, TAG_HALO, &head);
+    let (halo, _) = comm.recv::<f64>(right, TAG_HALO);
 
     // 2. Local rules with the halo as virtual cells n..n+V_MAX.
     let occupied = |cells: &[Option<u8>], i: usize| -> bool {
@@ -191,8 +190,8 @@ pub fn distributed_step(comm: &Comm, segment: &mut Road, rng: &mut StreamRng) ->
     // 3. Migration: ship boundary-crossing cars to the right neighbour.
     let mig_payload: Vec<f64> =
         migrants.iter().flat_map(|&(off, v)| [off as f64, v as f64]).collect();
-    comm.send_f64s(right, TAG_MIGRATE, &mig_payload);
-    let (incoming, _) = comm.recv_f64s(left, TAG_MIGRATE);
+    comm.send(right, TAG_MIGRATE, &mig_payload);
+    let (incoming, _) = comm.recv::<f64>(left, TAG_MIGRATE);
     segment.cells = next;
     for pair in incoming.chunks_exact(2) {
         let off = pair[0] as usize;

@@ -16,7 +16,6 @@ use gtw_net::ip::{fragment_sizes, IpConfig, IP_HEADER_BYTES};
 use gtw_net::link::{Arrive, Packet, PacketKind, PipeStage, Sink, StageConfig};
 use gtw_net::tcp::HopModel;
 use gtw_net::units::DataSize;
-use serde::{Deserialize, Serialize};
 
 use crate::video::D1Stream;
 
@@ -29,7 +28,7 @@ pub struct SourceFeed {
 }
 
 /// Result of a production run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProductionReport {
     /// Frames composited.
     pub frames: usize,

@@ -16,10 +16,9 @@ use gtw_net::ip::{fragment_sizes, IpConfig, IP_HEADER_BYTES};
 use gtw_net::link::{Arrive, Packet, PacketKind, PipeStage, Sink, StageConfig};
 use gtw_net::tcp::HopModel;
 use gtw_net::units::{Bandwidth, DataSize};
-use serde::{Deserialize, Serialize};
 
 /// The D1 / CCIR-601 stream parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct D1Stream {
     /// Active pixels per line.
     pub width: usize,
@@ -56,7 +55,7 @@ impl D1Stream {
 }
 
 /// Jitter/throughput report of an event-driven stream run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamReport {
     /// Frames delivered.
     pub frames: usize,

@@ -11,11 +11,9 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A reservable resource pool with integer capacity (PEs, Mbit/s, scanner
 /// slots...).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Resource {
     /// Name ("Cray T3E-600", "WAN Mbit/s", "MRI scanner").
     pub name: String,
@@ -24,7 +22,7 @@ pub struct Resource {
 }
 
 /// One requirement of a job.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Requirement {
     /// Resource name.
     pub resource: String,
@@ -33,7 +31,7 @@ pub struct Requirement {
 }
 
 /// A co-allocation request.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Job {
     /// Job name.
     pub name: String,
@@ -46,7 +44,7 @@ pub struct Job {
 }
 
 /// A granted reservation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reservation {
     /// Job name.
     pub job: String,

@@ -6,10 +6,9 @@
 //! server, and a 8-processor SUN E500 are installed in the GMD."
 
 use gtw_mpi::{FabricSpec, MachineSpec};
-use serde::Serialize;
 
 /// Where a machine lives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Site {
     /// Research Centre Jülich (FZJ).
     Juelich,
@@ -18,7 +17,7 @@ pub enum Site {
 }
 
 /// One machine of the metacomputer.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Machine {
     /// Name as in the paper.
     pub name: &'static str,
@@ -45,7 +44,7 @@ impl Machine {
 }
 
 /// The full catalogue.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MachineCatalog {
     /// All machines.
     pub machines: Vec<Machine>,

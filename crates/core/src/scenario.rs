@@ -15,7 +15,6 @@ use gtw_fire::t3e::T3eModel;
 use gtw_net::ip::IpConfig;
 use gtw_net::transfer::{BulkTransfer, Protocol};
 use gtw_scan::volume::Dims;
-use serde::{Deserialize, Serialize};
 
 use crate::testbed::{GigabitTestbedWest, LinkEra};
 
@@ -34,7 +33,7 @@ pub struct FmriScenario {
 }
 
 /// Per-stage and end-to-end timing of one image.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScenarioReport {
     /// PEs used on the T3E.
     pub pes: usize,

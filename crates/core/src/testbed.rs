@@ -14,10 +14,9 @@ use gtw_net::sdh::StmLevel;
 use gtw_net::topology::{NodeId, Topology};
 use gtw_net::transfer::{BulkTransfer, Protocol, TransferReport};
 use gtw_net::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Which year of the testbed the WAN link represents.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LinkEra {
     /// August 1997 – August 1998: OC-12 (622 Mbit/s).
     Oc12Initial,
@@ -68,7 +67,7 @@ pub struct Extensions {
 }
 
 /// One measured path of the Figure-1 throughput matrix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MeasuredPath {
     /// Source node name.
     pub from: String,

@@ -1,9 +1,9 @@
 //! A dependency-free JSON value and emitter for machine-readable run
 //! reports.
 //!
-//! The workspace's serde is an offline stand-in whose derives expand to
-//! nothing, so report emission is explicit: build a [`Json`] tree and
-//! [`dump`](Json::dump) or [`pretty`](Json::pretty) it. The builder
+//! The workspace has no serialization framework, so report emission is
+//! explicit: build a [`Json`] tree and [`dump`](Json::dump) or
+//! [`pretty`](Json::pretty) it. The builder
 //! surface is deliberately tiny — reports are flat objects of numbers,
 //! strings and arrays.
 

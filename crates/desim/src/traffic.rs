@@ -19,14 +19,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::StreamRng;
 use crate::time::{SimDuration, SimTime};
 
 /// One background flow: an on-off source with a peak rate and a duty
 /// cycle.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BgFlowSpec {
     /// Unit emission rate while a burst is on, units/second.
     pub peak_rate: f64,
@@ -48,7 +46,7 @@ impl BgFlowSpec {
 }
 
 /// A deterministic, seeded set of background flows.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrafficPlan {
     /// Master seed; per-flow streams are keyed by `(seed, label)`.
     pub master_seed: u64,

@@ -14,10 +14,9 @@
 //! explored level that produced it.
 
 use gtw_desim::StreamRng;
-use serde::{Deserialize, Serialize};
 
 /// Subject and loop parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FeedbackConfig {
     /// Scans in the session.
     pub scans: usize,
@@ -56,7 +55,7 @@ impl FeedbackConfig {
 }
 
 /// Session outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FeedbackReport {
     /// The subject's self-regulation ability per scan (fractional BOLD
     /// it can produce on demand).

@@ -10,9 +10,9 @@
 //! last completed scan instead of scan zero.
 //!
 //! The encoding is a hand-rolled little-endian layout (the repo has no
-//! real serializer — serde is a marker stub): every `f32`/`f64` travels
-//! as its exact IEEE bits, which is what makes restored correlation maps
-//! byte-equal to an uninterrupted run.
+//! serialization framework): every `f32`/`f64` travels as its exact IEEE
+//! bits, which is what makes restored correlation maps byte-equal to an
+//! uninterrupted run.
 
 use gtw_scan::volume::{Dims, Volume};
 

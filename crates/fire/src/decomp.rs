@@ -13,7 +13,7 @@
 //!   become `pes × cores` threads. (Measured thread scaling of the
 //!   kernels themselves is `table1 --real`, via `gtw_par::with_threads`.)
 
-use gtw_mpi::{Comm, Tag};
+use gtw_mpi::{Comm, PointToPoint, Tag};
 use gtw_scan::volume::{Dims, Volume};
 
 /// Decomposition strategy (the DESIGN ablation knob).
@@ -129,7 +129,7 @@ pub fn distributed_median_filter(comm: &Comm, vol: Option<&Volume>) -> Option<Vo
     if me == ROOT {
         let vol = vol.expect("root must provide the volume");
         dims = vol.dims;
-        comm.bcast_f64s(ROOT, &[dims.nx as f64, dims.ny as f64, dims.nz as f64]);
+        comm.bcast(ROOT, &[dims.nx as f64, dims.ny as f64, dims.nz as f64]);
         for pe in 0..pes {
             let (z0, z1) = slab_of(dims, pes, pe);
             let (slab, interior) = extract_slab(vol, z0, z1, 1);
@@ -139,10 +139,10 @@ pub fn distributed_median_filter(comm: &Comm, vol: Option<&Volume>) -> Option<Vo
             }
             let mut header = vec![slab.dims.nz as f32, interior as f32, (z1 - z0) as f32];
             header.extend_from_slice(&slab.data);
-            comm.send_f32s(pe, TAG_SLAB, &header);
+            comm.send(pe, TAG_SLAB, &header);
         }
     } else {
-        let d = comm.bcast_f64s(ROOT, &[]);
+        let d = comm.bcast::<f64>(ROOT, &[]);
         dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
     }
 
@@ -152,7 +152,7 @@ pub fn distributed_median_filter(comm: &Comm, vol: Option<&Volume>) -> Option<Vo
         let (slab, interior) = extract_slab(vol.unwrap(), z0, z1, 1);
         (slab, interior, z1 - z0)
     } else {
-        let (data, _st) = comm.recv_f32s(ROOT, TAG_SLAB);
+        let (data, _st) = comm.recv::<f32>(ROOT, TAG_SLAB);
         let nz = data[0] as usize;
         let interior = data[1] as usize;
         let len = data[2] as usize;
@@ -173,13 +173,13 @@ pub fn distributed_median_filter(comm: &Comm, vol: Option<&Volume>) -> Option<Vo
         // Collect the rest.
         for pe in 1..pes {
             let (pz0, _pz1) = slab_of(dims, pes, pe);
-            let (data, _st) = comm.recv_f32s(pe, TAG_RESULT);
+            let (data, _st) = comm.recv::<f32>(pe, TAG_RESULT);
             let base = dims.index(0, 0, pz0);
             out.data[base..base + data.len()].copy_from_slice(&data);
         }
         Some(out)
     } else {
-        comm.send_f32s(ROOT, TAG_RESULT, &interior_data);
+        comm.send(ROOT, TAG_RESULT, &interior_data);
         None
     }
 }
@@ -209,7 +209,7 @@ pub fn distributed_rvo(
         let series = series.expect("root provides the series");
         dims = series[0].dims;
         scans = series.len();
-        comm.bcast_f64s(ROOT, &[dims.nx as f64, dims.ny as f64, dims.nz as f64, scans as f64]);
+        comm.bcast(ROOT, &[dims.nx as f64, dims.ny as f64, dims.nz as f64, scans as f64]);
         for pe in 1..pes {
             let (v0, v1) = balanced_range(dims.len(), pes, pe);
             // Block layout: scan-major within the block.
@@ -217,10 +217,10 @@ pub fn distributed_rvo(
             for vol in series {
                 payload.extend_from_slice(&vol.data[v0..v1]);
             }
-            comm.send_f32s(pe, TAG_RVO_IN, &payload);
+            comm.send(pe, TAG_RVO_IN, &payload);
         }
     } else {
-        let hdr = comm.bcast_f64s(ROOT, &[]);
+        let hdr = comm.bcast::<f64>(ROOT, &[]);
         dims = Dims::new(hdr[0] as usize, hdr[1] as usize, hdr[2] as usize);
         scans = hdr[3] as usize;
     }
@@ -233,7 +233,7 @@ pub fn distributed_rvo(
             .map(|t| Volume::from_vec(Dims::new(block_len, 1, 1), series[t].data[v0..v1].to_vec()))
             .collect()
     } else {
-        let (payload, _) = comm.recv_f32s(ROOT, TAG_RVO_IN);
+        let (payload, _) = comm.recv::<f32>(ROOT, TAG_RVO_IN);
         (0..scans)
             .map(|t| {
                 Volume::from_vec(
@@ -257,7 +257,7 @@ pub fn distributed_rvo(
         let mut evaluations = local.evaluations;
         for pe in 1..pes {
             let (p0, p1) = balanced_range(dims.len(), pes, pe);
-            let (payload, _) = comm.recv_f32s(pe, TAG_RVO_OUT);
+            let (payload, _) = comm.recv::<f32>(pe, TAG_RVO_OUT);
             let n = p1 - p0;
             delay[p0..p1].copy_from_slice(&payload[..n]);
             disp[p0..p1].copy_from_slice(&payload[n..2 * n]);
@@ -276,7 +276,7 @@ pub fn distributed_rvo(
         payload.extend_from_slice(&local.dispersion.data);
         payload.extend_from_slice(&local.correlation.data);
         payload.push(local.evaluations as f32);
-        comm.send_f32s(ROOT, TAG_RVO_OUT, &payload);
+        comm.send(ROOT, TAG_RVO_OUT, &payload);
         None
     }
 }

@@ -9,7 +9,6 @@
 use gtw_scan::hrf::{ReferenceVector, Stimulus};
 use gtw_scan::motion::RigidTransform;
 use gtw_scan::volume::{Dims, Volume};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::CorrelationState;
 use crate::checkpoint::{Checkpoint, CheckpointError, MotionEntry};
@@ -20,7 +19,7 @@ use crate::rvo::{self, RvoBounds, RvoMethod, RvoResult};
 use crate::VOXEL_CHUNK;
 
 /// Which modules are enabled (the checkboxes of the FIRE GUI).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FireConfig {
     /// Median pre-filter.
     pub median_filter: bool,
@@ -343,7 +342,7 @@ impl FirePipeline {
 /// Sequential vs pipelined operation of the acquire→transfer→compute→
 /// display chain (the paper's stated drawback and our implemented
 /// extension). Stage times in seconds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ChainTiming {
     /// Scan completion to raw data at the RT-server.
     pub acquire_s: f64,

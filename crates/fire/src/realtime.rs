@@ -18,10 +18,9 @@ use gtw_desim::fault::{
 use gtw_desim::{
     Component, ComponentId, Ctx, Histogram, Json, Msg, SimDuration, SimTime, Simulator, SpanSink,
 };
-use serde::{Deserialize, Serialize};
 
 /// Operating mode of the chain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChainMode {
     /// The paper's implementation: strictly one image in flight.
     Sequential,
@@ -30,7 +29,7 @@ pub enum ChainMode {
 }
 
 /// Timing parameters of the chain (seconds).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RealtimeConfig {
     /// Scanner repetition time.
     pub tr_s: f64,
@@ -56,7 +55,7 @@ impl RealtimeConfig {
 /// Recovery parameters of the resilient chain: how long failures take
 /// to detect and how long a compute-world respawn (including the FIRE
 /// checkpoint restore) keeps the chain down.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RecoveryConfig {
     /// Seconds for the heartbeat detector to declare a *hung* compute
     /// world (crashes are fail-stop: the broken connection is observed
@@ -75,7 +74,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Per-cause recovery counters of a process-faulted chain run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Compute-world crashes injected (fail-stop).
     pub crashes: usize,
@@ -164,7 +163,7 @@ impl DegradeConfig {
 }
 
 /// Counters of the degradation policy over one run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegradeStats {
     /// Quality reductions (each may skip several levels at once).
     pub downshifts: usize,
@@ -205,7 +204,7 @@ impl DegradeStats {
 }
 
 /// Measured outcome of a chain run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RealtimeReport {
     /// Mode run.
     pub mode: ChainMode,

@@ -17,11 +17,12 @@
 use std::time::Duration;
 
 use gtw_desim::fault::ProcessFaultPlan;
-use gtw_mpi::{Comm, FabricSpec, InterComm, MachineSpec, Placement, Tag, Universe, ANY_SOURCE};
+use gtw_mpi::{
+    Comm, FabricSpec, InterComm, MachineSpec, Placement, PointToPoint, Tag, Universe, ANY_SOURCE,
+};
 use gtw_scan::acquire::Scanner;
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::volume::{Dims, Volume};
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{ChainTiming, FireConfig, FirePipeline};
 use crate::t3e::T3eModel;
@@ -39,7 +40,7 @@ const TAG_CKPT: Tag = Tag(203);
 const RESILIENT_OP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Virtual timing of one processed scan.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScanDelay {
     /// Scan index.
     pub scan: usize,
@@ -100,7 +101,7 @@ pub fn run_rt_session(
                 // would hold slab domains (exercised separately in
                 // decomp tests — one rank keeps the session fast).
                 let parent = t3e.parent().expect("spawned world has a parent");
-                let (d, _) = parent.recv_f64s(0, TAG_RAW);
+                let (d, _) = parent.recv::<f64>(0, TAG_RAW);
                 let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
                 let mut pipeline = FirePipeline::new(config_clone, dims, rv.clone());
                 loop {
@@ -109,27 +110,22 @@ pub fn run_rt_session(
                         break;
                     }
                     debug_assert_eq!(st.tag, TAG_RAW);
-                    let raw = gtw_mpi::envelope::decode_f32s(&env.data);
+                    let raw = env.payload::<f32>();
                     let out = pipeline.process(&Volume::from_vec(dims, raw));
-                    parent.send_f32s(0, TAG_MAP, &out.correlation.data);
+                    parent.send(0, TAG_MAP, &out.correlation.data);
                 }
             },
         );
         // Announce dims, stream scans, collect maps — strictly
         // sequential, as the paper's implementation was.
-        compute.send_f64s(0, TAG_RAW, &dims_vec);
+        compute.send(0, TAG_RAW, &dims_vec);
         let mut last_map = Volume::zeros(dims);
         for vol in &series_for_client {
-            compute.send_bytes(
-                0,
-                TAG_RAW,
-                gtw_mpi::Datatype::F32,
-                gtw_mpi::envelope::encode_f32s(&vol.data),
-            );
-            let (map, _) = compute.recv_f32s(0, TAG_MAP);
+            compute.send(0, TAG_RAW, &vol.data);
+            let (map, _) = compute.recv::<f32>(0, TAG_MAP);
             last_map = Volume::from_vec(dims, map);
         }
-        compute.send_f64s(0, TAG_DONE, &[]);
+        compute.send::<f64>(0, TAG_DONE, &[]);
         last_map
     });
 
@@ -173,11 +169,12 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
         FabricSpec::wan_testbed(),
         move |t3e| {
             let parent = t3e.parent().expect("spawned world has a parent");
-            let Ok((d, _)) = parent.try_recv_f64s(0, TAG_RAW, Some(RESILIENT_OP_TIMEOUT)) else {
+            let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(RESILIENT_OP_TIMEOUT)) else {
                 return;
             };
             let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
-            let Ok((ckpt, _)) = parent.try_recv_u8s(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT)) else {
+            let Ok((ckpt, _)) = parent.try_recv::<u8>(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT))
+            else {
                 return;
             };
             let mut pipeline = if ckpt.is_empty() {
@@ -196,12 +193,12 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
                     return;
                 }
                 debug_assert_eq!(st.tag, TAG_RAW);
-                let raw = gtw_mpi::envelope::decode_f32s(&env.data);
+                let raw = env.payload::<f32>();
                 let out = pipeline.process(&Volume::from_vec(dims, raw));
-                if parent.try_send_f32s(0, TAG_MAP, &out.correlation.data).is_err() {
+                if parent.try_send(0, TAG_MAP, &out.correlation.data).is_err() {
                     return;
                 }
-                if parent.try_send_u8s(0, TAG_CKPT, &pipeline.checkpoint_bytes()).is_err() {
+                if parent.try_send(0, TAG_CKPT, &pipeline.checkpoint_bytes()).is_err() {
                     return;
                 }
             }
@@ -247,8 +244,8 @@ pub fn run_rt_session_resilient(
             'incarnation: loop {
                 let compute = spawn_compute_incarnation(&client, config, &rv);
                 // Handshake: announce geometry, replay the checkpoint.
-                if compute.try_send_f64s(0, TAG_RAW, &dims_vec).is_err()
-                    || compute.try_send_u8s(0, TAG_CKPT, &last_ckpt).is_err()
+                if compute.try_send(0, TAG_RAW, &dims_vec).is_err()
+                    || compute.try_send(0, TAG_CKPT, &last_ckpt).is_err()
                 {
                     respawns += 1;
                     assert!(respawns <= max_respawns, "compute world keeps dying in handshake");
@@ -257,18 +254,13 @@ pub fn run_rt_session_resilient(
                 while acked < scans {
                     let vol = &series[acked];
                     let exchange = compute
-                        .try_send_bytes(
-                            0,
-                            TAG_RAW,
-                            gtw_mpi::Datatype::F32,
-                            gtw_mpi::envelope::encode_f32s(&vol.data),
-                        )
+                        .try_send(0, TAG_RAW, &vol.data)
                         .and_then(|()| {
-                            compute.try_recv_f32s(0, TAG_MAP, Some(RESILIENT_OP_TIMEOUT))
+                            compute.try_recv::<f32>(0, TAG_MAP, Some(RESILIENT_OP_TIMEOUT))
                         })
                         .and_then(|(map, _)| {
                             compute
-                                .try_recv_u8s(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT))
+                                .try_recv::<u8>(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT))
                                 .map(|(ckpt, _)| (map, ckpt))
                         });
                     match exchange {
@@ -288,7 +280,7 @@ pub fn run_rt_session_resilient(
                         }
                     }
                 }
-                let _ = compute.try_send_f64s(0, TAG_DONE, &[]);
+                let _ = compute.try_send::<f64>(0, TAG_DONE, &[]);
                 break;
             }
             (last_map, respawns, reprocessed)

@@ -19,12 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gtw_scan::hrf::{ReferenceVector, Stimulus};
 use gtw_scan::volume::Volume;
-use serde::{Deserialize, Serialize};
 
 use crate::VOXEL_CHUNK;
 
 /// Parameter-space bounds for the fit.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RvoBounds {
     /// Delay range, seconds.
     pub delay_s: (f64, f64),
@@ -40,7 +39,7 @@ impl Default for RvoBounds {
 }
 
 /// Optimization method.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum RvoMethod {
     /// Raster the full grid (`delay_steps × dispersion_steps` points).
     FullGrid {

@@ -19,10 +19,9 @@
 //! `s` vs `s^(2/3)` split.
 
 use gtw_scan::volume::Dims;
-use serde::{Deserialize, Serialize};
 
 /// Cost coefficients of one module at the reference image size.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ModuleCost {
     /// Perfectly parallel seconds on one PE.
     pub parallel_s: f64,
@@ -43,7 +42,7 @@ impl ModuleCost {
 }
 
 /// One row of Table 1.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table1Row {
     /// Number of processing elements.
     pub pes: usize,
@@ -60,7 +59,7 @@ pub struct Table1Row {
 }
 
 /// The calibrated machine model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct T3eModel {
     /// Spatial filter (median + averaging) coefficients.
     pub filter: ModuleCost,

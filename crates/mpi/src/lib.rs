@@ -10,8 +10,10 @@
 //!   realtime-visualization and computational steering
 //!   ([`Comm::spawn`], [`Comm::attach`] for named-port rendezvous),
 //! * **language interoperability** — typed, self-describing message
-//!   payloads ([`envelope::Datatype`]) so heterogeneous peers agree on
-//!   wire format,
+//!   payloads ([`envelope::Datatype`], [`Payload`]) so heterogeneous
+//!   peers agree on wire format; one generic `send`/`recv`/`try_send`/
+//!   `try_recv` ([`PointToPoint`]) serves every element type on both
+//!   communicator kinds,
 //! * **metacomputing awareness** — every rank is placed on a
 //!   [`machine::MachineSpec`]; the library accounts modeled
 //!   latency/bandwidth per message so applications can attribute time to
@@ -28,13 +30,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use gtw_mpi::{Universe, Tag};
+//! use gtw_mpi::{PointToPoint, Tag, Universe};
 //!
 //! let outputs = Universe::run(4, |comm| {
 //!     let rank = comm.rank();
 //!     // Ring: each rank sends its rank number to the right.
-//!     comm.send_u64s((rank + 1) % 4, Tag(7), &[rank as u64]);
-//!     let (msg, _st) = comm.recv_u64s(gtw_mpi::ANY_SOURCE, Tag(7));
+//!     comm.send((rank + 1) % 4, Tag(7), &[rank as u64]);
+//!     let (msg, _st) = comm.recv::<u64>(gtw_mpi::ANY_SOURCE, Tag(7));
 //!     msg[0]
 //! });
 //! assert_eq!(outputs, vec![3, 0, 1, 2]);
@@ -50,9 +52,9 @@ pub mod topology;
 pub mod trace;
 pub mod universe;
 
-pub use comm::{Comm, InterComm, ReduceOp, Status};
+pub use comm::{Comm, InterComm, PointToPoint, ReduceOp, Status};
 pub use detector::{HeartbeatConfig, HeartbeatMonitor};
-pub use envelope::{Datatype, Envelope, Tag, ANY_SOURCE, ANY_TAG};
+pub use envelope::{Datatype, Envelope, Payload, Tag, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult, FailCause};
 pub use machine::{CommCost, FabricSpec, MachineSpec, Placement};
 pub use mailbox::{ClaimOutcome, Mailbox, SrcFilter};

@@ -9,10 +9,8 @@
 //! is what lets the application benches attribute time to intra vs inter
 //! machine traffic, the way the VAMPIR tooling of the testbed did.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth pair describing one communication fabric.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FabricSpec {
     /// One-way small-message latency in seconds.
     pub latency_s: f64,
@@ -57,7 +55,7 @@ impl FabricSpec {
 }
 
 /// One machine of the metacomputer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MachineSpec {
     /// Display name ("Cray T3E-600 (FZJ)").
     pub name: String,
@@ -74,7 +72,7 @@ impl MachineSpec {
 
 /// Assignment of communicator ranks to machines, plus the WAN between
 /// machines.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Placement {
     machines: Vec<MachineSpec>,
     machine_of: Vec<usize>,
@@ -158,7 +156,7 @@ impl Placement {
 }
 
 /// Accumulated modeled communication cost for one rank.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CommCost {
     /// Total modeled seconds in communication.
     pub seconds: f64,

@@ -11,10 +11,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::Serialize;
 
 /// Kind of traced event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EventKind {
     /// Point-to-point send.
     Send,
@@ -29,7 +28,7 @@ pub enum EventKind {
 }
 
 /// One traced event.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Global rank id of the acting rank.
     pub rank: usize,
@@ -128,7 +127,7 @@ impl TraceCollector {
 
 /// Aggregated view of a trace (the numbers a VAMPIR message-statistics
 /// panel shows).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VampirSummary {
     /// Ranks covered.
     pub ranks: usize,

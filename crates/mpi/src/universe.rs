@@ -475,6 +475,7 @@ impl Universe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::PointToPoint;
     use crate::envelope::Tag;
 
     #[test]
@@ -498,8 +499,8 @@ mod tests {
         let out = Universe::run(5, |comm| {
             let n = comm.size();
             let right = (comm.rank() + 1) % n;
-            comm.send_u64s(right, Tag(1), &[comm.rank() as u64]);
-            let (v, st) = comm.recv_u64s(crate::ANY_SOURCE, Tag(1));
+            comm.send(right, Tag(1), &[comm.rank() as u64]);
+            let (v, st) = comm.recv::<u64>(crate::ANY_SOURCE, Tag(1));
             assert_eq!(st.source, (comm.rank() + n - 1) % n);
             v[0]
         });
@@ -512,9 +513,9 @@ mod tests {
         let p = Placement::single(2, MachineSpec::new("m", FabricSpec::smp_shared()));
         u.launch_and_join(p, |comm| {
             if comm.rank() == 0 {
-                comm.send_u64s(1, Tag(5), &[1, 2, 3]);
+                comm.send(1, Tag(5), &[1u64, 2, 3]);
             } else {
-                let _ = comm.recv_u64s(0, Tag(5));
+                let _ = comm.recv::<u64>(0, Tag(5));
             }
         });
         let s = u.trace().summary(u.total_ranks());

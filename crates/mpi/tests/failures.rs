@@ -23,7 +23,7 @@ use gtw_desim::{SimDuration, SimTime, Window};
 use gtw_mpi::comm::InterComm;
 use gtw_mpi::{
     CommError, FabricSpec, FailCause, HeartbeatConfig, HeartbeatMonitor, MachineSpec, Placement,
-    ReduceOp, Tag, Universe,
+    PointToPoint, ReduceOp, Tag, Universe,
 };
 use proptest::prelude::*;
 
@@ -138,7 +138,7 @@ fn intercomm_crash_detected_and_respawned() {
             // Child sends start.. until its injector kills it.
             let mut got = Vec::new();
             loop {
-                match kids.try_recv_u64s(gtw_mpi::ANY_SOURCE, Tag(7), Some(OP_TIMEOUT)) {
+                match kids.try_recv::<u64>(gtw_mpi::ANY_SOURCE, Tag(7), Some(OP_TIMEOUT)) {
                     Ok((v, _)) => {
                         got.push(v[0]);
                         if v[0] + 1 == TOTAL {
@@ -157,7 +157,7 @@ fn intercomm_crash_detected_and_respawned() {
             move |child: gtw_mpi::Comm| {
                 let parent = child.parent().expect("child has a parent");
                 for i in start..TOTAL {
-                    if parent.try_send_u64s(0, Tag(7), &[i]).is_err() {
+                    if parent.try_send(0, Tag(7), &[i]).is_err() {
                         return; // our own crash fired: go silent
                     }
                 }
@@ -280,8 +280,8 @@ fn attach_timeout_still_pairs_when_partner_arrives() {
             let peer = comm
                 .attach_timeout("late-port", FabricSpec::wan_testbed(), Duration::from_secs(5))
                 .expect("partner arrives in time");
-            peer.try_send_u64s(0, Tag(2), &[41]).unwrap();
-            let (v, _) = peer.try_recv_u64s(0, Tag(3), Some(OP_TIMEOUT)).unwrap();
+            peer.try_send(0, Tag(2), &[41u64]).unwrap();
+            let (v, _) = peer.try_recv::<u64>(0, Tag(3), Some(OP_TIMEOUT)).unwrap();
             v[0]
         })
     });
@@ -289,8 +289,8 @@ fn attach_timeout_still_pairs_when_partner_arrives() {
         let peer = comm
             .attach_timeout("late-port", FabricSpec::wan_testbed(), Duration::from_secs(5))
             .expect("partner already waiting");
-        let (v, _) = peer.try_recv_u64s(0, Tag(2), Some(OP_TIMEOUT)).unwrap();
-        peer.try_send_u64s(0, Tag(3), &[v[0] + 1]).unwrap();
+        let (v, _) = peer.try_recv::<u64>(0, Tag(2), Some(OP_TIMEOUT)).unwrap();
+        peer.try_send(0, Tag(3), &[v[0] + 1]).unwrap();
         v[0]
     });
     assert_eq!(b, vec![41]);
@@ -311,8 +311,8 @@ fn slow_fault_inflates_modeled_cost_but_never_kills() {
         u.launch_and_join(smp(2), |comm| {
             let peer = 1 - comm.rank();
             for _ in 0..20 {
-                comm.try_send_f64s(peer, Tag(4), &[0.0; 512]).unwrap();
-                let _ = comm.try_recv_f64s(peer, Tag(4), Some(OP_TIMEOUT)).unwrap();
+                comm.try_send(peer, Tag(4), &[0.0; 512]).unwrap();
+                let _ = comm.try_recv::<f64>(peer, Tag(4), Some(OP_TIMEOUT)).unwrap();
             }
             comm.comm_cost().seconds
         })
@@ -373,8 +373,8 @@ fn same_seed_reproduces_the_same_casualty_list() {
             // fault window, then checks health once more.
             for _ in 0..4 {
                 let peer = (comm.rank() + 1) % comm.size();
-                let _ = comm.try_send_u64s(peer, Tag(8), &[1; 256]);
-                let _ = comm.try_recv_u64s(
+                let _ = comm.try_send(peer, Tag(8), &[1u64; 256]);
+                let _ = comm.try_recv::<u64>(
                     gtw_mpi::ANY_SOURCE,
                     Tag(8),
                     Some(Duration::from_millis(200)),

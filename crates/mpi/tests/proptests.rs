@@ -1,7 +1,18 @@
 //! Property-based tests for the message-passing runtime.
 
-use gtw_mpi::{ReduceOp, Tag, Universe};
+use gtw_mpi::{Payload, PointToPoint, ReduceOp, Tag, Universe};
 use proptest::prelude::*;
+
+/// `T::decode(T::encode(v))` gives back `v` bit for bit, and `extra`
+/// trailing bytes that do not make up a whole element give `None`.
+fn round_trips<T: Payload>(v: &[T], extra: usize) -> bool {
+    let bytes = T::encode(v);
+    let mut ragged = bytes.to_vec();
+    ragged.extend(std::iter::repeat_n(0u8, extra));
+    let whole = extra % std::mem::size_of::<T>() == 0;
+    T::decode(&bytes).is_some_and(|back| T::encode(&back) == bytes)
+        && T::decode(&ragged.into()).is_some() == whole
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -21,14 +32,37 @@ proptest! {
         }
     }
 
+    /// Every element type round-trips through its wire layout bit for bit
+    /// — any bit pattern (so every NaN payload, both zeros, `i64::MIN`),
+    /// any length including empty — and a ragged tail is refused.
+    #[test]
+    fn payload_round_trips_every_element_type(
+        words in proptest::collection::vec(any::<u64>(), 0..24),
+        extra in 1usize..8,
+    ) {
+        let edges = [0, 1 << 63, 0x7ff8_0000_0000_0001, 0xfff0_0000_0000_0000, 0x7fc0_0001_8000_0000];
+        let words: Vec<u64> = words.into_iter().chain(edges).collect();
+        for words in [&words[..], &[]] {
+            let f64s: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+            let f32s: Vec<f32> = words.iter().map(|&w| f32::from_bits((w >> 32) as u32)).collect();
+            let i64s: Vec<i64> = words.iter().map(|&w| w as i64).collect();
+            let u8s: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+            prop_assert!(round_trips(&f64s, extra), "f64 {:?}", words);
+            prop_assert!(round_trips(&f32s, extra), "f32 {:?}", words);
+            prop_assert!(round_trips(words, extra), "u64 {:?}", words);
+            prop_assert!(round_trips(&i64s, extra), "i64 {:?}", words);
+            prop_assert!(round_trips(&u8s, extra), "u8 {:?}", words);
+        }
+    }
+
     /// A permutation routing: every rank sends to a permuted target and
     /// each rank receives exactly one message, whatever the permutation.
     #[test]
     fn permutation_routing_delivers_exactly_once(n in 2usize..6, shift in 1usize..5) {
         let out = Universe::run(n, move |comm| {
             let dst = (comm.rank() + shift) % comm.size();
-            comm.send_u64s(dst, Tag(3), &[comm.rank() as u64]);
-            let (v, _) = comm.recv_u64s(gtw_mpi::ANY_SOURCE, Tag(3));
+            comm.send(dst, Tag(3), &[comm.rank() as u64]);
+            let (v, _) = comm.recv::<u64>(gtw_mpi::ANY_SOURCE, Tag(3));
             v[0] as usize
         });
         // Received values form the inverse permutation.
@@ -42,7 +76,7 @@ proptest! {
     fn gather_orders_by_rank(n in 1usize..6, root_pick in 0usize..6) {
         let root = root_pick % n;
         let out = Universe::run(n, move |comm| {
-            comm.gather_f64s(root, &[comm.rank() as f64 * 3.0])
+            comm.gather(root, &[comm.rank() as f64 * 3.0])
         });
         let gathered = out[root].as_ref().unwrap();
         for (r, part) in gathered.iter().enumerate() {
@@ -64,13 +98,13 @@ proptest! {
             if comm.rank() == 0 {
                 for (i, &sz) in sizes2.iter().enumerate() {
                     let payload = vec![i as u64; sz];
-                    comm.send_u64s(1, Tag(7), &payload);
+                    comm.send(1, Tag(7), &payload);
                 }
                 Vec::new()
             } else {
                 (0..sizes2.len())
                     .map(|_| {
-                        let (v, _) = comm.recv_u64s(0, Tag(7));
+                        let (v, _) = comm.recv::<u64>(0, Tag(7));
                         v[0]
                     })
                     .collect::<Vec<u64>>()

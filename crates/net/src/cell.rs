@@ -17,8 +17,6 @@
 //! ITU-T I.432) over the first four header octets, so corruption models in
 //! the link layer are detected exactly the way real hardware detects them.
 
-use serde::{Deserialize, Serialize};
-
 /// Total cell size on the wire.
 pub const ATM_CELL_BYTES: usize = 53;
 /// Payload carried per cell.
@@ -63,7 +61,7 @@ const HEC_COSET: u8 = 0x55;
 
 /// Payload type indicator (3 bits). For AAL5, bit 0 of the PTI marks the
 /// last cell of a CPCS-PDU.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Pti(pub u8);
 
 impl Pti {
@@ -78,7 +76,7 @@ impl Pti {
 }
 
 /// The 4-octet logical header content (the HEC is derived).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CellHeader {
     /// Generic flow control (UNI only), 4 bits.
     pub gfc: u8,

@@ -17,7 +17,6 @@ use std::collections::VecDeque;
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::fault::Schedule;
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, Simulator};
-use serde::{Deserialize, Serialize};
 
 use crate::link::Medium;
 use crate::sdh::StmLevel;
@@ -27,7 +26,7 @@ use crate::units::{Bandwidth, DataSize};
 
 /// Cut-through vs store-and-forward operation (an ablation knob; the real
 /// gateways were store-and-forward IP routers).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ForwardingMode {
     /// Full datagram received before transmission starts.
     StoreAndForward,

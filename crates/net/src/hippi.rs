@@ -10,7 +10,6 @@
 //! per-block costs amortize only for large blocks.
 
 use gtw_desim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::units::{Bandwidth, DataSize};
 
@@ -22,7 +21,7 @@ pub const BURST_BYTES: u64 = WORDS_PER_BURST * 4;
 pub const WORD_CLOCK_HZ: f64 = 25.0e6;
 
 /// Configuration of a HiPPI channel endpoint.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HippiChannel {
     /// Overhead clocks per burst (burst header/LLRC and inter-burst gap).
     pub clocks_per_burst_overhead: u64,

@@ -7,8 +7,6 @@
 //! datagram/fragment arithmetic used by the TCP model and the transfer
 //! experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::DataSize;
 
 /// IPv4 header size (no options).
@@ -25,7 +23,7 @@ pub const FORE_LARGE_MTU: u64 = 65535;
 pub const ETHERNET_MTU: u64 = 1500;
 
 /// MTU-derived sizing for a TCP connection.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IpConfig {
     /// Path MTU: maximum IP datagram size.
     pub mtu: u64,

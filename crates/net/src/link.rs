@@ -29,7 +29,6 @@ use std::collections::VecDeque;
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
-use serde::{Deserialize, Serialize};
 
 use crate::aal5;
 use crate::hippi::HippiChannel;
@@ -37,7 +36,7 @@ use crate::stats::StageStats;
 use crate::units::{Bandwidth, DataSize};
 
 /// What kind of packet is in flight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PacketKind {
     /// Payload-bearing segment.
     Data,
@@ -63,7 +62,7 @@ pub struct Packet {
 }
 
 /// The physical/framing layer a stage transmits on; determines wire time.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Medium {
     /// ATM on an SDH container: IP datagram → LLC/SNAP + AAL5 → cells.
     /// `cell_payload_rate` is the rate available to the 53-byte cell

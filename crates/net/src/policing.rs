@@ -15,13 +15,12 @@ use std::collections::BTreeMap;
 
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::cell::AtmCell;
 use crate::switch::CellArrive;
 
 /// What happens to a non-conforming cell.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PolicingAction {
     /// Mark CLP = 1; downstream drops it first under congestion.
     Tag,

@@ -10,12 +10,11 @@
 //! maps to an errored-second rate.
 
 use gtw_desim::StreamRng;
-use serde::{Deserialize, Serialize};
 
 use crate::units::Bandwidth;
 
 /// An SDH line level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StmLevel {
     /// STM-1 / OC-3: 155.52 Mbit/s line.
     Stm1,
@@ -67,7 +66,7 @@ impl StmLevel {
 /// attenuation (received power margin) and timing (jitter). Both erode the
 /// margin; a negative margin yields a rapidly growing errored-second
 /// probability.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SignalQuality {
     /// Received optical power margin above receiver sensitivity, in dB.
     /// Healthy installations have several dB; the testbed's early problems
@@ -115,7 +114,7 @@ impl SignalQuality {
 
 /// Outcome of an SDH section acceptance test over `seconds` observed
 /// seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SectionTestReport {
     /// Seconds observed.
     pub seconds: u64,

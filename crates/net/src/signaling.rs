@@ -14,19 +14,18 @@ use std::collections::HashMap;
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::fault::FaultPlan;
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, Simulator};
-use serde::{Deserialize, Serialize};
 
 use crate::units::Bandwidth;
 
 /// Identifier of a signalled call. `Ord` so replicated CAC state can
 /// keep admitted calls in deterministic (BTreeMap) order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CallId(pub u64);
 
 /// The ATM traffic contract a SETUP carries: peak cell rate and
 /// sustainable cell rate, both as bandwidths. A CBR call has
 /// `pcr == scr`; a VBR call declares a burst peak above its mean.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TrafficDescriptor {
     /// Peak cell rate: the instantaneous ceiling the source may hit.
     pub pcr: Bandwidth,
@@ -48,7 +47,7 @@ impl TrafficDescriptor {
 }
 
 /// Why call admission refused a SETUP.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RejectCause {
     /// The sustained-rate budget (link capacity) is exhausted.
     ScrExceeded,
@@ -60,7 +59,7 @@ pub enum RejectCause {
 }
 
 /// Outcome of a call attempt.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum CallOutcome {
     /// Admitted on every hop; the VC is up.
     Connected {

@@ -12,12 +12,11 @@
 
 use gtw_desim::fault::FaultStats;
 use gtw_desim::{ComponentId, Histogram, Json, MetricsRegistry, SimDuration, SimTime, Simulator};
-use serde::{Deserialize, Serialize};
 
 use crate::units::{Bandwidth, DataSize};
 
 /// Counters kept by every pipeline stage (link, gateway, NIC).
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct StageStats {
     /// Packets accepted for transmission.
     pub packets_in: u64,
@@ -66,7 +65,7 @@ impl StageStats {
 }
 
 /// A per-flow one-way latency/throughput recorder.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FlowRecorder {
     /// Packets observed.
     pub packets: u64,

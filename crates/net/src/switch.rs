@@ -10,7 +10,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SpanSink};
-use serde::{Deserialize, Serialize};
 
 use crate::cell::{AtmCell, ATM_CELL_BYTES};
 use crate::units::Bandwidth;
@@ -36,7 +35,7 @@ pub struct WireCellArrive {
 struct PortTxDone(usize);
 
 /// Routing key: where the cell came in and on which VC.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VcKey {
     /// Input port.
     pub port: usize,
@@ -47,7 +46,7 @@ pub struct VcKey {
 }
 
 /// Routing action: output port and outgoing VC labels.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VcRoute {
     /// Output port.
     pub port: usize,
@@ -137,7 +136,7 @@ struct PortState {
 }
 
 /// Per-switch counters.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct SwitchStats {
     /// Cells successfully switched.
     pub switched: u64,

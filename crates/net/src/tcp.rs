@@ -14,7 +14,6 @@
 //!   analytic bound in full simulation.
 
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
-use serde::{Deserialize, Serialize};
 
 use crate::ip::IpConfig;
 use crate::link::{Arrive, Medium, Packet, PacketKind};
@@ -95,7 +94,7 @@ impl TcpModel {
 }
 
 /// Parameters for the event-driven sender.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
     /// Flow identifier.
     pub flow: u64,

@@ -12,7 +12,6 @@ use gtw_desim::{
     ComponentId, MetricsSink, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator,
     SpanSink,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::ip::{fragment_sizes, IpConfig};
 use crate::link::{Arrive, Packet, PacketKind, PipeStage, Sink, StageConfig};
@@ -21,7 +20,7 @@ use crate::tcp::{HopModel, StartTransfer, TcpConfig, TcpModel, TcpReceiver, TcpS
 use crate::units::{Bandwidth, DataSize};
 
 /// Transport used for the transfer.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Protocol {
     /// TCP with the given socket-buffer (window) size.
     Tcp {
@@ -48,7 +47,7 @@ pub struct BulkTransfer {
 }
 
 /// Results of a transfer run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TransferReport {
     /// Application bytes moved.
     pub bytes: u64,

@@ -4,10 +4,9 @@ use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
 use gtw_desim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A bandwidth, stored as bits per second.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -112,9 +111,7 @@ impl Div<f64> for Bandwidth {
 }
 
 /// A size of data, stored as bytes.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct DataSize(u64);
 
 impl DataSize {

@@ -10,7 +10,6 @@
 //! data available at the RT-server `raw_delay_s` ≈ 1.5 s after the scan.
 
 use gtw_desim::StreamRng;
-use serde::{Deserialize, Serialize};
 
 use crate::hrf::{raw_convolution, Stimulus};
 use crate::motion::RigidTransform;
@@ -18,7 +17,7 @@ use crate::phantom::Phantom;
 use crate::volume::{Dims, Volume};
 
 /// Scanner configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScannerConfig {
     /// Functional matrix (the paper's default is 64×64×16).
     pub dims: Dims,

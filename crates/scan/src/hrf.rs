@@ -8,8 +8,6 @@
 //! explicit delay and dispersion parameters — exactly the two parameters
 //! the paper's reference-vector optimization (RVO) fits per voxel.
 
-use serde::{Deserialize, Serialize};
-
 /// Gamma-variate hemodynamic response at time `t` seconds after stimulus
 /// onset, with peak `delay` (seconds) and `dispersion` (width scale,
 /// seconds).
@@ -32,7 +30,7 @@ pub const CANONICAL_DELAY_S: f64 = 6.0;
 pub const CANONICAL_DISPERSION_S: f64 = 1.0;
 
 /// A stimulation time course: per-repetition on/off (or graded) values.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Stimulus {
     /// One value per repetition (scan), typically 0.0 / 1.0.
     pub course: Vec<f64>,
@@ -63,7 +61,7 @@ impl Stimulus {
 }
 
 /// A reference vector: the expected BOLD time course.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReferenceVector {
     /// One expected-response value per scan, zero-mean normalized to unit
     /// L2 norm (so correlation is a dot product).

@@ -10,10 +10,8 @@
 //! a radix-2 FFT, the EPI readout with configurable echo misalignment,
 //! the ghost, and its phase correction.
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number (the FFT kit is self-contained on purpose).
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -10,13 +10,11 @@
 //! each point with nine multiplies. `apply_point` is the same expression
 //! on a freshly built matrix, so both give the same bits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::volume::Volume;
 
 /// A rigid-body transform: rotation (Euler angles, radians, applied in
 /// x-y-z order about the volume centre) followed by translation (voxels).
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct RigidTransform {
     /// Rotation about x, radians.
     pub rx: f32,

@@ -12,14 +12,13 @@
 //! and lets the analysis combine echoes for higher contrast-to-noise.
 
 use gtw_desim::StreamRng;
-use serde::{Deserialize, Serialize};
 
 use crate::acquire::{Scanner, ScannerConfig};
 use crate::phantom::Phantom;
 use crate::volume::Volume;
 
 /// Multi-echo protocol parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MultiEchoConfig {
     /// Echo times, milliseconds (typical 1.5 T multi-echo EPI:
     /// ~12/30/48/66 ms).

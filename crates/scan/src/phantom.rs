@@ -8,12 +8,10 @@
 //! Activation sites are spheres inside the brain with known amplitudes,
 //! so every detection experiment can be scored against truth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::volume::{Dims, Volume};
 
 /// A spherical activation region (ground truth).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ActivationSite {
     /// Centre in normalized head coordinates (each in `[-1, 1]`).
     pub centre: [f32; 3],
@@ -25,7 +23,7 @@ pub struct ActivationSite {
 }
 
 /// The head phantom.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Phantom {
     /// Activation ground truth.
     pub sites: Vec<ActivationSite>,

@@ -4,10 +4,8 @@
 //! x-fastest order, with checked indexing, slice extraction and trilinear
 //! sampling (the primitive under motion correction and rendering).
 
-use serde::{Deserialize, Serialize};
-
 /// Volume dimensions `(nx, ny, nz)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Dims {
     /// Voxels along x (fastest).
     pub nx: usize,
@@ -63,7 +61,7 @@ impl Dims {
 }
 
 /// A 3-D scalar volume of `f32` voxels.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Volume {
     /// Dimensions.
     pub dims: Dims,

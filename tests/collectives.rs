@@ -93,7 +93,7 @@ proptest! {
         let d = data.clone();
         let flat = Universe::run_placed(placement.clone(), move |comm| {
             let payload = if comm.rank() == root { d.clone() } else { vec![] };
-            comm.bcast_f64s(root, &payload)
+            comm.bcast(root, &payload)
         });
         let d = data.clone();
         let topo = Universe::run_placed(placement.clone(), move |comm| {
@@ -277,6 +277,47 @@ fn try_variants_agree_with_blocking_results_on_clean_worlds() {
         assert_eq!(bits(sum), bits(&blocking[r]), "rank {r}");
         assert_eq!(bits(echoed), bits(&blocking[0]), "rank {r}");
     }
+
+    // What lets each topo collective keep one body for both forms: on a
+    // clean world the blocking and the failure-aware entry move the same
+    // messages. Per rank the result bits and the modeled cost after each
+    // of the three collectives are equal, and so is the trace summary.
+    let run = |guarded: bool| {
+        let u = Universe::traced();
+        let c = contribs.clone();
+        let per_rank = u.launch_and_join(placement.clone(), move |comm| {
+            let mine = &c[comm.rank()];
+            let cost = || {
+                let c = comm.comm_cost();
+                let seconds = [c.seconds, c.intra_seconds, c.wan_seconds].map(f64::to_bits);
+                (seconds, c.messages, c.wan_messages, c.bytes)
+            };
+            let sum = if guarded {
+                comm.try_allreduce_topo_f64s(ReduceOp::Sum, mine, Some(OP_TIMEOUT)).expect("clean")
+            } else {
+                comm.allreduce_topo_f64s(ReduceOp::Sum, mine)
+            };
+            let after_allreduce = cost();
+            let root_payload = if comm.rank() == 0 { sum.clone() } else { vec![] };
+            let echoed = if guarded {
+                comm.try_bcast_topo_f64s(0, &root_payload, Some(OP_TIMEOUT)).expect("clean")
+            } else {
+                comm.bcast_topo_f64s(0, &root_payload)
+            };
+            let after_bcast = cost();
+            if guarded {
+                comm.try_barrier_topo(Some(OP_TIMEOUT)).expect("clean");
+            } else {
+                comm.barrier_topo();
+            }
+            (bits(&sum), bits(&echoed), [after_allreduce, after_bcast, cost()])
+        });
+        (per_rank, format!("{:?}", u.trace().summary(u.total_ranks())))
+    };
+    let (blocking, guarded) = (run(false), run(true));
+    assert_eq!(blocking.0, guarded.0, "per-rank bits and CommCost");
+    assert_eq!(blocking.1, guarded.1, "VampirSummary");
+    assert!(blocking.0.iter().all(|(_, _, costs)| costs[2].1 > 0), "every rank was charged");
 }
 
 #[test]

@@ -7,7 +7,7 @@ use gtw_apps::meg::{head_grid, music_scan, signal_subspace, synthesize, Dipole, 
 use gtw_apps::traffic::{effective_payload, AppProfile};
 use gtw_core::coalloc::{fmri_session, testbed_resources};
 use gtw_core::machines::MachineCatalog;
-use gtw_mpi::{FabricSpec, Placement, Tag, Universe};
+use gtw_mpi::{FabricSpec, Placement, PointToPoint, Tag, Universe};
 use gtw_net::units::Bandwidth;
 
 #[test]
@@ -20,11 +20,11 @@ fn catalog_machines_drive_placements() {
         // All-pairs ping: every rank sends one message to every other.
         for dst in 0..comm.size() {
             if dst != comm.rank() {
-                comm.send_f64s(dst, Tag(1), &[comm.rank() as f64]);
+                comm.send(dst, Tag(1), &[comm.rank() as f64]);
             }
         }
         for _ in 0..comm.size() - 1 {
-            let _ = comm.recv_f64s(gtw_mpi::ANY_SOURCE, Tag(1));
+            let _ = comm.recv::<f64>(gtw_mpi::ANY_SOURCE, Tag(1));
         }
         comm.comm_cost()
     });
