@@ -9,56 +9,51 @@
 //! cargo run --release -p gtw-bench --bin fig1_network -- --trace-out trace.json
 //! ```
 //!
-//! With `--json` the MTU sweep is emitted as a machine-readable run
-//! report (per-hop counters from the stats registry) instead of tables.
-//! With `--trace-out <path>` the 9180-byte-MTU transfer is run with span
-//! tracing (per-hop `tx`/`flight` spans, TCP `transfer`/`rto-wait`
-//! spans, kernel dispatch instants) and written as a Chrome trace-event
-//! file loadable in Perfetto. With `--faults <seed>` every transfer runs
-//! under the canonical degraded-WAN fault plan (1% i.i.d. loss plus a
-//! 50 ms outage on the WAN hop); the same seed reproduces the same
-//! output byte for byte, and the reports attribute every drop to its
-//! injected cause. With `--shards N` the transfers run on the sharded
-//! parallel kernel, split at the WAN link; the output is byte-identical
-//! to the sequential run (that is the kernel's contract and is gated in
-//! CI). Combining `--shards N` with `--trace-out` writes a *counter*
-//! trace instead of spans: the per-shard kernel metrics (events per
-//! window, queue depth, lookahead utilization, cross-shard batches)
-//! sampled at each conservative-window boundary, rendered by Perfetto
-//! as counter tracks. Adding `--kernel-metrics` to `--json --shards N`
-//! appends the `kernel_metrics` summary block to each run report (and a
-//! host `meta` block to the document); the flag exists so the default
-//! sharded output stays byte-identical to the sequential sweep. With
-//! `--stripes N` every transfer is carried on N parallel TCP streams
-//! (MPWide-style WAN striping); JSON reports then gain the per-flow
-//! demux attribution block and a top-level `stripes` key, and table
-//! mode prints the striping comparison instead of the figure — output
-//! without the flag is unchanged either way.
+//! `--json` emits the MTU sweep as a machine-readable run report (per-hop
+//! counters from the stats registry) instead of tables. The other flags
+//! each set one field of the transfers' `RunOptions`, so they combine:
+//!
+//! * `--faults <seed>` — every transfer runs under the canonical
+//!   degraded-WAN plan (1% i.i.d. loss plus a 50 ms outage on the WAN
+//!   hop). The same seed reproduces the same output byte for byte, and
+//!   the reports attribute every drop to its injected cause.
+//! * `--shards N` — the transfers run on the sharded kernel, split at
+//!   the WAN link. The output is byte-identical to the sequential run
+//!   (that is the kernel's contract and is gated in CI).
+//! * `--stripes N` — every transfer is carried on N parallel TCP streams
+//!   (MPWide-style WAN striping). JSON reports then gain the per-flow
+//!   demux attribution block and a top-level `stripes` key.
+//! * `--kernel-metrics` (needs `--shards N`) — each run report gains the
+//!   `kernel_metrics` summary block and the document a host `meta`
+//!   block; behind a flag so the default sharded output stays
+//!   byte-identical to the sequential sweep.
+//!
+//! `--trace-out <path>` runs the 9180-byte-MTU transfer and writes a
+//! Chrome trace-event file loadable in Perfetto: spans on the sequential
+//! kernel (per-hop `tx`/`flight`, TCP `transfer`/`rto-wait`, kernel
+//! dispatch instants); with `--shards N`, which cannot trace spans, the
+//! per-shard kernel metrics (events per window, queue depth, lookahead
+//! utilization, cross-shard batches) sampled at each conservative-window
+//! boundary, as counter tracks. In table mode `--faults` prints the
+//! degraded T3E → SP2 transfer and `--stripes` the striping comparison
+//! instead of the figure; output without any flag is unchanged.
 
 use gtw_bench::BenchArgs;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
-use gtw_desim::{Json, MetricsSink, Span};
+use gtw_desim::fault::FaultPlan;
+use gtw_desim::{Json, MetricsSink, Span, SpanSink};
 use gtw_net::gateway::{ForwardingMode, Gateway};
 use gtw_net::hippi::HippiChannel;
 use gtw_net::ip::IpConfig;
 use gtw_net::stripe::{adaptive_streams, StripedTransfer};
-use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol};
+use gtw_net::tcp::HopModel;
+use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions};
 use gtw_net::units::DataSize;
 
-/// Run clean, or under the degraded-WAN plan when a seed is given;
-/// `shards == 0` selects the sequential kernel.
-fn run_maybe_faulted(
-    xfer: &BulkTransfer,
-    faults: Option<u64>,
-    shards: usize,
-) -> (gtw_net::transfer::TransferReport, gtw_net::stats::RunReport) {
-    match faults {
-        Some(seed) => {
-            let wan = format!("hop{}", xfer.hops.len() / 2);
-            xfer.run_sharded_faulted(shards, &degraded_plan(seed, &wan))
-        }
-        None => xfer.run_sharded(shards),
-    }
+/// The degraded-WAN plan for `--faults <seed>` on a path of `hops`: the
+/// WAN hop sits mid-chain.
+fn wan_plan(faults: Option<u64>, hops: &[HopModel]) -> Option<FaultPlan> {
+    faults.map(|seed| degraded_plan(seed, &format!("hop{}", hops.len() / 2)))
 }
 
 /// The MTU sweep as a JSON document: one entry per MTU with the goodput
@@ -66,52 +61,40 @@ fn run_maybe_faulted(
 /// carried on N parallel TCP streams and the reports gain the demux
 /// attribution block (single-stream output is untouched).
 fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
-    let instrument = args.kernel_metrics && args.shards > 0;
     if args.kernel_metrics {
         assert!(args.shards > 0, "--kernel-metrics instruments the sharded kernel; add --shards N");
-        assert!(args.faults.is_none(), "--kernel-metrics cannot be combined with --faults");
-    }
-    if args.stripes > 0 {
-        assert!(args.faults.is_none(), "--stripes cannot be combined with --faults");
-        assert!(!args.kernel_metrics, "--stripes cannot be combined with --kernel-metrics");
     }
     let (path, _, _) = tb.topology.path(tb.t3e_600, tb.e5000).expect("path");
     let mut sweep = Vec::new();
     for mtu in [1500u64, 4352, 9180, 17914, 65535] {
         let hops = tb.topology.path_hops(&path, mtu);
-        if args.stripes > 0 {
-            let xfer = StripedTransfer {
-                hops,
-                ip: IpConfig { mtu },
-                bytes,
-                window_bytes: 4 * 1024 * 1024,
-                streams: args.stripes,
-            };
-            let (report, run) = xfer.run_with_report(args.shards);
-            sweep.push(Json::obj([
-                ("mtu", Json::from(mtu)),
-                ("goodput_mbps", Json::from(report.goodput.mbps())),
-                ("run", run.to_json()),
-            ]));
-            continue;
-        }
-        let xfer = BulkTransfer {
-            hops,
-            ip: IpConfig { mtu },
-            bytes,
-            protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
+        let plan = wan_plan(args.faults, &hops);
+        let opts = RunOptions {
+            shards: args.shards,
+            faults: plan.as_ref(),
+            metrics: if args.kernel_metrics {
+                MetricsSink::recording()
+            } else {
+                MetricsSink::disabled()
+            },
+            ..RunOptions::default()
         };
-        let (report, run) = if instrument {
-            xfer.run_sharded_metrics(args.shards, &MetricsSink::recording())
+        let (ip, window_bytes) = (IpConfig { mtu }, 4 * 1024 * 1024);
+        let mut entry = Json::obj([("mtu", Json::from(mtu))]);
+        let run = if args.stripes > 0 {
+            let xfer = StripedTransfer { hops, ip, bytes, window_bytes, streams: args.stripes };
+            let (report, run) = xfer.run_with(&opts);
+            entry.push("goodput_mbps", Json::from(report.goodput.mbps()));
+            run
         } else {
-            run_maybe_faulted(&xfer, args.faults, args.shards)
+            let xfer = BulkTransfer { hops, ip, bytes, protocol: Protocol::Tcp { window_bytes } };
+            let (report, run) = xfer.run_with(&opts);
+            entry.push("goodput_mbps", Json::from(report.goodput.mbps()));
+            entry.push("predicted_mbps", Json::from(xfer.predict().mbps()));
+            run
         };
-        sweep.push(Json::obj([
-            ("mtu", Json::from(mtu)),
-            ("goodput_mbps", Json::from(report.goodput.mbps())),
-            ("predicted_mbps", Json::from(xfer.predict().mbps())),
-            ("run", run.to_json()),
-        ]));
+        entry.push("run", run.to_json());
+        sweep.push(entry);
     }
     let mut doc = Json::obj([
         ("experiment", Json::from("mtu_sweep_t3e600_to_e5000")),
@@ -124,7 +107,7 @@ fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
     if args.stripes > 0 {
         doc.push("stripes", Json::from(args.stripes as u64));
     }
-    if instrument {
+    if args.kernel_metrics {
         doc.push("meta", gtw_bench::meta_json(args.shards));
     }
     doc.push("sweep", Json::Arr(sweep));
@@ -157,7 +140,7 @@ fn stripes_table(tb: &GigabitTestbedWest, bytes: u64, streams: usize, shards: us
             window_bytes: per_stream * n as u64,
             streams: n,
         };
-        let (report, _) = xfer.run_with_report(shards);
+        let (report, _) = xfer.run_with(&RunOptions { shards, ..RunOptions::default() });
         let slowest =
             report.stripes.iter().filter_map(|s| s.elapsed).max().map_or(0.0, |e| e.as_secs_f64());
         println!("{:>8} {:>9.1} Mb/s {:>10.3} s", n, report.goodput.mbps(), slowest);
@@ -174,7 +157,7 @@ fn stripes_table(tb: &GigabitTestbedWest, bytes: u64, streams: usize, shards: us
 /// only, but the metrics subsystem samples every conservative window,
 /// so the sharded trace shows queue depth, events per window, lookahead
 /// utilization and cross-shard traffic as Perfetto counter tracks.
-fn emit_trace(tb: &GigabitTestbedWest, path: &str, shards: usize) {
+fn emit_trace(tb: &GigabitTestbedWest, path: &str, args: &BenchArgs) {
     let (net_path, _, _) = tb.topology.path(tb.t3e_600, tb.e5000).expect("path");
     let mtu = 9180;
     let xfer = BulkTransfer {
@@ -183,31 +166,36 @@ fn emit_trace(tb: &GigabitTestbedWest, path: &str, shards: usize) {
         bytes: 4 * 1024 * 1024,
         protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
     };
-    if shards > 0 {
-        let metrics = MetricsSink::recording();
-        let (report, _) = xfer.run_sharded_metrics(shards, &metrics);
-        println!(
-            "traced T3E-600 -> E5000 transfer on {shards} shard(s): {:.1} Mbit/s, {} retransmits",
-            report.goodput.mbps(),
-            report.retransmits
-        );
-        let counters = metrics.counter_series();
-        let doc = gtw_desim::chrome_trace_with_counters(std::iter::empty::<&Span>(), &counters);
-        std::fs::write(path, doc.pretty()).expect("write trace file");
-        eprintln!(
-            "chrome trace ({} counter tracks) written to {path} — open in Perfetto",
-            counters.len()
-        );
-        return;
-    }
-    let sink = gtw_desim::SpanSink::recording();
-    let (report, _) = xfer.run_traced(&sink);
+    let plan = wan_plan(args.faults, &xfer.hops);
+    let (spans, metrics) = if args.shards > 0 {
+        (SpanSink::disabled(), MetricsSink::recording())
+    } else {
+        (SpanSink::recording(), MetricsSink::disabled())
+    };
+    let (report, _) = xfer.run_with(&RunOptions {
+        shards: args.shards,
+        faults: plan.as_ref(),
+        spans: spans.clone(),
+        metrics: metrics.clone(),
+        ..RunOptions::default()
+    });
+    let on = if args.shards > 0 { format!(" on {} shard(s)", args.shards) } else { String::new() };
     println!(
-        "traced T3E-600 -> E5000 transfer: {:.1} Mbit/s, {} retransmits",
+        "traced T3E-600 -> E5000 transfer{on}: {:.1} Mbit/s, {} retransmits",
         report.goodput.mbps(),
         report.retransmits
     );
-    gtw_bench::write_trace(&sink, path);
+    if args.shards == 0 {
+        gtw_bench::write_trace(&spans, path);
+        return;
+    }
+    let counters = metrics.counter_series();
+    let doc = gtw_desim::chrome_trace_with_counters(std::iter::empty::<&Span>(), &counters);
+    std::fs::write(path, doc.pretty()).expect("write trace file");
+    eprintln!(
+        "chrome trace ({} counter tracks) written to {path} — open in Perfetto",
+        counters.len()
+    );
 }
 
 fn main() {
@@ -220,7 +208,7 @@ fn main() {
         return;
     }
     if let Some(path) = &args.trace_out {
-        emit_trace(&tb, path, shards);
+        emit_trace(&tb, path, &args);
         return;
     }
     if let Some(seed) = faults {
@@ -233,7 +221,9 @@ fn main() {
             bytes,
             protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
         };
-        let (report, run) = run_maybe_faulted(&xfer, faults, shards);
+        let plan = wan_plan(faults, &xfer.hops);
+        let (report, run) =
+            xfer.run_with(&RunOptions { shards, faults: plan.as_ref(), ..RunOptions::default() });
         println!("== Degraded WAN (seed {seed}): T3E -> SP2, 32 MiB ==");
         println!(
             "goodput {:.1} Mbit/s, {} retransmits ({} fast, {} timeouts)",

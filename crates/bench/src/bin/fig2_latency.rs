@@ -16,7 +16,7 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_desim::{Json, SpanSink};
-use gtw_fire::realtime::{run_chain_traced, ChainMode, RealtimeConfig};
+use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
 use gtw_fire::rt::paper_headline_delay;
 
 const PES_SWEEP: [usize; 7] = [1, 8, 16, 32, 64, 128, 256];
@@ -33,10 +33,9 @@ fn run_chains(sink: &SpanSink) -> [(ChainMode, gtw_fire::realtime::RealtimeRepor
         display_s: r.display_s,
         scans: 40,
     };
-    [
-        (ChainMode::Sequential, run_chain_traced(cfg, ChainMode::Sequential, sink)),
-        (ChainMode::Pipelined, run_chain_traced(cfg, ChainMode::Pipelined, sink)),
-    ]
+    let opts = ChainOptions { spans: sink.clone(), ..ChainOptions::default() };
+    [ChainMode::Sequential, ChainMode::Pipelined]
+        .map(|mode| (mode, run_chain_with(cfg, mode, &opts)))
 }
 
 fn emit_json() {

@@ -1,5 +1,5 @@
 //! Kernel scaling benchmark: the sequential event kernel vs the sharded
-//! parallel kernel on a fig1-scale multi-flow scenario (several
+//! kernel on a fig1-scale multi-flow scenario (several
 //! concurrent TCP bulk transfers crossing a 500 µs WAN section), plus the
 //! smallest-packet case on the sequential kernel: a cell-level PVC with
 //! 80 k cells scheduled up front (the deep-queue end, where the TCP
@@ -27,7 +27,7 @@ use gtw_net::ip::IpConfig;
 use gtw_net::link::Medium;
 use gtw_net::switch::{AtmSwitch, CellArrive, CellEndpoint, OutputPort, VcKey, VcRoute};
 use gtw_net::tcp::HopModel;
-use gtw_net::transfer::{BulkTransfer, Protocol, TransferSet};
+use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 
 const FLOWS: u64 = 64;
@@ -128,7 +128,7 @@ fn measure(shard_counts: &[usize]) -> Vec<(f64, u64, String)> {
     for _ in 0..REPEATS {
         for (slot, &shards) in shard_counts.iter().enumerate() {
             let started = Instant::now();
-            let (_, run) = set.run(shards);
+            let (_, run) = set.run_with(&RunOptions { shards, ..RunOptions::default() });
             let wall = started.elapsed().as_secs_f64();
             let r = &mut results[slot];
             r.0 = r.0.min(wall);
@@ -145,10 +145,10 @@ fn main() {
         // agree, and two invocations of this mode must print identical
         // bytes.
         let set = scenario();
-        let (_, seq) = set.run(0);
+        let (_, seq) = set.run_with(&RunOptions::default());
         let seq_json = seq.to_json().dump();
         for shards in [1usize, 2, 4] {
-            let (_, run) = set.run(shards);
+            let (_, run) = set.run_with(&RunOptions { shards, ..RunOptions::default() });
             assert_eq!(run.to_json().dump(), seq_json, "{shards}-shard run diverged");
         }
         println!(

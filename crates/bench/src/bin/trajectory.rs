@@ -26,14 +26,14 @@ use std::time::Instant;
 use gtw_bench::BenchArgs;
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
-use gtw_desim::{Json, SimDuration, SpanSink};
+use gtw_desim::{Json, SimDuration};
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
-use gtw_fire::realtime::{run_chain_traced, ChainMode, RealtimeConfig};
+use gtw_fire::realtime::{run_chain, ChainMode, RealtimeConfig};
 use gtw_fire::t3e::T3eModel;
 use gtw_net::ip::IpConfig;
 use gtw_net::link::Medium;
 use gtw_net::tcp::HopModel;
-use gtw_net::transfer::{BulkTransfer, Protocol, TransferSet};
+use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 use gtw_scan::acquire::{Scanner, ScannerConfig};
 use gtw_scan::hrf::ReferenceVector;
@@ -61,7 +61,7 @@ fn bench_fig1() -> Json {
         protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
     };
     let started = Instant::now();
-    let (report, run) = xfer.run_sharded(0);
+    let (report, run) = xfer.run_with(&RunOptions::default());
     let wall = started.elapsed().as_secs_f64();
     Json::obj([
         ("scenario", Json::from("fig1_network")),
@@ -86,7 +86,7 @@ fn bench_fig2() -> Json {
         scans: 40,
     };
     let started = Instant::now();
-    let m = run_chain_traced(cfg, ChainMode::Pipelined, &SpanSink::disabled());
+    let m = run_chain(cfg, ChainMode::Pipelined);
     let wall = started.elapsed().as_secs_f64();
     Json::obj([
         ("scenario", Json::from("fig2_latency")),
@@ -305,7 +305,7 @@ fn bench_shard_sweep() -> Vec<Json> {
     for _ in 0..2 {
         for (slot, &shards) in counts.iter().enumerate() {
             let started = Instant::now();
-            let (_, run) = set.run(shards);
+            let (_, run) = set.run_with(&RunOptions { shards, ..RunOptions::default() });
             let wall = started.elapsed().as_secs_f64();
             let r = &mut results[slot];
             r.0 = r.0.min(wall);

@@ -13,8 +13,9 @@
 //! | `pipeline`        | §4 — sequential vs pipelined throughput (X2) |
 //! | `rvo_ablation`    | §4 — RVO grid vs coarse+refine (X3) |
 //!
-//! Criterion microbenchmarks (`cargo bench`) cover the FIRE modules, the
-//! network stack primitives and the linear-algebra kit.
+//! Two more bins keep committed baselines: `kernel_bench`
+//! (`BENCH_kernel.json`) and `trajectory` (`BENCH_trajectory.json`,
+//! `--check`). Per-layer timings are `crates/gtw-benchmark`'s job.
 
 use gtw_desim::Json;
 
@@ -66,26 +67,15 @@ impl BenchArgs {
     }
 }
 
-/// The host/run `meta` block bench JSON carries: core count, the exec
-/// mode the sharded kernel would pick, and the requested shard count.
+/// The host/run `meta` block bench JSON carries: core count and the
+/// requested shard count.
 ///
 /// This is *bench-output-only* context — it must never be folded into
 /// `RunReport` (whose JSON is determinism-gated byte-for-byte), and the
 /// trajectory harness strips it before its two-run `cmp`.
 pub fn meta_json(shards: usize) -> Json {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let exec_mode = if shards <= 1 {
-        "sequential"
-    } else if cores > 1 {
-        "threaded"
-    } else {
-        "cooperative"
-    };
-    Json::obj([
-        ("host_cores", Json::from(cores as u64)),
-        ("exec_mode", Json::from(exec_mode)),
-        ("shards", Json::from(shards as u64)),
-    ])
+    Json::obj([("host_cores", Json::from(cores as u64)), ("shards", Json::from(shards as u64))])
 }
 
 /// Print a horizontal rule sized to a header line.

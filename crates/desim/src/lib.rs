@@ -14,7 +14,8 @@
 //! kernel-independent `(time, source, source_seq)` key ([`queue::EventKey`])
 //! that totally orders same-instant events identically whether a scenario
 //! runs on the sequential [`Simulator`] or is partitioned across a
-//! [`ShardedSimulator`]'s worker shards, and all randomness is drawn
+//! [`ShardedSimulator`]'s shards (the partition-invariance oracle; it
+//! runs on the calling thread), and all randomness is drawn
 //! from seedable, stream-named ChaCha generators.
 //!
 //! ## Quick example
@@ -54,12 +55,11 @@ pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::{
     CounterId, CounterSeries, GaugeId, MetricKind, MetricsRegistry, MetricsSink, TimeSeries,
-    TimerId,
 };
 pub use partition::ShardPlan;
 pub use queue::{EventQueue, QueuedEvent};
 pub use rng::StreamRng;
-pub use shard::{ExecMode, ShardedSimulator};
+pub use shard::ShardedSimulator;
 pub use sim::{RunResult, Simulator};
 pub use span::{
     chrome_trace, chrome_trace_with_counters, validate_chrome_trace, Span, SpanRecorder, SpanSink,

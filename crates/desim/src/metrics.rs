@@ -1,4 +1,4 @@
-//! Live kernel metrics: typed counters, gauges and timers in a
+//! Live kernel metrics: typed counters and gauges in a
 //! [`MetricsRegistry`], sampled into per-metric time series.
 //!
 //! The registry is the observability companion to the span recorder in
@@ -10,16 +10,13 @@
 //! sharded kernel samples once per lookahead window) to append the
 //! current value of every metric to its [`TimeSeries`].
 //!
-//! Three metric kinds:
+//! Two metric kinds, both functions of virtual time only, so every view
+//! of a registry is byte-reproducible across runs and hosts:
 //!
 //! * **Counter** — monotone cumulative count (events executed,
 //!   cross-shard batches). Its sampled series is nondecreasing.
 //! * **Gauge** — instantaneous level (queue depth, events in the last
 //!   window). The registry additionally tracks the high-water mark.
-//! * **Timer** — cumulative *wall-clock* nanoseconds (barrier stalls).
-//!   Timers are the only nondeterministic kind, so the deterministic
-//!   JSON view ([`summary_json`](MetricsRegistry::summary_json)) skips
-//!   them — reports embedding it stay byte-reproducible.
 //!
 //! [`MetricsSink`] is the shareable enable/collect handle, mirroring
 //! [`SpanSink`](crate::span::SpanSink): a disabled sink costs one branch
@@ -38,10 +35,6 @@ pub struct CounterId(usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle to a timer registered in a [`MetricsRegistry`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerId(usize);
-
 /// What a metric measures (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
@@ -49,8 +42,6 @@ pub enum MetricKind {
     Counter,
     /// Instantaneous level with a tracked high-water mark.
     Gauge,
-    /// Cumulative wall-clock nanoseconds (nondeterministic).
-    Timer,
 }
 
 /// A sampled `(instant, value)` series. Instants are virtual-time
@@ -179,11 +170,6 @@ impl MetricsRegistry {
         GaugeId(self.register(name, MetricKind::Gauge))
     }
 
-    /// Register a timer.
-    pub fn timer(&mut self, name: &str) -> TimerId {
-        TimerId(self.register(name, MetricKind::Timer))
-    }
-
     /// Add `by` to a counter.
     #[inline]
     pub fn inc(&mut self, id: CounterId, by: u64) {
@@ -196,20 +182,6 @@ impl MetricsRegistry {
         let m = &mut self.metrics[id.0];
         m.value = value;
         m.hwm = m.hwm.max(value);
-    }
-
-    /// Add an elapsed wall-clock duration to a timer.
-    #[inline]
-    pub fn add_time(&mut self, id: TimerId, elapsed: std::time::Duration) {
-        self.metrics[id.0].value += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    }
-
-    /// Time `f` on the wall clock into the timer and return its result.
-    pub fn time<R>(&mut self, id: TimerId, f: impl FnOnce() -> R) -> R {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        self.add_time(id, t0.elapsed());
-        r
     }
 
     /// Append the current value of every metric to its series, stamped
@@ -241,7 +213,7 @@ impl MetricsRegistry {
     }
 
     /// Merge a same-schema registry (e.g. a later run segment) into this
-    /// one: counters and timers add, gauges take the maximum (and the
+    /// one: counters add, gauges take the maximum (and the
     /// maximum high-water mark), series merge by instant. Panics when the
     /// schemas differ — merging is for registries created by the same
     /// instrumentation code.
@@ -259,7 +231,7 @@ impl MetricsRegistry {
                 o.name
             );
             match m.kind {
-                MetricKind::Counter | MetricKind::Timer => m.value += o.value,
+                MetricKind::Counter => m.value += o.value,
                 MetricKind::Gauge => m.value = m.value.max(o.value),
             }
             m.hwm = m.hwm.max(o.hwm);
@@ -267,9 +239,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Deterministic summary: final counter values and gauge high-water
-    /// marks. Timers (wall-clock) are deliberately excluded so reports
-    /// that embed this stay byte-reproducible across runs and hosts.
+    /// Summary: final counter values and gauge high-water marks.
     pub fn summary_json(&self) -> Json {
         let mut doc = Json::obj([("label", Json::from(self.label.as_str()))]);
         for m in &self.metrics {
@@ -280,22 +250,14 @@ impl MetricsRegistry {
                 MetricKind::Gauge => {
                     doc.push(format!("{}_hwm", m.name), Json::from(m.hwm));
                 }
-                MetricKind::Timer => {}
             }
         }
         doc
     }
 
-    /// Full JSON view: the summary plus timers and per-metric series
-    /// lengths. Contains wall-clock data — keep it out of determinism-
-    /// gated reports.
+    /// The summary plus the number of samples taken.
     pub fn to_json(&self) -> Json {
         let mut doc = self.summary_json();
-        for m in &self.metrics {
-            if m.kind == MetricKind::Timer {
-                doc.push(m.name.as_str(), Json::from(m.value));
-            }
-        }
         doc.push("samples", Json::from(self.metrics.first().map_or(0, |m| m.series.len() as u64)));
         doc
     }
@@ -383,20 +345,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_and_timers_register_and_update() {
+    fn counters_and_gauges_register_and_update() {
         let mut reg = MetricsRegistry::new("shard0");
         let c = reg.counter("events");
         let g = reg.gauge("queue_depth");
-        let t = reg.timer("wait_ns");
         reg.inc(c, 3);
         reg.inc(c, 2);
         reg.set(g, 7);
         reg.set(g, 4);
-        reg.add_time(t, std::time::Duration::from_nanos(150));
         assert_eq!(reg.value("events"), Some(5));
         assert_eq!(reg.value("queue_depth"), Some(4));
         assert_eq!(reg.hwm("queue_depth"), Some(7));
-        assert_eq!(reg.value("wait_ns"), Some(150));
         assert_eq!(reg.hwm("events"), None, "hwm is a gauge concept");
         assert_eq!(reg.value("missing"), None);
     }
@@ -478,20 +437,18 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_is_deterministic_and_skips_timers() {
+    fn summary_json_carries_counters_and_gauge_high_water_marks() {
         let mut reg = MetricsRegistry::new("shard0");
         let c = reg.counter("events");
         let g = reg.gauge("queue_depth");
-        let t = reg.timer("barrier_wait_ns");
         reg.inc(c, 42);
         reg.set(g, 9);
-        reg.add_time(t, std::time::Duration::from_millis(1));
+        reg.set(g, 2);
+        reg.sample(5);
         let s = reg.summary_json().dump();
-        assert!(s.contains("\"events\":42"), "{s}");
-        assert!(s.contains("\"queue_depth_hwm\":9"), "{s}");
-        assert!(!s.contains("barrier_wait_ns"), "timers are wall-clock: {s}");
-        // The full view carries the timer.
-        assert!(reg.to_json().dump().contains("\"barrier_wait_ns\":"), "{}", reg.to_json().dump());
+        assert_eq!(s, r#"{"label":"shard0","events":42,"queue_depth_hwm":9}"#);
+        // The full view adds the sample count.
+        assert!(reg.to_json().dump().ends_with(r#","samples":1}"#), "{}", reg.to_json().dump());
     }
 
     #[test]

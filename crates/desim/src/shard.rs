@@ -1,18 +1,26 @@
-//! Conservative-window parallel event kernel.
+//! Conservative-window sharded event kernel.
 //!
 //! [`ShardedSimulator`] partitions a fully wired [`Simulator`] into
-//! shards — one event queue, clock and component subset each — and runs
-//! them concurrently under the classic conservative synchronization
-//! scheme: in each round every shard publishes the time of its earliest
-//! pending event, the global minimum `gm` is folded over a shared atomic,
-//! and every shard may then safely process all events strictly before
-//! `gm + lookahead`, where `lookahead` lower-bounds the delivery delay of
-//! any cross-shard message. Messages that cross a shard boundary are
-//! staged in per-destination buffers and exchanged once per window —
-//! directly between queues on the cooperative path, as one channel batch
-//! per destination on the threaded path — each carrying its full
-//! [`EventKey`], so arrivals are re-inserted under exactly the key they
-//! would have had on the sequential kernel.
+//! shards — one event queue, clock and component subset each — and
+//! advances them, on the calling thread, under the classic conservative
+//! synchronization scheme: in each round the global minimum `gm` of the
+//! shards' earliest pending events is taken, and every shard may then
+//! safely process all events strictly before `gm + lookahead`, where
+//! `lookahead` lower-bounds the delivery delay of any cross-shard
+//! message. Messages that cross a shard boundary are staged in
+//! per-destination buffers and moved queue to queue once per window,
+//! each carrying its full [`EventKey`], so arrivals are re-inserted under
+//! exactly the key they would have had on the sequential kernel.
+//!
+//! ## What it is for
+//!
+//! Not speed: the shards share one thread, so a sharded run takes about
+//! as long as a sequential one (EXPERIMENTS.md has the numbers, and
+//! those of the threaded executor that did worse). It is the
+//! partition-invariance oracle: a scenario cut along any
+//! [`ShardPlan`] must reproduce the sequential run byte for byte, which
+//! `tests/kernel_equivalence.rs`, `tests/transfer_pinned.rs` and three
+//! `scripts/check.sh` comparisons hold it to.
 //!
 //! ## Determinism
 //!
@@ -36,12 +44,10 @@
 //!   from "no event" in the min-reduction and are left unprocessed (the
 //!   run then reports [`RunResult::HorizonReached`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use crate::component::{Component, ComponentId, Ctx, Msg};
-use crate::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSink, TimerId};
+use crate::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSink};
 use crate::partition::ShardPlan;
 use crate::queue::{EventKey, EventQueue, QueuedEvent};
 use crate::sim::{Event, RunResult, SimParts, Simulator};
@@ -90,28 +96,14 @@ impl RemoteCtx<'_> {
     }
 }
 
-/// How [`ShardedSimulator::run`] executes its shards.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Worker threads when the host has more than one core, otherwise a
-    /// single-thread round-robin over the shards. Identical results
-    /// either way.
-    #[default]
-    Auto,
-    /// Always spawn one worker thread per shard.
-    Threaded,
-    /// Always multiplex the shards on the calling thread.
-    Cooperative,
-}
-
 /// Kernel instrumentation for one shard: a [`MetricsRegistry`] plus the
 /// pre-registered handles the window loop bumps. Allocated only when a
 /// recording [`MetricsSink`] is attached — the uninstrumented kernel pays
 /// one `Option` branch per window.
 ///
-/// Everything here except `barrier_wait_ns` (wall-clock) is a function of
-/// the deterministic window structure, so two runs of the same scenario —
-/// on either executor — produce identical counters, gauges and series.
+/// Everything here is a function of the deterministic window structure,
+/// so two runs of the same scenario produce identical counters, gauges
+/// and series.
 struct ShardMetrics {
     reg: MetricsRegistry,
     /// Events executed (cumulative).
@@ -131,9 +123,6 @@ struct ShardMetrics {
     /// Fraction of the lookahead window covered by executed events, in
     /// parts per million.
     lookahead_util_ppm: GaugeId,
-    /// Wall-clock time spent blocked on synchronization barriers
-    /// (threaded executor only; the cooperative executor never waits).
-    barrier_wait: TimerId,
 }
 
 impl ShardMetrics {
@@ -148,7 +137,6 @@ impl ShardMetrics {
             window_events: reg.gauge("window_events"),
             queue_depth: reg.gauge("queue_depth"),
             lookahead_util_ppm: reg.gauge("lookahead_util_ppm"),
-            barrier_wait: reg.timer("barrier_wait_ns"),
             reg,
         })
     }
@@ -169,10 +157,6 @@ struct Shard {
     /// Per-destination buffers for cross-shard sends staged inside the
     /// current window; exchanged once per round.
     staged: Vec<Vec<RemoteEvent>>,
-    /// Channel endpoints, used only by the threaded executor: one batch
-    /// per (source, destination) pair per window round.
-    outbox: Vec<Sender<Vec<RemoteEvent>>>,
-    inbox: Receiver<Vec<RemoteEvent>>,
     /// Live instrumentation; `None` runs the kernel uninstrumented.
     metrics: Option<Box<ShardMetrics>>,
 }
@@ -208,7 +192,7 @@ impl Shard {
     /// Fold one finished window into the metrics registry and sample
     /// every series at the window base `gm`. Runs after local processing
     /// and *before* the staged batches leave the shard, so cross-shard
-    /// accounting sees exactly this window's traffic on both executors.
+    /// accounting sees exactly this window's traffic.
     fn account_window(&mut self, gm: u64, depth: u64, executed: u64, last_ns: u64) {
         let mut staged_batches = 0u64;
         let mut staged_events = 0u64;
@@ -238,20 +222,6 @@ impl Shard {
         m.reg.inc(m.xshard_events, staged_events);
         m.reg.inc(m.xshard_bytes, staged_events * std::mem::size_of::<RemoteEvent>() as u64);
         m.reg.sample(gm);
-    }
-
-    /// Barrier wait with stall accounting when instrumented.
-    fn wait_at(&mut self, barrier: &Barrier) {
-        match &mut self.metrics {
-            Some(m) => {
-                let t0 = std::time::Instant::now();
-                barrier.wait();
-                m.reg.add_time(m.barrier_wait, t0.elapsed());
-            }
-            None => {
-                barrier.wait();
-            }
-        }
     }
 
     #[inline(always)]
@@ -292,33 +262,10 @@ impl Shard {
             Event::Call(_) => unreachable!("Call events are rejected at partition time"),
         }
     }
-
-    /// Ship this window's staged batches to their destination shards
-    /// (threaded executor only).
-    fn flush_staged(&mut self) {
-        for (dst, batch) in self.staged.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                self.outbox[dst]
-                    .send(std::mem::take(batch))
-                    .expect("destination shard disconnected");
-            }
-        }
-    }
-
-    /// Move cross-shard arrivals into the local queue. The event queue
-    /// orders entries by their full key, so batch arrival order between
-    /// source shards is irrelevant.
-    fn drain_inbox(&mut self) {
-        while let Ok(batch) = self.inbox.try_recv() {
-            for r in batch {
-                self.queue.push_keyed(r.key, Event::Deliver { target: r.target, msg: r.msg });
-            }
-        }
-    }
 }
 
-/// The parallel event kernel: a set of [`Shard`]s advancing in
-/// conservative lookahead windows. Built from a wired [`Simulator`] and
+/// The sharded event kernel: a set of [`Shard`]s advancing in
+/// conservative lookahead windows on the calling thread. Built from a wired [`Simulator`] and
 /// dissolved back into one for stats collection, so every existing
 /// report path works unchanged.
 pub struct ShardedSimulator {
@@ -329,7 +276,6 @@ pub struct ShardedSimulator {
     /// keeps scheduling externals deterministically.
     fifo_seq: u64,
     base_processed: u64,
-    mode: ExecMode,
     /// Where shard registries are published at teardown; disabled by
     /// default.
     metrics_sink: MetricsSink,
@@ -349,21 +295,11 @@ impl ShardedSimulator {
         let table = Arc::new(plan.table(len));
         let lookahead = plan.lookahead();
 
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-
         let fifo_seq = parts.queue.fifo_seq();
         let entries = parts.queue.drain_entries();
 
-        let mut shards: Vec<Shard> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| Shard {
+        let mut shards: Vec<Shard> = (0..n)
+            .map(|i| Shard {
                 index: i as u32,
                 queue: EventQueue::new(),
                 components: (0..len).map(|_| None).collect(),
@@ -374,8 +310,6 @@ impl ShardedSimulator {
                 shard_of: Arc::clone(&table),
                 lookahead,
                 staged: (0..n).map(|_| Vec::new()).collect(),
-                outbox: txs.clone(),
-                inbox: rx,
                 metrics: None,
             })
             .collect();
@@ -405,19 +339,13 @@ impl ShardedSimulator {
             lookahead,
             fifo_seq,
             base_processed: parts.processed,
-            mode: ExecMode::Auto,
             metrics_sink: MetricsSink::disabled(),
         }
     }
 
-    /// Choose how shards execute (defaults to [`ExecMode::Auto`]).
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     /// Attach a metrics sink. When `sink` is recording, every shard is
-    /// instrumented (per-window counters, queue-depth gauges, barrier
-    /// stall timers — see [`MetricsRegistry`]) and publishes its registry
+    /// instrumented (per-window counters, queue-depth and lookahead
+    /// gauges — see [`MetricsRegistry`]) and publishes its registry
     /// to the sink at [`into_simulator`](Self::into_simulator) time. A
     /// disabled sink detaches the instrumentation.
     pub fn set_metrics(&mut self, sink: &MetricsSink) {
@@ -443,7 +371,10 @@ impl ShardedSimulator {
         self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Run every shard until all queues drain.
+    /// Run every shard until all queues drain: a plain drain for a single
+    /// shard, otherwise the window loop — the shards take turns on the
+    /// calling thread, so a panicking component unwinds straight through
+    /// `run`.
     pub fn run(&mut self) -> RunResult {
         if self.shards.len() == 1 {
             // Single shard: no windows, no synchronization — just drain.
@@ -474,59 +405,6 @@ impl ShardedSimulator {
             }
             return RunResult::Drained;
         }
-        let threaded = match self.mode {
-            ExecMode::Threaded => true,
-            ExecMode::Cooperative => false,
-            ExecMode::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
-        };
-        if threaded {
-            self.run_threaded()
-        } else {
-            self.run_cooperative()
-        }
-    }
-
-    /// One worker thread per shard; three barriers per window round
-    /// (min-reduction, send-completion, inbox-reset).
-    fn run_threaded(&mut self) -> RunResult {
-        let n = self.shards.len();
-        let barrier = Barrier::new(n);
-        let min_slot = AtomicU64::new(u64::MAX);
-        let lookahead = self.lookahead;
-        std::thread::scope(|scope| {
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let min_slot = &min_slot;
-                let leader = i == 0;
-                scope.spawn(move || loop {
-                    // A: the leader has reset the min slot.
-                    shard.wait_at(barrier);
-                    min_slot.fetch_min(shard.next_time_ns(), Ordering::SeqCst);
-                    // B: every shard's minimum is folded in.
-                    shard.wait_at(barrier);
-                    let gm = min_slot.load(Ordering::SeqCst);
-                    if gm == u64::MAX {
-                        break;
-                    }
-                    let horizon = SimTime::from_nanos(gm.saturating_add(lookahead.as_nanos()));
-                    shard.process_window(gm, horizon);
-                    shard.flush_staged();
-                    // C: all cross-shard batches of this window are sent.
-                    shard.wait_at(barrier);
-                    shard.drain_inbox();
-                    if leader {
-                        min_slot.store(u64::MAX, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        self.finish_result()
-    }
-
-    /// Round-robin the shards on the calling thread — the same window
-    /// algorithm without barriers, for single-core hosts and for tests
-    /// that want panics to propagate synchronously.
-    fn run_cooperative(&mut self) -> RunResult {
         loop {
             let gm = self.shards.iter().map(Shard::next_time_ns).min().unwrap_or(u64::MAX);
             if gm == u64::MAX {
@@ -536,9 +414,8 @@ impl ShardedSimulator {
             for s in &mut self.shards {
                 s.process_window(gm, horizon);
             }
-            // Exchange staged batches queue-to-queue — no channels on the
-            // single-thread path. Buffers are swapped back afterwards so
-            // their capacity is reused across rounds.
+            // Exchange staged batches queue-to-queue. Buffers are swapped
+            // back afterwards so their capacity is reused across rounds.
             let n = self.shards.len();
             for src in 0..n {
                 for dst in 0..n {
@@ -554,10 +431,6 @@ impl ShardedSimulator {
                 }
             }
         }
-        self.finish_result()
-    }
-
-    fn finish_result(&self) -> RunResult {
         if self.shards.iter().all(|s| s.queue.is_empty()) {
             RunResult::Drained
         } else {
@@ -660,34 +533,26 @@ mod tests {
         (sim, a, b)
     }
 
-    fn run_split(mode: ExecMode) -> (SimTime, u64, Vec<(String, u64)>) {
+    /// The ping-pong pair split across two shards at its only edge.
+    fn split_pingpong() -> ShardedSimulator {
         let delay = SimDuration::from_micros(500);
         let (sim, a, b) = pingpong_sim(delay, 10);
         let mut plan = ShardPlan::new(2, delay);
         plan.assign(a, 0);
         plan.assign(b, 1);
-        let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-        sharded.set_mode(mode);
-        assert_eq!(sharded.run(), RunResult::Drained);
-        let merged = sharded.into_simulator();
-        let profile =
-            merged.dispatch_profile().into_iter().map(|(n, c)| (n.to_string(), c)).collect();
-        (merged.now(), merged.events_processed(), profile)
+        ShardedSimulator::from_simulator(sim, &plan)
     }
 
     #[test]
     fn two_shard_pingpong_matches_sequential() {
-        let delay = SimDuration::from_micros(500);
-        let (mut seq, _, _) = pingpong_sim(delay, 10);
+        let (mut seq, _, _) = pingpong_sim(SimDuration::from_micros(500), 10);
         seq.run();
-        let expect_profile: Vec<(String, u64)> =
-            seq.dispatch_profile().into_iter().map(|(n, c)| (n.to_string(), c)).collect();
-        for mode in [ExecMode::Cooperative, ExecMode::Threaded, ExecMode::Auto] {
-            let (now, processed, profile) = run_split(mode);
-            assert_eq!(now, seq.now(), "{mode:?}");
-            assert_eq!(processed, seq.events_processed(), "{mode:?}");
-            assert_eq!(profile, expect_profile, "{mode:?}");
-        }
+        let mut sharded = split_pingpong();
+        assert_eq!(sharded.run(), RunResult::Drained);
+        let merged = sharded.into_simulator();
+        assert_eq!(merged.now(), seq.now());
+        assert_eq!(merged.events_processed(), seq.events_processed());
+        assert_eq!(merged.dispatch_profile(), seq.dispatch_profile());
     }
 
     #[test]
@@ -730,23 +595,16 @@ mod tests {
         plan.assign(ids[1].0, 1);
         plan.assign(ids[1].1, 1);
         let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-        sharded.set_mode(ExecMode::Cooperative);
         assert_eq!(sharded.run(), RunResult::Drained);
         assert_eq!(sharded.events_processed(), 18);
     }
 
     #[test]
-    fn kernel_metrics_are_deterministic_across_executors() {
+    fn kernel_metrics_are_deterministic_across_runs() {
         use crate::metrics::MetricsSink;
 
-        let collect = |mode: ExecMode| {
-            let delay = SimDuration::from_micros(500);
-            let (sim, a, b) = pingpong_sim(delay, 10);
-            let mut plan = ShardPlan::new(2, delay);
-            plan.assign(a, 0);
-            plan.assign(b, 1);
-            let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-            sharded.set_mode(mode);
+        let collect = || {
+            let mut sharded = split_pingpong();
             let sink = MetricsSink::recording();
             sharded.set_metrics(&sink);
             assert_eq!(sharded.run(), RunResult::Drained);
@@ -754,29 +612,27 @@ mod tests {
             sink.registries()
         };
 
-        let coop = collect(ExecMode::Cooperative);
-        let thr = collect(ExecMode::Threaded);
-        assert_eq!(coop.len(), 2);
-        for (c, t) in coop.iter().zip(&thr) {
-            // Everything but the wall-clock barrier timer must agree —
-            // same windows, same queues, same cross-shard traffic.
-            assert_eq!(c.summary_json().dump(), t.summary_json().dump());
-            for (name, _) in c.names() {
-                if name != "barrier_wait_ns" {
-                    assert_eq!(c.series(name), t.series(name), "{name}");
-                }
+        let first = collect();
+        let second = collect();
+        assert_eq!(first.len(), 2);
+        for (a, b) in first.iter().zip(&second) {
+            // Same windows, same queues, same cross-shard traffic: every
+            // summary and every sampled series repeats.
+            assert_eq!(a.summary_json().dump(), b.summary_json().dump());
+            for (name, _) in a.names() {
+                assert_eq!(a.series(name), b.series(name), "{name}");
             }
         }
         // The ping-pong run executes 19 dispatches split across shards,
         // every one of which crosses the boundary.
-        let events: u64 = coop.iter().map(|r| r.value("events").expect("events")).sum();
+        let events: u64 = first.iter().map(|r| r.value("events").expect("events")).sum();
         assert_eq!(events, 19);
         let forwarded: u64 =
-            coop.iter().map(|r| r.value("xshard_events").expect("xshard_events")).sum();
+            first.iter().map(|r| r.value("xshard_events").expect("xshard_events")).sum();
         assert_eq!(forwarded, 18, "every ball but the kickoff crosses shards");
-        assert!(coop[0].value("windows").expect("windows") > 0);
-        assert!(coop[0].series("events").expect("series").is_monotone());
-        assert!(coop[0].hwm("queue_depth").expect("hwm") >= 1);
+        assert!(first[0].value("windows").expect("windows") > 0);
+        assert!(first[0].series("events").expect("series").is_monotone());
+        assert!(first[0].hwm("queue_depth").expect("hwm") >= 1);
     }
 
     #[test]
@@ -790,7 +646,6 @@ mod tests {
             plan.assign(a, 0);
             plan.assign(b, 1);
             let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-            sharded.set_mode(ExecMode::Cooperative);
             let sink =
                 if with_metrics { MetricsSink::recording() } else { MetricsSink::disabled() };
             sharded.set_metrics(&sink);
@@ -834,7 +689,6 @@ mod tests {
         plan.assign(a, 0);
         plan.assign(b, 1);
         let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-        sharded.set_mode(ExecMode::Cooperative);
         sharded.run();
     }
 
@@ -854,7 +708,6 @@ mod tests {
         plan.assign(a, 0);
         plan.assign(b, 1);
         let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-        sharded.set_mode(ExecMode::Cooperative);
         sharded.run();
         let merged = sharded.into_simulator();
         // The rally stops when the receiving side reaches its limit: a

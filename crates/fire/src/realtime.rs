@@ -652,105 +652,64 @@ impl Component for Stage {
     }
 }
 
-/// Run the chain and measure it.
+/// What a chain run is subjected to and observed by. The default is the
+/// clean, untraced run; the parts compose freely.
+#[derive(Clone, Debug, Default)]
+pub struct ChainOptions {
+    /// WAN outage windows on the transfer link: while one is open the
+    /// chain cannot start a new image. Degradation is graceful — the
+    /// latest raw image is *held* (and replaced by newer scans, counted
+    /// as skips) rather than queued, and the chain resumes at the window
+    /// end; the stall shows up in the latency histogram of the first
+    /// image transferred after the outage, never as a hang.
+    pub outages: Schedule,
+    /// Scripted compute-world faults: crashes are detected promptly
+    /// (fail-stop), hangs after the heartbeat budget, and each fault
+    /// takes the chain down for the respawn window while raw images keep
+    /// arriving into the latest-wins buffer. The scan in flight when a
+    /// fault fires is re-processed from the FIRE checkpoint (counted in
+    /// [`RecoveryStats::recovered_scans`]) unless a newer scan supersedes
+    /// it first ([`RecoveryStats::lost_scans`]); slow-node windows stretch
+    /// service times without killing anything. With an empty plan the
+    /// report's `recovery` stays `None`.
+    pub process_faults: ProcessFaultPlan,
+    /// Detection and respawn times of `process_faults`.
+    pub recovery: RecoveryConfig,
+    /// Sustained WAN congestion with the graceful-degradation policy
+    /// installed: while a congestion window is open, transfers run
+    /// `slowdown`× slower, and before each image the driver predicts its
+    /// scan-end → display latency, shedding resolution (per
+    /// [`DegradeConfig::levels`]) as needed to stay inside the deadline —
+    /// the chain trades quality for latency, never the deadline. Quality
+    /// recovers one level per `recover_after` deadline-safe images once
+    /// the backlog clears. The report's `degrade` carries the
+    /// [`DegradeStats`]; with `None`, or windows that never open, it
+    /// stays `None`.
+    pub congestion: Option<(Congestion, DegradeConfig)>,
+    /// Per-stage spans (`transfer`, `compute`, `display` — one track each
+    /// in pipelined mode, a single `chain` track in sequential mode) plus
+    /// `acquire` spans on the `scanner` track. Tracing never changes
+    /// virtual time; the report is identical to the untraced run.
+    pub spans: SpanSink,
+}
+
+/// Run the clean chain and measure it.
 pub fn run_chain(cfg: RealtimeConfig, mode: ChainMode) -> RealtimeReport {
-    run_chain_traced(cfg, mode, &SpanSink::disabled())
+    run_chain_with(cfg, mode, &ChainOptions::default())
 }
 
-/// Run the chain with `sink` attached: per-stage spans (`transfer`,
-/// `compute`, `display` — one track each in pipelined mode, a single
-/// `chain` track in sequential mode) plus `acquire` spans on the
-/// `scanner` track. Tracing never changes virtual time; the report is
-/// identical to the untraced run.
+/// Pinned by the frozen `gtw-benchmark` adapter; use [`run_chain_with`].
+#[doc(hidden)]
 pub fn run_chain_traced(cfg: RealtimeConfig, mode: ChainMode, sink: &SpanSink) -> RealtimeReport {
-    run_chain_faulted(cfg, mode, &Schedule::empty(), sink)
+    run_chain_with(cfg, mode, &ChainOptions { spans: sink.clone(), ..ChainOptions::default() })
 }
 
-/// Run the chain with WAN `outages` applied to the transfer link: while
-/// a window is open the chain cannot start a new image. Degradation is
-/// graceful — the latest raw image is *held* (and replaced by newer
-/// scans, counted as skips) rather than queued, and the chain resumes at
-/// the window end; the stall shows up in the latency histogram of the
-/// first image transferred after the outage, never as a hang.
-pub fn run_chain_faulted(
-    cfg: RealtimeConfig,
-    mode: ChainMode,
-    outages: &Schedule,
-    sink: &SpanSink,
-) -> RealtimeReport {
-    run_chain_impl(
-        cfg,
-        mode,
-        outages,
-        &ProcessFaultPlan::default(),
-        RecoveryConfig::default(),
-        None,
-        sink,
-    )
-}
-
-/// Run the chain under a scripted compute-world fault plan: crashes are
-/// detected promptly (fail-stop), hangs after the heartbeat budget, and
-/// each fault takes the chain down for the respawn window while raw
-/// images keep arriving into the latest-wins buffer. The scan in flight
-/// when a fault fires is re-processed from the FIRE checkpoint (counted
-/// in [`RecoveryStats::recovered_scans`]) unless a newer scan supersedes
-/// it first ([`RecoveryStats::lost_scans`]); slow-node windows stretch
-/// service times without killing anything.
-///
-/// With an empty plan the run — including the report — is identical to
-/// [`run_chain_traced`], and `recovery` stays `None`.
-pub fn run_chain_process_faulted(
-    cfg: RealtimeConfig,
-    mode: ChainMode,
-    plan: &ProcessFaultPlan,
-    recovery: RecoveryConfig,
-    sink: &SpanSink,
-) -> RealtimeReport {
-    run_chain_impl(cfg, mode, &Schedule::empty(), plan, recovery, None, sink)
-}
-
-/// Run the chain under sustained WAN congestion with the graceful-
-/// degradation policy installed: while a congestion window is open,
-/// transfers run `congestion.slowdown`× slower, and before each image
-/// the driver predicts its scan-end → display latency, shedding
-/// resolution (per `degrade.levels`) as needed to stay inside
-/// `degrade.deadline_s` — the chain trades quality for latency, never
-/// the deadline. Quality recovers one level per `recover_after`
-/// deadline-safe images once the backlog clears. The report's `degrade`
-/// field carries the [`DegradeStats`].
-///
-/// With an empty congestion plan the run — including the report — is
-/// identical to [`run_chain_traced`], and `degrade` stays `None`.
-pub fn run_chain_congested(
-    cfg: RealtimeConfig,
-    mode: ChainMode,
-    congestion: &Congestion,
-    degrade: &DegradeConfig,
-    sink: &SpanSink,
-) -> RealtimeReport {
-    let state =
-        if congestion.is_empty() { None } else { Some((congestion.clone(), degrade.clone())) };
-    run_chain_impl(
-        cfg,
-        mode,
-        &Schedule::empty(),
-        &ProcessFaultPlan::default(),
-        RecoveryConfig::default(),
-        state,
-        sink,
-    )
-}
-
-fn run_chain_impl(
-    cfg: RealtimeConfig,
-    mode: ChainMode,
-    outages: &Schedule,
-    plan: &ProcessFaultPlan,
-    recovery: RecoveryConfig,
-    congestion: Option<(Congestion, DegradeConfig)>,
-    sink: &SpanSink,
-) -> RealtimeReport {
+/// Run the chain under `opts` and measure it. Whatever `opts` leaves at
+/// its default leaves the run — report included — identical to
+/// [`run_chain`].
+pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions) -> RealtimeReport {
+    let (plan, sink) = (&opts.process_faults, &opts.spans);
+    let congestion = opts.congestion.clone().filter(|(congestion, _)| !congestion.is_empty());
     let mut sim = Simulator::new();
     let injectors: Vec<(bool, ProcessFaultInjector)> = plan
         .faults
@@ -771,11 +730,11 @@ fn run_chain_impl(
         compute: None,
         displayed: Vec::new(),
         spans: sink.clone(),
-        outages: outages.clone(),
+        outages: opts.outages.clone(),
         deferred: 0,
         wake_armed: false,
         injectors,
-        recovery_cfg: recovery,
+        recovery_cfg: opts.recovery,
         epoch: 0,
         in_flight: None,
         down: false,
@@ -891,6 +850,21 @@ mod tests {
         RealtimeConfig::paper(compute, tr, scans)
     }
 
+    fn with_outages(outages: &Schedule) -> ChainOptions {
+        ChainOptions { outages: outages.clone(), ..ChainOptions::default() }
+    }
+
+    fn with_faults(plan: &ProcessFaultPlan, recovery: RecoveryConfig) -> ChainOptions {
+        ChainOptions { process_faults: plan.clone(), recovery, ..ChainOptions::default() }
+    }
+
+    fn with_congestion(congestion: &Congestion, degrade: &DegradeConfig) -> ChainOptions {
+        ChainOptions {
+            congestion: Some((congestion.clone(), degrade.clone())),
+            ..ChainOptions::default()
+        }
+    }
+
     #[test]
     fn sequential_at_tr3_keeps_up() {
         // The paper's operating point: TR 3 s, 2.7 s chain — no skips.
@@ -946,7 +920,11 @@ mod tests {
         let cfg = paper_256(3.0, 20);
         let plain = run_chain(cfg, ChainMode::Pipelined);
         let sink = gtw_desim::SpanSink::recording();
-        let traced = run_chain_traced(cfg, ChainMode::Pipelined, &sink);
+        let traced = run_chain_with(
+            cfg,
+            ChainMode::Pipelined,
+            &ChainOptions { spans: sink.clone(), ..ChainOptions::default() },
+        );
         // Tracing never perturbs the measurement.
         assert_eq!(plain.displayed, traced.displayed);
         assert_eq!(plain.skipped, traced.skipped);
@@ -973,12 +951,7 @@ mod tests {
             SimTime::from_secs_f64(4.0),
             SimTime::from_secs_f64(9.0),
         )]);
-        let r = run_chain_faulted(
-            paper_256(3.0, 40),
-            ChainMode::Sequential,
-            &outages,
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(paper_256(3.0, 40), ChainMode::Sequential, &with_outages(&outages));
         assert_eq!(r.deferred, 1, "{r:?}");
         assert_eq!(r.skipped, 1, "{r:?}");
         assert_eq!(r.displayed + r.skipped, r.scanned, "every scan accounted for: {r:?}");
@@ -995,12 +968,8 @@ mod tests {
             SimTime::from_secs_f64(0.5),
             SimTime::from_secs_f64(2.0),
         )]);
-        let faulted = run_chain_faulted(
-            paper_256(3.0, 20),
-            ChainMode::Pipelined,
-            &outages,
-            &SpanSink::disabled(),
-        );
+        let faulted =
+            run_chain_with(paper_256(3.0, 20), ChainMode::Pipelined, &with_outages(&outages));
         assert_eq!(faulted.deferred, 0);
         assert_eq!(clean.displayed, faulted.displayed);
         assert_eq!(clean.skipped, faulted.skipped);
@@ -1017,12 +986,7 @@ mod tests {
             Window::new(SimTime::from_secs_f64(4.0), SimTime::from_secs_f64(8.0)),
             Window::new(SimTime::from_secs_f64(20.0), SimTime::from_secs_f64(24.0)),
         ]);
-        let r = run_chain_faulted(
-            paper_256(3.0, 30),
-            ChainMode::Pipelined,
-            &outages,
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(paper_256(3.0, 30), ChainMode::Pipelined, &with_outages(&outages));
         assert_eq!(r.deferred, 2, "{r:?}");
         assert!(r.skipped >= 1 && r.skipped <= 6, "{r:?}");
         assert_eq!(r.displayed + r.skipped, r.scanned, "{r:?}");
@@ -1077,13 +1041,7 @@ mod tests {
         let clean = run_chain(cfg, ChainMode::Sequential);
         let mut plan = ProcessFaultPlan::new(1999);
         plan.crash_at(1, SimTime::from_secs_f64(20.0));
-        let r = run_chain_process_faulted(
-            cfg,
-            ChainMode::Sequential,
-            &plan,
-            fast_recovery(),
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(cfg, ChainMode::Sequential, &with_faults(&plan, fast_recovery()));
         let stats = r.recovery.as_ref().expect("plan installed → stats present");
         assert_eq!(stats.crashes, 1, "{r:?}");
         assert_eq!(stats.hangs, 0);
@@ -1109,13 +1067,7 @@ mod tests {
         let cfg = paper_256(3.0, 40);
         let mut plan = ProcessFaultPlan::new(1999);
         plan.hang_at(1, SimTime::from_secs_f64(20.0));
-        let r = run_chain_process_faulted(
-            cfg,
-            ChainMode::Sequential,
-            &plan,
-            fast_recovery(),
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(cfg, ChainMode::Sequential, &with_faults(&plan, fast_recovery()));
         let stats = r.recovery.as_ref().expect("stats present");
         assert_eq!((stats.crashes, stats.hangs), (0, 1), "{stats:?}");
         assert!((stats.downtime_s - 1.3).abs() < 1e-9, "{stats:?}");
@@ -1128,12 +1080,10 @@ mod tests {
         // legacy run event-for-event in both modes.
         for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
             let clean = run_chain(paper_256(3.0, 30), mode);
-            let faulted = run_chain_process_faulted(
+            let faulted = run_chain_with(
                 paper_256(3.0, 30),
                 mode,
-                &ProcessFaultPlan::new(7),
-                RecoveryConfig::default(),
-                &SpanSink::disabled(),
+                &with_faults(&ProcessFaultPlan::new(7), RecoveryConfig::default()),
             );
             assert!(faulted.recovery.is_none(), "{faulted:?}");
             assert_eq!(format!("{clean:?}"), format!("{faulted:?}"), "{mode:?}");
@@ -1155,12 +1105,10 @@ mod tests {
             )]),
             3.0,
         );
-        let r = run_chain_process_faulted(
+        let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &plan,
-            fast_recovery(),
-            &SpanSink::disabled(),
+            &with_faults(&plan, fast_recovery()),
         );
         let stats = r.recovery.as_ref().expect("stats present");
         assert!(stats.slowdowns >= 1, "{stats:?}");
@@ -1179,13 +1127,7 @@ mod tests {
         let cfg = paper_256(3.0, 40);
         let mut plan = ProcessFaultPlan::new(1999);
         plan.crash_at(1, SimTime::from_secs_f64(20.0));
-        let r = run_chain_process_faulted(
-            cfg,
-            ChainMode::Pipelined,
-            &plan,
-            fast_recovery(),
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(cfg, ChainMode::Pipelined, &with_faults(&plan, fast_recovery()));
         let stats = r.recovery.as_ref().expect("stats present");
         assert_eq!(stats.crashes, 1, "{r:?}");
         assert_eq!(stats.recovered_scans, 1, "{r:?}");
@@ -1211,12 +1153,10 @@ mod tests {
             3.0,
         );
         let degrade = DegradeConfig::paper();
-        let r = run_chain_congested(
+        let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &congestion,
-            &degrade,
-            &SpanSink::disabled(),
+            &with_congestion(&congestion, &degrade),
         );
         let stats = r.degrade.as_ref().expect("congestion plan installed → stats present");
         assert!(stats.downshifts >= 1, "{stats:?}");
@@ -1245,12 +1185,10 @@ mod tests {
             )]),
             3.0,
         );
-        let r = run_chain_congested(
+        let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &congestion,
-            &DegradeConfig::paper(),
-            &SpanSink::disabled(),
+            &with_congestion(&congestion, &DegradeConfig::paper()),
         );
         let stats = r.degrade.as_ref().expect("stats present");
         assert!(stats.downshifts >= 1, "{stats:?}");
@@ -1266,12 +1204,10 @@ mod tests {
         // clean run event-for-event, and report no degrade stats.
         for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
             let clean = run_chain(paper_256(3.0, 30), mode);
-            let congested = run_chain_congested(
+            let congested = run_chain_with(
                 paper_256(3.0, 30),
                 mode,
-                &Congestion::default(),
-                &DegradeConfig::paper(),
-                &SpanSink::disabled(),
+                &with_congestion(&Congestion::default(), &DegradeConfig::paper()),
             );
             assert!(congested.degrade.is_none(), "{congested:?}");
             assert_eq!(format!("{clean:?}"), format!("{congested:?}"), "{mode:?}");
@@ -1291,12 +1227,10 @@ mod tests {
             )]),
             20.0,
         );
-        let r = run_chain_congested(
+        let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &congestion,
-            &DegradeConfig::paper(),
-            &SpanSink::disabled(),
+            &with_congestion(&congestion, &DegradeConfig::paper()),
         );
         let stats = r.degrade.as_ref().expect("stats present");
         assert!(stats.predicted_misses >= 1, "{stats:?}");
@@ -1326,12 +1260,10 @@ mod tests {
             plan
         };
         let run = || {
-            run_chain_process_faulted(
+            run_chain_with(
                 paper_256(3.0, 40),
                 ChainMode::Sequential,
-                &build(),
-                fast_recovery(),
-                &SpanSink::disabled(),
+                &with_faults(&build(), fast_recovery()),
             )
         };
         let a = run();
@@ -1342,5 +1274,46 @@ mod tests {
         assert!(stats.slowdowns >= 1, "{stats:?}");
         assert!((stats.downtime_s - 2.3).abs() < 1e-9, "1.0 + 1.3: {stats:?}");
         assert_eq!(a.displayed + a.skipped + stats.lost_scans, a.scanned, "{a:?}");
+    }
+
+    // ---- the options compose ----------------------------------------
+
+    #[test]
+    fn default_options_are_the_clean_run() {
+        for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
+            let clean = run_chain(paper_256(3.0, 30), mode);
+            let with = run_chain_with(paper_256(3.0, 30), mode, &ChainOptions::default());
+            assert!(with.recovery.is_none() && with.degrade.is_none(), "{with:?}");
+            assert_eq!(format!("{clean:?}"), format!("{with:?}"), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn outage_crash_hang_and_congestion_compose_in_one_run() {
+        use gtw_desim::fault::Window;
+        let window = |from: f64, to: f64| {
+            Schedule::new(vec![Window::new(
+                SimTime::from_secs_f64(from),
+                SimTime::from_secs_f64(to),
+            )])
+        };
+        let mut plan = ProcessFaultPlan::new(1999);
+        plan.crash_at(1, SimTime::from_secs_f64(20.0)).hang_at(2, SimTime::from_secs_f64(80.0));
+        let opts = ChainOptions {
+            outages: window(4.0, 9.0),
+            congestion: Some((Congestion::new(window(40.0, 70.0), 3.0), DegradeConfig::paper())),
+            ..with_faults(&plan, fast_recovery())
+        };
+        for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
+            let r = run_chain_with(paper_256(3.0, 40), mode, &opts);
+            let again = run_chain_with(paper_256(3.0, 40), mode, &opts);
+            assert_eq!(format!("{r:?}"), format!("{again:?}"), "{mode:?}");
+            let recovery = r.recovery.as_ref().expect("fault plan installed");
+            let degrade = r.degrade.as_ref().expect("congestion installed");
+            assert_eq!((recovery.crashes, recovery.hangs), (1, 1), "{mode:?}: {recovery:?}");
+            assert!(r.deferred >= 1, "{mode:?}: the outage held an image: {r:?}");
+            assert!(degrade.downshifts >= 1, "{mode:?}: {degrade:?}");
+            assert_eq!(r.displayed + r.skipped + recovery.lost_scans, r.scanned, "{mode:?}: {r:?}");
+        }
     }
 }

@@ -17,17 +17,14 @@
 //! same kernel ordering contract as single-stream transfers, which the
 //! conservation suite in `tests/network_stack.rs` pins.
 
-use gtw_desim::fault::FaultPlan;
-use gtw_desim::{
-    Component, ComponentId, Ctx, MetricsSink, Msg, SimDuration, SimTime, Simulator, SpanSink,
-};
+use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, Simulator};
 
 use crate::ip::IpConfig;
-use crate::link::{Arrive, PipeStage};
+use crate::link::Arrive;
 use crate::signaling::{SignallingAgent, TrafficDescriptor};
 use crate::stats::{RunReport, StatsRegistry};
 use crate::tcp::{HopModel, StartTransfer, TcpConfig, TcpModel, TcpReceiver, TcpSender};
-use crate::transfer::{run_partitioned, BulkTransfer, Protocol, ShardSplit};
+use crate::transfer::{build_chain, execute, register_stages, wan_split, RunOptions, ShardSplit};
 use crate::units::{Bandwidth, DataSize};
 
 /// Hard ceiling on parallel streams per logical transfer (MPWide's
@@ -206,15 +203,6 @@ impl StripedTransfer {
         (self.window_bytes / self.streams.max(1) as u64).max(self.ip.mtu)
     }
 
-    fn facade(&self) -> BulkTransfer {
-        BulkTransfer {
-            hops: self.hops.clone(),
-            ip: self.ip,
-            bytes: self.bytes,
-            protocol: Protocol::Tcp { window_bytes: self.window_bytes },
-        }
-    }
-
     /// Wire all stripes into `sim`: shared forward chain into the data
     /// demux, shared reverse chain into the ACK demux, one
     /// sender/receiver pair per stripe (flow ids `1..=streams`).
@@ -222,44 +210,19 @@ impl StripedTransfer {
         &self,
         sim: &mut Simulator,
         reg: &mut StatsRegistry,
-        sink: &SpanSink,
-        plan: Option<&FaultPlan>,
+        opts: &RunOptions<'_>,
     ) -> StripedWiring {
         assert!((1..=MAX_STRIPES).contains(&self.streams), "stream count out of range");
-        let facade = self.facade();
         // Reverse (ACK) chain, far end feeding the ACK demux (created
         // first so the chain has its terminal).
         let ack_demux = sim.add_component(FlowDemux::new("ack-demux"));
-        let mut rev_hops: Vec<HopModel> = self.hops.clone();
-        rev_hops.reverse();
-        let mut rev_stage_ids = Vec::with_capacity(rev_hops.len());
-        let rev_first = {
-            let mut next = ack_demux;
-            for (i, hop) in rev_hops.iter().enumerate().rev() {
-                let label = format!("rev{i}");
-                let mut stage = PipeStage::new(
-                    label.clone(),
-                    crate::link::StageConfig {
-                        medium: hop.medium,
-                        per_packet: hop.per_packet,
-                        propagation: hop.propagation,
-                        buffer_bytes: u64::MAX,
-                    },
-                    next,
-                )
-                .with_spans(sink.clone());
-                if let Some(inj) = plan.and_then(|p| p.injector(&label)) {
-                    stage = stage.with_faults(inj);
-                }
-                next = sim.add_component(stage);
-                rev_stage_ids.push(next);
-            }
-            next
-        };
+        let rev_hops: Vec<HopModel> = self.hops.iter().rev().copied().collect();
+        let rev = build_chain(sim, &rev_hops, ack_demux, "rev", opts);
+        let rev_first = rev.first().copied().unwrap_or(ack_demux);
         // Forward chain terminating in the data demux.
         let data_demux = sim.add_component(FlowDemux::new("data-demux"));
-        let fwd_ids = facade.build_stages(sim, data_demux, reg, sink, plan, "");
-        let first_fwd = fwd_ids.first().copied().unwrap_or(data_demux);
+        let fwd = build_chain(sim, &self.hops, data_demux, "hop", opts);
+        let first_fwd = fwd.first().copied().unwrap_or(data_demux);
         // Per-stripe endpoints. Flow k+1 owns stripe k.
         let window = self.per_stream_window();
         let mut senders = Vec::with_capacity(self.streams);
@@ -268,7 +231,8 @@ impl StripedTransfer {
             let flow = (k + 1) as u64;
             let receiver = sim.add_component(TcpReceiver::new(flow, len, rev_first));
             let cfg = TcpConfig::bulk(flow, len, self.ip, window);
-            let sender = sim.add_component(TcpSender::new(cfg, first_fwd).with_spans(sink.clone()));
+            let sender =
+                sim.add_component(TcpSender::new(cfg, first_fwd).with_spans(opts.spans.clone()));
             sim.component_mut::<FlowDemux>(data_demux).route(flow, receiver);
             sim.component_mut::<FlowDemux>(ack_demux).route(flow, sender);
             reg.add_tcp_sender(sender);
@@ -276,9 +240,7 @@ impl StripedTransfer {
             senders.push(sender);
             receivers.push(receiver);
         }
-        for &id in rev_stage_ids.iter().rev() {
-            reg.add_stage(id);
-        }
+        register_stages(reg, &fwd, &rev);
         reg.add_demux(data_demux);
         reg.add_demux(ack_demux);
         for &s in &senders {
@@ -288,70 +250,24 @@ impl StripedTransfer {
         // the ACK demux live with the near side of the cut; receivers and
         // the data demux with the far side (demux→endpoint edges are
         // zero-delay and must stay intra-shard).
-        let n = self.hops.len();
-        let cut = facade.wan_cut();
-        let w = cut.map_or(n, |(c, _)| c);
         let mut near = senders.clone();
         near.push(ack_demux);
         let mut far = receivers.clone();
         far.push(data_demux);
-        for (i, &id) in fwd_ids.iter().enumerate() {
-            if i <= w { &mut near } else { &mut far }.push(id);
-        }
-        for (j, &id) in rev_stage_ids.iter().rev().enumerate() {
-            if n - 1 - j >= w { &mut far } else { &mut near }.push(id);
-        }
-        StripedWiring { senders, receivers, split: (near, far, cut.map(|c| c.1)) }
+        StripedWiring { senders, receivers, split: wan_split(&self.hops, &fwd, &rev, near, far) }
     }
 
-    /// Run on the kernel selected by `shards` (`0` = sequential) and
-    /// return the striped summary with the full component report.
-    /// Byte-identical across shard counts for the same configuration.
-    pub fn run_with_report(&self, shards: usize) -> (StripedReport, RunReport) {
-        self.run_impl(shards, None, SimTime::MAX)
-    }
-
-    /// [`run_with_report`](Self::run_with_report) under a fault plan,
-    /// bounded by `horizon`: a stripe stalled by an unrecoverable fault
-    /// reports `elapsed: None` when the horizon passes instead of
-    /// spinning the simulation forever — the "fail cleanly" half of the
-    /// stripe-failure contract.
-    pub fn run_faulted(
-        &self,
-        shards: usize,
-        plan: &FaultPlan,
-        horizon: SimTime,
-    ) -> (StripedReport, RunReport) {
-        self.run_impl(shards, (!plan.is_empty()).then_some(plan), horizon)
-    }
-
-    fn run_impl(
-        &self,
-        shards: usize,
-        plan: Option<&FaultPlan>,
-        horizon: SimTime,
-    ) -> (StripedReport, RunReport) {
-        assert!(
-            shards == 0 || horizon == SimTime::MAX,
-            "horizon-bounded runs need the sequential kernel (a stalled \
-             stripe would spin the sharded executors forever)"
-        );
-        let sink = SpanSink::disabled();
+    /// Run as `opts` asks and return the striped summary with the full
+    /// component report. Byte-identical across shard counts for the same
+    /// configuration. Under a fault plan that never clears, give the run
+    /// a [`horizon`](RunOptions::horizon): a stalled stripe then reports
+    /// `elapsed: None` when it passes instead of spinning the simulation
+    /// for ever — the "fail cleanly" half of the stripe-failure contract.
+    pub fn run_with(&self, opts: &RunOptions<'_>) -> (StripedReport, RunReport) {
         let mut sim = Simulator::new();
         let mut reg = StatsRegistry::new();
-        let wiring = self.wire(&mut sim, &mut reg, &sink, plan);
-        let sim = if horizon < SimTime::MAX {
-            let _ = sim.run_until(horizon);
-            sim
-        } else {
-            run_partitioned(
-                sim,
-                shards,
-                std::slice::from_ref(&wiring.split),
-                &MetricsSink::disabled(),
-            )
-        };
-        let run = reg.collect_until(&sim, horizon);
+        let wiring = self.wire(&mut sim, &mut reg, opts);
+        let (sim, run) = execute(sim, &reg, std::slice::from_ref(&wiring.split), opts);
         (self.collect(&sim, &wiring, run.elapsed), run)
     }
 
@@ -462,7 +378,7 @@ mod tests {
                 window_bytes: 1 << 20,
                 streams,
             };
-            let (report, _) = xfer.run_with_report(0);
+            let (report, _) = xfer.run_with(&RunOptions::default());
             assert!(report.completed);
             assert_eq!(report.stripes.len(), streams);
             for s in &report.stripes {
@@ -477,6 +393,7 @@ mod tests {
     fn demux_drops_unroutable_packets_without_crashing() {
         use crate::link::{Packet, PacketKind};
         use gtw_desim::component::msg;
+        use gtw_desim::SimTime;
         let mut sim = Simulator::new();
         let demux = sim.add_component(FlowDemux::new("demux"));
         let pkt = Packet {

@@ -257,7 +257,7 @@ impl Topology {
         Some((path, mtu, hops))
     }
 
-    /// Where to cut a routed path for a two-shard parallel run: the hop
+    /// Where to cut a routed path for a two-shard run: the hop
     /// index of the link with the largest propagation delay (the WAN
     /// section in the testbed), and that delay, which is the safe
     /// conservative lookahead for the cut. Ties break toward the first

@@ -6,6 +6,12 @@
 //! streaming source), runs it to completion and reports goodput — the
 //! number the paper's Section 2 measurements quote. `predict()` gives the
 //! closed-form steady-state bound for cross-checking.
+//!
+//! How a transfer is run — on which kernel, under which fault plan,
+//! observed by which sinks, bounded by which horizon — is one
+//! [`RunOptions`] value passed to `run_with` on [`BulkTransfer`],
+//! [`TransferSet`] and [`StripedTransfer`](crate::stripe::StripedTransfer)
+//! alike, so the axes compose.
 
 use gtw_desim::fault::{FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::{
@@ -33,6 +39,39 @@ pub enum Protocol {
     RawStream,
 }
 
+/// How a wired transfer is run. The default is the clean run: sequential
+/// kernel, no faults, nothing observed, until the event queue drains.
+///
+/// Everything composes except what the sharded kernel cannot honour: a
+/// recording `spans` sink or a `horizon` with `shards > 0` panics.
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions<'a> {
+    /// Shard count of the sharded kernel, the transfer split at its WAN
+    /// hop; `0` is the sequential kernel. Same-seed reports are
+    /// byte-identical for every value — the equivalence the event
+    /// ordering key exists to guarantee.
+    pub shards: usize,
+    /// Each stage gets the plan's injector for its label, if any: `hop{i}`
+    /// forward and `rev{i}` on the ACK path, behind a `t{k}.` prefix in a
+    /// [`TransferSet`]. Stages without a spec run clean.
+    pub faults: Option<&'a FaultPlan>,
+    /// Attached to every stage and endpoint (per-hop `tx`/`flight` spans,
+    /// TCP `transfer`/`rto-wait` spans) and as the kernel tracer
+    /// (zero-length dispatch spans per component). Tracing never changes
+    /// virtual time: a traced run is bit-identical to an untraced one.
+    pub spans: SpanSink,
+    /// When recording, every shard publishes its registry into the sink
+    /// and the [`RunReport`] carries the deterministic summaries in its
+    /// `kernel_metrics` block; everything else in the report stays
+    /// byte-identical. The sequential kernel has no shards to instrument.
+    pub metrics: MetricsSink,
+    /// Stop here instead of when the event queue drains. A TCP sender
+    /// retransmits for ever at its capped RTO, so this is what bounds a
+    /// run whose faults never clear: a transfer cut short reports
+    /// `completed: false`.
+    pub horizon: Option<SimTime>,
+}
+
 /// A configured transfer experiment.
 #[derive(Clone, Debug)]
 pub struct BulkTransfer {
@@ -49,9 +88,15 @@ pub struct BulkTransfer {
 /// Results of a transfer run.
 #[derive(Clone, Copy, Debug)]
 pub struct TransferReport {
-    /// Application bytes moved.
+    /// Application bytes moved: the acknowledged prefix for a TCP
+    /// transfer the horizon cut short.
     pub bytes: u64,
-    /// Wall-clock (virtual) duration start→finish.
+    /// Whether the transfer finished (TCP: every byte acknowledged; raw
+    /// stream: every fragment delivered or dropped). Only a
+    /// [`RunOptions::horizon`] can make this `false`.
+    pub completed: bool,
+    /// Virtual duration start→finish, or the run's when the horizon came
+    /// first.
     pub elapsed: SimDuration,
     /// Application goodput.
     pub goodput: Bandwidth,
@@ -59,6 +104,150 @@ pub struct TransferReport {
     pub packets_sent: u64,
     /// TCP retransmissions (0 for raw streams).
     pub retransmits: u64,
+}
+
+/// The two shard sides of one wired transfer plus the cut edge's
+/// propagation (`None` when the path has no positive-propagation hop and
+/// therefore must stay on one shard).
+pub(crate) type ShardSplit = (Vec<ComponentId>, Vec<ComponentId>, Option<SimDuration>);
+
+/// Build one [`PipeStage`] per hop in `sim`, labelled `{label}{i}`, the
+/// last one feeding `terminal`; returns the stage ids indexed by hop.
+/// Stages are created back to front so each knows its successor.
+pub(crate) fn build_chain(
+    sim: &mut Simulator,
+    hops: &[HopModel],
+    terminal: ComponentId,
+    label: &str,
+    opts: &RunOptions<'_>,
+) -> Vec<ComponentId> {
+    let mut next = terminal;
+    let mut ids = Vec::with_capacity(hops.len());
+    for (i, hop) in hops.iter().enumerate().rev() {
+        let label = format!("{label}{i}");
+        let injector = opts.faults.and_then(|p| p.injector(&label));
+        let mut stage = PipeStage::new(
+            label,
+            StageConfig {
+                medium: hop.medium,
+                per_packet: hop.per_packet,
+                propagation: hop.propagation,
+                buffer_bytes: u64::MAX,
+            },
+            next,
+        )
+        .with_spans(opts.spans.clone());
+        if let Some(inj) = injector {
+            stage = stage.with_faults(inj);
+        }
+        next = sim.add_component(stage);
+        ids.push(next);
+    }
+    ids.reverse();
+    ids
+}
+
+/// Register a wired path's stages in report order: the forward stages
+/// far end first, then the ACK stages in path order.
+pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[ComponentId], rev: &[ComponentId]) {
+    fwd.iter().rev().chain(rev).for_each(|&id| reg.add_stage(id));
+}
+
+/// Split a wired path in two at its widest-propagation (WAN) hop `w` —
+/// the natural cut, because every packet crossing it is in flight for at
+/// least that long, which becomes the conservative lookahead. Forward
+/// stages up to `hop{w}` and the ACK stages past its mirror (`rev{j}`
+/// models `hops[n-1-j]`) join `near`, the rest `far`; the callers seed
+/// the two sides with their endpoints. With no positive-propagation hop
+/// there is nothing to cut and every stage stays `near`.
+pub(crate) fn wan_split(
+    hops: &[HopModel],
+    fwd: &[ComponentId],
+    rev: &[ComponentId],
+    mut near: Vec<ComponentId>,
+    mut far: Vec<ComponentId>,
+) -> ShardSplit {
+    let n = hops.len();
+    let cut = hops
+        .iter()
+        .enumerate()
+        .max_by_key(|(i, h)| (h.propagation, std::cmp::Reverse(*i)))
+        .filter(|(_, h)| h.propagation > SimDuration::ZERO);
+    let w = cut.map_or(n, |(w, _)| w);
+    for (i, &id) in fwd.iter().enumerate() {
+        if i <= w { &mut near } else { &mut far }.push(id);
+    }
+    for (j, &id) in rev.iter().enumerate() {
+        if n - 1 - j >= w { &mut far } else { &mut near }.push(id);
+    }
+    (near, far, cut.map(|(_, h)| h.propagation))
+}
+
+/// Run a wired simulation as `opts` asks and collect `reg`'s report from
+/// it: the sequential kernel (traced, horizon-bounded) for `shards == 0`,
+/// otherwise the sharded kernel over `splits`.
+pub(crate) fn execute(
+    mut sim: Simulator,
+    reg: &StatsRegistry,
+    splits: &[ShardSplit],
+    opts: &RunOptions<'_>,
+) -> (Simulator, RunReport) {
+    let sim = if opts.shards == 0 {
+        if opts.spans.enabled() {
+            sim.set_tracer(Box::new(opts.spans.clone()));
+        }
+        match opts.horizon {
+            Some(horizon) => sim.run_until(horizon),
+            None => sim.run(),
+        };
+        sim
+    } else {
+        assert!(
+            !opts.spans.enabled() && opts.horizon.is_none(),
+            "span tracing and horizon-bounded runs need the sequential kernel (shards: 0): \
+             the sharded kernel has no tracer hook and always runs until its queues drain"
+        );
+        run_partitioned(sim, opts.shards, splits, &opts.metrics)
+    };
+    let mut report = match opts.horizon {
+        Some(horizon) => reg.collect_until(&sim, horizon),
+        None => reg.collect(&sim),
+    };
+    report.kernel_metrics = opts.metrics.registries();
+    (sim, report)
+}
+
+/// Place each transfer's two sides on shards `(2t) % n` and `(2t+1) % n`,
+/// take the minimum cut propagation as the global lookahead, and run on
+/// `shards >= 1` shards. Transfers whose split has no cut edge are
+/// collapsed onto one shard. A recording `metrics` sink instruments
+/// every shard.
+fn run_partitioned(
+    sim: Simulator,
+    shards: usize,
+    splits: &[ShardSplit],
+    metrics: &MetricsSink,
+) -> Simulator {
+    let mut lookahead = SimDuration::MAX;
+    let mut placements: Vec<(ComponentId, usize)> = Vec::new();
+    for (t, (near, far, cut)) in splits.iter().enumerate() {
+        let sa = (2 * t) % shards;
+        let mut sb = (2 * t + 1) % shards;
+        match cut {
+            Some(c) if sa != sb => lookahead = lookahead.min(*c),
+            _ => sb = sa,
+        }
+        placements.extend(near.iter().map(|&id| (id, sa)));
+        placements.extend(far.iter().map(|&id| (id, sb)));
+    }
+    let mut plan = ShardPlan::new(shards, lookahead);
+    for (id, s) in placements {
+        plan.assign(id, s);
+    }
+    let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
+    sharded.set_metrics(metrics);
+    sharded.run();
+    sharded.into_simulator()
 }
 
 impl BulkTransfer {
@@ -87,295 +276,122 @@ impl BulkTransfer {
         }
     }
 
-    /// Build the forward stage chain in `sim`, registering every stage
-    /// with `reg` and returning the stage ids indexed by hop (so
-    /// `ids[0]` is the first stage). Stages are created back to front so
-    /// each knows its successor.
-    pub(crate) fn build_stages(
-        &self,
-        sim: &mut Simulator,
-        terminal: ComponentId,
-        reg: &mut StatsRegistry,
-        sink: &SpanSink,
-        plan: Option<&FaultPlan>,
-        prefix: &str,
-    ) -> Vec<ComponentId> {
-        let mut next = terminal;
-        let mut ids = Vec::with_capacity(self.hops.len());
-        for (i, hop) in self.hops.iter().enumerate().rev() {
-            let label = format!("{prefix}hop{i}");
-            let mut stage = PipeStage::new(
-                label.clone(),
-                StageConfig {
-                    medium: hop.medium,
-                    per_packet: hop.per_packet,
-                    propagation: hop.propagation,
-                    buffer_bytes: u64::MAX,
-                },
-                next,
-            )
-            .with_spans(sink.clone());
-            if let Some(inj) = plan.and_then(|p| p.injector(&label)) {
-                stage = stage.with_faults(inj);
-            }
-            next = sim.add_component(stage);
-            reg.add_stage(next);
-            ids.push(next);
-        }
-        ids.reverse();
-        ids
-    }
-
-    /// Index and propagation of the widest-propagation hop: the natural
-    /// cut point for a two-shard split, because every packet crossing it
-    /// is in flight for at least that long — the conservative lookahead.
-    /// `None` when no hop has positive propagation (nothing to cut).
-    pub(crate) fn wan_cut(&self) -> Option<(usize, SimDuration)> {
-        let (w, hop) = self
-            .hops
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, h)| (h.propagation, std::cmp::Reverse(*i)))?;
-        (hop.propagation > SimDuration::ZERO).then_some((w, hop.propagation))
-    }
-
-    /// Run the event-driven simulation and report.
+    /// The clean run: [`run_with`](Self::run_with) under the default
+    /// options, summary only.
     pub fn run(&self) -> TransferReport {
-        self.run_with_report().0
+        self.run_with(&RunOptions::default()).0
     }
 
-    /// Run the event-driven simulation, returning the transfer summary
-    /// together with the full per-component [`RunReport`] (per-hop
-    /// counters, TCP endpoint state, JSON-renderable).
-    pub fn run_with_report(&self) -> (TransferReport, RunReport) {
-        self.run_traced(&SpanSink::disabled())
-    }
-
-    /// Like [`run_with_report`](Self::run_with_report), but with `sink`
-    /// attached to every stage and endpoint (per-hop `tx`/`flight`
-    /// spans, TCP `transfer`/`rto-wait` spans) and as the kernel tracer
-    /// (zero-length dispatch spans per component). Tracing never changes
-    /// virtual time: a traced run is bit-identical to an untraced one.
-    pub fn run_traced(&self, sink: &SpanSink) -> (TransferReport, RunReport) {
+    /// Run the event-driven simulation as `opts` asks, returning the
+    /// transfer summary together with the full per-component
+    /// [`RunReport`] (per-hop counters, TCP endpoint state,
+    /// JSON-renderable).
+    pub fn run_with(&self, opts: &RunOptions<'_>) -> (TransferReport, RunReport) {
+        let mut sim = Simulator::new();
+        let mut reg = StatsRegistry::new();
         match self.protocol {
-            Protocol::Tcp { window_bytes } => self.run_tcp(window_bytes, sink, None),
-            Protocol::RawStream => self.run_raw(sink, None),
-        }
-    }
-
-    /// Run under an installed [`FaultPlan`]: each forward stage `hop{i}`
-    /// and reverse stage `rev{i}` gets the plan's injector for its label
-    /// (if any). Stages without a spec run exactly as in [`run`](Self::run).
-    pub fn run_faulted(&self, plan: &FaultPlan, sink: &SpanSink) -> (TransferReport, RunReport) {
-        let plan = if plan.is_empty() { None } else { Some(plan) };
-        match self.protocol {
-            Protocol::Tcp { window_bytes } => self.run_tcp(window_bytes, sink, plan),
-            Protocol::RawStream => self.run_raw(sink, plan),
+            Protocol::Tcp { window_bytes } => {
+                let (sender, split) = self.wire_tcp(&mut sim, &mut reg, opts, "", 1, window_bytes);
+                let (sim, run) = execute(sim, &reg, &[split], opts);
+                (self.tcp_report(&sim, sender, run.elapsed), run)
+            }
+            Protocol::RawStream => {
+                let (packets_sent, split) = self.wire_raw(&mut sim, &mut reg, opts);
+                let (sim, run) = execute(sim, &reg, &[split], opts);
+                let report = TransferReport {
+                    bytes: self.bytes,
+                    completed: sim.events_pending() == 0,
+                    elapsed: run.elapsed,
+                    goodput: crate::units::throughput(
+                        DataSize::from_bytes(self.bytes),
+                        run.elapsed,
+                    ),
+                    packets_sent,
+                    retransmits: 0,
+                };
+                (report, run)
+            }
         }
     }
 
     /// Wire one TCP transfer into `sim` (stages, endpoints, registry
-    /// entries, start event) and derive its shard split. Labels and the
-    /// [`FaultPlan`] lookup keys are prefixed with `prefix` so several
-    /// transfers can share one simulation.
-    #[allow(clippy::too_many_arguments)]
+    /// entries, start event) and return its sender and shard split.
+    /// Labels, and with them the [`FaultPlan`] lookup keys, are prefixed
+    /// with `prefix` so several transfers can share one simulation.
     fn wire_tcp(
         &self,
         sim: &mut Simulator,
         reg: &mut StatsRegistry,
-        sink: &SpanSink,
-        plan: Option<&FaultPlan>,
+        opts: &RunOptions<'_>,
         prefix: &str,
         flow: u64,
         window_bytes: u64,
-    ) -> TcpWiring {
+    ) -> (ComponentId, ShardSplit) {
         // Reverse (ACK) path: same hops in reverse order. ACKs are small,
         // so their service times are cheap but the propagation is real.
-        let mut rev_hops: Vec<HopModel> = self.hops.clone();
-        rev_hops.reverse();
         // The wiring is a cycle (sender → fwd path → receiver → rev path
         // → sender), so the reverse chain is created first with a
         // placeholder at the sender end; once the sender exists, the
         // stage adjacent to it is patched to deliver ACKs directly —
         // no relay component, no extra zero-delay event per ACK.
-        let mut rev_stage_ids = Vec::with_capacity(rev_hops.len());
-        let rev_first = {
-            let mut next = ComponentId::placeholder();
-            for (i, hop) in rev_hops.iter().enumerate().rev() {
-                let label = format!("{prefix}rev{i}");
-                let mut stage = PipeStage::new(
-                    label.clone(),
-                    StageConfig {
-                        medium: hop.medium,
-                        per_packet: hop.per_packet,
-                        propagation: hop.propagation,
-                        buffer_bytes: u64::MAX,
-                    },
-                    next,
-                )
-                .with_spans(sink.clone());
-                if let Some(inj) = plan.and_then(|p| p.injector(&label)) {
-                    stage = stage.with_faults(inj);
-                }
-                next = sim.add_component(stage);
-                rev_stage_ids.push(next);
-            }
-            next
-        };
-        let cfg = TcpConfig::bulk(flow, self.bytes, self.ip, window_bytes);
+        let rev_hops: Vec<HopModel> = self.hops.iter().rev().copied().collect();
+        let placeholder = ComponentId::placeholder();
+        let rev = build_chain(sim, &rev_hops, placeholder, &format!("{prefix}rev"), opts);
+        let rev_first = rev.first().copied().unwrap_or(placeholder);
         let receiver = sim.add_component(TcpReceiver::new(flow, self.bytes, rev_first));
-        let fwd_ids = self.build_stages(sim, receiver, reg, sink, plan, prefix);
-        let sender = sim.add_component(TcpSender::new(cfg, fwd_ids[0]).with_spans(sink.clone()));
-        // Close the cycle: the first-created reverse stage (the one next
-        // to the sender) still points at the placeholder. With no reverse
-        // hops the receiver ACKs the sender directly.
-        match rev_stage_ids.first() {
+        let fwd = build_chain(sim, &self.hops, receiver, &format!("{prefix}hop"), opts);
+        let cfg = TcpConfig::bulk(flow, self.bytes, self.ip, window_bytes);
+        let sender = sim.add_component(TcpSender::new(cfg, fwd[0]).with_spans(opts.spans.clone()));
+        // Close the cycle. With no reverse hops the receiver ACKs the
+        // sender directly.
+        match rev.last() {
             Some(&last_rev) => sim.component_mut::<PipeStage>(last_rev).next = sender,
             None => sim.component_mut::<TcpReceiver>(receiver).ack_path = sender,
         }
+        register_stages(reg, &fwd, &rev);
         reg.add_tcp_sender(sender);
         reg.add_tcp_receiver(receiver);
-        for &id in rev_stage_ids.iter().rev() {
-            reg.add_stage(id);
-        }
         sim.send_in(SimDuration::ZERO, sender, gtw_desim::component::msg(StartTransfer));
-
-        // Split both directions at the widest-propagation (WAN) hop: the
-        // forward cut edge hop{w} → hop{w+1} and its mirror on the ACK
-        // path both deliver after that hop's propagation, which becomes
-        // the conservative lookahead.
-        let n = self.hops.len();
-        let cut = self.wan_cut();
-        let w = cut.map_or(n, |(w, _)| w);
-        let mut sender_side = vec![sender];
-        let mut receiver_side = vec![receiver];
-        for (i, &id) in fwd_ids.iter().enumerate() {
-            if i <= w { &mut sender_side } else { &mut receiver_side }.push(id);
-        }
-        for (j, &id) in rev_stage_ids.iter().rev().enumerate() {
-            // rev{j} models hops[n-1-j]; the receiver side runs through
-            // the mirror of the WAN hop, rev{n-1-w}.
-            if n - 1 - j >= w { &mut receiver_side } else { &mut sender_side }.push(id);
-        }
-        TcpWiring { sender, sender_side, receiver_side, cut_lookahead: cut.map(|c| c.1) }
+        (sender, wan_split(&self.hops, &fwd, &rev, vec![sender], vec![receiver]))
     }
 
-    fn run_tcp(
+    /// The per-transfer summary of a TCP sender after a run whose report
+    /// reads `run_elapsed`.
+    fn tcp_report(
         &self,
-        window_bytes: u64,
-        sink: &SpanSink,
-        plan: Option<&FaultPlan>,
-    ) -> (TransferReport, RunReport) {
-        let mut sim = Simulator::new();
-        if sink.enabled() {
-            sim.set_tracer(Box::new(sink.clone()));
-        }
-        let mut reg = StatsRegistry::new();
-        let wiring = self.wire_tcp(&mut sim, &mut reg, sink, plan, "", 1, window_bytes);
-        sim.run();
-        let run_report = reg.collect(&sim);
-        (self.collect_tcp(&sim, wiring.sender), run_report)
-    }
-
-    /// Extract the per-transfer summary from a finished simulation.
-    fn collect_tcp(&self, sim: &Simulator, sender: ComponentId) -> TransferReport {
+        sim: &Simulator,
+        sender: ComponentId,
+        run_elapsed: SimDuration,
+    ) -> TransferReport {
         let s = sim.component::<TcpSender>(sender);
-        let elapsed =
-            s.elapsed().expect("TCP transfer did not complete — check for loss without retransmit");
+        let finished = s.elapsed();
+        let (bytes, elapsed) = match finished {
+            Some(elapsed) => (self.bytes, elapsed),
+            None => (s.bytes_acked(), run_elapsed),
+        };
         TransferReport {
-            bytes: self.bytes,
+            bytes,
+            completed: finished.is_some(),
             elapsed,
-            goodput: crate::units::throughput(DataSize::from_bytes(self.bytes), elapsed),
+            goodput: crate::units::throughput(DataSize::from_bytes(bytes), elapsed),
             packets_sent: s.segments_sent,
             retransmits: s.retransmits,
         }
     }
 
-    /// Run on the parallel kernel with `shards` shards (`0` = sequential
-    /// kernel). Same-seed reports are byte-identical to
-    /// [`run_with_report`](Self::run_with_report) for every shard count —
-    /// the equivalence the ordering key exists to guarantee.
-    pub fn run_sharded(&self, shards: usize) -> (TransferReport, RunReport) {
-        self.run_sharded_impl(shards, None, &MetricsSink::disabled())
-    }
-
-    /// [`run_sharded`](Self::run_sharded) under a fault plan.
-    pub fn run_sharded_faulted(
-        &self,
-        shards: usize,
-        plan: &FaultPlan,
-    ) -> (TransferReport, RunReport) {
-        self.run_sharded_impl(
-            shards,
-            if plan.is_empty() { None } else { Some(plan) },
-            &MetricsSink::disabled(),
-        )
-    }
-
-    /// [`run_sharded`](Self::run_sharded) with kernel instrumentation:
-    /// when `metrics` is recording, every shard publishes its registry
-    /// into the sink and the returned [`RunReport`] carries the
-    /// deterministic summaries in its `kernel_metrics` block.
-    /// Instrumentation never changes virtual time — everything but the
-    /// `kernel_metrics` block is byte-identical to an uninstrumented run.
-    pub fn run_sharded_metrics(
-        &self,
-        shards: usize,
-        metrics: &MetricsSink,
-    ) -> (TransferReport, RunReport) {
-        self.run_sharded_impl(shards, None, metrics)
-    }
-
-    fn run_sharded_impl(
-        &self,
-        shards: usize,
-        plan: Option<&FaultPlan>,
-        metrics: &MetricsSink,
-    ) -> (TransferReport, RunReport) {
-        let sink = SpanSink::disabled();
-        let mut sim = Simulator::new();
-        let mut reg = StatsRegistry::new();
-        match self.protocol {
-            Protocol::Tcp { window_bytes } => {
-                let wiring = self.wire_tcp(&mut sim, &mut reg, &sink, plan, "", 1, window_bytes);
-                let sim =
-                    run_partitioned(sim, shards, std::slice::from_ref(&wiring.split()), metrics);
-                let mut run_report = reg.collect(&sim);
-                run_report.kernel_metrics = metrics.registries();
-                (self.collect_tcp(&sim, wiring.sender), run_report)
-            }
-            Protocol::RawStream => {
-                let wiring = self.wire_raw(&mut sim, &mut reg, &sink, plan, "");
-                let sim =
-                    run_partitioned(sim, shards, std::slice::from_ref(&wiring.split), metrics);
-                let mut run_report = reg.collect(&sim);
-                run_report.kernel_metrics = metrics.registries();
-                let elapsed = sim.now().saturating_since(SimTime::ZERO);
-                let report = TransferReport {
-                    bytes: self.bytes,
-                    elapsed,
-                    goodput: crate::units::throughput(DataSize::from_bytes(self.bytes), elapsed),
-                    packets_sent: wiring.packets,
-                    retransmits: 0,
-                };
-                (report, run_report)
-            }
-        }
-    }
-
-    /// Wire one raw-stream transfer into `sim`: the terminal [`Sink`],
-    /// the stage chain, and the pre-scheduled fragment arrivals.
+    /// Wire one raw-stream transfer into `sim` — the terminal [`Sink`],
+    /// the stage chain, the pre-scheduled fragment arrivals — and return
+    /// the fragment count and shard split.
     fn wire_raw(
         &self,
         sim: &mut Simulator,
         reg: &mut StatsRegistry,
-        span_sink: &SpanSink,
-        plan: Option<&FaultPlan>,
-        prefix: &str,
-    ) -> RawWiring {
+        opts: &RunOptions<'_>,
+    ) -> (u64, ShardSplit) {
         let sink = sim.add_component(Sink::default());
         reg.add_sink(sink);
-        let fwd_ids = self.build_stages(sim, sink, reg, span_sink, plan, prefix);
+        let fwd = build_chain(sim, &self.hops, sink, "hop", opts);
+        register_stages(reg, &fwd, &[]);
         let mut sent = 0u64;
         let mut packets = 0u64;
         for frag in fragment_sizes(self.bytes, self.ip.mtu) {
@@ -388,121 +404,22 @@ impl BulkTransfer {
                 created: SimTime::ZERO,
                 kind: PacketKind::Data,
             };
-            sim.send_in(SimDuration::ZERO, fwd_ids[0], gtw_desim::component::msg(Arrive(pkt)));
+            sim.send_in(SimDuration::ZERO, fwd[0], gtw_desim::component::msg(Arrive(pkt)));
             sent += payload;
             packets += 1;
         }
         debug_assert_eq!(sent, self.bytes);
-        let n = self.hops.len();
-        let cut = self.wan_cut();
-        let w = cut.map_or(n, |(w, _)| w);
-        let mut near = Vec::new();
-        let mut far = vec![sink];
-        for (i, &id) in fwd_ids.iter().enumerate() {
-            if i <= w { &mut near } else { &mut far }.push(id);
-        }
-        RawWiring { packets, split: (near, far, cut.map(|c| c.1)) }
+        (packets, wan_split(&self.hops, &fwd, &[], Vec::new(), vec![sink]))
     }
-
-    fn run_raw(
-        &self,
-        span_sink: &SpanSink,
-        plan: Option<&FaultPlan>,
-    ) -> (TransferReport, RunReport) {
-        let mut sim = Simulator::new();
-        if span_sink.enabled() {
-            sim.set_tracer(Box::new(span_sink.clone()));
-        }
-        let mut reg = StatsRegistry::new();
-        let wiring = self.wire_raw(&mut sim, &mut reg, span_sink, plan, "");
-        sim.run();
-        let run_report = reg.collect(&sim);
-        let elapsed = sim.now().saturating_since(SimTime::ZERO);
-        let report = TransferReport {
-            bytes: self.bytes,
-            elapsed,
-            goodput: crate::units::throughput(DataSize::from_bytes(self.bytes), elapsed),
-            packets_sent: wiring.packets,
-            retransmits: 0,
-        };
-        (report, run_report)
-    }
-}
-
-/// The two shard sides of one wired transfer plus the cut edge's
-/// propagation (`None` when the path has no positive-propagation hop and
-/// therefore must stay on one shard).
-pub(crate) type ShardSplit = (Vec<ComponentId>, Vec<ComponentId>, Option<SimDuration>);
-
-/// Ids produced by wiring one TCP transfer.
-struct TcpWiring {
-    sender: ComponentId,
-    /// Sender, forward stages up to the WAN hop, and the ACK stages past
-    /// its mirror.
-    sender_side: Vec<ComponentId>,
-    /// Everything past the WAN cut: later forward stages, the receiver,
-    /// and the near ACK stages.
-    receiver_side: Vec<ComponentId>,
-    cut_lookahead: Option<SimDuration>,
-}
-
-impl TcpWiring {
-    fn split(&self) -> ShardSplit {
-        (self.sender_side.clone(), self.receiver_side.clone(), self.cut_lookahead)
-    }
-}
-
-/// Ids produced by wiring one raw-stream transfer.
-struct RawWiring {
-    packets: u64,
-    split: ShardSplit,
-}
-
-/// Place each transfer's two sides on shards `(2t) % n` and `(2t+1) % n`,
-/// take the minimum cut propagation as the global lookahead, and run on
-/// the kernel selected by `shards` (`0` = sequential). Transfers whose
-/// split has no cut edge are collapsed onto one shard. A recording
-/// `metrics` sink instruments every shard (ignored on the sequential
-/// kernel, which has no shards to instrument).
-pub(crate) fn run_partitioned(
-    mut sim: Simulator,
-    shards: usize,
-    splits: &[ShardSplit],
-    metrics: &MetricsSink,
-) -> Simulator {
-    if shards == 0 {
-        sim.run();
-        return sim;
-    }
-    let mut lookahead = SimDuration::MAX;
-    let mut placements: Vec<(ComponentId, usize)> = Vec::new();
-    for (t, (near, far, cut)) in splits.iter().enumerate() {
-        let sa = (2 * t) % shards;
-        let mut sb = (2 * t + 1) % shards;
-        match cut {
-            Some(c) if sa != sb => lookahead = lookahead.min(*c),
-            _ => sb = sa,
-        }
-        placements.extend(near.iter().map(|&id| (id, sa)));
-        placements.extend(far.iter().map(|&id| (id, sb)));
-    }
-    let mut plan = ShardPlan::new(shards, lookahead);
-    for (id, s) in placements {
-        plan.assign(id, s);
-    }
-    let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-    sharded.set_metrics(metrics);
-    sharded.run();
-    sharded.into_simulator()
 }
 
 /// Several transfers sharing one simulation — the multi-flow workload
 /// the sharded kernel exists for. Each transfer gets a `t{k}.` label
-/// prefix and flow id `k + 1`; fault plans are looked up under the
-/// prefixed labels.
+/// prefix and flow id `k + 1`; the run's fault plan is looked up under
+/// the prefixed labels, so it can degrade any one flow's hops.
 #[derive(Default)]
 pub struct TransferSet {
-    items: Vec<(BulkTransfer, Option<FaultPlan>)>,
+    items: Vec<BulkTransfer>,
 }
 
 impl TransferSet {
@@ -511,26 +428,15 @@ impl TransferSet {
         Self::default()
     }
 
-    /// Add a clean transfer. Only TCP transfers are supported in sets
-    /// (raw streams report elapsed time from the global clock, which is
+    /// Add a transfer. Only TCP transfers are supported in sets (raw
+    /// streams report elapsed time from the global clock, which is
     /// ambiguous with concurrent flows).
     pub fn add(&mut self, xfer: BulkTransfer) {
         assert!(
             matches!(xfer.protocol, Protocol::Tcp { .. }),
             "TransferSet supports TCP transfers only"
         );
-        self.items.push((xfer, None));
-    }
-
-    /// Add a transfer with its own fault plan (labels must carry the
-    /// transfer's `t{k}.` prefix).
-    pub fn add_faulted(&mut self, xfer: BulkTransfer, plan: FaultPlan) {
-        assert!(
-            matches!(xfer.protocol, Protocol::Tcp { .. }),
-            "TransferSet supports TCP transfers only"
-        );
-        let plan = (!plan.is_empty()).then_some(plan);
-        self.items.push((xfer, plan));
+        self.items.push(xfer);
     }
 
     /// Number of transfers.
@@ -543,55 +449,51 @@ impl TransferSet {
         self.items.is_empty()
     }
 
-    /// Run every transfer in one simulation on `shards` shards (`0` =
-    /// sequential kernel), returning per-transfer summaries in insertion
-    /// order plus the combined report. Byte-identical across shard
-    /// counts for the same input.
-    pub fn run(&self, shards: usize) -> (Vec<TransferReport>, RunReport) {
-        self.run_metrics(shards, &MetricsSink::disabled())
+    /// Run every transfer in one simulation as `opts` asks, returning
+    /// per-transfer summaries in insertion order plus the combined
+    /// report. Byte-identical across shard counts for the same input.
+    pub fn run_with(&self, opts: &RunOptions<'_>) -> (Vec<TransferReport>, RunReport) {
+        assert!(!self.items.is_empty(), "cannot run an empty TransferSet");
+        let mut sim = Simulator::new();
+        let mut reg = StatsRegistry::new();
+        let (senders, splits): (Vec<ComponentId>, Vec<ShardSplit>) = self
+            .items
+            .iter()
+            .enumerate()
+            .map(|(k, xfer)| {
+                let Protocol::Tcp { window_bytes } = xfer.protocol else {
+                    unreachable!("add() rejects non-TCP transfers");
+                };
+                let (prefix, flow) = (format!("t{k}."), (k + 1) as u64);
+                xfer.wire_tcp(&mut sim, &mut reg, opts, &prefix, flow, window_bytes)
+            })
+            .unzip();
+        let (sim, run) = execute(sim, &reg, &splits, opts);
+        let reports = self
+            .items
+            .iter()
+            .zip(senders)
+            .map(|(xfer, sender)| xfer.tcp_report(&sim, sender, run.elapsed))
+            .collect();
+        (reports, run)
     }
 
-    /// [`run`](Self::run) with kernel instrumentation: a recording
-    /// `metrics` sink collects per-shard registries (sharded runs only)
-    /// and their deterministic summaries land in the report's
-    /// `kernel_metrics` block.
+    /// Pinned by the frozen `gtw-benchmark` adapter; use
+    /// [`run_with`](Self::run_with).
+    #[doc(hidden)]
+    pub fn run(&self, shards: usize) -> (Vec<TransferReport>, RunReport) {
+        self.run_with(&RunOptions { shards, ..RunOptions::default() })
+    }
+
+    /// Pinned by the frozen `gtw-benchmark` adapter; use
+    /// [`run_with`](Self::run_with).
+    #[doc(hidden)]
     pub fn run_metrics(
         &self,
         shards: usize,
         metrics: &MetricsSink,
     ) -> (Vec<TransferReport>, RunReport) {
-        assert!(!self.items.is_empty(), "cannot run an empty TransferSet");
-        let sink = SpanSink::disabled();
-        let mut sim = Simulator::new();
-        let mut reg = StatsRegistry::new();
-        let mut wirings = Vec::with_capacity(self.items.len());
-        for (k, (xfer, plan)) in self.items.iter().enumerate() {
-            let Protocol::Tcp { window_bytes } = xfer.protocol else {
-                unreachable!("add() rejects non-TCP transfers");
-            };
-            let prefix = format!("t{k}.");
-            let wiring = xfer.wire_tcp(
-                &mut sim,
-                &mut reg,
-                &sink,
-                plan.as_ref(),
-                &prefix,
-                (k + 1) as u64,
-                window_bytes,
-            );
-            wirings.push(wiring);
-        }
-        let splits: Vec<ShardSplit> = wirings.iter().map(TcpWiring::split).collect();
-        let sim = run_partitioned(sim, shards, &splits, metrics);
-        let mut run_report = reg.collect(&sim);
-        run_report.kernel_metrics = metrics.registries();
-        let reports = self
-            .items
-            .iter()
-            .zip(&wirings)
-            .map(|((xfer, _), wiring)| xfer.collect_tcp(&sim, wiring.sender))
-            .collect();
-        (reports, run_report)
+        self.run_with(&RunOptions { shards, metrics: metrics.clone(), ..RunOptions::default() })
     }
 }
 
@@ -635,6 +537,14 @@ mod tests {
     use super::*;
     use crate::link::Medium;
     use crate::units::Bandwidth;
+
+    fn sharded(shards: usize) -> RunOptions<'static> {
+        RunOptions { shards, ..RunOptions::default() }
+    }
+
+    fn under(plan: &FaultPlan) -> RunOptions<'_> {
+        RunOptions { faults: Some(plan), ..RunOptions::default() }
+    }
 
     fn raw_hop(rate_mbps: f64, prop_us: u64) -> HopModel {
         HopModel {
@@ -714,7 +624,7 @@ mod tests {
             bytes: 4 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
-        let (report, run) = xfer.run_with_report();
+        let (report, run) = xfer.run_with(&RunOptions::default());
         assert_eq!(run.hops.len(), 4);
         assert!(run.hops.iter().all(|h| h.label.starts_with("hop") || h.label.starts_with("rev")));
         assert_eq!(run.senders.len(), 1);
@@ -743,7 +653,7 @@ mod tests {
             bytes: 256 * 1024,
             protocol: Protocol::Tcp { window_bytes: 256 * 1024 },
         };
-        let (report, run) = xfer.run_with_report();
+        let (report, run) = xfer.run_with(&RunOptions::default());
         assert_eq!(run.hops.len(), 2);
         assert_eq!(run.senders[0].bytes_acked, 256 * 1024);
         assert!(report.goodput.mbps() > 0.0);
@@ -762,9 +672,10 @@ mod tests {
             bytes: 2 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
-        let (plain, plain_run) = xfer.run_with_report();
+        let (plain, plain_run) = xfer.run_with(&RunOptions::default());
         let sink = gtw_desim::SpanSink::recording();
-        let (traced, traced_run) = xfer.run_traced(&sink);
+        let (traced, traced_run) =
+            xfer.run_with(&RunOptions { spans: sink.clone(), ..RunOptions::default() });
         assert_eq!(plain.elapsed, traced.elapsed);
         assert_eq!(plain.packets_sent, traced.packets_sent);
         assert_eq!(plain_run.elapsed, traced_run.elapsed);
@@ -799,7 +710,7 @@ mod tests {
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
         let plan = degraded_plan(7, "hop1");
-        let (report, run) = xfer.run_faulted(&plan, &SpanSink::disabled());
+        let (report, run) = xfer.run_with(&under(&plan));
         // Recovery invariant: every byte still arrives exactly once.
         assert_eq!(run.receivers[0].bytes_delivered, xfer.bytes);
         assert_eq!(run.senders[0].bytes_acked, xfer.bytes);
@@ -826,10 +737,10 @@ mod tests {
             bytes: 4 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
-        let (_, a) = xfer.run_faulted(&degraded_plan(42, "hop0"), &SpanSink::disabled());
-        let (_, b) = xfer.run_faulted(&degraded_plan(42, "hop0"), &SpanSink::disabled());
+        let (_, a) = xfer.run_with(&under(&degraded_plan(42, "hop0")));
+        let (_, b) = xfer.run_with(&under(&degraded_plan(42, "hop0")));
         assert_eq!(a.to_json().dump(), b.to_json().dump());
-        let (_, c) = xfer.run_faulted(&degraded_plan(43, "hop0"), &SpanSink::disabled());
+        let (_, c) = xfer.run_with(&under(&degraded_plan(43, "hop0")));
         assert_ne!(a.to_json().dump(), c.to_json().dump(), "different seed, different run");
     }
 
@@ -841,8 +752,8 @@ mod tests {
             bytes: 2 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
-        let (_, clean) = xfer.run_with_report();
-        let (_, faulted) = xfer.run_faulted(&FaultPlan::new(9), &SpanSink::disabled());
+        let (_, clean) = xfer.run_with(&RunOptions::default());
+        let (_, faulted) = xfer.run_with(&under(&FaultPlan::new(9)));
         assert_eq!(clean.to_json().dump(), faulted.to_json().dump());
     }
 
@@ -854,10 +765,10 @@ mod tests {
             bytes: 4 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
-        let (seq_report, seq_run) = xfer.run_with_report();
+        let (seq_report, seq_run) = xfer.run_with(&RunOptions::default());
         let seq_json = seq_run.to_json().dump();
         for shards in [1, 2, 4] {
-            let (report, run) = xfer.run_sharded(shards);
+            let (report, run) = xfer.run_with(&sharded(shards));
             assert_eq!(report.elapsed, seq_report.elapsed, "{shards} shards");
             assert_eq!(report.packets_sent, seq_report.packets_sent, "{shards} shards");
             assert_eq!(run.to_json().dump(), seq_json, "{shards} shards");
@@ -872,11 +783,12 @@ mod tests {
             bytes: 2 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
-        let (_, plain) = xfer.run_sharded(2);
+        let (_, plain) = xfer.run_with(&sharded(2));
         let plain_json = plain.to_json().dump();
         assert!(!plain_json.contains("kernel_metrics"), "{plain_json}");
         let metrics = MetricsSink::recording();
-        let (report, instrumented) = xfer.run_sharded_metrics(2, &metrics);
+        let (report, instrumented) =
+            xfer.run_with(&RunOptions { metrics: metrics.clone(), ..sharded(2) });
         assert_eq!(report.bytes, xfer.bytes);
         let j = instrumented.to_json().dump();
         assert!(j.contains("\"kernel_metrics\":["), "{j}");
@@ -895,7 +807,7 @@ mod tests {
         assert_eq!(kernel_events, instrumented.events_processed);
         // Instrumented registries also repeat identically across runs.
         let metrics2 = MetricsSink::recording();
-        let _ = xfer.run_sharded_metrics(2, &metrics2);
+        let _ = xfer.run_with(&RunOptions { metrics: metrics2.clone(), ..sharded(2) });
         for (a, b) in regs.iter().zip(&metrics2.registries()) {
             assert_eq!(a.summary_json().dump(), b.summary_json().dump());
         }
@@ -910,10 +822,10 @@ mod tests {
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
         let plan = degraded_plan(42, "hop0");
-        let (_, seq_run) = xfer.run_faulted(&plan, &SpanSink::disabled());
+        let (_, seq_run) = xfer.run_with(&under(&plan));
         let seq_json = seq_run.to_json().dump();
         for shards in [1, 2] {
-            let (_, run) = xfer.run_sharded_faulted(shards, &plan);
+            let (_, run) = xfer.run_with(&RunOptions { shards, ..under(&plan) });
             assert_eq!(run.to_json().dump(), seq_json, "{shards} shards");
         }
     }
@@ -926,12 +838,37 @@ mod tests {
             bytes: 2 * 1024 * 1024,
             protocol: Protocol::RawStream,
         };
-        let (seq_report, seq_run) = xfer.run_with_report();
+        let (seq_report, seq_run) = xfer.run_with(&RunOptions::default());
         for shards in [1, 2] {
-            let (report, run) = xfer.run_sharded(shards);
+            let (report, run) = xfer.run_with(&sharded(shards));
             assert_eq!(report.elapsed, seq_report.elapsed, "{shards} shards");
             assert_eq!(run.to_json().dump(), seq_run.to_json().dump(), "{shards} shards");
         }
+    }
+
+    /// Every `run_with` ends in the one `execute`, so one transfer type
+    /// covers the one rejection.
+    fn run_on_two_shards(opts: RunOptions<'_>) {
+        let xfer = BulkTransfer {
+            hops: vec![raw_hop(622.0, 10), raw_hop(155.0, 400)],
+            ip: IpConfig { mtu: 9180 },
+            bytes: 64 * 1024,
+            protocol: Protocol::Tcp { window_bytes: 64 * 1024 },
+        };
+        xfer.run_with(&RunOptions { shards: 2, ..opts });
+    }
+
+    #[test]
+    #[should_panic(expected = "need the sequential kernel")]
+    fn spans_on_the_sharded_kernel_are_rejected() {
+        run_on_two_shards(RunOptions { spans: SpanSink::recording(), ..RunOptions::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "need the sequential kernel")]
+    fn a_horizon_on_the_sharded_kernel_is_rejected() {
+        let horizon = Some(SimTime::ZERO + SimDuration::from_secs(1));
+        run_on_two_shards(RunOptions { horizon, ..RunOptions::default() });
     }
 
     #[test]
@@ -949,11 +886,11 @@ mod tests {
                 protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
             });
         }
-        let (seq_reports, seq_run) = set.run(0);
+        let (seq_reports, seq_run) = set.run_with(&RunOptions::default());
         assert_eq!(seq_reports.len(), 3);
         let seq_json = seq_run.to_json().dump();
         for shards in [1, 2, 4] {
-            let (reports, run) = set.run(shards);
+            let (reports, run) = set.run_with(&sharded(shards));
             for (r, s) in reports.iter().zip(&seq_reports) {
                 assert_eq!(r.elapsed, s.elapsed, "{shards} shards");
             }
@@ -969,10 +906,11 @@ mod tests {
             bytes: 2 * 1024 * 1024,
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
+        let plan = degraded_plan(7, "t1.hop1");
         let mut set = TransferSet::new();
         set.add(base.clone());
-        set.add_faulted(base, degraded_plan(7, "t1.hop1"));
-        let (_, seq_run) = set.run(0);
+        set.add(base);
+        let (_, seq_run) = set.run_with(&under(&plan));
         let faulted = seq_run.hops.iter().find(|h| h.label == "t1.hop1").unwrap();
         assert!(faulted.faults.expect("injector stats present").total() > 0);
         let clean = seq_run.hops.iter().find(|h| h.label == "t0.hop1").unwrap();
@@ -986,8 +924,8 @@ mod tests {
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
         set2.add(base2.clone());
-        set2.add_faulted(base2, degraded_plan(7, "t1.hop1"));
-        let (_, sharded_run) = set2.run(2);
+        set2.add(base2);
+        let (_, sharded_run) = set2.run_with(&RunOptions { shards: 2, ..under(&plan) });
         assert_eq!(sharded_run.to_json().dump(), seq_run.to_json().dump());
     }
 

@@ -48,12 +48,13 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
-use gtw_desim::{ComponentId, EventCounter, Json, SimDuration, Simulator, SpanSink};
+use gtw_desim::{ComponentId, EventCounter, Json, SimDuration, Simulator};
+use gtw_fire::realtime::ChainOptions;
 use gtw_net::ip::IpConfig;
 use gtw_net::link::{Medium, PipeStage, StageConfig};
 use gtw_net::stats::StatsRegistry;
 use gtw_net::tcp::{StartTransfer, TcpConfig, TcpReceiver, TcpSender};
-use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol};
+use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions};
 use gtw_net::units::Bandwidth;
 
 fn arg_value(flag: &str) -> Option<String> {
@@ -84,14 +85,10 @@ fn main() {
         bytes: 32 * 1024 * 1024,
         protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
     };
-    let (summary, run) = match fault_seed {
-        Some(seed) => {
-            // The WAN hop on the FZJ–GMD path sits mid-chain.
-            let wan = format!("hop{}", xfer.hops.len() / 2);
-            xfer.run_faulted(&degraded_plan(seed, &wan), &SpanSink::disabled())
-        }
-        None => xfer.run_with_report(),
-    };
+    // The WAN hop on the FZJ–GMD path sits mid-chain.
+    let plan = fault_seed.map(|seed| degraded_plan(seed, &format!("hop{}", xfer.hops.len() / 2)));
+    let (summary, run) =
+        xfer.run_with(&RunOptions { faults: plan.as_ref(), ..RunOptions::default() });
     eprintln!(
         "T3E -> SP2, 32 MiB over {} hops: {:.1} Mbit/s ({} retransmits{})",
         xfer.hops.len(),
@@ -162,12 +159,10 @@ fn main() {
         // scan is re-processed from the checkpoint instead of being
         // superseded by the next raw image.
         let recovery_cfg = gtw_fire::realtime::RecoveryConfig { detect_s: 0.3, respawn_s: 1.0 };
-        let faulted = gtw_fire::realtime::run_chain_process_faulted(
+        let faulted = gtw_fire::realtime::run_chain_with(
             chain_cfg,
             gtw_fire::realtime::ChainMode::Sequential,
-            &plan,
-            recovery_cfg,
-            &SpanSink::disabled(),
+            &ChainOptions { process_faults: plan, recovery: recovery_cfg, ..Default::default() },
         );
         let recovery = faulted.recovery.expect("fault plan installed");
         let mut j = recovery.to_json();
@@ -184,7 +179,7 @@ fn main() {
         use gtw_desim::fault::{Schedule, Window};
         use gtw_desim::rng::StreamRng;
         use gtw_desim::SimTime;
-        use gtw_fire::realtime::{run_chain_congested, Congestion, DegradeConfig};
+        use gtw_fire::realtime::{run_chain_with, Congestion, DegradeConfig};
         let mut rng = StreamRng::new(seed, "report/congestion");
         let n = 1 + (rng.below(3) as usize);
         let mut windows = Vec::new();
@@ -197,13 +192,13 @@ fn main() {
             ));
         }
         let congestion = Congestion::new(Schedule::new(windows), rng.uniform_in(2.0, 5.0));
-        let degrade = DegradeConfig::paper();
-        let congested = run_chain_congested(
+        let congested = run_chain_with(
             chain_cfg,
             gtw_fire::realtime::ChainMode::Sequential,
-            &congestion,
-            &degrade,
-            &SpanSink::disabled(),
+            &ChainOptions {
+                congestion: Some((congestion, DegradeConfig::paper())),
+                ..Default::default()
+            },
         );
         let stats = congested.degrade.expect("congestion installed");
         let mut j = stats.to_json();

@@ -115,8 +115,8 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
     // spans) each export valid Chrome traces, and the chain's latency
     // histogram accounts for the scenario's end-to-end budget.
     use gtw_desim::{validate_chrome_trace, SpanSink};
-    use gtw_fire::realtime::{run_chain_traced, ChainMode, RealtimeConfig};
-    use gtw_net::transfer::{BulkTransfer, Protocol};
+    use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
+    use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions};
 
     // 1. Compute layer: real FIRE modules with wall-clock spans.
     let scanner = test_scanner(8, Dims::new(16, 16, 4), 9);
@@ -141,7 +141,11 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
         scans: 20,
     };
     let chain_sink = SpanSink::recording();
-    let chain = run_chain_traced(cfg, ChainMode::Pipelined, &chain_sink);
+    let chain = run_chain_with(
+        cfg,
+        ChainMode::Pipelined,
+        &ChainOptions { spans: chain_sink.clone(), ..ChainOptions::default() },
+    );
     validate_chrome_trace(&chain_sink.to_chrome_trace().dump()).expect("chain trace valid");
     // Per-stage breakdown sums (exactly) to the end-to-end latency, and
     // the measured distribution agrees with the analytic budget.
@@ -161,8 +165,9 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
         protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
     };
     let net_sink = SpanSink::recording();
-    let (report, run) = xfer.run_traced(&net_sink);
-    let (plain_report, plain_run) = xfer.run_with_report();
+    let (report, run) =
+        xfer.run_with(&RunOptions { spans: net_sink.clone(), ..RunOptions::default() });
+    let (plain_report, plain_run) = xfer.run_with(&RunOptions::default());
     // Tracing never perturbs virtual time.
     assert_eq!(report.elapsed, plain_report.elapsed);
     assert_eq!(run.events_processed, plain_run.events_processed);

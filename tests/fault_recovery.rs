@@ -22,12 +22,12 @@
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_desim::fault::{FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::rng::StreamRng;
-use gtw_desim::{SimDuration, SimTime, SpanSink};
+use gtw_desim::{SimDuration, SimTime};
 use gtw_net::ip::IpConfig;
 use gtw_net::link::Medium;
 use gtw_net::stats::RunReport;
 use gtw_net::tcp::HopModel;
-use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol};
+use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 
 /// Fuzz cases per scenario (each case is a full event-driven transfer).
@@ -36,6 +36,10 @@ const CASES: u64 = 6;
 fn master_seed() -> u64 {
     std::env::var("GTW_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x6774_7731)
     // "gtw1"
+}
+
+fn under(plan: &FaultPlan) -> RunOptions<'_> {
+    RunOptions { faults: Some(plan), ..RunOptions::default() }
 }
 
 fn two_hop_transfer() -> BulkTransfer {
@@ -125,7 +129,7 @@ fn fuzzed_plans_uphold_recovery_invariants() {
     let xfer = two_hop_transfer();
     for case in 0..CASES {
         let plan = random_plan(master, case);
-        let (_, run) = xfer.run_faulted(&plan, &SpanSink::disabled());
+        let (_, run) = xfer.run_with(&under(&plan));
         assert_recovery_invariants(&xfer, &run, &plan);
     }
 }
@@ -136,8 +140,8 @@ fn identical_seeds_reproduce_byte_identical_reports() {
     let xfer = two_hop_transfer();
     for case in 0..CASES.min(3) {
         let plan = random_plan(master, case);
-        let (_, a) = xfer.run_faulted(&plan, &SpanSink::disabled());
-        let (_, b) = xfer.run_faulted(&plan, &SpanSink::disabled());
+        let (_, a) = xfer.run_with(&under(&plan));
+        let (_, b) = xfer.run_with(&under(&plan));
         assert_eq!(
             a.to_json().dump(),
             b.to_json().dump(),
@@ -146,8 +150,8 @@ fn identical_seeds_reproduce_byte_identical_reports() {
     }
     // And a perturbed master seed actually changes the run (the plans
     // draw from different streams).
-    let (_, a) = xfer.run_faulted(&random_plan(master, 0), &SpanSink::disabled());
-    let (_, b) = xfer.run_faulted(&random_plan(master ^ 1, 0), &SpanSink::disabled());
+    let (_, a) = xfer.run_with(&under(&random_plan(master, 0)));
+    let (_, b) = xfer.run_with(&under(&random_plan(master ^ 1, 0)));
     assert_ne!(a.to_json().dump(), b.to_json().dump());
 }
 
@@ -172,7 +176,7 @@ fn one_percent_loss_keeps_goodput_above_model_floor() {
     for case in 0..CASES.min(3) {
         let mut plan = FaultPlan::new(master.wrapping_add(case));
         plan.add("hop0", FaultSpec { loss: LossModel::Iid { p: 0.01 }, ..Default::default() });
-        let (report, run) = xfer.run_faulted(&plan, &SpanSink::disabled());
+        let (report, run) = xfer.run_with(&under(&plan));
         let hop0 = run.hops.iter().find(|h| h.label == "hop0").unwrap();
         assert!(hop0.faults.map_or(0, |f| f.total()) > 0, "case {case}: loss never fired");
         assert!(
@@ -203,7 +207,7 @@ fn acceptance_degraded_fzj_gmd_path() {
     };
     let wan = format!("hop{}", xfer.hops.len() / 2);
     let plan = degraded_plan(master, &wan);
-    let (report, run) = xfer.run_faulted(&plan, &SpanSink::disabled());
+    let (report, run) = xfer.run_with(&under(&plan));
     assert_recovery_invariants(&xfer, &run, &plan);
     let h = run.hops.iter().find(|h| h.label == wan).expect("WAN hop reported");
     let f = h.faults.expect("degraded hop carries fault stats");
@@ -213,7 +217,7 @@ fn acceptance_degraded_fzj_gmd_path() {
     // rare but legitimate; the outage makes the scenario deterministic.)
     assert!(report.retransmits > 0);
     // Reproducibility of the acceptance run itself.
-    let (_, again) = xfer.run_faulted(&plan, &SpanSink::disabled());
+    let (_, again) = xfer.run_with(&under(&plan));
     assert_eq!(run.to_json().dump(), again.to_json().dump());
 }
 
@@ -222,9 +226,66 @@ fn clean_plan_leaves_reports_untouched() {
     // A plan with no specs must be indistinguishable — byte for byte —
     // from never installing fault injection at all.
     let xfer = two_hop_transfer();
-    let (_, clean) = xfer.run_with_report();
-    let (_, empty) = xfer.run_faulted(&FaultPlan::new(master_seed()), &SpanSink::disabled());
+    let (_, clean) = xfer.run_with(&RunOptions::default());
+    let (_, empty) = xfer.run_with(&under(&FaultPlan::new(master_seed())));
     assert_eq!(clean.to_json().dump(), empty.to_json().dump());
     let dump = clean.to_json().dump();
     assert!(!dump.contains("faults"), "clean reports must not mention faults: {dump}");
+}
+
+/// An outage on `label` that opens at 10 ms and never closes.
+fn endless_outage(label: &str) -> FaultPlan {
+    let mut plan = FaultPlan::new(master_seed());
+    plan.add(
+        label,
+        FaultSpec {
+            outages: Schedule::new(vec![Window::new(
+                SimTime::ZERO + SimDuration::from_millis(10),
+                SimTime::MAX,
+            )]),
+            ..FaultSpec::default()
+        },
+    );
+    plan
+}
+
+#[test]
+fn a_horizon_bounds_a_transfer_whose_outage_never_ends() {
+    // The sender retransmits for ever at its capped RTO, so without the
+    // horizon this run would not return; with it the transfer reports
+    // that it did not complete instead of panicking.
+    let xfer = two_hop_transfer();
+    let plan = endless_outage("hop1");
+    let horizon = SimTime::ZERO + SimDuration::from_secs(2);
+    let opts = RunOptions { horizon: Some(horizon), ..under(&plan) };
+    let (report, run) = xfer.run_with(&opts);
+    assert!(!report.completed, "{report:?}");
+    assert!(report.bytes < xfer.bytes, "{report:?}");
+    assert_eq!(report.bytes, run.senders[0].bytes_acked);
+    assert!(run.receivers[0].bytes_delivered < xfer.bytes);
+    assert_eq!(report.elapsed, run.elapsed);
+    assert!(run.elapsed <= horizon.saturating_since(SimTime::ZERO), "{:?}", run.elapsed);
+    let (again, again_run) = xfer.run_with(&opts);
+    assert_eq!(format!("{report:?}"), format!("{again:?}"));
+    assert_eq!(run.to_json().dump(), again_run.to_json().dump());
+}
+
+#[test]
+fn a_horizon_cuts_only_the_stalled_flow_of_a_set() {
+    let mut set = TransferSet::new();
+    set.add(two_hop_transfer());
+    set.add(two_hop_transfer());
+    let plan = endless_outage("t1.hop1");
+    let horizon = SimTime::ZERO + SimDuration::from_secs(2);
+    let opts = RunOptions { horizon: Some(horizon), ..under(&plan) };
+    let (reports, run) = set.run_with(&opts);
+    let clean = two_hop_transfer().run();
+    assert!(reports[0].completed, "{:?}", reports[0]);
+    assert_eq!((reports[0].bytes, reports[0].elapsed), (clean.bytes, clean.elapsed));
+    assert!(!reports[1].completed, "{:?}", reports[1]);
+    assert!(reports[1].bytes < two_hop_transfer().bytes, "{:?}", reports[1]);
+    assert_eq!(reports[1].elapsed, run.elapsed);
+    let (again, again_run) = set.run_with(&opts);
+    assert_eq!(format!("{reports:?}"), format!("{again:?}"));
+    assert_eq!(run.to_json().dump(), again_run.to_json().dump());
 }

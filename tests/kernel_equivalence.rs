@@ -1,4 +1,4 @@
-//! Cross-kernel equivalence: the sharded parallel kernel must be
+//! Cross-kernel equivalence: the sharded kernel must be
 //! observationally identical to the sequential one. For any topology,
 //! traffic mix, and fault plan, the same seed must produce a
 //! byte-identical `RunReport` JSON whether the scenario runs on the
@@ -6,11 +6,11 @@
 //! point of the `(time, source, source_seq)` total order on events.
 
 use gtw_desim::component::{msg, Component, ComponentId, Ctx, Msg};
-use gtw_desim::shard::{ExecMode, ShardedSimulator};
-use gtw_desim::{ShardPlan, SimDuration, Simulator};
+use gtw_desim::{MetricsSink, ShardPlan, ShardedSimulator, SimDuration, Simulator};
 use gtw_net::ip::IpConfig;
+use gtw_net::stripe::StripedTransfer;
 use gtw_net::tcp::HopModel;
-use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, TransferSet};
+use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 use proptest::prelude::*;
 
@@ -25,15 +25,15 @@ fn raw_hop(rate_mbps: f64, prop_us: u64) -> HopModel {
 /// Run the transfer on every kernel configuration and demand identical
 /// report bytes.
 fn assert_kernels_agree(xfer: &BulkTransfer) {
-    let (_, seq) = xfer.run_with_report();
+    let (_, seq) = xfer.run_with(&RunOptions::default());
     let seq_json = seq.to_json().dump();
     for shards in [1usize, 2, 4] {
-        let (_, run) = xfer.run_sharded(shards);
+        let (_, run) = xfer.run_with(&RunOptions { shards, ..RunOptions::default() });
         assert_eq!(run.to_json().dump(), seq_json, "{shards}-shard run diverged");
     }
     // Two sequential runs must also agree with themselves (determinism
-    // of the baseline, not just of the parallel kernel).
-    let (_, again) = xfer.run_with_report();
+    // of the baseline, not just of the sharded kernel).
+    let (_, again) = xfer.run_with(&RunOptions::default());
     assert_eq!(again.to_json().dump(), seq_json, "sequential kernel is nondeterministic");
 }
 
@@ -83,10 +83,65 @@ proptest! {
             protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
         };
         let plan = degraded_plan(seed, &format!("hop{faulted_hop}"));
-        let (_, seq) = xfer.run_faulted(&plan, &gtw_desim::SpanSink::disabled());
+        let faulted = RunOptions { faults: Some(&plan), ..RunOptions::default() };
+        let (_, seq) = xfer.run_with(&faulted);
         let seq_json = seq.to_json().dump();
         for shards in [1usize, 2, 4] {
-            let (_, run) = xfer.run_sharded_faulted(shards, &plan);
+            let (_, run) = xfer.run_with(&RunOptions { shards, ..faulted.clone() });
+            prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
+        }
+    }
+
+    /// The same with every shard instrumented: the report gains one
+    /// `kernel_metrics` entry per shard and, those cleared, is the
+    /// sequential faulted report.
+    #[test]
+    fn instrumented_faulted_runs_are_kernel_invariant(
+        seed in any::<u64>(),
+        wan_prop_us in 200u64..1_000,
+        faulted_hop in 0usize..2,
+    ) {
+        let xfer = BulkTransfer {
+            hops: vec![raw_hop(622.0, 10), raw_hop(155.0, wan_prop_us), raw_hop(622.0, 10)],
+            ip: IpConfig { mtu: 9180 },
+            bytes: 2 * 1024 * 1024,
+            protocol: Protocol::Tcp { window_bytes: 512 * 1024 },
+        };
+        let plan = degraded_plan(seed, &format!("hop{faulted_hop}"));
+        let faulted = RunOptions { faults: Some(&plan), ..RunOptions::default() };
+        let (_, seq) = xfer.run_with(&faulted);
+        let seq_json = seq.to_json().dump();
+        for shards in [1usize, 2, 4] {
+            let metrics = MetricsSink::recording();
+            let (_, mut run) = xfer.run_with(&RunOptions { shards, metrics, ..faulted.clone() });
+            prop_assert_eq!(run.kernel_metrics.len(), shards);
+            run.kernel_metrics.clear();
+            prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
+        }
+    }
+
+    /// Striped streams share one degraded path: loss recovery on every
+    /// stream, the demuxes and the merge order must not see the cut.
+    #[test]
+    fn faulted_striped_transfers_are_kernel_invariant(
+        seed in any::<u64>(),
+        wan_prop_us in 200u64..1_000,
+        streams in 2usize..=4,
+    ) {
+        let xfer = StripedTransfer {
+            hops: vec![raw_hop(622.0, 10), raw_hop(155.0, wan_prop_us), raw_hop(622.0, 10)],
+            ip: IpConfig { mtu: 9180 },
+            bytes: 2 * 1024 * 1024,
+            window_bytes: 512 * 1024,
+            streams,
+        };
+        let plan = degraded_plan(seed, "hop1");
+        let faulted = RunOptions { faults: Some(&plan), ..RunOptions::default() };
+        let (seq_report, seq) = xfer.run_with(&faulted);
+        prop_assert!(seq_report.completed);
+        let seq_json = seq.to_json().dump();
+        for shards in [1usize, 2, 4] {
+            let (_, run) = xfer.run_with(&RunOptions { shards, ..faulted.clone() });
             prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
         }
     }
@@ -111,17 +166,16 @@ proptest! {
                 protocol: Protocol::Tcp { window_bytes: 256 * 1024 },
             });
         }
-        let (_, seq) = set.run(0);
+        let (_, seq) = set.run_with(&RunOptions::default());
         let seq_json = seq.to_json().dump();
         for shards in [1usize, 2, 4] {
-            let (_, run) = set.run(shards);
+            let (_, run) = set.run_with(&RunOptions { shards, ..RunOptions::default() });
             prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
         }
     }
 }
 
-/// A ping-pong pair for exercising the raw desim sharded kernel in both
-/// execution modes.
+/// A ping-pong pair for exercising the raw desim sharded kernel.
 struct Pinger {
     peer: ComponentId,
     delay: SimDuration,
@@ -164,7 +218,7 @@ fn pingpong_sim(pairs: usize, delay: SimDuration) -> Simulator {
 }
 
 #[test]
-fn threaded_and_cooperative_modes_agree_with_sequential() {
+fn sharded_pingpong_agrees_with_sequential_at_every_shard_count() {
     let delay = SimDuration::from_micros(500);
     let mut baseline = pingpong_sim(4, delay);
     baseline.run();
@@ -172,16 +226,13 @@ fn threaded_and_cooperative_modes_agree_with_sequential() {
     let base_processed = baseline.events_processed();
     let base_profile = baseline.dispatch_profile();
 
-    for mode in [ExecMode::Auto, ExecMode::Threaded, ExecMode::Cooperative] {
-        for n_shards in [1usize, 2, 4] {
-            let plan = ShardPlan::round_robin(n_shards, 8, delay);
-            let mut sharded = ShardedSimulator::from_simulator(pingpong_sim(4, delay), &plan);
-            sharded.set_mode(mode);
-            sharded.run();
-            let merged = sharded.into_simulator();
-            assert_eq!(merged.now(), base_now, "{mode:?}/{n_shards}");
-            assert_eq!(merged.events_processed(), base_processed, "{mode:?}/{n_shards}");
-            assert_eq!(merged.dispatch_profile(), base_profile, "{mode:?}/{n_shards}");
-        }
+    for n_shards in [1usize, 2, 4] {
+        let plan = ShardPlan::round_robin(n_shards, 8, delay);
+        let mut sharded = ShardedSimulator::from_simulator(pingpong_sim(4, delay), &plan);
+        sharded.run();
+        let merged = sharded.into_simulator();
+        assert_eq!(merged.now(), base_now, "{n_shards}");
+        assert_eq!(merged.events_processed(), base_processed, "{n_shards}");
+        assert_eq!(merged.dispatch_profile(), base_profile, "{n_shards}");
     }
 }

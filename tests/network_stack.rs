@@ -8,7 +8,7 @@ use gtw_net::ip::IpConfig;
 use gtw_net::sdh::StmLevel;
 use gtw_net::stripe::{stripe_offsets, StripedTransfer};
 use gtw_net::switch::{AtmSwitch, CellEndpoint, OutputPort, VcKey, VcRoute};
-use gtw_net::transfer::{BulkTransfer, Protocol};
+use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions};
 use gtw_net::units::Bandwidth;
 
 #[test]
@@ -129,7 +129,7 @@ fn striping_conserves_every_byte_exactly_once() {
     const BYTES: u64 = 6_000_007; // prime remainder exercises uneven split
     for streams in [1usize, 2, 4, 8] {
         let xfer = striped_testbed_transfer(streams, BYTES);
-        let (report, run) = xfer.run_with_report(0);
+        let (report, run) = xfer.run_with(&RunOptions::default());
         assert!(report.completed, "{streams} streams");
         assert_eq!(report.stripes.len(), streams);
         let mut expect_offset = 0u64;
@@ -161,12 +161,12 @@ fn striped_reports_are_deterministic_and_shard_invariant() {
     // reproduce the sequential report bit for bit — the striping layer
     // rides on the same ordering contract as single-stream transfers.
     let xfer = striped_testbed_transfer(4, 2_000_000);
-    let (_, a) = xfer.run_with_report(0);
-    let (_, b) = xfer.run_with_report(0);
+    let (_, a) = xfer.run_with(&RunOptions::default());
+    let (_, b) = xfer.run_with(&RunOptions::default());
     let seq = a.to_json().dump();
     assert_eq!(seq, b.to_json().dump(), "two sequential runs diverged");
     for shards in [2usize, 4] {
-        let (report, run) = xfer.run_with_report(shards);
+        let (report, run) = xfer.run_with(&RunOptions { shards, ..RunOptions::default() });
         assert!(report.completed, "{shards} shards");
         assert_eq!(run.to_json().dump(), seq, "{shards} shards");
     }
@@ -198,7 +198,11 @@ fn striped_transfer_with_failed_path_fails_cleanly() {
         },
     );
     let horizon = SimTime::ZERO + SimDuration::from_secs(2);
-    let (report, run) = xfer.run_faulted(0, &plan, horizon);
+    let (report, run) = xfer.run_with(&RunOptions {
+        faults: Some(&plan),
+        horizon: Some(horizon),
+        ..RunOptions::default()
+    });
     assert!(!report.completed, "permanent outage cannot complete");
     assert!(report.stripes.iter().all(|s| s.elapsed.is_none()));
     let delivered: u64 = run.receivers.iter().map(|r| r.bytes_delivered).sum();
@@ -216,7 +220,7 @@ fn striped_transfer_with_failed_path_fails_cleanly() {
             ..FaultSpec::default()
         },
     );
-    let (report, run) = xfer.run_faulted(0, &plan, SimTime::MAX);
+    let (report, run) = xfer.run_with(&RunOptions { faults: Some(&plan), ..RunOptions::default() });
     assert!(report.completed, "transient outage must recover");
     assert!(report.stripes.iter().any(|s| s.retransmits > 0), "recovery implies retransmission");
     for s in &report.stripes {

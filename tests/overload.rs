@@ -31,9 +31,9 @@ use gtw_desim::component::msg;
 use gtw_desim::fault::{Schedule, Window};
 use gtw_desim::rng::StreamRng;
 use gtw_desim::traffic::TrafficPlan;
-use gtw_desim::{SimDuration, SimTime, Simulator, SpanSink};
+use gtw_desim::{SimDuration, SimTime, Simulator};
 use gtw_fire::realtime::{
-    run_chain, run_chain_congested, ChainMode, Congestion, DegradeConfig, RealtimeConfig,
+    run_chain, run_chain_with, ChainMode, ChainOptions, Congestion, DegradeConfig, RealtimeConfig,
 };
 use gtw_net::aal5::segment;
 use gtw_net::gateway::{Gateway, GatewayDown, GatewayPair, GatewaySink, GwPacket, StartProbes};
@@ -295,6 +295,13 @@ fn seeded_congestion(seed: u64) -> Congestion {
     Congestion::new(Schedule::new(windows), rng.uniform_in(2.0, 5.0))
 }
 
+fn with_congestion(congestion: &Congestion, degrade: &DegradeConfig) -> ChainOptions {
+    ChainOptions {
+        congestion: Some((congestion.clone(), degrade.clone())),
+        ..ChainOptions::default()
+    }
+}
+
 #[test]
 fn fire_degrades_resolution_but_never_misses_the_deadline() {
     let cfg = RealtimeConfig::paper(0.9, 3.0, 40);
@@ -302,13 +309,7 @@ fn fire_degrades_resolution_but_never_misses_the_deadline() {
     let seed = master_seed();
     for s in [seed, seed.wrapping_add(1), seed.wrapping_add(2), seed.wrapping_add(3)] {
         let congestion = seeded_congestion(s);
-        let r = run_chain_congested(
-            cfg,
-            ChainMode::Sequential,
-            &congestion,
-            &degrade,
-            &SpanSink::disabled(),
-        );
+        let r = run_chain_with(cfg, ChainMode::Sequential, &with_congestion(&congestion, &degrade));
         let stats = r.degrade.as_ref().expect("congestion installed");
         // The realtime contract: every displayed image inside the
         // paper's budget — congestion costs resolution, not latency.
@@ -320,23 +321,19 @@ fn fire_degrades_resolution_but_never_misses_the_deadline() {
         assert!(stats.downshifts >= 1, "seed {s}: congestion must bite: {stats:?}");
         assert_eq!(r.displayed + r.skipped, r.scanned, "seed {s}: {r:?}");
         // Same seed, same run — bit for bit.
-        let again = run_chain_congested(
+        let again = run_chain_with(
             cfg,
             ChainMode::Sequential,
-            &seeded_congestion(s),
-            &degrade,
-            &SpanSink::disabled(),
+            &with_congestion(&seeded_congestion(s), &degrade),
         );
         assert_eq!(format!("{r:?}"), format!("{again:?}"), "seed {s}");
     }
     // And with no congestion the entry point is invisible.
     let clean = run_chain(cfg, ChainMode::Sequential);
-    let empty = run_chain_congested(
+    let empty = run_chain_with(
         cfg,
         ChainMode::Sequential,
-        &Congestion::default(),
-        &degrade,
-        &SpanSink::disabled(),
+        &with_congestion(&Congestion::default(), &degrade),
     );
     assert!(empty.degrade.is_none());
     assert_eq!(format!("{clean:?}"), format!("{empty:?}"));

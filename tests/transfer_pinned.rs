@@ -13,7 +13,7 @@ use gtw_net::link::Medium;
 use gtw_net::stats::RunReport;
 use gtw_net::stripe::StripedTransfer;
 use gtw_net::tcp::HopModel;
-use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, TransferSet};
+use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 
 const PINNED_CLEAN: u64 = 0x85ab_400d_5875_d661;
@@ -56,18 +56,16 @@ fn flow(k: u64, bytes: u64) -> BulkTransfer {
     }
 }
 
-fn transfer_set(degraded: bool) -> TransferSet {
+fn transfer_set(bytes_per_flow: u64) -> TransferSet {
     let mut set = TransferSet::new();
     for k in 0..FLOWS {
-        if !degraded {
-            set.add(flow(k, BYTES_PER_FLOW));
-        } else if k == 0 {
-            set.add_faulted(flow(k, DEGRADED_BYTES_PER_FLOW), degraded_plan(1999, "t0.hop3"));
-        } else {
-            set.add(flow(k, DEGRADED_BYTES_PER_FLOW));
-        }
+        set.add(flow(k, bytes_per_flow));
     }
     set
+}
+
+fn sharded(shards: usize) -> RunOptions<'static> {
+    RunOptions { shards, ..RunOptions::default() }
 }
 
 fn striped() -> StripedTransfer {
@@ -96,15 +94,17 @@ fn digest(run: RunReport) -> u64 {
 #[test]
 fn clean_transfer_set_report_is_pinned_on_every_kernel() {
     for shards in [0usize, 1, 2, 4] {
-        let got = digest(transfer_set(false).run(shards).1);
+        let got = digest(transfer_set(BYTES_PER_FLOW).run_with(&sharded(shards)).1);
         assert_eq!(got, PINNED_CLEAN, "{shards} shards: digest {got:#018x}");
     }
 }
 
 #[test]
 fn degraded_transfer_set_report_is_pinned_on_every_kernel() {
+    let plan = degraded_plan(1999, "t0.hop3");
     for shards in [0usize, 1, 2, 4] {
-        let (_, run) = transfer_set(true).run(shards);
+        let opts = RunOptions { faults: Some(&plan), ..sharded(shards) };
+        let (_, run) = transfer_set(DEGRADED_BYTES_PER_FLOW).run_with(&opts);
         let lossy = run.hops.iter().find(|h| h.label == "t0.hop3").expect("t0.hop3 is registered");
         assert!(
             lossy.stats.dropped_loss > 0 && lossy.stats.dropped_outage > 0,
@@ -118,7 +118,7 @@ fn degraded_transfer_set_report_is_pinned_on_every_kernel() {
 #[test]
 fn striped_transfer_report_is_pinned_on_every_kernel() {
     for shards in [0usize, 1, 2, 4] {
-        let got = digest(striped().run_with_report(shards).1);
+        let got = digest(striped().run_with(&sharded(shards)).1);
         assert_eq!(got, PINNED_STRIPED, "{shards} shards: digest {got:#018x}");
     }
 }
@@ -133,7 +133,8 @@ fn striped_transfer_cut_at_a_horizon_is_pinned() {
     let plan = degraded_plan(1999, "hop3");
     let got = (1..=40u64).fold(FNV_OFFSET, |h, k| {
         let horizon = SimTime::from_micros(1370 * k);
-        fold(h, striped().run_faulted(0, &plan, horizon).1)
+        let opts = RunOptions { faults: Some(&plan), horizon: Some(horizon), ..sharded(0) };
+        fold(h, striped().run_with(&opts).1)
     });
     assert_eq!(got, PINNED_STRIPED_CUT, "digest {got:#018x}");
 }
