@@ -350,12 +350,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    self.pos += c.len_utf8();
-                    out.push(c);
+                    // The unescaped run up to the next quote or backslash
+                    // (neither byte occurs inside a multi-byte scalar),
+                    // validated once: per character it was quadratic.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.map_err(|e| e.to_string())?);
                 }
             }
         }
@@ -483,7 +486,7 @@ mod tests {
     #[test]
     fn parse_round_trips_emitted_documents() {
         let doc = Json::obj([
-            ("name", Json::from("hop\"0\n")),
+            ("name", Json::from("hop\"0\n µs→\\ü")),
             ("n", Json::from(-3i64)),
             ("x", Json::from(2.5)),
             ("whole", Json::from(4.0)),
@@ -496,6 +499,13 @@ mod tests {
             // Num(4.0) survives as a float thanks to the ".0" suffix.
             assert_eq!(back, doc, "{text}");
         }
+    }
+
+    /// Trace-sized: minutes while each character re-validated the rest.
+    #[test]
+    fn parse_time_is_linear_in_the_document() {
+        let doc = Json::Arr((0..50_000).map(|i| Json::from(format!("span {i} µs"))).collect());
+        assert_eq!(Json::parse(&doc.dump()).expect("parses"), doc);
     }
 
     #[test]

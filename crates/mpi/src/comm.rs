@@ -13,10 +13,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use crate::envelope::{Datatype, Envelope, Payload, Tag, ANY_SOURCE};
+use crate::envelope::{Envelope, Payload, Tag, ANY_SOURCE};
 use crate::error::{CommError, CommResult, FailCause};
 use crate::machine::{CommCost, FabricSpec, MachineSpec, Placement};
 use crate::mailbox::{ClaimOutcome, Mailbox, SrcFilter};
@@ -104,14 +103,16 @@ fn local_rank(group: &[usize], global: usize) -> Option<usize> {
     group.iter().position(|&g| g == global)
 }
 
-/// The global id a receive or probe on `src` matches ([`ANY_SOURCE`]
-/// passes through).
-fn source_global(group: &[usize], src: usize) -> usize {
+/// The senders a receive or probe on `src` admits: one peer of `group`,
+/// or for [`ANY_SOURCE`] all of them — and nobody else, so mail for
+/// another handle on the same rank (a child's, an attached peer's) is
+/// left in the mailbox for that handle.
+fn source_filter(group: &[usize], src: usize) -> SrcFilter<'_> {
     if src == ANY_SOURCE {
-        return ANY_SOURCE;
+        return SrcFilter::OneOf(group);
     }
     assert!(src < group.len(), "source {src} out of range");
-    group[src]
+    SrcFilter::Exact(group[src])
 }
 
 /// The checks every user-level send makes, on either communicator kind.
@@ -136,9 +137,10 @@ fn deliver(universe: &UniverseInner, wait: Wait, dst: usize, env: Envelope) -> C
     Ok(())
 }
 
-/// Trace a completed receive from local rank `source` and build its
-/// [`Status`].
-fn received(universe: &UniverseInner, source: usize, env: Envelope) -> (Envelope, Status) {
+/// Trace a completed receive of `env` and build its [`Status`].
+fn received(universe: &UniverseInner, group: &[usize], env: Envelope) -> (Envelope, Status) {
+    // Cannot fire: `env` was claimed through a `source_filter` over `group`.
+    let source = local_rank(group, env.src).expect("the source filter admits group members only");
     universe.trace.record(env.dst, EventKind::Recv, Some(env.src), env.byte_len() as u64);
     let status = Status { source, tag: env.tag, bytes: env.byte_len() };
     (env, status)
@@ -175,46 +177,35 @@ fn hang_until_detected(universe: &UniverseInner, global: usize) {
 
 /// Typed point-to-point messaging, the same on a [`Comm`] (peers are the
 /// other ranks of the communicator) and an [`InterComm`] (peers are the
-/// remote group). A communicator kind supplies the four byte-level
-/// operations; the typed layer on top of them exists once, here.
+/// remote group). A communicator kind supplies the two sends and the two
+/// envelope receives; the typed receives on top of them exist once, here.
 pub trait PointToPoint {
-    /// Send raw bytes with an explicit datatype tag to peer `dst`.
-    /// Panics if `dst` is out of range or `tag` lies in the tag space
-    /// reserved for collectives.
-    fn send_bytes(&self, dst: usize, tag: Tag, datatype: Datatype, data: Bytes);
+    /// Send a slice of any [`Payload`] element type to peer `dst`, copied
+    /// once: into the envelope the receiver takes it out of. Panics if
+    /// `dst` is out of range or `tag` is reserved for collectives.
+    fn send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]);
 
-    /// Blocking receive; `src` may be [`ANY_SOURCE`], `tag` may be
-    /// [`crate::envelope::ANY_TAG`]. Returns the envelope and a [`Status`].
+    /// Blocking receive; `src` may be [`ANY_SOURCE`] (any peer — mail
+    /// from outside the peer group is left for the handle it belongs
+    /// to), `tag` may be [`crate::envelope::ANY_TAG`]. Returns the
+    /// envelope and a [`Status`].
     fn recv_envelope(&self, src: usize, tag: Tag) -> (Envelope, Status);
 
-    /// Failure-aware send: fails fast with [`CommError::RankFailed`]
-    /// when `dst` is dead instead of filling a poisoned mailbox. Same
-    /// range and tag checks as [`PointToPoint::send_bytes`].
-    fn try_send_bytes(
-        &self,
-        dst: usize,
-        tag: Tag,
-        datatype: Datatype,
-        data: Bytes,
-    ) -> CommResult<()>;
+    /// Failure-aware [`PointToPoint::send`], same checks: fails fast with
+    /// [`CommError::RankFailed`] when `dst` is dead instead of filling a
+    /// poisoned mailbox.
+    fn try_send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()>;
 
     /// Receive with an optional wall-clock timeout and failure
     /// awareness: [`CommError::RankFailed`] when the awaited peer (for a
     /// wildcard receive: every peer) dies mid-wait, [`CommError::Timeout`]
-    /// when the deadline passes. Wildcard receives skip envelopes from
-    /// outside the peer group (stale mail from dead worlds) instead of
-    /// panicking on them.
+    /// when the deadline passes.
     fn recv_timeout(
         &self,
         src: usize,
         tag: Tag,
         timeout: Option<Duration>,
     ) -> CommResult<(Envelope, Status)>;
-
-    /// Send a slice of any [`Payload`] element type.
-    fn send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) {
-        self.send_bytes(dst, tag, T::DATATYPE, T::encode(data));
-    }
 
     /// Receive a slice of `T`. A message of another datatype is a bug
     /// and panics, as [`Envelope::payload`] documents.
@@ -223,13 +214,8 @@ pub trait PointToPoint {
         (env.payload(), status)
     }
 
-    /// Failure-aware typed send.
-    fn try_send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
-        self.try_send_bytes(dst, tag, T::DATATYPE, T::encode(data))
-    }
-
-    /// Failure-aware typed receive with timeout. A message that cannot
-    /// be read as `T`s is consumed and reported as
+    /// Failure-aware typed receive with timeout. A message of another
+    /// datatype is consumed and reported as
     /// [`CommError::Datatype`]: the rank returns instead of aborting.
     fn try_recv<T: Payload>(
         &self,
@@ -290,6 +276,8 @@ pub struct Comm {
     my_local: usize,
     placement: Arc<Placement>,
     shared: Arc<CommShared>,
+    /// This rank's own mailbox, fetched from the universe once.
+    mailbox: Mailbox,
     parent: Option<Arc<ParentLink>>,
     coll_seq: Cell<u64>,
     derive_seq: Cell<u64>,
@@ -311,6 +299,7 @@ impl Comm {
         parent: Option<(Arc<Vec<usize>>, FabricSpec)>,
     ) -> Self {
         Comm {
+            mailbox: universe.mailbox(group[my_local]),
             universe,
             group,
             my_local,
@@ -348,10 +337,6 @@ impl Comm {
         *self.shared.costs[self.my_local].lock()
     }
 
-    fn mailbox(&self) -> Mailbox {
-        self.universe.mailbox(self.global_id())
-    }
-
     fn record(&self, kind: EventKind, bytes: u64) {
         self.universe.trace.record(self.global_id(), kind, None, bytes);
     }
@@ -379,35 +364,28 @@ impl Comm {
     /// on another thread can do that at any time, and a message posted by
     /// a dead rank is an envelope the survivors never claim (their
     /// collective aborts on the failure), leaking a mailbox slot.
-    fn post(
-        &self,
-        wait: Wait,
-        dst: usize,
-        tag: Tag,
-        datatype: Datatype,
-        data: Bytes,
-    ) -> CommResult<()> {
+    fn post<T: Payload>(&self, wait: Wait, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
         if wait.guarded() && self.universe.is_failed(self.global_id()).is_some() {
             return Err(CommError::RankFailed { rank: self.my_local });
         }
-        let bytes = data.len() as u64;
-        let env = Envelope { src: self.global_id(), dst: self.group[dst], tag, datatype, data };
+        let env = Envelope::new(self.global_id(), self.group[dst], tag, data.to_vec());
+        let bytes = env.byte_len() as u64;
         deliver(&self.universe, wait, dst, env)?;
         self.charge(wait, dst, bytes);
         Ok(())
     }
 
-    /// Post `payload` to every rank of `dsts` but this one, in order.
-    fn post_each(
+    /// Post `data` to every rank of `dsts` but this one, in order: each
+    /// gets its own copy of the slice, the one copy its message costs.
+    fn post_each<T: Payload>(
         &self,
         wait: Wait,
         dsts: impl IntoIterator<Item = usize>,
         tag: Tag,
-        datatype: Datatype,
-        payload: &Bytes,
+        data: &[T],
     ) -> CommResult<()> {
         for dst in dsts.into_iter().filter(|&dst| dst != self.my_local) {
-            self.post(wait, dst, tag, datatype, payload.clone())?;
+            self.post(wait, dst, tag, data)?;
         }
         Ok(())
     }
@@ -424,7 +402,7 @@ impl Comm {
         awaited: Option<usize>,
         lost: impl Fn() -> bool,
     ) -> CommResult<Envelope> {
-        match self.mailbox().claim_deadline(from, tag, deadline, || self.is_revoked() || lost()) {
+        match self.mailbox.claim_deadline(from, tag, deadline, || self.is_revoked() || lost()) {
             ClaimOutcome::Ready(env) => Ok(env),
             ClaimOutcome::TimedOut => Err(CommError::Timeout),
             ClaimOutcome::Aborted => Err(self.abort_error(awaited)),
@@ -435,19 +413,16 @@ impl Comm {
     /// or from any member — and charge it. Returns it with its sender's
     /// local rank.
     fn claim(&self, wait: Wait, src: Option<usize>, tag: Tag) -> CommResult<(usize, Envelope)> {
+        let from = source_filter(&self.group, src.unwrap_or(ANY_SOURCE));
         let env = match wait {
-            Wait::Blocking => self.mailbox().claim(src.map_or(ANY_SOURCE, |s| self.group[s]), tag),
+            Wait::Blocking => self.mailbox.claim(from, tag),
             Wait::Guarded(deadline) => {
-                let from = match src {
-                    Some(s) => SrcFilter::Exact(self.group[s]),
-                    None => SrcFilter::OneOf(&self.group),
-                };
                 self.claim_guarded(from, tag, deadline, src, || self.any_member_failed())?
             }
         };
+        // Cannot fire: `from` admits members of the group only.
         let sender = src.unwrap_or_else(|| {
-            local_rank(&self.group, env.src)
-                .expect("collective message from outside the communicator")
+            local_rank(&self.group, env.src).expect("the source filter admits group members only")
         });
         self.charge(wait, sender, env.byte_len() as u64);
         Ok((sender, env))
@@ -458,7 +433,7 @@ impl Comm {
     }
 
     /// Claim one collective message on `tag` from each of `count`
-    /// members, in arrival order; the decoded payloads come back indexed
+    /// members, in arrival order; the typed payloads come back indexed
     /// by the sender's local rank.
     fn claim_each<T: Payload>(
         &self,
@@ -489,7 +464,7 @@ impl Comm {
 
     /// Non-blocking probe for a matching message.
     pub fn probe(&self, src: usize, tag: Tag) -> bool {
-        self.mailbox().probe(source_global(&self.group, src), tag)
+        self.mailbox.probe(source_filter(&self.group, src), tag)
     }
 
     // The four names `gtw-benchmark/src/adapter.rs` pins. That crate is
@@ -586,7 +561,7 @@ impl Comm {
         if self.rank() != root {
             return Ok(self.claim_from(wait, root, tag)?.payload());
         }
-        self.post_each(wait, 0..self.size(), tag, T::DATATYPE, &T::encode(data))?;
+        self.post_each(wait, 0..self.size(), tag, data)?;
         Ok(data.to_vec())
     }
 
@@ -607,7 +582,7 @@ impl Comm {
         contrib: &[f64],
     ) -> CommResult<Option<Vec<f64>>> {
         if self.rank() != root {
-            self.post(wait, root, tag, Datatype::F64, f64::encode(contrib))?;
+            self.post(wait, root, tag, contrib)?;
             return Ok(None);
         }
         let mut parts = self.claim_each::<f64>(wait, tag, self.size() - 1)?;
@@ -662,7 +637,7 @@ impl Comm {
     pub fn gather<T: Payload>(&self, root: usize, contrib: &[T]) -> Option<Vec<Vec<T>>> {
         let tag = self.begin_collective();
         if self.rank() != root {
-            infallible(self.post(Wait::Blocking, root, tag, T::DATATYPE, T::encode(contrib)));
+            infallible(self.post(Wait::Blocking, root, tag, contrib));
             return None;
         }
         let mut parts = infallible(self.claim_each(Wait::Blocking, tag, self.size() - 1));
@@ -679,7 +654,7 @@ impl Comm {
         }
         assert_eq!(parts.len(), self.size(), "scatter needs one part per rank");
         for (dst, part) in parts.iter().enumerate().filter(|&(dst, _)| dst != root) {
-            infallible(self.post(Wait::Blocking, dst, tag, T::DATATYPE, T::encode(part)));
+            infallible(self.post(Wait::Blocking, dst, tag, part));
         }
         parts[root].clone()
     }
@@ -690,7 +665,7 @@ impl Comm {
         assert_eq!(parts.len(), self.size(), "alltoall needs one part per rank");
         let tag = self.begin_collective();
         for (dst, part) in parts.iter().enumerate().filter(|&(dst, _)| dst != self.rank()) {
-            infallible(self.post(Wait::Blocking, dst, tag, T::DATATYPE, T::encode(part)));
+            infallible(self.post(Wait::Blocking, dst, tag, part));
         }
         let mut out = infallible(self.claim_each(Wait::Blocking, tag, self.size() - 1));
         out[self.rank()] = Some(parts[self.rank()].clone());
@@ -745,21 +720,20 @@ impl Comm {
         let (root_site, my_site) = (topo.site_of(root), topo.site_of(me));
         let my_members = topo.sites()[my_site].members.iter().copied();
         if me == root {
-            let payload = T::encode(data);
             // One WAN send per foreign site's leader, then the root's own site.
             let sites = topo.sites().iter().enumerate();
             let foreign = sites.filter(|&(s, _)| s != root_site).map(|(_, site)| site.leader);
-            self.post_each(wait, foreign, tag, T::DATATYPE, &payload)?;
-            self.post_each(wait, my_members, tag, T::DATATYPE, &payload)?;
+            self.post_each(wait, foreign, tag, data)?;
+            self.post_each(wait, my_members, tag, data)?;
             return Ok(data.to_vec());
         }
         let relays = my_site != root_site && topo.is_leader(me);
         let from = if relays || my_site == root_site { root } else { topo.leader_of(me) };
-        let env = self.claim_from(wait, from, tag)?;
+        let data: Vec<T> = self.claim_from(wait, from, tag)?.payload();
         if relays {
-            self.post_each(wait, my_members, tag, env.datatype, &env.data)?;
+            self.post_each(wait, my_members, tag, &data)?;
         }
-        Ok(env.payload())
+        Ok(data)
     }
 
     /// Topology-aware allreduce: intra-site reduce to each leader, one
@@ -801,7 +775,7 @@ impl Comm {
         let me = self.rank();
         let my_leader = topo.leader_of(me);
         if me != my_leader {
-            self.post(wait, my_leader, up, Datatype::F64, f64::encode(contrib))?;
+            self.post(wait, my_leader, up, contrib)?;
             return Ok(self.claim_from(wait, my_leader, down)?.payload());
         }
         // Phase 1: intra-site reduce to the site leader, folding member
@@ -828,14 +802,14 @@ impl Comm {
                 op,
                 leaders.clone().map(|l| partials[l].take().expect("every site reported")),
             );
-            self.post_each(wait, leaders, across, Datatype::F64, &f64::encode(&total))?;
+            self.post_each(wait, leaders, across, &total)?;
             total
         } else {
-            self.post(wait, global_leader, across, Datatype::F64, f64::encode(&site_partial))?;
+            self.post(wait, global_leader, across, &site_partial)?;
             self.claim_from(wait, global_leader, across)?.payload()
         };
         // Phase 3: intra-site re-broadcast from each leader.
-        self.post_each(wait, members.iter().copied(), down, Datatype::F64, &f64::encode(&total))?;
+        self.post_each(wait, members.iter().copied(), down, &total)?;
         Ok(total)
     }
 
@@ -866,9 +840,9 @@ impl Comm {
         let topo = self.topology();
         let me = self.rank();
         let my_leader = topo.leader_of(me);
-        let token = Bytes::new();
+        let token: &[u8] = &[];
         if me != my_leader {
-            self.post(wait, my_leader, up, Datatype::U8, token)?;
+            self.post(wait, my_leader, up, token)?;
             self.claim_from(wait, my_leader, down)?;
         } else {
             let members = &topo.sites()[topo.site_of(me)].members;
@@ -877,12 +851,12 @@ impl Comm {
             if me == global_leader {
                 self.claim_each::<u8>(wait, across, topo.num_sites() - 1)?;
                 let leaders = topo.sites().iter().map(|site| site.leader);
-                self.post_each(wait, leaders, down, Datatype::U8, &token)?;
+                self.post_each(wait, leaders, down, token)?;
             } else {
-                self.post(wait, global_leader, across, Datatype::U8, token.clone())?;
+                self.post(wait, global_leader, across, token)?;
                 self.claim_from(wait, global_leader, down)?;
             }
-            self.post_each(wait, members.iter().copied(), down, Datatype::U8, &token)?;
+            self.post_each(wait, members.iter().copied(), down, token)?;
         }
         self.record(EventKind::Barrier, 0);
         Ok(())
@@ -894,14 +868,21 @@ impl Comm {
     /// [`RecvRequest`] that can be tested or waited on. Sends are always
     /// nonblocking (eager) in this implementation, so no send request
     /// type is needed.
-    pub fn irecv(&self, src: usize, tag: Tag) -> RecvRequest {
+    pub fn irecv(&self, src: usize, tag: Tag) -> RecvRequest<'_> {
         RecvRequest {
-            mailbox: self.mailbox(),
-            group: Arc::clone(&self.group),
-            src_global: source_global(&self.group, src),
+            comm: self,
+            from: source_filter(&self.group, src),
             tag,
             done: Cell::new(false),
         }
+    }
+
+    /// Complete a user-level receive of `env`, however it was claimed:
+    /// charged, traced, with its [`Status`].
+    fn accept(&self, wait: Wait, env: Envelope) -> (Envelope, Status) {
+        let (env, status) = received(&self.universe, &self.group, env);
+        self.charge(wait, status.source, status.bytes as u64);
+        (env, status)
     }
 
     // ----- derived communicators -------------------------------------------
@@ -983,6 +964,7 @@ impl Comm {
         InterComm {
             universe: Arc::clone(&self.universe),
             my_global: self.global_id(),
+            mailbox: self.mailbox.clone(),
             remote_group,
             wan,
         }
@@ -1160,29 +1142,20 @@ impl Comm {
 }
 
 impl PointToPoint for Comm {
-    fn send_bytes(&self, dst: usize, tag: Tag, datatype: Datatype, data: Bytes) {
+    fn send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) {
         check_send(dst, self.size(), tag);
-        infallible(self.post(Wait::Blocking, dst, tag, datatype, data));
+        infallible(self.post(Wait::Blocking, dst, tag, data));
     }
 
     fn recv_envelope(&self, src: usize, tag: Tag) -> (Envelope, Status) {
-        let env = self.mailbox().claim(source_global(&self.group, src), tag);
-        let source = local_rank(&self.group, env.src)
-            .expect("message from outside this communicator (use the InterComm handle)");
-        self.charge(Wait::Blocking, source, env.byte_len() as u64);
-        received(&self.universe, source, env)
+        let env = self.mailbox.claim(source_filter(&self.group, src), tag);
+        self.accept(Wait::Blocking, env)
     }
 
-    fn try_send_bytes(
-        &self,
-        dst: usize,
-        tag: Tag,
-        datatype: Datatype,
-        data: Bytes,
-    ) -> CommResult<()> {
+    fn try_send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
         check_send(dst, self.size(), tag);
         self.check_health()?;
-        self.post(Wait::Guarded(None), dst, tag, datatype, data)
+        self.post(Wait::Guarded(None), dst, tag, data)
     }
 
     /// Also fails with [`CommError::Revoked`] once the communicator is
@@ -1195,17 +1168,14 @@ impl PointToPoint for Comm {
     ) -> CommResult<(Envelope, Status)> {
         self.check_health()?;
         let deadline = timeout.map(|t| Instant::now() + t);
+        let from = source_filter(&self.group, src);
         let env = if src == ANY_SOURCE {
-            let lost = || self.all_peers_failed();
-            self.claim_guarded(SrcFilter::OneOf(&self.group), tag, deadline, None, lost)?
+            self.claim_guarded(from, tag, deadline, None, || self.all_peers_failed())?
         } else {
-            let src_global = source_global(&self.group, src);
-            let lost = || self.universe.is_failed(src_global).is_some();
-            self.claim_guarded(SrcFilter::Exact(src_global), tag, deadline, Some(src), lost)?
+            let lost = || self.universe.is_failed(self.group[src]).is_some();
+            self.claim_guarded(from, tag, deadline, Some(src), lost)?
         };
-        let source = local_rank(&self.group, env.src).expect("SrcFilter only admits group members");
-        self.charge(Wait::Guarded(deadline), source, env.byte_len() as u64);
-        Ok(received(&self.universe, source, env))
+        Ok(self.accept(Wait::Guarded(deadline), env))
     }
 }
 
@@ -1215,6 +1185,8 @@ impl PointToPoint for Comm {
 pub struct InterComm {
     universe: Arc<UniverseInner>,
     my_global: usize,
+    /// This rank's own mailbox (the one its [`Comm`] claims from too).
+    mailbox: Mailbox,
     remote_group: Arc<Vec<usize>>,
     wan: FabricSpec,
 }
@@ -1232,7 +1204,7 @@ impl InterComm {
 
     /// Non-blocking probe on the remote group.
     pub fn probe(&self, src: usize, tag: Tag) -> bool {
-        self.universe.mailbox(self.my_global).probe(source_global(&self.remote_group, src), tag)
+        self.mailbox.probe(source_filter(&self.remote_group, src), tag)
     }
 
     /// Local indices of remote ranks declared failed, ascending.
@@ -1243,9 +1215,9 @@ impl InterComm {
             .collect()
     }
 
-    fn envelope(&self, dst: usize, tag: Tag, datatype: Datatype, data: Bytes) -> Envelope {
+    fn envelope<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> Envelope {
         check_send(dst, self.remote_size(), tag);
-        Envelope { src: self.my_global, dst: self.remote_group[dst], tag, datatype, data }
+        Envelope::new(self.my_global, self.remote_group[dst], tag, data.to_vec())
     }
 }
 
@@ -1254,27 +1226,18 @@ impl InterComm {
 /// rank's *global* id; every other `rank` is an index within the remote
 /// group.
 impl PointToPoint for InterComm {
-    fn send_bytes(&self, dst: usize, tag: Tag, datatype: Datatype, data: Bytes) {
-        let env = self.envelope(dst, tag, datatype, data);
+    fn send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) {
+        let env = self.envelope(dst, tag, data);
         infallible(deliver(&self.universe, Wait::Blocking, dst, env));
     }
 
     fn recv_envelope(&self, src: usize, tag: Tag) -> (Envelope, Status) {
-        let src_global = source_global(&self.remote_group, src);
-        let env = self.universe.mailbox(self.my_global).claim(src_global, tag);
-        let source =
-            local_rank(&self.remote_group, env.src).expect("message from outside the remote group");
-        received(&self.universe, source, env)
+        let env = self.mailbox.claim(source_filter(&self.remote_group, src), tag);
+        received(&self.universe, &self.remote_group, env)
     }
 
-    fn try_send_bytes(
-        &self,
-        dst: usize,
-        tag: Tag,
-        datatype: Datatype,
-        data: Bytes,
-    ) -> CommResult<()> {
-        let env = self.envelope(dst, tag, datatype, data);
+    fn try_send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
+        let env = self.envelope(dst, tag, data);
         check_alive(&self.universe, self.my_global, self.my_global)?;
         deliver(&self.universe, Wait::Guarded(None), dst, env)
     }
@@ -1287,23 +1250,13 @@ impl PointToPoint for InterComm {
     ) -> CommResult<(Envelope, Status)> {
         check_alive(&self.universe, self.my_global, self.my_global)?;
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mailbox = self.universe.mailbox(self.my_global);
-        let outcome = if src == ANY_SOURCE {
-            mailbox.claim_deadline(SrcFilter::OneOf(&self.remote_group), tag, deadline, || {
-                self.failed_remote_ranks().len() == self.remote_size()
-            })
-        } else {
-            let src_global = source_global(&self.remote_group, src);
-            mailbox.claim_deadline(SrcFilter::Exact(src_global), tag, deadline, || {
-                self.universe.is_failed(src_global).is_some()
-            })
-        };
+        let from = source_filter(&self.remote_group, src);
+        let outcome = self.mailbox.claim_deadline(from, tag, deadline, || match from {
+            SrcFilter::Exact(global) => self.universe.is_failed(global).is_some(),
+            _ => self.failed_remote_ranks().len() == self.remote_size(),
+        });
         match outcome {
-            ClaimOutcome::Ready(env) => {
-                let source = local_rank(&self.remote_group, env.src)
-                    .expect("SrcFilter only admits remote-group members");
-                Ok(received(&self.universe, source, env))
-            }
+            ClaimOutcome::Ready(env) => Ok(received(&self.universe, &self.remote_group, env)),
             ClaimOutcome::TimedOut => Err(CommError::Timeout),
             ClaimOutcome::Aborted if src == ANY_SOURCE => Err(CommError::RankFailed {
                 rank: self.failed_remote_ranks().first().copied().unwrap_or(0),
@@ -1313,44 +1266,37 @@ impl PointToPoint for InterComm {
     }
 }
 
-/// A pending nonblocking receive.
-pub struct RecvRequest {
-    mailbox: Mailbox,
-    group: Arc<Vec<usize>>,
-    src_global: usize,
+/// A pending nonblocking receive on a [`Comm`].
+pub struct RecvRequest<'a> {
+    comm: &'a Comm,
+    from: SrcFilter<'a>,
     tag: Tag,
     done: Cell<bool>,
 }
 
-impl RecvRequest {
+impl RecvRequest<'_> {
     /// Nonblocking completion test (like `MPI_Test`): returns the
-    /// message if it has arrived.
+    /// message if it has arrived, charged and traced as a
+    /// [`PointToPoint::recv_envelope`] of it would be.
     pub fn test(&self) -> Option<(Envelope, Status)> {
         assert!(!self.done.get(), "request already completed");
-        let env = self.mailbox.try_claim(self.src_global, self.tag)?;
+        let env = self.comm.mailbox.try_claim(self.from, self.tag)?;
         self.done.set(true);
-        Some(self.status_of(env))
+        Some(self.comm.accept(Wait::Blocking, env))
     }
 
     /// Block until the message arrives (like `MPI_Wait`).
     pub fn wait(self) -> (Envelope, Status) {
         assert!(!self.done.get(), "request already completed");
-        let env = self.mailbox.claim(self.src_global, self.tag);
-        self.done.set(true);
-        self.status_of(env)
-    }
-
-    fn status_of(&self, env: Envelope) -> (Envelope, Status) {
-        let source =
-            local_rank(&self.group, env.src).expect("message from outside this communicator");
-        let st = Status { source, tag: env.tag, bytes: env.byte_len() };
-        (env, st)
+        let env = self.comm.mailbox.claim(self.from, self.tag);
+        self.comm.accept(Wait::Blocking, env)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{Datatype, ANY_TAG};
     use crate::machine::{FabricSpec, MachineSpec, Placement};
     use crate::universe::Universe;
 
@@ -1576,27 +1522,70 @@ mod tests {
         }
     }
 
+    /// Receives posted before their messages exist complete by `test()`
+    /// and `wait()`, costed and traced exactly like blocking receives.
     #[test]
     fn irecv_test_and_wait() {
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                // Post the receive before the message exists; poll via
-                // test() and fall back to wait() — whichever completes
-                // first consumes the request.
-                let req = comm.irecv(1, Tag(5));
-                let (env, st) = match req.test() {
-                    Some(done) => done,
-                    None => req.wait(),
+        let run = |nonblocking: bool| {
+            let u = Universe::traced();
+            let costs = u.launch_and_join(t3e_sp2(2, 1), move |comm| {
+                let peer = 1 - comm.rank();
+                let posted = nonblocking.then(|| {
+                    let first = comm.irecv(peer, Tag(1));
+                    assert!(first.test().is_none(), "the barrier holds every send back");
+                    (first, comm.irecv(ANY_SOURCE, Tag(2)))
+                });
+                comm.barrier();
+                comm.send(peer, Tag(1), &[0.5f32; 100]);
+                comm.barrier();
+                comm.send(peer, Tag(2), &[7u8; 3]);
+                let got = match posted {
+                    Some((first, second)) => {
+                        [first.test().expect("sent before the barrier"), second.wait()]
+                    }
+                    None => {
+                        [comm.recv_envelope(peer, Tag(1)), comm.recv_envelope(ANY_SOURCE, Tag(2))]
+                    }
                 };
-                assert_eq!(st.source, 1);
-                env.payload::<u64>()[0]
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                comm.send(0, Tag(5), &[99u64]);
-                0
+                assert_eq!(got.map(|(_, st)| (st.source, st.bytes)), [(peer, 400), (peer, 3)]);
+                let c = comm.comm_cost();
+                ([c.seconds, c.intra_seconds, c.wan_seconds].map(f64::to_bits), c.messages, c.bytes)
+            });
+            (costs, format!("{:?}", u.trace().summary(u.total_ranks())))
+        };
+        let (blocking, nonblocking) = (run(false), run(true));
+        assert_eq!(blocking, nonblocking);
+        assert!(blocking.0.iter().all(|&(_, messages, bytes)| (messages, bytes) == (4, 806)));
+        assert!(blocking.1.contains("recvs: [2, 2]"), "{}", blocking.1);
+    }
+
+    /// A wildcard receive on the world communicator must not take a
+    /// spawned child's message: that belongs to the inter-communicator.
+    #[test]
+    fn wildcard_recv_leaves_a_childs_message_for_the_intercomm() {
+        let out = Universe::run(2, |comm| {
+            if comm.rank() == 1 {
+                comm.barrier();
+                comm.send(0, Tag(7), &[1u64]);
+                return (0, 0);
             }
+            let t3e = MachineSpec::new("T3E", FabricSpec::t3e_torus());
+            let kids = comm.spawn(1, t3e, FabricSpec::wan_testbed(), |child| {
+                child.parent().expect("child has a parent").send(0, Tag(7), &[2u64]);
+            });
+            // The child's message is queued first, ahead of rank 1's.
+            while !kids.probe(0, Tag(7)) {
+                std::thread::yield_now();
+            }
+            assert!(!comm.probe(ANY_SOURCE, Tag(7)), "a child is not a member");
+            comm.barrier();
+            let (world, st) = comm.recv::<u64>(ANY_SOURCE, ANY_TAG);
+            assert_eq!(st.source, 1);
+            let (child, st) = kids.recv::<u64>(ANY_SOURCE, ANY_TAG);
+            assert_eq!(st.source, 0);
+            (world[0], child[0])
         });
-        assert_eq!(out[0], 99);
+        assert_eq!(out[0], (1, 2));
     }
 
     #[test]
@@ -1732,7 +1721,7 @@ mod tests {
             let on_intercomm = rejected(&kids, |src, tag| kids.probe(src, tag));
             // Nothing was posted: a reserved tag from the other world can
             // no longer be matched by this rank's next collective.
-            assert!(!kids.probe(ANY_SOURCE, crate::envelope::ANY_TAG));
+            assert!(!kids.probe(ANY_SOURCE, ANY_TAG));
             (on_comm, on_intercomm)
         });
         let expect = [
@@ -1746,10 +1735,10 @@ mod tests {
         assert_eq!(out[0].1, expect, "InterComm");
     }
 
-    /// One message of another datatype and one ragged one, to peer 0.
+    /// Two messages that are not `f64`s — other element size, same — to peer 0.
     fn send_unreadable<P: PointToPoint>(p: &P) {
-        p.send(0, Tag(1), &[1u64]);
-        p.send_bytes(0, Tag(2), Datatype::F64, Bytes::from(vec![0u8; 7]));
+        p.send(0, Tag(1), &[1u8; 3]);
+        p.send(0, Tag(2), &[1u64, 2]);
     }
 
     fn unreadable_errors<P: PointToPoint>(p: &P) -> [CommError; 2] {
@@ -1765,47 +1754,22 @@ mod tests {
             let kids = comm.spawn(1, t3e, FabricSpec::wan_testbed(), |child| {
                 send_unreadable(&child.parent().expect("child has a parent"));
             });
-            (unreadable_errors(&comm), unreadable_errors(&kids))
+            let errors = (unreadable_errors(&comm), unreadable_errors(&kids));
+            // Consumed, not left to be hit again:
+            assert!(!comm.probe(ANY_SOURCE, ANY_TAG) && !kids.probe(ANY_SOURCE, ANY_TAG));
+            // The blocking receive of one is a bug, and panics.
+            comm.send(0, Tag(3), &[1u64]);
+            let fatal = panic_message(|| _ = comm.recv::<f64>(0, Tag(3)));
+            assert_eq!(fatal, "datatype mismatch: expected F64, envelope carries U64");
+            errors
         });
-        let f64s = Datatype::F64;
+        // `bytes` is the wire size: count × the *sender's* element size.
         let expect = [
-            CommError::Datatype { expected: f64s, found: Datatype::U64, bytes: 8 },
-            CommError::Datatype { expected: f64s, found: f64s, bytes: 7 },
+            CommError::Datatype { expected: Datatype::F64, found: Datatype::U8, bytes: 3 },
+            CommError::Datatype { expected: Datatype::F64, found: Datatype::U64, bytes: 16 },
         ];
         assert_eq!(out[0].0, expect, "Comm");
         assert_eq!(out[0].1, expect, "InterComm");
-    }
-
-    #[test]
-    fn intercomm_round_trips_every_element_type() {
-        fn echo<T: Payload>(parent: &InterComm, tag: Tag) {
-            let (data, _) = parent.recv::<T>(0, tag);
-            parent.try_send(0, tag, &data).expect("parent is alive");
-        }
-        fn round_trip<T: Payload>(kids: &InterComm, tag: Tag, data: &[T]) {
-            kids.send(0, tag, data);
-            let (back, st) = kids.try_recv::<T>(0, tag, None).expect("child is alive");
-            assert_eq!((st.source, st.tag), (0, tag));
-            assert!(T::encode(&back) == T::encode(data), "{:?} changed in flight", T::DATATYPE);
-        }
-        Universe::run(1, |comm| {
-            let t3e = MachineSpec::new("T3E", FabricSpec::t3e_torus());
-            let kids = comm.spawn(1, t3e, FabricSpec::wan_testbed(), |child| {
-                let parent = child.parent().expect("child has a parent");
-                echo::<u8>(&parent, Tag(1));
-                echo::<u64>(&parent, Tag(2));
-                echo::<i64>(&parent, Tag(3));
-                echo::<f32>(&parent, Tag(4));
-                echo::<f64>(&parent, Tag(5));
-                echo::<f64>(&parent, Tag(6));
-            });
-            round_trip(&kids, Tag(1), &[0u8, 7, 255]);
-            round_trip(&kids, Tag(2), &[0u64, u64::MAX]);
-            round_trip(&kids, Tag(3), &[i64::MIN, -1, i64::MAX]);
-            round_trip(&kids, Tag(4), &[-0.0f32, f32::NAN, 1e30]);
-            round_trip(&kids, Tag(5), &[-0.0f64, f64::from_bits(0x7ff8_dead_beef_0001), f64::MAX]);
-            round_trip::<f64>(&kids, Tag(6), &[]);
-        });
     }
 
     #[test]

@@ -2,12 +2,18 @@
 //!
 //! The MPI-2 language-interoperability requirement means a Fortran
 //! producer and a C consumer (or here: any two Rust components) must agree
-//! on the wire format. Payloads therefore carry a [`Datatype`] tag and are
-//! stored in a defined little-endian byte layout; [`Payload`] is that
-//! layout for the common scientific types, and
-//! [`Envelope::try_payload`] the one checked way back out of it.
+//! on what a message holds. Every envelope therefore carries a
+//! [`Datatype`] tag: the tag and [`Datatype::elem_bytes`] are the
+//! language-neutral description of the payload and the unit it is costed
+//! in — [`Envelope::byte_len`] is `count × elem_bytes`, the size the
+//! message would have on a wire, whatever the host stores. The buffer
+//! itself stays in host layout, as the sender's `Vec<T>`: every rank is a
+//! thread of one process, no rank is in another address space, and so a
+//! byte encoding would only be written to be read back. A message is
+//! copied once, out of the sender's slice; a receive checks the tag and
+//! takes the `Vec` ([`Envelope::try_payload`], the one checked way out).
 
-use bytes::Bytes;
+use std::any::Any;
 
 use crate::error::{CommError, CommResult};
 
@@ -25,13 +31,13 @@ pub const ANY_TAG: Tag = Tag(u32::MAX);
 pub enum Datatype {
     /// Raw bytes.
     U8,
-    /// Little-endian `u64`.
+    /// `u64`.
     U64,
-    /// Little-endian `i64`.
+    /// `i64`.
     I64,
-    /// Little-endian IEEE-754 `f32`.
+    /// IEEE-754 `f32`.
     F32,
-    /// Little-endian IEEE-754 `f64`.
+    /// IEEE-754 `f64`.
     F64,
 }
 
@@ -47,7 +53,7 @@ impl Datatype {
 }
 
 /// A message in flight.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Envelope {
     /// Sending rank (world index).
     pub src: usize,
@@ -55,108 +61,82 @@ pub struct Envelope {
     pub dst: usize,
     /// Tag.
     pub tag: Tag,
-    /// Element type of `data`.
-    pub datatype: Datatype,
-    /// Payload bytes (little-endian element layout).
-    pub data: Bytes,
+    // Private, because they must agree: `data` is a `Vec<T>` of `count`
+    // elements with `T::DATATYPE == datatype`.
+    datatype: Datatype,
+    count: usize,
+    data: Box<dyn Any + Send>,
 }
 
 impl Envelope {
-    /// Number of elements of the declared datatype.
-    pub fn count(&self) -> usize {
-        self.data.len() / self.datatype.elem_bytes()
+    /// An envelope of `data` from global id `src` to global id `dst`.
+    pub fn new<T: Payload>(src: usize, dst: usize, tag: Tag, data: Vec<T>) -> Self {
+        Envelope { src, dst, tag, datatype: T::DATATYPE, count: data.len(), data: Box::new(data) }
     }
 
-    /// Payload size in bytes.
+    /// Element type of the payload.
+    pub fn datatype(&self) -> Datatype {
+        self.datatype
+    }
+
+    /// Number of elements of the declared datatype.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Payload size in wire bytes: what [`crate::CommCost`], a
+    /// [`crate::Status`] and the trace charge for this message.
     pub fn byte_len(&self) -> usize {
-        self.data.len()
+        self.count * self.datatype.elem_bytes()
     }
 
     /// The payload as `T`s — the one place a receive checks the declared
-    /// datatype and decodes. Fails with [`CommError::Datatype`] when the
-    /// envelope declares another element type or its byte length is not a
-    /// whole number of elements.
-    pub fn try_payload<T: Payload>(&self) -> CommResult<Vec<T>> {
-        let unreadable = CommError::Datatype {
-            expected: T::DATATYPE,
-            found: self.datatype,
-            bytes: self.data.len(),
-        };
-        if self.datatype != T::DATATYPE {
-            return Err(unreadable);
+    /// datatype. Fails with [`CommError::Datatype`] when the envelope
+    /// holds another element type.
+    pub fn try_payload<T: Payload>(self) -> CommResult<Vec<T>> {
+        let (found, bytes) = (self.datatype, self.byte_len());
+        match self.data.downcast::<Vec<T>>() {
+            Ok(data) => Ok(*data),
+            Err(_) => Err(CommError::Datatype { expected: T::DATATYPE, found, bytes }),
         }
-        T::decode(&self.data).ok_or(unreadable)
     }
 
     /// [`Envelope::try_payload`] for the blocking API, where a datatype
     /// error is a bug and panics (matching MPI's `MPI_ERR_TYPE` fatality).
-    pub fn payload<T: Payload>(&self) -> Vec<T> {
+    pub fn payload<T: Payload>(self) -> Vec<T> {
         self.try_payload().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
-/// An element type that can travel in an [`Envelope`]: its [`Datatype`]
-/// tag and its defined little-endian byte layout.
-pub trait Payload: Copy {
+/// An element type that can travel in an [`Envelope`], and the
+/// [`Datatype`] tag that describes it to the receiver.
+pub trait Payload: Copy + Send + 'static {
     /// The tag an envelope of `Self` elements carries.
     const DATATYPE: Datatype;
-
-    /// Encode a slice to little-endian bytes.
-    fn encode(v: &[Self]) -> Bytes;
-
-    /// Decode little-endian bytes; `None` when the length is not a whole
-    /// number of elements.
-    fn decode(b: &Bytes) -> Option<Vec<Self>>;
 }
 
 impl Payload for u8 {
     const DATATYPE: Datatype = Datatype::U8;
-
-    fn encode(v: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(v)
-    }
-
-    fn decode(b: &Bytes) -> Option<Vec<u8>> {
-        Some(b.to_vec())
-    }
 }
-
-macro_rules! le_payload {
-    ($($t:ty => $datatype:ident),*) => {$(
-        impl Payload for $t {
-            const DATATYPE: Datatype = Datatype::$datatype;
-
-            fn encode(v: &[$t]) -> Bytes {
-                let mut out = Vec::with_capacity(std::mem::size_of_val(v));
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                Bytes::from(out)
-            }
-
-            fn decode(b: &Bytes) -> Option<Vec<$t>> {
-                const N: usize = std::mem::size_of::<$t>();
-                if b.len() % N != 0 {
-                    return None;
-                }
-                Some(
-                    b.chunks_exact(N)
-                        .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunk of N bytes")))
-                        .collect(),
-                )
-            }
-        }
-    )*};
+impl Payload for u64 {
+    const DATATYPE: Datatype = Datatype::U64;
 }
-
-le_payload!(u64 => U64, i64 => I64, f32 => F32, f64 => F64);
+impl Payload for i64 {
+    const DATATYPE: Datatype = Datatype::I64;
+}
+impl Payload for f32 {
+    const DATATYPE: Datatype = Datatype::F32;
+}
+impl Payload for f64 {
+    const DATATYPE: Datatype = Datatype::F64;
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip<T: Payload>(v: &[T]) -> Vec<T> {
-        T::decode(&T::encode(v)).expect("whole number of elements")
+        Envelope::new(0, 1, Tag(3), v.to_vec()).payload()
     }
 
     #[test]
@@ -179,36 +159,27 @@ mod tests {
         assert_eq!(roundtrip(&i), i);
     }
 
-    fn envelope(datatype: Datatype, data: Bytes) -> Envelope {
-        Envelope { src: 0, dst: 1, tag: Tag(3), datatype, data }
-    }
-
     #[test]
     fn envelope_counts() {
-        let e = envelope(Datatype::F64, f64::encode(&[1.0, 2.0, 3.0]));
-        assert_eq!(e.count(), 3);
-        assert_eq!(e.byte_len(), 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 8")]
-    fn misaligned_decode_panics() {
-        let _ = envelope(Datatype::F64, Bytes::from(vec![0u8; 7])).payload::<f64>();
+        let e = Envelope::new(0, 1, Tag(3), vec![1.0f64, 2.0, 3.0]);
+        assert_eq!((e.datatype(), e.count(), e.byte_len()), (Datatype::F64, 3, 24));
+        let e = Envelope::new(0, 1, Tag(3), Vec::<f32>::new());
+        assert_eq!((e.datatype(), e.count(), e.byte_len()), (Datatype::F32, 0, 0));
     }
 
     #[test]
     fn unreadable_payloads_are_typed_errors() {
-        let ragged = envelope(Datatype::F64, Bytes::from(vec![0u8; 7]));
+        let other = || Envelope::new(0, 1, Tag(3), vec![1u64, 2]);
         assert_eq!(
-            ragged.try_payload::<f64>(),
-            Err(CommError::Datatype { expected: Datatype::F64, found: Datatype::F64, bytes: 7 })
+            other().try_payload::<f64>(),
+            Err(CommError::Datatype { expected: Datatype::F64, found: Datatype::U64, bytes: 16 })
         );
-        let other = envelope(Datatype::U64, u64::encode(&[1]));
+        // Same element size, same bits, still another type.
         assert_eq!(
-            other.try_payload::<f64>(),
-            Err(CommError::Datatype { expected: Datatype::F64, found: Datatype::U64, bytes: 8 })
+            other().try_payload::<i64>(),
+            Err(CommError::Datatype { expected: Datatype::I64, found: Datatype::U64, bytes: 16 })
         );
-        assert_eq!(other.try_payload::<u64>(), Ok(vec![1]));
+        assert_eq!(other().try_payload::<u64>(), Ok(vec![1, 2]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! its infallible signatures — it is only correct when no process-fault
 //! plan is installed — while every `try_*` / `*_timeout` variant returns
 //! a [`CommError`] instead of blocking forever on a dead peer or
-//! aborting on a payload it cannot decode.
+//! aborting on a payload of another datatype.
 
 use std::fmt;
 
@@ -53,18 +53,17 @@ pub enum CommError {
     /// all pending and future operations on it fail until survivors
     /// [`crate::Comm::shrink`] into a fresh communicator (ULFM semantics).
     Revoked,
-    /// A typed receive matched an envelope it cannot read as the element
-    /// type asked for: the sender declared another [`Datatype`], or the
-    /// payload is not a whole number of elements. The envelope is
-    /// consumed; what to do about a peer that speaks another type is the
-    /// caller's decision. (The blocking `recv` panics instead — there it
-    /// is a bug, matching MPI's `MPI_ERR_TYPE` fatality.)
+    /// A typed receive matched an envelope of another element type than
+    /// the one asked for. The envelope is consumed; what to do about a
+    /// peer that speaks another type is the caller's decision. (The
+    /// blocking `recv` panics instead — there it is a bug, matching MPI's
+    /// `MPI_ERR_TYPE` fatality.)
     Datatype {
         /// Element type the receiver asked for.
         expected: Datatype,
         /// Element type the envelope declares.
         found: Datatype,
-        /// Payload size in bytes.
+        /// Payload size in wire bytes (of the envelope's own datatype).
         bytes: usize,
     },
 }
@@ -75,14 +74,9 @@ impl fmt::Display for CommError {
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
             CommError::Timeout => write!(f, "operation timed out"),
             CommError::Revoked => write!(f, "communicator revoked"),
-            CommError::Datatype { expected, found, .. } if expected != found => {
+            CommError::Datatype { expected, found, .. } => {
                 write!(f, "datatype mismatch: expected {expected:?}, envelope carries {found:?}")
             }
-            CommError::Datatype { found, bytes, .. } => write!(
-                f,
-                "{found:?} payload of {bytes} bytes is not a multiple of {} bytes",
-                found.elem_bytes()
-            ),
         }
     }
 }
@@ -105,10 +99,6 @@ mod tests {
         assert_eq!(
             CommError::Datatype { expected: f64s, found: u8s, bytes: 8 }.to_string(),
             "datatype mismatch: expected F64, envelope carries U8"
-        );
-        assert_eq!(
-            CommError::Datatype { expected: f64s, found: f64s, bytes: 7 }.to_string(),
-            "F64 payload of 7 bytes is not a multiple of 8 bytes"
         );
         assert_eq!(FailCause::Crash.to_string(), "crash");
         assert_eq!(FailCause::Hang.to_string(), "hang");

@@ -10,10 +10,10 @@
 //!   realtime-visualization and computational steering
 //!   ([`Comm::spawn`], [`Comm::attach`] for named-port rendezvous),
 //! * **language interoperability** — typed, self-describing message
-//!   payloads ([`envelope::Datatype`], [`Payload`]) so heterogeneous
-//!   peers agree on wire format; one generic `send`/`recv`/`try_send`/
-//!   `try_recv` ([`PointToPoint`]) serves every element type on both
-//!   communicator kinds,
+//!   payloads ([`envelope::Datatype`], [`Payload`]): the tag names the
+//!   element type and its wire size, the buffer itself is the sender's
+//!   `Vec<T>`, copied once; one generic `send`/`recv`/`try_send`/`try_recv`
+//!   ([`PointToPoint`]) serves every element type on both communicator kinds,
 //! * **metacomputing awareness** — every rank is placed on a
 //!   [`machine::MachineSpec`]; the library accounts modeled
 //!   latency/bandwidth per message so applications can attribute time to

@@ -4,8 +4,12 @@
 //! blocks until a matching envelope is available. Matching follows MPI
 //! semantics: messages from the same sender with the same tag are
 //! non-overtaking (FIFO per (src, tag) pair — guaranteed here by scanning
-//! the queue in arrival order); wildcards [`ANY_SOURCE`] / [`ANY_TAG`]
-//! match the earliest arrival.
+//! the queue in arrival order); a wildcard ([`SrcFilter::Any`] or a
+//! membership, [`ANY_TAG`]) matches the earliest arrival it admits.
+//!
+//! A post wakes claimers only when some are parked: the mailbox counts
+//! them under the lock a post already holds, so the usual post — to a
+//! rank that is computing, or about to look — costs no system call.
 //!
 //! For the failure-aware API a mailbox can additionally be **poisoned**
 //! (its owner crashed: posts are silently dropped, queued messages are
@@ -17,13 +21,27 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::envelope::{Envelope, Tag, ANY_SOURCE, ANY_TAG};
+use crate::envelope::{Envelope, Tag, ANY_TAG};
 
 struct State {
     queue: VecDeque<Envelope>,
     poisoned: bool,
+    /// Claimers waiting on `available` right now.
+    parked: usize,
+}
+
+impl State {
+    /// Queue position of the earliest envelope `src` and `tag` admit —
+    /// the one matcher every claim and probe goes through.
+    fn position(&self, src: SrcFilter<'_>, tag: Tag) -> Option<usize> {
+        self.queue.iter().position(|e| src.admits(e.src) && (tag == ANY_TAG || e.tag == tag))
+    }
+
+    fn take(&mut self, src: SrcFilter<'_>, tag: Tag) -> Option<Envelope> {
+        self.queue.remove(self.position(src, tag)?)
+    }
 }
 
 struct Inner {
@@ -43,16 +61,13 @@ impl Default for Mailbox {
     }
 }
 
-fn matches(e: &Envelope, src: usize, tag: Tag) -> bool {
-    (src == ANY_SOURCE || e.src == src) && (tag == ANY_TAG || e.tag == tag)
-}
-
-/// Source-matching predicate for [`Mailbox::claim_deadline`].
+/// Which senders a claim or probe admits.
 ///
 /// `OneOf` restricts a wildcard receive to a known membership (the
-/// communicator's global ids) so stale envelopes from dead or foreign
-/// worlds are skipped instead of tripping the "message from outside this
-/// communicator" invariant.
+/// communicator's global ids) so envelopes from other worlds — a spawned
+/// child's, an attached peer's, a dead world's stale mail — stay queued
+/// for the handle they belong to instead of being consumed by, and
+/// tripping the membership invariant of, the wrong one.
 #[derive(Clone, Copy, Debug)]
 pub enum SrcFilter<'a> {
     /// Any sender.
@@ -95,10 +110,24 @@ impl Mailbox {
     pub fn new() -> Self {
         Mailbox {
             inner: Arc::new(Inner {
-                state: Mutex::new(State { queue: VecDeque::new(), poisoned: false }),
+                state: Mutex::new(State { queue: VecDeque::new(), poisoned: false, parked: 0 }),
                 available: Condvar::new(),
             }),
         }
+    }
+
+    /// Wait on `available` — until notified, or for at most `nap` —
+    /// counted in `parked` while the lock is released. The count changes
+    /// only under the lock, so a post that reads zero knows no claimer
+    /// waits for what it queued: one that looked before it held the lock
+    /// until it parked, and one that looks after finds the envelope.
+    fn park(&self, st: &mut MutexGuard<'_, State>, nap: Option<Duration>) {
+        st.parked += 1;
+        match nap {
+            Some(nap) => _ = self.inner.available.wait_for(st, nap),
+            None => self.inner.available.wait(st),
+        }
+        st.parked -= 1;
     }
 
     /// Deposit an envelope (non-blocking, eager). Returns `false` if the
@@ -110,7 +139,11 @@ impl Mailbox {
             return false;
         }
         st.queue.push_back(e);
-        self.inner.available.notify_all();
+        // All of them, not one: claimers park with different filters, and
+        // the one woken might not be the one this envelope is for.
+        if st.parked > 0 {
+            self.inner.available.notify_all();
+        }
         true
     }
 
@@ -133,14 +166,14 @@ impl Mailbox {
         self.inner.available.notify_all();
     }
 
-    /// Blocking receive of the earliest envelope matching `(src, tag)`.
-    pub fn claim(&self, src: usize, tag: Tag) -> Envelope {
+    /// Blocking receive of the earliest envelope `src` and `tag` admit.
+    pub fn claim(&self, src: SrcFilter<'_>, tag: Tag) -> Envelope {
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(pos) = st.queue.iter().position(|e| matches(e, src, tag)) {
-                return st.queue.remove(pos).expect("position was just found");
+            if let Some(env) = st.take(src, tag) {
+                return env;
             }
-            self.inner.available.wait(&mut st);
+            self.park(&mut st, None);
         }
     }
 
@@ -160,37 +193,32 @@ impl Mailbox {
     ) -> ClaimOutcome {
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(pos) =
-                st.queue.iter().position(|e| src.admits(e.src) && (tag == ANY_TAG || e.tag == tag))
-            {
-                let env = st.queue.remove(pos).expect("position was just found");
+            if let Some(env) = st.take(src, tag) {
                 return ClaimOutcome::Ready(env);
             }
             if st.poisoned || abort() {
                 return ClaimOutcome::Aborted;
             }
-            let mut wait = WAIT_BACKSTOP;
+            let mut nap = WAIT_BACKSTOP;
             if let Some(d) = deadline {
                 let now = Instant::now();
                 if now >= d {
                     return ClaimOutcome::TimedOut;
                 }
-                wait = wait.min(d - now);
+                nap = nap.min(d - now);
             }
-            self.inner.available.wait_for(&mut st, wait);
+            self.park(&mut st, Some(nap));
         }
     }
 
     /// Non-blocking probe: does a matching message exist?
-    pub fn probe(&self, src: usize, tag: Tag) -> bool {
-        self.inner.state.lock().queue.iter().any(|e| matches(e, src, tag))
+    pub fn probe(&self, src: SrcFilter<'_>, tag: Tag) -> bool {
+        self.inner.state.lock().position(src, tag).is_some()
     }
 
     /// Non-blocking receive.
-    pub fn try_claim(&self, src: usize, tag: Tag) -> Option<Envelope> {
-        let mut st = self.inner.state.lock();
-        let pos = st.queue.iter().position(|e| matches(e, src, tag))?;
-        st.queue.remove(pos)
+    pub fn try_claim(&self, src: SrcFilter<'_>, tag: Tag) -> Option<Envelope> {
+        self.inner.state.lock().take(src, tag)
     }
 
     /// Number of queued (unclaimed) envelopes.
@@ -202,21 +230,39 @@ impl Mailbox {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Claimers parked right now, for tests that must see one parked
+    /// before they post.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.inner.state.lock().parked
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::Datatype;
-    use bytes::Bytes;
+    use std::thread;
 
     fn env(src: usize, tag: u32, byte: u8) -> Envelope {
-        Envelope {
-            src,
-            dst: 0,
-            tag: Tag(tag),
-            datatype: Datatype::U8,
-            data: Bytes::from(vec![byte]),
+        Envelope::new(src, 0, Tag(tag), vec![byte])
+    }
+
+    fn byte(e: Envelope) -> u8 {
+        e.payload::<u8>()[0]
+    }
+
+    fn ready(out: ClaimOutcome) -> Envelope {
+        match out {
+            ClaimOutcome::Ready(e) => e,
+            other => panic!("expected Ready, got {other:?}"),
+        }
+    }
+
+    /// Spin until `n` claimers are seen parked on `mb`, instead of sleeping.
+    fn until_parked(mb: &Mailbox, n: usize) {
+        while mb.parked() != n {
+            thread::yield_now();
         }
     }
 
@@ -225,8 +271,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.post(env(1, 7, 10));
         mb.post(env(1, 7, 20));
-        assert_eq!(mb.claim(1, Tag(7)).data[0], 10);
-        assert_eq!(mb.claim(1, Tag(7)).data[0], 20);
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 10);
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 20);
         assert!(mb.is_empty());
     }
 
@@ -235,8 +281,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.post(env(1, 7, 10));
         mb.post(env(1, 8, 20));
-        assert_eq!(mb.claim(1, Tag(8)).data[0], 20);
-        assert_eq!(mb.claim(1, Tag(7)).data[0], 10);
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(8))), 20);
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 10);
     }
 
     #[test]
@@ -244,29 +290,70 @@ mod tests {
         let mb = Mailbox::new();
         mb.post(env(2, 7, 22));
         mb.post(env(1, 7, 11));
-        assert_eq!(mb.claim(1, Tag(7)).data[0], 11);
-        assert_eq!(mb.claim(ANY_SOURCE, ANY_TAG).data[0], 22);
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 11);
+        assert_eq!(byte(mb.claim(SrcFilter::Any, ANY_TAG)), 22);
     }
 
     #[test]
     fn probe_and_try_claim() {
         let mb = Mailbox::new();
-        assert!(!mb.probe(ANY_SOURCE, ANY_TAG));
-        assert!(mb.try_claim(ANY_SOURCE, ANY_TAG).is_none());
+        assert!(!mb.probe(SrcFilter::Any, ANY_TAG));
+        assert!(mb.try_claim(SrcFilter::Any, ANY_TAG).is_none());
         mb.post(env(3, 1, 5));
-        assert!(mb.probe(3, Tag(1)));
-        assert!(!mb.probe(3, Tag(2)));
-        assert_eq!(mb.try_claim(3, Tag(1)).unwrap().data[0], 5);
+        assert!(mb.probe(SrcFilter::Exact(3), Tag(1)));
+        assert!(!mb.probe(SrcFilter::Exact(3), Tag(2)));
+        assert!(!mb.probe(SrcFilter::OneOf(&[1, 2]), ANY_TAG));
+        assert!(mb.try_claim(SrcFilter::OneOf(&[1, 2]), ANY_TAG).is_none());
+        assert_eq!(byte(mb.try_claim(SrcFilter::Exact(3), Tag(1)).unwrap()), 5);
+    }
+
+    /// Either kind of claimer, seen parked before the post that wakes it.
+    #[test]
+    fn blocking_claim_wakes_on_post() {
+        for with_deadline in [false, true] {
+            let mb = Mailbox::new();
+            let mb2 = mb.clone();
+            let h = thread::spawn(move || match with_deadline {
+                false => mb2.claim(SrcFilter::Any, Tag(9)),
+                true => {
+                    ready(mb2.claim_deadline(SrcFilter::OneOf(&[4, 5]), Tag(9), None, || false))
+                }
+            });
+            until_parked(&mb, 1);
+            mb.post(env(5, 9, 42));
+            assert_eq!(byte(h.join().unwrap()), 42);
+            assert_eq!(mb.parked(), 0);
+        }
     }
 
     #[test]
-    fn blocking_claim_wakes_on_post() {
+    fn a_post_with_nobody_parked_is_found_by_the_next_claim() {
         let mb = Mailbox::new();
-        let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.claim(ANY_SOURCE, Tag(9)).data[0]);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.post(env(0, 9, 42));
-        assert_eq!(h.join().unwrap(), 42);
+        mb.post(env(1, 1, 7));
+        assert_eq!(mb.parked(), 0); // so no notify was sent; the claim looks first
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(1))), 7);
+        mb.post(env(1, 1, 8));
+        assert_eq!(byte(ready(mb.claim_deadline(SrcFilter::Exact(1), Tag(1), None, || false))), 8);
+    }
+
+    /// Why a post is `notify_all`: `notify_one` could wake the claimer the
+    /// first post is not for, which parks again while the other sleeps on.
+    #[test]
+    fn claimers_with_different_filters_are_both_served() {
+        let mb = Mailbox::new();
+        let claimers: Vec<_> = [(1usize, 1u32), (2, 2)]
+            .into_iter()
+            .map(|(src, tag)| {
+                let mb = mb.clone();
+                thread::spawn(move || byte(mb.claim(SrcFilter::Exact(src), Tag(tag))))
+            })
+            .collect();
+        until_parked(&mb, 2);
+        mb.post(env(2, 2, 22));
+        mb.post(env(1, 1, 11));
+        let got: Vec<u8> = claimers.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(got, [11, 22]);
+        assert_eq!(mb.parked(), 0);
     }
 
     #[test]
@@ -276,7 +363,7 @@ mod tests {
             mb.post(env(1, 3, i));
         }
         for i in 0..50u8 {
-            assert_eq!(mb.claim(ANY_SOURCE, Tag(3)).data[0], i);
+            assert_eq!(byte(mb.claim(SrcFilter::Any, Tag(3))), i);
         }
     }
 
@@ -284,15 +371,17 @@ mod tests {
     fn poisoned_mailbox_drops_posts_and_aborts_claims() {
         let mb = Mailbox::new();
         mb.post(env(1, 1, 9));
+        let mb2 = mb.clone();
+        let claim = move || mb2.claim_deadline(SrcFilter::Exact(2), ANY_TAG, None, || false);
+        let parked = thread::spawn(claim.clone());
+        until_parked(&mb, 1);
         mb.poison();
+        assert!(matches!(parked.join().unwrap(), ClaimOutcome::Aborted), "poison wakes claimers");
         assert!(mb.is_poisoned());
         assert!(mb.is_empty(), "poisoning discards queued mail");
         assert!(!mb.post(env(1, 1, 10)), "posts to the dead are dropped");
         assert!(mb.is_empty());
-        match mb.claim_deadline(SrcFilter::Any, ANY_TAG, None, || false) {
-            ClaimOutcome::Aborted => {}
-            other => panic!("expected Aborted, got {other:?}"),
-        }
+        assert!(matches!(claim(), ClaimOutcome::Aborted), "and later claims abort at once");
     }
 
     #[test]
@@ -307,6 +396,7 @@ mod tests {
         );
         assert!(matches!(out, ClaimOutcome::TimedOut));
         assert!(start.elapsed() >= Duration::from_millis(30));
+        assert_eq!(mb.parked(), 0);
     }
 
     #[test]
@@ -315,10 +405,10 @@ mod tests {
         let mb = Mailbox::new();
         let flag = Arc::new(AtomicBool::new(false));
         let (mb2, flag2) = (mb.clone(), Arc::clone(&flag));
-        let h = std::thread::spawn(move || {
+        let h = thread::spawn(move || {
             mb2.claim_deadline(SrcFilter::Any, ANY_TAG, None, || flag2.load(Ordering::Relaxed))
         });
-        std::thread::sleep(Duration::from_millis(20));
+        until_parked(&mb, 1);
         flag.store(true, Ordering::Relaxed);
         mb.wake();
         assert!(matches!(h.join().unwrap(), ClaimOutcome::Aborted));
@@ -330,13 +420,8 @@ mod tests {
         mb.post(env(9, 4, 90)); // from outside the membership
         mb.post(env(2, 4, 20));
         let members = [1usize, 2, 3];
-        match mb.claim_deadline(SrcFilter::OneOf(&members), Tag(4), None, || false) {
-            ClaimOutcome::Ready(e) => {
-                assert_eq!(e.src, 2);
-                assert_eq!(e.data[0], 20);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
+        let e = ready(mb.claim_deadline(SrcFilter::OneOf(&members), Tag(4), None, || false));
+        assert_eq!((e.src, byte(e)), (2, 20));
         assert_eq!(mb.len(), 1, "the foreign envelope stays queued");
     }
 }

@@ -1,17 +1,35 @@
 //! Property-based tests for the message-passing runtime.
 
-use gtw_mpi::{Payload, PointToPoint, ReduceOp, Tag, Universe};
+use gtw_mpi::{FabricSpec, InterComm, MachineSpec, Payload, PointToPoint, ReduceOp, Tag, Universe};
 use proptest::prelude::*;
 
-/// `T::decode(T::encode(v))` gives back `v` bit for bit, and `extra`
-/// trailing bytes that do not make up a whole element give `None`.
-fn round_trips<T: Payload>(v: &[T], extra: usize) -> bool {
-    let bytes = T::encode(v);
-    let mut ragged = bytes.to_vec();
-    ragged.extend(std::iter::repeat_n(0u8, extra));
-    let whole = extra % std::mem::size_of::<T>() == 0;
-    T::decode(&bytes).is_some_and(|back| T::encode(&back) == bytes)
-        && T::decode(&ragged.into()).is_some() == whole
+const ECHO: Tag = Tag(1);
+
+/// Whether `data` comes back from peer 0 of `p` — the rank itself on a
+/// `Comm`, an [`echo`]ing child on an `InterComm` — with the same `bits`
+/// and the right wire size, by the blocking pair and by the `try_` pair.
+fn intact<P: PointToPoint, T: Payload>(p: &P, data: &[T], bits: fn(T) -> u64) -> bool {
+    let both = [false, true].map(|tried| {
+        let (back, status) = if tried {
+            p.try_send(0, ECHO, data).expect("peer is alive");
+            p.try_recv::<T>(0, ECHO, None).expect("peer is alive")
+        } else {
+            p.send(0, ECHO, data);
+            p.recv::<T>(0, ECHO)
+        };
+        status.bytes == std::mem::size_of_val(data)
+            && back.iter().map(|&x| bits(x)).eq(data.iter().map(|&x| bits(x)))
+    });
+    both == [true; 2] // every round trip is made: the child expects two
+}
+
+/// Return the parent's next two `T` messages to it, receiving one by
+/// `recv` and one by `try_recv`, answering by the other kind of send.
+fn echo<T: Payload>(parent: &InterComm) {
+    let (data, _) = parent.recv::<T>(0, ECHO);
+    parent.try_send(0, ECHO, &data).expect("parent is alive");
+    let (data, _) = parent.try_recv::<T>(0, ECHO, None).expect("parent is alive");
+    parent.send(0, ECHO, &data);
 }
 
 proptest! {
@@ -32,26 +50,53 @@ proptest! {
         }
     }
 
-    /// Every element type round-trips through its wire layout bit for bit
-    /// — any bit pattern (so every NaN payload, both zeros, `i64::MIN`),
-    /// any length including empty — and a ragged tail is refused.
+    /// Every element type arrives bit for bit — any bit pattern (so every
+    /// NaN payload, both zeros, `i64::MIN`), any length including empty —
+    /// through `send`/`recv` and `try_send`/`try_recv`, to self on a
+    /// `Comm` and to a spawned child and back over an `InterComm`; and
+    /// through a `bcast` to each of 4 ranks.
     #[test]
     fn payload_round_trips_every_element_type(
         words in proptest::collection::vec(any::<u64>(), 0..24),
-        extra in 1usize..8,
     ) {
         let edges = [0, 1 << 63, 0x7ff8_0000_0000_0001, 0xfff0_0000_0000_0000, 0x7fc0_0001_8000_0000];
         let words: Vec<u64> = words.into_iter().chain(edges).collect();
-        for words in [&words[..], &[]] {
+        for words in [words, vec![]] {
             let f64s: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
             let f32s: Vec<f32> = words.iter().map(|&w| f32::from_bits((w >> 32) as u32)).collect();
             let i64s: Vec<i64> = words.iter().map(|&w| w as i64).collect();
             let u8s: Vec<u8> = words.iter().map(|&w| w as u8).collect();
-            prop_assert!(round_trips(&f64s, extra), "f64 {:?}", words);
-            prop_assert!(round_trips(&f32s, extra), "f32 {:?}", words);
-            prop_assert!(round_trips(words, extra), "u64 {:?}", words);
-            prop_assert!(round_trips(&i64s, extra), "i64 {:?}", words);
-            prop_assert!(round_trips(&u8s, extra), "u8 {:?}", words);
+
+            let (u64s, f64s_sent) = (words.clone(), f64s.clone());
+            let intact = Universe::run(1, move |comm| {
+                let t3e = MachineSpec::new("T3E", FabricSpec::t3e_torus());
+                let kids = comm.spawn(1, t3e, FabricSpec::wan_testbed(), |child| {
+                    let parent = child.parent().expect("child has a parent");
+                    echo::<u8>(&parent);
+                    echo::<u64>(&parent);
+                    echo::<i64>(&parent);
+                    echo::<f32>(&parent);
+                    echo::<f64>(&parent);
+                });
+                [
+                    // `&`, not `&&`: the child echoes whether or not the first held.
+                    intact(&comm, &u8s, u64::from) & intact(&kids, &u8s, u64::from),
+                    intact(&comm, &u64s, |x| x) & intact(&kids, &u64s, |x| x),
+                    intact(&comm, &i64s, |x| x as u64) & intact(&kids, &i64s, |x| x as u64),
+                    intact(&comm, &f32s, |x| x.to_bits().into())
+                        & intact(&kids, &f32s, |x| x.to_bits().into()),
+                    intact(&comm, &f64s_sent, f64::to_bits) & intact(&kids, &f64s_sent, f64::to_bits),
+                ]
+            });
+            prop_assert_eq!(intact[0], [true; 5], "u8, u64, i64, f32, f64 of {:?}", words);
+
+            let copies = Universe::run(4, move |comm| {
+                comm.bcast(2, if comm.rank() == 2 { &f64s[..] } else { &[] })
+            });
+            for (rank, copy) in copies.iter().enumerate() {
+                let arrived: Vec<u64> = copy.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(arrived, words.clone(), "bcast at rank {}", rank);
+            }
         }
     }
 

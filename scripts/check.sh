@@ -19,6 +19,27 @@ if git grep -nE "$old_names" -- '*.rs' ':!crates/gtw-benchmark/' | grep -vE "$sh
     echo "check.sh: a deleted gtw-mpi name is back (see above)" >&2
     exit 1
 fi
+# Nor may the byte codec: an envelope holds the sender's typed buffer,
+# so nothing names the `bytes` crate and gtw-mpi has no `encode`/`decode`
+# function (the patterns are spellings of code, not the words, which
+# prose and other crates' snapshot codecs use freely).
+if git grep -nE '\bbytes::|^bytes *=' -- '*.rs' '*.toml' ||
+    git grep -nE 'fn (en|de)code\b|\b[A-Za-z0-9_]+::(en|de)code\(' -- crates/mpi; then
+    echo "check.sh: the gtw-mpi payload codec and the bytes crate are deleted (see above)" >&2
+    exit 1
+fi
+# And the typed path stays smaller than the codec it replaced: non-test
+# lines (up to the first `#[cfg(test)]`) of the three files it lives in,
+# 1350 + 153 + 206 = 1709 before envelopes carried typed buffers.
+mpi_budget=1669
+mpi_lines=0
+for f in comm envelope mailbox; do
+    mpi_lines=$((mpi_lines + $(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' "crates/mpi/src/$f.rs")))
+done
+if [ "$mpi_lines" -gt "$mpi_budget" ]; then
+    echo "check.sh: crates/mpi/src/{comm,envelope,mailbox}.rs have $mpi_lines non-test lines, budget $mpi_budget" >&2
+    exit 1
+fi
 # The same for the run entries: a transfer runs through `run_with` and
 # one `RunOptions`, a chain through `run_chain_with` and one
 # `ChainOptions`, and the sharded kernel has one executor. The per-axis
