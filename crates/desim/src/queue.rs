@@ -23,8 +23,9 @@
 //!    tail: append to the followers (no heap work);
 //! 2. the run is empty: push into the heap tagged with the run;
 //! 3. otherwise (a source scheduling *earlier* than its own tail, e.g. a
-//!    `PortTxDone` timer after a far-future `CellArrive`): push into the
-//!    same heap untagged, as a straggler outside any run.
+//!    TCP sender's next segment after its far-future RTO timer, or a
+//!    gateway's `GwTxDone` after a packet sent across the WAN): push into
+//!    the same heap untagged, as a straggler outside any run.
 //!
 //! `pop` takes the heap top and, if it headed a run, replaces it in
 //! place with the run's next follower. Every follower is larger than its

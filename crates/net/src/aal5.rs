@@ -49,12 +49,10 @@ static CRC32_TABLES: [[u32; 256]; 8] = const {
     t
 };
 
-/// CRC-32 (IEEE 802.3 generator 0x04C11DB7, MSB-first, init all-ones,
-/// final complement) as used by the AAL5 CPCS trailer. Table-driven,
-/// eight bytes per step.
-pub fn crc32_aal5(data: &[u8]) -> u32 {
+/// The CRC register after `data` went through it from state `crc`:
+/// table-driven, eight bytes per step, then byte by byte.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let hi = crc ^ u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -70,7 +68,13 @@ pub fn crc32_aal5(data: &[u8]) -> u32 {
     for &byte in chunks.remainder() {
         crc = (crc << 8) ^ t[0][((crc >> 24) as u8 ^ byte) as usize];
     }
-    !crc
+    crc
+}
+
+/// CRC-32 (IEEE 802.3 generator 0x04C11DB7, MSB-first, init all-ones,
+/// final complement) as used by the AAL5 CPCS trailer.
+pub fn crc32_aal5(data: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, data)
 }
 
 /// The bit-at-a-time definition [`crc32_aal5`] must agree with.
@@ -106,7 +110,8 @@ pub fn aal5_efficiency(payload_len: usize) -> f64 {
     (payload_len as f64 * 8.0) / wire_bits_for_pdu(payload_len) as f64
 }
 
-/// Build the CPCS-PDU octets for `payload`.
+/// Build the CPCS-PDU octets for `payload`: what [`segment`] puts in its
+/// cells, in one piece (the reference its tests hold it to).
 pub fn build_cpcs_pdu(payload: &[u8], uu: u8, cpi: u8) -> Vec<u8> {
     assert!(payload.len() <= MAX_CPCS_PAYLOAD, "AAL5 payload exceeds 65535 bytes");
     let total = cpcs_pdu_len(payload.len());
@@ -122,18 +127,36 @@ pub fn build_cpcs_pdu(payload: &[u8], uu: u8, cpi: u8) -> Vec<u8> {
     pdu
 }
 
-/// Segment `payload` into ATM cells on `(vpi, vci)`.
+/// Segment `payload` into ATM cells on `(vpi, vci)` (UU and CPI zero).
+///
+/// The CPCS-PDU is written straight into the cell payloads and its CRC
+/// run over them as they fill: a non-final cell feeds the CRC six whole
+/// eight-byte steps, the final one its 44 octets before the CRC field.
 pub fn segment(payload: &[u8], vpi: u8, vci: u16) -> Vec<AtmCell> {
-    let pdu = build_cpcs_pdu(payload, 0, 0);
-    let n = pdu.len() / ATM_PAYLOAD_BYTES;
-    pdu.chunks(ATM_PAYLOAD_BYTES)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let mut header = CellHeader::data(vpi, vci);
-            header.pti = if i + 1 == n { Pti::USER_DATA_END } else { Pti::USER_DATA };
-            AtmCell::new(header, chunk)
-        })
-        .collect()
+    assert!(payload.len() <= MAX_CPCS_PAYLOAD, "AAL5 payload exceeds 65535 bytes");
+    let n = cells_for_pdu(payload.len());
+    let mut cells = Vec::with_capacity(n);
+    // Payload, 48 octets a cell; `AtmCell::new` zero-fills a short or
+    // missing chunk, which is the PAD.
+    let mut chunks = payload.chunks(ATM_PAYLOAD_BYTES);
+    let mut header = CellHeader::data(vpi, vci);
+    let mut crc = 0xFFFF_FFFF;
+    for _ in 1..n {
+        let cell = AtmCell::new(header, chunks.next().unwrap_or(&[]));
+        crc = crc32_update(crc, &cell.payload);
+        cells.push(cell);
+    }
+    // The last cell: at most 40 payload octets, then the trailer (UU and
+    // CPI stay zero).
+    header.pti = Pti::USER_DATA_END;
+    let mut last = AtmCell::new(header, chunks.next().unwrap_or(&[]));
+    const LENGTH_AT: usize = ATM_PAYLOAD_BYTES - 6;
+    const CRC_AT: usize = ATM_PAYLOAD_BYTES - 4;
+    last.payload[LENGTH_AT..CRC_AT].copy_from_slice(&(payload.len() as u16).to_be_bytes());
+    crc = !crc32_update(crc, &last.payload[..CRC_AT]);
+    last.payload[CRC_AT..].copy_from_slice(&crc.to_be_bytes());
+    cells.push(last);
+    cells
 }
 
 /// Reassembly failure modes.

@@ -22,8 +22,8 @@
 //! [`PipeStage::stats_at`] reads the counters. Arrival instants, the
 //! injector's draws (one per arrival, in arrival order) and the
 //! `tx`/`flight` spans are what they were with the timer; DESIGN.md §4g
-//! has the argument and what is left out (`AtmSwitch` ports,
-//! `GatewayPair`).
+//! has the argument, the same treatment of `AtmSwitch` ports, and what is
+//! left out (`GatewayPair`).
 
 use std::collections::VecDeque;
 

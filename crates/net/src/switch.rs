@@ -5,11 +5,30 @@
 //! on per-output-port transmitters with finite cell buffers — the loss
 //! point under congestion. Cells whose HEC does not verify are discarded
 //! at the input, exactly as real hardware does.
+//!
+//! # Event model: one event per cell per switch
+//!
+//! A FIFO port knows a cell's departure when it admits it (`depart =
+//! start + cell time`, `start` the departure of the cell ahead, or now),
+//! so the cell's [`CellArrive`] is its only event here: the handler
+//! forwards the box it received to `next` at `depart + fabric_latency +
+//! propagation`. Admission (EPD, selective discard, overflow) reads the
+//! queue at *arrival*, when it holds the admitted cells departing after
+//! now, so a port keeps departure instants, not cells. Stats, injector
+//! draws, `cell` spans and downstream arrival instants are those of the
+//! timer-per-cell switch kept as `two_event` below (DESIGN.md §4g).
+//!
+//! **Tie rule:** a cell departing at `t` has freed its slot for an
+//! arrival at `t` — what the timer gave every downstream-first or
+//! externally fed wiring. Changed on purpose: registered upstream-first,
+//! the timer switch handled that arrival first and saw a fuller buffer;
+//! and two ports feeding one neighbour now break an exact arrival tie
+//! there by admission order, not by timer order.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
-use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SpanSink};
+use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
 
 use crate::cell::{AtmCell, ATM_CELL_BYTES};
 use crate::units::Bandwidth;
@@ -31,8 +50,6 @@ pub struct WireCellArrive {
     /// The 53 wire octets.
     pub wire: [u8; ATM_CELL_BYTES],
 }
-
-struct PortTxDone(usize);
 
 /// Routing key: where the cell came in and on which VC.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -128,15 +145,20 @@ enum FrameState {
 
 struct PortState {
     cfg: OutputPort,
-    queue: VecDeque<AtmCell>,
-    transmitting: bool,
+    /// One cell's serialization time at `cfg.rate`.
+    cell_time: SimDuration,
+    /// Departures of admitted cells, increasing; those after now are the
+    /// queue (cell on the wire included), the rest leave at the next arrival.
+    departures: VecDeque<SimTime>,
+    /// Span track of this port's transmitter.
+    track: String,
     /// Per-VC AAL5 frame state, keyed by the outgoing `(VPI, VCI)`.
     /// Empty (and never touched) unless `cfg.epd_threshold` is set.
     frames: BTreeMap<(u8, u16), FrameState>,
 }
 
 /// Per-switch counters.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SwitchStats {
     /// Cells successfully switched.
     pub switched: u64,
@@ -206,8 +228,7 @@ pub struct AtmSwitch {
     /// Fault injector judging every arriving cell; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
-    /// Messages the switch could not interpret (unknown type, TxDone for
-    /// a nonexistent port or an empty queue): dropped and counted
+    /// Messages of a type the switch does not know: dropped and counted
     /// instead of crashing the fabric.
     pub dropped_msgs: u64,
     label: String,
@@ -216,14 +237,18 @@ pub struct AtmSwitch {
 impl AtmSwitch {
     /// Create a switch with the given output ports.
     pub fn new(label: impl Into<String>, ports: Vec<OutputPort>) -> Self {
+        let label = label.into();
+        let cell_bits = (ATM_CELL_BYTES * 8) as u64;
         AtmSwitch {
             routes: BTreeMap::new(),
             ports: ports
                 .into_iter()
-                .map(|cfg| PortState {
+                .enumerate()
+                .map(|(port, cfg)| PortState {
+                    cell_time: SimDuration::transmission(cell_bits, cfg.rate.bps()),
                     cfg,
-                    queue: VecDeque::new(),
-                    transmitting: false,
+                    departures: VecDeque::new(),
+                    track: format!("{label}/p{port}"),
                     frames: BTreeMap::new(),
                 })
                 .collect(),
@@ -232,7 +257,7 @@ impl AtmSwitch {
             spans: SpanSink::disabled(),
             injector: None,
             dropped_msgs: 0,
-            label: label.into(),
+            label,
         }
     }
 
@@ -250,6 +275,9 @@ impl AtmSwitch {
 
     /// Install a PVC: `(in port, vpi, vci)` → `(out port, vpi, vci)`.
     pub fn add_route(&mut self, key: VcKey, route: VcRoute) {
+        // A wiring-time precondition, not a run-time path: routes come
+        // from the code that built `ports`, so a bad index is its bug, and
+        // checking here lets the handler index `ports[route.port]` per cell.
         assert!(route.port < self.ports.len(), "route to nonexistent port");
         self.routes.insert(key, route);
     }
@@ -257,21 +285,6 @@ impl AtmSwitch {
     /// Number of output ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
-    }
-
-    fn start_tx(&mut self, ctx: &mut Ctx<'_>, port: usize) {
-        let p = &mut self.ports[port];
-        if p.transmitting || p.queue.is_empty() {
-            return;
-        }
-        p.transmitting = true;
-        let tx = SimDuration::transmission((ATM_CELL_BYTES * 8) as u64, p.cfg.rate.bps());
-        if self.spans.enabled() {
-            // One span per cell on this output port's transmitter.
-            let track = format!("{}/p{port}", self.label);
-            self.spans.record(&track, "cell", ctx.now(), ctx.now() + tx);
-        }
-        ctx.timer_in(tx, gtw_desim::component::msg(PortTxDone(port)));
     }
 }
 
@@ -294,141 +307,124 @@ fn mark_ppd(
 
 impl Component for AtmSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        if m.is::<CellArrive>() || m.is::<WireCellArrive>() {
-            let (port, cell) = if m.is::<WireCellArrive>() {
-                let WireCellArrive { port, wire } =
-                    *gtw_desim::component::downcast::<WireCellArrive>(m);
-                match AtmCell::from_wire(&wire) {
-                    Some(cell) => (port, cell),
-                    None => {
-                        self.stats.hec_discard += 1;
-                        return;
-                    }
-                }
-            } else {
-                let CellArrive { port, cell } = *gtw_desim::component::downcast::<CellArrive>(m);
-                (port, cell)
-            };
-            let mut buffer_factor = 1.0;
-            if let Some(inj) = self.injector.as_mut() {
-                if let Some(cause) = inj.judge(ctx.now()) {
-                    match cause {
-                        FaultCause::Outage => self.stats.fault_outage += 1,
-                        FaultCause::Burst => self.stats.fault_burst += 1,
-                        FaultCause::Loss | FaultCause::HeaderError => self.stats.fault_loss += 1,
-                    }
+        let mut arrive = match m.downcast::<CellArrive>() {
+            Ok(arrive) => arrive,
+            Err(m) => {
+                // A stray message of an unknown type must not crash the
+                // fabric: drop it and count it.
+                let Ok(w) = m.downcast::<WireCellArrive>() else {
+                    self.dropped_msgs += 1;
                     return;
-                }
-                if inj.corrupt_header() {
-                    // A corrupted header fails HEC verification at the
-                    // input stage, like any wire error.
+                };
+                let Some(cell) = AtmCell::from_wire(&w.wire) else {
                     self.stats.hec_discard += 1;
-                    self.stats.fault_hec += 1;
                     return;
-                }
-                if inj.degrades_buffers() {
-                    buffer_factor = inj.capacity_factor(ctx.now());
-                }
+                };
+                Box::new(CellArrive { port: w.port, cell })
             }
-            let key = VcKey { port, vpi: cell.header.vpi, vci: cell.header.vci };
-            let Some(route) = self.routes.get(&key).copied() else {
-                self.stats.unroutable += 1;
+        };
+        let now = ctx.now();
+        let mut buffer_factor = 1.0;
+        if let Some(inj) = self.injector.as_mut() {
+            if let Some(cause) = inj.judge(now) {
+                match cause {
+                    FaultCause::Outage => self.stats.fault_outage += 1,
+                    FaultCause::Burst => self.stats.fault_burst += 1,
+                    FaultCause::Loss | FaultCause::HeaderError => self.stats.fault_loss += 1,
+                }
                 return;
-            };
-            let mut out = cell;
-            out.header.vpi = route.vpi;
-            out.header.vci = route.vci;
-            let p = &mut self.ports[route.port];
-            let buffer_cells = if buffer_factor >= 1.0 {
-                p.cfg.buffer_cells
-            } else {
-                (p.cfg.buffer_cells as f64 * buffer_factor) as usize
-            };
-            // EPD/PPD frame-level discard, only when the port opts in —
-            // with `epd_threshold: None` this whole block is one branch
-            // and clean runs are bit-identical to tail-drop builds.
-            let frame_key = p.cfg.epd_threshold.map(|thresh| {
-                ((out.header.vpi, out.header.vci), out.header.pti.is_aal5_end(), thresh)
-            });
-            if let Some((vc, end, thresh)) = frame_key {
-                match p.frames.get(&vc).copied() {
-                    Some(FrameState::DropEpd) => {
-                        self.stats.epd_discard += 1;
-                        if end {
-                            p.frames.remove(&vc);
-                        }
-                        return;
-                    }
-                    Some(FrameState::DropPpd) if !end => {
-                        self.stats.ppd_discard += 1;
-                        return;
-                    }
-                    Some(FrameState::DropPpd) => {
-                        // Forward the end cell of the mutilated frame
-                        // (buffer permitting) to preserve the boundary.
+            }
+            if inj.corrupt_header() {
+                // A corrupted header fails HEC verification at the
+                // input stage, like any wire error.
+                self.stats.hec_discard += 1;
+                self.stats.fault_hec += 1;
+                return;
+            }
+            if inj.degrades_buffers() {
+                buffer_factor = inj.capacity_factor(now);
+            }
+        }
+        let header = &mut arrive.cell.header;
+        let key = VcKey { port: arrive.port, vpi: header.vpi, vci: header.vci };
+        let Some(route) = self.routes.get(&key).copied() else {
+            self.stats.unroutable += 1;
+            return;
+        };
+        header.vpi = route.vpi;
+        header.vci = route.vci;
+        let (clp, end) = (header.clp, header.pti.is_aal5_end());
+        let p = &mut self.ports[route.port];
+        // The tie rule: departures at `now` have left before this arrival.
+        while p.departures.front().is_some_and(|&d| d <= now) {
+            p.departures.pop_front();
+        }
+        let queued = p.departures.len();
+        let buffer_cells = if buffer_factor >= 1.0 {
+            p.cfg.buffer_cells
+        } else {
+            (p.cfg.buffer_cells as f64 * buffer_factor) as usize
+        };
+        // EPD/PPD frame-level discard, only when the port opts in —
+        // with `epd_threshold: None` this whole block is one branch
+        // and clean runs are bit-identical to tail-drop builds.
+        let frame_key = p.cfg.epd_threshold.map(|thresh| ((route.vpi, route.vci), end, thresh));
+        if let Some((vc, end, thresh)) = frame_key {
+            match p.frames.get(&vc).copied() {
+                Some(FrameState::DropEpd) => {
+                    self.stats.epd_discard += 1;
+                    if end {
                         p.frames.remove(&vc);
                     }
-                    Some(FrameState::Passing) => {
-                        if end {
-                            p.frames.remove(&vc);
-                        }
+                    return;
+                }
+                Some(FrameState::DropPpd) if !end => {
+                    self.stats.ppd_discard += 1;
+                    return;
+                }
+                // The end cell of a mutilated frame is forwarded too
+                // (buffer permitting), to preserve the boundary.
+                Some(FrameState::DropPpd | FrameState::Passing) => {
+                    if end {
+                        p.frames.remove(&vc);
                     }
-                    None => {
-                        if p.queue.len() >= thresh {
-                            // EPD: a new frame starts past the threshold
-                            // — refuse it whole, end cell included.
-                            self.stats.epd_discard += 1;
-                            if !end {
-                                p.frames.insert(vc, FrameState::DropEpd);
-                            }
-                            return;
-                        }
+                }
+                None => {
+                    if queued >= thresh {
+                        // EPD: a new frame starts past the threshold
+                        // — refuse it whole, end cell included.
+                        self.stats.epd_discard += 1;
                         if !end {
-                            p.frames.insert(vc, FrameState::Passing);
+                            p.frames.insert(vc, FrameState::DropEpd);
                         }
+                        return;
+                    }
+                    if !end {
+                        p.frames.insert(vc, FrameState::Passing);
                     }
                 }
             }
-            if out.header.clp && p.queue.len() >= p.cfg.clp_threshold.min(buffer_cells) {
-                self.stats.clp_discard += 1;
-                mark_ppd(&mut p.frames, frame_key);
-                return;
-            }
-            if p.queue.len() >= buffer_cells {
-                self.stats.overflow += 1;
-                mark_ppd(&mut p.frames, frame_key);
-                return;
-            }
-            p.queue.push_back(out);
-            self.stats.switched += 1;
-            self.start_tx(ctx, route.port);
-        } else if m.is::<PortTxDone>() {
-            let PortTxDone(port) = *gtw_desim::component::downcast::<PortTxDone>(m);
-            // A TxDone for a port that does not exist or has an empty
-            // queue is message-shaped garbage (or a stale timer from a
-            // reconfigured fabric): count it and carry on.
-            let Some(p) = self.ports.get_mut(port) else {
-                self.dropped_msgs += 1;
-                return;
-            };
-            p.transmitting = false;
-            let Some(cell) = p.queue.pop_front() else {
-                self.dropped_msgs += 1;
-                return;
-            };
-            let (next, next_port) = (p.cfg.next, p.cfg.next_port);
-            let delay = self.fabric_latency + p.cfg.propagation;
-            ctx.send_in(
-                delay,
-                next,
-                gtw_desim::component::msg(CellArrive { port: next_port, cell }),
-            );
-            self.start_tx(ctx, port);
-        } else {
-            // A stray message of an unknown type must not crash the
-            // fabric: drop it and count it.
-            self.dropped_msgs += 1;
         }
+        if clp && queued >= p.cfg.clp_threshold.min(buffer_cells) {
+            self.stats.clp_discard += 1;
+            mark_ppd(&mut p.frames, frame_key);
+            return;
+        }
+        if queued >= buffer_cells {
+            self.stats.overflow += 1;
+            mark_ppd(&mut p.frames, frame_key);
+            return;
+        }
+        self.stats.switched += 1;
+        // What is still queued departs after `now`; this cell follows it.
+        let start = p.departures.back().copied().unwrap_or(now);
+        let depart = start + p.cell_time;
+        p.departures.push_back(depart);
+        // One span per cell on this output port's transmitter.
+        self.spans.record(&p.track, "cell", start, depart);
+        // The same box travels switch to switch.
+        arrive.port = p.cfg.next_port;
+        ctx.send_at(depart + self.fabric_latency + p.cfg.propagation, p.cfg.next, arrive);
     }
 
     fn name(&self) -> &str {
@@ -484,12 +480,252 @@ impl Component for CellEndpoint {
     }
 }
 
+/// The two-event switch [`AtmSwitch`] replaced, kept as the reference
+/// model its tests hold it to: every admitted cell is queued, the head of
+/// the queue arms a transmit-done self-timer for one cell time, and the
+/// cell is popped and forwarded (in a new box) when that timer fires.
+#[cfg(test)]
+mod two_event {
+    use super::*;
+
+    struct PortTxDone(usize);
+
+    pub struct PortState {
+        pub cfg: OutputPort,
+        queue: VecDeque<AtmCell>,
+        transmitting: bool,
+        /// Per-VC AAL5 frame state, keyed by the outgoing `(VPI, VCI)`.
+        /// Empty (and never touched) unless `cfg.epd_threshold` is set.
+        frames: BTreeMap<(u8, u16), FrameState>,
+    }
+
+    pub struct TwoEventSwitch {
+        routes: BTreeMap<VcKey, VcRoute>,
+        pub ports: Vec<PortState>,
+        /// Fixed fabric latency from input to the output queue.
+        pub fabric_latency: SimDuration,
+        /// Counters.
+        pub stats: SwitchStats,
+        /// Span sink: per-port `cell` transmission spans; disabled by default.
+        pub spans: SpanSink,
+        /// Fault injector judging every arriving cell; `None` (free) by
+        /// default.
+        pub injector: Option<FaultInjector>,
+        /// Messages the switch could not interpret (unknown type, TxDone for
+        /// a nonexistent port or an empty queue): dropped and counted
+        /// instead of crashing the fabric.
+        pub dropped_msgs: u64,
+        label: String,
+    }
+
+    impl TwoEventSwitch {
+        /// Create a switch with the given output ports.
+        pub fn new(label: impl Into<String>, ports: Vec<OutputPort>) -> Self {
+            TwoEventSwitch {
+                routes: BTreeMap::new(),
+                ports: ports
+                    .into_iter()
+                    .map(|cfg| PortState {
+                        cfg,
+                        queue: VecDeque::new(),
+                        transmitting: false,
+                        frames: BTreeMap::new(),
+                    })
+                    .collect(),
+                fabric_latency: SimDuration::from_micros(10),
+                stats: SwitchStats::default(),
+                spans: SpanSink::disabled(),
+                injector: None,
+                dropped_msgs: 0,
+                label: label.into(),
+            }
+        }
+
+        /// Attach a span sink (builder form, for wiring time).
+        pub fn with_spans(mut self, sink: SpanSink) -> Self {
+            self.spans = sink;
+            self
+        }
+
+        /// Install a PVC: `(in port, vpi, vci)` → `(out port, vpi, vci)`.
+        pub fn add_route(&mut self, key: VcKey, route: VcRoute) {
+            assert!(route.port < self.ports.len(), "route to nonexistent port");
+            self.routes.insert(key, route);
+        }
+
+        fn start_tx(&mut self, ctx: &mut Ctx<'_>, port: usize) {
+            let p = &mut self.ports[port];
+            if p.transmitting || p.queue.is_empty() {
+                return;
+            }
+            p.transmitting = true;
+            let tx = SimDuration::transmission((ATM_CELL_BYTES * 8) as u64, p.cfg.rate.bps());
+            if self.spans.enabled() {
+                // One span per cell on this output port's transmitter.
+                let track = format!("{}/p{port}", self.label);
+                self.spans.record(&track, "cell", ctx.now(), ctx.now() + tx);
+            }
+            ctx.timer_in(tx, gtw_desim::component::msg(PortTxDone(port)));
+        }
+    }
+
+    impl Component for TwoEventSwitch {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
+            if m.is::<CellArrive>() || m.is::<WireCellArrive>() {
+                let (port, cell) = if m.is::<WireCellArrive>() {
+                    let WireCellArrive { port, wire } =
+                        *gtw_desim::component::downcast::<WireCellArrive>(m);
+                    match AtmCell::from_wire(&wire) {
+                        Some(cell) => (port, cell),
+                        None => {
+                            self.stats.hec_discard += 1;
+                            return;
+                        }
+                    }
+                } else {
+                    let CellArrive { port, cell } =
+                        *gtw_desim::component::downcast::<CellArrive>(m);
+                    (port, cell)
+                };
+                let mut buffer_factor = 1.0;
+                if let Some(inj) = self.injector.as_mut() {
+                    if let Some(cause) = inj.judge(ctx.now()) {
+                        match cause {
+                            FaultCause::Outage => self.stats.fault_outage += 1,
+                            FaultCause::Burst => self.stats.fault_burst += 1,
+                            FaultCause::Loss | FaultCause::HeaderError => {
+                                self.stats.fault_loss += 1
+                            }
+                        }
+                        return;
+                    }
+                    if inj.corrupt_header() {
+                        // A corrupted header fails HEC verification at the
+                        // input stage, like any wire error.
+                        self.stats.hec_discard += 1;
+                        self.stats.fault_hec += 1;
+                        return;
+                    }
+                    if inj.degrades_buffers() {
+                        buffer_factor = inj.capacity_factor(ctx.now());
+                    }
+                }
+                let key = VcKey { port, vpi: cell.header.vpi, vci: cell.header.vci };
+                let Some(route) = self.routes.get(&key).copied() else {
+                    self.stats.unroutable += 1;
+                    return;
+                };
+                let mut out = cell;
+                out.header.vpi = route.vpi;
+                out.header.vci = route.vci;
+                let p = &mut self.ports[route.port];
+                let buffer_cells = if buffer_factor >= 1.0 {
+                    p.cfg.buffer_cells
+                } else {
+                    (p.cfg.buffer_cells as f64 * buffer_factor) as usize
+                };
+                // EPD/PPD frame-level discard, only when the port opts in —
+                // with `epd_threshold: None` this whole block is one branch
+                // and clean runs are bit-identical to tail-drop builds.
+                let frame_key = p.cfg.epd_threshold.map(|thresh| {
+                    ((out.header.vpi, out.header.vci), out.header.pti.is_aal5_end(), thresh)
+                });
+                if let Some((vc, end, thresh)) = frame_key {
+                    match p.frames.get(&vc).copied() {
+                        Some(FrameState::DropEpd) => {
+                            self.stats.epd_discard += 1;
+                            if end {
+                                p.frames.remove(&vc);
+                            }
+                            return;
+                        }
+                        Some(FrameState::DropPpd) if !end => {
+                            self.stats.ppd_discard += 1;
+                            return;
+                        }
+                        Some(FrameState::DropPpd) => {
+                            // Forward the end cell of the mutilated frame
+                            // (buffer permitting) to preserve the boundary.
+                            p.frames.remove(&vc);
+                        }
+                        Some(FrameState::Passing) => {
+                            if end {
+                                p.frames.remove(&vc);
+                            }
+                        }
+                        None => {
+                            if p.queue.len() >= thresh {
+                                // EPD: a new frame starts past the threshold
+                                // — refuse it whole, end cell included.
+                                self.stats.epd_discard += 1;
+                                if !end {
+                                    p.frames.insert(vc, FrameState::DropEpd);
+                                }
+                                return;
+                            }
+                            if !end {
+                                p.frames.insert(vc, FrameState::Passing);
+                            }
+                        }
+                    }
+                }
+                if out.header.clp && p.queue.len() >= p.cfg.clp_threshold.min(buffer_cells) {
+                    self.stats.clp_discard += 1;
+                    mark_ppd(&mut p.frames, frame_key);
+                    return;
+                }
+                if p.queue.len() >= buffer_cells {
+                    self.stats.overflow += 1;
+                    mark_ppd(&mut p.frames, frame_key);
+                    return;
+                }
+                p.queue.push_back(out);
+                self.stats.switched += 1;
+                self.start_tx(ctx, route.port);
+            } else if m.is::<PortTxDone>() {
+                let PortTxDone(port) = *gtw_desim::component::downcast::<PortTxDone>(m);
+                // A TxDone for a port that does not exist or has an empty
+                // queue is message-shaped garbage (or a stale timer from a
+                // reconfigured fabric): count it and carry on.
+                let Some(p) = self.ports.get_mut(port) else {
+                    self.dropped_msgs += 1;
+                    return;
+                };
+                p.transmitting = false;
+                let Some(cell) = p.queue.pop_front() else {
+                    self.dropped_msgs += 1;
+                    return;
+                };
+                let (next, next_port) = (p.cfg.next, p.cfg.next_port);
+                let delay = self.fabric_latency + p.cfg.propagation;
+                ctx.send_in(
+                    delay,
+                    next,
+                    gtw_desim::component::msg(CellArrive { port: next_port, cell }),
+                );
+                self.start_tx(ctx, port);
+            } else {
+                // A stray message of an unknown type must not crash the
+                // fabric: drop it and count it.
+                self.dropped_msgs += 1;
+            }
+        }
+
+        fn name(&self) -> &str {
+            &self.label
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::two_event::TwoEventSwitch;
     use super::*;
     use crate::aal5::segment;
     use gtw_desim::component::msg;
-    use gtw_desim::Simulator;
+    use gtw_desim::fault::{FaultSpec, FaultStats, LossModel, Schedule, Window};
+    use gtw_desim::{RunResult, Simulator, Span, StreamRng};
+    use proptest::prelude::*;
 
     /// Build: source --(port0)--> switch --(port0)--> endpoint.
     fn one_switch_setup(buffer_cells: usize) -> (Simulator, ComponentId, ComponentId) {
@@ -756,8 +992,11 @@ mod tests {
         for cell in segment(&[5u8; 100], 1, 100) {
             sim.send_in(SimDuration::from_micros(1), sw, msg(CellArrive { port: 0, cell }));
         }
+        // One that lands mid-transmission (where the transmit-done timer
+        // used to) must not cut a cell short.
+        sim.send_in(SimDuration::from_micros(2), sw, msg(Stray));
         sim.run();
-        assert_eq!(sim.component::<AtmSwitch>(sw).dropped_msgs, 1);
+        assert_eq!(sim.component::<AtmSwitch>(sw).dropped_msgs, 2);
         assert_eq!(sim.component::<CellEndpoint>(ep).dropped_msgs, 1);
         assert_eq!(sim.component::<CellEndpoint>(ep).delivered.len(), 1);
     }
@@ -766,5 +1005,384 @@ mod tests {
     struct StageConfigPropagation;
     impl StageConfigPropagation {
         const JUELICH_GMD: SimDuration = SimDuration::from_micros(500);
+    }
+
+    // ---- differential tests against the two-event reference ----------
+
+    /// What the harness needs of either switch implementation.
+    trait Switch: Component {
+        fn build(label: String, hop: &Hop, spans: SpanSink, faults: Option<FaultInjector>) -> Self;
+        fn route(&mut self, key: VcKey, route: VcRoute);
+        fn set_next(&mut self, next: ComponentId);
+        fn counters(&self) -> (SwitchStats, Option<FaultStats>, u64);
+    }
+
+    /// The two switches spell everything the harness touches alike.
+    macro_rules! impl_switch {
+        ($switch:ident) => {
+            impl Switch for $switch {
+                fn build(
+                    label: String,
+                    hop: &Hop,
+                    spans: SpanSink,
+                    faults: Option<FaultInjector>,
+                ) -> Self {
+                    let mut sw = $switch::new(label, vec![hop.port.clone()]).with_spans(spans);
+                    sw.fabric_latency = hop.fabric_latency;
+                    sw.injector = faults;
+                    sw
+                }
+                fn route(&mut self, key: VcKey, route: VcRoute) {
+                    self.add_route(key, route);
+                }
+                fn set_next(&mut self, next: ComponentId) {
+                    self.ports[0].cfg.next = next;
+                }
+                fn counters(&self) -> (SwitchStats, Option<FaultStats>, u64) {
+                    (
+                        self.stats.clone(),
+                        self.injector.as_ref().map(|i| i.stats()),
+                        self.dropped_msgs,
+                    )
+                }
+            }
+        };
+    }
+    impl_switch!(AtmSwitch);
+    impl_switch!(TwoEventSwitch);
+
+    /// A [`CellEndpoint`] that notes the instant of every completed PDU
+    /// and of every reassembly error.
+    #[derive(Default)]
+    struct TimedEndpoint {
+        inner: CellEndpoint,
+        delivered_at: Vec<SimTime>,
+        /// `(instant, [crc, length, oversize] so far)` at each error.
+        errors: Vec<(SimTime, [u64; 3])>,
+    }
+
+    impl Component for TimedEndpoint {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
+            let (delivered, errors) = (self.inner.delivered.len(), self.inner.errors);
+            self.inner.handle(ctx, m);
+            if self.inner.delivered.len() > delivered {
+                self.delivered_at.push(ctx.now());
+            }
+            if self.inner.errors > errors {
+                let e = &self.inner;
+                self.errors.push((ctx.now(), [e.errors_crc, e.errors_length, e.errors_oversize]));
+            }
+        }
+    }
+
+    /// One switch of a tandem: its single output port (`next` is patched
+    /// at wiring), fabric latency and fault spec.
+    struct Hop {
+        port: OutputPort,
+        fabric_latency: SimDuration,
+        faults: Option<FaultSpec>,
+    }
+
+    /// What is fed to the head switch.
+    enum Injected {
+        Parsed(AtmCell),
+        Wire([u8; ATM_CELL_BYTES]),
+        Stray,
+    }
+
+    /// A tandem of switches into a [`TimedEndpoint`] and the cells fed to
+    /// its head, at nondecreasing instants.
+    struct Scenario {
+        seed: u64,
+        vcs: u16,
+        hops: Vec<Hop>,
+        arrivals: Vec<(SimTime, Injected)>,
+    }
+
+    /// In which order the tandem's components are registered. Every
+    /// wiring in the repository is downstream-first (a switch is built
+    /// knowing its successor), which gives it a smaller id than its feeder.
+    #[derive(Clone, Copy)]
+    enum Wiring {
+        DownstreamFirst,
+        UpstreamFirst,
+    }
+
+    /// Everything observable about a run.
+    #[derive(PartialEq, Debug)]
+    struct Outcome {
+        delivered: Vec<(SimTime, (u8, u16), Vec<u8>)>,
+        errors: Vec<(SimTime, [u64; 3])>,
+        endpoint_strays: u64,
+        switches: Vec<(SwitchStats, Option<FaultStats>, u64)>,
+        /// Sorted by `(track, begin)`: the order of recording differs.
+        spans: Vec<Span>,
+    }
+
+    fn sorted(mut spans: Vec<Span>) -> Vec<Span> {
+        spans.sort_by(|a, b| {
+            (&a.track, a.begin, a.end, &a.name).cmp(&(&b.track, b.begin, b.end, &b.name))
+        });
+        spans
+    }
+
+    /// Wire the tandem, run it to `horizon` (if any) and snapshot, then
+    /// drain it and snapshot again. A span is known at admission now and
+    /// was recorded when its transmission started, so at a horizon only
+    /// those begun by then are compared.
+    fn run<S: Switch>(
+        sc: &Scenario,
+        wiring: Wiring,
+        horizon: Option<SimTime>,
+    ) -> (Option<Outcome>, Outcome) {
+        let mut sim = Simulator::new();
+        let spans = SpanSink::recording();
+        let n = sc.hops.len();
+        // Two-phase wiring either way: register in the chosen order
+        // (slot `n` is the endpoint), then patch every `next`.
+        let order: Vec<usize> = match wiring {
+            Wiring::DownstreamFirst => (0..=n).rev().collect(),
+            Wiring::UpstreamFirst => (0..=n).collect(),
+        };
+        let mut ids = vec![ComponentId::placeholder(); n + 1];
+        for i in order {
+            ids[i] = match sc.hops.get(i) {
+                None => sim.add_component(TimedEndpoint::default()),
+                Some(hop) => {
+                    let label = format!("sw{i}");
+                    let inj = hop.faults.clone().map(|f| FaultInjector::new(sc.seed, &label, f));
+                    let mut sw = S::build(label, hop, spans.clone(), inj);
+                    // Relabel hop by hop: VPI `1 + i` in, `2 + i` out.
+                    let vpi = 1 + i as u8;
+                    for vci in (0..sc.vcs).map(|v| 100 + v) {
+                        sw.route(
+                            VcKey { port: 0, vpi, vci },
+                            VcRoute { port: 0, vpi: vpi + 1, vci },
+                        );
+                    }
+                    sim.add_component(sw)
+                }
+            };
+        }
+        for i in 0..n {
+            sim.component_mut::<S>(ids[i]).set_next(ids[i + 1]);
+        }
+        for (at, injected) in &sc.arrivals {
+            let m = match injected {
+                Injected::Parsed(cell) => msg(CellArrive { port: 0, cell: cell.clone() }),
+                Injected::Wire(wire) => msg(WireCellArrive { port: 0, wire: *wire }),
+                Injected::Stray => msg("stray"),
+            };
+            sim.send_at(*at, ids[0], m);
+        }
+        let outcome = |sim: &Simulator, begun_by: SimTime| {
+            let ep = sim.component::<TimedEndpoint>(ids[n]);
+            Outcome {
+                delivered: ep
+                    .delivered_at
+                    .iter()
+                    .zip(&ep.inner.delivered)
+                    .map(|(&at, (vc, payload))| (at, *vc, payload.clone()))
+                    .collect(),
+                errors: ep.errors.clone(),
+                endpoint_strays: ep.inner.dropped_msgs,
+                switches: ids[..n].iter().map(|&id| sim.component::<S>(id).counters()).collect(),
+                spans: sorted(
+                    spans.snapshot().into_iter().filter(|s| s.begin <= begun_by).collect(),
+                ),
+            }
+        };
+        let cut = horizon.map(|h| {
+            let _ = sim.run_until(h);
+            outcome(&sim, h)
+        });
+        assert_eq!(sim.run(), RunResult::Drained);
+        (cut, outcome(&sim, SimTime::MAX))
+    }
+
+    /// The scenario generator's draws.
+    struct Draw(StreamRng);
+
+    impl Draw {
+        fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+            options[self.0.below(options.len() as u64) as usize]
+        }
+        fn one_in(&mut self, n: u64) -> bool {
+            self.0.below(n) == 0
+        }
+    }
+
+    /// A random tandem: 1–3 switches, mostly at one rate (so a departure
+    /// upstream and one downstream share a nanosecond), every buffer, EPD
+    /// and selective-discard regime, a seeded injector on a third of the
+    /// switches; and 1–2 VCs of AAL5 frames interleaved cell by cell,
+    /// some tagged, some as wire octets with a header bit flipped, some
+    /// unroutable, in same-instant bursts and at gaps that are exact
+    /// multiples of the head switch's cell time.
+    fn scenario(seed: u64) -> Scenario {
+        let mut draw = Draw(StreamRng::new(seed, "switch-differential"));
+        let rates = [Bandwidth::OC3, Bandwidth::OC12, Bandwidth::OC48];
+        let base_rate = draw.pick(&rates);
+        let window = |from_us: u64, to_us: u64| {
+            Window::new(SimTime::from_micros(from_us), SimTime::from_micros(to_us))
+        };
+        let hops: Vec<Hop> = (0..draw.pick(&[1, 2, 3]))
+            .map(|_| {
+                let buffer_cells = draw.pick(&[2, 8, 64, 4096]);
+                let port = OutputPort {
+                    next: ComponentId::placeholder(),
+                    next_port: 0,
+                    rate: if draw.one_in(3) { draw.pick(&rates) } else { base_rate },
+                    propagation: SimDuration::from_micros(draw.pick(&[0, 0, 500])),
+                    buffer_cells,
+                    clp_threshold: draw.pick(&[buffer_cells / 2, buffer_cells]),
+                    epd_threshold: draw.pick(&[
+                        None,
+                        Some(1),
+                        Some(buffer_cells / 2),
+                        Some(buffer_cells),
+                    ]),
+                };
+                let faults = draw.one_in(3).then(|| FaultSpec {
+                    outages: Schedule::new(vec![window(200, 400)]),
+                    loss: LossModel::Iid { p: 0.05 },
+                    header_error_rate: 0.02,
+                    degrade: vec![(window(500, 1_200), 0.5)],
+                });
+                Hop { port, fabric_latency: SimDuration::from_micros(draw.pick(&[0, 10])), faults }
+            })
+            .collect();
+        let vcs = draw.pick(&[1, 2]);
+        let tagging = draw.one_in(2);
+        let mut trains: Vec<std::vec::IntoIter<AtmCell>> = (0..vcs)
+            .map(|v| {
+                let mut cells = Vec::new();
+                while cells.len() < 150 {
+                    let payload = vec![cells.len() as u8; draw.pick(&[1, 40, 41, 200, 1_000])];
+                    cells.extend(segment(&payload, 1, 100 + v));
+                }
+                cells.into_iter()
+            })
+            .collect();
+        let cell_time = SimDuration::transmission(53 * 8, hops[0].port.rate.bps());
+        let mut at = SimTime::ZERO;
+        let mut arrivals = Vec::new();
+        while !trains.is_empty() {
+            // Whichever VC is drawn supplies the next cell: frames of the
+            // two interleave mid-frame.
+            let v = draw.pick(&[0, 1]) % trains.len();
+            let Some(mut cell) = trains[v].next() else {
+                trains.swap_remove(v);
+                continue;
+            };
+            at += match draw.pick(&[0, 1, 2, 3]) {
+                0 => SimDuration::ZERO,
+                1 => cell_time * draw.pick(&[1, 2, 3]),
+                2 => cell_time,
+                _ => SimDuration::from_nanos(draw.pick(&[1, 700, 90_000])),
+            };
+            cell.header.clp = tagging && draw.one_in(3);
+            if draw.one_in(40) {
+                cell.header.vci = 999; // no route
+            }
+            arrivals.push((
+                at,
+                match draw.pick(&[0, 0, 0, 0, 0, 0, 1, 2]) {
+                    0 => Injected::Parsed(cell),
+                    1 => Injected::Wire(cell.to_wire()),
+                    _ => {
+                        // One of the 40 header bits, HEC octet included.
+                        let mut wire = cell.to_wire();
+                        wire[draw.pick(&[0, 1, 2, 3, 4])] ^=
+                            1 << draw.pick(&[0, 1, 2, 3, 4, 5, 6, 7]);
+                        Injected::Wire(wire)
+                    }
+                },
+            ));
+            if draw.one_in(200) {
+                arrivals.push((at, Injected::Stray));
+            }
+        }
+        Scenario { seed, vcs, hops, arrivals }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The one-event switch is the two-event switch, observed at the
+        /// endpoint, in every counter, in every fault draw and in every
+        /// span — at the end of a drained run and at a cut at a random
+        /// instant.
+        #[test]
+        fn one_event_switch_matches_the_two_event_reference(seed in any::<u64>(), cut in 0.0f64..1.1) {
+            let sc = scenario(seed);
+            let last = sc.arrivals.last().expect("300 arrivals").0;
+            let horizon = SimTime::from_nanos((last.as_nanos() as f64 * cut) as u64);
+            let (ref_cut, ref_end) =
+                run::<TwoEventSwitch>(&sc, Wiring::DownstreamFirst, Some(horizon));
+            let (cut, end) = run::<AtmSwitch>(&sc, Wiring::DownstreamFirst, Some(horizon));
+            prop_assert_eq!(&cut, &ref_cut, "at the horizon {:?}", horizon);
+            prop_assert_eq!(&end, &ref_end, "after the drained run");
+            // Stopping and resuming changes nothing, and neither does the
+            // registration order (which does change the reference).
+            prop_assert_eq!(&run::<AtmSwitch>(&sc, Wiring::DownstreamFirst, None).1, &end);
+            prop_assert_eq!(&run::<AtmSwitch>(&sc, Wiring::UpstreamFirst, None).1, &end);
+            // Conservation at every switch.
+            let strays = sc.arrivals.iter().filter(|a| matches!(a.1, Injected::Stray)).count() as u64;
+            let mut offered = sc.arrivals.len() as u64 - strays;
+            for (i, (stats, _, dropped_msgs)) in end.switches.iter().enumerate() {
+                prop_assert_eq!(stats.cells_in(), offered);
+                prop_assert_eq!(*dropped_msgs, if i == 0 { strays } else { 0 });
+                offered = stats.switched;
+            }
+        }
+    }
+
+    /// Five back-to-back cells through two equal-rate switches; the
+    /// second buffers exactly one cell, so each arrival there falls on
+    /// the nanosecond its predecessor departs.
+    fn forced_ties() -> Scenario {
+        let port = |buffer_cells| {
+            OutputPort::simple(
+                ComponentId::placeholder(),
+                0,
+                Bandwidth::OC3,
+                SimDuration::ZERO,
+                buffer_cells,
+            )
+        };
+        let hop = |buffer_cells| Hop {
+            port: port(buffer_cells),
+            fabric_latency: SimDuration::from_micros(10),
+            faults: None,
+        };
+        let cells = segment(&[7u8; 200], 1, 100);
+        assert_eq!(cells.len(), 5);
+        Scenario {
+            seed: 0,
+            vcs: 1,
+            hops: vec![hop(4096), hop(1)],
+            arrivals: cells.into_iter().map(|c| (SimTime::ZERO, Injected::Parsed(c))).collect(),
+        }
+    }
+
+    #[test]
+    fn registration_order_does_not_change_a_one_cell_buffer_tandem() {
+        let sc = forced_ties();
+        let down = run::<AtmSwitch>(&sc, Wiring::DownstreamFirst, None).1;
+        let up = run::<AtmSwitch>(&sc, Wiring::UpstreamFirst, None).1;
+        // The tie rule: a cell departing at `t` has freed its slot for
+        // the arrival at `t`, so nothing overflows and the PDU arrives.
+        assert_eq!(down.switches[1].0.overflow, 0);
+        assert_eq!(down.delivered.len(), 1);
+        assert_eq!(up, down);
+        // With a timer per departure the outcome hung on component ids:
+        // registered upstream-first, the arrival was handled before the
+        // transmit-done of the same instant and met a full buffer.
+        let ref_down = run::<TwoEventSwitch>(&sc, Wiring::DownstreamFirst, None).1;
+        let ref_up = run::<TwoEventSwitch>(&sc, Wiring::UpstreamFirst, None).1;
+        assert_eq!(ref_down, down);
+        assert_eq!(ref_up.switches[1].0.overflow, 2);
+        assert!(ref_up.delivered.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the network stack invariants.
 
 use gtw_desim::SimDuration;
-use gtw_net::aal5::{aal5_efficiency, cells_for_pdu, segment, Reassembler};
+use gtw_net::aal5::{aal5_efficiency, build_cpcs_pdu, cells_for_pdu, segment, Reassembler};
 use gtw_net::cell::{AtmCell, CellHeader, Pti};
 use gtw_net::ip::{fragment_sizes, IpConfig, IP_HEADER_BYTES};
 use gtw_net::link::Medium;
@@ -27,6 +27,25 @@ proptest! {
             }
         }
         prop_assert_eq!(out.unwrap().unwrap(), payload);
+    }
+
+    /// `segment` writes the CPCS-PDU straight into its cells: cell for
+    /// cell they are `build_cpcs_pdu`'s octets, the end bit on the last
+    /// one only — at every length where the pad or the trailer moves to
+    /// another cell, and at random ones.
+    #[test]
+    fn aal5_segment_is_the_chunked_cpcs_pdu(random in 0usize..=65535, fill: u8, vpi: u8, vci: u16) {
+        for len in [0, 1, 39, 40, 41, 47, 48, 88, 89, 9180, 65535, random] {
+            let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ fill).collect();
+            let pdu = build_cpcs_pdu(&payload, 0, 0);
+            let cells = segment(&payload, vpi, vci);
+            prop_assert_eq!(cells.len() * 48, pdu.len());
+            for (i, (cell, chunk)) in cells.iter().zip(pdu.chunks(48)).enumerate() {
+                prop_assert_eq!(&cell.payload[..], chunk, "len {}, cell {}", len, i);
+                prop_assert_eq!(cell.header.pti.is_aal5_end(), i + 1 == cells.len());
+                prop_assert_eq!((cell.header.vpi, cell.header.vci, cell.header.clp), (vpi, vci, false));
+            }
+        }
     }
 
     /// Dropping any single cell from a multi-cell PDU is detected.

@@ -132,6 +132,20 @@ timeout 600 cargo test -q -p gtw-core --test kernel_equivalence
 # that never finishes) fails the gate instead of hanging it.
 timeout 300 cargo test -q -p gtw-net link::
 timeout 300 cargo test -q -p gtw-core --test transfer_pinned
+# The same for the cell path: `AtmSwitch` computes a cell's departure on
+# arrival, held to its two-event reference model and to digests pinned
+# on the commit before. The timer and the function that armed it live
+# on only in that reference (`mod two_event`, up to `mod tests`).
+timeout 300 cargo test -q -p gtw-net switch::
+timeout 300 cargo test -q -p gtw-core --test cell_path_pinned
+switch_rs=crates/net/src/switch.rs
+ref_from=$(grep -n '^mod two_event {' "$switch_rs" | cut -d: -f1)
+ref_to=$(grep -n '^mod tests {' "$switch_rs" | cut -d: -f1)
+if git grep -nE 'PortTxDone|fn start_tx' -- "$switch_rs" |
+    awk -F: -v from="$ref_from" -v to="$ref_to" '$2 < from || $2 >= to' | grep .; then
+    echo "check.sh: the per-cell transmit-done timer is back in $switch_rs (see above)" >&2
+    exit 1
+fi
 cargo run --release -q -p gtw-bench --bin fig1_network -- --json > "$trace_tmp/kernel_seq.json"
 cargo run --release -q -p gtw-bench --bin fig1_network -- --json --shards 2 > "$trace_tmp/kernel_2shard.json"
 cmp "$trace_tmp/kernel_seq.json" "$trace_tmp/kernel_2shard.json"

@@ -6,9 +6,13 @@
 //! point of the `(time, source, source_seq)` total order on events.
 
 use gtw_desim::component::{msg, Component, ComponentId, Ctx, Msg};
-use gtw_desim::{MetricsSink, ShardPlan, ShardedSimulator, SimDuration, Simulator};
+use gtw_desim::{MetricsSink, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator};
+use gtw_net::aal5::segment;
 use gtw_net::ip::IpConfig;
 use gtw_net::stripe::StripedTransfer;
+use gtw_net::switch::{
+    AtmSwitch, CellArrive, CellEndpoint, OutputPort, SwitchStats, VcKey, VcRoute,
+};
 use gtw_net::tcp::HopModel;
 use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
@@ -234,5 +238,96 @@ fn sharded_pingpong_agrees_with_sequential_at_every_shard_count() {
         assert_eq!(merged.now(), base_now, "{n_shards}");
         assert_eq!(merged.events_processed(), base_processed, "{n_shards}");
         assert_eq!(merged.dispatch_profile(), base_profile, "{n_shards}");
+    }
+}
+
+// ---- the cell path ---------------------------------------------------
+
+/// The FZJ → GMD cell PVC of `kernel_bench`, smaller: 600 one-cell PDUs
+/// and 12 CLIP-MTU ones, a cell per `gap_ns` into the FZJ switch, a
+/// 500 µs OC-48 trunk, and the GMD switch's OC-12 port (`gmd_buffer`
+/// cells, optionally EPD) into a reassembling endpoint. Returns the
+/// simulator and `[fzj, gmd, endpoint]`.
+fn cell_pvc(gap_ns: u64, gmd_buffer: usize, epd: Option<usize>) -> (Simulator, [ComponentId; 3]) {
+    let mut sim = Simulator::new();
+    let endpoint = sim.add_component(CellEndpoint::default());
+    let mut port =
+        OutputPort::simple(endpoint, 0, Bandwidth::OC12, SimDuration::from_micros(5), gmd_buffer);
+    port.epd_threshold = epd;
+    let mut gmd = AtmSwitch::new("gmd", vec![port]);
+    gmd.add_route(VcKey { port: 0, vpi: 2, vci: 200 }, VcRoute { port: 0, vpi: 3, vci: 300 });
+    let gmd = sim.add_component(gmd);
+    let trunk = OutputPort::simple(gmd, 0, Bandwidth::OC48, SimDuration::from_micros(500), 4096);
+    let mut fzj = AtmSwitch::new("fzj", vec![trunk]);
+    fzj.add_route(VcKey { port: 0, vpi: 1, vci: 100 }, VcRoute { port: 0, vpi: 2, vci: 200 });
+    let fzj = sim.add_component(fzj);
+    let mut cells = 0u64;
+    for k in 0..612usize {
+        let payload = vec![k as u8; if k % 51 == 50 { 9180 } else { 40 }];
+        for cell in segment(&payload, 1, 100) {
+            sim.send_at(
+                SimTime::from_nanos(cells * gap_ns),
+                fzj,
+                msg(CellArrive { port: 0, cell }),
+            );
+            cells += 1;
+        }
+    }
+    (sim, [fzj, gmd, endpoint])
+}
+
+/// What a cell run leaves behind.
+#[derive(PartialEq, Debug)]
+struct CellOutcome {
+    fzj: SwitchStats,
+    gmd: SwitchStats,
+    delivered: Vec<((u8, u16), Vec<u8>)>,
+    reassembly_errors: u64,
+    now: SimTime,
+    events: u64,
+}
+
+fn cell_outcome(sim: &Simulator, [fzj, gmd, endpoint]: [ComponentId; 3]) -> CellOutcome {
+    let ep = sim.component::<CellEndpoint>(endpoint);
+    CellOutcome {
+        fzj: sim.component::<AtmSwitch>(fzj).stats.clone(),
+        gmd: sim.component::<AtmSwitch>(gmd).stats.clone(),
+        delivered: ep.delivered.clone(),
+        reassembly_errors: ep.errors,
+        now: sim.now(),
+        events: sim.events_processed(),
+    }
+}
+
+/// One switch per shard, cut at the trunk. A switch sends a cell on at
+/// its computed departure plus fabric latency plus propagation, so every
+/// cross-shard send leads its delivery by more than the 500 µs declared.
+#[test]
+fn sharded_cell_pvc_agrees_with_sequential() {
+    // Clean: a cell per 700 ns, just under the OC-12 cell time. Lossy: a
+    // cell per 300 ns into a 64-cell buffer with EPD at 32.
+    for (gap_ns, gmd_buffer, epd) in [(700, 4096, None), (300, 64, Some(32))] {
+        let (mut seq, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+        seq.run();
+        let base = cell_outcome(&seq, ids);
+        let gmd = &base.gmd;
+        match epd {
+            None => assert_eq!((gmd.switched, base.reassembly_errors), (gmd.cells_in(), 0)),
+            Some(_) => assert!(gmd.epd_discard > 0 && !base.delivered.is_empty(), "{gmd:?}"),
+        }
+        // One event per cell per switch, one per cell that reaches the
+        // endpoint.
+        assert_eq!(base.events, base.fzj.cells_in() + gmd.cells_in() + gmd.switched);
+        for n_shards in [1usize, 2] {
+            let (sim, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+            let mut plan = ShardPlan::new(n_shards, SimDuration::from_micros(500));
+            for id in &ids[1..] {
+                plan.assign(*id, n_shards - 1);
+            }
+            let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
+            sharded.run();
+            let merged = sharded.into_simulator();
+            assert_eq!(cell_outcome(&merged, ids), base, "{n_shards} shard(s), gap {gap_ns} ns");
+        }
     }
 }
