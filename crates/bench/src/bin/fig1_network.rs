@@ -28,20 +28,21 @@
 //!   block; behind a flag so the default sharded output stays
 //!   byte-identical to the sequential sweep.
 //!
-//! `--trace-out <path>` runs the 9180-byte-MTU transfer and writes a
-//! Chrome trace-event file loadable in Perfetto: spans on the sequential
-//! kernel (per-hop `tx`/`flight`, TCP `transfer`/`rto-wait`, kernel
-//! dispatch instants); with `--shards N`, which cannot trace spans, the
-//! per-shard kernel metrics (events per window, queue depth, lookahead
-//! utilization, cross-shard batches) sampled at each conservative-window
-//! boundary, as counter tracks. In table mode `--faults` prints the
+//! `--trace-out <path>` runs the 9180-byte-MTU transfer under a
+//! recording observer and writes a Chrome trace-event file loadable in
+//! Perfetto: the spans (per-hop `tx`/`flight`, TCP `transfer`/`rto-wait`,
+//! kernel dispatch instants), the same on any kernel, and with
+//! `--shards N` also the per-shard kernel metrics (events, queue depth,
+//! lookahead utilization, cross-shard events) sampled at each
+//! conservative-window boundary, as counter tracks. In table mode
+//! `--faults` prints the
 //! degraded T3E → SP2 transfer and `--stripes` the striping comparison
 //! instead of the figure; output without any flag is unchanged.
 
 use gtw_bench::BenchArgs;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_desim::fault::FaultPlan;
-use gtw_desim::{Json, MetricsSink, Span, SpanSink};
+use gtw_desim::{Json, Observer};
 use gtw_net::gateway::{ForwardingMode, Gateway};
 use gtw_net::hippi::HippiChannel;
 use gtw_net::ip::IpConfig;
@@ -72,10 +73,10 @@ fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
         let opts = RunOptions {
             shards: args.shards,
             faults: plan.as_ref(),
-            metrics: if args.kernel_metrics {
-                MetricsSink::recording()
+            observer: if args.kernel_metrics {
+                Observer::recording()
             } else {
-                MetricsSink::disabled()
+                Observer::disabled()
             },
             ..RunOptions::default()
         };
@@ -149,14 +150,10 @@ fn stripes_table(tb: &GigabitTestbedWest, bytes: u64, streams: usize, shards: us
 }
 
 /// Trace one transfer (the MTU-argument configuration at 9180 bytes)
-/// and write the Chrome trace to `path`.
-///
-/// On the sequential kernel (`shards == 0`) the trace carries per-hop
-/// and per-sender spans. On the sharded kernel it carries the per-shard
-/// kernel-metric counter tracks instead: span tracing is sequential-
-/// only, but the metrics subsystem samples every conservative window,
-/// so the sharded trace shows queue depth, events per window, lookahead
-/// utilization and cross-shard traffic as Perfetto counter tracks.
+/// and write the Chrome trace to `path`: per-hop and per-sender spans,
+/// plus — on the sharded kernel, which samples its metrics every
+/// conservative window — queue depth, lookahead utilization and
+/// cross-shard traffic per shard as Perfetto counter tracks.
 fn emit_trace(tb: &GigabitTestbedWest, path: &str, args: &BenchArgs) {
     let (net_path, _, _) = tb.topology.path(tb.t3e_600, tb.e5000).expect("path");
     let mtu = 9180;
@@ -167,16 +164,11 @@ fn emit_trace(tb: &GigabitTestbedWest, path: &str, args: &BenchArgs) {
         protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
     };
     let plan = wan_plan(args.faults, &xfer.hops);
-    let (spans, metrics) = if args.shards > 0 {
-        (SpanSink::disabled(), MetricsSink::recording())
-    } else {
-        (SpanSink::recording(), MetricsSink::disabled())
-    };
+    let observer = Observer::recording();
     let (report, _) = xfer.run_with(&RunOptions {
         shards: args.shards,
         faults: plan.as_ref(),
-        spans: spans.clone(),
-        metrics: metrics.clone(),
+        observer: observer.clone(),
         ..RunOptions::default()
     });
     let on = if args.shards > 0 { format!(" on {} shard(s)", args.shards) } else { String::new() };
@@ -185,17 +177,7 @@ fn emit_trace(tb: &GigabitTestbedWest, path: &str, args: &BenchArgs) {
         report.goodput.mbps(),
         report.retransmits
     );
-    if args.shards == 0 {
-        gtw_bench::write_trace(&spans, path);
-        return;
-    }
-    let counters = metrics.counter_series();
-    let doc = gtw_desim::chrome_trace_with_counters(std::iter::empty::<&Span>(), &counters);
-    std::fs::write(path, doc.pretty()).expect("write trace file");
-    eprintln!(
-        "chrome trace ({} counter tracks) written to {path} — open in Perfetto",
-        counters.len()
-    );
+    gtw_bench::write_trace(&observer, path);
 }
 
 fn main() {

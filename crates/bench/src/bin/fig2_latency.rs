@@ -15,7 +15,7 @@
 //! written as a Chrome trace-event file loadable in Perfetto.
 
 use gtw_core::scenario::FmriScenario;
-use gtw_desim::{Json, SpanSink};
+use gtw_desim::{Json, Observer};
 use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
 use gtw_fire::rt::paper_headline_delay;
 
@@ -23,7 +23,7 @@ const PES_SWEEP: [usize; 7] = [1, 8, 16, 32, 64, 128, 256];
 
 /// The measured chain at the paper's operating point (256 PEs, TR 3 s),
 /// in both modes, optionally traced.
-fn run_chains(sink: &SpanSink) -> [(ChainMode, gtw_fire::realtime::RealtimeReport); 2] {
+fn run_chains(sink: &Observer) -> [(ChainMode, gtw_fire::realtime::RealtimeReport); 2] {
     let r = FmriScenario::paper(256).run();
     let cfg = RealtimeConfig {
         tr_s: 3.0,
@@ -33,7 +33,7 @@ fn run_chains(sink: &SpanSink) -> [(ChainMode, gtw_fire::realtime::RealtimeRepor
         display_s: r.display_s,
         scans: 40,
     };
-    let opts = ChainOptions { spans: sink.clone(), ..ChainOptions::default() };
+    let opts = ChainOptions { observer: sink.clone(), ..ChainOptions::default() };
     [ChainMode::Sequential, ChainMode::Pipelined]
         .map(|mode| (mode, run_chain_with(cfg, mode, &opts)))
 }
@@ -54,7 +54,7 @@ fn emit_json() {
             ("safe_tr_s", Json::from(r.safe_tr_s)),
         ]));
     }
-    let chains = run_chains(&SpanSink::disabled()).map(|(mode, m)| {
+    let chains = run_chains(&Observer::disabled()).map(|(mode, m)| {
         Json::obj([
             ("mode", Json::from(format!("{mode:?}").as_str())),
             ("scanned", Json::from(m.scanned)),
@@ -81,7 +81,7 @@ fn main() {
         return;
     }
     if let Some(path) = args.trace_out {
-        let sink = SpanSink::recording();
+        let sink = Observer::recording();
         for (mode, m) in run_chains(&sink) {
             println!(
                 "{mode:?}: displayed {}/{} skipped {} p50 {:.2}s p99 {:.2}s period {:.2}s",
@@ -128,7 +128,7 @@ fn main() {
     }
 
     println!("\n== Measured chain at 256 PEs, TR 3 s (40 scans, event-driven) ==");
-    for (mode, m) in run_chains(&SpanSink::disabled()) {
+    for (mode, m) in run_chains(&Observer::disabled()) {
         println!(
             "{mode:?}: displayed {}/{} skipped {}  latency p50 {:.2}s p90 {:.2}s p99 {:.2}s max {:.2}s",
             m.displayed,

@@ -14,7 +14,7 @@
 //! wall-clock per-stage times of the FIRE pipeline (filter, motion,
 //! correlate, detrend) are emitted as one machine-readable document.
 
-use gtw_desim::{Json, SpanSink};
+use gtw_desim::{Json, Observer};
 use gtw_fire::analysis::RoiStats;
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
 use gtw_scan::acquire::{Scanner, ScannerConfig};
@@ -55,9 +55,9 @@ fn main() {
 
     // Run the pipeline, tracking an ROI at the motor site. Stage spans
     // record the measured wall-clock cost of each FIRE module.
-    let sink = SpanSink::recording();
-    let mut fire = FirePipeline::new(FireConfig::default(), scanner.config().dims, rv)
-        .with_spans(sink.clone());
+    let sink = Observer::recording();
+    let mut fire = FirePipeline::new(FireConfig::default(), scanner.config().dims, rv);
+    fire.observe(&sink);
     let mut roi = RoiStats::sphere(scanner.config().dims, (20, 27, 12), 4.0);
     for t in 0..scanner.scan_count() {
         let out = fire.process(&scanner.acquire(t));

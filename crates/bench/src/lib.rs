@@ -99,11 +99,15 @@ pub fn arg_value(name: &str) -> Option<String> {
     None
 }
 
-/// Write a span sink's Chrome trace to `path` and print where it went
+/// Write an observer's Chrome trace to `path` and print where it went
 /// (the shared tail of every bin's `--trace-out` handling).
-pub fn write_trace(sink: &gtw_desim::SpanSink, path: &str) {
-    sink.write_chrome_trace(path.as_ref()).expect("write trace file");
-    eprintln!("chrome trace ({} spans) written to {path} — open in Perfetto", sink.len());
+pub fn write_trace(observer: &gtw_desim::Observer, path: &str) {
+    observer.write_chrome_trace(path.as_ref()).expect("write trace file");
+    eprintln!(
+        "chrome trace ({} spans, {} counter tracks) written to {path} — open in Perfetto",
+        observer.len(),
+        observer.counter_series().len()
+    );
 }
 
 /// Format seconds with the paper's table precision.

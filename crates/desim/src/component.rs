@@ -8,11 +8,11 @@
 
 use std::any::Any;
 
+use crate::observer::ObsBuf;
 use crate::queue::{EventKey, EventQueue};
 use crate::shard::RemoteCtx;
 use crate::sim::Event;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 
 /// Opaque handle to a registered component.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -80,7 +80,9 @@ pub struct Ctx<'a> {
     pub(crate) src_seq: &'a mut u64,
     /// Cross-shard routing state; `None` on the sequential kernel.
     pub(crate) remote: Option<RemoteCtx<'a>>,
-    pub(crate) tracer: Option<&'a mut dyn Tracer>,
+    /// The kernel's observation buffer; `None` (one branch per hook)
+    /// unless a recording [`Observer`](crate::Observer) is attached.
+    pub(crate) obs: Option<&'a mut ObsBuf>,
 }
 
 impl Ctx<'_> {
@@ -92,6 +94,21 @@ impl Ctx<'_> {
     /// This component's own id.
     pub fn self_id(&self) -> ComponentId {
         self.self_id
+    }
+
+    /// Whether anything records what this handler reports: guard span
+    /// bookkeeping that costs more than the [`span`](Self::span) call.
+    pub fn observing(&self) -> bool {
+        self.obs.is_some()
+    }
+
+    /// Record a completed interval on `track` (no-op unless observed).
+    /// `begin`/`end` may lie in the future: a stage knows a packet's
+    /// departure when it admits it.
+    pub fn span(&mut self, track: &str, name: &str, begin: SimTime, end: SimTime) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.span(track, name, begin, end);
+        }
     }
 
     fn next_key(&mut self, at: SimTime) -> EventKey {
@@ -110,8 +127,8 @@ impl Ctx<'_> {
     /// the past).
     pub fn send_at(&mut self, at: SimTime, target: ComponentId, m: Msg) {
         assert!(at >= self.now, "cannot schedule into the past: {at:?} < {:?}", self.now);
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.on_send(self.now, self.self_id, target, at);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.sent(self.self_id);
         }
         let key = self.next_key(at);
         if let Some(r) = self.remote.as_mut() {
@@ -128,9 +145,8 @@ impl Ctx<'_> {
     pub fn timer_in(&mut self, delay: SimDuration, m: Msg) {
         let id = self.self_id;
         let t = self.now + delay;
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.on_timer_armed(self.now, id, t);
-            tr.on_send(self.now, id, id, t);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.timer_armed(id);
         }
         let key = self.next_key(t);
         self.queue.push_keyed(key, Event::Deliver { target: id, msg: m });

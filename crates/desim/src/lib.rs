@@ -36,6 +36,7 @@ pub mod fault;
 pub mod hist;
 pub mod json;
 pub mod metrics;
+pub mod observer;
 pub mod partition;
 pub mod queue;
 pub mod rng;
@@ -43,7 +44,6 @@ pub mod shard;
 pub mod sim;
 pub mod span;
 pub mod time;
-pub mod trace;
 pub mod traffic;
 
 pub use component::{Component, ComponentId, Ctx, Msg};
@@ -53,18 +53,20 @@ pub use fault::{
 };
 pub use hist::Histogram;
 pub use json::Json;
-pub use metrics::{
-    CounterId, CounterSeries, GaugeId, MetricKind, MetricsRegistry, MetricsSink, TimeSeries,
-};
+pub use metrics::{CounterId, CounterSeries, GaugeId, MetricKind, MetricsRegistry, TimeSeries};
+pub use observer::Observer;
 pub use partition::ShardPlan;
 pub use queue::{EventQueue, QueuedEvent};
 pub use rng::StreamRng;
 pub use shard::ShardedSimulator;
 pub use sim::{RunResult, Simulator};
-pub use span::{
-    chrome_trace, chrome_trace_with_counters, validate_chrome_trace, Span, SpanRecorder, SpanSink,
-    TraceCheck,
-};
+pub use span::{chrome_trace, chrome_trace_with_counters, validate_chrome_trace, Span, TraceCheck};
 pub use time::{SimDuration, SimTime};
-pub use trace::{EventCounter, Tracer};
 pub use traffic::{BgFlowSpec, TrafficPlan};
+
+/// Pinned by the frozen `gtw-benchmark` adapter; use [`Observer`].
+#[doc(hidden)]
+pub type MetricsSink = Observer;
+/// Pinned by the frozen `gtw-benchmark` adapter; use [`Observer`].
+#[doc(hidden)]
+pub type SpanSink = Observer;

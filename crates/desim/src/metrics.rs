@@ -14,16 +14,12 @@
 //! of a registry is byte-reproducible across runs and hosts:
 //!
 //! * **Counter** — monotone cumulative count (events executed,
-//!   cross-shard batches). Its sampled series is nondecreasing.
-//! * **Gauge** — instantaneous level (queue depth, events in the last
-//!   window). The registry additionally tracks the high-water mark.
+//!   cross-shard events). Its sampled series is nondecreasing.
+//! * **Gauge** — instantaneous level (queue depth, lookahead
+//!   utilization). The registry additionally tracks the high-water mark.
 //!
-//! [`MetricsSink`] is the shareable enable/collect handle, mirroring
-//! [`SpanSink`](crate::span::SpanSink): a disabled sink costs one branch
-//! at instrumentation sites, a recording sink collects the registries
-//! that instrumented subsystems publish when they finish.
-
-use std::sync::{Arc, Mutex};
+//! An instrumented subsystem publishes its finished registry into the
+//! [`Observer`](crate::Observer) it was attached with.
 
 use crate::json::Json;
 
@@ -96,18 +92,13 @@ impl TimeSeries {
         let mut out = Vec::with_capacity(self.points.len() + other.points.len());
         let (mut a, mut b) = (self.points.iter().peekable(), other.points.iter().peekable());
         loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ta, _)), Some(&&(tb, _))) => {
-                    if tb < ta {
-                        out.push(*b.next().expect("peeked"));
-                    } else {
-                        out.push(*a.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => out.push(*a.next().expect("peeked")),
-                (None, Some(_)) => out.push(*b.next().expect("peeked")),
+            let from_other = match (a.peek(), b.peek()) {
+                (Some(&&(ta, _)), Some(&&(tb, _))) => tb < ta,
+                (Some(_), None) => false,
+                (None, Some(_)) => true,
                 (None, None) => break,
-            }
+            };
+            out.extend(if from_other { b.next() } else { a.next() });
         }
         TimeSeries { points: out }
     }
@@ -286,60 +277,6 @@ pub struct CounterSeries {
     pub series: TimeSeries,
 }
 
-/// The shareable metrics handle: instrumented subsystems check
-/// [`enabled`](MetricsSink::enabled) once at setup (disabled = fully
-/// uninstrumented run) and [`publish`](MetricsSink::publish) their
-/// registries when they finish; the owner then collects every registry
-/// from any clone of the sink.
-#[derive(Clone, Default)]
-pub struct MetricsSink {
-    inner: Option<Arc<Mutex<Vec<MetricsRegistry>>>>,
-}
-
-impl MetricsSink {
-    /// A collecting sink.
-    pub fn recording() -> Self {
-        MetricsSink { inner: Some(Arc::new(Mutex::new(Vec::new()))) }
-    }
-
-    /// A no-op sink: instrumented code runs with metrics compiled out to
-    /// one branch at setup.
-    pub fn disabled() -> Self {
-        MetricsSink { inner: None }
-    }
-
-    /// Whether this sink collects anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Publish a finished registry (no-op when disabled).
-    pub fn publish(&self, reg: MetricsRegistry) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("metrics sink poisoned").push(reg);
-        }
-    }
-
-    /// Snapshot of every published registry, in publication order.
-    pub fn registries(&self) -> Vec<MetricsRegistry> {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("metrics sink poisoned").clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// All published counter tracks, registry by registry.
-    pub fn counter_series(&self) -> Vec<CounterSeries> {
-        self.registries().iter().flat_map(MetricsRegistry::counter_series).collect()
-    }
-}
-
-impl std::fmt::Debug for MetricsSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsSink").field("enabled", &self.enabled()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,14 +390,14 @@ mod tests {
 
     #[test]
     fn sink_collects_published_registries() {
-        let sink = MetricsSink::recording();
-        assert!(sink.enabled());
-        let clone = sink.clone();
+        use crate::Observer;
+
+        let sink = Observer::recording();
         let mut reg = MetricsRegistry::new("shard0");
         let c = reg.counter("events");
         reg.inc(c, 1);
         reg.sample(5);
-        clone.publish(reg);
+        sink.clone().publish([], vec![reg]);
         let regs = sink.registries();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].value("events"), Some(1));
@@ -468,9 +405,8 @@ mod tests {
         assert_eq!(tracks.len(), 1);
         assert_eq!(tracks[0].name, "shard0/events");
 
-        let off = MetricsSink::disabled();
-        assert!(!off.enabled());
-        off.publish(MetricsRegistry::new("ignored"));
+        let off = Observer::disabled();
+        off.publish([], vec![MetricsRegistry::new("ignored")]);
         assert!(off.registries().is_empty());
     }
 }

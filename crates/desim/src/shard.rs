@@ -39,7 +39,7 @@
 //! * `Event::Call` closures need `&mut Simulator` and cannot be
 //!   partitioned; scenarios must drain them (or not use them) before
 //!   converting. [`ShardedSimulator::from_simulator`] panics otherwise.
-//! * Tracing and event budgets are sequential-kernel features.
+//! * Event budgets and horizons are sequential-kernel features.
 //! * Events scheduled at exactly [`SimTime::MAX`] are indistinguishable
 //!   from "no event" in the min-reduction and are left unprocessed (the
 //!   run then reports [`RunResult::HorizonReached`]).
@@ -47,7 +47,8 @@
 use std::sync::Arc;
 
 use crate::component::{Component, ComponentId, Ctx, Msg};
-use crate::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSink};
+use crate::metrics::{CounterId, GaugeId, MetricsRegistry};
+use crate::observer::{ObsBuf, Observer};
 use crate::partition::ShardPlan;
 use crate::queue::{EventKey, EventQueue, QueuedEvent};
 use crate::sim::{Event, RunResult, SimParts, Simulator};
@@ -96,28 +97,27 @@ impl RemoteCtx<'_> {
     }
 }
 
-/// Kernel instrumentation for one shard: a [`MetricsRegistry`] plus the
-/// pre-registered handles the window loop bumps. Allocated only when a
-/// recording [`MetricsSink`] is attached — the uninstrumented kernel pays
-/// one `Option` branch per window.
+/// What an observed shard keeps: the buffer its handlers record into
+/// and a [`MetricsRegistry`] with the handles the window loop bumps.
+/// Allocated only under a recording [`Observer`] — the unobserved kernel
+/// pays one `Option` branch per window and per hook.
 ///
-/// Everything here is a function of the deterministic window structure,
-/// so two runs of the same scenario produce identical counters, gauges
-/// and series.
-struct ShardMetrics {
+/// Every metric is a function of the deterministic window structure, so
+/// two runs of one scenario produce identical values and series. Each
+/// has a reader: the benchmark adapter (`windows`, `xshard_events`,
+/// `queue_depth`, `lookahead_util_ppm`), the report block and the
+/// counter tracks of a trace (`events` too).
+struct ShardObs {
+    buf: ObsBuf,
+    /// Component names, for the dispatch spans' tracks.
+    names: Vec<String>,
     reg: MetricsRegistry,
     /// Events executed (cumulative).
     events: CounterId,
     /// Window rounds in which this shard participated.
     windows: CounterId,
-    /// Non-empty cross-shard batches staged.
-    xshard_batches: CounterId,
     /// Events forwarded across shard boundaries.
     xshard_events: CounterId,
-    /// Approximate bytes forwarded across shard boundaries.
-    xshard_bytes: CounterId,
-    /// Events executed in the last window.
-    window_events: GaugeId,
     /// Local queue depth at the start of the last window.
     queue_depth: GaugeId,
     /// Fraction of the lookahead window covered by executed events, in
@@ -125,20 +125,20 @@ struct ShardMetrics {
     lookahead_util_ppm: GaugeId,
 }
 
-impl ShardMetrics {
-    fn new(index: u32) -> Box<Self> {
+impl ShardObs {
+    fn attach(observer: &Observer, index: u32, names: &[String]) -> Option<Box<Self>> {
+        let buf = ObsBuf::attach(observer)?;
         let mut reg = MetricsRegistry::new(format!("shard{index}"));
-        Box::new(ShardMetrics {
+        Some(Box::new(ShardObs {
+            buf,
+            names: names.to_vec(),
             events: reg.counter("events"),
             windows: reg.counter("windows"),
-            xshard_batches: reg.counter("xshard_batches"),
             xshard_events: reg.counter("xshard_events"),
-            xshard_bytes: reg.counter("xshard_bytes"),
-            window_events: reg.gauge("window_events"),
             queue_depth: reg.gauge("queue_depth"),
             lookahead_util_ppm: reg.gauge("lookahead_util_ppm"),
             reg,
-        })
+        }))
     }
 }
 
@@ -157,8 +157,8 @@ struct Shard {
     /// Per-destination buffers for cross-shard sends staged inside the
     /// current window; exchanged once per round.
     staged: Vec<Vec<RemoteEvent>>,
-    /// Live instrumentation; `None` runs the kernel uninstrumented.
-    metrics: Option<Box<ShardMetrics>>,
+    /// Live observation; `None` runs the kernel unobserved.
+    obs: Option<Box<ShardObs>>,
 }
 
 impl Shard {
@@ -168,59 +168,35 @@ impl Shard {
     }
 
     /// Process every local event strictly before `horizon`, including
-    /// events generated inside the window. `gm` is the round's global
-    /// minimum in nanoseconds (the window base, used only by the
-    /// instrumented path).
-    fn process_window(&mut self, gm: u64, horizon: SimTime) {
-        if self.metrics.is_none() {
-            while let Some(ev) = self.queue.pop_before(horizon) {
-                self.dispatch(ev);
-            }
-            return;
-        }
-        let depth = self.queue.len() as u64;
-        let mut executed = 0u64;
-        let mut last_ns = gm;
-        while let Some(ev) = self.queue.pop_before(horizon) {
-            last_ns = ev.time.as_nanos();
-            self.dispatch(ev);
-            executed += 1;
-        }
-        self.account_window(gm, depth, executed, last_ns);
-    }
-
-    /// Fold one finished window into the metrics registry and sample
-    /// every series at the window base `gm`. Runs after local processing
-    /// and *before* the staged batches leave the shard, so cross-shard
+    /// events generated inside the window. An observed shard then folds
+    /// the window into its registry and samples every series at the
+    /// window base `gm` (the round's global minimum, in nanoseconds) —
+    /// *before* the staged batches leave the shard, so cross-shard
     /// accounting sees exactly this window's traffic.
-    fn account_window(&mut self, gm: u64, depth: u64, executed: u64, last_ns: u64) {
-        let mut staged_batches = 0u64;
-        let mut staged_events = 0u64;
-        for batch in &self.staged {
-            if !batch.is_empty() {
-                staged_batches += 1;
-                staged_events += batch.len() as u64;
-            }
+    fn process_window(&mut self, gm: u64, horizon: SimTime) {
+        let depth = self.queue.len() as u64;
+        let before = self.processed;
+        while let Some(ev) = self.queue.pop_before(horizon) {
+            self.dispatch(ev);
         }
-        let lookahead_ns = self.lookahead.as_nanos();
-        let m = self.metrics.as_mut().expect("instrumented path");
+        let Some(m) = self.obs.as_deref_mut() else { return };
+        let executed = self.processed - before;
         m.reg.set(m.queue_depth, depth);
         m.reg.inc(m.events, executed);
         m.reg.inc(m.windows, 1);
-        m.reg.set(m.window_events, executed);
+        let lookahead_ns = self.lookahead.as_nanos();
         let util_ppm = if executed == 0 || lookahead_ns == 0 {
             0
         } else {
-            // Span of the window actually covered by executed events,
-            // as ppm of the declared lookahead (capped: the last event
-            // fires strictly *before* gm + lookahead).
-            let used = last_ns.saturating_sub(gm) as u128;
+            // Span of the window actually covered by executed events
+            // (`now` is the last one's instant), as ppm of the declared
+            // lookahead (capped: the last event fires strictly *before*
+            // gm + lookahead).
+            let used = self.now.as_nanos().saturating_sub(gm) as u128;
             ((used * 1_000_000 / lookahead_ns as u128) as u64).min(1_000_000)
         };
         m.reg.set(m.lookahead_util_ppm, util_ppm);
-        m.reg.inc(m.xshard_batches, staged_batches);
-        m.reg.inc(m.xshard_events, staged_events);
-        m.reg.inc(m.xshard_bytes, staged_events * std::mem::size_of::<RemoteEvent>() as u64);
+        m.reg.inc(m.xshard_events, self.staged.iter().map(Vec::len).sum::<usize>() as u64);
         m.reg.sample(gm);
     }
 
@@ -237,9 +213,16 @@ impl Shard {
                 self.now = ev.time;
                 self.processed += 1;
                 self.dispatch_counts[t] += 1;
+                // `from_simulator` put every component on the shard its
+                // events are routed to; an empty slot is a wiring bug.
                 let comp = self.components[t]
                     .as_deref_mut()
                     .unwrap_or_else(|| panic!("dispatch to empty slot {target:?}"));
+                let obs = self.obs.as_deref_mut().map(|o| {
+                    let key = EventKey { time: ev.time, src: ev.src, seq: ev.seq };
+                    o.buf.dispatched(key, target, &o.names[t]);
+                    &mut o.buf
+                });
                 // A solitary shard has nowhere to forward to; skipping
                 // the remote context spares every send the locality
                 // check on the hot path.
@@ -255,19 +238,21 @@ impl Shard {
                     queue: &mut self.queue,
                     src_seq: &mut self.send_seqs[t],
                     remote,
-                    tracer: None,
+                    obs,
                 };
                 comp.handle(&mut ctx, msg);
             }
+            // `from_simulator` refuses a queue that holds one, and nothing
+            // on a shard can schedule one: closures need `&mut Simulator`.
             Event::Call(_) => unreachable!("Call events are rejected at partition time"),
         }
     }
 }
 
 /// The sharded event kernel: a set of [`Shard`]s advancing in
-/// conservative lookahead windows on the calling thread. Built from a wired [`Simulator`] and
-/// dissolved back into one for stats collection, so every existing
-/// report path works unchanged.
+/// conservative lookahead windows on the calling thread. Built from a
+/// wired [`Simulator`] and dissolved back into one for stats collection,
+/// so every existing report path works unchanged.
 pub struct ShardedSimulator {
     shards: Vec<Shard>,
     names: Vec<String>,
@@ -276,24 +261,23 @@ pub struct ShardedSimulator {
     /// keeps scheduling externals deterministically.
     fifo_seq: u64,
     base_processed: u64,
-    /// Where shard registries are published at teardown; disabled by
-    /// default.
-    metrics_sink: MetricsSink,
+    /// Where the shards publish at teardown; disabled by default.
+    observer: Observer,
 }
 
 impl ShardedSimulator {
     /// Partition a wired simulator according to `plan`.
     ///
-    /// Panics if a tracer is attached, if the plan references unknown
-    /// components, or if `Call` events are pending (closures cannot cross
-    /// shard boundaries).
+    /// Panics if the plan references unknown components or if `Call`
+    /// events are pending (closures cannot cross shard boundaries). The
+    /// simulator's observer, if any, carries over.
     pub fn from_simulator(sim: Simulator, plan: &ShardPlan) -> Self {
-        assert!(!sim.has_tracer(), "tracing is only supported on the sequential kernel");
         let n = plan.n_shards();
         let mut parts = sim.into_parts();
         let len = parts.components.len();
         let table = Arc::new(plan.table(len));
-        let lookahead = plan.lookahead();
+        // A single shard has no cut edge to bound: one window drains it.
+        let lookahead = if n == 1 { SimDuration::MAX } else { plan.lookahead() };
 
         let fifo_seq = parts.queue.fifo_seq();
         let entries = parts.queue.drain_entries();
@@ -310,7 +294,7 @@ impl ShardedSimulator {
                 shard_of: Arc::clone(&table),
                 lookahead,
                 staged: (0..n).map(|_| Vec::new()).collect(),
-                metrics: None,
+                obs: None,
             })
             .collect();
 
@@ -326,6 +310,8 @@ impl ShardedSimulator {
                     let dest = table[target.index()] as usize;
                     shards[dest].queue.push_keyed(key, Event::Deliver { target, msg });
                 }
+                // The documented precondition: a closure cannot be
+                // assigned to a shard, and dropping it would change the run.
                 Event::Call(_) => panic!(
                     "pending Call events cannot be partitioned; \
                      drain them on the sequential kernel first"
@@ -333,25 +319,28 @@ impl ShardedSimulator {
             }
         }
 
-        ShardedSimulator {
+        let mut sharded = ShardedSimulator {
             shards,
             names: parts.names,
             lookahead,
             fifo_seq,
             base_processed: parts.processed,
-            metrics_sink: MetricsSink::disabled(),
-        }
+            observer: Observer::disabled(),
+        };
+        sharded.observe(&parts.observer);
+        sharded
     }
 
-    /// Attach a metrics sink. When `sink` is recording, every shard is
-    /// instrumented (per-window counters, queue-depth and lookahead
-    /// gauges — see [`MetricsRegistry`]) and publishes its registry
-    /// to the sink at [`into_simulator`](Self::into_simulator) time. A
-    /// disabled sink detaches the instrumentation.
-    pub fn set_metrics(&mut self, sink: &MetricsSink) {
-        self.metrics_sink = sink.clone();
+    /// Attach `observer` (a disabled one detaches). Under a recording
+    /// one every shard buffers what its handlers report and keeps
+    /// per-window kernel metrics; [`into_simulator`](Self::into_simulator)
+    /// publishes the lot — spans merged into the sequential run's order,
+    /// one `shard{i}` [`MetricsRegistry`] per shard — and hands the
+    /// observer on to the merged simulator.
+    pub fn observe(&mut self, observer: &Observer) {
+        self.observer = observer.clone();
         for shard in &mut self.shards {
-            shard.metrics = sink.enabled().then(|| ShardMetrics::new(shard.index));
+            shard.obs = ShardObs::attach(observer, shard.index, &self.names);
         }
     }
 
@@ -371,40 +360,10 @@ impl ShardedSimulator {
         self.shards.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Run every shard until all queues drain: a plain drain for a single
-    /// shard, otherwise the window loop — the shards take turns on the
-    /// calling thread, so a panicking component unwinds straight through
-    /// `run`.
+    /// Run every shard until all queues drain. The shards take turns on
+    /// the calling thread, so a panicking component unwinds straight
+    /// through `run`.
     pub fn run(&mut self) -> RunResult {
-        if self.shards.len() == 1 {
-            // Single shard: no windows, no synchronization — just drain.
-            let shard = &mut self.shards[0];
-            if shard.metrics.is_some() {
-                // Instrumented drain: no window structure, so sample the
-                // depth series every fixed number of events at the event's
-                // (monotone) virtual time instead of at window bases.
-                const SAMPLE_EVERY: u64 = 1024;
-                let mut since_sample = 0u64;
-                while let Some(ev) = shard.queue.pop() {
-                    let depth = shard.queue.len() as u64 + 1;
-                    let t_ns = ev.time.as_nanos();
-                    shard.dispatch(ev);
-                    let m = shard.metrics.as_mut().expect("instrumented path");
-                    m.reg.set(m.queue_depth, depth);
-                    m.reg.inc(m.events, 1);
-                    since_sample += 1;
-                    if since_sample == SAMPLE_EVERY {
-                        since_sample = 0;
-                        m.reg.sample(t_ns);
-                    }
-                }
-            } else {
-                while let Some(ev) = shard.queue.pop() {
-                    shard.dispatch(ev);
-                }
-            }
-            return RunResult::Drained;
-        }
         loop {
             let gm = self.shards.iter().map(Shard::next_time_ns).min().unwrap_or(u64::MAX);
             if gm == u64::MAX {
@@ -450,6 +409,7 @@ impl ShardedSimulator {
         let mut queue = EventQueue::new();
         let mut now = SimTime::ZERO;
         let mut processed = self.base_processed;
+        let (mut bufs, mut registries) = (Vec::new(), Vec::new());
         for shard in self.shards {
             let Shard {
                 queue: mut sq,
@@ -458,11 +418,12 @@ impl ShardedSimulator {
                 dispatch_counts: sdisp,
                 now: snow,
                 processed: sproc,
-                metrics,
+                obs,
                 ..
             } = shard;
-            if let Some(m) = metrics {
-                self.metrics_sink.publish(m.reg);
+            if let Some(obs) = obs {
+                bufs.push(obs.buf);
+                registries.push(obs.reg);
             }
             now = now.max(snow);
             processed += sproc;
@@ -482,6 +443,7 @@ impl ShardedSimulator {
             }
         }
         queue.set_fifo_seq(self.fifo_seq);
+        self.observer.publish(&mut bufs, registries);
         Simulator::from_parts(SimParts {
             now,
             queue,
@@ -490,6 +452,7 @@ impl ShardedSimulator {
             dispatch_counts,
             send_seqs,
             processed,
+            observer: self.observer,
         })
     }
 }
@@ -601,12 +564,10 @@ mod tests {
 
     #[test]
     fn kernel_metrics_are_deterministic_across_runs() {
-        use crate::metrics::MetricsSink;
-
         let collect = || {
             let mut sharded = split_pingpong();
-            let sink = MetricsSink::recording();
-            sharded.set_metrics(&sink);
+            let sink = Observer::recording();
+            sharded.observe(&sink);
             assert_eq!(sharded.run(), RunResult::Drained);
             let _ = sharded.into_simulator();
             sink.registries()
@@ -637,8 +598,6 @@ mod tests {
 
     #[test]
     fn uninstrumented_run_matches_instrumented_run() {
-        use crate::metrics::MetricsSink;
-
         let run = |with_metrics: bool| {
             let delay = SimDuration::from_micros(500);
             let (sim, a, b) = pingpong_sim(delay, 10);
@@ -646,9 +605,8 @@ mod tests {
             plan.assign(a, 0);
             plan.assign(b, 1);
             let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-            let sink =
-                if with_metrics { MetricsSink::recording() } else { MetricsSink::disabled() };
-            sharded.set_metrics(&sink);
+            let sink = if with_metrics { Observer::recording() } else { Observer::disabled() };
+            sharded.observe(&sink);
             sharded.run();
             let merged = sharded.into_simulator();
             (merged.now(), merged.events_processed(), sink.registries().len())
@@ -663,13 +621,11 @@ mod tests {
 
     #[test]
     fn single_shard_instrumented_run_samples_depth() {
-        use crate::metrics::MetricsSink;
-
         let delay = SimDuration::from_micros(10);
         let (sim, _, _) = pingpong_sim(delay, 7);
         let mut sharded = ShardedSimulator::from_simulator(sim, &ShardPlan::new(1, delay));
-        let sink = MetricsSink::recording();
-        sharded.set_metrics(&sink);
+        let sink = Observer::recording();
+        sharded.observe(&sink);
         assert_eq!(sharded.run(), RunResult::Drained);
         let _ = sharded.into_simulator();
         let regs = sink.registries();
@@ -677,6 +633,66 @@ mod tests {
         assert_eq!(regs[0].value("events"), Some(13));
         assert!(regs[0].hwm("queue_depth").expect("depth tracked") >= 1);
         assert_eq!(regs[0].value("xshard_events"), Some(0), "one shard never forwards");
+    }
+
+    /// Records a span per message and passes it on at once to `next`.
+    struct Relay {
+        next: Option<ComponentId>,
+    }
+
+    impl Component for Relay {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
+            let now = ctx.now();
+            ctx.span("relay", &format!("at#{}", ctx.self_id().index()), now, now);
+            if let Some(next) = self.next {
+                ctx.send_in(SimDuration::ZERO, next, m);
+            }
+        }
+    }
+
+    #[test]
+    fn observed_shards_publish_in_the_sequential_order() {
+        // `hi` hands the ball at once to the lower-numbered `lo` on its
+        // shard: that event's key sorts *below* the one being handled, so
+        // a merge by raw key would put `lo` first. Meanwhile `other`, on
+        // the second shard, is due at the same instants.
+        let build = || {
+            let mut sim = Simulator::new();
+            let lo = sim.add_component(Relay { next: None });
+            let other = sim.add_component(Relay { next: None });
+            let hi = sim.add_component(Relay { next: Some(lo) });
+            for k in 0..6 {
+                sim.send_at(SimTime::from_micros(k), hi, msg(Ball));
+                sim.send_at(SimTime::from_micros(k), other, msg(Ball));
+            }
+            (sim, other)
+        };
+        for capacity in [1 << 16, 5] {
+            let seq_obs = Observer::with_capacity(capacity);
+            let (mut seq, _) = build();
+            seq.observe(&seq_obs);
+            seq.run();
+            let names: Vec<String> = seq_obs.snapshot().into_iter().map(|s| s.name).collect();
+            if capacity > 36 {
+                assert_eq!(
+                    names[..6],
+                    ["dispatch", "at#2", "dispatch", "at#0", "dispatch", "at#1"]
+                );
+            }
+            for n_shards in [1usize, 2] {
+                let obs = Observer::with_capacity(capacity);
+                let (mut sim, other) = build();
+                sim.observe(&obs);
+                let mut plan = ShardPlan::new(n_shards, SimDuration::from_micros(1));
+                plan.assign(other, n_shards - 1);
+                let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
+                sharded.run();
+                let _ = sharded.into_simulator();
+                assert_eq!(obs.snapshot(), seq_obs.snapshot(), "{n_shards} shard(s)");
+                assert_eq!(obs.dropped(), seq_obs.dropped(), "{n_shards} shard(s)");
+                assert_eq!(obs.sends_by(ComponentId(2)), 6);
+            }
+        }
     }
 
     #[test]

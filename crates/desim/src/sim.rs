@@ -9,9 +9,9 @@
 use std::any::Any;
 
 use crate::component::{Component, ComponentId, Ctx, Msg};
-use crate::queue::{EventQueue, QueuedEvent};
+use crate::observer::{ObsBuf, Observer};
+use crate::queue::{EventKey, EventQueue, QueuedEvent};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 
 /// Internal event representation.
 pub enum Event {
@@ -51,10 +51,10 @@ pub struct Simulator {
     /// Hard cap on processed events, guarding against accidental infinite
     /// self-scheduling loops in models. Default: effectively unlimited.
     event_budget: u64,
-    /// Optional observer of dispatches/sends/timer arms. `None` (the
-    /// default) costs one branch per hook — no allocation, no virtual
-    /// call.
-    tracer: Option<Box<dyn Tracer>>,
+    /// What this kernel has seen for its [`Observer`] since it last
+    /// published. `None` (the default) costs one branch per hook — no
+    /// allocation, no call.
+    obs: Option<Box<ObsBuf>>,
 }
 
 impl Default for Simulator {
@@ -75,19 +75,24 @@ impl Simulator {
             send_seqs: Vec::new(),
             processed: 0,
             event_budget: u64::MAX,
-            tracer: None,
+            obs: None,
         }
     }
 
-    /// Attach a [`Tracer`]; replaces any previous one.
-    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
+    /// Attach `observer` (a disabled one detaches): from here on every
+    /// dispatch, handler span, send and timer arm is buffered and
+    /// published into it whenever a run returns. A
+    /// [`ShardedSimulator`](crate::ShardedSimulator) built from this
+    /// simulator inherits it.
+    pub fn observe(&mut self, observer: &Observer) {
+        self.publish();
+        self.obs = ObsBuf::attach(observer).map(Box::new);
     }
 
-    /// Detach and return the current tracer (to read out its results
-    /// after a run).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
+    fn publish(&mut self) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.observer.clone().publish([obs], Vec::new());
+        }
     }
 
     /// Current virtual time.
@@ -141,7 +146,10 @@ impl Simulator {
     /// Immutable access to a component's concrete type.
     ///
     /// Panics if the id is stale or the type does not match — both are
-    /// programming errors in a closed simulation.
+    /// programming errors in a closed simulation, and the two panics here
+    /// and in [`component_mut`](Self::component_mut) name them. (A slot is
+    /// never empty outside a dispatch; the kernel fills it at registration
+    /// and borrows it in place.)
     pub fn component<C: Component>(&self, id: ComponentId) -> &C {
         let c = self.components[id.0]
             .as_deref()
@@ -174,18 +182,12 @@ impl Simulator {
     /// Schedule a message delivery after `delay`.
     pub fn send_in(&mut self, delay: SimDuration, target: ComponentId, m: Msg) {
         let t = self.now + delay;
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.on_send(self.now, ComponentId::placeholder(), target, t);
-        }
         self.queue.push(t, Event::Deliver { target, msg: m });
     }
 
     /// Schedule a message delivery at the absolute instant `at`.
     pub fn send_at(&mut self, at: SimTime, target: ComponentId, m: Msg) {
         assert!(at >= self.now, "cannot schedule into the past");
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.on_send(self.now, ComponentId::placeholder(), target, at);
-        }
         self.queue.push(at, Event::Deliver { target, msg: m });
     }
 
@@ -211,6 +213,7 @@ impl Simulator {
             return false;
         };
         self.dispatch(ev);
+        self.publish();
         true
     }
 
@@ -224,15 +227,18 @@ impl Simulator {
         match ev.payload {
             Event::Deliver { target, msg } => {
                 // The component, the queue, its send counter and the
-                // tracer are disjoint fields, so the component handles
-                // the event in its slot while `Ctx` borrows the rest.
+                // observation buffer are disjoint fields, so the component
+                // handles the event in its slot while `Ctx` borrows the rest.
                 self.dispatch_counts[target.0] += 1;
+                // Only a never-patched `ComponentId::placeholder()` gets
+                // here: a wiring bug, reported by name.
                 let comp = self.components[target.0]
                     .as_deref_mut()
                     .unwrap_or_else(|| panic!("dispatch to empty slot {:?}", target));
-                let mut tracer = self.tracer.as_deref_mut();
-                if let Some(tr) = tracer.as_deref_mut() {
-                    tr.on_dispatch(self.now, target, &self.names[target.0]);
+                let mut obs = self.obs.as_deref_mut();
+                if let Some(obs) = obs.as_deref_mut() {
+                    let key = EventKey { time: ev.time, src: ev.src, seq: ev.seq };
+                    obs.dispatched(key, target, &self.names[target.0]);
                 }
                 let mut ctx = Ctx {
                     now: self.now,
@@ -240,13 +246,13 @@ impl Simulator {
                     queue: &mut self.queue,
                     src_seq: &mut self.send_seqs[target.0],
                     remote: None,
-                    tracer,
+                    obs,
                 };
                 comp.handle(&mut ctx, msg);
             }
             Event::Call(f) => {
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    tr.on_call(self.now);
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.called();
                 }
                 f(self)
             }
@@ -262,16 +268,18 @@ impl Simulator {
     /// `horizon`. The clock is left at the last processed event (or
     /// unchanged if none fired); pending later events remain queued.
     pub fn run_until(&mut self, horizon: SimTime) -> RunResult {
-        loop {
+        let result = loop {
             if self.processed >= self.event_budget {
-                return RunResult::BudgetExhausted;
+                break RunResult::BudgetExhausted;
             }
             match self.queue.pop_through(horizon) {
                 Some(ev) => self.dispatch(ev),
-                None if self.queue.is_empty() => return RunResult::Drained,
-                None => return RunResult::HorizonReached,
+                None if self.queue.is_empty() => break RunResult::Drained,
+                None => break RunResult::HorizonReached,
             }
-        }
+        };
+        self.publish();
+        result
     }
 
     /// Run for `span` of virtual time from the current clock.
@@ -280,9 +288,10 @@ impl Simulator {
         self.run_until(horizon)
     }
 
-    /// Decompose into raw state for partitioning across shards. The
-    /// tracer (if any) is dropped: tracing is a sequential-kernel feature.
-    pub(crate) fn into_parts(self) -> SimParts {
+    /// Decompose into raw state for partitioning across shards; what the
+    /// observer has not seen yet is published first.
+    pub(crate) fn into_parts(mut self) -> SimParts {
+        self.publish();
         SimParts {
             now: self.now,
             queue: self.queue,
@@ -291,6 +300,7 @@ impl Simulator {
             dispatch_counts: self.dispatch_counts,
             send_seqs: self.send_seqs,
             processed: self.processed,
+            observer: self.obs.map_or_else(Observer::disabled, |obs| obs.observer),
         }
     }
 
@@ -305,13 +315,8 @@ impl Simulator {
             send_seqs: p.send_seqs,
             processed: p.processed,
             event_budget: u64::MAX,
-            tracer: None,
+            obs: ObsBuf::attach(&p.observer).map(Box::new),
         }
-    }
-
-    /// Whether a tracer is currently attached.
-    pub fn has_tracer(&self) -> bool {
-        self.tracer.is_some()
     }
 }
 
@@ -325,6 +330,7 @@ pub(crate) struct SimParts {
     pub(crate) dispatch_counts: Vec<u64>,
     pub(crate) send_seqs: Vec<u64>,
     pub(crate) processed: u64,
+    pub(crate) observer: Observer,
 }
 
 #[cfg(test)]

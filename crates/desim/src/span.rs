@@ -1,30 +1,16 @@
-//! Span tracing: a bounded flight recorder of timed intervals and a
-//! Chrome trace-event exporter.
+//! Span tracing: timed intervals and a Chrome trace-event exporter.
 //!
 //! A [`Span`] is a named interval on a named *track* (usually one track
-//! per component). [`SpanRecorder`] keeps the most recent spans in a
-//! bounded ring — a flight recorder, so tracing a long run costs constant
-//! memory — and [`chrome_trace`] renders any span set as Chrome
-//! trace-event JSON (`[{"name","ph":"B"/"E","ts","pid","tid"},…]`),
+//! per component); an [`Observer`](crate::Observer) keeps the most recent
+//! ones in a bounded ring. [`chrome_trace`] renders any span set as
+//! Chrome trace-event JSON (`[{"name","ph":"B"/"E","ts","pid","tid"},…]`),
 //! loadable in Perfetto or `chrome://tracing`. Overlapping spans on one
 //! track are spread over per-track *lanes* (one `tid` each) so the
 //! begin/end pairs on every `tid` nest properly.
-//!
-//! [`SpanSink`] is the shareable handle components hold: a clone-able
-//! reference to one recorder, with a no-op `disabled` state whose record
-//! calls compile down to a branch. It also implements
-//! [`Tracer`](crate::trace::Tracer), recording every kernel dispatch as a
-//! zero-length span, so `sim.set_tracer(Box::new(sink.clone()))` yields a
-//! scheduling timeline with no component changes at all.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
-use crate::component::ComponentId;
 use crate::json::Json;
 use crate::metrics::CounterSeries;
 use crate::time::SimTime;
-use crate::trace::Tracer;
 
 /// A completed timed interval on a track.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,185 +25,9 @@ pub struct Span {
     pub end: SimTime,
 }
 
-/// Default ring capacity: enough for every span of the bench runs while
-/// bounding long soak runs to a few MiB.
+/// Default capacity of an observer's span ring: enough for every span
+/// of the bench runs while bounding long soak runs to a few MiB.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
-
-/// A bounded ring of completed spans plus a stack of open ones.
-#[derive(Debug)]
-pub struct SpanRecorder {
-    spans: VecDeque<Span>,
-    open: Vec<Span>,
-    capacity: usize,
-    /// Completed spans evicted from the full ring (oldest first).
-    pub dropped: u64,
-}
-
-impl Default for SpanRecorder {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-}
-
-impl SpanRecorder {
-    /// A recorder keeping at most `capacity` completed spans.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SpanRecorder {
-            spans: VecDeque::new(),
-            open: Vec::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Record a completed span.
-    pub fn record(
-        &mut self,
-        track: impl Into<String>,
-        name: impl Into<String>,
-        begin: SimTime,
-        end: SimTime,
-    ) {
-        debug_assert!(end >= begin, "span ends before it begins");
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
-            self.dropped += 1;
-        }
-        self.spans.push_back(Span { track: track.into(), name: name.into(), begin, end });
-    }
-
-    /// Open a span; pair with [`end`](Self::end) (LIFO per track+name).
-    pub fn begin(&mut self, track: impl Into<String>, name: impl Into<String>, now: SimTime) {
-        self.open.push(Span { track: track.into(), name: name.into(), begin: now, end: now });
-    }
-
-    /// Close the most recently opened span with this track and name.
-    /// Unmatched ends are ignored (the flight recorder must never panic
-    /// mid-run).
-    pub fn end(&mut self, track: &str, name: &str, now: SimTime) {
-        if let Some(pos) = self.open.iter().rposition(|s| s.track == track && s.name == name) {
-            let mut span = self.open.remove(pos);
-            span.end = now.max(span.begin);
-            if self.spans.len() == self.capacity {
-                self.spans.pop_front();
-                self.dropped += 1;
-            }
-            self.spans.push_back(span);
-        }
-    }
-
-    /// Completed spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
-    }
-
-    /// Number of completed spans currently held.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether no completed spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans begun but not yet ended.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Chrome trace-event JSON of the held spans.
-    pub fn to_chrome_trace(&self) -> Json {
-        chrome_trace(self.spans.iter())
-    }
-}
-
-/// The shareable span-recording handle. Cloning is cheap; all clones feed
-/// one recorder. The [`disabled`](SpanSink::disabled) sink records
-/// nothing and costs one branch per call.
-#[derive(Clone, Default)]
-pub struct SpanSink {
-    inner: Option<Arc<Mutex<SpanRecorder>>>,
-}
-
-impl SpanSink {
-    /// A recording sink with the default ring capacity.
-    pub fn recording() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// A recording sink keeping at most `capacity` spans.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SpanSink { inner: Some(Arc::new(Mutex::new(SpanRecorder::with_capacity(capacity)))) }
-    }
-
-    /// A no-op sink.
-    pub fn disabled() -> Self {
-        SpanSink { inner: None }
-    }
-
-    /// Whether this sink records anything.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Record a completed span (no-op when disabled).
-    pub fn record(&self, track: &str, name: &str, begin: SimTime, end: SimTime) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("span recorder poisoned").record(track, name, begin, end);
-        }
-    }
-
-    /// Snapshot of the completed spans, oldest first.
-    pub fn snapshot(&self) -> Vec<Span> {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("span recorder poisoned").spans().cloned().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Completed spans evicted from the full ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().expect("span recorder poisoned").dropped)
-    }
-
-    /// Number of completed spans currently held.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().expect("span recorder poisoned").len())
-    }
-
-    /// Whether no completed spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Chrome trace-event JSON of the recorded spans.
-    pub fn to_chrome_trace(&self) -> Json {
-        chrome_trace(self.snapshot().iter())
-    }
-
-    /// Write the Chrome trace to `path` (pretty-printed JSON).
-    pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_chrome_trace().pretty())
-    }
-}
-
-impl std::fmt::Debug for SpanSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanSink").field("enabled", &self.enabled()).finish()
-    }
-}
-
-/// As a kernel tracer, a sink records every event dispatch as a
-/// zero-length span on the dispatched component's track.
-impl Tracer for SpanSink {
-    fn on_dispatch(&mut self, now: SimTime, target: ComponentId, name: &str) {
-        if let Some(inner) = &self.inner {
-            let track = format!("{name}#{}", target.index());
-            inner.lock().expect("span recorder poisoned").record(track, "dispatch", now, now);
-        }
-    }
-}
 
 /// Render spans as Chrome trace-event JSON.
 ///
@@ -246,25 +56,21 @@ pub fn chrome_trace_with_counters<'a>(
     sorted.sort_by(|a, b| (a.begin, a.end, &a.track).cmp(&(b.begin, b.end, &b.track)));
 
     // Track order = first appearance; lanes are per track.
-    let mut track_order: Vec<&str> = Vec::new();
-    for s in &sorted {
-        if !track_order.iter().any(|t| *t == s.track) {
-            track_order.push(&s.track);
-        }
-    }
     // lanes[track][lane] = (end time of last span, events on this lane)
-    let mut lanes: Vec<Vec<(SimTime, Vec<&Span>)>> = vec![Vec::new(); track_order.len()];
+    let mut track_order: Vec<&str> = Vec::new();
+    let mut lanes: Vec<Vec<(SimTime, Vec<&Span>)>> = Vec::new();
     for s in &sorted {
-        let ti = track_order.iter().position(|t| *t == s.track).expect("track registered");
-        let lane = match lanes[ti].iter_mut().find(|(end, _)| *end <= s.begin) {
-            Some(lane) => lane,
-            None => {
-                lanes[ti].push((SimTime::ZERO, Vec::new()));
-                lanes[ti].last_mut().expect("lane just pushed")
-            }
-        };
-        lane.0 = s.end;
-        lane.1.push(s);
+        let ti = track_order.iter().position(|t| *t == s.track).unwrap_or_else(|| {
+            track_order.push(&s.track);
+            lanes.push(Vec::new());
+            lanes.len() - 1
+        });
+        let li = lanes[ti].iter().position(|(end, _)| *end <= s.begin).unwrap_or_else(|| {
+            lanes[ti].push((SimTime::ZERO, Vec::new()));
+            lanes[ti].len() - 1
+        });
+        lanes[ti][li].0 = s.end;
+        lanes[ti][li].1.push(s);
     }
 
     let mut events: Vec<Json> = Vec::new();
@@ -415,6 +221,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use crate::Observer;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -422,33 +229,18 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_drops_oldest() {
-        let mut r = SpanRecorder::with_capacity(3);
+        let r = Observer::with_capacity(3);
         for i in 0..5u64 {
-            r.record("trk", format!("s{i}"), t(i), t(i + 1));
+            r.record("trk", &format!("s{i}"), t(i), t(i + 1));
         }
         assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped, 2);
-        assert_eq!(r.spans().next().expect("spans held").name, "s2");
-    }
-
-    #[test]
-    fn begin_end_pairs_lifo() {
-        let mut r = SpanRecorder::default();
-        r.begin("trk", "outer", t(0));
-        r.begin("trk", "inner", t(1));
-        r.end("trk", "inner", t(2));
-        r.end("trk", "outer", t(4));
-        r.end("trk", "stray", t(5)); // ignored
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.open_count(), 0);
-        let spans: Vec<_> = r.spans().collect();
-        assert_eq!(spans[0].name, "inner");
-        assert_eq!(spans[1].end - spans[1].begin, SimDuration::from_micros(4));
+        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.snapshot()[0].name, "s2");
     }
 
     #[test]
     fn export_validates_and_separates_overlap_lanes() {
-        let mut r = SpanRecorder::default();
+        let r = Observer::recording();
         // Two overlapping spans on one track must land on two lanes.
         r.record("switch", "cell0", t(0), t(10));
         r.record("switch", "cell1", t(5), t(15));
@@ -461,7 +253,7 @@ mod tests {
 
     #[test]
     fn sequential_spans_share_a_lane() {
-        let mut r = SpanRecorder::default();
+        let r = Observer::recording();
         r.record("link", "p0", t(0), t(5));
         r.record("link", "p1", t(5), t(9));
         let check = validate_chrome_trace(&r.to_chrome_trace().dump()).expect("valid");
@@ -471,7 +263,7 @@ mod tests {
 
     #[test]
     fn zero_length_spans_are_valid() {
-        let mut r = SpanRecorder::default();
+        let r = Observer::recording();
         r.record("c", "dispatch", t(3), t(3));
         r.record("c", "dispatch", t(3), t(3));
         let check = validate_chrome_trace(&r.to_chrome_trace().dump()).expect("valid");
@@ -480,13 +272,13 @@ mod tests {
 
     #[test]
     fn sink_clones_share_one_recorder() {
-        let sink = SpanSink::recording();
+        let sink = Observer::recording();
         let clone = sink.clone();
         clone.record("a", "x", t(0), t(1));
         sink.record("b", "y", t(1), t(2));
         assert_eq!(sink.len(), 2);
-        assert!(SpanSink::disabled().snapshot().is_empty());
-        assert!(!SpanSink::disabled().enabled());
+        assert!(Observer::disabled().snapshot().is_empty());
+        assert!(!Observer::disabled().enabled());
     }
 
     #[test]
@@ -506,8 +298,8 @@ mod tests {
         }
         let mut sim = Simulator::new();
         let id = sim.add_component(Nop);
-        let sink = SpanSink::recording();
-        sim.set_tracer(Box::new(sink.clone()));
+        let sink = Observer::recording();
+        sim.observe(&sink);
         sim.send_in(SimDuration::from_micros(7), id, msg(Tick));
         sim.run();
         let spans = sink.snapshot();
@@ -521,7 +313,7 @@ mod tests {
     fn counter_events_export_and_validate() {
         use crate::metrics::MetricsRegistry;
 
-        let mut r = SpanRecorder::default();
+        let r = Observer::recording();
         r.record("shard0", "window", t(0), t(10));
         let mut reg = MetricsRegistry::new("shard0");
         let g = reg.gauge("queue_depth");
@@ -529,8 +321,7 @@ mod tests {
         reg.sample(2_000); // 2 µs
         reg.set(g, 9);
         reg.sample(8_000);
-        let spans: Vec<Span> = r.spans().cloned().collect();
-        let doc = chrome_trace_with_counters(spans.iter(), &reg.counter_series());
+        let doc = chrome_trace_with_counters(r.snapshot().iter(), &reg.counter_series());
         let check = validate_chrome_trace(&doc.dump()).expect("valid trace with counters");
         assert_eq!(check.spans, 1);
         assert_eq!(check.counters, 2);

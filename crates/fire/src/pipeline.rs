@@ -86,8 +86,9 @@ pub struct FirePipeline {
     /// Motion estimates per scan.
     pub motion_log: Vec<MotionEstimate>,
     /// Per-stage wall-clock spans (`filter`, `motion`, `correlate`,
-    /// `smooth` on the `fire` track); disabled by default.
-    spans: gtw_desim::SpanSink,
+    /// `smooth` on the `fire` track); disabled by default. No simulator
+    /// drives the pipeline, so it records straight into the handle.
+    observer: gtw_desim::Observer,
     /// Wall-clock epoch for span timestamps.
     epoch: std::time::Instant,
 }
@@ -104,26 +105,25 @@ impl FirePipeline {
             state,
             series: Vec::new(),
             motion_log: Vec::new(),
-            spans: gtw_desim::SpanSink::disabled(),
+            observer: gtw_desim::Observer::disabled(),
             epoch: std::time::Instant::now(),
         }
     }
 
-    /// Attach a span sink recording wall-clock per-stage spans.
-    pub fn with_spans(mut self, sink: gtw_desim::SpanSink) -> Self {
-        self.spans = sink;
-        self
+    /// Record wall-clock per-stage spans into `observer`.
+    pub fn observe(&mut self, observer: &gtw_desim::Observer) {
+        self.observer = observer.clone();
     }
 
     /// Record a wall-clock span for a compute stage that started
     /// `started` into the run (both endpoints relative to the pipeline
     /// epoch, so the trace is self-consistent).
     fn stage_span(&self, name: &str, started: std::time::Duration) {
-        if self.spans.enabled() {
+        if self.observer.enabled() {
             let ns = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
             let begin = gtw_desim::SimTime::from_nanos(ns(started));
             let end = gtw_desim::SimTime::from_nanos(ns(self.epoch.elapsed()));
-            self.spans.record("fire", name, begin, end);
+            self.observer.record("fire", name, begin, end);
         }
     }
 
@@ -261,7 +261,7 @@ impl FirePipeline {
             state,
             series,
             motion_log,
-            spans: gtw_desim::SpanSink::disabled(),
+            observer: gtw_desim::Observer::disabled(),
             epoch: std::time::Instant::now(),
         })
     }
@@ -414,13 +414,13 @@ mod tests {
     fn pipeline_emits_per_stage_spans() {
         let scanner = small_scanner(8, 51);
         let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-        let sink = gtw_desim::SpanSink::recording();
+        let sink = gtw_desim::Observer::recording();
         let mut p = FirePipeline::new(
             FireConfig { detrend: Some(2), ..FireConfig::default() },
             scanner.config().dims,
             rv,
-        )
-        .with_spans(sink.clone());
+        );
+        p.observe(&sink);
         for t in 0..scanner.scan_count() {
             p.process(&scanner.acquire(t));
         }

@@ -16,7 +16,7 @@ use gtw_desim::fault::{
     FaultAt, ProcessFaultInjector, ProcessFaultKind, ProcessFaultPlan, Schedule,
 };
 use gtw_desim::{
-    Component, ComponentId, Ctx, Histogram, Json, Msg, SimDuration, SimTime, Simulator, SpanSink,
+    Component, ComponentId, Ctx, Histogram, Json, Msg, Observer, SimDuration, SimTime, Simulator,
 };
 
 /// Operating mode of the chain.
@@ -265,8 +265,6 @@ struct ChainDriver {
     compute: Option<ComponentId>,
     /// Display log: (scan index, scan end, displayed at).
     displayed: Vec<(usize, SimTime, SimTime)>,
-    /// Span sink for per-stage timelines (disabled by default).
-    spans: SpanSink,
     /// WAN outage windows during which the transfer cannot start.
     outages: Schedule,
     /// Starts deferred to an outage-window end.
@@ -324,9 +322,7 @@ impl ChainDriver {
             if !self.wake_armed {
                 self.wake_armed = true;
                 self.deferred += 1;
-                if self.spans.enabled() {
-                    self.spans.record("chain", "outage-hold", ctx.now(), end);
-                }
+                ctx.span("chain", "outage-hold", ctx.now(), end);
                 ctx.timer_in(end.saturating_since(ctx.now()), msg(OutageOver));
             }
             return;
@@ -360,7 +356,7 @@ impl ChainDriver {
                 if slow > 1.0 {
                     total *= slow;
                 }
-                if self.spans.enabled() {
+                if ctx.observing() {
                     // The serial chain's internal stage boundaries are
                     // known at start time; emit them up front.
                     let f = if slow > 1.0 { slow } else { 1.0 };
@@ -368,9 +364,9 @@ impl ChainDriver {
                     let t1 = t0 + SimDuration::from_secs_f64(self.cfg.transfer_s * tmul * f);
                     let t2 = t1 + SimDuration::from_secs_f64(self.cfg.compute_s * cmul * f);
                     let t3 = t2 + SimDuration::from_secs_f64(self.cfg.display_s * f);
-                    self.spans.record("chain", "transfer", t0, t1);
-                    self.spans.record("chain", "compute", t1, t2);
-                    self.spans.record("chain", "display", t2, t3);
+                    ctx.span("chain", "transfer", t0, t1);
+                    ctx.span("chain", "compute", t1, t2);
+                    ctx.span("chain", "display", t2, t3);
                 }
                 ctx.timer_in(
                     SimDuration::from_secs_f64(total),
@@ -387,10 +383,8 @@ impl ChainDriver {
                 if slow > 1.0 {
                     transfer *= slow;
                 }
-                if self.spans.enabled() {
-                    let t = SimDuration::from_secs_f64(transfer);
-                    self.spans.record("transfer", "transfer", ctx.now(), ctx.now() + t);
-                }
+                let t = SimDuration::from_secs_f64(transfer);
+                ctx.span("transfer", "transfer", ctx.now(), ctx.now() + t);
                 if self.injectors.is_empty() {
                     // Clean run: the legacy event schedule, untouched.
                     ctx.send_in(
@@ -513,10 +507,8 @@ impl ChainDriver {
         }
         self.stats.downtime_s += downtime;
         let d = SimDuration::from_secs_f64(downtime);
-        if self.spans.enabled() {
-            let label = if hang { "hang-detect+respawn" } else { "respawn" };
-            self.spans.record("chain", label, ctx.now(), ctx.now() + d);
-        }
+        let label = if hang { "hang-detect+respawn" } else { "respawn" };
+        ctx.span("chain", label, ctx.now(), ctx.now() + d);
         let target = ctx.now() + d;
         if !self.down || target > self.up_at {
             self.up_at = target;
@@ -607,7 +599,6 @@ struct Stage {
     pending: Option<(usize, SimTime)>,
     skipped: usize,
     label: String,
-    spans: SpanSink,
 }
 
 impl Stage {
@@ -620,9 +611,7 @@ impl Stage {
         };
         self.busy = true;
         let d = SimDuration::from_secs_f64(self.service_s);
-        if self.spans.enabled() {
-            self.spans.record(&self.label, &self.label, ctx.now(), ctx.now() + d);
-        }
+        ctx.span(&self.label, &self.label, ctx.now(), ctx.now() + d);
         let next = self.next;
         if self.terminal {
             ctx.send_in(d, next, msg(Displayed(k, scan_end)));
@@ -686,11 +675,13 @@ pub struct ChainOptions {
     /// [`DegradeStats`]; with `None`, or windows that never open, it
     /// stays `None`.
     pub congestion: Option<(Congestion, DegradeConfig)>,
-    /// Per-stage spans (`transfer`, `compute`, `display` — one track each
-    /// in pipelined mode, a single `chain` track in sequential mode) plus
-    /// `acquire` spans on the `scanner` track. Tracing never changes
-    /// virtual time; the report is identical to the untraced run.
-    pub spans: SpanSink,
+    /// Attached to the chain's kernel: per-stage spans (`transfer`,
+    /// `compute`, `display` — one track each in pipelined mode, a single
+    /// `chain` track in sequential mode), `acquire` spans on the
+    /// `scanner` track and the kernel's own dispatch instants and counts.
+    /// Observation never changes virtual time; the report is identical
+    /// to the unobserved run.
+    pub observer: Observer,
 }
 
 /// Run the clean chain and measure it.
@@ -700,17 +691,18 @@ pub fn run_chain(cfg: RealtimeConfig, mode: ChainMode) -> RealtimeReport {
 
 /// Pinned by the frozen `gtw-benchmark` adapter; use [`run_chain_with`].
 #[doc(hidden)]
-pub fn run_chain_traced(cfg: RealtimeConfig, mode: ChainMode, sink: &SpanSink) -> RealtimeReport {
-    run_chain_with(cfg, mode, &ChainOptions { spans: sink.clone(), ..ChainOptions::default() })
+pub fn run_chain_traced(cfg: RealtimeConfig, mode: ChainMode, sink: &Observer) -> RealtimeReport {
+    run_chain_with(cfg, mode, &ChainOptions { observer: sink.clone(), ..ChainOptions::default() })
 }
 
 /// Run the chain under `opts` and measure it. Whatever `opts` leaves at
 /// its default leaves the run — report included — identical to
 /// [`run_chain`].
 pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions) -> RealtimeReport {
-    let (plan, sink) = (&opts.process_faults, &opts.spans);
+    let (plan, sink) = (&opts.process_faults, &opts.observer);
     let congestion = opts.congestion.clone().filter(|(congestion, _)| !congestion.is_empty());
     let mut sim = Simulator::new();
+    sim.observe(sink);
     let injectors: Vec<(bool, ProcessFaultInjector)> = plan
         .faults
         .iter()
@@ -729,7 +721,6 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
         busy: false,
         compute: None,
         displayed: Vec::new(),
-        spans: sink.clone(),
         outages: opts.outages.clone(),
         deferred: 0,
         wake_armed: false,
@@ -760,7 +751,6 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
             pending: None,
             skipped: 0,
             label: "display".into(),
-            spans: sink.clone(),
         });
         let compute = sim.add_component(Stage {
             service_s: cfg.compute_s,
@@ -770,7 +760,6 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
             pending: None,
             skipped: 0,
             label: "compute".into(),
-            spans: sink.clone(),
         });
         driver.compute = Some(compute);
         let driver_id = sim.add_component(driver);
@@ -792,9 +781,7 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
     for k in 0..cfg.scans {
         let at = SimTime::from_secs_f64((k as f64 + 1.0) * cfg.tr_s);
         let ready = at + SimDuration::from_secs_f64(cfg.acquire_s);
-        if sink.enabled() {
-            sink.record("scanner", "acquire", at, ready);
-        }
+        sink.record("scanner", "acquire", at, ready);
         sim.send_at(ready, driver_id, msg(RawReady(k, at)));
     }
     sim.run();
@@ -919,11 +906,11 @@ mod tests {
     fn traced_chain_matches_untraced_and_exports_valid_trace() {
         let cfg = paper_256(3.0, 20);
         let plain = run_chain(cfg, ChainMode::Pipelined);
-        let sink = gtw_desim::SpanSink::recording();
+        let sink = Observer::recording();
         let traced = run_chain_with(
             cfg,
             ChainMode::Pipelined,
-            &ChainOptions { spans: sink.clone(), ..ChainOptions::default() },
+            &ChainOptions { observer: sink.clone(), ..ChainOptions::default() },
         );
         // Tracing never perturbs the measurement.
         assert_eq!(plain.displayed, traced.displayed);

@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
-use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
+use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime};
 
 use crate::aal5;
 use crate::hippi::HippiChannel;
@@ -159,8 +159,6 @@ pub struct PipeStage {
     pub config: StageConfig,
     /// Downstream component (next stage or endpoint).
     pub next: ComponentId,
-    /// Span sink for per-hop timelines; disabled (free) by default.
-    pub spans: SpanSink,
     /// Fault injector judging every arriving packet; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
@@ -182,7 +180,6 @@ impl PipeStage {
         PipeStage {
             config,
             next,
-            spans: SpanSink::disabled(),
             injector: None,
             dropped_msgs: 0,
             stats: StageStats::default(),
@@ -190,12 +187,6 @@ impl PipeStage {
             backlog_bytes: 0,
             label: label.into(),
         }
-    }
-
-    /// Attach a span sink (builder form, for wiring time).
-    pub fn with_spans(mut self, sink: SpanSink) -> Self {
-        self.spans = sink;
-        self
     }
 
     /// Attach a fault injector (builder form, for wiring time).
@@ -289,16 +280,16 @@ impl Component for PipeStage {
         let start = self.pending.back().map_or(now, |p| p.depart);
         let depart = start + self.config.per_packet + self.config.medium.wire_time(pkt.ip_bytes);
         let arrival = depart + self.config.propagation;
-        if self.spans.enabled() {
+        if ctx.observing() {
             // The transmitter occupies [start, depart) with this packet,
             // then the segment is in flight: both known at admission.
             let name = match pkt.kind {
                 PacketKind::Data => "tx:data",
                 PacketKind::Ack => "tx:ack",
             };
-            self.spans.record(&self.label, name, start, depart);
+            ctx.span(&self.label, name, start, depart);
             if arrival > depart {
-                self.spans.record(&self.label, "flight", depart, arrival);
+                ctx.span(&self.label, "flight", depart, arrival);
             }
         }
         self.pending.push_back(Pending {
@@ -358,7 +349,6 @@ mod two_event {
         pub config: StageConfig,
         pub next: ComponentId,
         pub stats: StageStats,
-        pub spans: SpanSink,
         pub injector: Option<FaultInjector>,
         pub dropped_msgs: u64,
         queue: VecDeque<Packet>,
@@ -373,7 +363,6 @@ mod two_event {
                 config,
                 next,
                 stats: StageStats::default(),
-                spans: SpanSink::disabled(),
                 injector: None,
                 dropped_msgs: 0,
                 queue: VecDeque::new(),
@@ -405,12 +394,12 @@ mod two_event {
             self.transmitting = true;
             let tx = self.config.per_packet + self.config.medium.wire_time(pkt.ip_bytes);
             self.stats.busy += tx;
-            if self.spans.enabled() {
+            if ctx.observing() {
                 let name = match pkt.kind {
                     PacketKind::Data => "tx:data",
                     PacketKind::Ack => "tx:ack",
                 };
-                self.spans.record(&self.label, name, ctx.now(), ctx.now() + tx);
+                ctx.span(&self.label, name, ctx.now(), ctx.now() + tx);
             }
             ctx.timer_in(tx, gtw_desim::component::msg(TxDone));
         }
@@ -453,9 +442,9 @@ mod two_event {
                 self.backlog_bytes -= pkt.ip_bytes.bytes();
                 self.stats.packets_out += 1;
                 self.stats.bytes_out += pkt.payload.bytes();
-                if self.spans.enabled() && self.config.propagation > SimDuration::ZERO {
+                if self.config.propagation > SimDuration::ZERO {
                     let end = ctx.now() + self.config.propagation;
-                    self.spans.record(&self.label, "flight", ctx.now(), end);
+                    ctx.span(&self.label, "flight", ctx.now(), end);
                 }
                 let next = self.next;
                 ctx.send_in(self.config.propagation, next, gtw_desim::component::msg(Arrive(pkt)));
@@ -477,7 +466,7 @@ mod tests {
     use super::*;
     use gtw_desim::component::msg;
     use gtw_desim::fault::{FaultSpec, FaultStats, LossModel, Schedule, Window};
-    use gtw_desim::{RunResult, Simulator, Span, StreamRng};
+    use gtw_desim::{Observer, RunResult, Simulator, Span, StreamRng};
     use proptest::prelude::*;
 
     fn data_packet(seq: u64, bytes: u64, created: SimTime) -> Packet {
@@ -666,26 +655,15 @@ mod tests {
 
     /// What the harness needs of either stage implementation.
     trait Stage: Component {
-        fn build(
-            label: String,
-            config: StageConfig,
-            spans: SpanSink,
-            faults: Option<FaultInjector>,
-        ) -> Self;
+        fn build(label: String, config: StageConfig, faults: Option<FaultInjector>) -> Self;
         fn set_next(&mut self, next: ComponentId);
         /// Counters after the simulator has handled every event up to `now`.
         fn counters(&self, now: SimTime) -> (StageStats, Option<FaultStats>, u64);
     }
 
     impl Stage for PipeStage {
-        fn build(
-            label: String,
-            config: StageConfig,
-            spans: SpanSink,
-            faults: Option<FaultInjector>,
-        ) -> Self {
-            let mut stage =
-                PipeStage::new(label, config, ComponentId::placeholder()).with_spans(spans);
+        fn build(label: String, config: StageConfig, faults: Option<FaultInjector>) -> Self {
+            let mut stage = PipeStage::new(label, config, ComponentId::placeholder());
             stage.injector = faults;
             stage
         }
@@ -698,14 +676,8 @@ mod tests {
     }
 
     impl Stage for TwoEventStage {
-        fn build(
-            label: String,
-            config: StageConfig,
-            spans: SpanSink,
-            faults: Option<FaultInjector>,
-        ) -> Self {
+        fn build(label: String, config: StageConfig, faults: Option<FaultInjector>) -> Self {
             let mut stage = TwoEventStage::new(label, config, ComponentId::placeholder());
-            stage.spans = spans;
             stage.injector = faults;
             stage
         }
@@ -749,7 +721,8 @@ mod tests {
         horizon: Option<SimTime>,
     ) -> (Option<Outcome>, Outcome, Vec<Span>) {
         let mut sim = Simulator::new();
-        let spans = SpanSink::recording();
+        let spans = Observer::recording();
+        sim.observe(&spans);
         let n = sc.stages.len();
         // Two-phase wiring either way: register in the chosen order
         // (slot `n` is the sink), then patch every `next`.
@@ -764,7 +737,7 @@ mod tests {
                 Some((config, faults)) => {
                     let label = format!("s{i}");
                     let inj = faults.clone().map(|f| FaultInjector::new(sc.seed, &label, f));
-                    sim.add_component(S::build(label, config.clone(), spans.clone(), inj))
+                    sim.add_component(S::build(label, config.clone(), inj))
                 }
             };
         }
@@ -784,7 +757,10 @@ mod tests {
         });
         assert_eq!(sim.run(), RunResult::Drained);
         let end = outcome(&sim, sim.now());
+        // A reference stage is dispatched twice per packet: the kernel's
+        // own `dispatch` instants are not part of the comparison.
         let mut spans = spans.snapshot();
+        spans.retain(|s| s.name != "dispatch");
         spans.sort_by(|a, b| {
             (&a.track, a.begin, a.end, &a.name).cmp(&(&b.track, b.begin, b.end, &b.name))
         });

@@ -9,7 +9,7 @@
 //! control plane event-driven on `gtw-desim`, with per-switch call
 //! admission against port capacity.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::fault::FaultPlan;
@@ -128,8 +128,10 @@ pub(crate) struct CallResult(pub(crate) CallId, pub(crate) CallOutcome);
 pub struct SignallingAgent {
     /// Total admissible bandwidth on the transit port.
     pub capacity: Bandwidth,
-    /// Per-call admitted `(pcr, scr)` in bit/s.
-    pub admitted: HashMap<CallId, (f64, f64)>,
+    /// Per-call admitted `(pcr, scr)` in bit/s. Ordered, so the
+    /// committed sums add in call-id order: f64 addition is not
+    /// associative, and a budget must not depend on a hasher's seed.
+    pub admitted: BTreeMap<CallId, (f64, f64)>,
     /// Peak overbooking factor: the sum of admitted PCRs may reach
     /// `peak_factor × capacity`. At the default `1.0` the CAC is
     /// peak-allocating (no statistical multiplexing gain); raising it
@@ -158,7 +160,7 @@ impl SignallingAgent {
     pub fn new(label: impl Into<String>, capacity: Bandwidth, hop_latency: SimDuration) -> Self {
         SignallingAgent {
             capacity,
-            admitted: HashMap::new(),
+            admitted: BTreeMap::new(),
             peak_factor: 1.0,
             processing: SimDuration::from_micros(150),
             hop_latency,
@@ -864,6 +866,35 @@ mod tests {
         assert_eq!(r.link_failures, 1);
         assert_eq!(r.reroutes, 1);
         assert!(r.on_backup());
+    }
+
+    #[test]
+    fn committed_sums_do_not_depend_on_admission_order() {
+        // 64 mixed VBR contracts whose rates span eleven decades: summed
+        // in two different orders they differ in the last ulp.
+        let contracts: Vec<(CallId, (f64, f64))> = (0..64u64)
+            .map(|k| {
+                let scr = 1e3 * 1.37f64.powi((k * 29 % 64) as i32) + k as f64 / 3.0;
+                (CallId(k), (scr * (1.1 + (k % 7) as f64 / 3.0), scr))
+            })
+            .collect();
+        let agent = |order: &mut dyn Iterator<Item = &(CallId, (f64, f64))>| {
+            let mut a = SignallingAgent::new("sw", Bandwidth::OC48, SimDuration::from_micros(500));
+            a.admitted.extend(order.copied());
+            a
+        };
+        let forward = agent(&mut contracts.iter());
+        let backward = agent(&mut contracts.iter().rev());
+        let scrs = |it: &mut dyn Iterator<Item = &(CallId, (f64, f64))>| -> f64 {
+            it.map(|&(_, (_, scr))| scr).sum()
+        };
+        assert_ne!(
+            scrs(&mut contracts.iter()).to_bits(),
+            scrs(&mut contracts.iter().rev()).to_bits(),
+            "the contracts must make summation order matter"
+        );
+        assert_eq!(forward.committed_bps().to_bits(), backward.committed_bps().to_bits());
+        assert_eq!(forward.committed_pcr_bps().to_bits(), backward.committed_pcr_bps().to_bits());
     }
 
     #[test]

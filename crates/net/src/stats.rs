@@ -606,9 +606,9 @@ pub struct RunReport {
     /// and absent from the JSON — for single-stream wirings.
     pub demuxes: Vec<DemuxReport>,
     /// Per-shard kernel metrics registries, when the run was executed on
-    /// an instrumented [`ShardedSimulator`](gtw_desim::ShardedSimulator)
-    /// with a recording sink attached. Empty (and absent from the JSON)
-    /// otherwise.
+    /// a [`ShardedSimulator`](gtw_desim::ShardedSimulator) under a
+    /// recording [`Observer`](gtw_desim::Observer). Empty (and absent
+    /// from the JSON) otherwise.
     pub kernel_metrics: Vec<MetricsRegistry>,
     /// Registered replicated signalling groups. Empty — and absent from
     /// the JSON — when no replication is configured, so clean runs stay

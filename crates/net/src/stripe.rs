@@ -231,8 +231,7 @@ impl StripedTransfer {
             let flow = (k + 1) as u64;
             let receiver = sim.add_component(TcpReceiver::new(flow, len, rev_first));
             let cfg = TcpConfig::bulk(flow, len, self.ip, window);
-            let sender =
-                sim.add_component(TcpSender::new(cfg, first_fwd).with_spans(opts.spans.clone()));
+            let sender = sim.add_component(TcpSender::new(cfg, first_fwd));
             sim.component_mut::<FlowDemux>(data_demux).route(flow, receiver);
             sim.component_mut::<FlowDemux>(ack_demux).route(flow, sender);
             reg.add_tcp_sender(sender);

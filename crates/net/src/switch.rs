@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gtw_desim::fault::{FaultCause, FaultInjector};
-use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
+use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime};
 
 use crate::cell::{AtmCell, ATM_CELL_BYTES};
 use crate::units::Bandwidth;
@@ -223,8 +223,6 @@ pub struct AtmSwitch {
     pub fabric_latency: SimDuration,
     /// Counters.
     pub stats: SwitchStats,
-    /// Span sink: per-port `cell` transmission spans; disabled by default.
-    pub spans: SpanSink,
     /// Fault injector judging every arriving cell; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
@@ -254,17 +252,10 @@ impl AtmSwitch {
                 .collect(),
             fabric_latency: SimDuration::from_micros(10),
             stats: SwitchStats::default(),
-            spans: SpanSink::disabled(),
             injector: None,
             dropped_msgs: 0,
             label,
         }
-    }
-
-    /// Attach a span sink (builder form, for wiring time).
-    pub fn with_spans(mut self, sink: SpanSink) -> Self {
-        self.spans = sink;
-        self
     }
 
     /// Attach a fault injector (builder form, for wiring time).
@@ -421,7 +412,7 @@ impl Component for AtmSwitch {
         let depart = start + p.cell_time;
         p.departures.push_back(depart);
         // One span per cell on this output port's transmitter.
-        self.spans.record(&p.track, "cell", start, depart);
+        ctx.span(&p.track, "cell", start, depart);
         // The same box travels switch to switch.
         arrive.port = p.cfg.next_port;
         ctx.send_at(depart + self.fabric_latency + p.cfg.propagation, p.cfg.next, arrive);
@@ -506,8 +497,6 @@ mod two_event {
         pub fabric_latency: SimDuration,
         /// Counters.
         pub stats: SwitchStats,
-        /// Span sink: per-port `cell` transmission spans; disabled by default.
-        pub spans: SpanSink,
         /// Fault injector judging every arriving cell; `None` (free) by
         /// default.
         pub injector: Option<FaultInjector>,
@@ -534,17 +523,10 @@ mod two_event {
                     .collect(),
                 fabric_latency: SimDuration::from_micros(10),
                 stats: SwitchStats::default(),
-                spans: SpanSink::disabled(),
                 injector: None,
                 dropped_msgs: 0,
                 label: label.into(),
             }
-        }
-
-        /// Attach a span sink (builder form, for wiring time).
-        pub fn with_spans(mut self, sink: SpanSink) -> Self {
-            self.spans = sink;
-            self
         }
 
         /// Install a PVC: `(in port, vpi, vci)` → `(out port, vpi, vci)`.
@@ -560,10 +542,10 @@ mod two_event {
             }
             p.transmitting = true;
             let tx = SimDuration::transmission((ATM_CELL_BYTES * 8) as u64, p.cfg.rate.bps());
-            if self.spans.enabled() {
+            if ctx.observing() {
                 // One span per cell on this output port's transmitter.
                 let track = format!("{}/p{port}", self.label);
-                self.spans.record(&track, "cell", ctx.now(), ctx.now() + tx);
+                ctx.span(&track, "cell", ctx.now(), ctx.now() + tx);
             }
             ctx.timer_in(tx, gtw_desim::component::msg(PortTxDone(port)));
         }
@@ -724,7 +706,7 @@ mod tests {
     use crate::aal5::segment;
     use gtw_desim::component::msg;
     use gtw_desim::fault::{FaultSpec, FaultStats, LossModel, Schedule, Window};
-    use gtw_desim::{RunResult, Simulator, Span, StreamRng};
+    use gtw_desim::{Observer, RunResult, Simulator, Span, StreamRng};
     use proptest::prelude::*;
 
     /// Build: source --(port0)--> switch --(port0)--> endpoint.
@@ -1011,7 +993,7 @@ mod tests {
 
     /// What the harness needs of either switch implementation.
     trait Switch: Component {
-        fn build(label: String, hop: &Hop, spans: SpanSink, faults: Option<FaultInjector>) -> Self;
+        fn build(label: String, hop: &Hop, faults: Option<FaultInjector>) -> Self;
         fn route(&mut self, key: VcKey, route: VcRoute);
         fn set_next(&mut self, next: ComponentId);
         fn counters(&self) -> (SwitchStats, Option<FaultStats>, u64);
@@ -1021,13 +1003,8 @@ mod tests {
     macro_rules! impl_switch {
         ($switch:ident) => {
             impl Switch for $switch {
-                fn build(
-                    label: String,
-                    hop: &Hop,
-                    spans: SpanSink,
-                    faults: Option<FaultInjector>,
-                ) -> Self {
-                    let mut sw = $switch::new(label, vec![hop.port.clone()]).with_spans(spans);
+                fn build(label: String, hop: &Hop, faults: Option<FaultInjector>) -> Self {
+                    let mut sw = $switch::new(label, vec![hop.port.clone()]);
                     sw.fabric_latency = hop.fabric_latency;
                     sw.injector = faults;
                     sw
@@ -1136,7 +1113,8 @@ mod tests {
         horizon: Option<SimTime>,
     ) -> (Option<Outcome>, Outcome) {
         let mut sim = Simulator::new();
-        let spans = SpanSink::recording();
+        let spans = Observer::recording();
+        sim.observe(&spans);
         let n = sc.hops.len();
         // Two-phase wiring either way: register in the chosen order
         // (slot `n` is the endpoint), then patch every `next`.
@@ -1151,7 +1129,7 @@ mod tests {
                 Some(hop) => {
                     let label = format!("sw{i}");
                     let inj = hop.faults.clone().map(|f| FaultInjector::new(sc.seed, &label, f));
-                    let mut sw = S::build(label, hop, spans.clone(), inj);
+                    let mut sw = S::build(label, hop, inj);
                     // Relabel hop by hop: VPI `1 + i` in, `2 + i` out.
                     let vpi = 1 + i as u8;
                     for vci in (0..sc.vcs).map(|v| 100 + v) {
@@ -1187,8 +1165,14 @@ mod tests {
                 errors: ep.errors.clone(),
                 endpoint_strays: ep.inner.dropped_msgs,
                 switches: ids[..n].iter().map(|&id| sim.component::<S>(id).counters()).collect(),
+                // The reference is dispatched twice per cell: the kernel's
+                // own `dispatch` instants are not part of the comparison.
                 spans: sorted(
-                    spans.snapshot().into_iter().filter(|s| s.begin <= begun_by).collect(),
+                    spans
+                        .snapshot()
+                        .into_iter()
+                        .filter(|s| s.name != "dispatch" && s.begin <= begun_by)
+                        .collect(),
                 ),
             }
         };

@@ -13,7 +13,7 @@
 //!   chain of [`PipeStage`](crate::link::PipeStage)s, validating the
 //!   analytic bound in full simulation.
 
-use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, SpanSink};
+use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime};
 
 use crate::ip::IpConfig;
 use crate::link::{Arrive, Medium, Packet, PacketKind};
@@ -211,8 +211,6 @@ pub struct TcpSender {
     rtt_probe: Option<(u64, SimTime)>,
     /// Valid RTT samples folded into the estimator.
     pub rtt_samples: u64,
-    /// Span sink: `transfer` and `rto-wait` spans; disabled by default.
-    pub spans: SpanSink,
     /// Messages the sender could not act on (unknown type, a packet that
     /// is not an ACK): dropped and counted instead of aborting the run.
     /// Not part of any report.
@@ -244,7 +242,6 @@ impl TcpSender {
             srtt: None,
             rtt_probe: None,
             rtt_samples: 0,
-            spans: SpanSink::disabled(),
             dropped_msgs: 0,
         }
     }
@@ -253,12 +250,6 @@ impl TcpSender {
     /// backed-off value after expiries without progress).
     pub fn current_rto(&self) -> SimDuration {
         self.rto_current
-    }
-
-    /// Attach a span sink (builder form, for wiring time).
-    pub fn with_spans(mut self, sink: SpanSink) -> Self {
-        self.spans = sink;
-        self
     }
 
     /// Cumulative bytes acknowledged so far.
@@ -386,7 +377,7 @@ impl Component for TcpSender {
                 // the RTO — unless a recovery is already under way.
                 self.dup_acks += 1;
                 if self.dup_acks >= 3 && self.acked >= self.recover_until {
-                    self.spans.record("tcp-sender", "fast-rexmit", ctx.now(), ctx.now());
+                    ctx.span("tcp-sender", "fast-rexmit", ctx.now(), ctx.now());
                     self.fast_retransmits += 1;
                     self.retransmits += 1;
                     self.recover_until = self.high_water;
@@ -403,7 +394,7 @@ impl Component for TcpSender {
                 if self.finished_at.is_none() {
                     self.finished_at = Some(ctx.now());
                     if let Some(started) = self.started_at {
-                        self.spans.record("tcp-sender", "transfer", started, ctx.now());
+                        ctx.span("tcp-sender", "transfer", started, ctx.now());
                     }
                 }
                 return;
@@ -423,7 +414,7 @@ impl Component for TcpSender {
             }
             // Timeout: go-back-N from the last cumulative ACK. The whole
             // silent interval is an `rto-wait` span on the timeline.
-            self.spans.record("tcp-sender", "rto-wait", armed_at, ctx.now());
+            ctx.span("tcp-sender", "rto-wait", armed_at, ctx.now());
             self.retransmits += 1;
             self.rto_timeouts += 1;
             self.next_byte = self.acked;
@@ -780,7 +771,8 @@ mod tests {
         let cfg = TcpConfig::bulk(6, total, ip, 512 * 1024);
         let rto = cfg.rto;
         let mut sim = Simulator::new();
-        sim.set_tracer(Box::new(gtw_desim::EventCounter::new()));
+        let observer = gtw_desim::Observer::recording();
+        sim.observe(&observer);
         let cfg_stage = StageConfig {
             medium: Medium::Raw { rate: Bandwidth::from_mbps(100.0) },
             per_packet: SimDuration::ZERO,
@@ -807,10 +799,7 @@ mod tests {
         assert!(rto_armed < segments_sent / 10, "watchdog arms scale with segments");
         // Cross-check against the kernel's own timer accounting: the
         // sender's only self-timers are RTO watchdogs.
-        let tracer = sim.take_tracer().unwrap();
-        let counter =
-            (tracer as Box<dyn std::any::Any>).downcast::<gtw_desim::EventCounter>().unwrap();
-        assert_eq!(counter.timers_armed_by(sender), rto_armed);
+        assert_eq!(observer.timers_armed_by(sender), rto_armed);
     }
 
     #[test]
@@ -922,7 +911,8 @@ mod tests {
         let ip = IpConfig { mtu: 9180 };
         let cfg = TcpConfig::bulk(9, 8 * 1024 * 1024, ip, 512 * 1024);
         let mut sim = Simulator::new();
-        let sink = SpanSink::recording();
+        let sink = gtw_desim::Observer::recording();
+        sim.observe(&sink);
         let outage = FaultSpec {
             outages: Schedule::new(vec![Window::new(
                 SimTime::ZERO + SimDuration::from_millis(50),
@@ -942,7 +932,7 @@ mod tests {
         );
         let rev = sim.add_component(PipeStage::new("rev", cfg_stage, ComponentId::placeholder()));
         let receiver = sim.add_component(TcpReceiver::new(cfg.flow, cfg.total_bytes, rev));
-        let sender = sim.add_component(TcpSender::new(cfg, fwd).with_spans(sink.clone()));
+        let sender = sim.add_component(TcpSender::new(cfg, fwd));
         sim.component_mut::<PipeStage>(fwd).next = receiver;
         sim.component_mut::<PipeStage>(rev).next = sender;
         sim.send_in(SimDuration::ZERO, sender, msg(StartTransfer));
@@ -1086,7 +1076,8 @@ mod tests {
         let ip = IpConfig { mtu: 9180 };
         let cfg = TcpConfig::bulk(22, 8 * 1024 * 1024, ip, 512 * 1024).with_adaptive_rto();
         let mut sim = Simulator::new();
-        let sink = SpanSink::recording();
+        let sink = gtw_desim::Observer::recording();
+        sim.observe(&sink);
         let outage = FaultSpec {
             outages: Schedule::new(vec![Window::new(
                 SimTime::ZERO + SimDuration::from_millis(50),
@@ -1106,7 +1097,7 @@ mod tests {
         );
         let rev = sim.add_component(PipeStage::new("rev", cfg_stage, ComponentId::placeholder()));
         let receiver = sim.add_component(TcpReceiver::new(cfg.flow, cfg.total_bytes, rev));
-        let sender = sim.add_component(TcpSender::new(cfg, fwd).with_spans(sink.clone()));
+        let sender = sim.add_component(TcpSender::new(cfg, fwd));
         sim.component_mut::<PipeStage>(fwd).next = receiver;
         sim.component_mut::<PipeStage>(rev).next = sender;
         sim.send_in(SimDuration::ZERO, sender, msg(StartTransfer));

@@ -8,15 +8,14 @@
 //! closed-form steady-state bound for cross-checking.
 //!
 //! How a transfer is run — on which kernel, under which fault plan,
-//! observed by which sinks, bounded by which horizon — is one
+//! observed or not, bounded by which horizon — is one
 //! [`RunOptions`] value passed to `run_with` on [`BulkTransfer`],
 //! [`TransferSet`] and [`StripedTransfer`](crate::stripe::StripedTransfer)
 //! alike, so the axes compose.
 
 use gtw_desim::fault::{FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::{
-    ComponentId, MetricsSink, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator,
-    SpanSink,
+    ComponentId, Observer, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator,
 };
 
 use crate::ip::{fragment_sizes, IpConfig};
@@ -43,7 +42,7 @@ pub enum Protocol {
 /// kernel, no faults, nothing observed, until the event queue drains.
 ///
 /// Everything composes except what the sharded kernel cannot honour: a
-/// recording `spans` sink or a `horizon` with `shards > 0` panics.
+/// `horizon` with `shards > 0` panics.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions<'a> {
     /// Shard count of the sharded kernel, the transfer split at its WAN
@@ -55,16 +54,15 @@ pub struct RunOptions<'a> {
     /// forward and `rev{i}` on the ACK path, behind a `t{k}.` prefix in a
     /// [`TransferSet`]. Stages without a spec run clean.
     pub faults: Option<&'a FaultPlan>,
-    /// Attached to every stage and endpoint (per-hop `tx`/`flight` spans,
-    /// TCP `transfer`/`rto-wait` spans) and as the kernel tracer
-    /// (zero-length dispatch spans per component). Tracing never changes
-    /// virtual time: a traced run is bit-identical to an untraced one.
-    pub spans: SpanSink,
-    /// When recording, every shard publishes its registry into the sink
-    /// and the [`RunReport`] carries the deterministic summaries in its
-    /// `kernel_metrics` block; everything else in the report stays
-    /// byte-identical. The sequential kernel has no shards to instrument.
-    pub metrics: MetricsSink,
+    /// Attached to the kernel: per-hop `tx`/`flight` spans, TCP
+    /// `transfer`/`rto-wait` spans, a zero-length dispatch span per
+    /// event, per-component send and timer counts and, for `shards > 0`,
+    /// one registry of kernel metrics per shard, whose deterministic
+    /// summaries the [`RunReport`] carries in its `kernel_metrics` block.
+    /// Observation never changes virtual time — everything else in the
+    /// report stays byte-identical — and what it records does not depend
+    /// on `shards`.
+    pub observer: Observer,
     /// Stop here instead of when the event queue drains. A TCP sender
     /// retransmits for ever at its capped RTO, so this is what bounds a
     /// run whose faults never clear: a transfer cut short reports
@@ -135,8 +133,7 @@ pub(crate) fn build_chain(
                 buffer_bytes: u64::MAX,
             },
             next,
-        )
-        .with_spans(opts.spans.clone());
+        );
         if let Some(inj) = injector {
             stage = stage.with_faults(inj);
         }
@@ -184,7 +181,7 @@ pub(crate) fn wan_split(
 }
 
 /// Run a wired simulation as `opts` asks and collect `reg`'s report from
-/// it: the sequential kernel (traced, horizon-bounded) for `shards == 0`,
+/// it: the sequential kernel (horizon-bounded) for `shards == 0`,
 /// otherwise the sharded kernel over `splits`.
 pub(crate) fn execute(
     mut sim: Simulator,
@@ -192,10 +189,8 @@ pub(crate) fn execute(
     splits: &[ShardSplit],
     opts: &RunOptions<'_>,
 ) -> (Simulator, RunReport) {
+    sim.observe(&opts.observer);
     let sim = if opts.shards == 0 {
-        if opts.spans.enabled() {
-            sim.set_tracer(Box::new(opts.spans.clone()));
-        }
         match opts.horizon {
             Some(horizon) => sim.run_until(horizon),
             None => sim.run(),
@@ -203,31 +198,25 @@ pub(crate) fn execute(
         sim
     } else {
         assert!(
-            !opts.spans.enabled() && opts.horizon.is_none(),
-            "span tracing and horizon-bounded runs need the sequential kernel (shards: 0): \
-             the sharded kernel has no tracer hook and always runs until its queues drain"
+            opts.horizon.is_none(),
+            "horizon-bounded runs need the sequential kernel (shards: 0): \
+             the sharded kernel always runs until its queues drain"
         );
-        run_partitioned(sim, opts.shards, splits, &opts.metrics)
+        run_partitioned(sim, opts.shards, splits)
     };
     let mut report = match opts.horizon {
         Some(horizon) => reg.collect_until(&sim, horizon),
         None => reg.collect(&sim),
     };
-    report.kernel_metrics = opts.metrics.registries();
+    report.kernel_metrics = opts.observer.registries();
     (sim, report)
 }
 
 /// Place each transfer's two sides on shards `(2t) % n` and `(2t+1) % n`,
 /// take the minimum cut propagation as the global lookahead, and run on
 /// `shards >= 1` shards. Transfers whose split has no cut edge are
-/// collapsed onto one shard. A recording `metrics` sink instruments
-/// every shard.
-fn run_partitioned(
-    sim: Simulator,
-    shards: usize,
-    splits: &[ShardSplit],
-    metrics: &MetricsSink,
-) -> Simulator {
+/// collapsed onto one shard.
+fn run_partitioned(sim: Simulator, shards: usize, splits: &[ShardSplit]) -> Simulator {
     let mut lookahead = SimDuration::MAX;
     let mut placements: Vec<(ComponentId, usize)> = Vec::new();
     for (t, (near, far, cut)) in splits.iter().enumerate() {
@@ -245,7 +234,6 @@ fn run_partitioned(
         plan.assign(id, s);
     }
     let mut sharded = ShardedSimulator::from_simulator(sim, &plan);
-    sharded.set_metrics(metrics);
     sharded.run();
     sharded.into_simulator()
 }
@@ -341,7 +329,7 @@ impl BulkTransfer {
         let receiver = sim.add_component(TcpReceiver::new(flow, self.bytes, rev_first));
         let fwd = build_chain(sim, &self.hops, receiver, &format!("{prefix}hop"), opts);
         let cfg = TcpConfig::bulk(flow, self.bytes, self.ip, window_bytes);
-        let sender = sim.add_component(TcpSender::new(cfg, fwd[0]).with_spans(opts.spans.clone()));
+        let sender = sim.add_component(TcpSender::new(cfg, fwd[0]));
         // Close the cycle. With no reverse hops the receiver ACKs the
         // sender directly.
         match rev.last() {
@@ -491,9 +479,9 @@ impl TransferSet {
     pub fn run_metrics(
         &self,
         shards: usize,
-        metrics: &MetricsSink,
+        observer: &Observer,
     ) -> (Vec<TransferReport>, RunReport) {
-        self.run_with(&RunOptions { shards, metrics: metrics.clone(), ..RunOptions::default() })
+        self.run_with(&RunOptions { shards, observer: observer.clone(), ..RunOptions::default() })
     }
 }
 
@@ -663,9 +651,8 @@ mod tests {
     fn untraced_runs_match_traced_runs_over_tcp() {
         // The desim kernel test of the same name covers a toy pinger;
         // this is the real thing: a full TCP transfer over two WAN hops
-        // with a SpanRecorder attached to every stage, both endpoints and
-        // the kernel tracer hook. Virtual time and event counts must be
-        // bit-identical to the untraced run.
+        // with a recording observer on the kernel. Virtual time and
+        // event counts must be bit-identical to the untraced run.
         let xfer = BulkTransfer {
             hops: vec![raw_hop(622.0, 250), raw_hop(155.0, 250)],
             ip: IpConfig { mtu: 9180 },
@@ -673,9 +660,9 @@ mod tests {
             protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
         };
         let (plain, plain_run) = xfer.run_with(&RunOptions::default());
-        let sink = gtw_desim::SpanSink::recording();
+        let sink = Observer::recording();
         let (traced, traced_run) =
-            xfer.run_with(&RunOptions { spans: sink.clone(), ..RunOptions::default() });
+            xfer.run_with(&RunOptions { observer: sink.clone(), ..RunOptions::default() });
         assert_eq!(plain.elapsed, traced.elapsed);
         assert_eq!(plain.packets_sent, traced.packets_sent);
         assert_eq!(plain_run.elapsed, traced_run.elapsed);
@@ -786,9 +773,9 @@ mod tests {
         let (_, plain) = xfer.run_with(&sharded(2));
         let plain_json = plain.to_json().dump();
         assert!(!plain_json.contains("kernel_metrics"), "{plain_json}");
-        let metrics = MetricsSink::recording();
+        let metrics = Observer::recording();
         let (report, instrumented) =
-            xfer.run_with(&RunOptions { metrics: metrics.clone(), ..sharded(2) });
+            xfer.run_with(&RunOptions { observer: metrics.clone(), ..sharded(2) });
         assert_eq!(report.bytes, xfer.bytes);
         let j = instrumented.to_json().dump();
         assert!(j.contains("\"kernel_metrics\":["), "{j}");
@@ -806,8 +793,8 @@ mod tests {
         let kernel_events: u64 = regs.iter().map(|r| r.value("events").expect("events")).sum();
         assert_eq!(kernel_events, instrumented.events_processed);
         // Instrumented registries also repeat identically across runs.
-        let metrics2 = MetricsSink::recording();
-        let _ = xfer.run_with(&RunOptions { metrics: metrics2.clone(), ..sharded(2) });
+        let metrics2 = Observer::recording();
+        let _ = xfer.run_with(&RunOptions { observer: metrics2.clone(), ..sharded(2) });
         for (a, b) in regs.iter().zip(&metrics2.registries()) {
             assert_eq!(a.summary_json().dump(), b.summary_json().dump());
         }
@@ -847,28 +834,35 @@ mod tests {
     }
 
     /// Every `run_with` ends in the one `execute`, so one transfer type
-    /// covers the one rejection.
-    fn run_on_two_shards(opts: RunOptions<'_>) {
+    /// covers what it refuses and what it no longer does.
+    fn run_small(opts: RunOptions<'_>) {
         let xfer = BulkTransfer {
             hops: vec![raw_hop(622.0, 10), raw_hop(155.0, 400)],
             ip: IpConfig { mtu: 9180 },
             bytes: 64 * 1024,
             protocol: Protocol::Tcp { window_bytes: 64 * 1024 },
         };
-        xfer.run_with(&RunOptions { shards: 2, ..opts });
+        xfer.run_with(&opts);
     }
 
     #[test]
-    #[should_panic(expected = "need the sequential kernel")]
-    fn spans_on_the_sharded_kernel_are_rejected() {
-        run_on_two_shards(RunOptions { spans: SpanSink::recording(), ..RunOptions::default() });
+    fn spans_on_the_sharded_kernel_equal_the_sequential_run() {
+        let on = |shards: usize| {
+            let observer = Observer::recording();
+            run_small(RunOptions { observer: observer.clone(), ..sharded(shards) });
+            (observer.snapshot(), observer.registries().len())
+        };
+        let (seq, two) = (on(0), on(2));
+        assert!(seq.0.iter().any(|s| s.name == "tx:data"));
+        assert_eq!(two.0, seq.0);
+        assert_eq!((seq.1, two.1), (0, 2), "one registry per shard, none without shards");
     }
 
     #[test]
     #[should_panic(expected = "need the sequential kernel")]
     fn a_horizon_on_the_sharded_kernel_is_rejected() {
         let horizon = Some(SimTime::ZERO + SimDuration::from_secs(1));
-        run_on_two_shards(RunOptions { horizon, ..RunOptions::default() });
+        run_small(RunOptions { horizon, ..sharded(2) });
     }
 
     #[test]

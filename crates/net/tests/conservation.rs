@@ -3,10 +3,10 @@
 //! Every packet or cell that enters a component must be accounted for
 //! exactly once: forwarded, delivered, or attributed to a named discard
 //! counter. These tests drive randomized pipelines, snapshot them with
-//! the [`StatsRegistry`], cross-check against the kernel's
-//! [`EventCounter`] tracer, and assert the identities hold.
+//! the [`StatsRegistry`], cross-check against the kernel's own counts
+//! (an attached [`Observer`]), and assert the identities hold.
 
-use gtw_desim::{ComponentId, EventCounter, SimDuration, Simulator};
+use gtw_desim::{ComponentId, Observer, SimDuration, Simulator};
 use gtw_net::aal5::segment;
 use gtw_net::ip::IpConfig;
 use gtw_net::link::{Medium, PipeStage, StageConfig};
@@ -84,7 +84,8 @@ proptest! {
         let ip = IpConfig { mtu: 9180 };
         let cfg = TcpConfig::bulk(1, total, ip, window_kib * 1024);
         let mut sim = Simulator::new();
-        sim.set_tracer(Box::new(EventCounter::new()));
+        let counter = Observer::recording();
+        sim.observe(&counter);
         let mut reg = StatsRegistry::new();
         let fwd_cfg = StageConfig {
             medium: Medium::Raw { rate: Bandwidth::from_mbps(rate_mbps) },
@@ -124,13 +125,9 @@ proptest! {
         // Kernel cross-check: a stage is dispatched once per arrival
         // (accepted or dropped), arms no timer, and sends one event per
         // packet it forwards.
-        let tracer = sim.take_tracer().expect("tracer attached");
-        let counter = (tracer as Box<dyn std::any::Any>)
-            .downcast::<EventCounter>()
-            .expect("EventCounter");
         for (id, hop) in [(fwd, &run.hops[0]), (rev, &run.hops[1])] {
             let arrivals = hop.stats.packets_in + hop.stats.packets_dropped;
-            prop_assert_eq!(counter.dispatches_to(id), arrivals, "{}", &hop.label);
+            prop_assert_eq!(sim.dispatches_to(id), arrivals, "{}", &hop.label);
             prop_assert_eq!(counter.timers_armed_by(id), 0, "{}", &hop.label);
             prop_assert_eq!(counter.sends_by(id), hop.stats.packets_out, "{}", &hop.label);
         }

@@ -6,8 +6,8 @@
 //! registry collected — per-hop packet/byte counters, service and
 //! propagation totals, TCP endpoint state.
 //!
-//! Part 2 wires the same kind of pipeline by hand, attaches the kernel's
-//! [`EventCounter`](gtw_desim::EventCounter) tracer, and includes the
+//! Part 2 wires the same kind of pipeline by hand, attaches an
+//! [`Observer`](gtw_desim::Observer) to the kernel, and includes the
 //! per-component dispatch/timer/send counts in the dump — the
 //! observability layer end to end.
 //!
@@ -48,7 +48,7 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
-use gtw_desim::{ComponentId, EventCounter, Json, SimDuration, Simulator};
+use gtw_desim::{ComponentId, Json, Observer, SimDuration, Simulator};
 use gtw_fire::realtime::ChainOptions;
 use gtw_net::ip::IpConfig;
 use gtw_net::link::{Medium, PipeStage, StageConfig};
@@ -100,9 +100,10 @@ fn main() {
         },
     );
 
-    // ── Part 2: hand-wired pipeline with the kernel tracer attached ──
+    // ── Part 2: hand-wired pipeline with the kernel observed ─────────
     let mut sim = Simulator::new();
-    sim.set_tracer(Box::new(EventCounter::new()));
+    let observer = Observer::recording();
+    sim.observe(&observer);
     let mut reg = StatsRegistry::new();
     let cfg_stage = StageConfig {
         medium: Medium::Raw { rate: Bandwidth::from_mbps(622.0) },
@@ -125,9 +126,15 @@ fn main() {
     sim.send_in(SimDuration::ZERO, sender, gtw_desim::component::msg(StartTransfer));
     sim.run();
     let traced = reg.collect(&sim);
-    let counter = (sim.take_tracer().expect("tracer attached") as Box<dyn std::any::Any>)
-        .downcast::<EventCounter>()
-        .expect("EventCounter");
+    // Per component, in slot order.
+    let counts =
+        |of: &dyn Fn(ComponentId) -> u64| Json::uint_array(&[fwd, rev, receiver, sender].map(of));
+    let kernel_counters = Json::obj([
+        ("dispatches", counts(&|id| sim.dispatches_to(id))),
+        ("timers_armed", counts(&|id| observer.timers_armed_by(id))),
+        ("sends", counts(&|id| observer.sends_by(id))),
+        ("calls", Json::from(observer.calls())),
+    ]);
 
     // ── Part 3: FIRE per-stage latency breakdown ─────────────────────
     // Stage times derived from the same testbed the transfers above ran
@@ -223,7 +230,7 @@ fn main() {
     // fault_seed key only appears in degraded runs, so clean output is
     // byte-identical to pre-fault builds.
     let mut doc = Json::obj([("t3e_to_sp2", run.to_json()), ("traced_pipeline", traced.to_json())]);
-    doc.push("kernel_counters", counter.to_json());
+    doc.push("kernel_counters", kernel_counters);
     doc.push("fire_breakdown", fire_json);
     if let Some(recovery) = recovery_json {
         doc.push("fire_recovery", recovery);

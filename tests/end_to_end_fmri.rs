@@ -114,16 +114,16 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
     // (virtual-time stage spans) and a testbed network transfer (per-hop
     // spans) each export valid Chrome traces, and the chain's latency
     // histogram accounts for the scenario's end-to-end budget.
-    use gtw_desim::{validate_chrome_trace, SpanSink};
+    use gtw_desim::{validate_chrome_trace, Observer};
     use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
     use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions};
 
     // 1. Compute layer: real FIRE modules with wall-clock spans.
     let scanner = test_scanner(8, Dims::new(16, 16, 4), 9);
     let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-    let fire_sink = SpanSink::recording();
-    let mut fire = FirePipeline::new(FireConfig::default(), scanner.config().dims, rv)
-        .with_spans(fire_sink.clone());
+    let fire_sink = Observer::recording();
+    let mut fire = FirePipeline::new(FireConfig::default(), scanner.config().dims, rv);
+    fire.observe(&fire_sink);
     for t in 0..scanner.scan_count() {
         fire.process(&scanner.acquire(t));
     }
@@ -140,11 +140,11 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
         display_s: scenario.display_s,
         scans: 20,
     };
-    let chain_sink = SpanSink::recording();
+    let chain_sink = Observer::recording();
     let chain = run_chain_with(
         cfg,
         ChainMode::Pipelined,
-        &ChainOptions { spans: chain_sink.clone(), ..ChainOptions::default() },
+        &ChainOptions { observer: chain_sink.clone(), ..ChainOptions::default() },
     );
     validate_chrome_trace(&chain_sink.to_chrome_trace().dump()).expect("chain trace valid");
     // Per-stage breakdown sums (exactly) to the end-to-end latency, and
@@ -164,9 +164,9 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
         bytes: 1024 * 1024,
         protocol: Protocol::Tcp { window_bytes: 1024 * 1024 },
     };
-    let net_sink = SpanSink::recording();
+    let net_sink = Observer::recording();
     let (report, run) =
-        xfer.run_with(&RunOptions { spans: net_sink.clone(), ..RunOptions::default() });
+        xfer.run_with(&RunOptions { observer: net_sink.clone(), ..RunOptions::default() });
     let (plain_report, plain_run) = xfer.run_with(&RunOptions::default());
     // Tracing never perturbs virtual time.
     assert_eq!(report.elapsed, plain_report.elapsed);

@@ -6,7 +6,7 @@
 //! point of the `(time, source, source_seq)` total order on events.
 
 use gtw_desim::component::{msg, Component, ComponentId, Ctx, Msg};
-use gtw_desim::{MetricsSink, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator};
+use gtw_desim::{Observer, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator};
 use gtw_net::aal5::segment;
 use gtw_net::ip::IpConfig;
 use gtw_net::stripe::StripedTransfer;
@@ -96,9 +96,11 @@ proptest! {
         }
     }
 
-    /// The same with every shard instrumented: the report gains one
-    /// `kernel_metrics` entry per shard and, those cleared, is the
-    /// sequential faulted report.
+    /// The same under a recording observer: what it records — every
+    /// span in order, how many the ring dropped — is the sequential
+    /// run's at any shard count, whether the ring holds the whole run or
+    /// overflows, and the report gains one `kernel_metrics` entry per
+    /// shard and, those cleared, is the unobserved sequential report.
     #[test]
     fn instrumented_faulted_runs_are_kernel_invariant(
         seed in any::<u64>(),
@@ -115,12 +117,35 @@ proptest! {
         let faulted = RunOptions { faults: Some(&plan), ..RunOptions::default() };
         let (_, seq) = xfer.run_with(&faulted);
         let seq_json = seq.to_json().dump();
-        for shards in [1usize, 2, 4] {
-            let metrics = MetricsSink::recording();
-            let (_, mut run) = xfer.run_with(&RunOptions { shards, metrics, ..faulted.clone() });
-            prop_assert_eq!(run.kernel_metrics.len(), shards);
-            run.kernel_metrics.clear();
-            prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
+        let mut spans_in_a_run = 0;
+        for capacity in [1 << 16, 1_000] {
+            let observed = |shards: usize| {
+                let observer = Observer::with_capacity(capacity);
+                let (_, run) = xfer.run_with(&RunOptions {
+                    shards,
+                    observer: observer.clone(),
+                    ..faulted.clone()
+                });
+                (run, observer.snapshot(), observer.dropped())
+            };
+            let (seq_run, seq_spans, seq_dropped) = observed(0);
+            prop_assert_eq!(seq_run.to_json().dump(), seq_json.clone(), "observing moved the run");
+            if capacity > 1_000 {
+                prop_assert!(seq_spans.iter().any(|s| s.name == "tx:data"));
+                prop_assert_eq!(seq_dropped, 0);
+                spans_in_a_run = seq_spans.len();
+            } else {
+                prop_assert_eq!(seq_spans.len(), capacity);
+                prop_assert_eq!(seq_dropped as usize, spans_in_a_run - capacity);
+            }
+            for shards in [1usize, 2, 4] {
+                let (mut run, spans, dropped) = observed(shards);
+                prop_assert_eq!(&spans, &seq_spans, "{} shards, capacity {}", shards, capacity);
+                prop_assert_eq!(dropped, seq_dropped, "{} shards, capacity {}", shards, capacity);
+                prop_assert_eq!(run.kernel_metrics.len(), shards);
+                run.kernel_metrics.clear();
+                prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
+            }
         }
     }
 
@@ -175,6 +200,17 @@ proptest! {
         for shards in [1usize, 2, 4] {
             let (_, run) = set.run_with(&RunOptions { shards, ..RunOptions::default() });
             prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
+        }
+        // Observed, with up to four shards busy at the same instants: the
+        // spans still come out in the sequential run's order.
+        let spans_on = |shards: usize| {
+            let observer = Observer::recording();
+            set.run_with(&RunOptions { shards, observer: observer.clone(), ..RunOptions::default() });
+            observer.snapshot()
+        };
+        let seq_spans = spans_on(0);
+        for shards in [2usize, 4] {
+            prop_assert!(spans_on(shards) == seq_spans, "{} shards recorded differently", shards);
         }
     }
 }
@@ -302,14 +338,20 @@ fn cell_outcome(sim: &Simulator, [fzj, gmd, endpoint]: [ComponentId; 3]) -> Cell
 /// One switch per shard, cut at the trunk. A switch sends a cell on at
 /// its computed departure plus fabric latency plus propagation, so every
 /// cross-shard send leads its delivery by more than the 500 µs declared.
+/// Observed throughout: the per-port `cell` spans and dispatch instants
+/// come out in the sequential run's order.
 #[test]
 fn sharded_cell_pvc_agrees_with_sequential() {
     // Clean: a cell per 700 ns, just under the OC-12 cell time. Lossy: a
     // cell per 300 ns into a 64-cell buffer with EPD at 32.
     for (gap_ns, gmd_buffer, epd) in [(700, 4096, None), (300, 64, Some(32))] {
         let (mut seq, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+        let seq_observer = Observer::recording();
+        seq.observe(&seq_observer);
         seq.run();
         let base = cell_outcome(&seq, ids);
+        let base_spans = seq_observer.snapshot();
+        assert!(base_spans.iter().any(|s| s.track == "gmd/p0" && s.name == "cell"));
         let gmd = &base.gmd;
         match epd {
             None => assert_eq!((gmd.switched, base.reassembly_errors), (gmd.cells_in(), 0)),
@@ -319,7 +361,9 @@ fn sharded_cell_pvc_agrees_with_sequential() {
         // endpoint.
         assert_eq!(base.events, base.fzj.cells_in() + gmd.cells_in() + gmd.switched);
         for n_shards in [1usize, 2] {
-            let (sim, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+            let (mut sim, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+            let observer = Observer::recording();
+            sim.observe(&observer);
             let mut plan = ShardPlan::new(n_shards, SimDuration::from_micros(500));
             for id in &ids[1..] {
                 plan.assign(*id, n_shards - 1);
@@ -328,6 +372,8 @@ fn sharded_cell_pvc_agrees_with_sequential() {
             sharded.run();
             let merged = sharded.into_simulator();
             assert_eq!(cell_outcome(&merged, ids), base, "{n_shards} shard(s), gap {gap_ns} ns");
+            assert!(observer.snapshot() == base_spans, "{n_shards} shard(s), gap {gap_ns} ns");
+            assert_eq!(observer.registries().len(), n_shards);
         }
     }
 }
