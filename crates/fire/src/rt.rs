@@ -9,17 +9,17 @@
 //! [`run_rt_session`] executes the whole chain functionally: the
 //! RT-client world spawns a T3E compute world over `gtw-mpi` (the MPI-2
 //! dynamic-process-creation feature the paper highlights), streams raw
-//! volumes to it, and receives correlation maps back. Virtual timing is
-//! accounted with the calibrated [`T3eModel`] and the paper's delay
-//! budget, so the session reports both *correct results* (validated
-//! against ground truth) and *paper-comparable delays*.
+//! volumes to it, and receives correlation maps back — keeping the last
+//! acknowledged FIRE checkpoint, so a compute world that dies
+//! mid-protocol is respawned and resumed. Virtual timing is accounted
+//! with the calibrated [`T3eModel`] and the paper's delay budget, so the
+//! session reports both *correct results* (validated against ground
+//! truth) and *paper-comparable delays*.
 
 use std::time::Duration;
 
 use gtw_desim::fault::ProcessFaultPlan;
-use gtw_mpi::{
-    Comm, FabricSpec, InterComm, MachineSpec, Placement, PointToPoint, Tag, Universe, ANY_SOURCE,
-};
+use gtw_mpi::{Comm, FabricSpec, InterComm, MachineSpec, Placement, PointToPoint, Tag, Universe};
 use gtw_scan::acquire::Scanner;
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::volume::{Dims, Volume};
@@ -31,13 +31,13 @@ use crate::t3e::T3eModel;
 const TAG_RAW: Tag = Tag(200);
 const TAG_MAP: Tag = Tag(201);
 const TAG_DONE: Tag = Tag(202);
-/// Checkpoint blob (resilient sessions): handshake restore payload and
-/// per-scan acknowledgement.
+/// Checkpoint blob: handshake restore payload and per-scan
+/// acknowledgement.
 const TAG_CKPT: Tag = Tag(203);
 
-/// Per-operation deadline of the resilient session — generous against
-/// the 2 s hung-rank hard cap, so a live-but-slow chain never trips it.
-const RESILIENT_OP_TIMEOUT: Duration = Duration::from_secs(10);
+/// Per-operation deadline — generous against the 2 s hung-rank hard
+/// cap, so a live-but-slow chain never trips it.
+const OP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Virtual timing of one processed scan.
 #[derive(Clone, Copy, Debug)]
@@ -53,10 +53,15 @@ pub struct ScanDelay {
 /// Result of a realtime session.
 #[derive(Clone, Debug)]
 pub struct SessionReport {
-    /// Scans processed.
+    /// Scans processed (every one, exactly once, even across crashes).
     pub scans: usize,
     /// The final correlation map (as displayed on the client).
     pub final_map: Volume,
+    /// Compute-world incarnations spawned beyond the first (0 on a
+    /// clean run).
+    pub respawns: usize,
+    /// Scans re-processed from a checkpoint after a failure.
+    pub reprocessed_scans: usize,
     /// Virtual per-scan delays.
     pub delays: Vec<ScanDelay>,
     /// Virtual sustainable period in sequential mode (the paper's
@@ -64,96 +69,6 @@ pub struct SessionReport {
     pub sequential_period_s: f64,
     /// Virtual sustainable period with pipelining enabled.
     pub pipelined_period_s: f64,
-}
-
-/// Run a realtime session: `pes` virtual T3E PEs (the compute world uses
-/// `mpi_ranks` actual message-passing ranks — compute results are
-/// identical, virtual timing comes from the model at `pes`).
-pub fn run_rt_session(
-    scanner: &Scanner,
-    config: FireConfig,
-    pes: usize,
-    mpi_ranks: usize,
-) -> SessionReport {
-    assert!(mpi_ranks >= 1, "need at least one compute rank");
-    let dims = scanner.config().dims;
-    let scans = scanner.scan_count();
-    let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-    let model = T3eModel::t3e_600();
-    let compute_s = model.row(pes, dims).total_s;
-
-    // Pre-acquire the series (the RT-server's job is interface, not
-    // compute; the virtual acquire timing is in the delay budget).
-    let series: Vec<Volume> = scanner.series();
-    let series_for_client = series.clone();
-
-    // The RT-client is a 1-rank world that spawns the compute world.
-    let outputs = gtw_mpi::Universe::run(1, move |client| {
-        let dims_vec = [dims.nx as f64, dims.ny as f64, dims.nz as f64];
-        let rv = rv.clone();
-        let config_clone = config;
-        let compute = client.spawn(
-            1,
-            MachineSpec::new("Cray T3E-600 (FZJ)", FabricSpec::t3e_torus()),
-            FabricSpec::wan_testbed(),
-            move |t3e| {
-                // Compute-world root runs the pipeline; additional ranks
-                // would hold slab domains (exercised separately in
-                // decomp tests — one rank keeps the session fast).
-                let parent = t3e.parent().expect("spawned world has a parent");
-                let (d, _) = parent.recv::<f64>(0, TAG_RAW);
-                let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
-                let mut pipeline = FirePipeline::new(config_clone, dims, rv.clone());
-                loop {
-                    let (env, st) = parent.recv_envelope(ANY_SOURCE, gtw_mpi::ANY_TAG);
-                    if st.tag == TAG_DONE {
-                        break;
-                    }
-                    debug_assert_eq!(st.tag, TAG_RAW);
-                    let raw = env.payload::<f32>();
-                    let out = pipeline.process(&Volume::from_vec(dims, raw));
-                    parent.send(0, TAG_MAP, &out.correlation.data);
-                }
-            },
-        );
-        // Announce dims, stream scans, collect maps — strictly
-        // sequential, as the paper's implementation was.
-        compute.send(0, TAG_RAW, &dims_vec);
-        let mut last_map = Volume::zeros(dims);
-        for vol in &series_for_client {
-            compute.send(0, TAG_RAW, &vol.data);
-            let (map, _) = compute.recv::<f32>(0, TAG_MAP);
-            last_map = Volume::from_vec(dims, map);
-        }
-        compute.send::<f64>(0, TAG_DONE, &[]);
-        last_map
-    });
-
-    let final_map = outputs.into_iter().next().expect("client produced a map");
-    let timing = ChainTiming::paper(compute_s);
-    let delays = (0..scans)
-        .map(|scan| ScanDelay { scan, total_delay_s: timing.latency_s(), compute_s })
-        .collect();
-    SessionReport {
-        scans,
-        final_map,
-        delays,
-        sequential_period_s: timing.sequential_period_s(),
-        pipelined_period_s: timing.pipelined_period_s(),
-    }
-}
-
-/// Result of a resilient realtime session.
-#[derive(Clone, Debug)]
-pub struct ResilientSessionReport {
-    /// Scans processed (every one, exactly once, even across crashes).
-    pub scans: usize,
-    /// The final correlation map (as displayed on the client).
-    pub final_map: Volume,
-    /// Compute-world incarnations spawned beyond the first.
-    pub respawns: usize,
-    /// Scans re-processed from a checkpoint after a failure.
-    pub reprocessed_scans: usize,
 }
 
 /// One compute-world incarnation: restore from the handshake checkpoint
@@ -169,12 +84,11 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
         FabricSpec::wan_testbed(),
         move |t3e| {
             let parent = t3e.parent().expect("spawned world has a parent");
-            let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(RESILIENT_OP_TIMEOUT)) else {
+            let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(OP_TIMEOUT)) else {
                 return;
             };
             let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
-            let Ok((ckpt, _)) = parent.try_recv::<u8>(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT))
-            else {
+            let Ok((ckpt, _)) = parent.try_recv::<u8>(0, TAG_CKPT, Some(OP_TIMEOUT)) else {
                 return;
             };
             let mut pipeline = if ckpt.is_empty() {
@@ -184,8 +98,7 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
                     .expect("client sent a checkpoint this build wrote")
             };
             loop {
-                let Ok((env, st)) =
-                    parent.recv_timeout(0, gtw_mpi::ANY_TAG, Some(RESILIENT_OP_TIMEOUT))
+                let Ok((env, st)) = parent.recv_timeout(0, gtw_mpi::ANY_TAG, Some(OP_TIMEOUT))
                 else {
                     return;
                 };
@@ -206,21 +119,24 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
     )
 }
 
-/// Run a realtime session that *survives compute-world failures*: the
-/// RT-client keeps the last acknowledged FIRE checkpoint, and when the
-/// T3E world dies mid-protocol (scripted via `plan` — global ids: the
-/// client world is rank 0, the first compute incarnation rank 1,
-/// respawns 2, 3, …) it spawns a fresh world, replays the checkpoint,
-/// and resumes from the first unacknowledged scan. Results are
-/// *state-level exactly-once*: a scan whose map was delivered but whose
-/// checkpoint was lost is re-processed deterministically from a
+/// Run a realtime session at `pes` virtual T3E PEs (one compute rank
+/// does the work; virtual timing comes from the model at `pes`). The
+/// session *survives compute-world failures*: the RT-client keeps the
+/// last acknowledged FIRE checkpoint, and when the T3E world dies
+/// mid-protocol (scripted via `plan` — global ids: the client world is
+/// rank 0, the first compute incarnation rank 1, respawns 2, 3, …; an
+/// empty plan is the clean run) it spawns a fresh world, replays the
+/// checkpoint, and resumes from the first unacknowledged scan. Results
+/// are *state-level exactly-once*: a scan whose map was delivered but
+/// whose checkpoint was lost is re-processed deterministically from a
 /// checkpoint that predates it, so the final map is bit-identical to an
-/// uninterrupted [`run_rt_session`].
-pub fn run_rt_session_resilient(
+/// uninterrupted session.
+pub fn run_rt_session(
     scanner: &Scanner,
     config: FireConfig,
+    pes: usize,
     plan: &ProcessFaultPlan,
-) -> ResilientSessionReport {
+) -> SessionReport {
     let dims = scanner.config().dims;
     let scans = scanner.scan_count();
     let rv = ReferenceVector::canonical(&scanner.config().stimulus);
@@ -255,12 +171,10 @@ pub fn run_rt_session_resilient(
                     let vol = &series[acked];
                     let exchange = compute
                         .try_send(0, TAG_RAW, &vol.data)
-                        .and_then(|()| {
-                            compute.try_recv::<f32>(0, TAG_MAP, Some(RESILIENT_OP_TIMEOUT))
-                        })
+                        .and_then(|()| compute.try_recv::<f32>(0, TAG_MAP, Some(OP_TIMEOUT)))
                         .and_then(|(map, _)| {
                             compute
-                                .try_recv::<u8>(0, TAG_CKPT, Some(RESILIENT_OP_TIMEOUT))
+                                .try_recv::<u8>(0, TAG_CKPT, Some(OP_TIMEOUT))
                                 .map(|(ckpt, _)| (map, ckpt))
                         });
                     match exchange {
@@ -291,7 +205,20 @@ pub fn run_rt_session_resilient(
         .expect("all compute incarnations exited");
     let (final_map, respawns, reprocessed_scans) =
         outputs.into_iter().next().expect("client produced a map");
-    ResilientSessionReport { scans, final_map, respawns, reprocessed_scans }
+    let compute_s = T3eModel::t3e_600().row(pes, dims).total_s;
+    let timing = ChainTiming::paper(compute_s);
+    let delays = (0..scans)
+        .map(|scan| ScanDelay { scan, total_delay_s: timing.latency_s(), compute_s })
+        .collect();
+    SessionReport {
+        scans,
+        final_map,
+        respawns,
+        reprocessed_scans,
+        delays,
+        sequential_period_s: timing.sequential_period_s(),
+        pipelined_period_s: timing.pipelined_period_s(),
+    }
 }
 
 /// The headline delay statement of the paper: with 256 PEs the total
@@ -327,7 +254,7 @@ mod tests {
                 ..FireConfig::default()
             },
             256,
-            1,
+            &ProcessFaultPlan::new(0),
         );
         assert_eq!(report.scans, 16);
         assert_eq!(report.final_map.dims, scanner.config().dims);
@@ -351,7 +278,7 @@ mod tests {
             smoothing: false,
             clip_level: 0.5,
         };
-        let report = run_rt_session(&scanner, cfg, 64, 1);
+        let report = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
         let rv = ReferenceVector::canonical(&scanner.config().stimulus);
         let mut local = FirePipeline::new(cfg, scanner.config().dims, rv);
         let mut last = Volume::zeros(scanner.config().dims);
@@ -376,10 +303,10 @@ mod tests {
             smoothing: false,
             clip_level: 0.5,
         };
-        let clean = run_rt_session(&scanner, cfg, 64, 1);
-        let mut plan = gtw_desim::fault::ProcessFaultPlan::new(1999);
+        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let mut plan = ProcessFaultPlan::new(1999);
         plan.crash_after_ops(1, 8);
-        let r = run_rt_session_resilient(&scanner, cfg, &plan);
+        let r = run_rt_session(&scanner, cfg, 64, &plan);
         assert_eq!(r.scans, 12);
         assert_eq!(r.respawns, 1, "exactly one respawn");
         assert_eq!(r.reprocessed_scans, 1, "the unacked scan was re-run");
@@ -388,7 +315,7 @@ mod tests {
             "checkpoint restart must be bit-identical"
         );
         // Same seed, same plan: the whole recovery replays.
-        let again = run_rt_session_resilient(&scanner, cfg, &plan);
+        let again = run_rt_session(&scanner, cfg, 64, &plan);
         assert_eq!(again.respawns, 1);
         assert_eq!(again.final_map.data, r.final_map.data);
     }
@@ -402,11 +329,11 @@ mod tests {
             detrend: None,
             ..FireConfig::default()
         };
-        let clean = run_rt_session(&scanner, cfg, 64, 1);
-        let r =
-            run_rt_session_resilient(&scanner, cfg, &gtw_desim::fault::ProcessFaultPlan::new(7));
-        assert_eq!(r.respawns, 0);
-        assert_eq!(r.reprocessed_scans, 0);
+        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        // The plan's seed only steers faults; with none it must not matter.
+        let r = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(7));
+        assert_eq!((clean.respawns, clean.reprocessed_scans), (0, 0));
+        assert_eq!((r.respawns, r.reprocessed_scans), (0, 0));
         assert_eq!(r.final_map.data, clean.final_map.data);
     }
 
@@ -422,10 +349,10 @@ mod tests {
             detrend: None,
             ..FireConfig::default()
         };
-        let clean = run_rt_session(&scanner, cfg, 64, 1);
-        let mut plan = gtw_desim::fault::ProcessFaultPlan::new(42);
+        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let mut plan = ProcessFaultPlan::new(42);
         plan.crash_after_ops(1, 2);
-        let r = run_rt_session_resilient(&scanner, cfg, &plan);
+        let r = run_rt_session(&scanner, cfg, 64, &plan);
         assert_eq!(r.respawns, 1, "{r:?}");
         assert_eq!(r.final_map.data, clean.final_map.data);
     }
@@ -441,8 +368,8 @@ mod tests {
     fn virtual_delays_scale_with_pes() {
         let scanner = tiny_scanner(4);
         let cfg = FireConfig::workstation();
-        let few = run_rt_session(&scanner, cfg, 8, 1);
-        let many = run_rt_session(&scanner, cfg, 256, 1);
+        let few = run_rt_session(&scanner, cfg, 8, &ProcessFaultPlan::new(0));
+        let many = run_rt_session(&scanner, cfg, 256, &ProcessFaultPlan::new(0));
         assert!(few.delays[0].total_delay_s > many.delays[0].total_delay_s);
         assert!(many.pipelined_period_s < many.sequential_period_s);
         // At the paper's full 64x64x16 matrix the sequential period is

@@ -14,9 +14,15 @@
 //!   propagation delay, output queues and loss,
 //! * [`policing`] — GCRA leaky-bucket usage-parameter control with CLP
 //!   tagging and selective discard (ATM QoS for mixed video/bulk loads),
-//! * [`signaling`] — SVC call setup/teardown with hop-by-hop call
-//!   admission (the automated "simultaneous resource allocation" of the
-//!   paper's conclusion),
+//! * [`signaling`] — SVC call setup/teardown: the hop-by-hop
+//!   SETUP/CONNECT/REJECT/RELEASE walk, the plain per-switch agent and
+//!   the call originators (the automated "simultaneous resource
+//!   allocation" of the paper's conclusion),
+//! * [`replica`] — the same hop made fault-tolerant: `cac` (the one
+//!   call-admission state machine, which the plain agent uses too),
+//!   `raft` (the consensus core), `agent` (the replicated hop), `group`
+//!   (wiring) and `scenario` (load generator and canned fault reports);
+//!   a plain hop is a replicated hop with a log of length zero,
 //! * [`ip`], [`tcp`] — classical IP over ATM (RFC 1577 style LLC/SNAP
 //!   encapsulation, MTU effects) and a sliding-window TCP bulk-transfer
 //!   model,

@@ -6,19 +6,34 @@
 //! message walks the path hop by hop, each switch admits (or rejects)
 //! the requested bandwidth and installs its VC-table entry; CONNECT
 //! walks back; RELEASE frees the circuit. This module implements that
-//! control plane event-driven on `gtw-desim`, with per-switch call
-//! admission against port capacity.
-
-use std::collections::{BTreeMap, HashMap};
+//! control plane event-driven on `gtw-desim`.
+//!
+//! It owns the hop-by-hop *walk*: what a hop does once it has decided —
+//! forward the SETUP, start or continue the CONNECT walk-back, send the
+//! REJECT to the origin, relay a RELEASE — is a method on the message
+//! itself, and what an originator does with a REJECT is
+//! [`Reject::roll_back`]. The *decision* is
+//! [`CacState`](crate::replica::CacState)'s. [`SignallingAgent`] applies
+//! CAC commands to its own state synchronously; the replicated hop
+//! ([`ReplicatedAgent`](crate::replica::ReplicatedAgent)) puts the same
+//! commands through a log first and then calls the same walk: a plain
+//! hop is a replicated hop with a log of length zero.
 
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::fault::FaultPlan;
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, Simulator};
 
+use crate::replica::cac::{CacState, CmdOutcome, Command};
 use crate::units::Bandwidth;
 
-/// Identifier of a signalled call. `Ord` so replicated CAC state can
-/// keep admitted calls in deterministic (BTreeMap) order.
+/// Signalling processing time per message at a hop.
+pub const PROCESSING: SimDuration = SimDuration::from_micros(150);
+
+/// Propagation between neighbouring signalling hops on the testbed.
+pub const HOP_LATENCY: SimDuration = SimDuration::from_micros(500);
+
+/// Identifier of a signalled call. `Ord` so CAC state can keep admitted
+/// calls in deterministic (BTreeMap) order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CallId(pub u64);
 
@@ -75,47 +90,151 @@ pub enum CallOutcome {
     },
 }
 
-// ---- messages ---------------------------------------------------------
+// ---- messages and the walk --------------------------------------------
 //
-// `pub(crate)` rather than private: the replicated proxy agent in
-// `replica.rs` speaks the same hop-by-hop protocol.
+// `pub(crate)`: the plain agent here and the replicated proxy in
+// `replica::agent` speak the same protocol through these methods. Each
+// takes the calling hop's `delay` (processing + propagation).
 
 pub(crate) struct Setup {
     pub(crate) call: CallId,
     pub(crate) td: TrafficDescriptor,
     /// Remaining path after this node (component ids of signalling
     /// agents).
-    pub(crate) path: Vec<ComponentId>,
+    path: Vec<ComponentId>,
     /// Hops already traversed (for CONNECT backtracking).
-    pub(crate) visited: Vec<ComponentId>,
-    pub(crate) origin: ComponentId,
-    pub(crate) sent_at: SimTime,
+    visited: Vec<ComponentId>,
+    origin: ComponentId,
+    sent_at: SimTime,
+}
+
+impl Setup {
+    /// The SETUP an originator issues for `call` along `path`, and the
+    /// first hop to deliver it to.
+    pub(crate) fn first(
+        call: CallId,
+        td: TrafficDescriptor,
+        path: &[ComponentId],
+        origin: ComponentId,
+        sent_at: SimTime,
+    ) -> (ComponentId, Setup) {
+        assert!(!path.is_empty(), "call needs at least one hop");
+        (
+            path[0],
+            Setup { call, td, path: path[1..].to_vec(), visited: Vec::new(), origin, sent_at },
+        )
+    }
+
+    /// This hop admitted: record it on `visited` and forward the SETUP.
+    /// At the terminating switch there is nowhere to forward to, and the
+    /// CONNECT that must walk back is returned instead.
+    pub(crate) fn admitted(mut self, ctx: &mut Ctx<'_>, delay: SimDuration) -> Option<Connect> {
+        if self.path.is_empty() {
+            return Some(Connect {
+                call: self.call,
+                back: self.visited,
+                origin: self.origin,
+                sent_at: self.sent_at,
+                confirmed: Vec::new(),
+            });
+        }
+        self.visited.push(ctx.self_id());
+        let next = self.path.remove(0);
+        ctx.send_in(delay, next, msg(self));
+        None
+    }
+
+    /// This hop refused: tell the origin, naming the hop and the hops
+    /// that already admitted.
+    pub(crate) fn refused(self, ctx: &mut Ctx<'_>, delay: SimDuration, cause: RejectCause) {
+        let Setup { call, visited, origin, .. } = self;
+        ctx.send_in(delay, origin, msg(Reject { call, at_hop: visited.len(), cause, visited }));
+    }
 }
 
 pub(crate) struct Connect {
     pub(crate) call: CallId,
     /// Reverse path still to walk.
-    pub(crate) back: Vec<ComponentId>,
-    pub(crate) origin: ComponentId,
-    pub(crate) sent_at: SimTime,
+    back: Vec<ComponentId>,
+    origin: ComponentId,
+    sent_at: SimTime,
     /// Hops whose two-phase hand-off hold is already promoted; a hop
     /// that fails to confirm releases exactly these downstream holds.
     /// Empty outside the cross-domain hand-off protocol.
     pub(crate) confirmed: Vec<ComponentId>,
 }
 
+impl Connect {
+    /// Walk one hop back, or finish at the origin with the setup
+    /// latency.
+    pub(crate) fn walk_back(mut self, ctx: &mut Ctx<'_>, delay: SimDuration) {
+        match self.back.pop() {
+            Some(n) => ctx.send_in(delay, n, msg(self)),
+            None => {
+                let setup_s = (ctx.now() + delay).saturating_since(self.sent_at).as_secs_f64();
+                let done = CallResult(self.call, CallOutcome::Connected { setup_s });
+                ctx.send_in(delay, self.origin, msg(done));
+            }
+        }
+    }
+
+    /// A hop's confirm failed mid-walk: release the downstream hops that
+    /// already promoted their holds and refuse the call at the origin.
+    /// Upstream hops (still in `back`) hold only tentative reservations;
+    /// the origin's roll-back releases them, and the hand-off deadline
+    /// reaps any it cannot reach.
+    pub(crate) fn unwind(self, ctx: &mut Ctx<'_>, delay: SimDuration, cause: RejectCause) {
+        let Connect { call, back, origin, confirmed, .. } = self;
+        for hop in confirmed {
+            ctx.send_in(delay, hop, msg(Release { call, path: Vec::new() }));
+        }
+        ctx.send_in(
+            delay,
+            origin,
+            msg(Reject { call, at_hop: back.len() + 1, cause, visited: back }),
+        );
+    }
+}
+
 pub(crate) struct Reject {
     pub(crate) call: CallId,
-    pub(crate) at_hop: usize,
-    pub(crate) cause: RejectCause,
+    at_hop: usize,
+    cause: RejectCause,
     /// Hops that already admitted and must roll back.
-    pub(crate) visited: Vec<ComponentId>,
-    pub(crate) origin: ComponentId,
+    visited: Vec<ComponentId>,
+}
+
+impl Reject {
+    /// At the origin (a REJECT goes nowhere else): release every hop
+    /// that admitted, and report the refusal.
+    pub(crate) fn roll_back(&self, ctx: &mut Ctx<'_>) -> CallOutcome {
+        for &hop in &self.visited {
+            ctx.send_in(SimDuration::ZERO, hop, msg(Release { call: self.call, path: Vec::new() }));
+        }
+        CallOutcome::Rejected { at_hop: self.at_hop, cause: self.cause }
+    }
 }
 
 pub(crate) struct Release {
     pub(crate) call: CallId,
-    pub(crate) path: Vec<ComponentId>,
+    path: Vec<ComponentId>,
+}
+
+impl Release {
+    /// The RELEASE that tears `call` down along `path`, and the first
+    /// hop to deliver it to.
+    fn along(call: CallId, path: &[ComponentId]) -> (ComponentId, Release) {
+        assert!(!path.is_empty(), "a circuit has at least one hop");
+        (path[0], Release { call, path: path[1..].to_vec() })
+    }
+
+    /// At a hop: pass the RELEASE on down the path, if any is left.
+    pub(crate) fn relay(mut self, ctx: &mut Ctx<'_>, delay: SimDuration) {
+        if !self.path.is_empty() {
+            let next = self.path.remove(0);
+            ctx.send_in(delay, next, msg(self));
+        }
+    }
 }
 
 /// Delivered to the originator when the call completes.
@@ -125,20 +244,12 @@ pub(crate) struct CallResult(pub(crate) CallId, pub(crate) CallOutcome);
 
 /// The signalling agent of one switch: call admission against a port
 /// capacity, VC-table bookkeeping, SETUP/CONNECT/RELEASE forwarding.
+#[derive(Default)]
 pub struct SignallingAgent {
-    /// Total admissible bandwidth on the transit port.
-    pub capacity: Bandwidth,
-    /// Per-call admitted `(pcr, scr)` in bit/s. Ordered, so the
-    /// committed sums add in call-id order: f64 addition is not
-    /// associative, and a budget must not depend on a hasher's seed.
-    pub admitted: BTreeMap<CallId, (f64, f64)>,
-    /// Peak overbooking factor: the sum of admitted PCRs may reach
-    /// `peak_factor × capacity`. At the default `1.0` the CAC is
-    /// peak-allocating (no statistical multiplexing gain); raising it
-    /// lets bursty VBR calls share headroom.
-    pub peak_factor: f64,
-    /// Signalling processing time per message.
-    pub processing: SimDuration,
+    /// The port's budgets and what is admitted against them. At the
+    /// default peak factor `1.0` the CAC is peak-allocating (no
+    /// statistical multiplexing gain).
+    cac: CacState,
     /// Propagation to the next hop.
     pub hop_latency: SimDuration,
     /// Counters.
@@ -159,160 +270,68 @@ impl SignallingAgent {
     /// New agent for a port of the given capacity.
     pub fn new(label: impl Into<String>, capacity: Bandwidth, hop_latency: SimDuration) -> Self {
         SignallingAgent {
-            capacity,
-            admitted: BTreeMap::new(),
-            peak_factor: 1.0,
-            processing: SimDuration::from_micros(150),
+            cac: CacState::new(capacity.bps(), 1.0),
             hop_latency,
-            calls_admitted: 0,
-            calls_refused: 0,
-            refused_scr: 0,
-            refused_pcr: 0,
-            dropped_msgs: 0,
             label: label.into(),
+            ..Default::default()
         }
     }
 
     /// Builder: allow the admitted PCR sum to reach
-    /// `factor × capacity`.
+    /// `factor × capacity`, so bursty VBR calls share headroom.
     pub fn with_peak_factor(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "peak factor below 1.0 would refuse calls the SCR budget fits");
-        self.peak_factor = factor;
+        self.cac = CacState::new(self.cac.capacity_bps(), factor);
         self
+    }
+
+    /// The port's admission state.
+    pub fn cac(&self) -> &CacState {
+        &self.cac
     }
 
     /// Sustained bandwidth currently committed (the reserved mean).
     pub fn committed_bps(&self) -> f64 {
-        self.admitted.values().map(|&(_, scr)| scr).sum()
+        self.cac.committed_bps()
     }
 
     /// Peak bandwidth currently committed.
     pub fn committed_pcr_bps(&self) -> f64 {
-        self.admitted.values().map(|&(pcr, _)| pcr).sum()
-    }
-
-    /// The CAC decision for a descriptor, without admitting it:
-    /// `Ok(())` when both budgets fit, otherwise the binding cause.
-    /// SCR is checked first, so for CBR (`pcr == scr`) at the default
-    /// peak factor the sustained budget is always the one reported.
-    pub fn admission_check(&self, td: &TrafficDescriptor) -> Result<(), RejectCause> {
-        if self.committed_bps() + td.scr.bps() > self.capacity.bps() {
-            return Err(RejectCause::ScrExceeded);
-        }
-        if self.committed_pcr_bps() + td.pcr.bps() > self.capacity.bps() * self.peak_factor {
-            return Err(RejectCause::PcrExceeded);
-        }
-        Ok(())
-    }
-
-    /// How many of `requested` virtual circuits with descriptor `td`
-    /// this agent would admit, stopping at the first that fails the CAC.
-    /// A trial-admission loop over [`admission_check`]'s arithmetic —
-    /// nothing is actually admitted. Drives the stream count of striped
-    /// WAN transfers ([`adaptive_streams_with_cac`]
-    /// (crate::stripe::adaptive_streams_with_cac)): each stripe is one
-    /// VC, so the aggregate must fit both contract budgets.
-    pub fn admissible_streams(&self, td: &TrafficDescriptor, requested: usize) -> usize {
-        let mut scr = self.committed_bps();
-        let mut pcr = self.committed_pcr_bps();
-        let mut granted = 0;
-        while granted < requested {
-            if scr + td.scr.bps() > self.capacity.bps()
-                || pcr + td.pcr.bps() > self.capacity.bps() * self.peak_factor
-            {
-                break;
-            }
-            scr += td.scr.bps();
-            pcr += td.pcr.bps();
-            granted += 1;
-        }
-        granted
+        self.cac.committed_pcr_bps()
     }
 }
 
 impl Component for SignallingAgent {
     fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        let delay = self.processing + self.hop_latency;
+        let delay = PROCESSING + self.hop_latency;
         if m.is::<Setup>() {
-            let mut s = *downcast::<Setup>(m);
-            // Call admission against both contract budgets.
-            if let Err(cause) = self.admission_check(&s.td) {
-                self.calls_refused += 1;
-                match cause {
-                    RejectCause::ScrExceeded => self.refused_scr += 1,
-                    RejectCause::PcrExceeded => self.refused_pcr += 1,
-                    // admission_check never yields NoQuorum; only the
-                    // replicated proxy does.
-                    RejectCause::NoQuorum => {}
+            let s = *downcast::<Setup>(m);
+            // A plain hop decides on the spot: request id 0, no log.
+            match self.cac.apply_cmd(0, &Command::reserve(s.call, &s.td)) {
+                CmdOutcome::Rejected(cause) => {
+                    self.calls_refused += 1;
+                    match cause {
+                        RejectCause::ScrExceeded => self.refused_scr += 1,
+                        RejectCause::PcrExceeded => self.refused_pcr += 1,
+                        // Only the replicated proxy refuses for want of
+                        // a quorum.
+                        RejectCause::NoQuorum => {}
+                    }
+                    s.refused(ctx, delay, cause);
                 }
-                let at_hop = s.visited.len();
-                let origin = s.origin;
-                ctx.send_in(
-                    delay,
-                    origin,
-                    msg(Reject { call: s.call, at_hop, cause, visited: s.visited, origin }),
-                );
-                return;
-            }
-            self.admitted.insert(s.call, (s.td.pcr.bps(), s.td.scr.bps()));
-            self.calls_admitted += 1;
-            s.visited.push(ctx.self_id());
-            if s.path.is_empty() {
-                // Terminating switch: send CONNECT back along the path.
-                let mut back = s.visited.clone();
-                back.pop(); // skip self
-                let next = back.pop();
-                let c = Connect {
-                    call: s.call,
-                    back,
-                    origin: s.origin,
-                    sent_at: s.sent_at,
-                    confirmed: Vec::new(),
-                };
-                match next {
-                    Some(n) => ctx.send_in(delay, n, msg(c)),
-                    None => {
-                        let origin = s.origin;
-                        let setup_s = (ctx.now() + delay).saturating_since(c.sent_at).as_secs_f64();
-                        ctx.send_in(
-                            delay,
-                            origin,
-                            msg(CallResult(s.call, CallOutcome::Connected { setup_s })),
-                        );
+                _ => {
+                    self.calls_admitted += 1;
+                    if let Some(connect) = s.admitted(ctx, delay) {
+                        connect.walk_back(ctx, delay);
                     }
                 }
-            } else {
-                let next = s.path.remove(0);
-                ctx.send_in(delay, next, msg(s));
             }
         } else if m.is::<Connect>() {
-            let mut c = *downcast::<Connect>(m);
-            match c.back.pop() {
-                Some(n) => ctx.send_in(delay, n, msg(c)),
-                None => {
-                    let origin = c.origin;
-                    let setup_s = (ctx.now() + delay).saturating_since(c.sent_at).as_secs_f64();
-                    ctx.send_in(
-                        delay,
-                        origin,
-                        msg(CallResult(c.call, CallOutcome::Connected { setup_s })),
-                    );
-                }
-            }
-        } else if m.is::<Reject>() {
-            // Delivered to each visited hop in turn to roll back, then to
-            // the origin. (The origin relays it through `visited`.)
-            let r = *downcast::<Reject>(m);
-            self.admitted.remove(&r.call);
-            let origin = r.origin;
-            ctx.send_in(delay, origin, msg(r));
+            downcast::<Connect>(m).walk_back(ctx, delay);
         } else if m.is::<Release>() {
-            let mut r = *downcast::<Release>(m);
-            self.admitted.remove(&r.call);
-            if !r.path.is_empty() {
-                let next = r.path.remove(0);
-                ctx.send_in(delay, next, msg(r));
-            }
+            let r = *downcast::<Release>(m);
+            self.cac.apply_cmd(0, &Command::Release { call: r.call });
+            r.relay(ctx, delay);
         } else {
             // A stray message (torn-down call, foreign protocol) must not
             // crash the switch: drop it and count it.
@@ -330,8 +349,6 @@ impl Component for SignallingAgent {
 pub struct CallOriginator {
     /// Completed calls.
     pub results: Vec<(CallId, CallOutcome)>,
-    /// Paths of connected calls (for release).
-    pub routes: HashMap<CallId, Vec<ComponentId>>,
     /// Stray messages dropped instead of crashing the simulation.
     pub dropped_msgs: u64,
 }
@@ -342,16 +359,8 @@ impl Component for CallOriginator {
             let CallResult(id, outcome) = *downcast::<CallResult>(m);
             self.results.push((id, outcome));
         } else if m.is::<Reject>() {
-            // Roll back the hops that admitted, then record the failure.
             let r = *downcast::<Reject>(m);
-            for &hop in &r.visited {
-                ctx.send_in(
-                    SimDuration::ZERO,
-                    hop,
-                    msg(Release { call: r.call, path: Vec::new() }),
-                );
-            }
-            self.results.push((r.call, CallOutcome::Rejected { at_hop: r.at_hop, cause: r.cause }));
+            self.results.push((r.call, r.roll_back(ctx)));
         } else {
             // As at the agent: a stray message is dropped, not fatal.
             self.dropped_msgs += 1;
@@ -384,20 +393,14 @@ pub fn place_call_with(
     td: TrafficDescriptor,
     at: SimTime,
 ) {
-    assert!(!path.is_empty(), "call needs at least one hop");
-    let first = path[0];
-    sim.send_at(
-        at,
-        first,
-        msg(Setup { call, td, path: path[1..].to_vec(), visited: Vec::new(), origin, sent_at: at }),
-    );
+    let (first, setup) = Setup::first(call, td, path, origin, at);
+    sim.send_at(at, first, msg(setup));
 }
 
 /// Helper: release a connected call along its path.
 pub fn release_call(sim: &mut Simulator, path: &[ComponentId], call: CallId, at: SimTime) {
-    assert!(!path.is_empty());
-    let first = path[0];
-    sim.send_at(at, first, msg(Release { call, path: path[1..].to_vec() }));
+    let (first, release) = Release::along(call, path);
+    sim.send_at(at, first, msg(release));
 }
 
 // ---- resilient routing ------------------------------------------------
@@ -501,16 +504,8 @@ impl ResilientRoute {
     }
 
     fn attempt(&mut self, ctx: &mut Ctx<'_>) {
-        let path = self.target_path();
-        let first = path[0];
-        let setup = Setup {
-            call: self.call,
-            td: self.td,
-            path: path[1..].to_vec(),
-            visited: Vec::new(),
-            origin: ctx.self_id(),
-            sent_at: ctx.now(),
-        };
+        let (first, setup) =
+            Setup::first(self.call, self.td, self.target_path(), ctx.self_id(), ctx.now());
         ctx.send_in(SimDuration::ZERO, first, msg(setup));
     }
 }
@@ -541,14 +536,7 @@ impl Component for ResilientRoute {
         } else if m.is::<Reject>() {
             // Roll back the hops that tentatively admitted, then retry
             // after the current backoff.
-            let r = *downcast::<Reject>(m);
-            for &hop in &r.visited {
-                ctx.send_in(
-                    SimDuration::ZERO,
-                    hop,
-                    msg(Release { call: r.call, path: Vec::new() }),
-                );
-            }
+            downcast::<Reject>(m).roll_back(ctx);
             if self.retries_left == 0 {
                 self.gave_up = true;
                 return;
@@ -568,12 +556,8 @@ impl Component for ResilientRoute {
             if let Some(path) = self.active.take() {
                 // Tear down what is left of the broken circuit and
                 // re-SETUP on the other path.
-                let first = path[0];
-                ctx.send_in(
-                    SimDuration::ZERO,
-                    first,
-                    msg(Release { call: self.call, path: path[1..].to_vec() }),
-                );
+                let (first, release) = Release::along(self.call, &path);
+                ctx.send_in(SimDuration::ZERO, first, msg(release));
                 self.on_backup = !self.on_backup;
                 self.rerouting = true;
                 self.attempt(ctx);
@@ -655,17 +639,17 @@ mod tests {
         let td = TrafficDescriptor::cbr(Bandwidth::from_mbps(100.0));
         // 6 × 100 fit a 622 port, the 7th does not; the cap respects an
         // already-committed call; nothing is ever actually admitted.
-        assert_eq!(agent.admissible_streams(&td, 8), 6);
-        assert_eq!(agent.admissible_streams(&td, 4), 4);
-        agent.admitted.insert(CallId(9), (300e6, 300e6));
-        assert_eq!(agent.admissible_streams(&td, 8), 3);
+        assert_eq!(agent.cac.admissible_streams(&td, 8), 6);
+        assert_eq!(agent.cac.admissible_streams(&td, 4), 4);
+        agent.cac.admitted.insert(CallId(9), (300e6f64.to_bits(), 300e6f64.to_bits()));
+        assert_eq!(agent.cac.admissible_streams(&td, 8), 3);
         assert!((agent.committed_bps() - 300e6).abs() < 1.0, "trial admission must not commit");
         // VBR under an overbooked peak budget: the PCR check binds.
         let agent =
             SignallingAgent::new("sw2", Bandwidth::from_mbps(200.0), SimDuration::from_micros(500))
                 .with_peak_factor(1.5);
         let vbr = TrafficDescriptor::vbr(Bandwidth::from_mbps(100.0), Bandwidth::from_mbps(50.0));
-        assert_eq!(agent.admissible_streams(&vbr, 8), 3);
+        assert_eq!(agent.cac.admissible_streams(&vbr, 8), 3);
     }
 
     #[test]
@@ -880,7 +864,9 @@ mod tests {
             .collect();
         let agent = |order: &mut dyn Iterator<Item = &(CallId, (f64, f64))>| {
             let mut a = SignallingAgent::new("sw", Bandwidth::OC48, SimDuration::from_micros(500));
-            a.admitted.extend(order.copied());
+            a.cac
+                .admitted
+                .extend(order.map(|&(id, (pcr, scr))| (id, (pcr.to_bits(), scr.to_bits()))));
             a
         };
         let forward = agent(&mut contracts.iter());
@@ -909,28 +895,30 @@ mod tests {
             )
             .with_peak_factor(1.5);
             for (k, &(pcr, scr)) in admitted.iter().enumerate() {
-                a.admitted.insert(CallId(k as u64), (pcr * 1e6, scr * 1e6));
+                a.cac
+                    .admitted
+                    .insert(CallId(k as u64), ((pcr * 1e6).to_bits(), (scr * 1e6).to_bits()));
             }
             a
         };
         let vbr =
             |pcr, scr| TrafficDescriptor::vbr(Bandwidth::from_mbps(pcr), Bandwidth::from_mbps(scr));
         // Empty link admits anything up to capacity.
-        assert_eq!(agent(&[]).admission_check(&vbr(933.0, 622.0)), Ok(()));
+        assert_eq!(agent(&[]).cac.fits(&vbr(933.0, 622.0)), Ok(()));
         // 400 + 300 > 622 sustained: SCR binds.
         assert_eq!(
-            agent(&[(500.0, 400.0)]).admission_check(&vbr(400.0, 300.0)),
+            agent(&[(500.0, 400.0)]).cac.fits(&vbr(400.0, 300.0)),
             Err(RejectCause::ScrExceeded)
         );
         // Sustained fits (400 + 200 = 600 <= 622) but peaks overrun
         // (500 + 600 = 1100 > 933): PCR binds.
         assert_eq!(
-            agent(&[(500.0, 400.0)]).admission_check(&vbr(600.0, 200.0)),
+            agent(&[(500.0, 400.0)]).cac.fits(&vbr(600.0, 200.0)),
             Err(RejectCause::PcrExceeded)
         );
         // Both fit exactly at the boundary: 622 - 400 = 222 sustained,
         // 933 - 500 = 433 peak.
-        assert_eq!(agent(&[(500.0, 400.0)]).admission_check(&vbr(433.0, 222.0)), Ok(()));
+        assert_eq!(agent(&[(500.0, 400.0)]).cac.fits(&vbr(433.0, 222.0)), Ok(()));
     }
 
     #[test]

@@ -354,14 +354,7 @@ impl StatsRegistry {
                 })
                 .collect();
             let leader = crate::replica::leader_of(sim, replicas);
-            let states_converged = {
-                let mut digests = replicas.iter().filter_map(|&id| {
-                    let r = sim.component::<crate::replica::Replica>(id);
-                    r.is_alive().then(|| r.digest())
-                });
-                let first = digests.next();
-                digests.all(|d| Some(&d) == first.as_ref())
-            };
+            let states_converged = crate::replica::states_converged(sim, replicas);
             let committed_mbps = replicas
                 .first()
                 .map(|&id| sim.component::<crate::replica::Replica>(id).cac().committed_bps() / 1e6)

@@ -73,7 +73,8 @@ pub fn adaptive_streams(hops: &[HopModel], ip: IpConfig, window_bytes: u64) -> u
 /// [`adaptive_streams`] gated by signalling: each stripe is a virtual
 /// circuit that must pass the path's connection-admission check, so the
 /// final count is the smaller of what the BDP wants and what the
-/// admission point will accept ([`SignallingAgent::admissible_streams`]),
+/// admission point will accept ([`CacState::admissible_streams`]
+/// (crate::replica::CacState::admissible_streams)),
 /// never below one.
 pub fn adaptive_streams_with_cac(
     hops: &[HopModel],
@@ -83,7 +84,7 @@ pub fn adaptive_streams_with_cac(
     per_stream: &TrafficDescriptor,
 ) -> usize {
     let want = adaptive_streams(hops, ip, window_bytes);
-    agent.admissible_streams(per_stream, want).max(1)
+    agent.cac().admissible_streams(per_stream, want).max(1)
 }
 
 /// Routes packets to the per-stripe endpoint owning their flow id with a

@@ -1,10 +1,16 @@
 //! Property-based tests for the network stack invariants.
 
-use gtw_desim::SimDuration;
+use gtw_desim::rng::StreamRng;
+use gtw_desim::{ComponentId, SimDuration, SimTime, Simulator};
 use gtw_net::aal5::{aal5_efficiency, build_cpcs_pdu, cells_for_pdu, segment, Reassembler};
 use gtw_net::cell::{AtmCell, CellHeader, Pti};
 use gtw_net::ip::{fragment_sizes, IpConfig, IP_HEADER_BYTES};
 use gtw_net::link::Medium;
+use gtw_net::replica::{GroupConfig, Replica, ReplicaGroup};
+use gtw_net::signaling::{
+    place_call_with, release_call, CallId, CallOriginator, CallOutcome, SignallingAgent,
+    TrafficDescriptor, HOP_LATENCY,
+};
 use gtw_net::tcp::{HopModel, TcpModel};
 use gtw_net::units::{Bandwidth, DataSize};
 use proptest::prelude::*;
@@ -142,6 +148,98 @@ proptest! {
             let t = m.steady_state_throughput().bps();
             prop_assert!(t <= last * (1.0 + 1e-9));
             last = t;
+        }
+    }
+}
+
+/// One call sequence through a chain of signalling hops: SETUPs 50 ms
+/// apart from `t = 1 s` (after every replica group has elected), a
+/// RELEASE of an earlier call between some of them. Returns each
+/// call's outcome in completion order.
+fn drive_calls(
+    sim: &mut Simulator,
+    path: &[ComponentId],
+    calls: &[(TrafficDescriptor, Option<u64>)],
+) -> Vec<(CallId, CallOutcome)> {
+    let origin = sim.add_component(CallOriginator::default());
+    for (k, &(td, release)) in calls.iter().enumerate() {
+        let at = SimTime::from_millis(1000 + 50 * k as u64);
+        place_call_with(sim, origin, path, CallId(k as u64), td, at);
+        if let Some(earlier) = release {
+            release_call(sim, path, CallId(earlier), at + SimDuration::from_millis(25));
+        }
+    }
+    sim.run();
+    sim.component::<CallOriginator>(origin).results.clone()
+}
+
+proptest! {
+    /// The plain hop and the replicated hop are one walk and one CAC: the
+    /// same calls through 1–4 `SignallingAgent`s and through 1–4
+    /// fault-free three-replica groups are connected or rejected alike
+    /// (same hop, same cause) and leave the same committed bits on every
+    /// hop. Only `setup_s` may differ — a replicated decision takes a
+    /// round through the log.
+    #[test]
+    fn plain_and_replicated_chains_decide_alike(seed in 0u64..1_000_000, hops in 1usize..=4) {
+        let mut rng = StreamRng::new(seed, "proptests/shared-walk");
+        // Capacities around four mean contracts, so both budgets bind,
+        // at whichever hop is tightest for the call at hand.
+        let capacities: Vec<Bandwidth> =
+            (0..hops).map(|_| Bandwidth::from_mbps(rng.uniform_in(150.0, 400.0))).collect();
+        let calls: Vec<(TrafficDescriptor, Option<u64>)> = (0..16u64)
+            .map(|k| {
+                let scr = Bandwidth::from_mbps(rng.uniform_in(10.0, 120.0));
+                let td = if rng.uniform() < 0.5 {
+                    TrafficDescriptor::cbr(scr)
+                } else {
+                    TrafficDescriptor::vbr(scr * rng.uniform_in(1.0, 3.0), scr)
+                };
+                let release = (k > 0 && rng.uniform() < 0.4).then(|| rng.below(k));
+                (td, release)
+            })
+            .collect();
+
+        let mut plain = Simulator::new();
+        let agents: Vec<ComponentId> = capacities
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| plain.add_component(SignallingAgent::new(format!("sw{i}"), c, HOP_LATENCY)))
+            .collect();
+        let plain_outcomes = drive_calls(&mut plain, &agents, &calls);
+
+        let mut replicated = Simulator::new();
+        let groups: Vec<ReplicaGroup> = capacities
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let cfg = GroupConfig::new(seed ^ i as u64, SimTime::from_secs(3));
+                ReplicaGroup::build(&mut replicated, format!("g{i}"), 3, 0, c, cfg).expect("3 replicas")
+            })
+            .collect();
+        let proxies: Vec<ComponentId> = groups.iter().map(|g| g.proxy).collect();
+        let replicated_outcomes = drive_calls(&mut replicated, &proxies, &calls);
+
+        let verdict = |o: &CallOutcome| match *o {
+            CallOutcome::Connected { .. } => None,
+            CallOutcome::Rejected { at_hop, cause } => Some((at_hop, cause)),
+        };
+        prop_assert_eq!(plain_outcomes.len(), calls.len());
+        prop_assert_eq!(replicated_outcomes.len(), calls.len());
+        for ((id_p, o_p), (id_r, o_r)) in plain_outcomes.iter().zip(&replicated_outcomes) {
+            prop_assert_eq!(id_p, id_r);
+            prop_assert_eq!(verdict(o_p), verdict(o_r), "call {:?}", id_p);
+        }
+        for (i, (&agent, group)) in agents.iter().zip(&groups).enumerate() {
+            prop_assert!(group.states_converged(&replicated), "hop {}", i);
+            let plain_cac = plain.component::<SignallingAgent>(agent).cac();
+            let replica_cac = replicated.component::<Replica>(group.replicas[0]).cac();
+            prop_assert_eq!(
+                plain_cac.committed_bps().to_bits(),
+                replica_cac.committed_bps().to_bits(),
+                "hop {}", i
+            );
+            prop_assert_eq!(&plain_cac.admitted, &replica_cac.admitted, "hop {}", i);
         }
     }
 }

@@ -12,6 +12,7 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
+use gtw_desim::fault::ProcessFaultPlan;
 use gtw_fire::pipeline::FireConfig;
 use gtw_fire::rt::run_rt_session;
 use gtw_net::ip::IpConfig;
@@ -45,7 +46,7 @@ fn main() {
     let mut cfg = ScannerConfig::paper_default(12, 99);
     cfg.dims = Dims::new(32, 32, 8);
     let scanner = Scanner::new(cfg, Phantom::standard());
-    let report = run_rt_session(&scanner, FireConfig::default(), 256, 1);
+    let report = run_rt_session(&scanner, FireConfig::default(), 256, &ProcessFaultPlan::new(0));
     let peak = report.final_map.data.iter().cloned().fold(f32::MIN, f32::max);
     println!(
         "processed {} scans; peak correlation {:.2}; virtual delay/scan {:.2}s; \

@@ -53,7 +53,7 @@ fn group_and_pump(
     count: u64,
 ) -> (ReplicaGroup, gtw_desim::ComponentId) {
     let cfg = GroupConfig::new(seed, horizon);
-    let group = ReplicaGroup::build(sim, "cp", 3, capacity, cfg);
+    let group = ReplicaGroup::build(sim, "cp", 3, 0, capacity, cfg).expect("3 replicas");
     let pump = sim.add_component(CallPump::new(
         group.proxy,
         Vec::new(),
@@ -188,7 +188,8 @@ fn client_confined_to_minority_refuses_cleanly_with_no_quorum() {
     // Deadline shorter than the partition, so minority-era calls refuse
     // during the window instead of surviving into the heal.
     cfg.request_deadline = SimDuration::from_secs(1);
-    let group = ReplicaGroup::build(&mut sim, "cp", 3, Bandwidth::from_gbps(10.0), cfg);
+    let group = ReplicaGroup::build(&mut sim, "cp", 3, 0, Bandwidth::from_gbps(10.0), cfg)
+        .expect("3 replicas");
     let pump = sim.add_component(CallPump::new(
         group.proxy,
         Vec::new(),
@@ -263,7 +264,8 @@ fn downstream_reject_rolls_back_the_replicated_budget() {
     let mut sim = Simulator::new();
     let horizon = SimTime::from_secs(6);
     let cfg = GroupConfig::new(seed, horizon);
-    let group = ReplicaGroup::build(&mut sim, "cp", 3, Bandwidth::from_gbps(10.0), cfg);
+    let group = ReplicaGroup::build(&mut sim, "cp", 3, 0, Bandwidth::from_gbps(10.0), cfg)
+        .expect("3 replicas");
     // Downstream plain agent only fits one 270 Mbit/s call.
     let downstream = sim.add_component(SignallingAgent::new(
         "sw-down",
@@ -381,7 +383,8 @@ fn compacted_leader_catches_up_wiped_rejoiner_by_snapshot() {
     let horizon = SimTime::from_secs(14);
     let mut cfg = GroupConfig::new(seed, horizon);
     cfg.snapshot_threshold = 8; // compact aggressively
-    let group = ReplicaGroup::build(&mut sim, "cp", 3, Bandwidth::from_gbps(10.0), cfg);
+    let group = ReplicaGroup::build(&mut sim, "cp", 3, 0, Bandwidth::from_gbps(10.0), cfg)
+        .expect("3 replicas");
     let pump = sim.add_component(CallPump::new(
         group.proxy,
         Vec::new(),

@@ -6,6 +6,7 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
+use gtw_desim::fault::ProcessFaultPlan;
 use gtw_fire::analysis::score_detection;
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
 use gtw_fire::rt::run_rt_session;
@@ -98,7 +99,8 @@ fn rt_session_and_scenario_agree_on_period() {
     // The functional MPI session and the analytic scenario must tell the
     // same sequential-throughput story.
     let scanner = test_scanner(8, Dims::new(16, 16, 4), 5);
-    let session = run_rt_session(&scanner, FireConfig::workstation(), 256, 1);
+    let session =
+        run_rt_session(&scanner, FireConfig::workstation(), 256, &ProcessFaultPlan::new(0));
     let scenario = FmriScenario::paper(256).run();
     // Both use the paper's stage budget; sessions at EPI dims match the
     // scenario's compute share at 256 PEs.

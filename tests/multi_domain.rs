@@ -222,18 +222,18 @@ fn quorum_loss_in_owning_domain_rolls_back_calls_and_stalls_the_gateway() {
 fn even_and_trivial_group_sizes_are_rejected_with_clear_errors() {
     let cfg = gtw_net::replica::GroupConfig::new(7, SimTime::from_secs(1));
     let mut sim = Simulator::new();
-    let err = ReplicaGroup::try_build(&mut sim, "bad", 4, Bandwidth::from_gbps(1.0), cfg.clone())
+    let err = ReplicaGroup::build(&mut sim, "bad", 4, 0, Bandwidth::from_gbps(1.0), cfg.clone())
         .err()
         .expect("even sizes must be rejected");
     assert!(err.contains("even size 4"), "{err}");
     assert!(err.contains("2f+1"), "{err}");
     let mut sim = Simulator::new();
-    let err = ReplicaGroup::try_build(&mut sim, "bad", 1, Bandwidth::from_gbps(1.0), cfg.clone())
+    let err = ReplicaGroup::build(&mut sim, "bad", 1, 0, Bandwidth::from_gbps(1.0), cfg.clone())
         .err()
         .expect("f = 0 sizes must be rejected");
     assert!(err.contains("f = 0"), "{err}");
     let mut sim = Simulator::new();
-    assert!(ReplicaGroup::try_build(&mut sim, "ok", 3, Bandwidth::from_gbps(1.0), cfg).is_ok());
+    assert!(ReplicaGroup::build(&mut sim, "ok", 3, 0, Bandwidth::from_gbps(1.0), cfg).is_ok());
 }
 
 // ---- 5. canonical report: reconfiguration + reproducibility -----------
