@@ -7,13 +7,16 @@
 //! replaced by its least-squares residual against that basis (plus the
 //! restored mean, so image intensity stays interpretable).
 
-use crate::linalg::{lstsq, Matrix};
+use crate::linalg::{LeastSquares, Matrix};
 
 /// A detrending basis over `n` scans.
 #[derive(Clone, Debug)]
 pub struct DetrendBasis {
     /// `n × k` design matrix (each column one detrending vector).
     design: Matrix,
+    /// The design's least-squares fit, factored once for every voxel;
+    /// `None` for a degenerate basis.
+    fit: Option<LeastSquares>,
 }
 
 impl DetrendBasis {
@@ -36,7 +39,8 @@ impl DetrendBasis {
             }
             rows.push(row);
         }
-        DetrendBasis { design: Matrix::from_rows(&rows) }
+        let design = Matrix::from_rows(&rows);
+        DetrendBasis { fit: LeastSquares::new(&design), design }
     }
 
     /// Number of scans covered.
@@ -59,10 +63,10 @@ impl DetrendBasis {
     pub fn detrend(&self, series: &mut [f32]) {
         assert_eq!(series.len(), self.len(), "series length mismatch");
         let b: Vec<f64> = series.iter().map(|&v| v as f64).collect();
-        let Some(coef) = lstsq(&self.design, &b) else {
+        let Some(fit) = &self.fit else {
             return; // degenerate basis: leave the series untouched
         };
-        let fitted = self.design.matvec(&coef);
+        let fitted = self.design.matvec(&fit.fit(&b));
         let mean = b.iter().sum::<f64>() / b.len() as f64;
         for (s, f) in series.iter_mut().zip(fitted) {
             *s = (*s as f64 - f + mean) as f32;

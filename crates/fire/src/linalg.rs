@@ -96,61 +96,120 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// A row operation of Gaussian elimination, as applied to the
+/// right-hand side.
+#[derive(Clone, Copy, Debug)]
+enum RowOp {
+    /// Exchange two rows (partial pivoting).
+    Swap(usize, usize),
+    /// `x[row] -= f * x[col]`.
+    Eliminate { row: usize, col: usize, f: f64 },
+}
+
+/// Gaussian elimination with partial pivoting of a square `A`, recorded
+/// so it can be replayed on any number of right-hand sides: the row
+/// swaps, the elimination multipliers and the upper triangle depend only
+/// on `A`.
+#[derive(Clone, Debug)]
+struct Elimination {
+    /// The row operations in the order elimination performed them.
+    ops: Vec<RowOp>,
+    /// `A` after elimination; back substitution reads its upper triangle.
+    upper: Matrix,
+}
+
+impl Elimination {
+    /// `None` if `a` is (numerically) singular, or if a pivot column
+    /// holds a NaN (which has no place in the pivot order).
+    fn new(a: &Matrix) -> Option<Self> {
+        let n = a.rows;
+        let mut m = a.clone();
+        let mut ops = Vec::new();
+        for col in 0..n {
+            // Pivot: the largest magnitude, the last of equals.
+            if (col..n).any(|i| m[(i, col)].is_nan()) {
+                return None;
+            }
+            let pivot =
+                (col..n).max_by(|&i, &j| m[(i, col)].abs().total_cmp(&m[(j, col)].abs()))?;
+            if m[(pivot, col)].abs() < 1e-12 {
+                return None;
+            }
+            if pivot != col {
+                for j in 0..n {
+                    let tmp = m[(col, j)];
+                    m[(col, j)] = m[(pivot, j)];
+                    m[(pivot, j)] = tmp;
+                }
+                ops.push(RowOp::Swap(col, pivot));
+            }
+            // Eliminate below.
+            for row in col + 1..n {
+                let f = m[(row, col)] / m[(col, col)];
+                if f == 0.0 {
+                    continue;
+                }
+                for j in col..n {
+                    m[(row, j)] -= f * m[(col, j)];
+                }
+                ops.push(RowOp::Eliminate { row, col, f });
+            }
+        }
+        Some(Elimination { ops, upper: m })
+    }
+
+    /// Solve for one right-hand side: the recorded row operations, then
+    /// back substitution.
+    fn apply(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = b.to_vec();
+        for &op in &self.ops {
+            match op {
+                RowOp::Swap(a, b) => x.swap(a, b),
+                RowOp::Eliminate { row, col, f } => x[row] -= f * x[col],
+            }
+        }
+        for col in (0..x.len()).rev() {
+            x[col] /= self.upper[(col, col)];
+            for row in 0..col {
+                x[row] -= self.upper[(row, col)] * x[col];
+            }
+        }
+        x
+    }
+}
+
 /// Solve `A x = b` by Gaussian elimination with partial pivoting.
-/// Returns `None` if `A` is (numerically) singular.
+/// Returns `None` if `A` is (numerically) singular or a pivot column
+/// holds a NaN.
 pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     assert_eq!(a.rows, a.cols, "solve needs a square matrix");
     assert_eq!(b.len(), a.rows, "rhs length mismatch");
-    let n = a.rows;
-    let mut m = a.clone();
-    let mut x = b.to_vec();
-    for col in 0..n {
-        // Pivot.
-        let pivot =
-            (col..n).max_by(|&i, &j| m[(i, col)].abs().partial_cmp(&m[(j, col)].abs()).unwrap())?;
-        if m[(pivot, col)].abs() < 1e-12 {
-            return None;
-        }
-        if pivot != col {
-            for j in 0..n {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(pivot, j)];
-                m[(pivot, j)] = tmp;
-            }
-            x.swap(col, pivot);
-        }
-        // Eliminate below.
-        for row in col + 1..n {
-            let f = m[(row, col)] / m[(col, col)];
-            if f == 0.0 {
-                continue;
-            }
-            for j in col..n {
-                m[(row, j)] -= f * m[(col, j)];
-            }
-            x[row] -= f * x[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        x[col] /= m[(col, col)];
-        for row in 0..col {
-            let f = m[(row, col)];
-            x[row] -= f * x[col];
-            m[(row, col)] = 0.0;
-        }
-    }
-    Some(x)
+    Some(Elimination::new(a)?.apply(b))
 }
 
-/// Linear least squares: minimize `‖A x − b‖₂` via the normal equations
-/// (adequate for the small, well-conditioned systems used here).
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(b.len(), a.rows, "rhs length mismatch");
-    let at = a.transpose();
-    let ata = at.matmul(a);
-    let atb = at.matvec(b);
-    solve(&ata, &atb)
+/// Linear least squares against one fixed `A`: minimize `‖A x − b‖₂` via
+/// the normal equations (adequate for the small, well-conditioned
+/// systems used here). `Aᵀ` and the elimination of `AᵀA` are computed
+/// once, so each right-hand side costs one product and one replay.
+#[derive(Clone, Debug)]
+pub struct LeastSquares {
+    at: Matrix,
+    normal: Elimination,
+}
+
+impl LeastSquares {
+    /// `None` if `AᵀA` is (numerically) singular.
+    pub fn new(a: &Matrix) -> Option<Self> {
+        let at = a.transpose();
+        let normal = Elimination::new(&at.matmul(a))?;
+        Some(LeastSquares { at, normal })
+    }
+
+    /// The `x` minimizing `‖A x − b‖₂`.
+    pub fn fit(&self, b: &[f64]) -> Vec<f64> {
+        assert_eq!(b.len(), self.at.cols, "rhs length mismatch");
+        self.normal.apply(&self.at.matvec(b))
+    }
 }
 
 /// Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
@@ -273,22 +332,108 @@ mod tests {
         assert!(solve(&a, &[1.0, 2.0]).is_none());
     }
 
+    /// `solve` as it was before it became "factor, then apply": one
+    /// elimination interleaving the matrix and the right-hand side.
+    fn reference_solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        let n = a.rows;
+        let mut m = a.clone();
+        let mut x = b.to_vec();
+        for col in 0..n {
+            let pivot = (col..n)
+                .max_by(|&i, &j| m[(i, col)].abs().partial_cmp(&m[(j, col)].abs()).unwrap())?;
+            if m[(pivot, col)].abs() < 1e-12 {
+                return None;
+            }
+            if pivot != col {
+                for j in 0..n {
+                    let tmp = m[(col, j)];
+                    m[(col, j)] = m[(pivot, j)];
+                    m[(pivot, j)] = tmp;
+                }
+                x.swap(col, pivot);
+            }
+            for row in col + 1..n {
+                let f = m[(row, col)] / m[(col, col)];
+                if f == 0.0 {
+                    continue;
+                }
+                for j in col..n {
+                    m[(row, j)] -= f * m[(col, j)];
+                }
+                x[row] -= f * x[col];
+            }
+        }
+        for col in (0..n).rev() {
+            x[col] /= m[(col, col)];
+            for row in 0..col {
+                let f = m[(row, col)];
+                x[row] -= f * x[col];
+                m[(row, col)] = 0.0;
+            }
+        }
+        Some(x)
+    }
+
+    fn bits(x: Option<Vec<f64>>) -> Option<Vec<u64>> {
+        x.map(|x| x.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn solve_keeps_the_interleaved_elimination_bits() {
+        let mut state = 99u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        for case in 0..400 {
+            let n = 1 + case % 7;
+            let mut a = Matrix::zeros(n, n);
+            for v in &mut a.data {
+                // Exact zeros (skipped multipliers), ties in magnitude
+                // (the last of equals pivots) and plain noise.
+                *v = match case % 4 {
+                    0 => [0.0, 1.0, -1.0, 2.0][(next() * 8.0).rem_euclid(4.0) as usize],
+                    1 if next() < 0.0 => 0.0,
+                    _ => next() * 10.0,
+                };
+            }
+            let b: Vec<f64> = (0..n).map(|_| next()).collect();
+            assert_eq!(bits(solve(&a, &b)), bits(reference_solve(&a, &b)), "case {case}: {a:?}");
+        }
+    }
+
+    #[test]
+    fn solve_refuses_a_nan_pivot_column() {
+        let nan = f64::NAN;
+        for a in [
+            Matrix::from_rows(&[vec![nan, 1.0], vec![1.0, 2.0]]),
+            Matrix::from_rows(&[vec![2.0, 1.0], vec![nan, 3.0]]),
+            Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, nan]]),
+            Matrix::from_rows(&[vec![nan; 3], vec![nan; 3], vec![nan; 3]]),
+        ] {
+            assert!(solve(&a, &vec![1.0; a.rows]).is_none(), "{a:?}");
+        }
+    }
+
     #[test]
     fn lstsq_fits_line() {
         // y = 2x + 1 with an outlier-free overdetermined system.
         let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
         let a = Matrix::from_rows(&xs.iter().map(|&x| vec![x, 1.0]).collect::<Vec<_>>());
         let b: Vec<f64> = xs.iter().map(|&x| 2.0 * x + 1.0).collect();
-        let coef = lstsq(&a, &b).unwrap();
+        let coef = LeastSquares::new(&a).unwrap().fit(&b);
         assert!((coef[0] - 2.0).abs() < 1e-10);
         assert!((coef[1] - 1.0).abs() < 1e-10);
+        // Two columns that are one: no unique fit.
+        let flat = Matrix::from_rows(&xs.iter().map(|&x| vec![x, 2.0 * x]).collect::<Vec<_>>());
+        assert!(LeastSquares::new(&flat).is_none());
     }
 
     #[test]
     fn lstsq_minimizes_residual() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]);
         let b = [1.0, 2.0, 2.0];
-        let c = lstsq(&a, &b).unwrap();
+        let c = LeastSquares::new(&a).unwrap().fit(&b);
         let fit = a.matvec(&c);
         let res: f64 = fit.iter().zip(&b).map(|(f, y)| (f - y).powi(2)).sum();
         // Perturbing the coefficients must not reduce the residual.

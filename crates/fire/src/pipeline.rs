@@ -436,6 +436,27 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_voxel_does_not_panic_the_pipeline() {
+        // One NaN voxel in scan 3 reaches motion correction's JᵀJ, where
+        // `solve` refuses the NaN pivot column and the estimate stops.
+        const SCANS: usize = 16;
+        let dims = Dims::new(32, 32, 8);
+        let mut cfg = ScannerConfig::paper_default(SCANS, 1999);
+        cfg.dims = dims;
+        let scanner = Scanner::new(cfg, Phantom::standard());
+        let rv = ReferenceVector::canonical(&scanner.config().stimulus);
+        let mut p = FirePipeline::new(FireConfig::default(), dims, rv);
+        for t in 0..SCANS {
+            let mut scan = scanner.acquire(t);
+            if t == 3 {
+                *scan.at_mut(16, 16, 4) = f32::NAN;
+            }
+            assert_eq!(p.process(&scan).scan, t);
+        }
+        assert_eq!(p.correlation_map().dims, dims);
+    }
+
+    #[test]
     fn full_pipeline_detects_activation() {
         let scanner = small_scanner(40, 21);
         let p = run_pipeline(FireConfig::default(), &scanner);

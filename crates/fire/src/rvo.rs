@@ -14,6 +14,12 @@
 //!   ("the resolution of the grid can be reduced and the solution refined
 //!   using a conjugate gradient method"): a coarse raster followed by
 //!   iterative local refinement. The X3 ablation bench compares both.
+//!
+//! The raster is one matrix product, centred voxels × reference vectors,
+//! computed a register tile at a time (`TILE_VOXELS` × `TILE_REFS` dot
+//! products per walk of the scans). Each dot product keeps its own
+//! accumulator and its own summation order, so the result is the bits
+//! of correlating one voxel with one vector at a time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,6 +92,11 @@ pub struct RvoResult {
     pub evaluations: u64,
 }
 
+/// Voxels per register tile of the raster product.
+const TILE_VOXELS: usize = 4;
+/// Reference vectors per register tile of the raster product.
+const TILE_REFS: usize = 4;
+
 /// One voxel's time series with its mean removed, kept so the raster
 /// correlates it against many reference vectors without re-deriving the
 /// mean, the centred series and Σd² each time. [`CentredVoxel::correlate`]
@@ -116,17 +127,95 @@ impl CentredVoxel {
         self.norm = if n < 2.0 || ss <= 0.0 { 0.0 } else { ss.sqrt() };
     }
 
-    /// Pearson correlation of the loaded voxel against `rv`.
-    fn correlate(&self, rv: &ReferenceVector) -> f64 {
+    /// The correlation whose numerator is `dot`, the loaded voxel's dot
+    /// product with a reference vector (whose `values` already have zero
+    /// mean and unit norm).
+    fn score(&self, dot: f64) -> f64 {
         if self.norm == 0.0 {
             return 0.0;
         }
+        (dot / self.norm).clamp(-1.0, 1.0)
+    }
+
+    /// Pearson correlation of the loaded voxel against `rv`.
+    fn correlate(&self, rv: &ReferenceVector) -> f64 {
         let mut dot = 0.0;
         for (d, r) in self.d.iter().zip(&rv.values) {
             dot += d * r;
         }
-        // `values` already has zero mean and unit norm.
-        (dot / self.norm).clamp(-1.0, 1.0)
+        self.score(dot)
+    }
+}
+
+/// The raster's reference vectors as one scan-major table, so a block of
+/// voxels is correlated against all of them as one matrix product.
+struct Raster {
+    /// `(delay, dispersion)` per raster point, delay-major: the order the
+    /// best fit is searched in.
+    points: Vec<(f64, f64)>,
+    /// `table[t * points.len() + j]` is scan `t` of point `j`'s vector.
+    table: Vec<f64>,
+}
+
+impl Raster {
+    fn new(stimulus: &Stimulus, delays: &[f64], dispersions: &[f64]) -> Self {
+        let points: Vec<(f64, f64)> =
+            delays.iter().flat_map(|&d| dispersions.iter().map(move |&w| (d, w))).collect();
+        let r = points.len();
+        let mut table = vec![0.0; stimulus.len() * r];
+        for (j, &(d, w)) in points.iter().enumerate() {
+            let rv = ReferenceVector::from_stimulus(stimulus, d, w);
+            for (row, v) in table.chunks_exact_mut(r).zip(rv.values) {
+                row[j] = v;
+            }
+        }
+        Raster { points, table }
+    }
+
+    /// `dots[v * R + j]` = the dot product of `block[v]` with point `j`'s
+    /// vector, for the first `V` voxels of `block` and all `R` points:
+    /// whole tiles of [`TILE_REFS`] points, then the ragged rest one
+    /// point at a time.
+    fn dots<const V: usize>(&self, block: &[CentredVoxel], dots: &mut [f64]) {
+        let r = self.points.len();
+        let mut j0 = 0;
+        while j0 + TILE_REFS <= r {
+            self.tile::<V, TILE_REFS>(block, j0, dots);
+            j0 += TILE_REFS;
+        }
+        for j in j0..r {
+            self.tile::<V, 1>(block, j, dots);
+        }
+    }
+
+    /// One register tile: `V × J` accumulators, one per (voxel, point)
+    /// pair, over one walk of the scans. Each starts at `+0.0` and adds
+    /// `d[t] * r[t]` in scan order with a separate multiply and add, so
+    /// it rounds exactly as [`CentredVoxel::correlate`]'s `dot` does;
+    /// only the interleaving of pairs differs.
+    #[inline(always)]
+    fn tile<const V: usize, const J: usize>(
+        &self,
+        block: &[CentredVoxel],
+        j0: usize,
+        dots: &mut [f64],
+    ) {
+        let r = self.points.len();
+        let scans = self.table.len() / r;
+        let d: [&[f64]; V] = std::array::from_fn(|v| &block[v].d[..scans]);
+        let mut acc = [[0.0f64; J]; V];
+        for (t, row) in self.table.chunks_exact(r).enumerate() {
+            let row = &row[j0..j0 + J];
+            for (acc, d) in acc.iter_mut().zip(&d) {
+                let x = d[t];
+                for (a, &y) in acc.iter_mut().zip(row) {
+                    *a += x * y;
+                }
+            }
+        }
+        for (v, acc) in acc.iter().enumerate() {
+            dots[v * r + j0..v * r + j0 + J].copy_from_slice(acc);
+        }
     }
 }
 
@@ -163,17 +252,9 @@ pub fn optimize(
             refine_iters,
         ),
     };
-    // Precompute the raster's reference vectors (shared across voxels).
-    let raster: Vec<(f64, f64, ReferenceVector)> = delays
-        .iter()
-        .flat_map(|&d| {
-            let dispersions = &dispersions;
-            dispersions
-                .iter()
-                .map(move |&w| (d, w, ReferenceVector::from_stimulus(stimulus, d, w)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    // The raster's reference vectors, shared across voxels.
+    let raster = Raster::new(stimulus, &delays, &dispersions);
+    let r = raster.points.len();
 
     let evaluations = AtomicU64::new(0);
     let n_vox = dims.len();
@@ -187,68 +268,51 @@ pub fn optimize(
         .zip(corr_out.chunks_mut(VOXEL_CHUNK))
         .enumerate();
     gtw_par::for_each(chunks, |(k, ((d_chunk, w_chunk), c_chunk))| {
-        let mut voxel = CentredVoxel::new(series.len());
-        let mut evals = 0u64;
-        let outs = d_chunk.iter_mut().zip(w_chunk).zip(c_chunk);
-        for (idx, ((d_out, w_out), c_out)) in (k * VOXEL_CHUNK..).zip(outs) {
-            if mask.is_some_and(|m| !m[idx]) {
+        let base = k * VOXEL_CHUNK;
+        // Masked voxels take the canonical parameters; the rest are fitted
+        // in blocks of `TILE_VOXELS`, in voxel order.
+        let mut fitted = Vec::with_capacity(d_chunk.len());
+        for (i, (d_out, w_out)) in d_chunk.iter_mut().zip(w_chunk.iter_mut()).enumerate() {
+            if mask.is_some_and(|m| !m[base + i]) {
                 *d_out = gtw_scan::hrf::CANONICAL_DELAY_S as f32;
                 *w_out = gtw_scan::hrf::CANONICAL_DISPERSION_S as f32;
-                continue;
+            } else {
+                fitted.push(i);
             }
-            voxel.load(series, idx);
-            // Raster.
-            let (mut best_d, mut best_w, mut best_c) = (delays[0], dispersions[0], f64::MIN);
-            for (d, w, rv) in &raster {
-                let c = voxel.correlate(rv);
-                evals += 1;
-                if c > best_c {
-                    best_c = c;
-                    best_d = *d;
-                    best_w = *w;
+        }
+        let mut block: Vec<CentredVoxel> =
+            (0..TILE_VOXELS).map(|_| CentredVoxel::new(series.len())).collect();
+        let mut dots = vec![0.0; TILE_VOXELS * r];
+        let mut evals = 0u64;
+        for ids in fitted.chunks(TILE_VOXELS) {
+            for (voxel, &i) in block.iter_mut().zip(ids) {
+                voxel.load(series, base + i);
+            }
+            if ids.len() == TILE_VOXELS {
+                raster.dots::<TILE_VOXELS>(&block, &mut dots);
+            } else {
+                for v in 0..ids.len() {
+                    raster.dots::<1>(&block[v..], &mut dots[v * r..]);
                 }
             }
-            // Optional refinement: per-axis parabolic steps with halving
-            // radius, the CG-flavoured local search of the paper's
-            // outlook.
-            if refine_iters > 0 {
-                let mut h_d =
-                    (bounds.delay_s.1 - bounds.delay_s.0) / (delays.len() - 1) as f64 / 2.0;
-                let mut h_w = (bounds.dispersion_s.1 - bounds.dispersion_s.0)
-                    / (dispersions.len() - 1) as f64
-                    / 2.0;
-                let mut eval = |d: f64, w: f64| {
+            for ((voxel, &i), dots) in block.iter().zip(ids).zip(dots.chunks_exact(r)) {
+                // Raster, in point order.
+                let mut best = (delays[0], dispersions[0], f64::MIN);
+                for (&(d, w), &dot) in raster.points.iter().zip(dots) {
+                    let c = voxel.score(dot);
                     evals += 1;
-                    voxel.correlate(&ReferenceVector::from_stimulus(stimulus, d, w))
-                };
-                for _ in 0..refine_iters {
-                    // Delay axis.
-                    let lo = (best_d - h_d).max(bounds.delay_s.0);
-                    let hi = (best_d + h_d).min(bounds.delay_s.1);
-                    for cand in [lo, hi] {
-                        let c = eval(cand, best_w);
-                        if c > best_c {
-                            best_c = c;
-                            best_d = cand;
-                        }
+                    if c > best.2 {
+                        best = (d, w, c);
                     }
-                    // Dispersion axis.
-                    let lo = (best_w - h_w).max(bounds.dispersion_s.0);
-                    let hi = (best_w + h_w).min(bounds.dispersion_s.1);
-                    for cand in [lo, hi] {
-                        let c = eval(best_d, cand);
-                        if c > best_c {
-                            best_c = c;
-                            best_w = cand;
-                        }
-                    }
-                    h_d /= 2.0;
-                    h_w /= 2.0;
                 }
+                if refine_iters > 0 {
+                    let steps = (delays.len(), dispersions.len());
+                    best = refine(voxel, stimulus, bounds, steps, refine_iters, best, &mut evals);
+                }
+                d_chunk[i] = best.0 as f32;
+                w_chunk[i] = best.1 as f32;
+                c_chunk[i] = best.2 as f32;
             }
-            *d_out = best_d as f32;
-            *w_out = best_w as f32;
-            *c_out = best_c as f32;
         }
         // An integer sum: the one cross-chunk reduction, order-free.
         evaluations.fetch_add(evals, Ordering::Relaxed);
@@ -260,6 +324,53 @@ pub fn optimize(
         correlation: Volume::from_vec(dims, corr_out),
         evaluations: evaluations.load(Ordering::Relaxed),
     }
+}
+
+/// Optional refinement of the `(delay, dispersion, correlation)` `best`
+/// found on a raster of `steps` points per axis: `iters` rounds of
+/// per-axis parabolic steps with radius halving from half a raster
+/// step, the CG-flavoured local search of the paper's outlook. Every
+/// candidate is one more evaluation.
+fn refine(
+    voxel: &CentredVoxel,
+    stimulus: &Stimulus,
+    bounds: RvoBounds,
+    steps: (usize, usize),
+    iters: usize,
+    (mut best_d, mut best_w, mut best_c): (f64, f64, f64),
+    evals: &mut u64,
+) -> (f64, f64, f64) {
+    let mut h_d = (bounds.delay_s.1 - bounds.delay_s.0) / (steps.0 - 1) as f64 / 2.0;
+    let mut h_w = (bounds.dispersion_s.1 - bounds.dispersion_s.0) / (steps.1 - 1) as f64 / 2.0;
+    let mut eval = |d: f64, w: f64| {
+        *evals += 1;
+        voxel.correlate(&ReferenceVector::from_stimulus(stimulus, d, w))
+    };
+    for _ in 0..iters {
+        // Delay axis.
+        let lo = (best_d - h_d).max(bounds.delay_s.0);
+        let hi = (best_d + h_d).min(bounds.delay_s.1);
+        for cand in [lo, hi] {
+            let c = eval(cand, best_w);
+            if c > best_c {
+                best_c = c;
+                best_d = cand;
+            }
+        }
+        // Dispersion axis.
+        let lo = (best_w - h_w).max(bounds.dispersion_s.0);
+        let hi = (best_w + h_w).min(bounds.dispersion_s.1);
+        for cand in [lo, hi] {
+            let c = eval(best_d, cand);
+            if c > best_c {
+                best_c = c;
+                best_w = cand;
+            }
+        }
+        h_d /= 2.0;
+        h_w /= 2.0;
+    }
+    (best_d, best_w, best_c)
 }
 
 /// Build a brain mask from a mean image: voxels above `floor`.
@@ -430,8 +541,10 @@ mod tests {
         }
     }
 
-    /// The raster as it was before the voxel was centred once: one
-    /// `ReferenceVector::correlate` per (voxel, raster point).
+    /// The raster as it was before the voxel was centred once and before
+    /// it became a blocked product: one `ReferenceVector::correlate` per
+    /// (voxel, raster point). `tests/proptests.rs` holds the same loop
+    /// to `optimize` over random shapes, masks and non-finite voxels.
     fn reference_raster(
         series: &[Volume],
         stim: &Stimulus,

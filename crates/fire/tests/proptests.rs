@@ -1,9 +1,12 @@
 //! Property-based tests for the FIRE processing modules.
 
+use gtw_desim::StreamRng;
 use gtw_fire::decomp::{balanced_range, block_grid, extract_slab};
 use gtw_fire::detrend::DetrendBasis;
 use gtw_fire::filters::{average_filter, median_filter};
 use gtw_fire::linalg::{conjugate_gradient, jacobi_eigen, solve, Matrix};
+use gtw_fire::rvo::{optimize, RvoBounds, RvoMethod};
+use gtw_scan::hrf::{ReferenceVector, Stimulus, CANONICAL_DELAY_S, CANONICAL_DISPERSION_S};
 use gtw_scan::volume::{Dims, Volume};
 use proptest::prelude::*;
 
@@ -196,5 +199,98 @@ proptest! {
                 prop_assert_eq!(slab.at(x, y, interior), vol.at(x, y, z0));
             }
         }
+    }
+}
+
+/// The raster fit one voxel at a time, as before it became a blocked
+/// product: one `ReferenceVector::correlate` per (voxel, raster point),
+/// points delay-major, the first strictly greater correlation wins.
+/// Returns the three maps' bits and the evaluation count.
+fn per_voxel_raster(
+    series: &[Volume],
+    stimulus: &Stimulus,
+    steps: (usize, usize),
+    mask: Option<&[bool]>,
+) -> ([Vec<u32>; 3], u64) {
+    let b = RvoBounds::default();
+    let grid = |(lo, hi): (f64, f64), n: usize| -> Vec<f64> {
+        (0..n).map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64).collect()
+    };
+    let (delays, dispersions) = (grid(b.delay_s, steps.0), grid(b.dispersion_s, steps.1));
+    let raster: Vec<(f64, f64, ReferenceVector)> = delays
+        .iter()
+        .flat_map(|&d| dispersions.iter().map(move |&w| (d, w)))
+        .map(|(d, w)| (d, w, ReferenceVector::from_stimulus(stimulus, d, w)))
+        .collect();
+    let mut maps = [vec![], vec![], vec![]];
+    let mut evaluations = 0;
+    for idx in 0..series[0].dims.len() {
+        let best = if mask.is_some_and(|m| !m[idx]) {
+            (CANONICAL_DELAY_S, CANONICAL_DISPERSION_S, 0.0)
+        } else {
+            let voxel: Vec<f32> = series.iter().map(|v| v.data[idx]).collect();
+            let mut best = (delays[0], dispersions[0], f64::MIN);
+            for (d, w, rv) in &raster {
+                let c = rv.correlate(&voxel);
+                evaluations += 1;
+                if c > best.2 {
+                    best = (*d, *w, c);
+                }
+            }
+            best
+        };
+        for (map, v) in maps.iter_mut().zip([best.0, best.1, best.2]) {
+            map.push((v as f32).to_bits());
+        }
+    }
+    (maps, evaluations)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The blocked raster gives the per-voxel loop's bits: voxel counts
+    /// from none up to ragged sizes past one 1024-voxel chunk, 1–40
+    /// scans, grids whose point count takes every remainder mod the
+    /// tile width, random masks, and voxels that are constant (norm 0)
+    /// or hold a NaN or an infinity (correlation NaN, never the best).
+    #[test]
+    fn blocked_raster_matches_per_voxel_loop_bit_for_bit(
+        shape in (0usize..8, 1usize..=45, 1usize..=30),
+        scans in 1usize..=40,
+        steps in (2usize..15, 2usize..9),
+        masked in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (sel, nx, ny) = shape;
+        let dims = if sel == 0 { Dims::new(0, ny, 1) } else { Dims::new(nx, ny, 1 + sel % 2) };
+        let mut rng = StreamRng::new(seed, "rvo-blocked");
+        // Per voxel: mostly noise, some constant, some holding one NaN or
+        // infinity at a random scan.
+        let kinds: Vec<(u64, usize)> = (0..dims.len())
+            .map(|_| (rng.below(16), rng.below(scans as u64) as usize))
+            .collect();
+        let series: Vec<Volume> = (0..scans)
+            .map(|t| {
+                let data = kinds.iter().map(|&(kind, at)| match kind {
+                    0 => 42.0,
+                    1 if t == at => f32::NAN,
+                    2 if t == at => f32::INFINITY,
+                    3 if t == at => f32::NEG_INFINITY,
+                    _ => 100.0 + 20.0 * rng.normal() as f32,
+                });
+                Volume::from_vec(dims, data.collect())
+            })
+            .collect();
+        let mask: Vec<bool> = (0..dims.len()).map(|_| rng.below(4) != 0).collect();
+        let mask = masked.then_some(&mask[..]);
+        let stimulus = Stimulus::block_design(4, 4, scans, 2.0);
+        let method = RvoMethod::FullGrid { delay_steps: steps.0, dispersion_steps: steps.1 };
+        let fit = optimize(&series, &stimulus, RvoBounds::default(), method, mask);
+        let got = [&fit.delay, &fit.dispersion, &fit.correlation]
+            .map(|m| m.data.iter().map(|v| v.to_bits()).collect::<Vec<u32>>());
+        let (want, evaluations) = per_voxel_raster(&series, &stimulus, steps, mask);
+        prop_assert!(got == want, "{dims:?} × {scans} scans, grid {steps:?}");
+        prop_assert_eq!(fit.evaluations, evaluations);
     }
 }

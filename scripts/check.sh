@@ -219,7 +219,23 @@ cargo run --release -q -p gtw-bench --bin trajectory -- --check
 # executor fails the gate instead of hanging it.
 real_digests() { timeout 300 cargo run --release -q -p gtw-bench --bin table1 -- --real --json | grep '"digest"'; }
 same_twice real real_digests
-test "$(sort -u "$trace_tmp/real_a.json" | wc -l)" -eq 1
+# One value, and the one pinned before the RVO raster became a blocked
+# product: a kernel change that moved bits alike at every width and in
+# every run would pass the two checks above.
+test "$(sort -u "$trace_tmp/real_a.json" | tr -d ' ,')" = '"digest":"04cb5b6e2fce2017"'
+# RVO itself: digests pinned on the per-voxel raster (1/2/3/8 threads),
+# and the blocked product held to that loop over random shapes, masks and
+# non-finite voxels. The per-voxel raster — a list of reference vectors
+# each voxel walks — lives on only in tests, not in `rvo.rs` above its
+# `#[cfg(test)]`.
+timeout 300 cargo test -q -p gtw-fire --test rvo_pinned
+timeout 300 cargo test -q -p gtw-fire --test proptests blocked_raster
+rvo_rs=crates/fire/src/rvo.rs
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
+    grep -E 'Vec<\(f64, f64, ReferenceVector\)>|for \(d, w, rv\) in'; then
+    echo "check.sh: the per-voxel raster is back in $rvo_rs (see above)" >&2
+    exit 1
+fi
 
 # Render gate: the ray-caster skips steps by an occupancy summary, and a
 # skip that fails to advance would spin for ever, so its suites (per-step
