@@ -12,12 +12,15 @@
 //! | `apps_matrix`     | §3 — application traffic vs link feasibility (X1) |
 //! | `pipeline`        | §4 — sequential vs pipelined throughput (X2) |
 //! | `rvo_ablation`    | §4 — RVO grid vs coarse+refine (X3) |
+//! | `results`         | every number the paper prints, ours beside it, gated (`RESULTS.md`) |
 //!
-//! Two more bins keep committed baselines: `kernel_bench`
-//! (`BENCH_kernel.json`) and `trajectory` (`BENCH_trajectory.json`,
-//! `--check`). Per-layer timings are `crates/gtw-benchmark`'s job.
+//! [`results`] is the answer to "what number should I see": its rows are
+//! held to the paper and to the committed page by `tests/paper_fidelity.rs`.
+//! Timings, end to end and per layer, are `crates/gtw-benchmark`'s job.
 
 use gtw_desim::Json;
+
+pub mod results;
 
 /// The flags shared by the fig/table bench bins, parsed once from
 /// `std::env::args` instead of hand-rolled per binary. Unknown flags are
@@ -33,8 +36,6 @@ pub struct BenchArgs {
     pub shards: usize,
     /// `--faults <seed>`: run under the canonical degraded-WAN plan.
     pub faults: Option<u64>,
-    /// `--check`: self-check mode (digest print or baseline diff).
-    pub check: bool,
     /// `--kernel-metrics`: include the `kernel_metrics` block in JSON
     /// reports (sharded runs only).
     pub kernel_metrics: bool,
@@ -57,7 +58,6 @@ impl BenchArgs {
                 .map(|s| s.parse().expect("--shards takes a shard count"))
                 .unwrap_or(0),
             faults: arg_value("--faults").map(|s| s.parse().expect("--faults takes a u64 seed")),
-            check: has_flag("--check"),
             kernel_metrics: has_flag("--kernel-metrics"),
             stripes: arg_value("--stripes")
                 .map(|s| s.parse().expect("--stripes takes a stream count"))
@@ -71,8 +71,7 @@ impl BenchArgs {
 /// requested shard count.
 ///
 /// This is *bench-output-only* context — it must never be folded into
-/// `RunReport` (whose JSON is determinism-gated byte-for-byte), and the
-/// trajectory harness strips it before its two-run `cmp`.
+/// `RunReport` (whose JSON is determinism-gated byte-for-byte).
 pub fn meta_json(shards: usize) -> Json {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Json::obj([("host_cores", Json::from(cores as u64)), ("shards", Json::from(shards as u64))])

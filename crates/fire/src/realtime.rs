@@ -130,38 +130,6 @@ impl Congestion {
     }
 }
 
-/// The graceful-degradation policy: how the chain trades resolution for
-/// latency when the transfer is congested.
-///
-/// Before consuming a raw image the driver predicts the scan-end →
-/// display latency at each quality level (a level scales the transfer
-/// *and* compute times — a downsampled scan is smaller to ship and
-/// cheaper to reconstruct) and picks the highest level whose prediction
-/// meets `deadline_s`. Downshifts take effect immediately; an upshift
-/// needs `recover_after` consecutive images for which the next-higher
-/// level would also have met the deadline, so quality ratchets back up
-/// only once the backlog has genuinely cleared.
-#[derive(Clone, Debug)]
-pub struct DegradeConfig {
-    /// Scan-end → display latency budget, seconds.
-    pub deadline_s: f64,
-    /// Quality levels as resolution factors, best first (e.g.
-    /// `[1.0, 0.5, 0.25]`). The last level is the floor the chain falls
-    /// back to even when its prediction misses the deadline.
-    pub levels: Vec<f64>,
-    /// Consecutive deadline-safe images before one upshift step.
-    pub recover_after: usize,
-}
-
-impl DegradeConfig {
-    /// The paper's budget: the headline "well below 5 s" delay as the
-    /// deadline, half- and quarter-resolution fallbacks, and a short
-    /// recovery streak.
-    pub fn paper() -> Self {
-        DegradeConfig { deadline_s: 5.0, levels: vec![1.0, 0.5, 0.25], recover_after: 3 }
-    }
-}
-
 /// Counters of the degradation policy over one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DegradeStats {
@@ -296,11 +264,32 @@ struct ChainDriver {
     degrade: Option<DegradeState>,
 }
 
+// The graceful-degradation policy: how the chain trades resolution for
+// latency when the transfer is congested. Before consuming a raw image
+// the driver predicts the scan-end → display latency at each quality
+// level (a level scales the transfer *and* compute times — a downsampled
+// scan is smaller to ship and cheaper to reconstruct) and picks the
+// highest level whose prediction meets the deadline (`pick_quality`).
+// Downshifts take effect immediately; an upshift needs a streak of
+// images for which the next-higher level would also have met it, so
+// quality ratchets back up only once the backlog has genuinely cleared.
+
+/// Scan-end → display latency budget under congestion, seconds: the
+/// paper's headline "well below 5 s" delay.
+pub const DEGRADE_DEADLINE_S: f64 = 5.0;
+
+/// Quality levels as resolution factors, best first: full, half and
+/// quarter resolution. The last is the floor the chain falls back to
+/// even when its prediction misses the deadline.
+pub const DEGRADE_LEVELS: [f64; 3] = [1.0, 0.5, 0.25];
+
+/// Consecutive deadline-safe images before one upshift step.
+pub const DEGRADE_RECOVER_AFTER: usize = 3;
+
 /// Live state of the degradation policy.
 struct DegradeState {
-    cfg: DegradeConfig,
     congestion: Congestion,
-    /// Index into `cfg.levels` of the current quality.
+    /// Index into [`DEGRADE_LEVELS`] of the current quality.
     level: usize,
     /// Consecutive images for which the next-higher level was safe.
     ok_streak: usize,
@@ -423,10 +412,9 @@ impl ChainDriver {
         };
         let elapsed = now.saturating_since(scan_end).as_secs_f64();
         let (t, c, d) = (self.cfg.transfer_s, self.cfg.compute_s, self.cfg.display_s);
-        let deadline = st.cfg.deadline_s;
-        let fits = |q: f64| elapsed + t * cf * q + c * q + d <= deadline + 1e-12;
-        let floor = st.cfg.levels.len() - 1;
-        let desired = st.cfg.levels.iter().position(|&q| fits(q)).unwrap_or(floor);
+        let fits = |q: f64| elapsed + t * cf * q + c * q + d <= DEGRADE_DEADLINE_S + 1e-12;
+        let floor = DEGRADE_LEVELS.len() - 1;
+        let desired = DEGRADE_LEVELS.iter().position(|&q| fits(q)).unwrap_or(floor);
         if desired > st.level {
             // The prediction misses at the current quality: shed
             // resolution immediately, possibly several levels at once.
@@ -437,7 +425,7 @@ impl ChainDriver {
             // Higher quality would fit again; recover one level per
             // stable streak so a brief lull does not flap the quality.
             st.ok_streak += 1;
-            if st.ok_streak >= st.cfg.recover_after {
+            if st.ok_streak >= DEGRADE_RECOVER_AFTER {
                 st.level -= 1;
                 st.stats.upshifts += 1;
                 st.ok_streak = 0;
@@ -445,7 +433,7 @@ impl ChainDriver {
         } else {
             st.ok_streak = 0;
         }
-        let q = st.cfg.levels[st.level];
+        let q = DEGRADE_LEVELS[st.level];
         if q < 1.0 {
             st.stats.degraded_images += 1;
         }
@@ -668,13 +656,13 @@ pub struct ChainOptions {
     /// installed: while a congestion window is open, transfers run
     /// `slowdown`× slower, and before each image the driver predicts its
     /// scan-end → display latency, shedding resolution (per
-    /// [`DegradeConfig::levels`]) as needed to stay inside the deadline —
-    /// the chain trades quality for latency, never the deadline. Quality
-    /// recovers one level per `recover_after` deadline-safe images once
-    /// the backlog clears. The report's `degrade` carries the
-    /// [`DegradeStats`]; with `None`, or windows that never open, it
-    /// stays `None`.
-    pub congestion: Option<(Congestion, DegradeConfig)>,
+    /// [`DEGRADE_LEVELS`]) as needed to stay inside
+    /// [`DEGRADE_DEADLINE_S`] — the chain trades quality for latency,
+    /// never the deadline. Quality recovers one level per
+    /// [`DEGRADE_RECOVER_AFTER`] deadline-safe images once the backlog
+    /// clears. The report's `degrade` carries the [`DegradeStats`]; with
+    /// `None`, or windows that never open, it stays `None`.
+    pub congestion: Option<Congestion>,
     /// Attached to the chain's kernel: per-stage spans (`transfer`,
     /// `compute`, `display` — one track each in pipelined mode, a single
     /// `chain` track in sequential mode), `acquire` spans on the
@@ -700,7 +688,7 @@ pub fn run_chain_traced(cfg: RealtimeConfig, mode: ChainMode, sink: &Observer) -
 /// [`run_chain`].
 pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions) -> RealtimeReport {
     let (plan, sink) = (&opts.process_faults, &opts.observer);
-    let congestion = opts.congestion.clone().filter(|(congestion, _)| !congestion.is_empty());
+    let congestion = opts.congestion.clone().filter(|congestion| !congestion.is_empty());
     let mut sim = Simulator::new();
     sim.observe(sink);
     let injectors: Vec<(bool, ProcessFaultInjector)> = plan
@@ -732,8 +720,7 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
         up_at: SimTime::ZERO,
         requeued: None,
         stats: RecoveryStats::default(),
-        degrade: congestion.map(|(congestion, cfg)| DegradeState {
-            cfg,
+        degrade: congestion.map(|congestion| DegradeState {
             congestion,
             level: 0,
             ok_streak: 0,
@@ -845,11 +832,8 @@ mod tests {
         ChainOptions { process_faults: plan.clone(), recovery, ..ChainOptions::default() }
     }
 
-    fn with_congestion(congestion: &Congestion, degrade: &DegradeConfig) -> ChainOptions {
-        ChainOptions {
-            congestion: Some((congestion.clone(), degrade.clone())),
-            ..ChainOptions::default()
-        }
+    fn with_congestion(congestion: &Congestion) -> ChainOptions {
+        ChainOptions { congestion: Some(congestion.clone()), ..ChainOptions::default() }
     }
 
     #[test]
@@ -1139,11 +1123,10 @@ mod tests {
             )]),
             3.0,
         );
-        let degrade = DegradeConfig::paper();
         let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &with_congestion(&congestion, &degrade),
+            &with_congestion(&congestion),
         );
         let stats = r.degrade.as_ref().expect("congestion plan installed → stats present");
         assert!(stats.downshifts >= 1, "{stats:?}");
@@ -1153,7 +1136,7 @@ mod tests {
         // The robustness contract: resolution is shed, the deadline is
         // not — scan-end → display latency never exceeds the budget.
         assert!(
-            r.latency.max().as_secs_f64() <= degrade.deadline_s + 1e-9,
+            r.latency.max().as_secs_f64() <= DEGRADE_DEADLINE_S + 1e-9,
             "deadline missed: {r:?}"
         );
         assert_eq!(r.displayed + r.skipped, r.scanned, "every scan accounted for: {r:?}");
@@ -1175,7 +1158,7 @@ mod tests {
         let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &with_congestion(&congestion, &DegradeConfig::paper()),
+            &with_congestion(&congestion),
         );
         let stats = r.degrade.as_ref().expect("stats present");
         assert!(stats.downshifts >= 1, "{stats:?}");
@@ -1191,11 +1174,8 @@ mod tests {
         // clean run event-for-event, and report no degrade stats.
         for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
             let clean = run_chain(paper_256(3.0, 30), mode);
-            let congested = run_chain_with(
-                paper_256(3.0, 30),
-                mode,
-                &with_congestion(&Congestion::default(), &DegradeConfig::paper()),
-            );
+            let congested =
+                run_chain_with(paper_256(3.0, 30), mode, &with_congestion(&Congestion::default()));
             assert!(congested.degrade.is_none(), "{congested:?}");
             assert_eq!(format!("{clean:?}"), format!("{congested:?}"), "{mode:?}");
         }
@@ -1217,7 +1197,7 @@ mod tests {
         let r = run_chain_with(
             paper_256(3.0, 40),
             ChainMode::Sequential,
-            &with_congestion(&congestion, &DegradeConfig::paper()),
+            &with_congestion(&congestion),
         );
         let stats = r.degrade.as_ref().expect("stats present");
         assert!(stats.predicted_misses >= 1, "{stats:?}");
@@ -1288,7 +1268,7 @@ mod tests {
         plan.crash_at(1, SimTime::from_secs_f64(20.0)).hang_at(2, SimTime::from_secs_f64(80.0));
         let opts = ChainOptions {
             outages: window(4.0, 9.0),
-            congestion: Some((Congestion::new(window(40.0, 70.0), 3.0), DegradeConfig::paper())),
+            congestion: Some(Congestion::new(window(40.0, 70.0), 3.0)),
             ..with_faults(&plan, fast_recovery())
         };
         for mode in [ChainMode::Sequential, ChainMode::Pipelined] {

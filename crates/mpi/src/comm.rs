@@ -153,7 +153,7 @@ fn received(universe: &UniverseInner, group: &[usize], env: Envelope) -> (Envelo
 fn check_alive(universe: &UniverseInner, global: usize, report_as: usize) -> CommResult<()> {
     let cause = if universe.faults_installed() { universe.poll_fault(global) } else { None };
     match cause {
-        Some(FailCause::Crash) => universe.declare_failed(global, FailCause::Crash),
+        Some(FailCause::Crash) => _ = universe.declare_failed(global, FailCause::Crash),
         Some(FailCause::Hang) => hang_until_detected(universe, global),
         None if universe.is_failed(global).is_none() => return Ok(()),
         None => {}
@@ -1058,9 +1058,6 @@ impl Comm {
     /// Local indices of group members declared failed so far, ascending.
     pub fn failed_ranks(&self) -> Vec<usize> {
         let failed = self.universe.failed_snapshot();
-        if failed.is_empty() {
-            return Vec::new();
-        }
         (0..self.size()).filter(|&l| failed.binary_search(&self.group[l]).is_ok()).collect()
     }
 
@@ -1255,9 +1252,12 @@ impl PointToPoint for InterComm {
             SrcFilter::Exact(global) => self.universe.is_failed(global).is_some(),
             _ => self.failed_remote_ranks().len() == self.remote_size(),
         });
+        // A poisoned own mailbox aborts the claim too: this rank is the dead one.
+        let dead = || self.universe.is_failed(self.my_global).is_some();
         match outcome {
             ClaimOutcome::Ready(env) => Ok(received(&self.universe, &self.remote_group, env)),
             ClaimOutcome::TimedOut => Err(CommError::Timeout),
+            ClaimOutcome::Aborted if dead() => Err(CommError::RankFailed { rank: self.my_global }),
             ClaimOutcome::Aborted if src == ANY_SOURCE => Err(CommError::RankFailed {
                 rank: self.failed_remote_ranks().first().copied().unwrap_or(0),
             }),

@@ -94,11 +94,14 @@ impl UniverseInner {
     /// Lock discipline: the failure map is released before any mailbox
     /// lock is taken, so claimers may safely consult the map from inside
     /// their claim loop.
-    pub(crate) fn declare_failed(&self, global: usize, cause: FailCause) {
+    ///
+    /// Returns whether this call made the declaration (`false` when
+    /// `global` was already dead).
+    pub(crate) fn declare_failed(&self, global: usize, cause: FailCause) -> bool {
         {
             let mut failed = self.failed.lock();
             if failed.contains_key(&global) {
-                return;
+                return false;
             }
             failed.insert(global, cause);
         }
@@ -110,6 +113,7 @@ impl UniverseInner {
             mb.wake();
         }
         self.ports_cv.notify_all();
+        true
     }
 
     pub(crate) fn is_failed(&self, global: usize) -> Option<FailCause> {
@@ -129,10 +133,12 @@ impl UniverseInner {
 
     /// Declare every heartbeating rank silent for longer than
     /// `max_silence` dead (cause [`FailCause::Hang`]); returns the
-    /// global ids newly declared, ascending.
+    /// global ids newly declared, ascending. Two concurrent callers may
+    /// both find a rank silent; only the one whose declaration lands
+    /// reports it.
     pub(crate) fn detect_failures(&self, max_silence: Duration) -> Vec<usize> {
         let now = Instant::now();
-        let silent: Vec<usize> = {
+        let mut silent: Vec<usize> = {
             let beats = self.beats.lock();
             let failed = self.failed.lock();
             let mut v: Vec<usize> = beats
@@ -145,9 +151,7 @@ impl UniverseInner {
             v.sort_unstable();
             v
         };
-        for &g in &silent {
-            self.declare_failed(g, FailCause::Hang);
-        }
+        silent.retain(|&g| self.declare_failed(g, FailCause::Hang));
         silent
     }
 
@@ -527,13 +531,13 @@ mod tests {
     fn declare_failed_poisons_and_records_cause() {
         let u = Universe::new();
         let group = u.inner.register(2);
-        u.declare_failed(group[1], FailCause::Crash);
+        assert!(u.inner.declare_failed(group[1], FailCause::Crash), "the first call declares");
         assert_eq!(u.failed_ranks(), vec![group[1]]);
         assert_eq!(u.fail_cause(group[1]), Some(FailCause::Crash));
         assert!(u.inner.mailbox(group[1]).is_poisoned());
         assert!(!u.inner.mailbox(group[0]).is_poisoned());
-        // Idempotent, first cause wins.
-        u.declare_failed(group[1], FailCause::Hang);
+        // Idempotent, first cause wins, and the call says it declared nothing.
+        assert!(!u.inner.declare_failed(group[1], FailCause::Hang));
         assert_eq!(u.fail_cause(group[1]), Some(FailCause::Crash));
     }
 

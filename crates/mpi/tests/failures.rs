@@ -184,6 +184,37 @@ fn intercomm_crash_detected_and_respawned() {
 }
 
 #[test]
+fn intercomm_recv_blames_the_caller_for_its_own_death() {
+    // A spawned child blocks on its parent, which is alive, and is then
+    // declared dead itself. The poisoned mailbox aborts the wait, and the
+    // error must name the child's own global id, not the live parent.
+    let u = Universe::new();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let declarer = u.clone();
+    u.launch_and_join(smp(1), move |comm| {
+        let tx = tx.clone();
+        let machine = MachineSpec::new("T3E", FabricSpec::t3e_torus());
+        let kids = comm.spawn(1, machine, FabricSpec::wan_testbed(), move |child| {
+            let parent = child.parent().expect("child has a parent");
+            parent.try_send(0, Tag(1), &[0u64]).expect("parent is alive");
+            let err = parent.recv_timeout(0, Tag(2), Some(OP_TIMEOUT)).expect_err("nobody sends");
+            tx.send(err).expect("the test is listening");
+        });
+        kids.try_recv::<u64>(0, Tag(1), Some(OP_TIMEOUT)).expect("the child is about to block");
+        // Give the child time to park in its claim, so the declaration
+        // aborts the wait. (Declared before it parks, the child fails its
+        // entry check instead, which names it too: the assertion below
+        // holds in either order; only the abort path was wrong.)
+        std::thread::sleep(Duration::from_millis(50));
+        // Parent world registers global 0; the child is global 1.
+        declarer.declare_failed(1, FailCause::Crash);
+    });
+    let err = rx.recv_timeout(OP_TIMEOUT).expect("the child returns");
+    assert_eq!(err, CommError::RankFailed { rank: 1 });
+    assert_eq!(u.join_spawned_timeout(Duration::from_secs(5)), Ok(()));
+}
+
+#[test]
 fn hung_rank_is_declared_by_heartbeat_detector() {
     // Only the victim ever heartbeats, so only the victim can be
     // declared: the test cannot falsely implicate a live survivor no

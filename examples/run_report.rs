@@ -186,7 +186,7 @@ fn main() {
         use gtw_desim::fault::{Schedule, Window};
         use gtw_desim::rng::StreamRng;
         use gtw_desim::SimTime;
-        use gtw_fire::realtime::{run_chain_with, Congestion, DegradeConfig};
+        use gtw_fire::realtime::{run_chain_with, Congestion};
         let mut rng = StreamRng::new(seed, "report/congestion");
         let n = 1 + (rng.below(3) as usize);
         let mut windows = Vec::new();
@@ -202,10 +202,7 @@ fn main() {
         let congested = run_chain_with(
             chain_cfg,
             gtw_fire::realtime::ChainMode::Sequential,
-            &ChainOptions {
-                congestion: Some((congestion, DegradeConfig::paper())),
-                ..Default::default()
-            },
+            &ChainOptions { congestion: Some(congestion), ..Default::default() },
         );
         let stats = congested.degrade.expect("congestion installed");
         let mut j = stats.to_json();

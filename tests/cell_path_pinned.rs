@@ -16,7 +16,8 @@ use gtw_net::policing::{LeakyBucket, PolicingAction};
 use gtw_net::switch::{AtmSwitch, CellArrive, CellEndpoint, OutputPort, VcKey, VcRoute};
 use gtw_net::units::Bandwidth;
 
-/// `kernel_bench --check`'s `cell_pvc` block on the parent commit.
+/// The cell PVC's block as the kernel-bench bin (deleted since) printed it
+/// on the commit before the departure-on-arrival switch.
 const PVC_CELLS: u64 = 79_936;
 const PVC_PDUS: usize = 40_208;
 const PVC_DELIVERED_DIGEST: u64 = 0x0ac5_8e0a_e61b_5aae;
@@ -88,7 +89,7 @@ fn digest(sim: &Simulator, switches: &[ComponentId], endpoint: ComponentId) -> u
 
 #[test]
 fn kernel_bench_cell_pvc_is_pinned() {
-    // `crates/bench/src/bin/kernel_bench.rs`'s `cell_pvc`, component for
+    // The deleted kernel-bench bin's `cell_pvc`, component for
     // component and byte for byte.
     let mut sim = Simulator::new();
     let endpoint = sim.add_component(CellEndpoint::default());

@@ -353,6 +353,9 @@ fn topo_allreduce_crosses_the_wan_per_site_not_per_rank() {
     let flat_wan = wan_sum(false);
     let topo_wan = wan_sum(true);
     assert!(topo_wan < flat_wan, "topo {topo_wan} must beat flat {flat_wan}");
+    // And the counts themselves, which `gtw-benchmark` reports as
+    // `mpi.allreduce8.{flat,topo}_wan_messages` (over four rounds).
+    assert_eq!((flat_wan, topo_wan), (16, 4));
     // Whatever end(s) of a WAN message the cost model charges, the
     // charge factor is common — the counts must sit in the modeled
     // sites-vs-ranks ratio exactly.

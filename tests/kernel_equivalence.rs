@@ -279,7 +279,7 @@ fn sharded_pingpong_agrees_with_sequential_at_every_shard_count() {
 
 // ---- the cell path ---------------------------------------------------
 
-/// The FZJ → GMD cell PVC of `kernel_bench`, smaller: 600 one-cell PDUs
+/// The FZJ → GMD cell PVC of `cell_path_pinned.rs`, smaller: 600 one-cell PDUs
 /// and 12 CLIP-MTU ones, a cell per `gap_ns` into the FZJ switch, a
 /// 500 µs OC-48 trunk, and the GMD switch's OC-12 port (`gmd_buffer`
 /// cells, optionally EPD) into a reassembling endpoint. Returns the

@@ -33,7 +33,8 @@ use gtw_desim::rng::StreamRng;
 use gtw_desim::traffic::TrafficPlan;
 use gtw_desim::{SimDuration, SimTime, Simulator};
 use gtw_fire::realtime::{
-    run_chain, run_chain_with, ChainMode, ChainOptions, Congestion, DegradeConfig, RealtimeConfig,
+    run_chain, run_chain_with, ChainMode, ChainOptions, Congestion, RealtimeConfig,
+    DEGRADE_DEADLINE_S,
 };
 use gtw_net::aal5::segment;
 use gtw_net::gateway::{Gateway, GatewayDown, GatewayPair, GatewaySink, GwPacket, StartProbes};
@@ -295,46 +296,34 @@ fn seeded_congestion(seed: u64) -> Congestion {
     Congestion::new(Schedule::new(windows), rng.uniform_in(2.0, 5.0))
 }
 
-fn with_congestion(congestion: &Congestion, degrade: &DegradeConfig) -> ChainOptions {
-    ChainOptions {
-        congestion: Some((congestion.clone(), degrade.clone())),
-        ..ChainOptions::default()
-    }
+fn with_congestion(congestion: Congestion) -> ChainOptions {
+    ChainOptions { congestion: Some(congestion), ..ChainOptions::default() }
 }
 
 #[test]
 fn fire_degrades_resolution_but_never_misses_the_deadline() {
     let cfg = RealtimeConfig::paper(0.9, 3.0, 40);
-    let degrade = DegradeConfig::paper();
     let seed = master_seed();
     for s in [seed, seed.wrapping_add(1), seed.wrapping_add(2), seed.wrapping_add(3)] {
-        let congestion = seeded_congestion(s);
-        let r = run_chain_with(cfg, ChainMode::Sequential, &with_congestion(&congestion, &degrade));
+        let r = run_chain_with(cfg, ChainMode::Sequential, &with_congestion(seeded_congestion(s)));
         let stats = r.degrade.as_ref().expect("congestion installed");
         // The realtime contract: every displayed image inside the
         // paper's budget — congestion costs resolution, not latency.
         assert_eq!(stats.predicted_misses, 0, "seed {s}: {stats:?}");
         assert!(
-            r.latency.max().as_secs_f64() <= degrade.deadline_s + 1e-9,
+            r.latency.max().as_secs_f64() <= DEGRADE_DEADLINE_S + 1e-9,
             "seed {s}: deadline missed: {r:?}"
         );
         assert!(stats.downshifts >= 1, "seed {s}: congestion must bite: {stats:?}");
         assert_eq!(r.displayed + r.skipped, r.scanned, "seed {s}: {r:?}");
         // Same seed, same run — bit for bit.
-        let again = run_chain_with(
-            cfg,
-            ChainMode::Sequential,
-            &with_congestion(&seeded_congestion(s), &degrade),
-        );
+        let again =
+            run_chain_with(cfg, ChainMode::Sequential, &with_congestion(seeded_congestion(s)));
         assert_eq!(format!("{r:?}"), format!("{again:?}"), "seed {s}");
     }
     // And with no congestion the entry point is invisible.
     let clean = run_chain(cfg, ChainMode::Sequential);
-    let empty = run_chain_with(
-        cfg,
-        ChainMode::Sequential,
-        &with_congestion(&Congestion::default(), &degrade),
-    );
+    let empty = run_chain_with(cfg, ChainMode::Sequential, &with_congestion(Congestion::default()));
     assert!(empty.degrade.is_none());
     assert_eq!(format!("{clean:?}"), format!("{empty:?}"));
 }

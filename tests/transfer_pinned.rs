@@ -20,6 +20,11 @@ const PINNED_CLEAN: u64 = 0x85ab_400d_5875_d661;
 const PINNED_DEGRADED: u64 = 0x0c7e_a45a_7718_0c2c;
 const PINNED_STRIPED: u64 = 0x88b3_a815_e8df_fd06;
 const PINNED_STRIPED_CUT: u64 = 0x99f0_569c_1966_8b53;
+/// The 64-flow × 4 MiB set the deleted kernel-bench bin's `--check` printed:
+/// its event count and report digest, captured on the commit before the
+/// bin was deleted.
+const PINNED_WIDE_EVENTS: u64 = 352_897;
+const PINNED_WIDE: u64 = 0x637a_7d18_21f9_20b7;
 
 const FLOWS: u64 = 4;
 const BYTES_PER_FLOW: u64 = 256 * 1024;
@@ -28,7 +33,7 @@ const BYTES_PER_FLOW: u64 = 256 * 1024;
 /// segments for its 1 % loss to bite (at 256 KiB the seed drops nothing).
 const DEGRADED_BYTES_PER_FLOW: u64 = 4 * 1024 * 1024;
 
-/// Flow `k`'s path on the `kernel_bench` hop ladder: local-WAN-local,
+/// Flow `k`'s path on the hop ladder: local-WAN-local,
 /// every flow with its own propagations and bottleneck rate.
 fn ladder(k: u64) -> Vec<HopModel> {
     let raw_hop = |rate_mbps: f64, prop_us: u64| HopModel {
@@ -56,9 +61,9 @@ fn flow(k: u64, bytes: u64) -> BulkTransfer {
     }
 }
 
-fn transfer_set(bytes_per_flow: u64) -> TransferSet {
+fn transfer_set(flows: u64, bytes_per_flow: u64) -> TransferSet {
     let mut set = TransferSet::new();
-    for k in 0..FLOWS {
+    for k in 0..flows {
         set.add(flow(k, bytes_per_flow));
     }
     set
@@ -94,7 +99,7 @@ fn digest(run: RunReport) -> u64 {
 #[test]
 fn clean_transfer_set_report_is_pinned_on_every_kernel() {
     for shards in [0usize, 1, 2, 4] {
-        let got = digest(transfer_set(BYTES_PER_FLOW).run_with(&sharded(shards)).1);
+        let got = digest(transfer_set(FLOWS, BYTES_PER_FLOW).run_with(&sharded(shards)).1);
         assert_eq!(got, PINNED_CLEAN, "{shards} shards: digest {got:#018x}");
     }
 }
@@ -104,7 +109,7 @@ fn degraded_transfer_set_report_is_pinned_on_every_kernel() {
     let plan = degraded_plan(1999, "t0.hop3");
     for shards in [0usize, 1, 2, 4] {
         let opts = RunOptions { faults: Some(&plan), ..sharded(shards) };
-        let (_, run) = transfer_set(DEGRADED_BYTES_PER_FLOW).run_with(&opts);
+        let (_, run) = transfer_set(FLOWS, DEGRADED_BYTES_PER_FLOW).run_with(&opts);
         let lossy = run.hops.iter().find(|h| h.label == "t0.hop3").expect("t0.hop3 is registered");
         assert!(
             lossy.stats.dropped_loss > 0 && lossy.stats.dropped_outage > 0,
@@ -112,6 +117,19 @@ fn degraded_transfer_set_report_is_pinned_on_every_kernel() {
         );
         let got = digest(run);
         assert_eq!(got, PINNED_DEGRADED, "{shards} shards: digest {got:#018x}");
+    }
+}
+
+/// The wide set keeps the sequential event heap deep (the `wan_bulk`
+/// benchmark workload runs it). One shard count beside the sequential
+/// kernel is enough: the 4-flow sets above cover 1/2/4.
+#[test]
+fn wide_transfer_set_report_is_pinned_on_two_kernels() {
+    for shards in [0usize, 2] {
+        let (_, run) = transfer_set(64, 4 * 1024 * 1024).run_with(&sharded(shards));
+        assert_eq!(run.events_processed, PINNED_WIDE_EVENTS, "{shards} shards");
+        let got = digest(run);
+        assert_eq!(got, PINNED_WIDE, "{shards} shards: digest {got:#018x}");
     }
 }
 
