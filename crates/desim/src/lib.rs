@@ -7,7 +7,8 @@
 //! * [`EventQueue`] — a deterministic time-ordered priority queue (a
 //!   merge of per-source sorted runs, see [`queue`]),
 //! * [`Simulator`] — the event loop, dispatching to registered
-//!   [`Component`]s or to one-shot closures,
+//!   [`Component`]s or to one-shot closures until the queue drains or a
+//!   horizon is reached ([`RunResult`]),
 //! * [`rng`] — named, reproducible random-number streams.
 //!
 //! Determinism is a design goal throughout: every event carries a

@@ -39,7 +39,7 @@
 //! * `Event::Call` closures need `&mut Simulator` and cannot be
 //!   partitioned; scenarios must drain them (or not use them) before
 //!   converting. [`ShardedSimulator::from_simulator`] panics otherwise.
-//! * Event budgets and horizons are sequential-kernel features.
+//! * Horizons are a sequential-kernel feature.
 //! * Events scheduled at exactly [`SimTime::MAX`] are indistinguishable
 //!   from "no event" in the min-reduction and are left unprocessed (the
 //!   run then reports [`RunResult::HorizonReached`]).

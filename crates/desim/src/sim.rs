@@ -33,8 +33,6 @@ pub enum RunResult {
     Drained,
     /// The configured horizon was reached with events still pending.
     HorizonReached,
-    /// The event budget was exhausted.
-    BudgetExhausted,
 }
 
 /// A discrete-event simulator.
@@ -48,9 +46,6 @@ pub struct Simulator {
     /// event's `(src, seq)` identity.
     send_seqs: Vec<u64>,
     processed: u64,
-    /// Hard cap on processed events, guarding against accidental infinite
-    /// self-scheduling loops in models. Default: effectively unlimited.
-    event_budget: u64,
     /// What this kernel has seen for its [`Observer`] since it last
     /// published. `None` (the default) costs one branch per hook — no
     /// allocation, no call.
@@ -74,7 +69,6 @@ impl Simulator {
             dispatch_counts: Vec::new(),
             send_seqs: Vec::new(),
             processed: 0,
-            event_budget: u64::MAX,
             obs: None,
         }
     }
@@ -108,11 +102,6 @@ impl Simulator {
     /// Number of events still pending.
     pub fn events_pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Cap the total number of events this simulator will process.
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
     }
 
     /// Register a component, returning its id.
@@ -172,11 +161,6 @@ impl Simulator {
     /// Registered name of a component.
     pub fn component_name(&self, id: ComponentId) -> &str {
         &self.names[id.0]
-    }
-
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
     }
 
     /// Schedule a message delivery after `delay`.
@@ -259,7 +243,7 @@ impl Simulator {
         }
     }
 
-    /// Run until the queue drains (or the event budget is exhausted).
+    /// Run until the queue drains.
     pub fn run(&mut self) -> RunResult {
         self.run_until(SimTime::MAX)
     }
@@ -269,9 +253,6 @@ impl Simulator {
     /// unchanged if none fired); pending later events remain queued.
     pub fn run_until(&mut self, horizon: SimTime) -> RunResult {
         let result = loop {
-            if self.processed >= self.event_budget {
-                break RunResult::BudgetExhausted;
-            }
             match self.queue.pop_through(horizon) {
                 Some(ev) => self.dispatch(ev),
                 None if self.queue.is_empty() => break RunResult::Drained,
@@ -280,12 +261,6 @@ impl Simulator {
         };
         self.publish();
         result
-    }
-
-    /// Run for `span` of virtual time from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) -> RunResult {
-        let horizon = self.now + span;
-        self.run_until(horizon)
     }
 
     /// Decompose into raw state for partitioning across shards; what the
@@ -314,7 +289,6 @@ impl Simulator {
             dispatch_counts: p.dispatch_counts,
             send_seqs: p.send_seqs,
             processed: p.processed,
-            event_budget: u64::MAX,
             obs: ObsBuf::attach(&p.observer).map(Box::new),
         }
     }
@@ -401,25 +375,10 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_halts_runaway_loops() {
-        let mut sim = Simulator::new();
-        let id = sim.add_component(Counter {
-            ticks: 0,
-            period: SimDuration::from_nanos(1),
-            limit: u32::MAX,
-        });
-        sim.send_in(SimDuration::ZERO, id, msg(Tick));
-        sim.set_event_budget(1000);
-        assert_eq!(sim.run(), RunResult::BudgetExhausted);
-        assert_eq!(sim.events_processed(), 1000);
-    }
-
-    #[test]
     fn component_accessors() {
         let mut sim = Simulator::new();
         let id = sim.add_component(Counter { ticks: 7, period: SimDuration::ZERO, limit: 0 });
         assert_eq!(sim.component_name(id), "counter");
-        assert_eq!(sim.component_count(), 1);
         sim.component_mut::<Counter>(id).ticks = 9;
         assert_eq!(sim.component::<Counter>(id).ticks, 9);
     }

@@ -240,8 +240,7 @@ struct ChainDriver {
     /// A wake timer for the current outage window is already armed.
     wake_armed: bool,
     /// Scripted compute-world faults: (time-triggered, injector). Empty
-    /// on clean runs — every fault branch below is then dead code and
-    /// the legacy event schedule is reproduced exactly.
+    /// on clean runs, when no fault branch below fires.
     injectors: Vec<(bool, ProcessFaultInjector)>,
     recovery_cfg: RecoveryConfig,
     /// Fault epoch: bumped when a fault fires so completions scheduled
@@ -258,9 +257,8 @@ struct ChainDriver {
     /// counts as recovered when re-processed, lost if superseded first.
     requeued: Option<usize>,
     stats: RecoveryStats,
-    /// Congestion + degradation policy. `None` on clean runs — every
-    /// degradation branch is then dead code and the legacy schedule is
-    /// reproduced exactly.
+    /// Congestion + degradation policy. `None` on clean runs, when
+    /// every quality multiplier is exactly `1.0`.
     degrade: Option<DegradeState>,
 }
 
@@ -363,31 +361,19 @@ impl ChainDriver {
                 );
             }
             ChainMode::Pipelined => {
-                // This actor is the transfer stage; hand off downstream.
-                // Degradation shrinks the bytes shipped, so only the
-                // transfer multiplier applies here — the downstream
-                // stages run at their configured service times.
-                let compute = self.compute.expect("pipelined mode wires a compute stage");
+                // This actor is the transfer stage; it hands the image
+                // downstream when its `StageDone` arrives, so an image in
+                // a transfer killed by a fault is never delivered by a
+                // dead incarnation. Degradation shrinks the bytes shipped,
+                // so only the transfer multiplier applies here — the
+                // downstream stages run at their configured service times.
                 let mut transfer = self.cfg.transfer_s * tmul;
                 if slow > 1.0 {
                     transfer *= slow;
                 }
                 let t = SimDuration::from_secs_f64(transfer);
                 ctx.span("transfer", "transfer", ctx.now(), ctx.now() + t);
-                if self.injectors.is_empty() {
-                    // Clean run: the legacy event schedule, untouched.
-                    ctx.send_in(
-                        SimDuration::from_secs_f64(transfer),
-                        compute,
-                        msg(WorkItem(k, scan_end)),
-                    );
-                    ctx.timer_in(SimDuration::from_secs_f64(transfer), msg(StageDone(0)));
-                } else {
-                    // Faulted run: hand off on completion, so an image in
-                    // a transfer killed by a fault is NOT delivered
-                    // downstream by a dead incarnation.
-                    ctx.timer_in(SimDuration::from_secs_f64(transfer), msg(StageDone(self.epoch)));
-                }
+                ctx.timer_in(t, msg(StageDone(self.epoch)));
             }
         }
     }
@@ -542,16 +528,13 @@ impl Component for ChainDriver {
             if epoch != self.epoch {
                 return; // a dead incarnation's transfer
             }
-            if !self.injectors.is_empty() {
-                // Faulted run: the transfer completed under the live
-                // incarnation — deliver downstream now.
-                if let Some((k, scan_end)) = self.in_flight.take() {
-                    let compute = self.compute.expect("pipelined mode wires a compute stage");
-                    ctx.send_in(SimDuration::ZERO, compute, msg(WorkItem(k, scan_end)));
-                }
+            // The transfer completed under the live incarnation: deliver
+            // downstream now.
+            if let Some((k, scan_end)) = self.in_flight.take() {
+                let compute = self.compute.expect("pipelined mode wires a compute stage");
+                ctx.send_in(SimDuration::ZERO, compute, msg(WorkItem(k, scan_end)));
             }
             self.busy = false;
-            self.in_flight = None;
             self.try_start(ctx);
         } else if m.is::<OutageOver>() {
             let _ = downcast::<OutageOver>(m);
@@ -867,6 +850,47 @@ mod tests {
     }
 
     #[test]
+    fn clean_chain_reports_and_dispatches_are_pinned() {
+        // Captured when a clean pipelined run still sent `WorkItem` at
+        // transfer start instead of from the driver's `StageDone`: per TR
+        // and mode, an FNV-1a digest of the report's `Debug` string, the
+        // number of dispatched events, and a digest of every dispatch's
+        // (track, instant) in sorted order. The hand-off moves neither an
+        // arrival instant nor the event count.
+        fn fnv(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        }
+        let pinned = [
+            (2.0, ChainMode::Sequential, 0x25a1_7282_9c00_adcd, 70, 0x143d_09cb_1347_4c9c),
+            (2.0, ChainMode::Pipelined, 0x2602_fd15_efcd_76ab, 280, 0x8d99_4deb_f4dc_0fd5),
+            (3.0, ChainMode::Sequential, 0x4f8f_a913_77e5_fef7, 80, 0xd27e_f182_31a1_6006),
+            (3.0, ChainMode::Pipelined, 0xd4a8_b479_2254_bbb0, 280, 0x1fa4_059a_c3c1_82bb),
+        ];
+        for (tr, mode, report, events, dispatches) in pinned {
+            let cfg = paper_256(tr, 40);
+            let obs = Observer::recording();
+            let r = run_chain(cfg, mode);
+            let traced = run_chain_with(
+                cfg,
+                mode,
+                &ChainOptions { observer: obs.clone(), ..Default::default() },
+            );
+            assert_eq!(format!("{r:?}"), format!("{traced:?}"), "TR {tr} {mode:?}");
+            let mut d: Vec<(String, u64)> = obs
+                .snapshot()
+                .into_iter()
+                .filter(|s| s.name == "dispatch")
+                .map(|s| (s.track, s.begin.as_nanos()))
+                .collect();
+            d.sort();
+            let got = (fnv(format!("{r:?}").as_bytes()), d.len(), fnv(format!("{d:?}").as_bytes()));
+            assert_eq!(got, (report, events, dispatches), "TR {tr} {mode:?}");
+        }
+    }
+
+    #[test]
     fn pipelined_latency_equals_sequential_latency() {
         // Pipelining raises throughput, not per-image latency.
         let seq = run_chain(paper_256(3.0, 30), ChainMode::Sequential);
@@ -1047,8 +1071,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_invisible_and_reports_no_recovery() {
-        // The resilient entry point with no faults must reproduce the
-        // legacy run event-for-event in both modes.
+        // An empty fault plan must reproduce the clean run in both modes.
         for mode in [ChainMode::Sequential, ChainMode::Pipelined] {
             let clean = run_chain(paper_256(3.0, 30), mode);
             let faulted = run_chain_with(

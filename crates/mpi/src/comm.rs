@@ -862,21 +862,6 @@ impl Comm {
         Ok(())
     }
 
-    // ----- nonblocking receives -------------------------------------------
-
-    /// Post a nonblocking receive (like `MPI_Irecv`): returns a
-    /// [`RecvRequest`] that can be tested or waited on. Sends are always
-    /// nonblocking (eager) in this implementation, so no send request
-    /// type is needed.
-    pub fn irecv(&self, src: usize, tag: Tag) -> RecvRequest<'_> {
-        RecvRequest {
-            comm: self,
-            from: source_filter(&self.group, src),
-            tag,
-            done: Cell::new(false),
-        }
-    }
-
     /// Complete a user-level receive of `env`, however it was claimed:
     /// charged, traced, with its [`Status`].
     fn accept(&self, wait: Wait, env: Envelope) -> (Envelope, Status) {
@@ -1266,33 +1251,6 @@ impl PointToPoint for InterComm {
     }
 }
 
-/// A pending nonblocking receive on a [`Comm`].
-pub struct RecvRequest<'a> {
-    comm: &'a Comm,
-    from: SrcFilter<'a>,
-    tag: Tag,
-    done: Cell<bool>,
-}
-
-impl RecvRequest<'_> {
-    /// Nonblocking completion test (like `MPI_Test`): returns the
-    /// message if it has arrived, charged and traced as a
-    /// [`PointToPoint::recv_envelope`] of it would be.
-    pub fn test(&self) -> Option<(Envelope, Status)> {
-        assert!(!self.done.get(), "request already completed");
-        let env = self.comm.mailbox.try_claim(self.from, self.tag)?;
-        self.done.set(true);
-        Some(self.comm.accept(Wait::Blocking, env))
-    }
-
-    /// Block until the message arrives (like `MPI_Wait`).
-    pub fn wait(self) -> (Envelope, Status) {
-        assert!(!self.done.get(), "request already completed");
-        let env = self.comm.mailbox.claim(self.from, self.tag);
-        self.comm.accept(Wait::Blocking, env)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1522,43 +1480,6 @@ mod tests {
         }
     }
 
-    /// Receives posted before their messages exist complete by `test()`
-    /// and `wait()`, costed and traced exactly like blocking receives.
-    #[test]
-    fn irecv_test_and_wait() {
-        let run = |nonblocking: bool| {
-            let u = Universe::traced();
-            let costs = u.launch_and_join(t3e_sp2(2, 1), move |comm| {
-                let peer = 1 - comm.rank();
-                let posted = nonblocking.then(|| {
-                    let first = comm.irecv(peer, Tag(1));
-                    assert!(first.test().is_none(), "the barrier holds every send back");
-                    (first, comm.irecv(ANY_SOURCE, Tag(2)))
-                });
-                comm.barrier();
-                comm.send(peer, Tag(1), &[0.5f32; 100]);
-                comm.barrier();
-                comm.send(peer, Tag(2), &[7u8; 3]);
-                let got = match posted {
-                    Some((first, second)) => {
-                        [first.test().expect("sent before the barrier"), second.wait()]
-                    }
-                    None => {
-                        [comm.recv_envelope(peer, Tag(1)), comm.recv_envelope(ANY_SOURCE, Tag(2))]
-                    }
-                };
-                assert_eq!(got.map(|(_, st)| (st.source, st.bytes)), [(peer, 400), (peer, 3)]);
-                let c = comm.comm_cost();
-                ([c.seconds, c.intra_seconds, c.wan_seconds].map(f64::to_bits), c.messages, c.bytes)
-            });
-            (costs, format!("{:?}", u.trace().summary(u.total_ranks())))
-        };
-        let (blocking, nonblocking) = (run(false), run(true));
-        assert_eq!(blocking, nonblocking);
-        assert!(blocking.0.iter().all(|&(_, messages, bytes)| (messages, bytes) == (4, 806)));
-        assert!(blocking.1.contains("recvs: [2, 2]"), "{}", blocking.1);
-    }
-
     /// A wildcard receive on the world communicator must not take a
     /// spawned child's message: that belongs to the inter-communicator.
     #[test]
@@ -1586,26 +1507,6 @@ mod tests {
             (world[0], child[0])
         });
         assert_eq!(out[0], (1, 2));
-    }
-
-    #[test]
-    fn irecv_overlaps_computation() {
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let req = comm.irecv(1, Tag(6));
-                // "Computation" while the message is in flight.
-                let mut acc = 0u64;
-                for i in 0..10_000u64 {
-                    acc = acc.wrapping_add(i * i);
-                }
-                let (env, _) = req.wait();
-                acc.wrapping_add(env.payload::<u64>()[0])
-            } else {
-                comm.send(0, Tag(6), &[7u64]);
-                0
-            }
-        });
-        assert!(out[0] > 0);
     }
 
     #[test]

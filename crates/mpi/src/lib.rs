@@ -19,7 +19,11 @@
 //!   latency/bandwidth per message so applications can attribute time to
 //!   intra-machine vs WAN communication ([`Comm::comm_cost`]),
 //! * **tracing** — a miniature VAMPIR: per-rank event logs and a
-//!   message-matrix summary ([`trace`]).
+//!   message-matrix summary ([`trace`]),
+//! * **fault tolerance** — ULFM-style typed failures ([`CommError`]),
+//!   [`Comm::revoke`] and [`Comm::shrink`], and one wall-clock failure
+//!   detector: ranks [`Comm::heartbeat`], and [`Comm::detect_failures`]
+//!   declares any rank silent past `max_silence` dead.
 //!
 //! Ranks are OS threads; transport is in-process (parking_lot mutex +
 //! condvar mailboxes with MPI-style `(source, tag)` matching, including
@@ -43,7 +47,6 @@
 //! ```
 
 pub mod comm;
-pub mod detector;
 pub mod envelope;
 pub mod error;
 pub mod machine;
@@ -53,7 +56,6 @@ pub mod trace;
 pub mod universe;
 
 pub use comm::{Comm, InterComm, PointToPoint, ReduceOp, Status};
-pub use detector::{HeartbeatConfig, HeartbeatMonitor};
 pub use envelope::{Datatype, Envelope, Payload, Tag, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult, FailCause};
 pub use machine::{CommCost, FabricSpec, MachineSpec, Placement};

@@ -216,11 +216,6 @@ impl Mailbox {
         self.inner.state.lock().position(src, tag).is_some()
     }
 
-    /// Non-blocking receive.
-    pub fn try_claim(&self, src: SrcFilter<'_>, tag: Tag) -> Option<Envelope> {
-        self.inner.state.lock().take(src, tag)
-    }
-
     /// Number of queued (unclaimed) envelopes.
     pub fn len(&self) -> usize {
         self.inner.state.lock().queue.len()
@@ -295,16 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_try_claim() {
+    fn probe_matches_without_claiming() {
         let mb = Mailbox::new();
         assert!(!mb.probe(SrcFilter::Any, ANY_TAG));
-        assert!(mb.try_claim(SrcFilter::Any, ANY_TAG).is_none());
         mb.post(env(3, 1, 5));
         assert!(mb.probe(SrcFilter::Exact(3), Tag(1)));
         assert!(!mb.probe(SrcFilter::Exact(3), Tag(2)));
         assert!(!mb.probe(SrcFilter::OneOf(&[1, 2]), ANY_TAG));
-        assert!(mb.try_claim(SrcFilter::OneOf(&[1, 2]), ANY_TAG).is_none());
-        assert_eq!(byte(mb.try_claim(SrcFilter::Exact(3), Tag(1)).unwrap()), 5);
+        assert_eq!(mb.len(), 1, "a probe leaves the envelope queued");
+        assert_eq!(byte(mb.claim(SrcFilter::Exact(3), Tag(1))), 5);
     }
 
     /// Either kind of claimer, seen parked before the post that wakes it.

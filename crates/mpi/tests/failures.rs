@@ -6,8 +6,9 @@
 //!    `CommError::RankFailed`, never a hang.
 //! 2. **Shrink and complete** — survivors form a working
 //!    sub-communicator and finish the computation.
-//! 3. **Detection bound** — a hung (silent) rank is declared dead within
-//!    the heartbeat interval × miss-threshold budget.
+//! 3. **Detection** — a hung (silent) rank is declared dead, exactly
+//!    once, by the wall-clock heartbeat detector once it has been silent
+//!    past `max_silence`.
 //! 4. **Zero cost** — with no fault plan installed, nothing changes.
 //!
 //! The master seed is fixed for CI and overridable locally:
@@ -19,13 +20,11 @@
 use std::time::Duration;
 
 use gtw_desim::fault::ProcessFaultPlan;
-use gtw_desim::{SimDuration, SimTime, Window};
+use gtw_desim::{SimTime, Window};
 use gtw_mpi::comm::InterComm;
 use gtw_mpi::{
-    CommError, FabricSpec, FailCause, HeartbeatConfig, HeartbeatMonitor, MachineSpec, Placement,
-    PointToPoint, ReduceOp, Tag, Universe,
+    CommError, FabricSpec, FailCause, MachineSpec, Placement, PointToPoint, ReduceOp, Tag, Universe,
 };
-use proptest::prelude::*;
 
 fn master_seed() -> u64 {
     std::env::var("GTW_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x6774_7732)
@@ -419,46 +418,6 @@ fn same_seed_reproduces_the_same_casualty_list() {
     let second = run(&b);
     assert_eq!(first, second, "same seed, same casualties");
     assert_eq!(first.len(), 1, "exactly one scripted victim");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Heartbeat detection latency is bounded: for any interval, miss
-    /// threshold and crash time, a rank that goes silent at `t_silent`
-    /// is suspected no later than `t_silent + interval*(miss+1)` when
-    /// the detector is polled every interval.
-    #[test]
-    fn heartbeat_detection_is_bounded(interval_ms in 1u64..500,
-                                      miss in 1u32..8,
-                                      silent_at_beats in 0u64..20) {
-        let cfg = HeartbeatConfig {
-            interval: SimDuration::from_millis(interval_ms),
-            miss_threshold: miss,
-        };
-        let mut mon = HeartbeatMonitor::new(cfg);
-        mon.register(0, SimTime::ZERO);
-        mon.register(1, SimTime::ZERO);
-        let t_silent = SimTime::from_millis(silent_at_beats * interval_ms);
-        let mut detected_at = None;
-        for step in 1..(silent_at_beats + miss as u64 + 4) {
-            let now = SimTime::from_millis(step * interval_ms);
-            mon.beat(0, now);
-            if step <= silent_at_beats {
-                mon.beat(1, now); // still alive
-            }
-            let newly = mon.check(now);
-            if newly.contains(&1) {
-                detected_at = Some(now);
-                break;
-            }
-        }
-        let t = detected_at.expect("silent rank must be detected");
-        let latency = t.saturating_since(t_silent);
-        prop_assert!(latency <= cfg.detection_bound(),
-                     "latency {latency:?} exceeds bound {:?}", cfg.detection_bound());
-        prop_assert!(!mon.is_suspected(0), "the beating rank is never suspected");
-    }
 }
 
 #[test]

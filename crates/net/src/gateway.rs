@@ -142,12 +142,6 @@ struct GwTxDone {
     epoch: u64,
 }
 
-/// Published to control-plane listeners when the pair fails over: the
-/// new forwarding epoch. A replicated signalling group logs this as a
-/// `GatewayEpoch` command so every replica agrees which unit's
-/// completions are still valid after recovery.
-pub struct GatewayEpochUpdate(pub u64);
-
 /// Sent by a pair in replicated-epoch mode to its owning domain's
 /// proxy: "commit `epoch` for me". The domain answers with a
 /// [`GatewayEpochGrant`] carrying the committed verdict.
@@ -192,9 +186,6 @@ pub struct GatewayPair {
     pub queue_cap: usize,
     /// Routes to notify (via [`LinkFailure`]) when a failover happens.
     pub routes: Vec<ComponentId>,
-    /// Control-plane listeners to notify (via [`GatewayEpochUpdate`])
-    /// when a failover bumps the forwarding epoch.
-    pub listeners: Vec<ComponentId>,
     queue: VecDeque<GwPacket>,
     /// True while the active unit is copying the queue head.
     transmitting: bool,
@@ -247,7 +238,6 @@ impl GatewayPair {
             miss_threshold: 3,
             queue_cap: 64,
             routes: Vec::new(),
-            listeners: Vec::new(),
             queue: VecDeque::new(),
             transmitting: false,
             epoch: 0,
@@ -281,13 +271,6 @@ impl GatewayPair {
     /// Builder: notify `route` (a `ResilientRoute`) on every failover.
     pub fn notify_route(mut self, route: ComponentId) -> Self {
         self.routes.push(route);
-        self
-    }
-
-    /// Builder: publish [`GatewayEpochUpdate`] to `listener` (e.g. a
-    /// replicated signalling proxy) on every failover.
-    pub fn notify_control(mut self, listener: ComponentId) -> Self {
-        self.listeners.push(listener);
         self
     }
 
@@ -360,11 +343,17 @@ impl GatewayPair {
             ctx.send_in(SimDuration::ZERO, arbiter, msg(req));
             return;
         }
-        self.epoch += 1; // invalidate the dead unit's pending TxDone
+        self.complete_fail_over(ctx, self.epoch + 1);
+    }
+
+    /// Promote the standby under `epoch`, which invalidates the dead
+    /// unit's pending completion: the one datagram mid-copy in it is
+    /// gone, everything still queued upstream survives, and every route
+    /// hears [`LinkFailure`].
+    fn complete_fail_over(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
+        self.epoch = epoch;
         self.missed = 0;
         if self.transmitting {
-            // The datagram mid-copy in the dead unit is gone; everything
-            // still queued upstream survives.
             self.transmitting = false;
             self.queue.pop_front();
             self.inflight_lost += 1;
@@ -373,9 +362,6 @@ impl GatewayPair {
         self.failovers += 1;
         for &r in &self.routes {
             ctx.send_in(SimDuration::ZERO, r, msg(LinkFailure));
-        }
-        for &l in &self.listeners {
-            ctx.send_in(SimDuration::ZERO, l, msg(GatewayEpochUpdate(self.epoch)));
         }
         self.try_start(ctx);
     }
@@ -465,22 +451,7 @@ impl Component for GatewayPair {
             if g.granted {
                 // The domain committed our epoch: complete the
                 // failover under it.
-                self.epoch = g.epoch;
-                self.missed = 0;
-                if self.transmitting {
-                    self.transmitting = false;
-                    self.queue.pop_front();
-                    self.inflight_lost += 1;
-                }
-                self.active = 1 - self.active;
-                self.failovers += 1;
-                for &r in &self.routes {
-                    ctx.send_in(SimDuration::ZERO, r, msg(LinkFailure));
-                }
-                for &l in &self.listeners {
-                    ctx.send_in(SimDuration::ZERO, l, msg(GatewayEpochUpdate(self.epoch)));
-                }
-                self.try_start(ctx);
+                self.complete_fail_over(ctx, g.epoch);
                 self.arm_probe(ctx);
             } else {
                 // Another requester owns that epoch; propose the next

@@ -17,7 +17,7 @@ use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime};
 
 use super::cac::{CmdOutcome, Command};
 use super::raft::{ClientReply, ClientRequest, ReplyResult, NET_DELAY};
-use crate::gateway::{GatewayEpochGrant, GatewayEpochRequest, GatewayEpochUpdate};
+use crate::gateway::{GatewayEpochGrant, GatewayEpochRequest};
 use crate::signaling::{CallId, Connect, RejectCause, Release, Setup, HOP_LATENCY, PROCESSING};
 
 /// What this hop spends on one signalling message: processing plus
@@ -59,7 +59,7 @@ enum PendingKind {
         /// The epoch it proposed.
         epoch: u64,
     },
-    /// Fire-and-forget bookkeeping (release/rollback/epoch/ack).
+    /// Fire-and-forget bookkeeping (release/rollback/membership/ack).
     Fire,
 }
 
@@ -220,7 +220,7 @@ impl ReplicatedAgent {
         s.refused(ctx, HOP_DELAY, cause);
     }
 
-    /// Queue a fire-and-forget command (release/rollback/epoch).
+    /// Queue a fire-and-forget command (release/rollback/membership/ack).
     fn fire(&mut self, ctx: &mut Ctx<'_>, cmd: Command) {
         self.start_request(ctx, cmd, PendingKind::Fire);
     }
@@ -397,9 +397,6 @@ impl Component for ReplicatedAgent {
                 self.fire(ctx, Command::Release { call: r.call });
             }
             r.relay(ctx, HOP_DELAY);
-        } else if m.is::<GatewayEpochUpdate>() {
-            let GatewayEpochUpdate(epoch) = *downcast::<GatewayEpochUpdate>(m);
-            self.fire(ctx, Command::GatewayEpoch { epoch });
         } else if m.is::<GatewayEpochRequest>() {
             // A gateway pair asking this domain to commit a fail-over
             // epoch; the committed outcome decides the grant.

@@ -93,8 +93,8 @@ pub enum Command {
     /// ([`CmdOutcome::Stale`] otherwise), so each committed epoch is
     /// granted to exactly one requester — the §4f split-brain fix.
     GatewayEpoch {
-        /// The epoch announced by [`GatewayEpochUpdate`] or proposed by
-        /// a [`GatewayEpochRequest`](crate::gateway::GatewayEpochRequest).
+        /// The epoch proposed by a
+        /// [`GatewayEpochRequest`](crate::gateway::GatewayEpochRequest).
         epoch: u64,
     },
 }

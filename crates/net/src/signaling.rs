@@ -20,7 +20,6 @@
 //! hop is a replicated hop with a log of length zero.
 
 use gtw_desim::component::{downcast, msg};
-use gtw_desim::fault::FaultPlan;
 use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, SimTime, Simulator};
 
 use crate::replica::cac::{CacState, CmdOutcome, Command};
@@ -574,22 +573,6 @@ impl Component for ResilientRoute {
     }
 }
 
-/// Deliver a [`LinkFailure`] to `route` at the start of every outage
-/// window the fault plan schedules for `target` — the glue between the
-/// data-plane fault layer and control-plane re-routing.
-pub fn schedule_link_failures(
-    sim: &mut Simulator,
-    route: ComponentId,
-    plan: &FaultPlan,
-    target: &str,
-) {
-    if let Some(spec) = plan.specs.get(target) {
-        for w in spec.outages.windows() {
-            sim.send_at(w.start, route, msg(LinkFailure));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,38 +801,6 @@ mod tests {
         assert_eq!(r.retries, r.max_retries as u64);
         assert_eq!(r.reroutes, 0);
         assert!(r.active.is_none());
-    }
-
-    #[test]
-    fn fault_plan_outages_drive_link_failures() {
-        use gtw_desim::fault::{FaultSpec, Schedule, Window};
-        let mut sim = Simulator::new();
-        let (_origin, primary) = chain(&mut sim, &[622.0]);
-        let (_o2, backup) = chain(&mut sim, &[622.0]);
-        let route = sim.add_component(ResilientRoute::new(
-            CallId(3),
-            Bandwidth::from_mbps(100.0),
-            primary,
-            backup,
-        ));
-        let mut plan = FaultPlan::new(11);
-        plan.add(
-            "hop1",
-            FaultSpec {
-                outages: Schedule::new(vec![Window::new(
-                    SimTime::from_millis(40),
-                    SimTime::from_millis(90),
-                )]),
-                ..FaultSpec::default()
-            },
-        );
-        sim.send_at(SimTime::ZERO, route, msg(StartCall));
-        schedule_link_failures(&mut sim, route, &plan, "hop1");
-        sim.run();
-        let r = sim.component::<ResilientRoute>(route);
-        assert_eq!(r.link_failures, 1);
-        assert_eq!(r.reroutes, 1);
-        assert!(r.on_backup());
     }
 
     #[test]

@@ -169,8 +169,6 @@ enum ProbeKind {
 #[derive(Default, Debug, Clone)]
 pub struct StatsRegistry {
     probes: Vec<(ComponentId, ProbeKind)>,
-    /// Registered replica groups: `(label, replicas, proxy)`.
-    groups: Vec<(String, Vec<ComponentId>, ComponentId)>,
 }
 
 impl StatsRegistry {
@@ -214,13 +212,6 @@ impl StatsRegistry {
         self.probes.push((id, ProbeKind::Demux));
     }
 
-    /// Register a [`ReplicaGroup`](crate::replica::ReplicaGroup); its
-    /// leader/term/commit counters land under the report's conditional
-    /// `signaling_replication` key.
-    pub fn add_replica_group(&mut self, group: &crate::replica::ReplicaGroup) {
-        self.groups.push((group.label.clone(), group.replicas.clone(), group.proxy));
-    }
-
     /// Number of registered probes.
     pub fn len(&self) -> usize {
         self.probes.len()
@@ -259,7 +250,6 @@ impl StatsRegistry {
             policers: Vec::new(),
             demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
-            replication: Vec::new(),
         };
         for &(id, kind) in &self.probes {
             let label = sim.component_name(id).to_string();
@@ -335,131 +325,8 @@ impl StatsRegistry {
                 }
             }
         }
-        for (label, replicas, proxy) in &self.groups {
-            let members: Vec<ReplicaReport> = replicas
-                .iter()
-                .map(|&id| {
-                    let r = sim.component::<crate::replica::Replica>(id);
-                    ReplicaReport {
-                        label: sim.component_name(id).to_string(),
-                        role: r.role_name(),
-                        term: r.term(),
-                        commit_index: r.commit_index(),
-                        alive: r.is_alive(),
-                        elections_started: r.elections_started,
-                        snapshots_installed: r.snapshots_installed,
-                        rejoins: r.rejoins,
-                        dropped_msgs: r.dropped_msgs,
-                    }
-                })
-                .collect();
-            let leader = crate::replica::leader_of(sim, replicas);
-            let states_converged = crate::replica::states_converged(sim, replicas);
-            let committed_mbps = replicas
-                .first()
-                .map(|&id| sim.component::<crate::replica::Replica>(id).cac().committed_bps() / 1e6)
-                .unwrap_or(0.0);
-            let pending_calls = replicas
-                .iter()
-                .filter_map(|&id| {
-                    let r = sim.component::<crate::replica::Replica>(id);
-                    r.is_alive().then(|| r.cac().pending.len())
-                })
-                .max()
-                .unwrap_or(0);
-            let handoff_expiries = replicas
-                .iter()
-                .map(|&id| sim.component::<crate::replica::Replica>(id).handoff_expiries)
-                .sum();
-            let p = sim.component::<crate::replica::ReplicatedAgent>(*proxy);
-            report.replication.push(ReplicationReport {
-                label: label.clone(),
-                leader,
-                states_converged,
-                committed_mbps,
-                replicas: members,
-                calls_admitted: p.calls_admitted,
-                calls_refused: p.calls_refused,
-                refused_no_quorum: p.refused_no_quorum,
-                redirects: p.redirects,
-                retries: p.retries,
-                leader_switches: p.leader_switches,
-                pending_calls,
-                handoffs_confirmed: p.handoffs_confirmed,
-                handoffs_aborted: p.handoffs_aborted,
-                handoff_expiries,
-                epoch_grants: p.epoch_grants,
-                epoch_refusals: p.epoch_refusals,
-                dedup_acks: p.dedup_acks_sent,
-            });
-        }
         report
     }
-}
-
-/// One replica's protocol position at collection time.
-#[derive(Debug, Clone)]
-pub struct ReplicaReport {
-    /// Replica label (`{group}/r{i}`).
-    pub label: String,
-    /// Role at collection ("leader" / "follower" / "candidate").
-    pub role: &'static str,
-    /// Current term.
-    pub term: u64,
-    /// Highest committed log index.
-    pub commit_index: u64,
-    /// Whether the replica was up at collection.
-    pub alive: bool,
-    /// Elections this replica started.
-    pub elections_started: u64,
-    /// Snapshots it installed from a leader.
-    pub snapshots_installed: u64,
-    /// Times it rejoined after an outage.
-    pub rejoins: u64,
-    /// Stray messages dropped.
-    pub dropped_msgs: u64,
-}
-
-/// Snapshot of one replicated signalling group: the per-replica
-/// protocol state plus the proxy's client-side counters.
-#[derive(Debug, Clone)]
-pub struct ReplicationReport {
-    /// Group label.
-    pub label: String,
-    /// Index of the current leader, if one is live.
-    pub leader: Option<usize>,
-    /// Whether every live replica holds byte-identical CAC state.
-    pub states_converged: bool,
-    /// Sustained bandwidth committed in the replicated CAC.
-    pub committed_mbps: f64,
-    /// Per-replica protocol positions.
-    pub replicas: Vec<ReplicaReport>,
-    /// Calls the proxy admitted through the replicated CAC.
-    pub calls_admitted: u64,
-    /// Calls the proxy refused (all causes).
-    pub calls_refused: u64,
-    /// Refusals for lack of a quorum before the deadline.
-    pub refused_no_quorum: u64,
-    /// `NotLeader` redirects the proxy followed.
-    pub redirects: u64,
-    /// Timer-driven retries at the proxy.
-    pub retries: u64,
-    /// Observed leader changes between successful commands.
-    pub leader_switches: u64,
-    /// Tentative two-phase holds still pending at collection.
-    pub pending_calls: usize,
-    /// Cross-domain hand-offs promoted (`Confirm` committed).
-    pub handoffs_confirmed: u64,
-    /// Hand-offs rolled back (stale confirm or deadline abort).
-    pub handoffs_aborted: u64,
-    /// Leader-side hand-off deadline expirations.
-    pub handoff_expiries: u64,
-    /// Gateway epoch bumps this domain's log granted.
-    pub epoch_grants: u64,
-    /// Gateway epoch bumps refused as stale.
-    pub epoch_refusals: u64,
-    /// Dedup-floor acknowledgements the proxy committed.
-    pub dedup_acks: u64,
 }
 
 /// Per-hop snapshot: the stage's counters plus its configured costs and
@@ -603,18 +470,9 @@ pub struct RunReport {
     /// recording [`Observer`](gtw_desim::Observer). Empty (and absent
     /// from the JSON) otherwise.
     pub kernel_metrics: Vec<MetricsRegistry>,
-    /// Registered replicated signalling groups. Empty — and absent from
-    /// the JSON — when no replication is configured, so clean runs stay
-    /// byte-identical to pre-replication builds.
-    pub replication: Vec<ReplicationReport>,
 }
 
 impl RunReport {
-    /// Total packets dropped across all registered hops.
-    pub fn total_dropped(&self) -> u64 {
-        self.hops.iter().map(|h| h.stats.packets_dropped).sum()
-    }
-
     /// Total faults injected across all registered hops and switches.
     pub fn faults_injected(&self) -> u64 {
         self.hops.iter().map(|h| h.stats.faults_injected()).sum::<u64>()
@@ -837,74 +695,6 @@ impl RunReport {
                 self.kernel_metrics.iter().map(MetricsRegistry::summary_json).collect();
             doc.push("kernel_metrics", Json::Arr(regs));
         }
-        if !self.replication.is_empty() {
-            // The replication key appears only when a replica group was
-            // registered: runs without a replicated control plane render
-            // byte-identically to pre-replication builds. Groups render
-            // as an object keyed by domain label (insertion-ordered) so
-            // multi-domain runs read per-domain, and hand-off / epoch /
-            // dedup counters are suppressed at zero: a single-domain
-            // run renders exactly as it did before domains existed.
-            let groups: Vec<(String, Json)> = self
-                .replication
-                .iter()
-                .map(|g| {
-                    let replicas: Vec<Json> = g
-                        .replicas
-                        .iter()
-                        .map(|r| {
-                            let mut o = Json::obj([
-                                ("label", Json::from(r.label.as_str())),
-                                ("role", Json::from(r.role)),
-                                ("term", Json::from(r.term)),
-                                ("commit_index", Json::from(r.commit_index)),
-                            ]);
-                            if !r.alive {
-                                o.push("down", Json::from(true));
-                            }
-                            for (key, count) in [
-                                ("elections_started", r.elections_started),
-                                ("snapshots_installed", r.snapshots_installed),
-                                ("rejoins", r.rejoins),
-                                ("dropped_msgs", r.dropped_msgs),
-                            ] {
-                                if count > 0 {
-                                    o.push(key, Json::from(count));
-                                }
-                            }
-                            o
-                        })
-                        .collect();
-                    let mut o = Json::obj([
-                        ("leader", g.leader.map_or(Json::from(-1i64), |l| Json::from(l as u64))),
-                        ("states_converged", Json::from(g.states_converged)),
-                        ("committed_mbps", Json::from(g.committed_mbps)),
-                        ("calls_admitted", Json::from(g.calls_admitted)),
-                        ("calls_refused", Json::from(g.calls_refused)),
-                        ("replicas", Json::Arr(replicas)),
-                    ]);
-                    for (key, count) in [
-                        ("refused_no_quorum", g.refused_no_quorum),
-                        ("redirects", g.redirects),
-                        ("retries", g.retries),
-                        ("leader_switches", g.leader_switches),
-                        ("pending_calls", g.pending_calls as u64),
-                        ("handoffs_confirmed", g.handoffs_confirmed),
-                        ("handoffs_aborted", g.handoffs_aborted),
-                        ("handoff_expiries", g.handoff_expiries),
-                        ("epoch_grants", g.epoch_grants),
-                        ("epoch_refusals", g.epoch_refusals),
-                        ("dedup_acks", g.dedup_acks),
-                    ] {
-                        if count > 0 {
-                            o.push(key, Json::from(count));
-                        }
-                    }
-                    (g.label.clone(), o)
-                })
-                .collect();
-            doc.push("signaling_replication", Json::obj(groups));
-        }
         doc
     }
 }
@@ -999,7 +789,7 @@ mod tests {
         assert_eq!(hop.stats.packets_out, 4);
         assert_eq!(hop.propagation_total, SimDuration::from_millis(4));
         assert_eq!(report.flows[0].recorder.packets, 4);
-        assert_eq!(report.total_dropped(), 0);
+        assert_eq!(hop.stats.packets_dropped, 0);
         // The JSON rendering carries the same numbers — and no policer
         // key, since none was registered (clean-run identity).
         let j = report.to_json().dump();
@@ -1028,7 +818,6 @@ mod tests {
             policers: Vec::new(),
             demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
-            replication: Vec::new(),
         };
         let j = report.to_json().dump();
         for absent in
@@ -1062,7 +851,6 @@ mod tests {
             policers: Vec::new(),
             demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
-            replication: Vec::new(),
         };
         assert!(!report.to_json().dump().contains("kernel_metrics"));
         let mut reg = MetricsRegistry::new("shard0");
@@ -1086,7 +874,6 @@ mod tests {
             policers: Vec::new(),
             demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
-            replication: Vec::new(),
         };
         assert!(!report.to_json().dump().contains("\"demux\""));
         report.demuxes.push(DemuxReport {
@@ -1099,88 +886,6 @@ mod tests {
         assert!(j.contains("\"flow\":2,\"packets\":12"), "{j}");
         // Zero unroutable stays out of the rendering.
         assert!(!j.contains("\"unroutable\""), "{j}");
-    }
-
-    #[test]
-    fn replication_block_appears_only_when_registered() {
-        let mut report = RunReport {
-            elapsed: SimDuration::from_secs(1),
-            events_processed: 1,
-            hops: Vec::new(),
-            switches: Vec::new(),
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            flows: Vec::new(),
-            policers: Vec::new(),
-            demuxes: Vec::new(),
-            kernel_metrics: Vec::new(),
-            replication: Vec::new(),
-        };
-        assert!(!report.to_json().dump().contains("signaling_replication"));
-        report.replication.push(ReplicationReport {
-            label: "cp".into(),
-            leader: Some(1),
-            states_converged: true,
-            committed_mbps: 155.0,
-            replicas: vec![ReplicaReport {
-                label: "cp/r0".into(),
-                role: "follower",
-                term: 3,
-                commit_index: 12,
-                alive: true,
-                elections_started: 2,
-                snapshots_installed: 0,
-                rejoins: 0,
-                dropped_msgs: 0,
-            }],
-            calls_admitted: 9,
-            calls_refused: 0,
-            refused_no_quorum: 0,
-            redirects: 4,
-            retries: 0,
-            leader_switches: 0,
-            pending_calls: 0,
-            handoffs_confirmed: 0,
-            handoffs_aborted: 0,
-            handoff_expiries: 0,
-            epoch_grants: 0,
-            epoch_refusals: 0,
-            dedup_acks: 0,
-        });
-        let j = report.to_json().dump();
-        // Groups key by domain label so multi-domain runs read per-domain.
-        assert!(j.contains("\"signaling_replication\":{\"cp\":{\"leader\":1"), "{j}");
-        assert!(j.contains("\"states_converged\":true"), "{j}");
-        assert!(j.contains("\"role\":\"follower\",\"term\":3,\"commit_index\":12"), "{j}");
-        assert!(j.contains("\"elections_started\":2"), "{j}");
-        assert!(j.contains("\"redirects\":4"), "{j}");
-        // Zero-valued counters and the alive flag stay out of the JSON:
-        // a single-domain run with no hand-offs renders exactly as it
-        // did before the multi-domain protocol existed.
-        for absent in [
-            "\"down\"",
-            "\"snapshots_installed\"",
-            "\"rejoins\"",
-            "\"retries\"",
-            "\"refused_no_quorum\"",
-            "\"leader_switches\"",
-            "\"pending_calls\"",
-            "\"handoffs_confirmed\"",
-            "\"handoffs_aborted\"",
-            "\"handoff_expiries\"",
-            "\"epoch_grants\"",
-            "\"epoch_refusals\"",
-            "\"dedup_acks\"",
-        ] {
-            assert!(!j.contains(absent), "{absent} leaked into {j}");
-        }
-        // Hand-off traffic surfaces once it exists.
-        report.replication[0].handoffs_confirmed = 7;
-        assert!(report.to_json().dump().contains("\"handoffs_confirmed\":7"));
-        report.replication[0].handoffs_confirmed = 0;
-        // A downed replica surfaces the flag.
-        report.replication[0].replicas[0].alive = false;
-        assert!(report.to_json().dump().contains("\"down\":true"));
     }
 
     #[test]

@@ -190,13 +190,6 @@ struct StripedWiring {
 }
 
 impl StripedTransfer {
-    /// Stream count picked by [`adaptive_streams`] for this path and
-    /// window budget.
-    pub fn with_adaptive_streams(mut self) -> Self {
-        self.streams = adaptive_streams(&self.hops, self.ip, self.window_bytes);
-        self
-    }
-
     /// Per-stream window: the aggregate budget divided by the stream
     /// count (per-stream pacing), floored at one MTU so no stream can
     /// stall on a sub-segment window.

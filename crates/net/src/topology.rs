@@ -257,27 +257,6 @@ impl Topology {
         Some((path, mtu, hops))
     }
 
-    /// Where to cut a routed path for a two-shard run: the hop
-    /// index of the link with the largest propagation delay (the WAN
-    /// section in the testbed), and that delay, which is the safe
-    /// conservative lookahead for the cut. Ties break toward the first
-    /// such link. Returns `None` when no link on the path has positive
-    /// propagation — then there is no delay to hide a shard boundary
-    /// behind and the path should run on one shard.
-    pub fn shard_cut(&self, path: &[NodeId]) -> Option<(usize, SimDuration)> {
-        assert!(path.len() >= 2, "path needs at least two nodes");
-        path.windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let link = self.link_between(w[0], w[1]).unwrap_or_else(|| {
-                    panic!("no link {} -> {}", self.name_of(w[0]), self.name_of(w[1]))
-                });
-                (i, link.propagation)
-            })
-            .max_by_key(|&(i, prop)| (prop, std::cmp::Reverse(i)))
-            .filter(|&(_, prop)| prop > SimDuration::ZERO)
-    }
-
     /// Name of a node.
     pub fn name_of(&self, id: NodeId) -> &str {
         &self.nodes[id.0].name
@@ -355,37 +334,5 @@ mod tests {
         let (t, cray, _, _) = mini_testbed();
         assert_eq!(t.find("T3E"), Some(cray));
         assert_eq!(t.find("nope"), None);
-    }
-
-    #[test]
-    fn shard_cut_picks_the_wan_link() {
-        let (t, cray, _, e5000) = mini_testbed();
-        let path = t.route(cray, e5000).unwrap();
-        // Hop 2 is ASX-FZJ -> ASX-GMD, the 500 us WAN section.
-        assert_eq!(t.shard_cut(&path), Some((2, SimDuration::from_micros(500))));
-    }
-
-    #[test]
-    fn shard_cut_none_without_propagation() {
-        let mut t = Topology::new();
-        let a = t.add_host("a", HostNic::workstation_atm155());
-        let b = t.add_host("b", HostNic::workstation_atm155());
-        let atm = Medium::Atm { cell_rate: StmLevel::Stm1.payload_rate() };
-        t.connect(a, b, atm, SimDuration::ZERO, "local");
-        let path = t.route(a, b).unwrap();
-        assert_eq!(t.shard_cut(&path), None);
-    }
-
-    #[test]
-    fn shard_cut_ties_break_to_first_link() {
-        let mut t = Topology::new();
-        let a = t.add_host("a", HostNic::workstation_atm155());
-        let s = t.add_switch("s", SimDuration::from_micros(1));
-        let b = t.add_host("b", HostNic::workstation_atm155());
-        let atm = Medium::Atm { cell_rate: StmLevel::Stm1.payload_rate() };
-        t.connect(a, s, atm, SimDuration::from_micros(100), "left");
-        t.connect(s, b, atm, SimDuration::from_micros(100), "right");
-        let path = t.route(a, b).unwrap();
-        assert_eq!(t.shard_cut(&path), Some((0, SimDuration::from_micros(100))));
     }
 }

@@ -150,9 +150,10 @@ pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[ComponentId], rev:
     fwd.iter().rev().chain(rev).for_each(|&id| reg.add_stage(id));
 }
 
-/// Split a wired path in two at its widest-propagation (WAN) hop `w` —
-/// the natural cut, because every packet crossing it is in flight for at
-/// least that long, which becomes the conservative lookahead. Forward
+/// Split a wired path in two at its widest-propagation (WAN) hop `w`,
+/// the first of equals — the natural cut, because every packet crossing
+/// it is in flight for at least that long, which becomes the
+/// conservative lookahead. Forward
 /// stages up to `hop{w}` and the ACK stages past its mirror (`rev{j}`
 /// models `hops[n-1-j]`) join `near`, the rest `far`; the callers seed
 /// the two sides with their endpoints. With no positive-propagation hop
@@ -539,6 +540,68 @@ mod tests {
             medium: Medium::Raw { rate: Bandwidth::from_mbps(rate_mbps) },
             per_packet: SimDuration::ZERO,
             propagation: SimDuration::from_micros(prop_us),
+        }
+    }
+
+    /// `wan_split` of a path whose hops have these propagations (µs):
+    /// forward stages are components `0..n`, ACK stages `n..2n`, and
+    /// both sides start empty. Returns the near and far indices and the
+    /// cut's lookahead.
+    fn split_at(props_us: &[u64]) -> (Vec<usize>, Vec<usize>, Option<SimDuration>) {
+        let mut sim = Simulator::new();
+        let hops: Vec<HopModel> = props_us.iter().map(|&p| raw_hop(622.0, p)).collect();
+        let mut stages = || -> Vec<ComponentId> {
+            hops.iter().map(|_| sim.add_component(Sink::default())).collect()
+        };
+        let (fwd, rev) = (stages(), stages());
+        let (near, far, cut) = wan_split(&hops, &fwd, &rev, Vec::new(), Vec::new());
+        let index = |ids: Vec<ComponentId>| ids.into_iter().map(ComponentId::index).collect();
+        (index(near), index(far), cut)
+    }
+
+    #[test]
+    fn wan_split_cuts_at_the_wan_hop() {
+        // Hop 2 is the 500 us WAN section; the ACK stages modelling hops
+        // 2..5 (rev 0..3) are on its far side.
+        let cut = Some(SimDuration::from_micros(500));
+        assert_eq!(split_at(&[5, 5, 500, 5, 0]), (vec![0, 1, 2, 8, 9], vec![3, 4, 5, 6, 7], cut));
+    }
+
+    #[test]
+    fn wan_split_keeps_a_path_without_propagation_whole() {
+        assert_eq!(split_at(&[0, 0]), (vec![0, 1, 2, 3], vec![], None));
+    }
+
+    #[test]
+    fn wan_split_ties_break_to_the_first_hop() {
+        let cut = Some(SimDuration::from_micros(100));
+        assert_eq!(split_at(&[100, 100]), (vec![0], vec![1, 2, 3], cut));
+    }
+
+    #[test]
+    fn clean_report_has_only_its_seven_keys() {
+        // Every other top-level key is a conditional block; none may leak
+        // into a run that asked for nothing.
+        for protocol in [Protocol::Tcp { window_bytes: 1 << 20 }, Protocol::RawStream] {
+            let xfer = BulkTransfer {
+                hops: vec![raw_hop(622.0, 10), raw_hop(622.0, 500), raw_hop(622.0, 10)],
+                ip: IpConfig { mtu: 9180 },
+                bytes: 1 << 20,
+                protocol,
+            };
+            let (_, report) = xfer.run_with(&RunOptions::default());
+            let gtw_desim::Json::Obj(pairs) = report.to_json() else { panic!("not an object") };
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            let seven = [
+                "elapsed_s",
+                "events_processed",
+                "hops",
+                "switches",
+                "tcp_senders",
+                "tcp_receivers",
+                "flows",
+            ];
+            assert_eq!(keys, seven, "{protocol:?}");
         }
     }
 
