@@ -134,6 +134,8 @@ pub struct ReplicatedAgent {
     pub epoch_refusals: u64,
     /// Dedup-compaction acknowledgements committed through the log.
     pub dedup_acks_sent: u64,
+    /// Membership changes refused for naming a replica not in the group.
+    pub membership_refused: u64,
     /// Messages suppressed by a partition fault injector.
     pub msgs_dropped_partition: u64,
     /// Replies for requests no longer pending (late duplicates).
@@ -223,6 +225,16 @@ impl ReplicatedAgent {
     /// Queue a fire-and-forget command (release/rollback/membership/ack).
     fn fire(&mut self, ctx: &mut Ctx<'_>, cmd: Command) {
         self.start_request(ctx, cmd, PendingKind::Fire);
+    }
+
+    /// Commit a membership change unless it names no replica of the group
+    /// (a voter that can never answer would only raise the quorum).
+    fn change_members(&mut self, ctx: &mut Ctx<'_>, idx: usize, cmd: Command) {
+        if idx < self.replicas.len() {
+            self.fire(ctx, cmd);
+        } else {
+            self.membership_refused += 1;
+        }
     }
 
     /// A confirm failed here (hold expired, or no quorum): unwind the
@@ -413,10 +425,10 @@ impl Component for ReplicatedAgent {
             }
         } else if m.is::<AddMember>() {
             let AddMember(idx) = *downcast::<AddMember>(m);
-            self.fire(ctx, Command::AddReplica { idx });
+            self.change_members(ctx, idx, Command::AddReplica { idx });
         } else if m.is::<RemoveMember>() {
             let RemoveMember(idx) = *downcast::<RemoveMember>(m);
-            self.fire(ctx, Command::RemoveReplica { idx });
+            self.change_members(ctx, idx, Command::RemoveReplica { idx });
         } else {
             self.dropped_msgs += 1;
         }

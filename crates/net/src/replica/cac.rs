@@ -11,7 +11,7 @@
 //! divergence is detectable with `==` on [`CacState::encode`]. Nothing
 //! here knows about messages, timers or the simulator.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::signaling::{CallId, RejectCause, TrafficDescriptor};
 use crate::units::Bandwidth;
@@ -182,9 +182,9 @@ pub struct CacState {
     applied_reqs: BTreeMap<u64, u8>,
     /// High-water mark of client-acknowledged request ids.
     dedup_floor: u64,
-    /// Voting members by replica index. Empty means the pre-
+    /// Voting members, bit `i` for replica `i`. Zero means the pre-
     /// reconfiguration default: every built replica votes.
-    members: BTreeSet<u32>,
+    members: u32,
 }
 
 impl CacState {
@@ -274,14 +274,14 @@ impl CacState {
         self.applied_reqs.len()
     }
 
-    /// Committed voting membership. Empty means "every built replica".
-    pub fn members(&self) -> &BTreeSet<u32> {
-        &self.members
+    /// Committed voting membership as a mask; 0 means "every replica".
+    pub fn members(&self) -> u32 {
+        self.members
     }
 
-    /// Voting membership `0..n` installed at provisioning time.
+    /// Voting membership `0..n` (`n <= 32`) set at provisioning time.
     pub(super) fn with_members(mut self, n: usize) -> Self {
-        self.members = (0..n as u32).collect();
+        self.members = ((1u64 << n) - 1) as u32;
         self
     }
 
@@ -291,7 +291,7 @@ impl CacState {
     /// with the snapshot.
     pub(super) fn reinstalled(&self) -> CacState {
         CacState {
-            members: self.members.clone(),
+            members: self.members,
             ..CacState::new(self.capacity_bps(), f64::from_bits(self.peak_factor_bits))
         }
     }
@@ -358,14 +358,16 @@ impl CacState {
                 self.applied_reqs.retain(|&r, _| r > floor);
                 CmdOutcome::Applied
             }
-            Command::AddReplica { idx } => {
-                self.members.insert(idx as u32);
+            Command::AddReplica { idx } if idx < 32 => {
+                self.members |= 1 << idx;
                 CmdOutcome::Applied
             }
-            Command::RemoveReplica { idx } => {
-                self.members.remove(&(idx as u32));
+            Command::RemoveReplica { idx } if idx < 32 => {
+                self.members &= !(1 << idx);
                 CmdOutcome::Applied
             }
+            // Past the mask: names no replica, changes nothing.
+            Command::AddReplica { .. } | Command::RemoveReplica { .. } => CmdOutcome::Applied,
             Command::GatewayEpoch { epoch } => {
                 if epoch > self.gateway_epoch {
                     self.gateway_epoch = epoch;
@@ -413,8 +415,8 @@ impl CacState {
         out.extend_from_slice(&self.gateway_epoch.to_le_bytes());
         out.extend_from_slice(&self.applied_count.to_le_bytes());
         out.extend_from_slice(&self.dedup_floor.to_le_bytes());
-        out.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
-        for &m in &self.members {
+        out.extend_from_slice(&self.members.count_ones().to_le_bytes());
+        for m in (0..32u32).filter(|&i| self.members & (1 << i) != 0) {
             out.extend_from_slice(&m.to_le_bytes());
         }
         for book in [&self.admitted, &self.pending] {
@@ -490,12 +492,12 @@ impl CacState {
         let gateway_epoch = rd.u64()?;
         let applied_count = rd.u64()?;
         let mut dedup_floor = 0;
-        let mut members = BTreeSet::new();
+        let mut members = 0u32;
         if version >= 2 {
             dedup_floor = rd.u64()?;
             let n_members = rd.u32()? as usize;
             for _ in 0..n_members {
-                members.insert(rd.u32()?);
+                members |= 1u32.checked_shl(rd.u32()?)?; // none past bit 31
             }
         }
         let admitted = triples(&mut rd)?;
@@ -556,5 +558,27 @@ mod tests {
         // Once the hold is gone the same Reserve fits what is left.
         assert_eq!(st.apply_cmd(4, &Command::Release { call: CallId(1) }), CmdOutcome::Applied);
         assert_eq!(st.apply_cmd(5, &Command::reserve(CallId(2), &eight)), CmdOutcome::Admitted);
+    }
+
+    #[test]
+    fn membership_stays_inside_the_32_bit_mask() {
+        let mut st = CacState::new(622e6, 1.0).with_members(3);
+        // A change past the mask names no replica and changes nothing.
+        assert_eq!(st.apply_cmd(1, &Command::AddReplica { idx: 40 }), CmdOutcome::Applied);
+        assert_eq!(st.apply_cmd(2, &Command::RemoveReplica { idx: 32 }), CmdOutcome::Applied);
+        assert_eq!(st.members(), 0b111);
+        // The codec lists members as u32 indices after the five u64
+        // header words; one of 32 or more does not decode.
+        let with_first_member = |idx: u32| {
+            let bytes = st.encode();
+            let mut body = bytes[..bytes.len() - 4].to_vec();
+            body[50..54].copy_from_slice(&idx.to_le_bytes());
+            let sum = fnv1a32(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            CacState::decode(&body)
+        };
+        assert_eq!(with_first_member(0).as_ref(), Some(&st));
+        assert_eq!(with_first_member(31).map(|s| s.members()), Some(0x8000_0006));
+        assert_eq!(with_first_member(32), None);
     }
 }

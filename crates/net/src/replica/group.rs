@@ -29,7 +29,8 @@ impl ReplicaGroup {
     /// proxy, and boot every replica at `t = 0`. Spares receive every
     /// append and snapshot but never vote or count toward quorum until
     /// an [`AddMember`](super::AddMember) change commits through the
-    /// log. Sizes whose majority math is degenerate are refused.
+    /// log. Sizes whose majority math is degenerate are refused, and so
+    /// are more than 32 replicas: membership is a 32-bit mask.
     pub fn build(
         sim: &mut Simulator,
         label: impl Into<String>,
@@ -50,6 +51,9 @@ impl ReplicaGroup {
                 "replica group '{label}': size {n} tolerates no failures (f = 0); \
                  a replicated control plane needs at least 3 replicas"
             ));
+        }
+        if n + spares > 32 {
+            return Err(format!("replica group '{label}': {n} + {spares} replicas exceed 32"));
         }
         let replicas: Vec<ComponentId> = (0..n + spares)
             .map(|i| {
@@ -99,22 +103,15 @@ impl ReplicaGroup {
     }
 
     /// True when every *live* replica holds byte-identical applied CAC
-    /// state.
+    /// state (compared via [`CacState::encode`](super::CacState::encode)).
     pub fn states_converged(&self, sim: &Simulator) -> bool {
-        states_converged(sim, &self.replicas)
+        let mut digests = self.replicas.iter().filter_map(|&id| {
+            let r = sim.component::<Replica>(id);
+            r.is_alive().then(|| r.digest())
+        });
+        let first = digests.next();
+        digests.all(|d| Some(&d) == first.as_ref())
     }
-}
-
-/// True when every *live* replica of `replicas` holds byte-identical
-/// applied CAC state (compared via
-/// [`CacState::encode`](super::CacState::encode)).
-pub fn states_converged(sim: &Simulator, replicas: &[ComponentId]) -> bool {
-    let mut digests = replicas.iter().filter_map(|&id| {
-        let r = sim.component::<Replica>(id);
-        r.is_alive().then(|| r.digest())
-    });
-    let first = digests.next();
-    digests.all(|d| Some(&d) == first.as_ref())
 }
 
 /// The live replica claiming leadership in the highest term, if any —

@@ -17,7 +17,7 @@
 //! | [`cac`] | [`Command`], [`CacState`] (the one admission arithmetic, `fits`), the snapshot codec | `gtw-desim`, any other file here |
 //! | [`raft`] | [`Replica`]: elections, log, commit, apply, snapshots; [`GroupConfig`] and the protocol constants | any signalling message (`signaling::CallId` only), `agent`, `group`, `scenario` |
 //! | [`agent`] | [`ReplicatedAgent`]: request table, leader chase, retry/deadline, confirm wave, epoch grants | `group`, `scenario`; the walk itself lives on the messages in [`signaling`](crate::signaling) |
-//! | [`group`] | [`ReplicaGroup`] wiring, fault-plan install, [`leader_of`], [`states_converged`] | `scenario` |
+//! | [`group`] | [`ReplicaGroup`] wiring, fault-plan install, [`leader_of`] | `scenario` |
 //! | [`scenario`] | [`CallPump`], [`control_fault_report`], [`MultiDomain`], [`multi_domain_fault_report`] | — |
 //!
 //! A plain hop is a replicated hop with a log of length zero:
@@ -32,7 +32,7 @@ pub mod scenario;
 
 pub use agent::{AddMember, RemoveMember, ReplicatedAgent};
 pub use cac::{CacState, CmdOutcome, Command};
-pub use group::{leader_of, schedule_replica_outages, states_converged, ReplicaGroup};
+pub use group::{leader_of, schedule_replica_outages, ReplicaGroup};
 pub use raft::{BootReplica, GroupConfig, Replica, ReplicaDown, ReplicaUp};
 pub use scenario::{
     control_fault_report, multi_domain_fault_report, CallPump, MultiDomain, PumpStart,
@@ -42,7 +42,7 @@ pub use scenario::{
 mod tests {
     use gtw_desim::component::msg;
     use gtw_desim::fault::{Schedule, Window};
-    use gtw_desim::{Component, Json, SimDuration, SimTime, Simulator};
+    use gtw_desim::{Component, Json, Msg, SimDuration, SimTime, Simulator};
 
     use super::*;
     use crate::signaling::{CallId, CallOutcome, RejectCause, TrafficDescriptor};
@@ -215,6 +215,66 @@ mod tests {
         let d0 = sim.component::<Replica>(group.replicas[0]).digest();
         let d2 = sim.component::<Replica>(group.replicas[2]).digest();
         assert_eq!(d0, d2, "rejoined CAC state is byte-identical");
+    }
+
+    /// A group of 3 on 2.4 Gbit/s with 40 calls of 34 Mbit/s, sent the
+    /// membership `changes` at 500 ms, whose leader crashes at 2 s so the
+    /// other two must elect; returns calls placed and changes refused.
+    fn place_through_membership_changes(changes: Vec<Msg>) -> (u64, u64) {
+        let mut sim = Simulator::new();
+        let group = group_of_3(&mut sim, Bandwidth::from_gbps(2.4), GroupConfig::new(3, secs(6)));
+        let pump = sim.add_component(CallPump::new(
+            group.proxy,
+            Vec::new(),
+            TrafficDescriptor::cbr(Bandwidth::from_mbps(34.0)),
+            SimDuration::from_millis(100),
+            40,
+            1,
+        ));
+        sim.send_at(SimTime::ZERO, pump, msg(PumpStart));
+        for change in changes {
+            sim.send_at(SimTime::from_millis(500), group.proxy, change);
+        }
+        let replicas = group.replicas.clone();
+        sim.call_at(secs(2), move |sim| {
+            let id = replicas[leader_of(sim, &replicas).expect("a leader by 2 s")];
+            sim.send_at(secs(2), id, msg(ReplicaDown { wipe: false }));
+        });
+        sim.run();
+        assert!(group.states_converged(&sim));
+        let members = sim.component::<Replica>(group.replicas[0]).cac().members();
+        assert_eq!(members, 0b111, "the voters stay 0, 1 and 2");
+        let refused = sim.component::<ReplicatedAgent>(group.proxy).membership_refused;
+        (sim.component::<CallPump>(pump).placed(), refused)
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn voters_the_group_lacks_are_refused_and_the_quorum_holds() {
+        // Three phantom voters would make a majority of 4 among 3 live
+        // replicas: nothing could commit or elect again.
+        let adds = (5..8).map(|i| msg(AddMember(i))).collect();
+        assert_eq!(place_through_membership_changes(adds), (40, 3));
+    }
+
+    #[test]
+    fn a_member_index_past_the_mask_is_refused_not_shifted() {
+        let past = vec![msg(AddMember(32)), msg(RemoveMember(40))];
+        assert_eq!(place_through_membership_changes(past), (40, 2));
+    }
+
+    #[test]
+    fn a_group_past_32_replicas_is_refused() {
+        let mut sim = Simulator::new();
+        let cfg = GroupConfig::new(1, secs(1));
+        let err = ReplicaGroup::build(&mut sim, "g", 3, 30, Bandwidth::from_gbps(1.0), cfg.clone())
+            .err()
+            .expect("33 replicas do not fit a 32-bit membership mask");
+        assert!(err.contains("exceed 32"), "{err}");
+        assert!(ReplicaGroup::build(&mut sim, "h", 3, 29, Bandwidth::from_gbps(1.0), cfg).is_ok());
     }
 
     #[test]

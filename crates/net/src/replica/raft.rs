@@ -14,8 +14,14 @@
 //! cfg.active_until`, so a run with a replica group still terminates —
 //! heartbeats stop at the horizon instead of chasing the event queue
 //! for ever.
+//!
+//! One election timer in flight: a reset records a new deadline and
+//! arms a timer only if the one in flight would fire later; one that
+//! fires early re-arms for the deadline. So a follower arms a timer per
+//! timeout, not per heartbeat, and a leader encodes per applied state.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gtw_desim::component::{downcast, msg};
 use gtw_desim::fault::FaultInjector;
@@ -129,7 +135,7 @@ struct SnapshotMsg {
     from: usize,
     last_index: u64,
     last_term: u64,
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
 }
 
 /// Boot a replica: start its election timer. Sent by
@@ -167,12 +173,10 @@ pub(super) struct ClientReply {
     pub(super) result: ReplyResult,
 }
 
-/// Election timer; the nonce invalidates stale timers after a reset.
-struct ElectionTimeout {
-    nonce: u64,
-}
+/// Election timer, valid only at the instant last armed.
+struct ElectionTimeout;
 
-/// Leader heartbeat timer, nonce-guarded like the election timer.
+/// Leader heartbeat timer; the nonce voids one a step-down cancelled.
 struct HeartbeatTick {
     nonce: u64,
 }
@@ -223,12 +227,17 @@ pub struct Replica {
     last_applied: u64,
     last_applied_term: u64,
     state: CacState,
+    /// `state` encoded when a snapshot ships; `None` once `state` moves.
+    snapshot: Option<Arc<[u8]>>,
     leader_hint: Option<usize>,
     votes: u32,
     next_index: Vec<u64>,
     match_index: Vec<u64>,
     pending: BTreeMap<u64, ComponentId>,
-    election_nonce: u64,
+    /// When the election timer expires, while one runs.
+    election_deadline: Option<SimTime>,
+    /// When the `ElectionTimeout` in flight fires.
+    election_armed: Option<SimTime>,
     hb_nonce: u64,
     alive: bool,
     crashed: bool,
@@ -291,12 +300,14 @@ impl Replica {
             last_applied: 0,
             last_applied_term: 0,
             state,
+            snapshot: None,
             leader_hint: None,
             votes: 0,
             next_index: Vec::new(),
             match_index: Vec::new(),
             pending: BTreeMap::new(),
-            election_nonce: 0,
+            election_deadline: None,
+            election_armed: None,
             hb_nonce: 0,
             alive: true,
             crashed: false,
@@ -360,13 +371,11 @@ impl Replica {
         self.peers.len()
     }
 
-    /// Bitmask of voting member indices. An empty committed membership
-    /// is the pre-reconfiguration sentinel: every built replica votes.
+    /// Voting members; zero, the pre-reconfiguration sentinel, means all.
     fn member_mask(&self) -> u32 {
-        if self.state.members().is_empty() {
-            ((1u64 << self.n()) - 1) as u32
-        } else {
-            self.state.members().iter().fold(0u32, |m, &i| m | (1 << i))
+        match self.state.members() {
+            0 => ((1u64 << self.n()) - 1) as u32,
+            mask => mask,
         }
     }
 
@@ -440,7 +449,7 @@ impl Replica {
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Ctx<'_>) {
-        self.election_nonce += 1;
+        self.election_deadline = None;
         // Non-members (spare observers, retired replicas) never stand
         // for election; they still replicate as followers.
         if ctx.now() >= self.cfg.active_until || !self.is_member(self.idx) {
@@ -453,8 +462,16 @@ impl Replica {
         } else {
             (min, ELECTION_MAX.as_secs_f64())
         };
-        let timeout = SimDuration::from_secs_f64(self.rng.uniform_in(lo, hi));
-        ctx.timer_in(timeout, msg(ElectionTimeout { nonce: self.election_nonce }));
+        let deadline = ctx.now() + SimDuration::from_secs_f64(self.rng.uniform_in(lo, hi));
+        self.election_deadline = Some(deadline);
+        if self.election_armed.is_none_or(|at| deadline < at) {
+            self.arm_election(ctx, deadline);
+        }
+    }
+
+    fn arm_election(&mut self, ctx: &mut Ctx<'_>, at: SimTime) {
+        self.election_armed = Some(at);
+        ctx.timer_in(at - ctx.now(), msg(ElectionTimeout));
     }
 
     fn arm_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
@@ -575,7 +592,7 @@ impl Replica {
                 from: self.idx,
                 last_index: self.last_applied,
                 last_term: self.last_applied_term,
-                bytes: self.state.encode(),
+                bytes: self.snapshot.get_or_insert_with(|| self.state.encode().into()).clone(),
             };
             self.snapshots_sent += 1;
             self.send_peer(ctx, j, msg(snap));
@@ -627,6 +644,7 @@ impl Replica {
             let pos = (index - self.snap_base - 1) as usize;
             let LogEntry { term, req, cmd } = self.log[pos].clone();
             let outcome = self.state.apply_cmd(req, &cmd);
+            self.snapshot = None;
             self.last_applied = index;
             self.last_applied_term = term;
             if self.role == Role::Leader && req != 0 {
@@ -651,7 +669,7 @@ impl Replica {
                 Command::RemoveReplica { idx } if idx == self.idx => {
                     // Retired: cancel any election timer; a retired
                     // leader abdicates so the remaining members elect.
-                    self.election_nonce += 1;
+                    self.election_deadline = None;
                     if self.role == Role::Leader {
                         self.step_down(ctx, self.term, false);
                     }
@@ -690,9 +708,9 @@ impl Component for Replica {
             let d = *downcast::<ReplicaDown>(m);
             self.alive = false;
             self.crashed |= d.wipe;
+            (self.election_deadline, self.election_armed) = (None, None);
             return;
         } else if m.is::<ReplicaUp>() {
-            let _ = downcast::<ReplicaUp>(m);
             if self.alive {
                 return;
             }
@@ -702,9 +720,8 @@ impl Component for Replica {
                 // A full crash loses durable state; the replica comes
                 // back empty and is caught up by snapshot.
                 self.crashed = false;
-                self.term = 0;
-                self.voted_for = None;
-                self.state = self.state.reinstalled();
+                (self.term, self.voted_for) = (0, None);
+                (self.state, self.snapshot) = (self.state.reinstalled(), None);
                 self.restart_log_at(0, 0);
             }
             self.role = Role::Follower;
@@ -712,7 +729,6 @@ impl Component for Replica {
             self.reset_election_timer(ctx);
             return;
         } else if m.is::<BootReplica>() {
-            let _ = downcast::<BootReplica>(m);
             self.reset_election_timer(ctx);
             return;
         }
@@ -722,11 +738,16 @@ impl Component for Replica {
         }
 
         if m.is::<ElectionTimeout>() {
-            let t = *downcast::<ElectionTimeout>(m);
-            if t.nonce != self.election_nonce || self.role == Role::Leader {
-                return;
+            if self.election_armed != Some(ctx.now()) {
+                return; // superseded by an earlier one
             }
-            self.start_election(ctx);
+            self.election_armed = None;
+            match self.election_deadline {
+                // Reset since this timer was armed: wait out the rest.
+                Some(at) if at > ctx.now() => self.arm_election(ctx, at),
+                Some(_) if self.role != Role::Leader => self.start_election(ctx),
+                _ => {}
+            }
         } else if m.is::<HeartbeatTick>() {
             let t = *downcast::<HeartbeatTick>(m);
             if t.nonce != self.hb_nonce || self.role != Role::Leader {
@@ -833,7 +854,7 @@ impl Component for Replica {
                 return;
             }
             if let Some(state) = CacState::decode(&snap.bytes) {
-                self.state = state;
+                (self.state, self.snapshot) = (state, None);
                 self.restart_log_at(snap.last_index, snap.last_term);
                 self.snapshots_installed += 1;
                 self.reply_append(ctx, snap.from, true, snap.last_index);

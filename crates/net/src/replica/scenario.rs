@@ -362,13 +362,9 @@ pub fn multi_domain_fault_report(seed: u64) -> Json {
     let handoff_expiries = md.replica_sum(&sim, |r| r.handoff_expiries);
     let spare_snapshots = sim.component::<Replica>(fzj.replicas[3]).snapshots_installed;
     let max_dedup_table = md.replicas(&sim).map(|r| r.cac().dedup_entries()).max().unwrap_or(0);
-    let members_fzj: Vec<Json> = sim
-        .component::<Replica>(fzj.replicas[1])
-        .cac()
-        .members()
-        .iter()
-        .map(|&i| Json::from(u64::from(i)))
-        .collect();
+    let members = sim.component::<Replica>(fzj.replicas[1]).cac().members();
+    let members_fzj: Vec<Json> =
+        (0..32u64).filter(|i| members & (1 << i) != 0).map(Json::from).collect();
     let gp = sim.component::<GatewayPair>(md.pair);
     let sink = sim.component::<GatewaySink>(md.sink);
     let gmd_proxy = sim.component::<ReplicatedAgent>(gmd.proxy);

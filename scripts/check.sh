@@ -109,6 +109,19 @@ for f in crates/net/src/replica/*.rs; do
         exit 1
     fi
 done
+# A heartbeat does only what changed: outside its tests `raft.rs`
+# encodes the applied state only to fill the snapshot cache (once per
+# applied state) and in `digest()`, never once per snapshot shipped.
+raft_rs=crates/net/src/replica/raft.rs
+if awk '/^#\[cfg\(test\)\]/{exit}
+    /state\.encode\(\)/ && !/snapshot\.get_or_insert_with\(/ && prev !~ /pub fn digest\(/ {
+        print FILENAME ":" FNR ": " $0; bad = 1
+    }
+    {prev = $0}
+    END {exit !bad}' "$raft_rs"; then
+    echo "check.sh: $raft_rs encodes its state outside the snapshot cache and digest() (see above)" >&2
+    exit 1
+fi
 # One checked table of the paper: the `trajectory` and `kernel_bench`
 # harnesses, their flags and `BENCH_trajectory.json` are deleted, and so
 # is the `DegradeConfig` knob set (three constants now). What they held
@@ -332,7 +345,9 @@ GTW_CONTROL_SEED=1999 timeout 300 cargo test -q -p gtw-core --test control_plane
 # Run against run is not enough: the two canned reports at eight seeds
 # and a plain-agent call fuzz are pinned to digests captured before
 # `replica.rs` was split and the plain hop began admitting through
-# `CacState`.
+# `CacState`; the replica core over 32 fault schedules, and the idle
+# group's timer and event bounds, to the commit before a replica kept
+# one election timer in flight.
 timeout 300 cargo test -q -p gtw-core --test control_pinned
 same_twice cfaulted run_report --control-faults 1999
 run_report > "$trace_tmp/clean.json"

@@ -415,7 +415,7 @@ fn legacy_v1_snapshot_bytes_still_decode() {
     let decoded = CacState::decode(&v1).expect("v1 layout still decodes");
     assert_eq!(decoded, expected);
     assert!(decoded.pending.is_empty());
-    assert!(decoded.members().is_empty());
+    assert_eq!(decoded.members(), 0);
     assert_eq!(decoded.dedup_floor(), 0);
     // Unknown versions refuse.
     let mut v3 = v1.clone();
