@@ -3,27 +3,35 @@
 //! Links, gateway forwarding engines and host adapters all share the same
 //! queueing behaviour — serialize packets one at a time at some rate, with
 //! a per-packet fixed cost, a propagation delay, and a finite buffer —
-//! so they are all instances of one component parameterized by a
-//! [`Medium`]. Bulk transfers (`crate::transfer`) chain stages into a
-//! path; the per-cell ATM arithmetic (53-byte cells, AAL5 pad/trailer) is
-//! applied by the `Medium::Atm` wire-time function, keeping event counts
-//! at packet granularity while preserving exact byte math.
+//! so they are all [`Hop`]s parameterized by a [`Medium`], and a
+//! [`PipeStage`] is a run of them. Bulk transfers (`crate::transfer`)
+//! chain runs into a path; the per-cell ATM arithmetic (53-byte cells,
+//! AAL5 pad/trailer) is applied by the `Medium::Atm` wire-time function,
+//! keeping event counts at packet granularity while preserving exact
+//! byte math.
 //!
-//! # Event model: one event per packet per hop
+//! # Event model: one event per packet per run of hops
 //!
 //! A FIFO transmitter knows when a packet will leave the moment it
-//! accepts it (it starts when the packet ahead departs, or now; `depart =
-//! start + per_packet + wire_time`), so the packet's [`Arrive`] is its
-//! only event at the hop: the handler admits it and forwards the same box
-//! to `next` at `depart + propagation`. No transmit-done timer — it was every second
-//! event of a TCP run and fired at an instant known when it was armed.
-//! Accepted packets wait in a deque and are counted out (`packets_out`,
-//! `bytes_out`, `busy`, the backlog) lazily, at the next arrival and when
-//! [`PipeStage::stats_at`] reads the counters. Arrival instants, the
+//! accepts it (`depart = start + per_packet + wire_time`, `start` when the
+//! packet ahead departs, or now), and every hop after a run's first has
+//! one predecessor, so it sees its arrivals in the order they entered the
+//! run. A packet's [`Arrive`] at the first hop is thus its only event in
+//! the run: the handler admits it at each hop in turn, at the instant it
+//! reaches that hop, and forwards the same box to `next` from the last.
+//! Accepted packets wait in a deque per hop and are counted out
+//! (`packets_out`, `bytes_out`, `busy`, the backlog) lazily, at the hop's
+//! next arrival and in [`Hop::stats_at`]. Arrival instants, the
 //! injector's draws (one per arrival, in arrival order) and the
-//! `tx`/`flight` spans are what they were with the timer; DESIGN.md §4g
-//! has the argument, the same treatment of `AtmSwitch` ports, and what is
-//! left out (`GatewayPair`).
+//! `tx`/`flight` spans are what they were with one component per hop;
+//! DESIGN.md §4g has the argument, the same treatment of `AtmSwitch`
+//! ports, and what is left out (`GatewayPair`).
+//!
+//! **The horizon.** A run built with `RunOptions::horizon` admits inline
+//! only arrivals at or before it. One past it becomes a self-addressed
+//! event at its instant carrying the hop's index, so every packet in
+//! flight at the horizon is a pending event, and a report's clock there
+//! takes in the latest inline arrival as well as the latest departure.
 
 use std::collections::VecDeque;
 
@@ -141,7 +149,11 @@ impl StageConfig {
 /// forwarding.
 pub struct Arrive(pub Packet);
 
-/// A packet a stage has accepted and not yet counted out.
+/// A packet reaching hop `.0` of the run after its horizon: the run's
+/// event to itself, at that instant.
+struct AtHop(usize, Box<Arrive>);
+
+/// A packet a hop has accepted and not yet counted out.
 struct Pending {
     /// Transmission start (after everything queued ahead) and end.
     start: SimTime,
@@ -150,52 +162,43 @@ struct Pending {
     payload_bytes: u64,
 }
 
-/// A store-and-forward stage with one transmitter.
+/// One store-and-forward transmitter of a [`PipeStage`]'s run.
 ///
 /// **Tie rule:** a packet departing at `t` has freed its buffer for an
 /// arrival at `t`, in whatever order the components were registered.
-pub struct PipeStage {
-    /// Stage parameters.
+pub struct Hop {
+    /// Hop parameters.
     pub config: StageConfig,
-    /// Downstream component (next stage or endpoint).
-    pub next: ComponentId,
     /// Fault injector judging every arriving packet; `None` (free) by
     /// default.
     pub injector: Option<FaultInjector>,
-    /// Messages of a type the stage does not know: dropped and counted
-    /// instead of crashing the hop. Not part of any report.
-    pub dropped_msgs: u64,
     /// Departure side complete only up to the last count-out: read
     /// through [`stats_at`](Self::stats_at).
     stats: StageStats,
     /// Accepted, not yet counted out; departures are nondecreasing.
     pending: VecDeque<Pending>,
     backlog_bytes: u64,
-    label: String,
+    /// The latest instant a packet reached this hop.
+    last_arrival: SimTime,
+    /// Report label and span track.
+    pub label: String,
 }
 
-impl PipeStage {
-    /// Create a stage forwarding to `next`.
-    pub fn new(label: impl Into<String>, config: StageConfig, next: ComponentId) -> Self {
-        PipeStage {
+impl Hop {
+    /// A hop labelled `label`, without an injector.
+    pub(crate) fn new(label: impl Into<String>, config: StageConfig) -> Self {
+        Hop {
             config,
-            next,
             injector: None,
-            dropped_msgs: 0,
             stats: StageStats::default(),
             pending: VecDeque::new(),
             backlog_bytes: 0,
+            last_arrival: SimTime::ZERO,
             label: label.into(),
         }
     }
 
-    /// Attach a fault injector (builder form, for wiring time).
-    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// The counters once every event up to `now` has been handled:
+    /// The counters once every arrival up to `now` has been admitted:
     /// departures at or before `now` are out, and `busy` holds a packet's
     /// whole service time from the instant its transmission starts.
     pub fn stats_at(&self, now: SimTime) -> StageStats {
@@ -210,10 +213,12 @@ impl PipeStage {
         stats
     }
 
-    /// The last departure at or before `now` that no arrival has counted
-    /// out: where a two-event stage's clock would stand at a horizon.
-    pub(crate) fn last_departure_by(&self, now: SimTime) -> Option<SimTime> {
-        self.pending.iter().map(|p| p.depart).take_while(|&d| d <= now).last()
+    /// Where a hop that was a component of its own would have left the
+    /// clock by `horizon`: its latest arrival or its latest departure at
+    /// or before it that nothing has counted out.
+    pub(crate) fn clock_by(&self, horizon: SimTime) -> Option<SimTime> {
+        let departed = self.pending.iter().map(|p| p.depart).take_while(|&d| d <= horizon).last();
+        Some(self.last_arrival).filter(|&a| a <= horizon).max(departed)
     }
 
     /// Count out every packet that has departed by `now`.
@@ -231,27 +236,17 @@ impl PipeStage {
     /// the injector's degradation factor, if one is installed.
     fn effective_buffer_bytes(&self, now: SimTime) -> u64 {
         match &self.injector {
-            Some(inj) if inj.degrades_buffers() => {
-                let f = inj.capacity_factor(now);
-                if f >= 1.0 {
-                    self.config.buffer_bytes
-                } else {
-                    (self.config.buffer_bytes as f64 * f) as u64
-                }
+            Some(inj) if inj.degrades_buffers() && inj.capacity_factor(now) < 1.0 => {
+                (self.config.buffer_bytes as f64 * inj.capacity_factor(now)) as u64
             }
             _ => self.config.buffer_bytes,
         }
     }
-}
 
-impl Component for PipeStage {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        // A stray message of an unknown type must not crash the hop.
-        let Ok(arrive) = m.downcast::<Arrive>() else {
-            self.dropped_msgs += 1;
-            return;
-        };
-        let now = ctx.now();
+    /// Admit `pkt` arriving at `now`: the instant it reaches whatever
+    /// follows this hop, or `None` if it is dropped here.
+    fn admit(&mut self, ctx: &mut Ctx<'_>, now: SimTime, pkt: &Packet) -> Option<SimTime> {
+        self.last_arrival = now;
         // The tie rule: departures at `now` leave before this arrival.
         self.count_out(now);
         if let Some(inj) = self.injector.as_mut() {
@@ -263,17 +258,16 @@ impl Component for PipeStage {
                     // indistinguishable from loss.
                     FaultCause::Loss | FaultCause::HeaderError => self.stats.dropped_loss += 1,
                 }
-                return;
+                return None;
             }
         }
-        let pkt = &arrive.0;
-        let sz = pkt.ip_bytes.bytes();
-        if self.backlog_bytes + sz > self.effective_buffer_bytes(now) {
+        let ip_bytes = pkt.ip_bytes.bytes();
+        if self.backlog_bytes + ip_bytes > self.effective_buffer_bytes(now) {
             self.stats.packets_dropped += 1;
-            return;
+            return None;
         }
         self.stats.packets_in += 1;
-        self.backlog_bytes += sz;
+        self.backlog_bytes += ip_bytes;
         self.stats.max_backlog_bytes = self.stats.max_backlog_bytes.max(self.backlog_bytes);
         // Whatever is still pending departs after `now`; the transmitter
         // takes this packet when the last of it has left.
@@ -292,18 +286,82 @@ impl Component for PipeStage {
                 ctx.span(&self.label, "flight", depart, arrival);
             }
         }
-        self.pending.push_back(Pending {
-            start,
-            depart,
-            ip_bytes: sz,
-            payload_bytes: pkt.payload.bytes(),
-        });
-        // The same box travels hop to hop.
-        ctx.send_at(arrival, self.next, arrive);
+        let payload_bytes = pkt.payload.bytes();
+        self.pending.push_back(Pending { start, depart, ip_bytes, payload_bytes });
+        Some(arrival)
+    }
+}
+
+/// A run of [`Hop`]s: one component, one event per packet (module doc).
+/// [`new`](Self::new) builds a run of one hop.
+pub struct PipeStage {
+    /// Downstream component of the run's last hop (next run or endpoint).
+    pub next: ComponentId,
+    /// Messages of a type the stage does not know: dropped and counted
+    /// instead of crashing the run. Not part of any report.
+    pub dropped_msgs: u64,
+    hops: Vec<Hop>,
+    /// Arrivals after this instant are events of their own.
+    horizon: SimTime,
+}
+
+impl PipeStage {
+    /// A one-hop stage forwarding to `next`.
+    pub fn new(label: impl Into<String>, config: StageConfig, next: ComponentId) -> Self {
+        Self::run(vec![Hop::new(label, config)], next, None)
+    }
+
+    /// A run of `hops`, the last forwarding to `next`, admitting inline
+    /// up to `horizon` (all the way without one).
+    pub(crate) fn run(hops: Vec<Hop>, next: ComponentId, horizon: Option<SimTime>) -> Self {
+        assert!(!hops.is_empty(), "a run needs at least one hop");
+        PipeStage { next, dropped_msgs: 0, hops, horizon: horizon.unwrap_or(SimTime::MAX) }
+    }
+
+    /// Attach a fault injector to the first hop (chained, at wiring
+    /// time).
+    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
+        self.hops[0].injector = Some(injector);
+        self
+    }
+
+    /// The run's hops, in path order.
+    pub fn hops(&self) -> &[Hop] {
+        &self.hops
+    }
+}
+
+impl Component for PipeStage {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
+        // A stray message of an unknown type must not crash the run.
+        let (mut k, arrive) = match m.downcast::<Arrive>() {
+            Ok(arrive) => (0, arrive),
+            Err(m) => match m.downcast::<AtHop>() {
+                Ok(at) => (at.0, at.1),
+                Err(_) => {
+                    self.dropped_msgs += 1;
+                    return;
+                }
+            },
+        };
+        let mut now = ctx.now();
+        while let Some(at) = self.hops[k].admit(ctx, now, &arrive.0) {
+            k += 1;
+            if k == self.hops.len() {
+                // The same box travels run to run.
+                ctx.send_at(at, self.next, arrive);
+            } else if at > self.horizon {
+                ctx.send_at(at, ctx.self_id(), gtw_desim::component::msg(AtHop(k, arrive)));
+            } else {
+                now = at;
+                continue;
+            }
+            return;
+        }
     }
 
     fn name(&self) -> &str {
-        &self.label
+        &self.hops[0].label
     }
 }
 
@@ -335,11 +393,11 @@ impl Component for Sink {
     }
 }
 
-/// The two-event stage [`PipeStage`] replaced, kept as the reference
-/// model its tests hold it to: every accepted packet arms a `TxDone`
-/// self-timer, and the departure side (counters, `flight` span, the
-/// forwarded `Arrive`) happens when that timer fires.
 #[cfg(test)]
+/// The two-event stage a one-hop [`PipeStage`] replaced, kept as the
+/// reference model its tests hold it to: every accepted packet arms a
+/// `TxDone` self-timer, and the departure side (counters, `flight` span,
+/// the forwarded `Arrive`) happens when that timer fires.
 mod two_event {
     use super::*;
 
@@ -493,14 +551,18 @@ mod tests {
         PipeStage::new("link", raw_config(rate_mbps), next)
     }
 
+    /// The counters of a one-hop stage.
+    fn stats_at(sim: &Simulator, stage: ComponentId, now: SimTime) -> StageStats {
+        sim.component::<PipeStage>(stage).hops()[0].stats_at(now)
+    }
+
     #[test]
     fn single_packet_timing() {
         let mut sim = Simulator::new();
         let sink = sim.add_component(Sink::default());
         // 100 Mbit/s, 1 ms propagation.
-        let mut st = raw_stage(100.0, sink);
-        st.config.propagation = SimDuration::from_millis(1);
-        let link = sim.add_component(st);
+        let config = StageConfig { propagation: SimDuration::from_millis(1), ..raw_config(100.0) };
+        let link = sim.add_component(PipeStage::new("link", config, sink));
         // 12500 bytes = 100_000 bits -> 1 ms tx + 1 ms prop = 2 ms.
         sim.send_in(SimDuration::ZERO, link, msg(Arrive(data_packet(0, 12_500, SimTime::ZERO))));
         sim.run();
@@ -528,7 +590,7 @@ mod tests {
         for (k, r) in s.received.iter().enumerate() {
             assert_eq!(r.0, SimTime::from_millis(k as u64 + 1));
         }
-        let stats = sim.component::<PipeStage>(link).stats_at(sim.now());
+        let stats = stats_at(&sim, link, sim.now());
         assert_eq!(stats.packets_out, 10);
         assert!((stats.utilization(SimDuration::from_millis(10)) - 1.0).abs() < 1e-9);
     }
@@ -548,13 +610,13 @@ mod tests {
         // All ten are admitted at t = 0; at 3.5 ms three have left and
         // the fourth is half sent but its service time is already booked.
         assert_eq!(sim.run_until(SimTime::from_micros(3_500)), RunResult::HorizonReached);
-        let stats = sim.component::<PipeStage>(link).stats_at(SimTime::from_micros(3_500));
+        let stats = stats_at(&sim, link, SimTime::from_micros(3_500));
         assert_eq!((stats.packets_in, stats.packets_out), (10, 3));
         assert_eq!(stats.bytes_out, 3 * 12_460);
         assert_eq!(stats.busy, SimDuration::from_millis(4));
         assert_eq!(stats.max_backlog_bytes, 125_000);
         // A departure exactly at the instant asked about has happened.
-        let stats = sim.component::<PipeStage>(link).stats_at(SimTime::from_millis(4));
+        let stats = stats_at(&sim, link, SimTime::from_millis(4));
         assert_eq!((stats.packets_out, stats.busy), (4, SimDuration::from_millis(5)));
     }
 
@@ -562,9 +624,9 @@ mod tests {
     fn finite_buffer_drops() {
         let mut sim = Simulator::new();
         let sink = sim.add_component(Sink::default());
-        let mut st = raw_stage(100.0, sink);
-        st.config.buffer_bytes = 30_000; // fits 2 packets of 12500
-        let link = sim.add_component(st);
+        // Fits 2 packets of 12500.
+        let config = StageConfig { buffer_bytes: 30_000, ..raw_config(100.0) };
+        let link = sim.add_component(PipeStage::new("link", config, sink));
         for seq in 0..10 {
             sim.send_in(
                 SimDuration::ZERO,
@@ -573,7 +635,7 @@ mod tests {
             );
         }
         sim.run();
-        let stats = sim.component::<PipeStage>(link).stats_at(sim.now());
+        let stats = stats_at(&sim, link, sim.now());
         assert_eq!(stats.packets_dropped, 8);
         assert_eq!(sim.component::<Sink>(sink).received.len(), 2);
     }
@@ -600,9 +662,8 @@ mod tests {
     fn per_packet_overhead_counts() {
         let mut sim = Simulator::new();
         let sink = sim.add_component(Sink::default());
-        let mut st = raw_stage(100.0, sink);
-        st.config.per_packet = SimDuration::from_millis(3);
-        let link = sim.add_component(st);
+        let config = StageConfig { per_packet: SimDuration::from_millis(3), ..raw_config(100.0) };
+        let link = sim.add_component(PipeStage::new("link", config, sink));
         sim.send_in(SimDuration::ZERO, link, msg(Arrive(data_packet(0, 12_500, SimTime::ZERO))));
         sim.run();
         assert_eq!(sim.component::<Sink>(sink).received[0].0, SimTime::from_millis(4));
@@ -664,14 +725,15 @@ mod tests {
     impl Stage for PipeStage {
         fn build(label: String, config: StageConfig, faults: Option<FaultInjector>) -> Self {
             let mut stage = PipeStage::new(label, config, ComponentId::placeholder());
-            stage.injector = faults;
+            stage.hops[0].injector = faults;
             stage
         }
         fn set_next(&mut self, next: ComponentId) {
             self.next = next;
         }
         fn counters(&self, now: SimTime) -> (StageStats, Option<FaultStats>, u64) {
-            (self.stats_at(now), self.injector.as_ref().map(|i| i.stats()), self.dropped_msgs)
+            let hop = &self.hops[0];
+            (hop.stats_at(now), hop.injector.as_ref().map(|i| i.stats()), self.dropped_msgs)
         }
     }
 
@@ -767,32 +829,51 @@ mod tests {
         (cut, end, spans)
     }
 
-    /// A random chain: 1–4 stages, mostly equal-rate neighbours (so a
-    /// departure upstream and one downstream share a nanosecond), every
-    /// buffer/propagation/per-packet regime, a seeded injector on a third
-    /// of the stages, and 200 arrivals in same-instant bursts and at gaps
-    /// that are exact multiples of the head stage's service time.
+    /// A random path of 1–8 hops: ATM, HiPPI and raw media, mostly at one
+    /// rate (so departures tie across hops), zero and non-zero
+    /// per-packet costs and propagations, finite buffers, and on about
+    /// half the hops a seeded injector — i.i.d. loss, an outage, a
+    /// Gilbert–Elliott burst chain, buffer degradation — fed 200 arrivals
+    /// in same-instant bursts and at gaps of whole service times.
     fn scenario(seed: u64) -> Scenario {
-        let mut rng = StreamRng::new(seed, "link-differential");
+        let mut rng = StreamRng::new(seed, "link-runs");
         let mut pick = |options: &[u64]| options[rng.below(options.len() as u64) as usize];
-        let rates = [100, 155, 622];
+        let rates = [155, 622, 800];
         let base_rate = pick(&rates);
-        let n = pick(&[1, 2, 3, 4]);
+        let n = pick(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let stages: Vec<(StageConfig, Option<FaultSpec>)> = (0..n)
             .map(|_| {
-                let rate = if pick(&[0, 1, 2]) > 0 { base_rate } else { pick(&rates) };
+                let rate =
+                    Bandwidth::from_mbps(
+                        if pick(&[0, 1, 2]) > 0 { base_rate } else { pick(&rates) } as f64,
+                    );
+                let medium = match pick(&[0, 1, 2]) {
+                    0 => Medium::Atm { cell_rate: rate },
+                    1 => Medium::Hippi { channel: HippiChannel::default() },
+                    _ => Medium::Raw { rate },
+                };
                 let config = StageConfig {
+                    medium,
                     per_packet: SimDuration::from_nanos(pick(&[0, 0, 1_000, 10_000])),
                     propagation: SimDuration::from_nanos(pick(&[0, 0, 7_000, 500_000])),
-                    buffer_bytes: pick(&[u64::MAX, 9_180, 20_000, 40_000]),
-                    ..raw_config(rate as f64)
+                    buffer_bytes: pick(&[u64::MAX, u64::MAX, 9_180, 20_000, 40_000]),
                 };
                 let window = |from_us: u64, to_us: u64| {
                     Window::new(SimTime::from_micros(from_us), SimTime::from_micros(to_us))
                 };
-                let faults = (pick(&[0, 1, 2]) == 0).then(|| FaultSpec {
-                    outages: Schedule::new(vec![window(2_000, 4_000)]),
-                    loss: LossModel::Iid { p: 0.05 },
+                let loss = match pick(&[0, 1, 2]) {
+                    0 => LossModel::None,
+                    1 => LossModel::Iid { p: 0.05 },
+                    _ => LossModel::GilbertElliott {
+                        p_good_to_bad: 0.05,
+                        p_bad_to_good: 0.3,
+                        loss_good: 0.01,
+                        loss_bad: 0.5,
+                    },
+                };
+                let faults = (pick(&[0, 1]) == 0).then(|| FaultSpec {
+                    outages: Schedule::new(vec![window(1_000 * pick(&[1, 2, 3]), 4_000)]),
+                    loss,
                     degrade: vec![(window(5_000, 12_000), 0.5)],
                     ..FaultSpec::default()
                 });
@@ -879,5 +960,127 @@ mod tests {
         let ref_up = run::<TwoEventStage>(&sc, Wiring::UpstreamFirst, None).1;
         assert_eq!(ref_down, down);
         assert_eq!(ref_up.stages[1].0.packets_dropped, 2);
+    }
+
+    // ---- runs against one component per hop ---------------------------
+
+    /// Everything observable about a chain of hops at one instant.
+    #[derive(PartialEq, Debug)]
+    struct Snapshot {
+        /// Where a report's clock stands: the kernel's, or a hop's later
+        /// arrival or departure ([`Hop::clock_by`]).
+        clock: SimTime,
+        /// Events still queued: one per packet in flight.
+        pending: usize,
+        received: Vec<(SimTime, u64, u64, u64)>,
+        hops: Vec<(StageStats, Option<FaultStats>)>,
+    }
+
+    /// Wire `sc`'s hops into a [`Sink`] as runs ending at each of `ends`
+    /// (ascending, the last `n`), or one component per hop — every chain's
+    /// wiring before runs, the reference — when `ends` is empty; run to
+    /// `horizon` and snapshot, then drain and snapshot again. The spans
+    /// come back sorted, without the kernel's `dispatch`.
+    fn run_hops(
+        sc: &Scenario,
+        ends: &[usize],
+        horizon: SimTime,
+    ) -> (Snapshot, Snapshot, Vec<Span>) {
+        let mut sim = Simulator::new();
+        let spans = Observer::with_capacity(1 << 20);
+        sim.observe(&spans);
+        let n = sc.stages.len();
+        let hop = |i: usize| {
+            let (config, faults) = &sc.stages[i];
+            let mut hop = Hop::new(format!("s{i}"), config.clone());
+            hop.injector = faults.clone().map(|f| FaultInjector::new(sc.seed, &hop.label, f));
+            hop
+        };
+        let one_each: Vec<usize> = (1..=n).collect();
+        let ends = if ends.is_empty() { &one_each } else { ends };
+        // Downstream first, as `build_chain` wires: `(run id, its first hop)`.
+        let sink = sim.add_component(Sink::default());
+        let mut runs = vec![(sink, n)];
+        for (k, &end) in ends.iter().enumerate().rev() {
+            let from = if k == 0 { 0 } else { ends[k - 1] };
+            let run = PipeStage::run((from..end).map(hop).collect(), runs[0].0, Some(horizon));
+            runs.insert(0, (sim.add_component(run), from));
+        }
+        for (seq, &(at, bytes)) in sc.arrivals.iter().enumerate() {
+            sim.send_at(at, runs[0].0, msg(Arrive(data_packet(seq as u64, bytes, at))));
+        }
+        let snapshot = |sim: &Simulator, bound: SimTime| {
+            let stages =
+                runs[..runs.len() - 1].iter().map(|&(id, _)| sim.component::<PipeStage>(id));
+            let hops: Vec<&Hop> = stages.flat_map(|s| s.hops()).collect();
+            let clock = hops.iter().filter_map(|h| h.clock_by(bound)).fold(sim.now(), SimTime::max);
+            Snapshot {
+                clock,
+                pending: sim.events_pending(),
+                received: sim.component::<Sink>(sink).received.clone(),
+                hops: hops
+                    .iter()
+                    .map(|h| (h.stats_at(clock), h.injector.as_ref().map(|i| i.stats())))
+                    .collect(),
+            }
+        };
+        let _ = sim.run_until(horizon);
+        let cut = snapshot(&sim, horizon);
+        assert_eq!(sim.run(), RunResult::Drained);
+        let end = snapshot(&sim, SimTime::MAX);
+        let mut spans = spans.snapshot();
+        spans.retain(|s| s.name != "dispatch");
+        spans.sort_by(|a, b| {
+            (&a.track, a.begin, a.end, &a.name).cmp(&(&b.track, b.begin, b.end, &b.name))
+        });
+        (cut, end, spans)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// A run of hops is its hops one component each, bit for bit:
+        /// every hop's counters and injector stats, every delivery
+        /// instant, every span, and the clock and pending events at a
+        /// random horizon and after the drained run — as one run, and as
+        /// two split at a random hop.
+        #[test]
+        fn a_run_matches_one_component_per_hop(
+            seed in any::<u64>(),
+            cut in 0.0f64..1.1,
+            split in 0.0f64..1.0,
+        ) {
+            let sc = scenario(seed);
+            let n = sc.stages.len();
+            let last = sc.arrivals.last().expect("200 arrivals").0;
+            let horizon = SimTime::from_nanos((last.as_nanos() as f64 * cut) as u64);
+            let reference = run_hops(&sc, &[], horizon);
+            prop_assert_eq!(&run_hops(&sc, &[n], horizon), &reference, "one run, horizon {:?}", horizon);
+            let mid = 1 + ((n - 1) as f64 * split) as usize;
+            if mid < n {
+                prop_assert_eq!(&run_hops(&sc, &[mid, n], horizon), &reference, "split at {}", mid);
+            }
+            // Conservation at every hop, and a reference that delivers.
+            let (_, end, _) = &reference;
+            for (stats, _) in &end.hops {
+                prop_assert_eq!(stats.packets_in, stats.packets_out);
+            }
+            prop_assert_eq!(end.pending, 0);
+        }
+    }
+
+    #[test]
+    fn a_run_keeps_the_tie_rule_and_resumes_past_its_horizon() {
+        let sc = forced_ties();
+        // The third packet reaches the second hop at 3 ms: a horizon just
+        // before leaves it (and the two behind it) in flight as events.
+        let horizon = SimTime::from_micros(2_999);
+        let (cut, end, spans) = run_hops(&sc, &[2], horizon);
+        assert_eq!((cut, end, spans), run_hops(&sc, &[], horizon));
+        let (cut, end, _) = run_hops(&sc, &[2], horizon);
+        assert_eq!(cut.received.len(), 1);
+        assert_eq!(cut.clock, SimTime::from_millis(2));
+        assert_eq!(end.received.len(), 5);
+        assert_eq!(end.hops[1].0.packets_dropped, 0);
     }
 }

@@ -155,7 +155,7 @@ impl FlowRecorder {
 /// What kind of component a registered probe points at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ProbeKind {
-    Stage,
+    Stage(usize),
     Switch,
     TcpSender,
     TcpReceiver,
@@ -177,9 +177,14 @@ impl StatsRegistry {
         Self::default()
     }
 
-    /// Register a [`PipeStage`](crate::link::PipeStage).
+    /// Register a one-hop [`PipeStage`](crate::link::PipeStage).
     pub fn add_stage(&mut self, id: ComponentId) {
-        self.probes.push((id, ProbeKind::Stage));
+        self.add_hop(id, 0);
+    }
+
+    /// Register hop `hop` of a [`PipeStage`](crate::link::PipeStage) run.
+    pub(crate) fn add_hop(&mut self, id: ComponentId, hop: usize) {
+        self.probes.push((id, ProbeKind::Stage(hop)));
     }
 
     /// Register an [`AtmSwitch`](crate::switch::AtmSwitch).
@@ -227,38 +232,33 @@ impl StatsRegistry {
         self.collect_until(sim, sim.now())
     }
 
-    /// [`collect`](Self::collect) after `run_until(horizon)`. A stage's
-    /// departures are not events, so the clock may have stopped short of
-    /// the last one inside the horizon; the report speaks for that
-    /// instant, as it did when each departure was an event.
+    /// [`collect`](Self::collect) after `run_until(horizon)`. A hop's
+    /// departures, and its arrivals inside a run, are not events, so the
+    /// clock may have stopped short of the last one inside the horizon;
+    /// the report speaks for that instant, as it did when each was one.
     pub(crate) fn collect_until(&self, sim: &Simulator, horizon: SimTime) -> RunReport {
-        let stage = |id| sim.component::<crate::link::PipeStage>(id);
+        let hop = |id, k| &sim.component::<crate::link::PipeStage>(id).hops()[k];
         let now = self
             .probes
             .iter()
-            .filter(|p| p.1 == ProbeKind::Stage)
-            .filter_map(|p| stage(p.0).last_departure_by(horizon))
+            .filter_map(|&(id, kind)| match kind {
+                ProbeKind::Stage(k) => hop(id, k).clock_by(horizon),
+                _ => None,
+            })
             .fold(sim.now(), SimTime::max);
         let mut report = RunReport {
             elapsed: now.saturating_since(SimTime::ZERO),
             events_processed: sim.events_processed(),
-            hops: Vec::new(),
-            switches: Vec::new(),
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            flows: Vec::new(),
-            policers: Vec::new(),
-            demuxes: Vec::new(),
-            kernel_metrics: Vec::new(),
+            ..RunReport::default()
         };
         for &(id, kind) in &self.probes {
             let label = sim.component_name(id).to_string();
             match kind {
-                ProbeKind::Stage => {
-                    let st = stage(id);
+                ProbeKind::Stage(k) => {
+                    let st = hop(id, k);
                     let stats = st.stats_at(now);
                     report.hops.push(HopReport {
-                        label,
+                        label: st.label.clone(),
                         medium: st.config.medium.kind_label(),
                         faults: st.injector.as_ref().map(|i| i.stats()),
                         per_packet: st.config.per_packet,
@@ -444,7 +444,7 @@ pub struct DemuxReport {
 }
 
 /// A full machine-readable run report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Virtual time at collection.
     pub elapsed: SimDuration,

@@ -210,13 +210,12 @@ impl StripedTransfer {
         // Reverse (ACK) chain, far end feeding the ACK demux (created
         // first so the chain has its terminal).
         let ack_demux = sim.add_component(FlowDemux::new("ack-demux"));
-        let rev_hops: Vec<HopModel> = self.hops.iter().rev().copied().collect();
-        let rev = build_chain(sim, &rev_hops, ack_demux, "rev", opts);
-        let rev_first = rev.first().copied().unwrap_or(ack_demux);
+        let rev = build_chain(sim, &self.hops, true, ack_demux, "rev", opts);
+        let rev_first = rev.first().map_or(ack_demux, |h| h.0);
         // Forward chain terminating in the data demux.
         let data_demux = sim.add_component(FlowDemux::new("data-demux"));
-        let fwd = build_chain(sim, &self.hops, data_demux, "hop", opts);
-        let first_fwd = fwd.first().copied().unwrap_or(data_demux);
+        let fwd = build_chain(sim, &self.hops, false, data_demux, "hop", opts);
+        let first_fwd = fwd.first().map_or(data_demux, |h| h.0);
         // Per-stripe endpoints. Flow k+1 owns stripe k.
         let window = self.per_stream_window();
         let mut senders = Vec::with_capacity(self.streams);

@@ -67,14 +67,10 @@ impl TcpModel {
     }
 
     /// The slowest hop's per-segment service time — the pipeline
-    /// bottleneck.
+    /// bottleneck. An empty path has none: zero, an unbounded rate.
     pub fn bottleneck_service(&self) -> SimDuration {
         let seg = self.ip.segment_ip_bytes(self.ip.mss());
-        self.hops
-            .iter()
-            .map(|h| h.service_time(seg))
-            .max()
-            .expect("path must have at least one hop")
+        self.hops.iter().map(|h| h.service_time(seg)).max().unwrap_or(SimDuration::ZERO)
     }
 
     /// Steady-state goodput: `min(window/RTT, MSS/bottleneck_service)`.
@@ -752,7 +748,7 @@ mod tests {
         sim.run();
         let s = sim.component::<TcpSender>(sender);
         assert!(s.finished_at.is_some(), "transfer stalled");
-        let dropped = sim.component::<PipeStage>(fwd).stats_at(sim.now()).packets_dropped;
+        let dropped = sim.component::<PipeStage>(fwd).hops()[0].stats_at(sim.now()).packets_dropped;
         if dropped > 0 {
             assert!(s.retransmits > 0, "drops occurred but no retransmits recorded");
         }
@@ -987,7 +983,8 @@ mod tests {
         let s = sim.component::<TcpSender>(sender);
         assert!(s.finished_at.is_some(), "transfer stalled");
         assert_eq!(s.acked, cfg.total_bytes);
-        let lost = sim.component::<PipeStage>(fwd).injector.as_ref().unwrap().stats().loss;
+        let lost =
+            sim.component::<PipeStage>(fwd).hops()[0].injector.as_ref().unwrap().stats().loss;
         assert!(lost > 0, "2% over ~900 segments must hit something");
         assert!(
             s.segments_retransmitted >= lost,

@@ -2,7 +2,7 @@
 //!
 //! [`BulkTransfer`] takes the hop list derived from a
 //! [`Topology`](crate::topology::Topology) path, instantiates the
-//! event-driven pipeline ([`PipeStage`] chain plus TCP endpoints or a raw
+//! event-driven pipeline ([`PipeStage`] runs plus TCP endpoints or a raw
 //! streaming source), runs it to completion and reports goodput — the
 //! number the paper's Section 2 measurements quote. `predict()` gives the
 //! closed-form steady-state bound for cross-checking.
@@ -19,7 +19,7 @@ use gtw_desim::{
 };
 
 use crate::ip::{fragment_sizes, IpConfig};
-use crate::link::{Arrive, Packet, PacketKind, PipeStage, Sink, StageConfig};
+use crate::link::{Arrive, Hop, Packet, PacketKind, PipeStage, Sink, StageConfig};
 use crate::stats::{RunReport, StatsRegistry};
 use crate::tcp::{HopModel, StartTransfer, TcpConfig, TcpModel, TcpReceiver, TcpSender};
 use crate::units::{Bandwidth, DataSize};
@@ -55,10 +55,11 @@ pub struct RunOptions<'a> {
     /// [`TransferSet`]. Stages without a spec run clean.
     pub faults: Option<&'a FaultPlan>,
     /// Attached to the kernel: per-hop `tx`/`flight` spans, TCP
-    /// `transfer`/`rto-wait` spans, a zero-length dispatch span per
-    /// event, per-component send and timer counts and, for `shards > 0`,
-    /// one registry of kernel metrics per shard, whose deterministic
-    /// summaries the [`RunReport`] carries in its `kernel_metrics` block.
+    /// `transfer`/`rto-wait` spans, a zero-length dispatch span per event
+    /// (per run of hops a packet crosses, not per hop), per-component
+    /// send and timer counts and, for `shards > 0`, a registry of kernel
+    /// metrics per shard, whose deterministic summaries the
+    /// [`RunReport`] carries in its `kernel_metrics` block.
     /// Observation never changes virtual time — everything else in the
     /// report stays byte-identical — and what it records does not depend
     /// on `shards`.
@@ -109,76 +110,83 @@ pub struct TransferReport {
 /// therefore must stay on one shard).
 pub(crate) type ShardSplit = (Vec<ComponentId>, Vec<ComponentId>, Option<SimDuration>);
 
-/// Build one [`PipeStage`] per hop in `sim`, labelled `{label}{i}`, the
-/// last one feeding `terminal`; returns the stage ids indexed by hop.
-/// Stages are created back to front so each knows its successor.
+/// A hop of a wired chain: the run ([`PipeStage`]) holding it and its
+/// index in that run.
+pub(crate) type HopId = (ComponentId, usize);
+
+/// The path's WAN hop: the widest propagation, the first of equals, or
+/// `None` when no hop propagates.
+fn wan_hop(hops: &[HopModel]) -> Option<usize> {
+    let (w, h) =
+        hops.iter().enumerate().max_by_key(|(i, h)| (h.propagation, std::cmp::Reverse(*i)))?;
+    (h.propagation > SimDuration::ZERO).then_some(w)
+}
+
+/// Build `hops` into `sim` as at most two [`PipeStage`] runs split after
+/// the WAN hop — where [`wan_split`] cuts, so a shard cut is always a
+/// hand-off between runs, on either kernel — the last feeding `terminal`.
+/// `reverse` builds the ACK path, `hops` last to first. Chain hop `i` is
+/// labelled `{label}{i}`; returns the chain's hops in order. Runs are
+/// created back to front so each knows its successor.
 pub(crate) fn build_chain(
     sim: &mut Simulator,
     hops: &[HopModel],
+    reverse: bool,
     terminal: ComponentId,
     label: &str,
     opts: &RunOptions<'_>,
-) -> Vec<ComponentId> {
+) -> Vec<HopId> {
+    let n = hops.len();
+    let cut = wan_hop(hops).map_or(n, |w| if reverse { n - w } else { w + 1 });
     let mut next = terminal;
-    let mut ids = Vec::with_capacity(hops.len());
-    for (i, hop) in hops.iter().enumerate().rev() {
-        let label = format!("{label}{i}");
-        let injector = opts.faults.and_then(|p| p.injector(&label));
-        let mut stage = PipeStage::new(
-            label,
-            StageConfig {
-                medium: hop.medium,
-                per_packet: hop.per_packet,
-                propagation: hop.propagation,
-                buffer_bytes: u64::MAX,
-            },
-            next,
-        );
-        if let Some(inj) = injector {
-            stage = stage.with_faults(inj);
-        }
-        next = sim.add_component(stage);
-        ids.push(next);
+    let mut ids = Vec::with_capacity(n);
+    for run in [cut..n, 0..cut].into_iter().filter(|r| !r.is_empty()) {
+        let stage = run.clone().map(|i| {
+            let h = &hops[if reverse { n - 1 - i } else { i }];
+            let (medium, per_packet, propagation) = (h.medium, h.per_packet, h.propagation);
+            let config = StageConfig { medium, per_packet, propagation, buffer_bytes: u64::MAX };
+            let mut hop = Hop::new(format!("{label}{i}"), config);
+            hop.injector = opts.faults.and_then(|p| p.injector(&hop.label));
+            hop
+        });
+        next = sim.add_component(PipeStage::run(stage.collect(), next, opts.horizon));
+        ids.splice(0..0, (0..run.len()).map(|k| (next, k)));
     }
-    ids.reverse();
     ids
 }
 
-/// Register a wired path's stages in report order: the forward stages
-/// far end first, then the ACK stages in path order.
-pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[ComponentId], rev: &[ComponentId]) {
-    fwd.iter().rev().chain(rev).for_each(|&id| reg.add_stage(id));
+/// Register a wired path's hops in report order: the forward hops far
+/// end first, then the ACK hops in path order.
+pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[HopId], rev: &[HopId]) {
+    fwd.iter().rev().chain(rev).for_each(|&(id, k)| reg.add_hop(id, k));
 }
 
-/// Split a wired path in two at its widest-propagation (WAN) hop `w`,
-/// the first of equals — the natural cut, because every packet crossing
-/// it is in flight for at least that long, which becomes the
-/// conservative lookahead. Forward
-/// stages up to `hop{w}` and the ACK stages past its mirror (`rev{j}`
-/// models `hops[n-1-j]`) join `near`, the rest `far`; the callers seed
-/// the two sides with their endpoints. With no positive-propagation hop
-/// there is nothing to cut and every stage stays `near`.
+/// Split a wired path in two at its WAN hop `w` ([`wan_hop`]) — the
+/// natural cut, because every packet crossing it is in flight for at
+/// least that long, which becomes the conservative lookahead. The runs
+/// holding forward hops up to `hop{w}` and the ACK hops past its mirror
+/// (`rev{j}` models `hops[n-1-j]`) join `near`, the rest `far`; the
+/// callers seed the two sides with their endpoints. With no
+/// positive-propagation hop there is nothing to cut and every run stays
+/// `near`.
 pub(crate) fn wan_split(
     hops: &[HopModel],
-    fwd: &[ComponentId],
-    rev: &[ComponentId],
+    fwd: &[HopId],
+    rev: &[HopId],
     mut near: Vec<ComponentId>,
     mut far: Vec<ComponentId>,
 ) -> ShardSplit {
     let n = hops.len();
-    let cut = hops
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, h)| (h.propagation, std::cmp::Reverse(*i)))
-        .filter(|(_, h)| h.propagation > SimDuration::ZERO);
-    let w = cut.map_or(n, |(w, _)| w);
-    for (i, &id) in fwd.iter().enumerate() {
+    let cut = wan_hop(hops);
+    let w = cut.unwrap_or(n);
+    // A run's hops all lie on one side: place each run by its first.
+    for (i, &(id, _)) in fwd.iter().enumerate().filter(|(_, h)| h.1 == 0) {
         if i <= w { &mut near } else { &mut far }.push(id);
     }
-    for (j, &id) in rev.iter().enumerate() {
+    for (j, &(id, _)) in rev.iter().enumerate().filter(|(_, h)| h.1 == 0) {
         if n - 1 - j >= w { &mut far } else { &mut near }.push(id);
     }
-    (near, far, cut.map(|(_, h)| h.propagation))
+    (near, far, cut.map(|w| hops[w].propagation))
 }
 
 /// Run a wired simulation as `opts` asks and collect `reg`'s report from
@@ -191,11 +199,9 @@ pub(crate) fn execute(
     opts: &RunOptions<'_>,
 ) -> (Simulator, RunReport) {
     sim.observe(&opts.observer);
+    let horizon = opts.horizon.unwrap_or(SimTime::MAX);
     let sim = if opts.shards == 0 {
-        match opts.horizon {
-            Some(horizon) => sim.run_until(horizon),
-            None => sim.run(),
-        };
+        sim.run_until(horizon);
         sim
     } else {
         assert!(
@@ -205,10 +211,8 @@ pub(crate) fn execute(
         );
         run_partitioned(sim, opts.shards, splits)
     };
-    let mut report = match opts.horizon {
-        Some(horizon) => reg.collect_until(&sim, horizon),
-        None => reg.collect(&sim),
-    };
+    // Unbounded, this still sees a drop inside a run after the last event.
+    let mut report = reg.collect_until(&sim, horizon);
     report.kernel_metrics = opts.observer.registries();
     (sim, report)
 }
@@ -253,12 +257,9 @@ impl BulkTransfer {
             Protocol::RawStream => {
                 // Bottleneck service rate at MTU-size fragments.
                 let frag = DataSize::from_bytes(self.ip.mtu);
-                let service = self
-                    .hops
-                    .iter()
-                    .map(|h| h.service_time(frag))
-                    .max()
-                    .expect("path must have hops");
+                // An empty path has no bottleneck: an unbounded rate.
+                let service = self.hops.iter().map(|h| h.service_time(frag)).max();
+                let service = service.unwrap_or(SimDuration::ZERO);
                 let payload_per_frag = self.ip.mtu - crate::ip::IP_HEADER_BYTES;
                 Bandwidth::from_bps(payload_per_frag as f64 * 8.0 / service.as_secs_f64())
             }
@@ -323,18 +324,17 @@ impl BulkTransfer {
         // placeholder at the sender end; once the sender exists, the
         // stage adjacent to it is patched to deliver ACKs directly —
         // no relay component, no extra zero-delay event per ACK.
-        let rev_hops: Vec<HopModel> = self.hops.iter().rev().copied().collect();
         let placeholder = ComponentId::placeholder();
-        let rev = build_chain(sim, &rev_hops, placeholder, &format!("{prefix}rev"), opts);
-        let rev_first = rev.first().copied().unwrap_or(placeholder);
+        let rev = build_chain(sim, &self.hops, true, placeholder, &format!("{prefix}rev"), opts);
+        let rev_first = rev.first().map_or(placeholder, |h| h.0);
         let receiver = sim.add_component(TcpReceiver::new(flow, self.bytes, rev_first));
-        let fwd = build_chain(sim, &self.hops, receiver, &format!("{prefix}hop"), opts);
+        let fwd = build_chain(sim, &self.hops, false, receiver, &format!("{prefix}hop"), opts);
         let cfg = TcpConfig::bulk(flow, self.bytes, self.ip, window_bytes);
-        let sender = sim.add_component(TcpSender::new(cfg, fwd[0]));
-        // Close the cycle. With no reverse hops the receiver ACKs the
-        // sender directly.
+        let sender = sim.add_component(TcpSender::new(cfg, fwd.first().map_or(receiver, |h| h.0)));
+        // Close the cycle. With no hops the sender sends to the receiver
+        // and the receiver ACKs the sender directly.
         match rev.last() {
-            Some(&last_rev) => sim.component_mut::<PipeStage>(last_rev).next = sender,
+            Some(&(last_rev, _)) => sim.component_mut::<PipeStage>(last_rev).next = sender,
             None => sim.component_mut::<TcpReceiver>(receiver).ack_path = sender,
         }
         register_stages(reg, &fwd, &rev);
@@ -379,8 +379,9 @@ impl BulkTransfer {
     ) -> (u64, ShardSplit) {
         let sink = sim.add_component(Sink::default());
         reg.add_sink(sink);
-        let fwd = build_chain(sim, &self.hops, sink, "hop", opts);
+        let fwd = build_chain(sim, &self.hops, false, sink, "hop", opts);
         register_stages(reg, &fwd, &[]);
+        let first = fwd.first().map_or(sink, |h| h.0);
         let mut sent = 0u64;
         let mut packets = 0u64;
         for frag in fragment_sizes(self.bytes, self.ip.mtu) {
@@ -393,7 +394,7 @@ impl BulkTransfer {
                 created: SimTime::ZERO,
                 kind: PacketKind::Data,
             };
-            sim.send_in(SimDuration::ZERO, fwd[0], gtw_desim::component::msg(Arrive(pkt)));
+            sim.send_in(SimDuration::ZERO, first, gtw_desim::component::msg(Arrive(pkt)));
             sent += payload;
             packets += 1;
         }
@@ -515,7 +516,7 @@ pub fn frame_stream_rate(hops: &[HopModel], ip: IpConfig, frame_bytes: u64) -> (
     // frame; latency: one frame through the empty pipeline.
     let report = xfer.run();
     let frag = DataSize::from_bytes(ip.mtu);
-    let bottleneck = hops.iter().map(|h| h.service_time(frag)).max().expect("path must have hops");
+    let bottleneck = hops.iter().map(|h| h.service_time(frag)).max().unwrap_or(SimDuration::ZERO);
     let frags = fragment_sizes(frame_bytes, ip.mtu).len() as f64;
     let frame_period = bottleneck.as_secs_f64() * frags;
     (1.0 / frame_period, report.elapsed)
@@ -544,14 +545,14 @@ mod tests {
     }
 
     /// `wan_split` of a path whose hops have these propagations (µs):
-    /// forward stages are components `0..n`, ACK stages `n..2n`, and
+    /// forward stages are one-hop runs `0..n`, ACK stages `n..2n`, and
     /// both sides start empty. Returns the near and far indices and the
     /// cut's lookahead.
     fn split_at(props_us: &[u64]) -> (Vec<usize>, Vec<usize>, Option<SimDuration>) {
         let mut sim = Simulator::new();
         let hops: Vec<HopModel> = props_us.iter().map(|&p| raw_hop(622.0, p)).collect();
-        let mut stages = || -> Vec<ComponentId> {
-            hops.iter().map(|_| sim.add_component(Sink::default())).collect()
+        let mut stages = || -> Vec<HopId> {
+            hops.iter().map(|_| (sim.add_component(Sink::default()), 0)).collect()
         };
         let (fwd, rev) = (stages(), stages());
         let (near, far, cut) = wan_split(&hops, &fwd, &rev, Vec::new(), Vec::new());
@@ -576,6 +577,41 @@ mod tests {
     fn wan_split_ties_break_to_the_first_hop() {
         let cut = Some(SimDuration::from_micros(100));
         assert_eq!(split_at(&[100, 100]), (vec![0], vec![1, 2, 3], cut));
+    }
+
+    /// Each hop's index in its run, forward then ACK, for a path whose
+    /// hops have these propagations (µs).
+    fn runs_of(props_us: &[u64]) -> (Vec<usize>, Vec<usize>) {
+        let mut sim = Simulator::new();
+        let hops: Vec<HopModel> = props_us.iter().map(|&p| raw_hop(622.0, p)).collect();
+        let sink = sim.add_component(Sink::default());
+        let opts = RunOptions::default();
+        let fwd = build_chain(&mut sim, &hops, false, sink, "hop", &opts);
+        let rev = build_chain(&mut sim, &hops, true, sink, "rev", &opts);
+        // No run straddles the shard cut: every hop of a run is on the
+        // side `wan_split` places the run by its first hop.
+        let (near, far, _) = wan_split(&hops, &fwd, &rev, Vec::new(), Vec::new());
+        let n = hops.len();
+        let w = wan_hop(&hops).unwrap_or(n);
+        for (i, h) in fwd.iter().enumerate() {
+            assert_eq!(near.contains(&h.0), i <= w, "hop{i}");
+        }
+        for (j, h) in rev.iter().enumerate() {
+            assert_eq!(far.contains(&h.0), n - 1 - j >= w, "rev{j}");
+        }
+        let index = |ids: Vec<HopId>| ids.into_iter().map(|h| h.1).collect();
+        (index(fwd), index(rev))
+    }
+
+    #[test]
+    fn build_chain_ends_a_run_at_the_wan_hop_both_ways() {
+        // Hop 2 is the WAN hop: `rev2` models it.
+        assert_eq!(runs_of(&[5, 5, 500, 5, 0]), (vec![0, 1, 2, 0, 1], vec![0, 1, 2, 0, 1]));
+        // Ties go to the first hop, whose mirror ends the ACK path.
+        assert_eq!(runs_of(&[100, 100]), (vec![0, 0], vec![0, 1]));
+        assert_eq!(runs_of(&[7, 500]), (vec![0, 1], vec![0, 0]));
+        assert_eq!(runs_of(&[0, 0, 0]), (vec![0, 1, 2], vec![0, 1, 2]));
+        assert_eq!(runs_of(&[]), (vec![], vec![]));
     }
 
     #[test]
@@ -695,9 +731,7 @@ mod tests {
     #[test]
     fn single_hop_tcp_acks_sender_directly() {
         // Degenerate path: with one hop forward and one reverse stage the
-        // patching logic still closes the cycle; zero-hop paths are not
-        // constructible (build panics on empty hops in predict), so one
-        // hop is the smallest case.
+        // patching logic still closes the cycle.
         let xfer = BulkTransfer {
             hops: vec![raw_hop(100.0, 100)],
             ip: IpConfig { mtu: 9180 },
@@ -708,6 +742,40 @@ mod tests {
         assert_eq!(run.hops.len(), 2);
         assert_eq!(run.senders[0].bytes_acked, 256 * 1024);
         assert!(report.goodput.mbps() > 0.0);
+    }
+
+    fn zero_hop(protocol: Protocol) -> BulkTransfer {
+        BulkTransfer { hops: vec![], ip: IpConfig { mtu: 9180 }, bytes: 256 * 1024, protocol }
+    }
+
+    #[test]
+    fn a_zero_hop_path_hands_off_directly() {
+        // Sender to receiver and receiver to sender, as the ACK side
+        // always wired an empty reverse path; fragments straight to the
+        // sink.
+        let tcp = zero_hop(Protocol::Tcp { window_bytes: 64 * 1024 });
+        let (report, run) = tcp.run_with(&RunOptions::default());
+        assert!(report.completed);
+        assert_eq!((report.bytes, report.retransmits), (256 * 1024, 0));
+        assert!(run.hops.is_empty());
+        assert_eq!(run.receivers[0].bytes_delivered, 256 * 1024);
+        let (report, run) = zero_hop(Protocol::RawStream).run_with(&RunOptions::default());
+        assert!(report.completed);
+        assert_eq!(run.flows[0].recorder.bytes, 256 * 1024);
+        assert_eq!(report.elapsed, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_zero_hop_path_predicts_an_unbounded_rate() {
+        for protocol in [Protocol::Tcp { window_bytes: 64 * 1024 }, Protocol::RawStream] {
+            assert_eq!(zero_hop(protocol).predict().bps(), f64::INFINITY, "{protocol:?}");
+        }
+    }
+
+    #[test]
+    fn frame_stream_rate_over_a_zero_hop_path_is_unbounded() {
+        let (fps, latency) = frame_stream_rate(&[], IpConfig { mtu: 9180 }, 1 << 20);
+        assert_eq!((fps, latency), (f64::INFINITY, SimDuration::ZERO));
     }
 
     #[test]

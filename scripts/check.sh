@@ -165,6 +165,28 @@ if [ "$net_lines" -gt "$net_budget" ]; then
     echo "check.sh: crates/net/src/{stats,gateway,topology,signaling,stripe}.rs have $net_lines non-test lines, budget $net_budget" >&2
     exit 1
 fi
+# A packet crosses a run of hops in one event: the stage and its wiring
+# stay within 920 non-test lines (864 when every hop was a component of
+# its own), and outside its tests crates/net/src builds a `PipeStage`
+# only in `transfer::build_chain`, which makes at most two runs a
+# direction, split at the WAN hop on either kernel.
+path_budget=920
+path_lines=0
+for f in link transfer; do
+    path_lines=$((path_lines + $(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' "crates/net/src/$f.rs")))
+done
+if [ "$path_lines" -gt "$path_budget" ]; then
+    echo "check.sh: crates/net/src/{link,transfer}.rs have $path_lines non-test lines, budget $path_budget" >&2
+    exit 1
+fi
+if git ls-files 'crates/net/src/*.rs' | xargs awk '
+    FNR == 1 {fn = ""; live = 1}
+    /^#\[cfg\(test\)\]/ {live = 0}
+    live && /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
+    live && /PipeStage::(new|run)\(/ && fn != "build_chain" {print FILENAME ":" FNR ": " $0}' | grep .; then
+    echo "check.sh: crates/net/src builds a PipeStage outside transfer::build_chain (see above)" >&2
+    exit 1
+fi
 # (The crates, not the words: "criterion" is also plain English in three
 # physics comments, so sources are matched on the paths and derives.)
 if git grep -nE 'serde|criterion' -- '*.toml' ||
