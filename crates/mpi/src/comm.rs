@@ -56,30 +56,20 @@ impl ReduceOp {
     }
 }
 
+#[derive(Default)]
 struct BarrierState {
     count: usize,
     generation: u64,
 }
 
 /// State shared by all ranks of one communicator.
+#[derive(Default)]
 pub(crate) struct CommShared {
     barrier: Mutex<BarrierState>,
     barrier_cv: Condvar,
-    costs: Vec<Mutex<CommCost>>,
     /// ULFM-style revocation flag: once set, every failure-aware
     /// operation on this communicator fails with [`CommError::Revoked`].
     revoked: AtomicBool,
-}
-
-impl CommShared {
-    pub(crate) fn new(n: usize) -> Arc<Self> {
-        Arc::new(CommShared {
-            barrier: Mutex::new(BarrierState { count: 0, generation: 0 }),
-            barrier_cv: Condvar::new(),
-            costs: (0..n).map(|_| Mutex::new(CommCost::default())).collect(),
-            revoked: AtomicBool::new(false),
-        })
-    }
 }
 
 /// Base of the reserved tag space used by collectives.
@@ -121,16 +111,22 @@ fn check_send(dst: usize, peers: usize, tag: Tag) {
     assert!(tag.0 < COLL_TAG_BASE, "tag {tag:?} is in the reserved collective space");
 }
 
-/// Deposit `env` in its destination's mailbox and trace the send. Under
-/// [`Wait::Guarded`] a dead destination fails fast with
+/// Deposit `env` in `to`, its destination's mailbox, and trace the send.
+/// Under [`Wait::Guarded`] a dead destination fails fast with
 /// [`CommError::RankFailed`] naming `dst` (its local rank) instead of
 /// filling a poisoned mailbox.
-fn deliver(universe: &UniverseInner, wait: Wait, dst: usize, env: Envelope) -> CommResult<()> {
+fn deliver(
+    universe: &UniverseInner,
+    to: &Mailbox,
+    wait: Wait,
+    dst: usize,
+    env: Envelope,
+) -> CommResult<()> {
     let (src_global, dst_global, bytes) = (env.src, env.dst, env.byte_len() as u64);
     if wait.guarded() && universe.is_failed(dst_global).is_some() {
         return Err(CommError::RankFailed { rank: dst });
     }
-    if !universe.mailbox(dst_global).post(env) && wait.guarded() {
+    if !to.post(env) && wait.guarded() {
         return Err(CommError::RankFailed { rank: dst });
     }
     universe.trace.record(src_global, EventKind::Send, Some(dst_global), bytes);
@@ -262,12 +258,6 @@ fn infallible<R>(step: CommResult<R>) -> R {
     step.expect("the blocking wait policy has no failure path")
 }
 
-/// Link from a spawned world back to its parent group.
-struct ParentLink {
-    parent_group: Arc<Vec<usize>>,
-    wan: FabricSpec,
-}
-
 /// A communicator handle owned by one rank (like `MPI_COMM_WORLD` seen
 /// from that rank). Not `Sync`: each rank keeps its own.
 pub struct Comm {
@@ -276,9 +266,12 @@ pub struct Comm {
     my_local: usize,
     placement: Arc<Placement>,
     shared: Arc<CommShared>,
-    /// This rank's own mailbox, fetched from the universe once.
-    mailbox: Mailbox,
-    parent: Option<Arc<ParentLink>>,
+    /// Every member's mailbox by local rank, this rank's own among them,
+    /// fetched from the universe once.
+    peers: Vec<Mailbox>,
+    cost: Cell<CommCost>,
+    /// A spawned world's parent group and the WAN to it.
+    parent: Option<(Arc<Vec<usize>>, FabricSpec)>,
     coll_seq: Cell<u64>,
     derive_seq: Cell<u64>,
     /// Salt mixed into collective tags. Zero for world/split/dup
@@ -299,13 +292,14 @@ impl Comm {
         parent: Option<(Arc<Vec<usize>>, FabricSpec)>,
     ) -> Self {
         Comm {
-            mailbox: universe.mailbox(group[my_local]),
+            peers: group.iter().map(|&g| universe.mailbox(g)).collect(),
+            cost: Cell::default(),
             universe,
             group,
             my_local,
             placement,
             shared,
-            parent: parent.map(|(parent_group, wan)| Arc::new(ParentLink { parent_group, wan })),
+            parent,
             coll_seq: Cell::new(0),
             derive_seq: Cell::new(0),
             coll_salt: 0,
@@ -332,9 +326,10 @@ impl Comm {
         self.placement.machine_of(self.my_local)
     }
 
-    /// Snapshot of this rank's accumulated modeled communication cost.
+    /// Snapshot of the modeled communication cost booked on this handle.
+    /// The books are per handle: a `dup`, `split` or `shrink` keeps its own.
     pub fn comm_cost(&self) -> CommCost {
-        *self.shared.costs[self.my_local].lock()
+        self.cost.get()
     }
 
     fn record(&self, kind: EventKind, bytes: u64) {
@@ -352,7 +347,9 @@ impl Comm {
             t *= self.universe.slow_factor(self.global_id());
             self.universe.advance_clock(self.global_id(), t);
         }
-        self.shared.costs[self.my_local].lock().charge(t, bytes, wan);
+        let mut cost = self.cost.get();
+        cost.charge(t, bytes, wan);
+        self.cost.set(cost);
     }
 
     // ----- the steps every operation is made of ------------------------------
@@ -370,7 +367,7 @@ impl Comm {
         }
         let env = Envelope::new(self.global_id(), self.group[dst], tag, data.to_vec());
         let bytes = env.byte_len() as u64;
-        deliver(&self.universe, wait, dst, env)?;
+        deliver(&self.universe, &self.peers[dst], wait, dst, env)?;
         self.charge(wait, dst, bytes);
         Ok(())
     }
@@ -402,7 +399,8 @@ impl Comm {
         awaited: Option<usize>,
         lost: impl Fn() -> bool,
     ) -> CommResult<Envelope> {
-        match self.mailbox.claim_deadline(from, tag, deadline, || self.is_revoked() || lost()) {
+        let abort = || self.is_revoked() || lost();
+        match self.peers[self.my_local].claim_deadline(from, tag, deadline, abort) {
             ClaimOutcome::Ready(env) => Ok(env),
             ClaimOutcome::TimedOut => Err(CommError::Timeout),
             ClaimOutcome::Aborted => Err(self.abort_error(awaited)),
@@ -415,9 +413,9 @@ impl Comm {
     fn claim(&self, wait: Wait, src: Option<usize>, tag: Tag) -> CommResult<(usize, Envelope)> {
         let from = source_filter(&self.group, src.unwrap_or(ANY_SOURCE));
         let env = match wait {
-            Wait::Blocking => self.mailbox.claim(from, tag),
+            Wait::Blocking => self.peers[self.my_local].claim(from, tag),
             Wait::Guarded(deadline) => {
-                self.claim_guarded(from, tag, deadline, src, || self.any_member_failed())?
+                self.claim_guarded(from, tag, deadline, src, || !self.failed_ranks().is_empty())?
             }
         };
         // Cannot fire: `from` admits members of the group only.
@@ -464,7 +462,7 @@ impl Comm {
 
     /// Non-blocking probe for a matching message.
     pub fn probe(&self, src: usize, tag: Tag) -> bool {
-        self.mailbox.probe(source_filter(&self.group, src), tag)
+        self.peers[self.my_local].probe(source_filter(&self.group, src), tag)
     }
 
     // The four names `gtw-benchmark/src/adapter.rs` pins. That crate is
@@ -893,7 +891,7 @@ impl Comm {
         key: u64,
         coll_salt: u64,
     ) -> Comm {
-        let shared = self.universe.shared_for(key, group.len());
+        let shared = self.universe.shared_for(key);
         let universe = Arc::clone(&self.universe);
         Comm { coll_salt, ..Comm::new(universe, group, my_local, placement, shared, None) }
     }
@@ -949,7 +947,8 @@ impl Comm {
         InterComm {
             universe: Arc::clone(&self.universe),
             my_global: self.global_id(),
-            mailbox: self.mailbox.clone(),
+            mailbox: self.peers[self.my_local].clone(),
+            remote: remote_group.iter().map(|&g| self.universe.mailbox(g)).collect(),
             remote_group,
             wan,
         }
@@ -967,7 +966,7 @@ impl Comm {
         assert!(n > 0, "cannot spawn an empty world");
         self.record(EventKind::Spawn, n as u64);
         let child_group = self.universe.register(n);
-        let child_shared = CommShared::new(n);
+        let child_shared = Arc::default();
         let child_placement = Arc::new(Placement::single(n, machine));
         let f = Arc::new(f);
         for rank in 0..n {
@@ -992,7 +991,7 @@ impl Comm {
     /// The inter-communicator to the spawning parent, if this world was
     /// created via [`Comm::spawn`] (like `MPI_Comm_get_parent`).
     pub fn parent(&self) -> Option<InterComm> {
-        self.parent.as_ref().map(|p| self.intercomm(Arc::clone(&p.parent_group), p.wan))
+        self.parent.as_ref().map(|(group, wan)| self.intercomm(Arc::clone(group), *wan))
     }
 
     /// Rendezvous with another running component on a named port
@@ -1051,10 +1050,6 @@ impl Comm {
         self.failed_ranks().into_iter().find(|&l| l != self.my_local)
     }
 
-    fn any_member_failed(&self) -> bool {
-        !self.failed_ranks().is_empty()
-    }
-
     fn all_peers_failed(&self) -> bool {
         self.failed_ranks().iter().filter(|&&l| l != self.my_local).count() == self.size() - 1
     }
@@ -1077,9 +1072,7 @@ impl Comm {
     /// [`Comm::shrink`].
     pub fn revoke(&self) {
         self.shared.revoked.store(true, Ordering::SeqCst);
-        for &g in self.group.iter() {
-            self.universe.mailbox(g).wake();
-        }
+        self.peers.iter().for_each(Mailbox::wake);
         self.shared.barrier_cv.notify_all();
     }
 
@@ -1130,7 +1123,7 @@ impl PointToPoint for Comm {
     }
 
     fn recv_envelope(&self, src: usize, tag: Tag) -> (Envelope, Status) {
-        let env = self.mailbox.claim(source_filter(&self.group, src), tag);
+        let env = self.peers[self.my_local].claim(source_filter(&self.group, src), tag);
         self.accept(Wait::Blocking, env)
     }
 
@@ -1169,6 +1162,8 @@ pub struct InterComm {
     my_global: usize,
     /// This rank's own mailbox (the one its [`Comm`] claims from too).
     mailbox: Mailbox,
+    /// The remote group's mailboxes, fetched once like a [`Comm`]'s peers.
+    remote: Vec<Mailbox>,
     remote_group: Arc<Vec<usize>>,
     wan: FabricSpec,
 }
@@ -1210,7 +1205,7 @@ impl InterComm {
 impl PointToPoint for InterComm {
     fn send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) {
         let env = self.envelope(dst, tag, data);
-        infallible(deliver(&self.universe, Wait::Blocking, dst, env));
+        infallible(deliver(&self.universe, &self.remote[dst], Wait::Blocking, dst, env));
     }
 
     fn recv_envelope(&self, src: usize, tag: Tag) -> (Envelope, Status) {
@@ -1221,7 +1216,7 @@ impl PointToPoint for InterComm {
     fn try_send<T: Payload>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
         let env = self.envelope(dst, tag, data);
         check_alive(&self.universe, self.my_global, self.my_global)?;
-        deliver(&self.universe, Wait::Guarded(None), dst, env)
+        deliver(&self.universe, &self.remote[dst], Wait::Guarded(None), dst, env)
     }
 
     fn recv_timeout(
@@ -1362,6 +1357,43 @@ mod tests {
             assert_eq!(c.messages, 4);
             assert!(c.wan_seconds > c.intra_seconds * 10.0, "{c:?}");
         }
+    }
+
+    /// A message takes no universe lookup: each handle fetched its peers'
+    /// mailboxes when it was made. Counted after construction, over 1000
+    /// round trips on a `Comm` and 100 on an `InterComm`.
+    #[test]
+    fn messages_look_up_no_mailbox_after_construction() {
+        let lookups = |comm: &Comm| comm.universe.lookups.load(std::sync::atomic::Ordering::SeqCst);
+        Universe::run(2, move |comm| {
+            let peer = 1 - comm.rank();
+            comm.barrier();
+            let before = lookups(&comm);
+            for i in 0..1000u64 {
+                comm.send(peer, Tag(1), &[i]);
+                assert_eq!(comm.recv::<u64>(peer, Tag(1)).0, [i]);
+            }
+            comm.barrier();
+            assert_eq!(lookups(&comm), before, "Comm send/recv looked up a mailbox");
+        });
+        Universe::run(1, move |comm| {
+            let onyx = MachineSpec::new("Onyx", FabricSpec::smp_shared());
+            let child = comm.spawn(1, onyx, FabricSpec::wan_testbed(), |c| {
+                let parent = c.parent().expect("child has a parent");
+                parent.send(0, Tag(2), &[0u8]);
+                for _ in 0..100 {
+                    let (v, _) = parent.recv::<f32>(0, Tag(2));
+                    parent.send(0, Tag(2), &v);
+                }
+            });
+            let _ = child.recv::<u8>(0, Tag(2));
+            let before = lookups(&comm);
+            for i in 0..100 {
+                child.send(0, Tag(2), &[i as f32]);
+                assert_eq!(child.recv::<f32>(0, Tag(2)).0, [i as f32]);
+            }
+            assert_eq!(lookups(&comm), before, "InterComm send/recv looked up a mailbox");
+        });
     }
 
     #[test]

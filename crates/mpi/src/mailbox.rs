@@ -25,6 +25,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::envelope::{Envelope, Tag, ANY_TAG};
 
+#[derive(Default)]
 struct State {
     queue: VecDeque<Envelope>,
     poisoned: bool,
@@ -44,21 +45,16 @@ impl State {
     }
 }
 
+#[derive(Default)]
 struct Inner {
     state: Mutex<State>,
     available: Condvar,
 }
 
 /// A rank's receive mailbox. Cheap to clone (shared).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Mailbox {
     inner: Arc<Inner>,
-}
-
-impl Default for Mailbox {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Which senders a claim or probe admits.
@@ -108,12 +104,7 @@ const WAIT_BACKSTOP: Duration = Duration::from_millis(10);
 impl Mailbox {
     /// New empty mailbox.
     pub fn new() -> Self {
-        Mailbox {
-            inner: Arc::new(Inner {
-                state: Mutex::new(State { queue: VecDeque::new(), poisoned: false, parked: 0 }),
-                available: Condvar::new(),
-            }),
-        }
+        Self::default()
     }
 
     /// Wait on `available` — until notified, or for at most `nap` —

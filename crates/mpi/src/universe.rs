@@ -55,10 +55,16 @@ pub(crate) struct UniverseInner {
     /// whole cost of the subsystem on clean runs.
     faults_installed: AtomicBool,
     pub(crate) trace: TraceCollector,
+    /// Calls of [`UniverseInner::mailbox`] so far: a handle fetches its
+    /// peers' mailboxes when it is made, never per message.
+    #[cfg(test)]
+    pub(crate) lookups: std::sync::atomic::AtomicUsize,
 }
 
 impl UniverseInner {
     pub(crate) fn mailbox(&self, global: usize) -> Mailbox {
+        #[cfg(test)]
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         self.mailboxes.lock()[global].clone()
     }
 
@@ -78,10 +84,10 @@ impl UniverseInner {
     }
 
     /// Fetch (or create) the shared state for a derived communicator
-    /// identified by `key` with `n` ranks.
-    pub(crate) fn shared_for(&self, key: u64, n: usize) -> Arc<crate::comm::CommShared> {
+    /// identified by `key`.
+    pub(crate) fn shared_for(&self, key: u64) -> Arc<crate::comm::CommShared> {
         let mut reg = self.shared_registry.lock();
-        Arc::clone(reg.entry(key).or_insert_with(|| crate::comm::CommShared::new(n)))
+        Arc::clone(reg.entry(key).or_default())
     }
 
     // ----- failure registry -------------------------------------------------
@@ -318,6 +324,8 @@ impl Universe {
                 faults: Mutex::new(ProcFaultState::default()),
                 faults_installed: AtomicBool::new(false),
                 trace,
+                #[cfg(test)]
+                lookups: Default::default(),
             }),
         }
     }
@@ -405,7 +413,7 @@ impl Universe {
         let n = placement.len();
         assert!(n > 0, "world must have at least one rank");
         let group = self.inner.register(n);
-        let shared = CommShared::new(n);
+        let shared: Arc<CommShared> = Arc::default();
         let placement = Arc::new(placement);
         let f = Arc::new(f);
         let handles: Vec<JoinHandle<R>> = (0..n)
