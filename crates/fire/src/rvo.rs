@@ -19,7 +19,10 @@
 //! computed a register tile at a time (`TILE_VOXELS` × `TILE_REFS` dot
 //! products per walk of the scans). Each dot product keeps its own
 //! accumulator and its own summation order, so the result is the bits
-//! of correlating one voxel with one vector at a time.
+//! of correlating one voxel with one vector at a time. The fit of a
+//! chunk of voxels is one body compiled twice, for the baseline target
+//! and for AVX2, and `optimize` picks the widest the CPU has at run
+//! time: the same multiplies and adds in the same order, the same bits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,6 +119,7 @@ impl CentredVoxel {
     }
 
     /// Centre voxel `idx` of `series` into the buffer.
+    #[inline(always)]
     fn load(&mut self, series: &[Volume], idx: usize) {
         let n = series.len() as f64;
         let mean = series.iter().map(|v| v.data[idx] as f64).sum::<f64>() / n;
@@ -130,6 +134,7 @@ impl CentredVoxel {
     /// The correlation whose numerator is `dot`, the loaded voxel's dot
     /// product with a reference vector (whose `values` already have zero
     /// mean and unit norm).
+    #[inline(always)]
     fn score(&self, dot: f64) -> f64 {
         if self.norm == 0.0 {
             return 0.0;
@@ -158,7 +163,10 @@ struct Raster {
 }
 
 impl Raster {
-    fn new(stimulus: &Stimulus, delays: &[f64], dispersions: &[f64]) -> Self {
+    /// The raster of `steps` points per axis over `bounds`.
+    fn new(stimulus: &Stimulus, bounds: RvoBounds, steps: (usize, usize)) -> Self {
+        let delays = grid(bounds.delay_s, steps.0);
+        let dispersions = grid(bounds.dispersion_s, steps.1);
         let points: Vec<(f64, f64)> =
             delays.iter().flat_map(|&d| dispersions.iter().map(move |&w| (d, w))).collect();
         let r = points.len();
@@ -176,6 +184,7 @@ impl Raster {
     /// vector, for the first `V` voxels of `block` and all `R` points:
     /// whole tiles of [`TILE_REFS`] points, then the ragged rest one
     /// point at a time.
+    #[inline(always)]
     fn dots<const V: usize>(&self, block: &[CentredVoxel], dots: &mut [f64]) {
         let r = self.points.len();
         let mut j0 = 0;
@@ -242,19 +251,21 @@ pub fn optimize(
         assert_eq!(m.len(), dims.len(), "mask length mismatch");
     }
 
-    let (delays, dispersions, refine_iters) = match method {
+    let (steps, refine_iters) = match method {
         RvoMethod::FullGrid { delay_steps, dispersion_steps } => {
-            (grid(bounds.delay_s, delay_steps), grid(bounds.dispersion_s, dispersion_steps), 0)
+            ((delay_steps, dispersion_steps), 0)
         }
-        RvoMethod::CoarseRefine { delay_steps, dispersion_steps, refine_iters } => (
-            grid(bounds.delay_s, delay_steps),
-            grid(bounds.dispersion_s, dispersion_steps),
-            refine_iters,
-        ),
+        RvoMethod::CoarseRefine { delay_steps, dispersion_steps, refine_iters } => {
+            ((delay_steps, dispersion_steps), refine_iters)
+        }
     };
     // The raster's reference vectors, shared across voxels.
-    let raster = Raster::new(stimulus, &delays, &dispersions);
-    let r = raster.points.len();
+    let raster = Raster::new(stimulus, bounds, steps);
+    let shared =
+        Chunk { series, stimulus, bounds, raster: &raster, steps, refine_iters, mask, base: 0 };
+    // Which instance of the raster this host runs, read once.
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
 
     let evaluations = AtomicU64::new(0);
     let n_vox = dims.len();
@@ -267,53 +278,17 @@ pub fn optimize(
         .zip(disp_out.chunks_mut(VOXEL_CHUNK))
         .zip(corr_out.chunks_mut(VOXEL_CHUNK))
         .enumerate();
-    gtw_par::for_each(chunks, |(k, ((d_chunk, w_chunk), c_chunk))| {
-        let base = k * VOXEL_CHUNK;
-        // Masked voxels take the canonical parameters; the rest are fitted
-        // in blocks of `TILE_VOXELS`, in voxel order.
-        let mut fitted = Vec::with_capacity(d_chunk.len());
-        for (i, (d_out, w_out)) in d_chunk.iter_mut().zip(w_chunk.iter_mut()).enumerate() {
-            if mask.is_some_and(|m| !m[base + i]) {
-                *d_out = gtw_scan::hrf::CANONICAL_DELAY_S as f32;
-                *w_out = gtw_scan::hrf::CANONICAL_DISPERSION_S as f32;
-            } else {
-                fitted.push(i);
-            }
-        }
-        let mut block: Vec<CentredVoxel> =
-            (0..TILE_VOXELS).map(|_| CentredVoxel::new(series.len())).collect();
-        let mut dots = vec![0.0; TILE_VOXELS * r];
-        let mut evals = 0u64;
-        for ids in fitted.chunks(TILE_VOXELS) {
-            for (voxel, &i) in block.iter_mut().zip(ids) {
-                voxel.load(series, base + i);
-            }
-            if ids.len() == TILE_VOXELS {
-                raster.dots::<TILE_VOXELS>(&block, &mut dots);
-            } else {
-                for v in 0..ids.len() {
-                    raster.dots::<1>(&block[v..], &mut dots[v * r..]);
-                }
-            }
-            for ((voxel, &i), dots) in block.iter().zip(ids).zip(dots.chunks_exact(r)) {
-                // Raster, in point order.
-                let mut best = (delays[0], dispersions[0], f64::MIN);
-                for (&(d, w), &dot) in raster.points.iter().zip(dots) {
-                    let c = voxel.score(dot);
-                    evals += 1;
-                    if c > best.2 {
-                        best = (d, w, c);
-                    }
-                }
-                if refine_iters > 0 {
-                    let steps = (delays.len(), dispersions.len());
-                    best = refine(voxel, stimulus, bounds, steps, refine_iters, best, &mut evals);
-                }
-                d_chunk[i] = best.0 as f32;
-                w_chunk[i] = best.1 as f32;
-                c_chunk[i] = best.2 as f32;
-            }
-        }
+    gtw_par::for_each(chunks, |(k, ((d, w), c))| {
+        let job = Chunk { base: k * VOXEL_CHUNK, ..shared };
+        #[cfg(target_arch = "x86_64")]
+        let evals = if avx2 {
+            // SAFETY: `avx2` is set only when this CPU reports AVX2.
+            unsafe { fit_chunk_avx2(&job, d, w, c) }
+        } else {
+            fit_chunk(&job, d, w, c)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let evals = fit_chunk(&job, d, w, c);
         // An integer sum: the one cross-chunk reduction, order-free.
         evaluations.fetch_add(evals, Ordering::Relaxed);
     });
@@ -324,6 +299,106 @@ pub fn optimize(
         correlation: Volume::from_vec(dims, corr_out),
         evaluations: evaluations.load(Ordering::Relaxed),
     }
+}
+
+/// One chunk of voxels to fit, with what every chunk of one [`optimize`]
+/// call shares.
+#[derive(Clone, Copy)]
+struct Chunk<'a> {
+    series: &'a [Volume],
+    stimulus: &'a Stimulus,
+    bounds: RvoBounds,
+    raster: &'a Raster,
+    /// Raster points per axis, (delay, dispersion).
+    steps: (usize, usize),
+    refine_iters: usize,
+    mask: Option<&'a [bool]>,
+    /// Voxel index of the chunk's first voxel.
+    base: usize,
+}
+
+/// Fit the voxels of `job` into `d_chunk`, `w_chunk` and `c_chunk` (one
+/// entry per voxel, from `job.base` on) and return the evaluations made.
+/// Always inlined, together with the raster kernels it calls, so each
+/// instance — this baseline one and [`fit_chunk_avx2`] — compiles the
+/// whole fit for its own vector width.
+#[inline(always)]
+fn fit_chunk(job: &Chunk, d_chunk: &mut [f32], w_chunk: &mut [f32], c_chunk: &mut [f32]) -> u64 {
+    let raster = job.raster;
+    let r = raster.points.len();
+    // Masked voxels take the canonical parameters; the rest are fitted
+    // in blocks of `TILE_VOXELS`, in voxel order.
+    let mut fitted = Vec::with_capacity(d_chunk.len());
+    for (i, (d_out, w_out)) in d_chunk.iter_mut().zip(w_chunk.iter_mut()).enumerate() {
+        if job.mask.is_some_and(|m| !m[job.base + i]) {
+            *d_out = gtw_scan::hrf::CANONICAL_DELAY_S as f32;
+            *w_out = gtw_scan::hrf::CANONICAL_DISPERSION_S as f32;
+        } else {
+            fitted.push(i);
+        }
+    }
+    let mut block: Vec<CentredVoxel> =
+        (0..TILE_VOXELS).map(|_| CentredVoxel::new(job.series.len())).collect();
+    let mut dots = vec![0.0; TILE_VOXELS * r];
+    let mut evals = 0u64;
+    let (d0, w0) = raster.points[0];
+    for ids in fitted.chunks(TILE_VOXELS) {
+        for (voxel, &i) in block.iter_mut().zip(ids) {
+            voxel.load(job.series, job.base + i);
+        }
+        if ids.len() == TILE_VOXELS {
+            raster.dots::<TILE_VOXELS>(&block, &mut dots);
+        } else {
+            for v in 0..ids.len() {
+                raster.dots::<1>(&block[v..], &mut dots[v * r..]);
+            }
+        }
+        for ((voxel, &i), dots) in block.iter().zip(ids).zip(dots.chunks_exact(r)) {
+            // Raster, in point order.
+            let mut best = (d0, w0, f64::MIN);
+            for (&(d, w), &dot) in raster.points.iter().zip(dots) {
+                let c = voxel.score(dot);
+                evals += 1;
+                if c > best.2 {
+                    best = (d, w, c);
+                }
+            }
+            if job.refine_iters > 0 {
+                best = refine(
+                    voxel,
+                    job.stimulus,
+                    job.bounds,
+                    job.steps,
+                    job.refine_iters,
+                    best,
+                    &mut evals,
+                );
+            }
+            d_chunk[i] = best.0 as f32;
+            w_chunk[i] = best.1 as f32;
+            c_chunk[i] = best.2 as f32;
+        }
+    }
+    evals
+}
+
+/// [`fit_chunk`] compiled for AVX2: its register tiles take four `f64`
+/// lanes where the baseline x86-64 target has two. The separate
+/// multiplies and adds run in the same order per accumulator (Rust never
+/// fuses them), so every output has the baseline instance's bits.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fit_chunk_avx2(
+    job: &Chunk,
+    d_chunk: &mut [f32],
+    w_chunk: &mut [f32],
+    c_chunk: &mut [f32],
+) -> u64 {
+    fit_chunk(job, d_chunk, w_chunk, c_chunk)
 }
 
 /// Optional refinement of the `(delay, dispersion, correlation)` `best`
@@ -408,6 +483,7 @@ mod tests {
     use gtw_desim::StreamRng;
     use gtw_scan::hrf::raw_convolution;
     use gtw_scan::volume::Dims;
+    use proptest::prelude::*;
 
     /// Build a tiny series where every "brain" voxel follows the HRF at
     /// (true_delay, true_disp) plus noise, and air voxels are pure noise.
@@ -609,6 +685,92 @@ mod tests {
             assert!(res.correlation.data.iter().all(|&c| c == 0.0));
             assert!(res.delay.data.iter().all(|&d| d == b.delay_s.0 as f32));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The AVX2 instance of [`fit_chunk`] has the baseline one's bits
+        /// and evaluation count: ragged voxel tiles and point tiles, any
+        /// scan count and grid, the full raster and the refined one, with
+        /// and without a mask, over constant, non-finite and signed-zero
+        /// voxels, in a chunk that starts anywhere.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn both_instances_fit_every_chunk_alike(
+            shape in (0usize..2700, 0usize..8),
+            scans in 1usize..=40,
+            steps in (2usize..15, 2usize..9),
+            refine in (any::<bool>(), 1usize..5),
+            masked in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("no AVX2 on this host: only the baseline instance runs, nothing compared");
+                return Ok(());
+            }
+            let (voxels, skip) = shape;
+            let dims = Dims::new(voxels, 1, 1);
+            let mut rng = StreamRng::new(seed, "rvo-instances");
+            // Per voxel: mostly noise, some constant, some holding one NaN,
+            // infinity or −0.0 at a random scan, some ±0.0 throughout.
+            let kinds: Vec<(u64, usize)> = (0..voxels)
+                .map(|_| (rng.below(16), rng.below(scans as u64) as usize))
+                .collect();
+            let series: Vec<Volume> = (0..scans)
+                .map(|t| {
+                    let data = kinds.iter().map(|&(kind, at)| match kind {
+                        0 => 42.0,
+                        1 if t == at => f32::NAN,
+                        2 if t == at => f32::INFINITY,
+                        3 if t == at => f32::NEG_INFINITY,
+                        4 if t == at => -0.0,
+                        4 => 0.0,
+                        5 if t == at => -0.0,
+                        _ => 100.0 + 20.0 * rng.normal() as f32,
+                    });
+                    Volume::from_vec(dims, data.collect())
+                })
+                .collect();
+            let mask: Vec<bool> = (0..voxels).map(|_| rng.below(4) != 0).collect();
+            let stimulus = Stimulus::block_design(4, 4, scans, 2.0);
+            let bounds = RvoBounds::default();
+            let raster = Raster::new(&stimulus, bounds, steps);
+            let job = Chunk {
+                series: &series,
+                stimulus: &stimulus,
+                bounds,
+                raster: &raster,
+                steps,
+                // 0 is the full raster, more the coarse one refined.
+                refine_iters: if refine.0 { refine.1 } else { 0 },
+                mask: masked.then_some(&mask[..]),
+                base: skip.min(voxels),
+            };
+            let len = voxels - job.base;
+            let mut baseline = [vec![0.0f32; len], vec![0.0; len], vec![0.0; len]];
+            let mut avx2 = baseline.clone();
+            let [d, w, c] = &mut baseline;
+            let baseline_evals = fit_chunk(&job, d, w, c);
+            let [d, w, c] = &mut avx2;
+            // SAFETY: this CPU reported AVX2 above.
+            let avx2_evals = unsafe { fit_chunk_avx2(&job, d, w, c) };
+            let bits = |out: [Vec<f32>; 3]| {
+                out.map(|m| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            prop_assert!(
+                bits(baseline) == bits(avx2),
+                "{len} voxels from {} × {scans} scans, grid {steps:?}, refine {refine:?}",
+                job.base
+            );
+            prop_assert_eq!(baseline_evals, avx2_evals);
+        }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    #[test]
+    fn both_instances_fit_every_chunk_alike() {
+        eprintln!("no AVX2 instance on this target: nothing compared");
     }
 
     #[test]

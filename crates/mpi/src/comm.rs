@@ -123,10 +123,8 @@ fn deliver(
     env: Envelope,
 ) -> CommResult<()> {
     let (src_global, dst_global, bytes) = (env.src, env.dst, env.byte_len() as u64);
-    if wait.guarded() && universe.is_failed(dst_global).is_some() {
-        return Err(CommError::RankFailed { rank: dst });
-    }
-    if !to.post(env) && wait.guarded() {
+    let dead = wait.guarded() && universe.is_failed(dst_global).is_some();
+    if dead || (!to.post(env) && wait.guarded()) {
         return Err(CommError::RankFailed { rank: dst });
     }
     universe.trace.record(src_global, EventKind::Send, Some(dst_global), bytes);
@@ -274,6 +272,8 @@ pub struct Comm {
     parent: Option<(Arc<Vec<usize>>, FabricSpec)>,
     coll_seq: Cell<u64>,
     derive_seq: Cell<u64>,
+    /// Key of this communicator's shared state (0 for a world).
+    key: u64,
     /// Salt mixed into collective tags. Zero for world/split/dup
     /// communicators (keeping their tags byte-for-byte identical to the
     /// pre-failure-semantics library); nonzero for shrunk communicators
@@ -302,6 +302,7 @@ impl Comm {
             parent,
             coll_seq: Cell::new(0),
             derive_seq: Cell::new(0),
+            key: 0,
             coll_salt: 0,
         }
     }
@@ -871,14 +872,13 @@ impl Comm {
     // ----- derived communicators -------------------------------------------
 
     /// Key of the next communicator derived from this one: FNV-1a over
-    /// the derivation sequence and the new group's global ids — every
-    /// member computes the same key.
+    /// this one's key, the derivation sequence and the new group's global
+    /// ids — every member computes the same key, and a `dup` of a `dup`
+    /// gets a key of its own.
     fn derive_key(&self, new_group: &[usize]) -> u64 {
-        let seq = self.derive_seq.get();
-        self.derive_seq.set(seq + 1);
-        fnv_key(
-            [seq, new_group.len() as u64].into_iter().chain(new_group.iter().map(|&g| g as u64)),
-        )
+        let seq = self.derive_seq.replace(self.derive_seq.get() + 1);
+        let head = [self.key, seq, new_group.len() as u64];
+        fnv_key(head.into_iter().chain(new_group.iter().map(|&g| g as u64)))
     }
 
     /// A communicator on this universe with fresh collective and cost
@@ -893,7 +893,7 @@ impl Comm {
     ) -> Comm {
         let shared = self.universe.shared_for(key);
         let universe = Arc::clone(&self.universe);
-        Comm { coll_salt, ..Comm::new(universe, group, my_local, placement, shared, None) }
+        Comm { key, coll_salt, ..Comm::new(universe, group, my_local, placement, shared, None) }
     }
 
     /// Global ids of `members` (local ranks of this communicator).
@@ -1591,6 +1591,17 @@ mod tests {
             }
         });
         assert_eq!(out[1], 12);
+    }
+
+    #[test]
+    fn a_dup_of_a_dup_revokes_alone() {
+        let out = Universe::run(2, |comm| {
+            let d = comm.dup();
+            let dd = d.dup();
+            dd.revoke();
+            (dd.is_revoked(), d.is_revoked(), d.try_barrier(Some(Duration::from_secs(10))).is_ok())
+        });
+        assert_eq!(out, vec![(true, false, true); 2]);
     }
 
     #[test]

@@ -323,10 +323,46 @@ test "$(sort -u "$trace_tmp/real_a.json" | tr -d ' ,')" = '"digest":"04cb5b6e2fc
 # `#[cfg(test)]`.
 timeout 300 cargo test -q -p gtw-fire --test rvo_pinned
 timeout 300 cargo test -q -p gtw-fire --test proptests blocked_raster
+# One chunk fit, compiled twice: the baseline instance and an AVX2 one
+# chosen at run time must agree bit for bit over random chunks.
+timeout 300 cargo test -q -p gtw-fire --lib both_instances_fit_every_chunk_alike
 rvo_rs=crates/fire/src/rvo.rs
 if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
     grep -E 'Vec<\(f64, f64, ReferenceVector\)>|for \(d, w, rv\) in'; then
     echo "check.sh: the per-voxel raster is back in $rvo_rs (see above)" >&2
+    exit 1
+fi
+# The AVX2 instance is the only `unsafe` in the non-test sources (the
+# frozen benchmark crate aside): its `unsafe fn` declaration, which the
+# 1.85 MSRV still requires of a `#[target_feature]` function, and the one
+# dispatch that calls it, with a `// SAFETY:` line directly above.
+unsafe_uses=$(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/' | xargs awk '
+    FNR == 1 {live = 1; prev = ""}
+    /^#\[cfg\(test\)\]/ {live = 0}
+    live && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+        kind = "other"
+        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx2\(/) kind = "decl"
+        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit_chunk_avx2\(/ && prev ~ /^ *\/\/ SAFETY: /) kind = "dispatch"
+        print kind " " FILENAME ":" FNR ": " $0
+    }
+    {prev = $0}')
+if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != "decl dispatch " ]; then
+    printf '%s\n' "$unsafe_uses" >&2
+    echo "check.sh: non-test sources must hold exactly one unsafe block, the RVO dispatch under a // SAFETY: line, beside its unsafe fn fit_chunk_avx2 (see above)" >&2
+    exit 1
+fi
+# Both instances are one body, vectorised by the compiler: no FMA (it
+# would round differently from the baseline instance) and no hand-written
+# intrinsics in the non-test `rvo.rs`.
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
+    grep -E 'mul_add|(^|[^A-Za-z0-9])_mm[0-9]*_|arch::x86(_64)?::'; then
+    echo "check.sh: $rvo_rs names an FMA or a vector intrinsic (see above)" >&2
+    exit 1
+fi
+# And no build-wide CPU knob: the wide instance is chosen at run time, so
+# neither a manifest nor a cargo config sets `target-cpu` or `rustflags`.
+if git ls-files | grep -E '(^|/)(Cargo\.toml|\.cargo/[^/]+)$' | xargs grep -nE 'target-cpu|rustflags'; then
+    echo "check.sh: a manifest or cargo config sets target-cpu or rustflags (see above)" >&2
     exit 1
 fi
 
