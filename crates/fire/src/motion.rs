@@ -20,9 +20,17 @@
 //! recomputed: the trial the line search accepts *is* the next
 //! iteration's base (same parameters, same bits), and the last one
 //! gives `residual_rms`.
+//!
+//! Every trilinear fetch of the fit is a lane of
+//! [`Volume::sample_lanes`]: a point's 12 Jacobian probes are one 12-lane
+//! call, and a residual vector is 8 points per call with its ragged end
+//! one point at a time. Each lane computes the scalar `Volume::sample`
+//! expression in its order (Rust never contracts to FMA), and each
+//! Jacobian entry is still `((v_hi − ref) as f64 − (v_lo − ref) as f64)
+//! · scale`, so the fit has the bits it had one sample at a time.
 
 use gtw_scan::motion::RigidTransform;
-use gtw_scan::volume::Volume;
+use gtw_scan::volume::{lanes_of, Volume};
 
 use crate::filters::average_filter;
 use crate::linalg::{solve, Matrix};
@@ -69,6 +77,9 @@ const EPS: [f32; 6] = [3e-3, 3e-3, 3e-3, 0.1, 0.1, 0.1];
 /// Sample points per `gtw_par::for_each` item of the Jacobian pass:
 /// 12 trilinear samples each, so an item is worth a lock round-trip.
 const POINT_CHUNK: usize = 256;
+
+/// Sample points per `sample_lanes` call of [`MotionCorrector::residuals`].
+const RESIDUAL_LANES: usize = 8;
 
 /// A trial transform with its rotation matrix built once.
 struct Probe {
@@ -134,15 +145,32 @@ impl MotionCorrector {
         (moved.sample(sx, sy, sz) - self.ref_values[k]) as f64
     }
 
+    /// The residuals of every sample point with `moved` seen through
+    /// `params`: [`RESIDUAL_LANES`] points per `sample_lanes` call, the
+    /// ragged end through [`MotionCorrector::residual`].
     fn residuals(&self, moved: &Volume, params: [f32; 6], out: &mut [f64]) {
         let probe = Probe::new(params);
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.residual(moved, &probe, k);
+        let centre = self.reference.dims.centre();
+        let lanes_end = out.len() - out.len() % RESIDUAL_LANES;
+        let (lanes, tail) = out.split_at_mut(lanes_end);
+        for (c, o) in lanes.chunks_exact_mut(RESIDUAL_LANES).enumerate() {
+            let k = c * RESIDUAL_LANES;
+            let [x, y, z] = lanes_of(|i| {
+                probe.transform.apply_rotated(&probe.rot, self.sample_points[k + i], centre)
+            });
+            let v: [f32; RESIDUAL_LANES] = moved.sample_lanes(x, y, z);
+            for (i, o) in o.iter_mut().enumerate() {
+                *o = (v[i] - self.ref_values[k + i]) as f64;
+            }
+        }
+        for (i, o) in tail.iter_mut().enumerate() {
+            *o = self.residual(moved, &probe, lanes_end + i);
         }
     }
 
     /// Central-difference Jacobian of the residuals around `params`:
-    /// the fused, parallel pass of the module docs.
+    /// the fused, parallel pass of the module docs. A point's 12 probe
+    /// positions are one `sample_lanes` call.
     fn jacobian(&self, moved: &Volume, params: [f32; 6], jac: &mut [[f64; 6]]) {
         let probes: [[Probe; 2]; 6] = std::array::from_fn(|p| {
             let (mut lo, mut hi) = (params, params);
@@ -150,12 +178,20 @@ impl MotionCorrector {
             hi[p] += EPS[p];
             [Probe::new(lo), Probe::new(hi)]
         });
+        let centre = self.reference.dims.centre();
         gtw_par::for_each(jac.chunks_mut(POINT_CHUNK).enumerate(), |(c, rows)| {
             for (i, row) in rows.iter_mut().enumerate() {
                 let k = c * POINT_CHUNK + i;
-                for (p, [lo, hi]) in probes.iter().enumerate() {
+                // Lane 2p is parameter p's low probe, lane 2p + 1 its high.
+                let [x, y, z] = lanes_of(|j| {
+                    let probe = &probes[j / 2][j % 2];
+                    probe.transform.apply_rotated(&probe.rot, self.sample_points[k], centre)
+                });
+                let v: [f32; 12] = moved.sample_lanes(x, y, z);
+                let rk = self.ref_values[k];
+                for (p, d) in row.iter_mut().enumerate() {
                     let scale = 1.0 / (2.0 * EPS[p] as f64);
-                    row[p] = (self.residual(moved, hi, k) - self.residual(moved, lo, k)) * scale;
+                    *d = ((v[2 * p + 1] - rk) as f64 - (v[2 * p] - rk) as f64) * scale;
                 }
             }
         });

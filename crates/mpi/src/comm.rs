@@ -1093,12 +1093,12 @@ impl Comm {
             return Err(CommError::RankFailed { rank: self.my_local });
         }
         let survivors: Vec<usize> = (0..self.size()).filter(|l| !failed.contains(l)).collect();
-        // Key the shared state by the (old group -> new group) transition
-        // alone: survivors may have diverged in `derive_seq` by the time
-        // they shrink, so the sequence-mixing `derive_key` is unusable.
+        // Key the shared state by this key and the (old -> new group)
+        // transition, not `derive_key`: survivors' `derive_seq` may have
+        // diverged. Without the key a `dup` would shrink onto our state.
         let group = self.globals(&survivors);
         let ids = self.group.iter().chain(&group).map(|&g| g as u64);
-        let key = fnv_key(b"shrink".iter().map(|&b| b as u64).chain(ids));
+        let key = fnv_key(b"shrink".iter().map(|&b| b as u64).chain([self.key]).chain(ids));
         Ok(self.subset(&survivors, group, key, key | 1))
     }
 
@@ -1602,6 +1602,27 @@ mod tests {
             (dd.is_revoked(), d.is_revoked(), d.try_barrier(Some(Duration::from_secs(10))).is_ok())
         });
         assert_eq!(out, vec![(true, false, true); 2]);
+    }
+
+    #[test]
+    fn a_dup_shrinks_alone() {
+        let failed = Arc::new(std::sync::Barrier::new(3));
+        let out = Universe::run(3, move |comm| {
+            let d = comm.dup();
+            let dd = d.dup();
+            // Rank 2 dies; both derived communicators shrink onto 0 and 1.
+            if comm.rank() == 2 {
+                _ = comm.universe.declare_failed(comm.global_id(), FailCause::Crash);
+                failed.wait();
+                return None;
+            }
+            failed.wait();
+            let (s, ds) = (d.shrink().unwrap(), dd.shrink().unwrap());
+            ds.revoke();
+            let alone = s.try_barrier(Some(Duration::from_secs(10))).is_ok();
+            Some((s.size(), ds.is_revoked(), s.is_revoked(), alone))
+        });
+        assert_eq!(out, vec![Some((2, true, false, true)), Some((2, true, false, true)), None]);
     }
 
     #[test]

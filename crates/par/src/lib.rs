@@ -4,12 +4,13 @@
 //! iterator on scoped threads. Call sites build the iterator from
 //! `chunks_mut` / `zip` / `enumerate`, so every output element is written
 //! by exactly one call and nothing is combined across items (an integer
-//! sum excepted): the result is bit-identical at any width. No pool, no
-//! global state: threads live for one call, and the width is the host's
-//! core count unless [`with_threads`] overrides it for the calling thread.
+//! sum excepted): the result is bit-identical at any width. No pool:
+//! threads live for one call. The only global state is the host's core
+//! count, read once; the width is that count unless [`with_threads`]
+//! overrides it for the calling thread.
 
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Worker stack size: the kernels keep their buffers on the heap.
 const WORKER_STACK: usize = 256 * 1024;
@@ -19,10 +20,17 @@ thread_local! {
     static WIDTH: Cell<usize> = const { Cell::new(0) };
 }
 
+/// The host's core count, read on first use: asking the OS costs more
+/// than a small `for_each` does.
+fn host_width() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// How many threads a [`for_each`] issued from this thread uses.
 pub fn threads() -> usize {
     match WIDTH.get() {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => host_width(),
         n => n,
     }
 }

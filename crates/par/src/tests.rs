@@ -44,6 +44,19 @@ fn with_threads_nests_restores_and_clamps_zero() {
 }
 
 #[test]
+fn the_default_width_is_the_host_core_count_on_every_thread() {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(threads(), host);
+    // A fresh thread has no override: it reads the same count, and a
+    // nested override on it is undone back to that count.
+    let fresh = std::thread::spawn(move || {
+        let nested = with_threads(host + 1, || (threads(), with_threads(3, threads), threads()));
+        (nested, threads())
+    });
+    assert_eq!(fresh.join().unwrap(), ((host + 1, 3, host + 1), host));
+}
+
+#[test]
 fn a_panicking_item_reaches_the_caller() {
     for width in [1usize, 2, 4] {
         let caught = std::panic::catch_unwind(|| {

@@ -10,7 +10,11 @@
 //! each point with nine multiplies. `apply_point` is the same expression
 //! on a freshly built matrix, so both give the same bits.
 
-use crate::volume::Volume;
+use crate::volume::{lanes_of, Volume};
+
+/// Voxels of a row per [`Volume::sample_lanes`] call in
+/// [`RigidTransform::resample`].
+const RESAMPLE_LANES: usize = 8;
 
 /// A rigid-body transform: rotation (Euler angles, radians, applied in
 /// x-y-z order about the volume centre) followed by translation (voxels).
@@ -102,18 +106,27 @@ impl RigidTransform {
     /// Resample `vol` through this transform: output voxel `o` takes the
     /// value of the input at `T(o)` (pull/backward warping, trilinear).
     /// One z-slab per `gtw_par::for_each` item, one writer per voxel:
-    /// the same bits at any thread count.
+    /// the same bits at any thread count. A row is sampled
+    /// [`RESAMPLE_LANES`] voxels per [`Volume::sample_lanes`] call and
+    /// its ragged end one voxel at a time.
     pub fn resample(&self, vol: &Volume) -> Volume {
         let dims = vol.dims;
         let centre = dims.centre();
         let r = self.rotation_matrix();
         let mut out = Volume::zeros(dims);
         let slab = (dims.nx * dims.ny).max(1);
+        let lanes_end = dims.nx - dims.nx % RESAMPLE_LANES;
         gtw_par::for_each(out.data.chunks_mut(slab).enumerate(), |(z, out_slab)| {
             for (y, out_row) in out_slab.chunks_mut(dims.nx).enumerate() {
-                for (x, o) in out_row.iter_mut().enumerate() {
-                    let p = (x as f32, y as f32, z as f32);
-                    let (sx, sy, sz) = self.apply_rotated(&r, p, centre);
+                let pull =
+                    |x: usize| self.apply_rotated(&r, (x as f32, y as f32, z as f32), centre);
+                let (lanes, tail) = out_row.split_at_mut(lanes_end);
+                for (c, o) in lanes.chunks_exact_mut(RESAMPLE_LANES).enumerate() {
+                    let [x, y, z] = lanes_of(|i| pull(c * RESAMPLE_LANES + i));
+                    o.copy_from_slice(&vol.sample_lanes::<RESAMPLE_LANES>(x, y, z));
+                }
+                for (i, o) in tail.iter_mut().enumerate() {
+                    let (sx, sy, sz) = pull(lanes_end + i);
                     *o = vol.sample(sx, sy, sz);
                 }
             }

@@ -60,6 +60,14 @@ impl Dims {
     }
 }
 
+/// The `L` points `point(0..L)` as the x, y and z lanes that
+/// [`Volume::sample_lanes`] takes.
+#[inline(always)]
+pub fn lanes_of<const L: usize>(point: impl Fn(usize) -> (f32, f32, f32)) -> [[f32; L]; 3] {
+    let points: [(f32, f32, f32); L] = std::array::from_fn(point);
+    [points.map(|p| p.0), points.map(|p| p.1), points.map(|p| p.2)]
+}
+
 /// A 3-D scalar volume of `f32` voxels.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Volume {
@@ -102,7 +110,83 @@ impl Volume {
     /// outside the volume clamp to the boundary (the behaviour motion
     /// correction wants at the head edge). A NaN coordinate samples
     /// cell 0 with a NaN weight; a zero-sized volume samples as 0.0.
+    /// The one-lane case of [`Volume::sample_lanes`].
+    #[inline]
     pub fn sample(&self, x: f32, y: f32, z: f32) -> f32 {
+        self.sample_lanes([x], [y], [z])[0]
+    }
+
+    /// [`Volume::sample`] at `L` points at once: lane `i` is
+    /// `sample(x[i], y[i], z[i])`, bit for bit. Three passes over
+    /// `[_; L]` arrays, the first and last of which the compiler
+    /// vectorises across lanes: clamp, truncate and index; read the
+    /// eight corners from one bounds-checked slice per lane; the seven
+    /// lerps in the scalar order. After the clamp `as i32` truncates as
+    /// `as usize` did (`-0.0` and NaN both to 0), and the index math is
+    /// `i32`, so the volume must hold at most `i32::MAX` voxels (8 GiB
+    /// of `f32`); a larger one panics.
+    #[inline(always)]
+    pub fn sample_lanes<const L: usize>(&self, x: [f32; L], y: [f32; L], z: [f32; L]) -> [f32; L] {
+        let d = self.dims;
+        if d.is_empty() {
+            return [0.0; L];
+        }
+        assert!(
+            d.len() <= i32::MAX as usize,
+            "sample_lanes indexes in i32: {d:?} holds more than i32::MAX voxels"
+        );
+        let (nx, ny, nz) = (d.nx as i32, d.ny as i32, d.nz as i32);
+        let (hx, hy, hz) = ((d.nx - 1) as f32, (d.ny - 1) as f32, (d.nz - 1) as f32);
+        // Pass 1: the cell's base index, its +1 step along each axis (0
+        // on the last plane, as `min(x0 + 1, n - 1)` gave) and the
+        // fractions.
+        let (mut base, mut ox, mut oy, mut oz) = ([0i32; L], [0i32; L], [0i32; L], [0i32; L]);
+        let (mut fx, mut fy, mut fz) = ([0.0f32; L], [0.0f32; L], [0.0f32; L]);
+        for i in 0..L {
+            let cx = x[i].clamp(0.0, hx);
+            let cy = y[i].clamp(0.0, hy);
+            let cz = z[i].clamp(0.0, hz);
+            let (x0, y0, z0) = (cx as i32, cy as i32, cz as i32);
+            base[i] = x0 + nx * (y0 + ny * z0);
+            ox[i] = if x0 + 1 < nx { 1 } else { 0 };
+            oy[i] = if y0 + 1 < ny { nx } else { 0 };
+            oz[i] = if z0 + 1 < nz { nx * ny } else { 0 };
+            fx[i] = cx - x0 as f32;
+            fy[i] = cy - y0 as f32;
+            fz[i] = cz - z0 as f32;
+        }
+        // Pass 2: the corners, `cXYZ` one step along each axis marked 1.
+        let mut c = [[0.0f32; L]; 8];
+        for i in 0..L {
+            let (b, ox, oy, oz) =
+                (base[i] as usize, ox[i] as usize, oy[i] as usize, oz[i] as usize);
+            let cell = &self.data[b..=b + ox + oy + oz];
+            let corners = [0, ox, oy, ox + oy, oz, ox + oz, oy + oz, ox + oy + oz];
+            for (ck, o) in c.iter_mut().zip(corners) {
+                ck[i] = cell[o];
+            }
+        }
+        let [c000, c100, c010, c110, c001, c101, c011, c111] = c;
+        // Pass 3: the lerps, x then y then z.
+        let mut out = [0.0f32; L];
+        for i in 0..L {
+            let (fx, fy, fz) = (fx[i], fy[i], fz[i]);
+            let c00 = c000[i] + fx * (c100[i] - c000[i]);
+            let c10 = c010[i] + fx * (c110[i] - c010[i]);
+            let c01 = c001[i] + fx * (c101[i] - c001[i]);
+            let c11 = c011[i] + fx * (c111[i] - c011[i]);
+            let c0 = c00 + fy * (c10 - c00);
+            let c1 = c01 + fy * (c11 - c01);
+            out[i] = c0 + fz * (c1 - c0);
+        }
+        out
+    }
+
+    /// `sample` as it was before it became the one-lane case of
+    /// [`Volume::sample_lanes`], kept as the reference the lanes are
+    /// held to.
+    #[cfg(test)]
+    fn sample_reference(&self, x: f32, y: f32, z: f32) -> f32 {
         if self.dims.is_empty() {
             return 0.0;
         }
@@ -182,6 +266,8 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[test]
     fn index_coords_roundtrip() {
@@ -258,6 +344,113 @@ mod tests {
         let w = Volume::from_vec(Dims::new(2, 2, 1), vec![1.0, 2.0, 3.0, 8.0]);
         assert!((v.rms_diff(&w) - 2.0).abs() < 1e-6);
         assert_eq!(v.rms_diff(&v), 0.0);
+    }
+
+    /// A voxel value: one of the awkward ones, or a normal draw.
+    fn voxel(rng: &mut gtw_desim::StreamRng) -> f32 {
+        const AWKWARD: [f32; 7] =
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::MAX, -f32::MAX, 0.0];
+        match rng.below(4) {
+            0 => AWKWARD[rng.below(AWKWARD.len() as u64) as usize],
+            _ => (rng.normal() * 100.0) as f32,
+        }
+    }
+
+    /// A coordinate on an axis of `n` voxels: one of the awkward
+    /// values, an exact integer, or a draw over [-2, n + 1].
+    fn coordinate(rng: &mut gtw_desim::StreamRng, n: usize) -> f32 {
+        let awkward = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, (n - 1) as f32];
+        match rng.below(8) {
+            0 => awkward[rng.below(awkward.len() as u64) as usize],
+            1 => rng.below(n as u64 + 3) as f32 - 1.0,
+            _ => rng.uniform_in(-2.0, n as f64 + 1.0) as f32,
+        }
+    }
+
+    /// Equal bits, or NaN both: Rust leaves the sign and payload of a
+    /// NaN an operation produces unspecified, and the compiler may swap
+    /// the operands of a commutative one.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Every lane of `sample_lanes::<L>` against `sample_reference`.
+    fn lanes_match<const L: usize>(
+        vol: &Volume,
+        rng: &mut gtw_desim::StreamRng,
+    ) -> Result<(), String> {
+        let d = vol.dims;
+        let x: [f32; L] = std::array::from_fn(|_| coordinate(rng, d.nx));
+        let y: [f32; L] = std::array::from_fn(|_| coordinate(rng, d.ny));
+        let z: [f32; L] = std::array::from_fn(|_| coordinate(rng, d.nz));
+        let got = vol.sample_lanes(x, y, z);
+        for i in 0..L {
+            let want = vol.sample_reference(x[i], y[i], z[i]);
+            if !same(got[i], want) {
+                return Err(format!(
+                    "{d:?} L={L} lane {i} at ({}, {}, {}): {} vs {want}",
+                    x[i], y[i], z[i], got[i]
+                ));
+            }
+        }
+        if L == 1 && !same(vol.sample(x[0], y[0], z[0]), got[0]) {
+            return Err(format!("sample is not the one-lane case at {x:?}"));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Each lane is the scalar body, bit for bit (a NaN as a NaN):
+        /// coordinates inside, outside either face, on the grid and the
+        /// last plane, and not a number; voxels that are NaN, infinite,
+        /// `-0.0` or `±f32::MAX`.
+        #[test]
+        fn lanes_sample_as_the_reference_bit_for_bit(
+            dims in (1usize..18, 1usize..14, 1usize..10),
+            seed in 0u64..1_000_000,
+        ) {
+            let dims = Dims::new(dims.0, dims.1, dims.2);
+            let mut rng = gtw_desim::StreamRng::new(seed, "sample-lanes");
+            let vol = Volume::from_vec(dims, (0..dims.len()).map(|_| voxel(&mut rng)).collect());
+            for _ in 0..4 {
+                lanes_match::<1>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+                lanes_match::<3>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+                lanes_match::<8>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+                lanes_match::<12>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_cover_the_smallest_and_largest_dims() {
+        // The proptest's corners, drawn for sure.
+        for dims in [Dims::new(1, 1, 1), Dims::new(17, 13, 9)] {
+            let mut rng = gtw_desim::StreamRng::new(7, "sample-lanes-corners");
+            let vol = Volume::from_vec(dims, (0..dims.len()).map(|_| voxel(&mut rng)).collect());
+            for _ in 0..64 {
+                lanes_match::<12>(&vol, &mut rng).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_axis_volume_samples_zero_in_every_lane() {
+        for dims in [Dims::new(0, 3, 3), Dims::new(3, 0, 3), Dims::new(3, 3, 0)] {
+            let vol = Volume::zeros(dims);
+            let got = vol.sample_lanes([1.0, f32::NAN, -4.0], [0.5; 3], [2.0; 3]);
+            assert_eq!(got.map(f32::to_bits), [0.0f32.to_bits(); 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than i32::MAX voxels")]
+    fn lanes_refuse_a_volume_past_i32_max_voxels() {
+        // 2^31 voxels: one more than the index math holds. No data is
+        // needed, the size check comes first.
+        let vol = Volume { dims: Dims::new(1 << 16, 1 << 15, 1), data: Vec::new() };
+        let _ = vol.sample_lanes([0.0; 4], [0.0; 4], [0.0; 4]);
     }
 
     #[test]

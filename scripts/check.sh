@@ -332,6 +332,23 @@ if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
     echo "check.sh: the per-voxel raster is back in $rvo_rs (see above)" >&2
     exit 1
 fi
+# Motion correction: the per-scan fit (24 scans, two seeds) and
+# `resample`, pinned on the commit before the trilinear sampler read a
+# lane of points at a time (1/2/3/8 threads), and every lane of
+# `Volume::sample_lanes` held to the scalar body it replaced over random
+# dims, coordinates and voxels, non-finite ones included.
+timeout 300 cargo test -q -p gtw-fire --test motion_pinned
+timeout 300 cargo test -q -p gtw-scan --lib lanes_sample_as_the_reference_bit_for_bit
+# One trilinear body: its last lerp appears in the non-test sources only
+# in `volume.rs`, where `sample` is the one-lane case of `sample_lanes`.
+if git ls-files 'crates/*/src/*.rs' | xargs awk '
+    FNR == 1 {live = 1}
+    /^#\[cfg\(test\)\]/ {live = 0}
+    live && /fz \* \(c1 - c0\)/ && FILENAME != "crates/scan/src/volume.rs" {print FILENAME ":" FNR ": " $0}' |
+    grep .; then
+    echo "check.sh: a second trilinear body is back outside crates/scan/src/volume.rs (see above)" >&2
+    exit 1
+fi
 # The AVX2 instance is the only `unsafe` in the non-test sources (the
 # frozen benchmark crate aside): its `unsafe fn` declaration, which the
 # 1.85 MSRV still requires of a `#[target_feature]` function, and the one
