@@ -25,9 +25,10 @@ pub fn hot(t: f32) -> Rgb {
 /// Map a correlation coefficient in `[clip, 1]` onto the hot scale
 /// (values at the clip level are dark red, a perfect correlation is
 /// white) — the paper's "color-coded correlation coefficient" overlay.
+/// At a clip level of 1 or more the range is empty and only a perfect
+/// correlation passes it, so every coefficient maps to white.
 pub fn correlation_color(c: f32, clip: f32) -> Rgb {
-    debug_assert!(clip < 1.0);
-    let t = ((c - clip) / (1.0 - clip)).clamp(0.0, 1.0);
+    let t = if clip >= 1.0 { 1.0 } else { ((c - clip) / (1.0 - clip)).clamp(0.0, 1.0) };
     // Keep a minimum brightness so clip-level voxels are visible.
     hot(0.25 + 0.75 * t)
 }
@@ -67,6 +68,9 @@ mod tests {
     fn correlation_color_visible_at_clip() {
         let c = correlation_color(0.5, 0.5);
         assert!(c.0 > 100, "clip-level overlay must be visible: {c:?}");
-        assert_eq!(correlation_color(1.0, 0.5), Rgb(255, 255, 255));
+        // A perfect correlation is white, at a clip level of 1 or more too.
+        for (c, clip) in [(1.0, 0.5), (1.0, 1.0), (1.5, 1.0), (2.0, 1.5)] {
+            assert_eq!(correlation_color(c, clip), Rgb(255, 255, 255), "{c} at clip {clip}");
+        }
     }
 }

@@ -90,6 +90,16 @@ mod tests {
     }
 
     #[test]
+    fn a_perfect_correlation_at_clip_one_is_white() {
+        let (anatomy, mut corr) = setup();
+        *corr.at_mut(12, 12, 2) = 1.0;
+        let img = render_overlay(&anatomy, &corr, 2, 1.0);
+        assert_eq!(img.at(12, 12), crate::image::Rgb(255, 255, 255));
+        let p = img.at(13, 12);
+        assert_eq!(p.0, p.1, "0.8 < clip 1.0 must render as anatomy: {p:?}");
+    }
+
+    #[test]
     fn other_slices_unaffected() {
         let (anatomy, corr) = setup();
         let img = render_overlay(&anatomy, &corr, 0, 0.5);

@@ -15,10 +15,14 @@
 //! uses it to leave out steps that could only have been discarded: a ray
 //! starts where it enters the box round the bricks that can reach
 //! `density_floor`, jumps across bricks inside it that cannot, and reads
-//! the activation map only where it is positive somewhere. Every step
-//! that composites is still computed by the same expressions in the same
-//! order, so frames do not depend on the summary (DESIGN.md has the
-//! argument; `tests/common/mod.rs` keeps the per-step loop as the oracle).
+//! the activation map only where it is positive somewhere. From a step
+//! in a brick that can, the ray fetches that step and the next seven with
+//! one `Volume::sample_lanes` call, so their cache misses overlap instead
+//! of waiting on each other, and composites them one at a time in step
+//! order. Every step that composites is still computed by the same
+//! expressions in the same order, so frames depend neither on the
+//! summary nor on the grouping (DESIGN.md has the argument;
+//! `tests/common/mod.rs` keeps the per-step loop as the oracle).
 
 use gtw_scan::volume::Volume;
 
@@ -60,6 +64,9 @@ impl Default for RenderParams {
 
 /// Edge of an occupancy brick, in cells.
 const BRICK: usize = 8;
+
+/// Steps of a ray sampled by one `Volume::sample_lanes` call.
+const LANES: usize = 8;
 
 /// What one brick of cells can contribute to a frame.
 #[derive(Clone, Copy)]
@@ -145,6 +152,13 @@ impl Occupancy {
     #[inline]
     fn brick(&self, at: [usize; 3]) -> Brick {
         self.bricks[at[0] + self.n[0] * (at[1] + self.n[1] * at[2])]
+    }
+
+    /// Whether an activation sample can be `> 0` in any brick of the box
+    /// the bricks `a` and `b` span.
+    fn any_active(&self, a: [usize; 3], b: [usize; 3]) -> bool {
+        let span = |i: usize| a[i].min(b[i])..=a[i].max(b[i]);
+        span(2).any(|z| span(1).any(|y| span(0).any(|x| self.brick([x, y, z]).active)))
     }
 
     /// The positions `render` must visit: the box round every brick whose
@@ -265,21 +279,20 @@ impl VolumeRenderer {
                 if end < steps && !outside_until(at(end), back) {
                     end = steps;
                 }
+                let outside = |pos: [f32; 3]| (0..3).any(|i| pos[i] < lo[i] || pos[i] > hi[i]);
                 let mut rgb = [0.0f32; 3];
                 let mut alpha = 0.0f32;
-                while s < end {
+                'ray: while s < end {
                     if alpha > 0.97 {
                         break;
                     }
                     let pos = at(s);
-                    let [x, y, z] = pos;
-                    if (0..3).any(|i| pos[i] < lo[i] || pos[i] > hi[i]) {
+                    if outside(pos) {
                         s += 1;
                         continue;
                     }
                     let here = occ.brick_of(pos);
-                    let brick = occ.brick(here);
-                    if brick.bound < p.density_floor {
+                    if occ.brick(here).bound < p.density_floor {
                         // Nothing in this brick reaches the floor. Jump past
                         // the last step before the face the ray leaves by,
                         // if that step is in the brick: then so is every
@@ -295,31 +308,61 @@ impl VolumeRenderer {
                         s = if occ.brick_of(at(last)) == here { last + 1 } else { s + 1 };
                         continue;
                     }
-                    s += 1;
-                    let density = self.anatomy.sample(x, y, z);
-                    if density < p.density_floor {
-                        continue;
+                    // Sample this step and the next LANES - 1 with one call,
+                    // whatever bricks they reach: a lane in a brick the
+                    // summary rules out samples below the floor and is
+                    // discarded as the per-step loop discarded it. A group
+                    // cut short by `end` repeats its last position and
+                    // drops those lanes.
+                    let n = (end - s).min(LANES);
+                    let (mut x, mut y, mut z) = ([0.0f32; LANES], [0.0; LANES], [0.0; LANES]);
+                    for k in 0..LANES {
+                        [x[k], y[k], z[k]] = at(s + k.min(n - 1));
                     }
-                    let dn = (density / self.density_max).clamp(0.0, 1.0);
-                    let a = (dn * p.opacity_scale).min(1.0);
-                    // Base colour: bone-tinted grayscale by density.
-                    let mut c = [dn, dn * 0.97, dn * 0.92];
-                    if let Some(act) = self.activation.as_ref().filter(|_| brick.active) {
-                        let amp = act.sample(x, y, z);
-                        if amp > 0.0 {
-                            // Blend the hot highlight ("light areas").
-                            let h = hot(0.5 + 10.0 * amp.min(0.05));
-                            let w = (amp * 25.0).min(1.0);
-                            c[0] = c[0] * (1.0 - w) + (h.0 as f32 / 255.0) * w;
-                            c[1] = c[1] * (1.0 - w) + (h.1 as f32 / 255.0) * w;
-                            c[2] = c[2] * (1.0 - w) + (h.2 as f32 / 255.0) * w;
+                    s += n;
+                    let density = self.anatomy.sample_lanes(x, y, z);
+                    let dn = density.map(|d| (d / self.density_max).clamp(0.0, 1.0));
+                    let a = dn.map(|dn| (dn * p.opacity_scale).min(1.0));
+                    // Coordinates are monotone in `s`, so with both ends of
+                    // the group in the box (the first, `pos`, is) every lane
+                    // is, and every lane's brick lies in the box of bricks
+                    // the two ends span.
+                    let last = [x[n - 1], y[n - 1], z[n - 1]];
+                    let ends_inside = !outside(last);
+                    let act = self
+                        .activation
+                        .as_ref()
+                        .filter(|_| occ.any_active(here, occ.brick_of(last)));
+                    for k in 0..n {
+                        if alpha > 0.97 {
+                            break 'ray;
                         }
+                        if !ends_inside && outside([x[k], y[k], z[k]]) {
+                            continue;
+                        }
+                        if density[k] < p.density_floor {
+                            continue;
+                        }
+                        let dn = dn[k];
+                        // Base colour: bone-tinted grayscale by density.
+                        let mut c = [dn, dn * 0.97, dn * 0.92];
+                        if let Some(act) = act {
+                            let amp = act.sample(x[k], y[k], z[k]);
+                            if amp > 0.0 {
+                                // Blend the hot highlight ("light areas").
+                                let h = hot(0.5 + 10.0 * amp.min(0.05));
+                                let w = (amp * 25.0).min(1.0);
+                                c[0] = c[0] * (1.0 - w) + (h.0 as f32 / 255.0) * w;
+                                c[1] = c[1] * (1.0 - w) + (h.1 as f32 / 255.0) * w;
+                                c[2] = c[2] * (1.0 - w) + (h.2 as f32 / 255.0) * w;
+                            }
+                        }
+                        let wgt = a[k] * (1.0 - alpha);
+                        rgb[0] += c[0] * wgt;
+                        rgb[1] += c[1] * wgt;
+                        rgb[2] += c[2] * wgt;
+                        alpha += wgt;
                     }
-                    let wgt = a * (1.0 - alpha);
-                    rgb[0] += c[0] * wgt;
-                    rgb[1] += c[1] * wgt;
-                    rgb[2] += c[2] * wgt;
-                    alpha += wgt;
                 }
                 *out = Rgb(
                     (rgb[0].clamp(0.0, 1.0) * 255.0) as u8,
@@ -476,6 +519,20 @@ mod tests {
         let whole = Some(([-1.0; 3], [40.0, 24.0, 17.0]));
         assert_eq!(occ.occupied_box(0.0), whole);
         assert_eq!(occ.occupied_box(f32::NAN), whole);
+    }
+
+    #[test]
+    fn any_active_covers_the_box_two_bricks_span() {
+        let d = Dims::new(40, 24, 17);
+        let mut activation = Volume::zeros(d);
+        // Active in bricks [2, 1, 2] and, as its +1 plane, [2, 1, 1].
+        *activation.at_mut(20, 9, 16) = 0.5;
+        let (occ, _) = Occupancy::build(&Volume::zeros(d), Some(&activation));
+        assert!(occ.any_active([2, 1, 1], [2, 1, 1]) && !occ.any_active([2, 1, 0], [2, 1, 0]));
+        // Either corner first, on each axis.
+        assert!(occ.any_active([0, 0, 0], [4, 2, 2]) && occ.any_active([4, 2, 2], [0, 0, 0]));
+        assert!(occ.any_active([3, 0, 2], [1, 2, 0]));
+        assert!(!occ.any_active([0, 0, 0], [1, 2, 2]) && !occ.any_active([4, 2, 2], [3, 0, 0]));
     }
 
     #[test]

@@ -73,11 +73,17 @@ impl FrameTransport {
     }
 }
 
-/// Measure the RLE compression ratio of a rendered frame.
+/// Measure the RLE compression ratio of a rendered frame. A lossless
+/// sender ships whichever of the raw and encoded bytes is smaller, so the
+/// ratio is never below 1; an empty frame ships nothing either way and
+/// reads 1.
 pub fn measured_compression(frame: &Image) -> f64 {
     let raw = frame.to_rgb_bytes();
+    if raw.is_empty() {
+        return 1.0;
+    }
     let enc = rle_encode(&raw);
-    raw.len() as f64 / enc.len() as f64
+    raw.len() as f64 / enc.len().min(raw.len()) as f64
 }
 
 /// Achievable frame rate and per-frame latency of a workbench stream over
@@ -179,6 +185,26 @@ mod tests {
             IpConfig::large_mtu(),
         );
         assert!(rle_fps > raw_fps * 1.4, "raw {raw_fps} vs rle {rle_fps}");
+    }
+
+    #[test]
+    fn rle_never_ships_more_than_raw() {
+        // One pixel encodes to four bytes (a run length and the pixel),
+        // and a frame of alternating pixels to four bytes each: the
+        // sender keeps the three raw ones. An empty frame ships nothing.
+        let mut stripes = Image::new(16, 4);
+        for (i, px) in stripes.pixels.iter_mut().enumerate() {
+            *px = crate::image::Rgb((i % 2) as u8 * 200, 10, 10);
+        }
+        for frame in [Image::new(1, 1), stripes, Image::new(0, 0), Image::new(7, 0)] {
+            let ratio = measured_compression(&frame);
+            assert_eq!(ratio, 1.0, "{}x{}", frame.width, frame.height);
+            let wire = FrameTransport::Rle { ratio }.wire_bytes(frame.to_rgb_bytes().len() as u64);
+            assert_eq!(wire, frame.to_rgb_bytes().len() as u64);
+        }
+        // A frame that does shrink keeps its measured ratio: 64 black
+        // pixels are one run of four bytes.
+        assert_eq!(measured_compression(&Image::new(8, 8)), 48.0);
     }
 
     #[test]

@@ -3,10 +3,16 @@
 //! before the occupancy summary, while `render` still visited every step
 //! of every ray, so neither that change nor a later one can move a pixel
 //! without failing here.
+//!
+//! Then every third view of the 128×128×64 phantom at 128×128 pixels,
+//! at 1/2/3/8 threads, pinned on the commit before a ray fetched eight
+//! steps per call: at that size a ray's stretch through occupied bricks
+//! is long enough to fill lane groups, which at 64×64×32 it often is not.
 
 mod common;
 
 use common::{benchmark_params, frame_digest, phantom_volumes, SCENE, VIEWS};
+use gtw_scan::volume::Dims;
 use gtw_viz::raycast::VolumeRenderer;
 
 const PINNED: [u64; VIEWS] = [
@@ -57,5 +63,36 @@ fn benchmark_views_are_pinned() {
         .collect();
     for (view, (g, want)) in got.iter().zip(&PINNED).enumerate() {
         assert_eq!(g, want, "view {view}: digest {g:#018x}; all: {got:#018x?}");
+    }
+}
+
+/// Every third view of the larger scene.
+const PINNED_LARGE: [u64; VIEWS / 3] = [
+    0x622e_a5dc_f93f_6680,
+    0x66d3_9f47_639c_4db9,
+    0x8a34_f65c_ccab_f369,
+    0x1be2_3dcf_ed9b_8aa2,
+    0x9b76_8fbe_3b32_53fb,
+    0x1487_cd0b_8707_cd23,
+    0x8f37_837d_b8e9_8df7,
+    0xbaae_791a_e956_6087,
+    0x3f01_3245_fec2_493d,
+    0x2073_6c81_671a_4e46,
+    0xc2be_e93c_7a1d_eec3,
+    0x4e17_2b71_ca74_0cb4,
+];
+
+#[test]
+fn larger_scene_views_are_pinned_at_every_width() {
+    let (anatomy, activation) = phantom_volumes(Dims::new(128, 128, 64));
+    let renderer = VolumeRenderer::new(anatomy, Some(activation));
+    for threads in [1usize, 2, 3, 8] {
+        let got: Vec<u64> = gtw_par::with_threads(threads, || {
+            (0..VIEWS)
+                .step_by(3)
+                .map(|view| frame_digest(&renderer.render(&benchmark_params(view, 128))))
+                .collect()
+        });
+        assert_eq!(got, PINNED_LARGE, "{threads} threads: {got:#018x?}");
     }
 }

@@ -148,3 +148,42 @@ fn non_finite_views_match_the_reference() {
         }
     }
 }
+
+/// The edges of an eight-step lane group: steps that keep a group inside
+/// one brick, or carry it across one face or across several (0.05 up to
+/// 9 voxels), an opacity that saturates on a group's first lane, views
+/// down each axis (where a coordinate stands still along the ray),
+/// floors that occupy every brick, and dims one voxel either side of a
+/// brick edge.
+#[test]
+fn boundary_scenes_match_the_reference() {
+    let mut rng = Rng(StreamRng::new(2026, "raycast-boundary"));
+    let views =
+        [(0.0, 0.0), (FRAC_PI_2, 0.0), (0.0, FRAC_PI_2), (FRAC_PI_2, -FRAC_PI_2), (0.4, 0.25)];
+    for dims in [Dims::new(15, 17, 9), Dims::new(17, 7, 23)] {
+        let (phantom, phantom_act) = phantom_volumes(dims);
+        let anatomy = random_volume(&mut rng, dims, 800.0, 2);
+        let activation = random_volume(&mut rng, dims, 0.05, 0);
+        for (a, act) in [(&phantom, &phantom_act), (&anatomy, &activation)] {
+            let renderer = VolumeRenderer::new(a.clone(), Some(act.clone()));
+            for step in [0.05, 0.75, 7.9, 8.0, 9.0] {
+                for (azimuth, elevation) in views {
+                    for density_floor in [f32::NAN, f32::NEG_INFINITY, 0.0, 60.0] {
+                        for opacity_scale in [0.08, 3.0] {
+                            let p = RenderParams {
+                                width: 11,
+                                height: 9,
+                                azimuth,
+                                elevation,
+                                density_floor,
+                                opacity_scale,
+                                step,
+                            };
+                            assert_matches_reference(&renderer, a, Some(act), &p);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -386,10 +386,19 @@ fi
 # Render gate: the ray-caster skips steps by an occupancy summary, and a
 # skip that fails to advance would spin for ever, so its suites (per-step
 # reference at 1/2/3/8 threads, frames pinned on the commit before the
-# summary) run under a hard timeout. Then two fig4 runs must emit
-# byte-identical JSON, frame digest included, once the one measured line
-# (`render_ms`) is stripped.
+# summary and on the commit before lane groups) run under a hard timeout.
+# Then two fig4 runs must emit byte-identical JSON, frame digest
+# included, once the one measured line (`render_ms`) is stripped.
 timeout 300 cargo test -q -p gtw-viz
+# One fetch path for the anatomy: from a step in an occupied brick a ray
+# fetches eight steps per `Volume::sample_lanes` call, so the non-test
+# `raycast.rs` never calls the scalar `sample` on it.
+raycast_rs=crates/viz/src/raycast.rs
+if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$raycast_rs" |
+    grep -F 'self.anatomy.sample('; then
+    echo "check.sh: $raycast_rs fetches the anatomy one step at a time (see above)" >&2
+    exit 1
+fi
 fig4_unmeasured() { cargo run --release -q -p gtw-bench --bin fig4_workbench -- --json | grep -v '"render_ms"'; }
 same_twice fig4 fig4_unmeasured
 grep -q '"frame_digest"' "$trace_tmp/fig4_a.json"
