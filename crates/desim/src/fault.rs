@@ -507,8 +507,8 @@ impl FaultInjector {
 // of the *endpoints themselves* — a rank of the metacomputer crashing,
 // hanging, or running slow — for the MPI layer (`gtw-mpi`) and the FIRE
 // chain to inject and recover from. The desim crate only holds the
-// model: what happens to a faulted rank (mailbox poisoning, detector
-// timeouts, revoke/shrink) lives with the consumers.
+// model: what happens to a faulted rank (mailbox poisoning, timeouts,
+// respawn) lives with the consumers.
 
 /// When a [`ProcessFault`] triggers.
 ///
@@ -534,7 +534,8 @@ pub enum ProcessFaultKind {
     /// `RankFailed` promptly (fail-stop).
     Crash,
     /// The process stops making progress but stays "alive": nothing is
-    /// poisoned, peers only notice via timeouts or missed heartbeats.
+    /// poisoned, peers notice only via timeouts or once it is declared
+    /// dead.
     Hang,
     /// Degraded node: while inside a window the rank's modeled time is
     /// scaled by `factor` (> 1 = slower). Never fatal.

@@ -78,45 +78,39 @@ pub struct SessionReport {
 /// exits instead of deadlocking the session.
 fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVector) -> InterComm {
     let rv = rv.clone();
-    client.spawn(
-        1,
-        MachineSpec::new("Cray T3E-600 (FZJ)", FabricSpec::t3e_torus()),
-        FabricSpec::wan_testbed(),
-        move |t3e| {
-            let parent = t3e.parent().expect("spawned world has a parent");
-            let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(OP_TIMEOUT)) else {
+    client.spawn(1, MachineSpec::new("Cray T3E-600 (FZJ)", FabricSpec::t3e_torus()), move |t3e| {
+        let parent = t3e.parent().expect("spawned world has a parent");
+        let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(OP_TIMEOUT)) else {
+            return;
+        };
+        let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
+        let Ok((ckpt, _)) = parent.try_recv::<u8>(0, TAG_CKPT, Some(OP_TIMEOUT)) else {
+            return;
+        };
+        let mut pipeline = if ckpt.is_empty() {
+            FirePipeline::new(config, dims, rv.clone())
+        } else {
+            FirePipeline::restore(config, rv.clone(), &ckpt)
+                .expect("client sent a checkpoint this build wrote")
+        };
+        loop {
+            let Ok((env, st)) = parent.recv_timeout(0, gtw_mpi::ANY_TAG, Some(OP_TIMEOUT)) else {
                 return;
             };
-            let dims = Dims::new(d[0] as usize, d[1] as usize, d[2] as usize);
-            let Ok((ckpt, _)) = parent.try_recv::<u8>(0, TAG_CKPT, Some(OP_TIMEOUT)) else {
+            if st.tag == TAG_DONE {
                 return;
-            };
-            let mut pipeline = if ckpt.is_empty() {
-                FirePipeline::new(config, dims, rv.clone())
-            } else {
-                FirePipeline::restore(config, rv.clone(), &ckpt)
-                    .expect("client sent a checkpoint this build wrote")
-            };
-            loop {
-                let Ok((env, st)) = parent.recv_timeout(0, gtw_mpi::ANY_TAG, Some(OP_TIMEOUT))
-                else {
-                    return;
-                };
-                if st.tag == TAG_DONE {
-                    return;
-                }
-                debug_assert_eq!(st.tag, TAG_RAW);
-                let raw = env.payload::<f32>();
-                let out = pipeline.process(&Volume::from_vec(dims, raw));
-                if parent.try_send(0, TAG_MAP, &out.correlation.data).is_err() {
-                    return;
-                }
-                if parent.try_send(0, TAG_CKPT, &pipeline.checkpoint_bytes()).is_err() {
-                    return;
-                }
             }
-        },
-    )
+            debug_assert_eq!(st.tag, TAG_RAW);
+            let raw = env.payload::<f32>();
+            let out = pipeline.process(&Volume::from_vec(dims, raw));
+            if parent.try_send(0, TAG_MAP, &out.correlation.data).is_err() {
+                return;
+            }
+            if parent.try_send(0, TAG_CKPT, &pipeline.checkpoint_bytes()).is_err() {
+                return;
+            }
+        }
+    })
 }
 
 /// Run a realtime session at `pes` virtual T3E PEs (one compute rank
@@ -318,6 +312,28 @@ mod tests {
         let again = run_rt_session(&scanner, cfg, 64, &plan);
         assert_eq!(again.respawns, 1);
         assert_eq!(again.final_map.data, r.final_map.data);
+    }
+
+    #[test]
+    fn resilient_session_survives_a_hang() {
+        // The first compute incarnation goes silent at op 8 (scan 1's
+        // checkpoint send), as the crash above dies there. Nothing
+        // watches for silence: the client's receive waits until the hung
+        // rank declares itself dead at its 2 s cap, then respawns.
+        let scanner = tiny_scanner(6);
+        let cfg = FireConfig {
+            median_filter: false,
+            motion_correction: false,
+            detrend: None,
+            ..FireConfig::default()
+        };
+        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let mut plan = ProcessFaultPlan::new(2026);
+        plan.hang_after_ops(1, 8);
+        let r = run_rt_session(&scanner, cfg, 64, &plan);
+        assert_eq!(r.respawns, 1, "exactly one respawn");
+        assert_eq!(r.reprocessed_scans, 1, "the unacked scan was re-run");
+        assert_eq!(r.final_map.data, clean.final_map.data);
     }
 
     #[test]

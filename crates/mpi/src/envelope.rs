@@ -60,6 +60,7 @@ impl Envelope {
     /// [`Envelope::try_payload`] for the blocking API, where a datatype
     /// error is a bug and panics (matching MPI's `MPI_ERR_TYPE` fatality).
     pub fn payload<T: Payload>(self) -> Vec<T> {
+        // Fires only on the receiver's bug, the fatal error documented above.
         self.try_payload().unwrap_or_else(|e| panic!("{e}"))
     }
 }

@@ -19,8 +19,8 @@ pub enum FailCause {
     /// The rank crashed (fail-stop): its mailbox is poisoned and every
     /// peer observes the failure promptly.
     Crash,
-    /// The rank went silent and was declared dead by a failure detector
-    /// (heartbeat silence or a receive timeout escalation).
+    /// The rank went silent (a scripted hang) and, with nobody declaring
+    /// it dead sooner, declared itself dead after a 2 s cap.
     Hang,
 }
 
@@ -45,14 +45,10 @@ pub enum CommError {
         rank: usize,
     },
     /// The operation's deadline expired before completion. The peer may
-    /// be slow, partitioned, or dead — escalation (heartbeat check,
-    /// revoke) is the caller's decision, exactly as in MPWide's
-    /// per-link timeout discipline.
+    /// be slow, partitioned, or dead — what to do next (retry, respawn,
+    /// `Universe::declare_failed`) is the caller's decision, exactly as in
+    /// MPWide's per-link timeout discipline.
     Timeout,
-    /// The communicator was revoked by some member ([`crate::Comm::revoke`]):
-    /// all pending and future operations on it fail until survivors
-    /// [`crate::Comm::shrink`] into a fresh communicator (ULFM semantics).
-    Revoked,
     /// A typed receive matched an envelope of another element type than
     /// the one asked for. The envelope is consumed; what to do about a
     /// peer that speaks another type is the caller's decision. (The
@@ -73,7 +69,6 @@ impl fmt::Display for CommError {
         match self {
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
             CommError::Timeout => write!(f, "operation timed out"),
-            CommError::Revoked => write!(f, "communicator revoked"),
             CommError::Datatype { expected, found, .. } => {
                 write!(f, "datatype mismatch: expected {expected:?}, envelope carries {found:?}")
             }
@@ -94,7 +89,6 @@ mod tests {
     fn display_is_stable() {
         assert_eq!(CommError::RankFailed { rank: 3 }.to_string(), "rank 3 failed");
         assert_eq!(CommError::Timeout.to_string(), "operation timed out");
-        assert_eq!(CommError::Revoked.to_string(), "communicator revoked");
         let (f64s, u8s) = (Datatype::F64, Datatype::U8);
         assert_eq!(
             CommError::Datatype { expected: f64s, found: u8s, bytes: 8 }.to_string(),

@@ -20,10 +20,11 @@
 //!   intra-machine vs WAN communication ([`Comm::comm_cost`]),
 //! * **tracing** — a miniature VAMPIR: per-rank event logs and a
 //!   message-matrix summary ([`trace`]),
-//! * **fault tolerance** — ULFM-style typed failures ([`CommError`]),
-//!   [`Comm::revoke`] and [`Comm::shrink`], and one wall-clock failure
-//!   detector: ranks [`Comm::heartbeat`], and [`Comm::detect_failures`]
-//!   declares any rank silent past `max_silence` dead.
+//! * **fault tolerance** — every operation has a failure-aware `try_`
+//!   twin that returns a typed [`CommError`] instead of blocking on a
+//!   dead peer; a rank is dead once a scripted crash or hang fires or
+//!   [`Universe::declare_failed`] says so, and recovery is respawning
+//!   its work with [`Comm::spawn`], as FIRE's realtime chain does.
 //!
 //! Ranks are OS threads; transport is in-process (parking_lot mutex +
 //! condvar mailboxes with MPI-style `(source, tag)` matching, including
@@ -50,7 +51,7 @@ pub mod comm;
 pub mod envelope;
 pub mod error;
 pub mod machine;
-pub mod mailbox;
+pub(crate) mod mailbox;
 pub mod topology;
 pub mod trace;
 pub mod universe;
@@ -59,7 +60,6 @@ pub use comm::{Comm, InterComm, PointToPoint, ReduceOp, Status};
 pub use envelope::{Datatype, Envelope, Payload, Tag, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult, FailCause};
 pub use machine::{CommCost, FabricSpec, MachineSpec, Placement};
-pub use mailbox::{ClaimOutcome, Mailbox, SrcFilter};
 pub use topology::{CommTopology, Site};
 pub use trace::{EventKind, TraceEvent, VampirSummary};
 pub use universe::Universe;

@@ -148,11 +148,6 @@ impl Placement {
     pub fn transfer_time(&self, a: usize, b: usize, bytes: u64) -> f64 {
         self.fabric_between(a, b).transfer_time(bytes)
     }
-
-    /// The WAN fabric joining the machines.
-    pub fn wan(&self) -> &FabricSpec {
-        &self.wan
-    }
 }
 
 /// Accumulated modeled communication cost for one rank.

@@ -4,8 +4,9 @@
 //! blocks until a matching envelope is available. Matching follows MPI
 //! semantics: messages from the same sender with the same tag are
 //! non-overtaking (FIFO per (src, tag) pair — guaranteed here by scanning
-//! the queue in arrival order); a wildcard ([`SrcFilter::Any`] or a
-//! membership, [`ANY_TAG`]) matches the earliest arrival it admits.
+//! the queue in arrival order); a wildcard (a membership,
+//! [`SrcFilter::OneOf`], or [`ANY_TAG`]) matches the earliest arrival it
+//! admits.
 //!
 //! A post wakes claimers only when some are parked: the mailbox counts
 //! them under the lock a post already holds, so the usual post — to a
@@ -34,14 +35,14 @@ struct State {
 }
 
 impl State {
-    /// Queue position of the earliest envelope `src` and `tag` admit —
-    /// the one matcher every claim and probe goes through.
-    fn position(&self, src: SrcFilter<'_>, tag: Tag) -> Option<usize> {
-        self.queue.iter().position(|e| src.admits(e.src) && (tag == ANY_TAG || e.tag == tag))
-    }
-
+    /// Take the earliest envelope `src` and `tag` admit — the one matcher
+    /// every claim goes through.
     fn take(&mut self, src: SrcFilter<'_>, tag: Tag) -> Option<Envelope> {
-        self.queue.remove(self.position(src, tag)?)
+        let at = self
+            .queue
+            .iter()
+            .position(|e| src.admits(e.src) && (tag == ANY_TAG || e.tag == tag))?;
+        self.queue.remove(at)
     }
 }
 
@@ -57,7 +58,7 @@ pub struct Mailbox {
     inner: Arc<Inner>,
 }
 
-/// Which senders a claim or probe admits.
+/// Which senders a claim admits.
 ///
 /// `OneOf` restricts a wildcard receive to a known membership (the
 /// communicator's global ids) so envelopes from other worlds — a spawned
@@ -66,8 +67,6 @@ pub struct Mailbox {
 /// tripping the membership invariant of, the wrong one.
 #[derive(Clone, Copy, Debug)]
 pub enum SrcFilter<'a> {
-    /// Any sender.
-    Any,
     /// Exactly one global id.
     Exact(usize),
     /// Any of the listed global ids.
@@ -77,7 +76,6 @@ pub enum SrcFilter<'a> {
 impl SrcFilter<'_> {
     fn admits(&self, src: usize) -> bool {
         match self {
-            SrcFilter::Any => true,
             SrcFilter::Exact(s) => src == *s,
             SrcFilter::OneOf(set) => set.contains(&src),
         }
@@ -91,14 +89,15 @@ pub enum ClaimOutcome {
     Ready(Envelope),
     /// The deadline expired with no match.
     TimedOut,
-    /// The abort predicate fired (peer declared failed, communicator
-    /// revoked, or this mailbox itself was poisoned).
+    /// The abort predicate fired (a peer declared failed) or this
+    /// mailbox itself was poisoned.
     Aborted,
 }
 
-/// Backstop wait so abort conditions raised without a matching
-/// `notify` (e.g. a revocation flag flipped elsewhere) are observed
-/// within a bounded delay.
+/// Backstop wait so an abort condition raised between a claimer's check
+/// and its park is observed within a bounded delay: a death is declared
+/// in the universe's failed set, and [`Mailbox::wake`] notifies without
+/// taking the lock the claimer checks under.
 const WAIT_BACKSTOP: Duration = Duration::from_millis(10);
 
 impl Mailbox {
@@ -145,11 +144,6 @@ impl Mailbox {
         st.poisoned = true;
         st.queue.clear();
         self.inner.available.notify_all();
-    }
-
-    /// Whether the owner has been declared dead.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.state.lock().poisoned
     }
 
     /// Wake all blocked claimers so they re-evaluate abort conditions.
@@ -202,19 +196,9 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking probe: does a matching message exist?
-    pub fn probe(&self, src: SrcFilter<'_>, tag: Tag) -> bool {
-        self.inner.state.lock().position(src, tag).is_some()
-    }
-
     /// Number of queued (unclaimed) envelopes.
     pub fn len(&self) -> usize {
         self.inner.state.lock().queue.len()
-    }
-
-    /// Whether the mailbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Claimers parked right now, for tests that must see one parked
@@ -259,7 +243,7 @@ mod tests {
         mb.post(env(1, 7, 20));
         assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 10);
         assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 20);
-        assert!(mb.is_empty());
+        assert_eq!(mb.len(), 0);
     }
 
     #[test]
@@ -277,18 +261,21 @@ mod tests {
         mb.post(env(2, 7, 22));
         mb.post(env(1, 7, 11));
         assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(7))), 11);
-        assert_eq!(byte(mb.claim(SrcFilter::Any, ANY_TAG)), 22);
+        assert_eq!(byte(mb.claim(SrcFilter::OneOf(&[1, 2]), ANY_TAG)), 22);
     }
 
+    /// A claim whose deadline has passed is the probe: it takes a match
+    /// at once, and one whose filter admits nothing queued times out and
+    /// leaves every envelope where it was.
     #[test]
     fn probe_matches_without_claiming() {
         let mb = Mailbox::new();
-        assert!(!mb.probe(SrcFilter::Any, ANY_TAG));
+        let probe = |src, tag| mb.claim_deadline(src, tag, Some(Instant::now()), || false);
+        assert!(matches!(probe(SrcFilter::Exact(3), ANY_TAG), ClaimOutcome::TimedOut));
         mb.post(env(3, 1, 5));
-        assert!(mb.probe(SrcFilter::Exact(3), Tag(1)));
-        assert!(!mb.probe(SrcFilter::Exact(3), Tag(2)));
-        assert!(!mb.probe(SrcFilter::OneOf(&[1, 2]), ANY_TAG));
-        assert_eq!(mb.len(), 1, "a probe leaves the envelope queued");
+        assert!(matches!(probe(SrcFilter::Exact(3), Tag(2)), ClaimOutcome::TimedOut));
+        assert!(matches!(probe(SrcFilter::OneOf(&[1, 2]), ANY_TAG), ClaimOutcome::TimedOut));
+        assert_eq!(mb.len(), 1, "a probe that matches nothing leaves the envelope queued");
         assert_eq!(byte(mb.claim(SrcFilter::Exact(3), Tag(1))), 5);
     }
 
@@ -299,7 +286,7 @@ mod tests {
             let mb = Mailbox::new();
             let mb2 = mb.clone();
             let h = thread::spawn(move || match with_deadline {
-                false => mb2.claim(SrcFilter::Any, Tag(9)),
+                false => mb2.claim(SrcFilter::Exact(5), Tag(9)),
                 true => {
                     ready(mb2.claim_deadline(SrcFilter::OneOf(&[4, 5]), Tag(9), None, || false))
                 }
@@ -348,7 +335,7 @@ mod tests {
             mb.post(env(1, 3, i));
         }
         for i in 0..50u8 {
-            assert_eq!(byte(mb.claim(SrcFilter::Any, Tag(3))), i);
+            assert_eq!(byte(mb.claim(SrcFilter::Exact(1), Tag(3))), i);
         }
     }
 
@@ -362,10 +349,9 @@ mod tests {
         until_parked(&mb, 1);
         mb.poison();
         assert!(matches!(parked.join().unwrap(), ClaimOutcome::Aborted), "poison wakes claimers");
-        assert!(mb.is_poisoned());
-        assert!(mb.is_empty(), "poisoning discards queued mail");
+        assert_eq!(mb.len(), 0, "poisoning discards queued mail");
         assert!(!mb.post(env(1, 1, 10)), "posts to the dead are dropped");
-        assert!(mb.is_empty());
+        assert_eq!(mb.len(), 0);
         assert!(matches!(claim(), ClaimOutcome::Aborted), "and later claims abort at once");
     }
 
@@ -374,7 +360,7 @@ mod tests {
         let mb = Mailbox::new();
         let start = Instant::now();
         let out = mb.claim_deadline(
-            SrcFilter::Any,
+            SrcFilter::Exact(1),
             ANY_TAG,
             Some(Instant::now() + Duration::from_millis(30)),
             || false,
@@ -391,7 +377,7 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let (mb2, flag2) = (mb.clone(), Arc::clone(&flag));
         let h = thread::spawn(move || {
-            mb2.claim_deadline(SrcFilter::Any, ANY_TAG, None, || flag2.load(Ordering::Relaxed))
+            mb2.claim_deadline(SrcFilter::Exact(1), ANY_TAG, None, || flag2.load(Ordering::Relaxed))
         });
         until_parked(&mb, 1);
         flag.store(true, Ordering::Relaxed);

@@ -135,6 +135,8 @@ impl CommTopology {
 /// matching the flat collectives' historical zip semantics.
 pub fn fold_in_order(op: ReduceOp, parts: impl IntoIterator<Item = Vec<f64>>) -> Vec<f64> {
     let mut iter = parts.into_iter();
+    // Fires only for an outside caller folding nothing: this crate folds a
+    // site's members or the sites of a world, never an empty list.
     let mut acc = iter.next().expect("fold over at least one contribution");
     for v in iter {
         for (a, b) in acc.iter_mut().zip(v) {

@@ -1,7 +1,6 @@
 //! The process universe: thread-backed ranks, world launch, dynamic
 //! spawn bookkeeping, named-port attachment — and, for the failure-aware
-//! API, the global failure registry, wall-clock heartbeats and the
-//! seeded process-fault state.
+//! API, the global failure registry and the seeded process-fault state.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,7 +13,7 @@ use gtw_desim::SimTime;
 use parking_lot::{Condvar, Mutex};
 
 use crate::comm::{Comm, CommShared};
-use crate::error::{CommError, FailCause};
+use crate::error::{CommError, CommResult, FailCause};
 use crate::machine::{FabricSpec, MachineSpec, Placement};
 use crate::mailbox::Mailbox;
 use crate::trace::TraceCollector;
@@ -40,15 +39,9 @@ pub(crate) struct UniverseInner {
     ports: Mutex<HashMap<String, PortSlot>>,
     ports_cv: Condvar,
     spawned: Mutex<Vec<JoinHandle<()>>>,
-    /// Shared communicator state for derived communicators (split/dup):
-    /// all members of a new communicator deterministically compute the
-    /// same key and fetch the same shared block here.
-    shared_registry: Mutex<HashMap<u64, std::sync::Arc<crate::comm::CommShared>>>,
     /// Global ids declared dead, with the cause. Never shrinks — the
     /// fail-stop model has no resurrection.
     failed: Mutex<BTreeMap<usize, FailCause>>,
-    /// Last wall-clock heartbeat per global id.
-    beats: Mutex<HashMap<usize, Instant>>,
     faults: Mutex<ProcFaultState>,
     /// Fast-path flag: when false (the default) every failure-aware op
     /// skips the fault mutex entirely — a relaxed atomic load is the
@@ -81,13 +74,6 @@ impl UniverseInner {
 
     pub(crate) fn push_spawned(&self, h: JoinHandle<()>) {
         self.spawned.lock().push(h);
-    }
-
-    /// Fetch (or create) the shared state for a derived communicator
-    /// identified by `key`.
-    pub(crate) fn shared_for(&self, key: u64) -> Arc<crate::comm::CommShared> {
-        let mut reg = self.shared_registry.lock();
-        Arc::clone(reg.entry(key).or_default())
     }
 
     // ----- failure registry -------------------------------------------------
@@ -129,36 +115,6 @@ impl UniverseInner {
     /// Snapshot of every dead global id, ascending.
     pub(crate) fn failed_snapshot(&self) -> Vec<usize> {
         self.failed.lock().keys().copied().collect()
-    }
-
-    // ----- heartbeats (wall clock) ------------------------------------------
-
-    pub(crate) fn heartbeat(&self, global: usize) {
-        self.beats.lock().insert(global, Instant::now());
-    }
-
-    /// Declare every heartbeating rank silent for longer than
-    /// `max_silence` dead (cause [`FailCause::Hang`]); returns the
-    /// global ids newly declared, ascending. Two concurrent callers may
-    /// both find a rank silent; only the one whose declaration lands
-    /// reports it.
-    pub(crate) fn detect_failures(&self, max_silence: Duration) -> Vec<usize> {
-        let now = Instant::now();
-        let mut silent: Vec<usize> = {
-            let beats = self.beats.lock();
-            let failed = self.failed.lock();
-            let mut v: Vec<usize> = beats
-                .iter()
-                .filter(|(g, last)| {
-                    !failed.contains_key(g) && now.duration_since(**last) > max_silence
-                })
-                .map(|(&g, _)| g)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        silent.retain(|&g| self.declare_failed(g, FailCause::Hang));
-        silent
     }
 
     // ----- process-fault injection ------------------------------------------
@@ -211,29 +167,35 @@ impl UniverseInner {
 
     // ----- named-port rendezvous --------------------------------------------
 
-    /// Symmetric rendezvous on `name`: deposit `(group, caller)` and
-    /// return the other party's deposit. Blocks until a partner arrives.
+    /// Symmetric rendezvous on `name`: deposit `group` and return the
+    /// other party's. Blocks until a partner arrives. With no deadline
+    /// the wait ends otherwise only when `caller` is declared dead
+    /// (`Universe::declare_failed`) meanwhile, which panics: an untimed
+    /// attach has no error to return.
     pub(crate) fn rendezvous(
         &self,
         name: &str,
         group: Arc<Vec<usize>>,
         caller: usize,
-    ) -> (Arc<Vec<usize>>, usize) {
-        self.rendezvous_deadline(name, group, caller, None)
-            .expect("untimed rendezvous cannot time out")
+    ) -> Arc<Vec<usize>> {
+        // Fires when `caller` is declared dead mid-wait, and names that cause.
+        self.rendezvous_deadline(name, group, caller, None).unwrap_or_else(|e| {
+            panic!("attach on port '{name}' gave up: {e}, declared dead while it waited")
+        })
     }
 
     /// Rendezvous with an optional deadline. On timeout the caller's own
     /// deposit is withdrawn (so a later partner doesn't pair with a
-    /// ghost) and [`CommError::Timeout`] is returned. A crashed partner
-    /// group also aborts the wait: waiting on the dead is pointless.
+    /// ghost) and [`CommError::Timeout`] is returned. A caller declared
+    /// dead while it waits withdraws too, with [`CommError::RankFailed`]
+    /// naming its global id.
     pub(crate) fn rendezvous_deadline(
         &self,
         name: &str,
         group: Arc<Vec<usize>>,
         caller: usize,
         timeout: Option<Duration>,
-    ) -> Result<(Arc<Vec<usize>>, usize), CommError> {
+    ) -> CommResult<Arc<Vec<usize>>> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut ports = self.ports.lock();
         let slot = ports
@@ -244,9 +206,11 @@ impl UniverseInner {
         slot.groups.push((Arc::clone(&group), caller));
         self.ports_cv.notify_all();
         loop {
+            // Cannot fire: a slot is removed only once empty or taken by
+            // both parties, and until this caller returns it holds its deposit.
             let slot = ports.get_mut(name).expect("port vanished mid-rendezvous");
             if slot.groups.len() == 2 {
-                let other = slot.groups[1 - my_index].clone();
+                let other = Arc::clone(&slot.groups[1 - my_index].0);
                 slot.taken += 1;
                 if slot.taken == 2 {
                     ports.remove(name);
@@ -318,9 +282,7 @@ impl Universe {
                 ports: Mutex::new(HashMap::new()),
                 ports_cv: Condvar::new(),
                 spawned: Mutex::new(Vec::new()),
-                shared_registry: Mutex::new(HashMap::new()),
                 failed: Mutex::new(BTreeMap::new()),
-                beats: Mutex::new(HashMap::new()),
                 faults: Mutex::new(ProcFaultState::default()),
                 faults_installed: AtomicBool::new(false),
                 trace,
@@ -370,12 +332,6 @@ impl Universe {
     /// after repeated timeouts).
     pub fn declare_failed(&self, global: usize, cause: FailCause) {
         self.inner.declare_failed(global, cause);
-    }
-
-    /// Declare heartbeating ranks silent for over `max_silence` dead;
-    /// returns the newly declared global ids.
-    pub fn detect_failures(&self, max_silence: Duration) -> Vec<usize> {
-        self.inner.detect_failures(max_silence)
     }
 
     /// Run a world of `n` ranks on a single implicit SMP machine and
@@ -430,9 +386,11 @@ impl Universe {
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .spawn(move || f(comm))
+                    // Fires only when the OS refuses a thread: nothing to recover.
                     .expect("failed to spawn rank thread")
             })
             .collect();
+        // Fires only to pass a rank's own panic on to the caller.
         handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
     }
 
@@ -442,6 +400,7 @@ impl Universe {
         loop {
             let handle = self.inner.spawned.lock().pop();
             match handle {
+                // Fires only to pass a child's own panic on to the caller.
                 Some(h) => h.join().expect("spawned rank panicked"),
                 None => return,
             }
@@ -465,6 +424,7 @@ impl Universe {
                     pos.map(|p| pending.swap_remove(p))
                 };
                 match finished {
+                    // Fires only to pass a child's own panic on, as above.
                     Some(h) => h.join().expect("spawned rank panicked"),
                     None => break,
                 }
@@ -488,7 +448,7 @@ impl Universe {
 mod tests {
     use super::*;
     use crate::comm::PointToPoint;
-    use crate::envelope::Tag;
+    use crate::envelope::{Envelope, Tag};
 
     #[test]
     fn single_rank_world() {
@@ -542,11 +502,29 @@ mod tests {
         assert!(u.inner.declare_failed(group[1], FailCause::Crash), "the first call declares");
         assert_eq!(u.failed_ranks(), vec![group[1]]);
         assert_eq!(u.fail_cause(group[1]), Some(FailCause::Crash));
-        assert!(u.inner.mailbox(group[1]).is_poisoned());
-        assert!(!u.inner.mailbox(group[0]).is_poisoned());
+        let post = |to: usize| u.inner.mailbox(to).post(Envelope::new(to, to, Tag(1), vec![0u8]));
+        assert!(!post(group[1]), "the dead rank's mailbox is poisoned");
+        assert!(post(group[0]));
         // Idempotent, first cause wins, and the call says it declared nothing.
         assert!(!u.inner.declare_failed(group[1], FailCause::Hang));
         assert_eq!(u.fail_cause(group[1]), Some(FailCause::Crash));
+    }
+
+    /// An untimed attach has no error to return: a caller declared dead
+    /// while it waits for its partner panics, naming that cause.
+    #[test]
+    #[should_panic(expected = "attach on port 'lonely' gave up: rank 0 failed, declared dead")]
+    fn attach_panics_naming_a_death_declared_while_it_waits() {
+        let u = Universe::new();
+        let group = u.inner.register(1);
+        let declarer = u.clone();
+        std::thread::spawn(move || {
+            while !declarer.inner.ports.lock().contains_key("lonely") {
+                std::thread::yield_now();
+            }
+            declarer.declare_failed(0, FailCause::Crash);
+        });
+        u.inner.rendezvous("lonely", group, 0);
     }
 
     #[test]

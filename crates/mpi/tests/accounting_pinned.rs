@@ -1,12 +1,14 @@
 //! What a message *costs* must not depend on how its buffer travels
-//! between two threads: every rank's `CommCost` and the `VampirSummary`
-//! of a fixed script on a 2-site placement, against values captured on
-//! the commit *before* envelopes stopped being byte-encoded. `byte_len()`
-//! is `count × elem_bytes`, so wire bytes, modeled seconds and the trace
-//! are those of the encoded message. A second script pins the books of
-//! every handle a rank holds and of the failure-aware charge, against
-//! values captured on the commit *before* a communicator handle kept its
-//! own `CommCost` and its peers' mailboxes.
+//! between two threads, nor on code it does not run: every rank's
+//! `CommCost` and the `VampirSummary` of two fixed scripts on a 2-site
+//! placement. The first sends every element type point to point and runs
+//! each blocking collective; `byte_len()` is `count × elem_bytes`, so
+//! wire bytes, modeled seconds and the trace are those of the encoded
+//! message. The second runs the failure-aware sends, receives and
+//! collectives under a `Slow` plan, and a spawn round trip. Both were
+//! captured on the commit before the revoke/shrink layer, `dup`/`split`
+//! and the uncalled collectives were deleted (earlier forms of the two
+//! scripts pinned the byte-encoded path and the per-handle books).
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -14,22 +16,22 @@ use std::time::Duration;
 use gtw_desim::fault::ProcessFaultPlan;
 use gtw_desim::{Schedule, SimTime, Window};
 use gtw_mpi::{
-    CommCost, FabricSpec, MachineSpec, Placement, PointToPoint, ReduceOp, Tag, Universe, ANY_SOURCE,
+    CommCost, FabricSpec, MachineSpec, Placement, PointToPoint, ReduceOp, Tag, Universe,
 };
 
 /// Per rank: `(seconds, intra_seconds, wan_seconds)`, then
 /// `(messages, wan_messages, bytes)`.
 const EXPECTED: [([f64; 3], [u64; 3]); 4] = [
-    ([0.01951934095238095, 1.1574285714285714e-5, 0.01950776666666667], [24, 13, 434]),
-    ([0.019520140952380954, 1.1574285714285713e-5, 0.01950856666666667], [24, 13, 458]),
-    ([0.02295598571428572, 0.0004468857142857143, 0.0225091], [26, 15, 514]),
-    ([0.01695411904761905, 0.0004468857142857143, 0.016507233333333333], [22, 11, 458]),
+    ([0.030027434285714298, 1.6734285714285712e-5, 0.03001070000000001], [36, 20, 578]),
+    ([0.019525300952380958, 1.6734285714285712e-5, 0.01950856666666667], [29, 13, 514]),
+    ([0.029077738095238104, 0.0005675714285714286, 0.028510166666666673], [33, 19, 570]),
+    ([0.021576671428571434, 0.0005675714285714286, 0.021009100000000003], [28, 14, 538]),
 ];
 
 const EXPECTED_SUMMARY: &str = "VampirSummary { ranks: 4, \
-    messages: [[0, 8, 3, 1], [3, 0, 9, 2], [2, 1, 0, 8], [7, 1, 3, 0]], \
-    bytes: [[0, 145, 56, 32], [56, 0, 169, 56], [32, 16, 0, 161], [113, 16, 80, 0]], \
-    sends: [12, 14, 11, 11], recvs: [6, 6, 6, 6], collectives: [4, 4, 4, 4] }";
+    messages: [[0, 11, 5, 2], [5, 0, 9, 2], [4, 1, 0, 9], [9, 1, 5, 0]], \
+    bytes: [[0, 185, 72, 48], [72, 0, 169, 56], [48, 16, 0, 161], [153, 16, 104, 0]], \
+    sends: [18, 16, 14, 15], recvs: [9, 9, 12, 9], collectives: [7, 7, 7, 7] }";
 
 /// Two ranks on a T3E, two on an SP2, joined by the testbed WAN.
 fn two_sites() -> Placement {
@@ -80,11 +82,27 @@ fn comm_cost_and_trace_are_those_of_the_byte_encoded_path() {
 
         let volume = if me == 1 { vec![0.5f32; 6] } else { vec![] };
         assert_eq!(comm.bcast(1, &volume), vec![0.5f32; 6]);
-        let gathered = comm.gather(2, &vec![me as u64; me + 1]);
-        assert_eq!(gathered.is_some(), me == 2);
-        let parts: Vec<Vec<i64>> = (0..n).map(|dst| vec![me as i64; dst + 1]).collect();
-        assert_eq!(comm.alltoall(&parts)[left], vec![left as i64; me + 1]);
+        // A gather of `u64`s to rank 2 and an all-to-all of `i64`s, point
+        // to point.
+        if me != 2 {
+            comm.send(2, Tag(7), &vec![me as u64; me + 1]);
+        } else {
+            for src in [0, 1, 3] {
+                assert_eq!(comm.recv::<u64>(src, Tag(7)).0, vec![src as u64; src + 1]);
+            }
+        }
+        for dst in (0..n).filter(|&dst| dst != me) {
+            comm.send(dst, Tag(8), &vec![me as i64; dst + 1]);
+        }
+        for src in (0..n).filter(|&src| src != me) {
+            assert_eq!(comm.recv::<i64>(src, Tag(8)).0, vec![src as i64; me + 1]);
+        }
+        assert_eq!(comm.allreduce_f64s(ReduceOp::Min, &[me as f64, 0.5])[0], 0.0);
         assert_eq!(comm.allreduce_topo_f64s(ReduceOp::Sum, &[1.0, me as f64, -0.0])[0], 4.0);
+        let root = if me == 3 { vec![2.5; 3] } else { vec![] };
+        assert_eq!(comm.bcast_topo_f64s(3, &root), [2.5; 3]);
+        comm.barrier_topo();
+        comm.barrier();
         books(comm.comm_cost())
     });
     for (rank, (got, want)) in costs.iter().zip(&EXPECTED).enumerate() {
@@ -95,38 +113,22 @@ fn comm_cost_and_trace_are_those_of_the_byte_encoded_path() {
 
 const OP_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
 
-/// Per rank: the world's, the `dup`'s and the `split`'s books.
-const EXPECTED_HANDLES: [[Books; 3]; 4] = [
-    [
-        ([0.015019281904761903, 6.648571428571427e-06, 0.015012633333333332], [16, 10, 606]),
-        ([0.004504737142857143, 3.137142857142857e-06, 0.0045016], [6, 3, 96]),
-        ([0.0045018666666666665, 0.0, 0.0045018666666666665], [3, 3, 56]),
-    ],
-    [
-        ([0.009018577142857143, 1.1077142857142856e-05, 0.009007500000000002], [8, 2, 302]),
-        ([0.0015042038095238095, 3.137142857142857e-06, 0.0015010666666666667], [4, 1, 80]),
-        ([0.0045018666666666665, 0.0, 0.0045018666666666665], [3, 3, 56]),
-    ],
-    [
-        ([0.009089709523809525, 8.214285714285715e-05, 0.009007566666666668], [8, 6, 302]),
-        ([0.004622971428571428, 0.00012137142857142859, 0.0045016], [6, 3, 96]),
-        ([0.0045018666666666665, 0.0, 0.0045018666666666665], [3, 3, 56]),
-    ],
-    [
-        ([0.009089709523809525, 8.214285714285715e-05, 0.009007566666666668], [8, 6, 302]),
-        ([0.001622438095238095, 0.00012137142857142859, 0.0015010666666666667], [4, 1, 80]),
-        ([0.0045018666666666665, 0.0, 0.0045018666666666665], [3, 3, 56]),
-    ],
+/// Per rank: the world's books.
+const EXPECTED_WORLD: [Books; 4] = [
+    ([0.016515965714285714, 9.465714285714286e-6, 0.0165065], [20, 11, 358]),
+    ([0.009021394285714282, 1.3894285714285714e-5, 0.009007500000000002], [11, 2, 238]),
+    ([0.01378917619047619, 0.00028374285714285715, 0.013505433333333332], [16, 9, 294]),
+    ([0.006287309523809525, 0.00028374285714285715, 0.006003566666666666], [11, 4, 238]),
 ];
 
 /// Per child rank of the spawned world: its world's books.
 const EXPECTED_CHILDREN: [Books; 2] =
-    [([5.16e-07, 5.16e-07, 0.0], [1, 0, 16]), ([5.16e-07, 5.16e-07, 0.0], [1, 0, 16])];
+    [([5.16e-7, 5.16e-7, 0.0], [1, 0, 16]), ([5.16e-7, 5.16e-7, 0.0], [1, 0, 16])];
 
-const EXPECTED_HANDLES_SUMMARY: &str = "VampirSummary { ranks: 6, \
-    messages: [[0, 5, 4, 3, 1, 0], [4, 0, 2, 1, 0, 0], [5, 1, 0, 3, 0, 0], [4, 2, 2, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]], \
-    bytes: [[0, 224, 140, 115, 16, 0], [51, 0, 104, 20, 0, 0], [84, 3, 0, 112, 0, 0], [144, 36, 11, 0, 0, 0], [0, 0, 0, 0, 0, 16], [16, 0, 0, 0, 0, 0]], \
-    sends: [13, 7, 9, 8, 1, 1], recvs: [5, 4, 4, 4, 1, 1], collectives: [7, 7, 7, 7, 0, 0] }";
+const EXPECTED_WORLD_SUMMARY: &str = "VampirSummary { ranks: 6, \
+    messages: [[0, 5, 3, 2, 1, 0], [4, 0, 1, 0, 0, 0], [4, 1, 0, 4, 0, 0], [2, 0, 3, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]], \
+    bytes: [[0, 136, 24, 19, 16, 0], [27, 0, 72, 0, 0, 0], [64, 3, 0, 120, 0, 0], [88, 0, 11, 0, 0, 0], [0, 0, 0, 0, 0, 16], [16, 0, 0, 0, 0, 0]], \
+    sends: [11, 5, 9, 5, 1, 1], recvs: [3, 2, 2, 2, 1, 1], collectives: [5, 5, 5, 5, 0, 0] }";
 
 #[test]
 fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
@@ -139,12 +141,9 @@ fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
     u.install_process_faults(&plan);
     let children = Arc::new(Mutex::new(Vec::new()));
     let kids = Arc::clone(&children);
-    let handles = u.launch_and_join(two_sites(), move |comm| {
+    let world = u.launch_and_join(two_sites(), move |comm| {
         let (me, n) = (comm.rank(), comm.size());
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
-        let dup = comm.dup();
-        let half = comm.split((me % 2) as i64, -(me as i64));
-
         comm.try_send(right, Tag(1), &[me as f64; 9]).unwrap();
         assert_eq!(comm.try_recv::<f64>(left, Tag(1), OP_TIMEOUT).unwrap().1.bytes, 72);
         comm.try_send(left, Tag(2), &[me as u8; 3]).unwrap();
@@ -152,20 +151,16 @@ fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
         let sum = comm.try_allreduce_f64s(ReduceOp::Sum, &[me as f64, -0.0], OP_TIMEOUT);
         assert_eq!(sum.unwrap()[0], 6.0);
         comm.try_barrier(OP_TIMEOUT).unwrap();
-
-        dup.send(right, Tag(1), &[me as u64; 4]);
-        assert_eq!(dup.recv::<u64>(left, Tag(1)).0, [left as u64; 4]);
-        assert_eq!(dup.allreduce_topo_f64s(ReduceOp::Max, &[me as f64])[0], 3.0);
-
-        let (hr, hn) = (half.rank(), half.size());
-        half.send((hr + 1) % hn, Tag(3), &[me as f32; 5]);
-        assert_eq!(half.recv::<f32>(ANY_SOURCE, Tag(3)).1.bytes, 20);
-        assert_eq!(half.bcast(0, &vec![me as i64; 2 * (hr + 1)]).len(), 2);
+        let max = comm.try_allreduce_topo_f64s(ReduceOp::Max, &[me as f64], OP_TIMEOUT);
+        assert_eq!(max.unwrap()[0], 3.0);
+        let root = if me == 2 { vec![-1.0; 5] } else { vec![] };
+        assert_eq!(comm.try_bcast_topo_f64s(2, &root, OP_TIMEOUT).unwrap(), [-1.0; 5]);
+        comm.try_barrier_topo(OP_TIMEOUT).unwrap();
 
         if me == 0 {
             let kids = Arc::clone(&kids);
             let onyx = MachineSpec::new("Onyx2", FabricSpec::smp_shared());
-            let child = comm.spawn(2, onyx, FabricSpec::wan_testbed(), move |c| {
+            let child = comm.spawn(2, onyx, move |c| {
                 let parent = c.parent().expect("a spawned world has a parent");
                 if c.rank() == 0 {
                     let (v, _) = parent.recv::<f64>(0, Tag(7));
@@ -180,18 +175,16 @@ fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
             let (back, st) = child.recv::<f64>(1, Tag(8));
             assert_eq!((back[0], back[1].to_bits(), st.source), (3.0, (-0.0f64).to_bits(), 1));
         }
-        [books(comm.comm_cost()), books(dup.comm_cost()), books(half.comm_cost())]
+        books(comm.comm_cost())
     });
     u.join_spawned();
     let mut children = children.lock().unwrap().clone();
     children.sort_by_key(|&(rank, _)| rank);
-    for (rank, (got, want)) in handles.iter().zip(&EXPECTED_HANDLES).enumerate() {
-        for (h, name) in ["world", "dup", "split"].iter().enumerate() {
-            assert_books(&format!("rank {rank} {name}"), &got[h], &want[h]);
-        }
+    for (rank, (got, want)) in world.iter().zip(&EXPECTED_WORLD).enumerate() {
+        assert_books(&format!("rank {rank}"), got, want);
     }
     for ((rank, got), want) in children.iter().zip(&EXPECTED_CHILDREN) {
         assert_books(&format!("child {rank}"), got, want);
     }
-    assert_eq!(format!("{:?}", u.trace().summary(u.total_ranks())), EXPECTED_HANDLES_SUMMARY);
+    assert_eq!(format!("{:?}", u.trace().summary(u.total_ranks())), EXPECTED_WORLD_SUMMARY);
 }

@@ -70,7 +70,7 @@ proptest! {
             let (u64s, f64s_sent) = (words.clone(), f64s.clone());
             let intact = Universe::run(1, move |comm| {
                 let t3e = MachineSpec::new("T3E", FabricSpec::t3e_torus());
-                let kids = comm.spawn(1, t3e, FabricSpec::wan_testbed(), |child| {
+                let kids = comm.spawn(1, t3e, |child| {
                     let parent = child.parent().expect("child has a parent");
                     echo::<u8>(&parent);
                     echo::<u64>(&parent);
@@ -116,24 +116,6 @@ proptest! {
         }
     }
 
-    /// Gather at any root collects every rank's payload in rank order.
-    #[test]
-    fn gather_orders_by_rank(n in 1usize..6, root_pick in 0usize..6) {
-        let root = root_pick % n;
-        let out = Universe::run(n, move |comm| {
-            comm.gather(root, &[comm.rank() as f64 * 3.0])
-        });
-        let gathered = out[root].as_ref().unwrap();
-        for (r, part) in gathered.iter().enumerate() {
-            prop_assert_eq!(part[0], r as f64 * 3.0);
-        }
-        for (r, o) in out.iter().enumerate() {
-            if r != root {
-                prop_assert!(o.is_none());
-            }
-        }
-    }
-
     /// Messages with the same (src, tag) arrive in send order regardless
     /// of payload sizes.
     #[test]
@@ -158,25 +140,6 @@ proptest! {
         let received = &out[1];
         for (i, &v) in received.iter().enumerate() {
             prop_assert_eq!(v, i as u64);
-        }
-    }
-
-    /// Splitting by any colour assignment partitions the world: subgroup
-    /// sizes sum to n, and each subgroup's allreduce only sees its own
-    /// members.
-    #[test]
-    fn split_partitions_the_world(n in 2usize..6, colors in proptest::collection::vec(0i64..3, 6)) {
-        let colors2 = colors.clone();
-        let out = Universe::run(n, move |comm| {
-            let color = colors2[comm.rank()];
-            let sub = comm.split(color, comm.rank() as i64);
-            let members = sub.allreduce_f64s(ReduceOp::Sum, &[1.0])[0] as usize;
-            (color, sub.size(), members)
-        });
-        for &(color, size, members) in &out {
-            let expect = colors[..n].iter().filter(|&&c| c == color).count();
-            prop_assert_eq!(size, expect);
-            prop_assert_eq!(members, expect);
         }
     }
 }
