@@ -12,36 +12,35 @@
 //! A source's send counter only grows, so the events one source
 //! schedules with non-decreasing fire times already arrive in key order.
 //! Each source therefore owns a *run* (run 0 for [`EXTERNAL_SRC`], run
-//! `1 + src` for a component): the run's earliest entry sits in a small
-//! binary heap tagged with the run, its followers wait in a `VecDeque`.
+//! `1 + src` for a component): a `VecDeque` of pending events whose keys
+//! strictly increase front to back, the front (the run's *head*) also
+//! entered in a small binary heap. A push appends to its run if its key
+//! is above the run's back (no heap work; an empty run also enters the
+//! heap); a source scheduling *earlier* than its own back (a TCP
+//! sender's next segment after its far-future RTO timer, a gateway's
+//! `GwTxDone` after a packet sent across the WAN) enters the heap as a
+//! straggler, its payload in a slab slot. `pop` takes the heap top: a
+//! head's payload leaves its run's front and the top takes the new
+//! front's key in place, a straggler's leaves its slot. Every run member
+//! is above its head and every head and straggler is in the heap, so pop
+//! order is exactly the `EventKey` order; heap depth is "sources with
+//! something pending + stragglers", not "events pending".
 //!
-//! **Run invariant:** the keys of a run — tagged heap entry first, then
-//! the followers front to back — are strictly increasing.
-//!
-//! A push takes one of three arms:
-//! 1. the run has its head in the heap and the key is above the run's
-//!    tail: append to the followers (no heap work);
-//! 2. the run is empty: push into the heap tagged with the run;
-//! 3. otherwise (a source scheduling *earlier* than its own tail, e.g. a
-//!    TCP sender's next segment after its far-future RTO timer, or a
-//!    gateway's `GwTxDone` after a packet sent across the WAN): push into
-//!    the same heap untagged, as a straggler outside any run.
-//!
-//! `pop` takes the heap top and, if it headed a run, replaces it in
-//! place with the run's next follower. Every follower is larger than its
-//! run's head and every head and straggler is in the heap, so the heap
-//! top is the smallest pending key: pop order is exactly the `EventKey`
-//! order, whatever the arms taken. Heap depth is "sources with something
-//! pending + stragglers", not "events pending"; [`EventQueue::len`]
-//! counts the followers too.
+//! **The heap holds keys, not payloads.** An entry is 32 bytes: the key
+//! packed into a `u128` that sorts like [`EventKey`] (`time << 64 | src <<
+//! 40 | seq`, [`EXTERNAL_SRC`] as `0xFF_FFFF`) and where the payload waits
+//! (a run index, or a slab slot's bitwise NOT), so a sift compares one
+//! integer and a payload moves only in and out. The bounds cannot be
+//! reached: `Simulator::add_boxed` refuses a component id that would
+//! pack as `0xFF_FFFF`, and one source needs over 13 hours of ~45 ns
+//! events to count to 2⁴⁰.
 //!
 //! Events injected from outside the component graph (scenario glue,
 //! closures) carry the [`EXTERNAL_SRC`] source and a per-queue FIFO
 //! counter, so external events scheduled for the same instant still pop
 //! in scheduling order.
 
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -76,53 +75,48 @@ pub struct QueuedEvent<T> {
     pub payload: T,
 }
 
-/// Run tag of a heap entry that belongs to no run.
-const STRAGGLER: usize = usize::MAX;
+/// A packed key's send counter width and [`EXTERNAL_SRC`]'s packed
+/// source, the 24 bits above it all ones.
+const SEQ_BITS: u32 = 40;
+const EXTERNAL_PACKED: u64 = 0xFF_FFFF;
+/// Components a simulator may hold: their ids pack below `0xFF_FFFF`.
+pub(crate) const MAX_COMPONENTS: usize = EXTERNAL_PACKED as usize;
 
-struct HeapEntry<T> {
-    key: EventKey,
-    /// The run this entry heads, or [`STRAGGLER`].
-    run: usize,
-    payload: T,
-}
-
-/// One source's pending events in key order: the head lives in the heap
-/// (tagged with this run's index), the rest here.
-struct Run<T> {
-    /// Largest key in the run; `None` while the run is empty (no head in
-    /// the heap).
-    tail: Option<EventKey>,
-    followers: VecDeque<(EventKey, T)>,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl EventKey {
+    /// One integer that sorts like the key (module docs).
+    fn pack(self) -> u128 {
+        let src = if self.src == EXTERNAL_SRC { EXTERNAL_PACKED } else { self.src };
+        debug_assert!(src < EXTERNAL_PACKED || self.src == EXTERNAL_SRC, "{self:?}: source");
+        debug_assert!(self.seq < 1 << SEQ_BITS, "{self:?}: send counter");
+        (self.time.as_nanos() as u128) << 64 | (src << SEQ_BITS | self.seq) as u128
     }
-}
-impl<T> Eq for HeapEntry<T> {}
 
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn unpack(key: u128) -> EventKey {
+        let (time, src, seq) = ((key >> 64) as u64, key as u64 >> SEQ_BITS, key as u64);
+        let src = if src == EXTERNAL_PACKED { EXTERNAL_SRC } else { src };
+        EventKey { time: SimTime::from_nanos(time), src, seq: seq & ((1 << SEQ_BITS) - 1) }
     }
 }
 
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the smallest key pops first.
-        other.key.cmp(&self.key)
-    }
+/// A run head's or a straggler's packed key, and where its payload
+/// waits: run `at`, or slab slot `!at` (each indexes only its own table).
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u128,
+    at: usize,
 }
 
 /// Min-queue of timed events ordered by [`EventKey`]: a merge of
 /// per-source sorted runs (see the module docs).
 pub struct EventQueue<T> {
-    /// Run heads and stragglers.
-    heap: BinaryHeap<HeapEntry<T>>,
+    /// Run heads and stragglers, a binary min-heap on `key`.
+    heap: Vec<Entry>,
     /// Run 0 is [`EXTERNAL_SRC`], run `1 + src` a component's.
-    runs: Vec<Run<T>>,
-    /// Pending events: heap entries plus every run's followers.
+    runs: Vec<VecDeque<(u128, T)>>,
+    /// Straggler payloads, the empty slots listed in `free`.
+    stragglers: Vec<Option<T>>,
+    free: Vec<usize>,
+    /// Pending events: every run member and straggler.
     len: usize,
     /// FIFO counter for externally pushed events.
     next_seq: u64,
@@ -139,10 +133,18 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), runs: Vec::new(), len: 0, next_seq: 0, pushed: 0 }
+        EventQueue {
+            heap: Vec::new(),
+            runs: Vec::new(),
+            stragglers: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+            next_seq: 0,
+            pushed: 0,
+        }
     }
 
-    /// Number of pending events (run followers included).
+    /// Number of pending events (every run member and straggler).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -171,47 +173,95 @@ impl<T> EventQueue<T> {
         // `EXTERNAL_SRC` is `u64::MAX` and wraps to run 0.
         let r = key.src.wrapping_add(1) as usize;
         if r >= self.runs.len() {
-            self.runs.resize_with(r + 1, || Run { tail: None, followers: VecDeque::new() });
+            self.runs.resize_with(r + 1, VecDeque::new);
         }
+        let key = key.pack();
         let run = &mut self.runs[r];
-        match run.tail {
-            Some(tail) if key > tail => {
-                run.tail = Some(key);
-                run.followers.push_back((key, payload));
+        match run.back() {
+            Some(&(back, _)) if key > back => run.push_back((key, payload)),
+            Some(_) => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.stragglers.push(None);
+                    self.stragglers.len() - 1
+                });
+                self.stragglers[slot] = Some(payload);
+                self.sift_up(Entry { key, at: !slot });
             }
-            Some(_) => self.heap.push(HeapEntry { key, run: STRAGGLER, payload }),
             None => {
-                run.tail = Some(key);
-                self.heap.push(HeapEntry { key, run: r, payload });
+                run.push_back((key, payload));
+                self.sift_up(Entry { key, at: r });
             }
         }
     }
 
-    /// Pop the earliest event if `due` accepts its fire time. A popped
-    /// run head is replaced in place by the run's next follower.
+    /// Pop the earliest event if `due` accepts its fire time.
     #[inline]
     fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<QueuedEvent<T>> {
-        let mut top = self.heap.peek_mut()?;
-        if !due(top.key.time) {
+        let top = *self.heap.first()?;
+        let key = EventKey::unpack(top.key);
+        if !due(key.time) {
             return None;
         }
         self.len -= 1;
-        let r = top.run;
-        // `STRAGGLER` indexes no run, so a straggler has no successor.
-        let next = self.runs.get_mut(r).and_then(|run| {
-            let next = run.followers.pop_front();
-            if next.is_none() {
-                run.tail = None;
+        // The `expect`s cannot fire: a heap entry's payload is its run's
+        // front or its slot's content until this pop takes it.
+        let payload = match self.runs.get_mut(top.at) {
+            Some(run) => {
+                let (_, payload) = run.pop_front().expect("a run head is its run's front");
+                match run.front() {
+                    Some(&(next, _)) => {
+                        self.heap[0].key = next;
+                        self.sift_down();
+                    }
+                    None => self.remove_top(),
+                }
+                payload
             }
-            next
-        });
-        let e = match next {
-            Some((key, payload)) => {
-                std::mem::replace(&mut *top, HeapEntry { key, run: r, payload })
+            None => {
+                self.free.push(!top.at);
+                self.remove_top();
+                self.stragglers[!top.at].take().expect("a straggler's slot holds it")
             }
-            None => PeekMut::pop(top),
         };
-        Some(QueuedEvent { time: e.key.time, src: e.key.src, seq: e.key.seq, payload: e.payload })
+        Some(QueuedEvent { time: key.time, src: key.src, seq: key.seq, payload })
+    }
+
+    /// Insert `e` into the heap.
+    fn sift_up(&mut self, e: Entry) {
+        let mut i = self.heap.len();
+        self.heap.push(e);
+        while i > 0 && e.key < self.heap[(i - 1) / 2].key {
+            self.heap[i] = self.heap[(i - 1) / 2];
+            i = (i - 1) / 2;
+        }
+        self.heap[i] = e;
+    }
+
+    /// Restore the heap below the top, whose key has grown.
+    fn sift_down(&mut self) {
+        let (e, n) = (self.heap[0], self.heap.len());
+        let (mut i, mut c) = (0, 1);
+        while c < n {
+            if c + 1 < n {
+                // The smaller child, without a branch.
+                c += (self.heap[c + 1].key < self.heap[c].key) as usize;
+            }
+            if e.key < self.heap[c].key {
+                break;
+            }
+            self.heap[i] = self.heap[c];
+            (i, c) = (c, 2 * c + 1);
+        }
+        self.heap[i] = e;
+    }
+
+    /// Drop the heap top.
+    fn remove_top(&mut self) {
+        let last = self.heap.pop().expect("the heap has a top");
+        if let Some(top) = self.heap.first_mut() {
+            *top = last;
+            self.sift_down();
+        }
     }
 
     /// Pop the earliest event (smallest key).
@@ -231,18 +281,25 @@ impl<T> EventQueue<T> {
 
     /// Fire time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.time)
+        self.heap.first().map(|e| EventKey::unpack(e.key).time)
     }
 
     /// Remove and return every pending entry with its key, in no
     /// particular order (used when partitioning a wired simulation into
     /// shards).
     pub(crate) fn drain_entries(&mut self) -> Vec<(EventKey, T)> {
-        let mut entries: Vec<_> = self.heap.drain().map(|e| (e.key, e.payload)).collect();
-        for run in &mut self.runs {
-            run.tail = None;
-            entries.extend(run.followers.drain(..));
+        let mut entries = Vec::with_capacity(self.len);
+        for e in self.heap.drain(..) {
+            // Run heads leave with their runs below.
+            if let Some(slot) = self.stragglers.get_mut(!e.at) {
+                entries.push((EventKey::unpack(e.key), slot.take().expect("a straggler's slot")));
+            }
         }
+        for run in &mut self.runs {
+            entries.extend(run.drain(..).map(|(key, payload)| (EventKey::unpack(key), payload)));
+        }
+        self.stragglers.clear();
+        self.free.clear();
         self.len = 0;
         entries
     }
@@ -267,6 +324,154 @@ impl<T> EventQueue<T> {
     #[cfg(test)]
     fn heap_len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+#[cfg(test)]
+/// The queue before keys were packed, kept as the reference model its
+/// tests hold it to: one standard-library binary heap of run heads and
+/// stragglers whose entries carry their payloads through every sift,
+/// each run's followers in a `VecDeque` behind its head.
+mod payload_heap {
+    use super::{EventKey, QueuedEvent, EXTERNAL_SRC};
+    use crate::time::SimTime;
+    use std::collections::binary_heap::PeekMut;
+    use std::collections::{BinaryHeap, VecDeque};
+
+    const STRAGGLER: usize = usize::MAX;
+
+    struct HeapEntry<T> {
+        key: EventKey,
+        run: usize,
+        payload: T,
+    }
+
+    struct Run<T> {
+        tail: Option<EventKey>,
+        followers: VecDeque<(EventKey, T)>,
+    }
+
+    impl<T> PartialEq for HeapEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl<T> Eq for HeapEntry<T> {}
+
+    impl<T> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<T> Ord for HeapEntry<T> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other.key.cmp(&self.key)
+        }
+    }
+
+    pub struct EventQueue<T> {
+        heap: BinaryHeap<HeapEntry<T>>,
+        runs: Vec<Run<T>>,
+        len: usize,
+        next_seq: u64,
+        pushed: u64,
+    }
+
+    impl<T> EventQueue<T> {
+        pub fn new() -> Self {
+            EventQueue { heap: BinaryHeap::new(), runs: Vec::new(), len: 0, next_seq: 0, pushed: 0 }
+        }
+
+        pub fn len(&self) -> usize {
+            self.len
+        }
+
+        pub fn push(&mut self, time: SimTime, payload: T) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.push_keyed(EventKey { time, src: EXTERNAL_SRC, seq }, payload);
+            seq
+        }
+
+        pub fn push_keyed(&mut self, key: EventKey, payload: T) {
+            self.pushed += 1;
+            self.len += 1;
+            let r = key.src.wrapping_add(1) as usize;
+            if r >= self.runs.len() {
+                self.runs.resize_with(r + 1, || Run { tail: None, followers: VecDeque::new() });
+            }
+            let run = &mut self.runs[r];
+            match run.tail {
+                Some(tail) if key > tail => {
+                    run.tail = Some(key);
+                    run.followers.push_back((key, payload));
+                }
+                Some(_) => self.heap.push(HeapEntry { key, run: STRAGGLER, payload }),
+                None => {
+                    run.tail = Some(key);
+                    self.heap.push(HeapEntry { key, run: r, payload });
+                }
+            }
+        }
+
+        fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<QueuedEvent<T>> {
+            let mut top = self.heap.peek_mut()?;
+            if !due(top.key.time) {
+                return None;
+            }
+            self.len -= 1;
+            let r = top.run;
+            let next = self.runs.get_mut(r).and_then(|run| {
+                let next = run.followers.pop_front();
+                if next.is_none() {
+                    run.tail = None;
+                }
+                next
+            });
+            let e = match next {
+                Some((key, payload)) => {
+                    std::mem::replace(&mut *top, HeapEntry { key, run: r, payload })
+                }
+                None => PeekMut::pop(top),
+            };
+            Some(QueuedEvent {
+                time: e.key.time,
+                src: e.key.src,
+                seq: e.key.seq,
+                payload: e.payload,
+            })
+        }
+
+        pub fn pop(&mut self) -> Option<QueuedEvent<T>> {
+            self.pop_if(|_| true)
+        }
+
+        pub fn pop_before(&mut self, horizon: SimTime) -> Option<QueuedEvent<T>> {
+            self.pop_if(|t| t < horizon)
+        }
+
+        pub fn pop_through(&mut self, horizon: SimTime) -> Option<QueuedEvent<T>> {
+            self.pop_if(|t| t <= horizon)
+        }
+
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.key.time)
+        }
+
+        pub fn drain_entries(&mut self) -> Vec<(EventKey, T)> {
+            let mut entries: Vec<_> = self.heap.drain().map(|e| (e.key, e.payload)).collect();
+            for run in &mut self.runs {
+                run.tail = None;
+                entries.extend(run.followers.drain(..));
+            }
+            self.len = 0;
+            entries
+        }
+
+        pub fn scheduled_total(&self) -> u64 {
+            self.pushed
+        }
     }
 }
 
@@ -449,6 +654,110 @@ mod tests {
                 prop_assert_eq!(q.scheduled_total(), pushed);
                 prop_assert!(q.heap_len() <= q.len());
             }
+        }
+    }
+
+    #[test]
+    fn keys_pack_and_unpack_at_their_bounds() {
+        let largest = MAX_COMPONENTS as u64 - 1;
+        let keys = [
+            EventKey { time: SimTime::ZERO, src: 0, seq: 0 },
+            EventKey { time: SimTime::from_nanos(1), src: largest, seq: (1 << 40) - 1 },
+            EventKey { time: SimTime::MAX, src: EXTERNAL_SRC, seq: (1 << 40) - 1 },
+            EventKey { time: SimTime::MAX, src: largest, seq: 0 },
+            EventKey { time: SimTime::MAX, src: 0, seq: (1 << 40) - 1 },
+            EventKey { time: SimTime::from_nanos(7), src: EXTERNAL_SRC, seq: 0 },
+        ];
+        for &k in &keys {
+            assert_eq!(EventKey::unpack(k.pack()), k);
+        }
+        assert_eq!(
+            EventKey { time: SimTime::MAX, src: EXTERNAL_SRC, seq: (1 << 40) - 1 }.pack(),
+            !0
+        );
+        // Packed keys sort like the keys themselves.
+        for a in keys {
+            for b in keys {
+                assert_eq!(a.pack().cmp(&b.pack()), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of every push arm (appends, stragglers,
+        /// new heads, equal instants, external pushes and keyed external
+        /// re-inserts), horizon pops and drains — each drain re-pushed
+        /// keyed, as a shard split does — pop exactly what the payload
+        /// heap it replaced pops, key and payload.
+        #[test]
+        fn matches_the_payload_heap(
+            ops in proptest::collection::vec((0u8..20, 0u64..6, 0u64..5, 0u64..400), 1..400),
+        ) {
+            use proptest::prelude::*;
+            let keyed = |e: QueuedEvent<u32>| {
+                (EventKey { time: e.time, src: e.src, seq: e.seq }, e.payload)
+            };
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut reference: payload_heap::EventQueue<u32> = payload_heap::EventQueue::new();
+            // Last fire time and next send counter per source: 0..4
+            // components, 4 external FIFO, 5 keyed external (counters
+            // near the 2^40 bound, above every FIFO number).
+            let mut cursor = [(100u64, 0u64); 6];
+            cursor[5].1 = (1 << 40) - 1_000;
+            for (id, &(op, src, step, horizon)) in ops.iter().enumerate() {
+                let id = id as u32;
+                match op {
+                    0..=11 => {
+                        let (last, seq) = &mut cursor[src as usize];
+                        *last = match step {
+                            0 => last.saturating_sub(7),
+                            1 => *last,
+                            s => *last + 3 * s,
+                        };
+                        let time = SimTime::from_nanos(*last);
+                        match src {
+                            4 => prop_assert_eq!(q.push(time, id), reference.push(time, id)),
+                            _ => {
+                                let src = if src == 5 { EXTERNAL_SRC } else { src };
+                                let key = EventKey { time, src, seq: *seq };
+                                q.push_keyed(key, id);
+                                reference.push_keyed(key, id);
+                            }
+                        }
+                        *seq += 1;
+                    }
+                    12..=14 => prop_assert_eq!(q.pop().map(keyed), reference.pop().map(keyed)),
+                    15 | 16 => {
+                        let horizon = SimTime::from_nanos(horizon);
+                        let (got, want) = if op == 15 {
+                            (q.pop_before(horizon), reference.pop_before(horizon))
+                        } else {
+                            (q.pop_through(horizon), reference.pop_through(horizon))
+                        };
+                        prop_assert_eq!(got.map(keyed), want.map(keyed));
+                    }
+                    _ => {
+                        let mut drained = q.drain_entries();
+                        let mut want = reference.drain_entries();
+                        drained.sort();
+                        want.sort();
+                        prop_assert_eq!(&drained, &want);
+                        if op != 19 {
+                            for (key, payload) in drained {
+                                q.push_keyed(key, payload);
+                                reference.push_keyed(key, payload);
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.peek_time(), reference.peek_time());
+                prop_assert_eq!(q.scheduled_total(), reference.scheduled_total());
+            }
+            while let Some(want) = reference.pop() {
+                prop_assert_eq!(q.pop().map(keyed), Some(keyed(want)));
+            }
+            prop_assert!(q.is_empty());
         }
     }
 

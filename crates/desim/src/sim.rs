@@ -10,7 +10,7 @@ use std::any::Any;
 
 use crate::component::{Component, ComponentId, Ctx, Msg};
 use crate::observer::{ObsBuf, Observer};
-use crate::queue::{EventKey, EventQueue, QueuedEvent};
+use crate::queue::{EventKey, EventQueue, QueuedEvent, MAX_COMPONENTS};
 use crate::time::{SimDuration, SimTime};
 
 /// Internal event representation.
@@ -112,6 +112,11 @@ impl Simulator {
 
     /// Register an already-boxed component under an explicit name.
     pub fn add_boxed(&mut self, c: Box<dyn Component>, name: String) -> ComponentId {
+        // A wiring-time precondition, not a run-time path: an event key
+        // packs its source in 24 bits, the all-ones value reserved for
+        // external events (`queue` module docs). The largest scenario
+        // wires a few hundred components.
+        assert!(self.components.len() < MAX_COMPONENTS, "more components than an event key names");
         let id = ComponentId(self.components.len());
         self.components.push(Some(c));
         self.names.push(name);

@@ -153,9 +153,9 @@ impl PointToPoint for Comm {
         let deadline = timeout.map(|t| Instant::now() + t);
         let from = source_filter(&self.group, src);
         let env = if src == ANY_SOURCE {
-            let peers_failed =
-                || self.failed_ranks().iter().filter(|&&l| l != self.my_local).count();
-            self.claim_guarded(from, tag, deadline, None, || peers_failed() == self.size() - 1)?
+            let peers = self.size() - 1;
+            let failed = || self.failed_ranks().iter().filter(|&&l| l != self.my_local).count();
+            self.claim_guarded(from, tag, deadline, None, || peers > 0 && failed() == peers)?
         } else {
             let lost = || self.universe.is_failed(self.group[src]).is_some();
             self.claim_guarded(from, tag, deadline, Some(src), lost)?

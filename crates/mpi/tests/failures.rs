@@ -23,7 +23,8 @@ use gtw_desim::fault::ProcessFaultPlan;
 use gtw_desim::{SimTime, Window};
 use gtw_mpi::comm::InterComm;
 use gtw_mpi::{
-    CommError, FabricSpec, FailCause, MachineSpec, Placement, PointToPoint, ReduceOp, Tag, Universe,
+    CommError, FabricSpec, FailCause, MachineSpec, Placement, PointToPoint, ReduceOp, Tag,
+    Universe, ANY_SOURCE,
 };
 
 fn master_seed() -> u64 {
@@ -191,6 +192,16 @@ fn recv_timeout_expires_without_a_sender() {
         }
     });
     assert_eq!(out[0], (CommError::Timeout, true));
+}
+
+#[test]
+fn wildcard_recv_timeout_on_one_rank_times_out() {
+    // No peer exists to be lost, so an empty mailbox is a timeout, not a
+    // failure blamed on the live caller.
+    let out = Universe::run(1, |comm| {
+        comm.recv_timeout(ANY_SOURCE, Tag(5), Some(Duration::ZERO)).map(|_| ())
+    });
+    assert_eq!(out[0], Err(CommError::Timeout));
 }
 
 #[test]

@@ -73,10 +73,8 @@ pub struct Packet {
 #[derive(Clone, Copy, Debug)]
 pub enum Medium {
     /// ATM on an SDH container: IP datagram → LLC/SNAP + AAL5 → cells.
-    /// `cell_payload_rate` is the rate available to the 53-byte cell
-    /// stream (SDH payload rate).
     Atm {
-        /// Rate available to the cell stream.
+        /// Rate available to the 53-byte cell stream (SDH payload rate).
         cell_rate: Bandwidth,
     },
     /// HiPPI bursts via a [`HippiChannel`] (connection held open).
@@ -107,11 +105,6 @@ impl Medium {
             Medium::Hippi { channel } => channel.packet_time(ip_bytes),
             Medium::Raw { rate } => SimDuration::transmission(ip_bytes.bits(), rate.bps()),
         }
-    }
-
-    /// Peak payload bandwidth of this medium for a given packet size.
-    pub fn effective_rate(&self, ip_bytes: DataSize) -> Bandwidth {
-        crate::units::throughput(ip_bytes, self.wire_time(ip_bytes))
     }
 
     /// Short name of the medium kind, for run reports.
@@ -180,6 +173,8 @@ pub struct Hop {
     backlog_bytes: u64,
     /// The latest instant a packet reached this hop.
     last_arrival: SimTime,
+    /// Last admitted size and its wire time (`wire_time` is pure, `config` fixed in a run).
+    wire_memo: Option<(u64, SimDuration)>,
     /// Report label and span track.
     pub label: String,
 }
@@ -194,6 +189,7 @@ impl Hop {
             pending: VecDeque::new(),
             backlog_bytes: 0,
             last_arrival: SimTime::ZERO,
+            wire_memo: None,
             label: label.into(),
         }
     }
@@ -272,7 +268,11 @@ impl Hop {
         // Whatever is still pending departs after `now`; the transmitter
         // takes this packet when the last of it has left.
         let start = self.pending.back().map_or(now, |p| p.depart);
-        let depart = start + self.config.per_packet + self.config.medium.wire_time(pkt.ip_bytes);
+        let wire = match self.wire_memo {
+            Some((bytes, wire)) if bytes == ip_bytes => wire,
+            _ => self.wire_memo.insert((ip_bytes, self.config.medium.wire_time(pkt.ip_bytes))).1,
+        };
+        let depart = start + self.config.per_packet + wire;
         let arrival = depart + self.config.propagation;
         if ctx.observing() {
             // The transmitter occupies [start, depart) with this packet,
@@ -648,7 +648,8 @@ mod tests {
         let expected = 192.0 * 53.0 * 8.0 / Bandwidth::OC3.bps();
         assert!((t.as_secs_f64() - expected).abs() < 1e-9);
         // Effective rate strictly below line rate.
-        assert!(m.effective_rate(DataSize::from_bytes(9180)).bps() < Bandwidth::OC3.bps());
+        let rate = crate::units::throughput(DataSize::from_bytes(9180), t);
+        assert!(rate.bps() < Bandwidth::OC3.bps());
     }
 
     #[test]
@@ -703,6 +704,59 @@ mod tests {
         assert_eq!(s.dropped_msgs, 1);
         assert_eq!(s.received.len(), 1);
         assert_eq!(s.received[0].0, SimTime::from_millis(2));
+    }
+
+    /// Full MSS segments, a short last segment and 40-byte ACKs in turn
+    /// through one stage per medium: every departure instant and the
+    /// counters at 25 cuts, folded into a digest pinned on the commit
+    /// before a hop remembered its last packet size's wire time.
+    #[test]
+    fn alternating_sizes_keep_their_departures_on_every_medium() {
+        let rate = Bandwidth::from_mbps(622.0);
+        let media = [
+            ("raw", Medium::Raw { rate }, 0xb575_f688_9079_01df),
+            ("atm", Medium::Atm { cell_rate: rate }, 0xa90a_38a1_d5f0_7e2a),
+            ("hippi", Medium::Hippi { channel: HippiChannel::default() }, 0x854b_7e03_37f4_32fe),
+        ];
+        for (name, medium, want) in media {
+            let mut sim = Simulator::new();
+            let sink = sim.add_component(Sink::default());
+            let config = StageConfig {
+                medium,
+                per_packet: SimDuration::from_nanos(1_000),
+                propagation: SimDuration::from_micros(7),
+                buffer_bytes: u64::MAX,
+            };
+            let stage = sim.add_component(PipeStage::new(name, config, sink));
+            for seq in 0..90u64 {
+                let at = SimTime::from_micros(20 * seq);
+                let pkt = match seq % 6 {
+                    2 | 5 => Packet { kind: PacketKind::Ack, ..data_packet(seq, 40, at) },
+                    4 => data_packet(seq, 2_760, at),
+                    _ => data_packet(seq, 9_180, at),
+                };
+                sim.send_at(at, stage, msg(Arrive(pkt)));
+            }
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0100_0000_01b3);
+            for cut in (1..=25).map(|k| SimTime::from_micros(100 * k)) {
+                sim.run_until(cut);
+                let st = stats_at(&sim, stage, cut);
+                for v in [st.packets_in, st.packets_out, st.bytes_out, st.max_backlog_bytes] {
+                    fold(v);
+                }
+                fold(st.busy.as_nanos());
+            }
+            sim.run();
+            let received = &sim.component::<Sink>(sink).received;
+            assert_eq!(received.len(), 90, "{name}");
+            for &(at, _, seq, payload) in received {
+                fold(at.as_nanos());
+                fold(seq);
+                fold(payload);
+            }
+            assert_eq!(digest, want, "{name}: {digest:#018x}");
+        }
     }
 
     #[test]

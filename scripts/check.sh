@@ -310,6 +310,24 @@ if git grep -nE 'PortTxDone|fn start_tx' -- "$switch_rs" |
     echo "check.sh: the per-cell transmit-done timer is back in $switch_rs (see above)" >&2
     exit 1
 fi
+# The event queue sifts packed keys and leaves payloads in their runs:
+# `std`'s `BinaryHeap` lives on only in its test-only reference model
+# (`mod payload_heap`, up to `mod tests`), which the equivalence proptest
+# in `cargo test -p gtw-desim queue::` holds the queue to.
+timeout 300 cargo test -q -p gtw-desim queue::
+queue_rs=crates/desim/src/queue.rs
+if [ "$(awk '/^mod payload_heap \{/ { print attr; exit } !/^\/\/\// { attr = $0 }' "$queue_rs")" != '#[cfg(test)]' ]; then
+    echo "check.sh: the queue's reference model is gone or not #[cfg(test)] in $queue_rs" >&2
+    exit 1
+fi
+ref_from=$(grep -n '^mod payload_heap {' "$queue_rs" | cut -d: -f1)
+ref_to=$(grep -n '^mod tests {' "$queue_rs" | cut -d: -f1)
+if git grep -n 'BinaryHeap' -- crates/desim/src |
+    awk -F: -v f="$queue_rs" -v from="$ref_from" -v to="$ref_to" '$1 != f || $2 < from || $2 >= to' |
+    grep .; then
+    echo "check.sh: BinaryHeap is back in crates/desim/src outside the queue's reference model (see above)" >&2
+    exit 1
+fi
 fig1 > "$trace_tmp/kernel_seq.json"
 fig1 --shards 2 > "$trace_tmp/kernel_2shard.json"
 cmp "$trace_tmp/kernel_seq.json" "$trace_tmp/kernel_2shard.json"
