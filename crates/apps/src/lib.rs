@@ -18,28 +18,12 @@
 //!   studio-quality video (270 Mbit/s CCIR-601),
 //! * [`traffic`] — each application's traffic profile and its
 //!   feasibility against B-WiN / OC-12 / OC-48 capacities (the X1
-//!   experiment),
-//!
-//! plus the Section-5 extension projects on the new Cologne/Bonn links:
-//!
-//! * [`traffic_sim`] — distributed road-traffic simulation
-//!   (Nagel–Schreckenberg cellular automaton with WAN segment coupling),
-//! * [`moldyn`] — multiscale molecular dynamics (multiple-timestep
-//!   Lennard-Jones with a fine-region/bath machine split),
-//! * [`lithosphere`] — lithospheric fluids: porous-medium thermal
-//!   convection (Horton–Rogers–Lapwood) with an exactly-equivalent
-//!   lateral domain decomposition,
-//! * [`tv_production`] — distributed virtual TV production: multi-source
-//!   D1 compositing with genlock buffering over heterogeneous paths.
+//!   experiment).
 
 pub mod climate;
 pub mod groundwater;
-pub mod lithosphere;
 pub mod meg;
-pub mod moldyn;
 pub mod traffic;
-pub mod traffic_sim;
-pub mod tv_production;
 pub mod video;
 
 pub use traffic::{AppProfile, Feasibility, TrafficPattern};

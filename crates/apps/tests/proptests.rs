@@ -2,31 +2,11 @@
 
 use gtw_apps::climate::Field2d;
 use gtw_apps::groundwater::{Grid, Partrace, Trace};
-use gtw_apps::lithosphere::PorousConvection;
-use gtw_apps::moldyn::{MdConfig, System};
-use gtw_apps::traffic_sim::Road;
 use gtw_desim::StreamRng;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// NaSch conserves cars and keeps velocities within bounds for any
-    /// density and dawdle probability.
-    #[test]
-    fn nasch_invariants(cars_frac in 0.01f64..0.95, p in 0.0f64..0.9, seed in 0u64..500) {
-        let len = 120;
-        let cars = ((cars_frac * len as f64) as usize).clamp(1, len);
-        let mut road = Road::ring(len, cars, p, seed);
-        let mut rng = StreamRng::new(seed, "pt");
-        for _ in 0..60 {
-            road.step(&mut rng);
-            prop_assert_eq!(road.car_count(), cars);
-            for v in road.cells.iter().flatten() {
-                prop_assert!((*v as usize) <= gtw_apps::traffic_sim::V_MAX);
-            }
-        }
-    }
 
     /// Darcy pressure stays within the boundary values (maximum
     /// principle) for any heterogeneous conductivity field.
@@ -89,33 +69,6 @@ proptest! {
         let g = f.regrid(mx, my);
         for &x in &g.data {
             prop_assert!(x >= lo - 1e-9 && x <= hi + 1e-9);
-        }
-    }
-
-    /// LJ dynamics conserves momentum for any initial temperature.
-    #[test]
-    fn md_momentum_conserved(temp in 0.01f64..0.5, seed in 0u64..200) {
-        let mut s = System::lattice(MdConfig::default_box(10.0), 5, temp, seed);
-        for _ in 0..50 {
-            s.verlet_step(0.004);
-        }
-        let p = s.momentum();
-        prop_assert!(p[0].abs() < 1e-6 && p[1].abs() < 1e-6, "{p:?}");
-    }
-
-    /// Porous convection keeps temperature (weakly) bounded and walls
-    /// pinned for sub- and super-critical Rayleigh numbers.
-    #[test]
-    fn convection_bounded(ra in 5.0f64..200.0) {
-        let mut c = PorousConvection::new(16, 9, ra);
-        let dt = c.stable_dt();
-        c.run(300, 6, dt);
-        for &t in &c.temp {
-            prop_assert!((-0.1..=1.1).contains(&t), "T {t} at Ra {ra}");
-        }
-        for x in 0..16 {
-            prop_assert_eq!(c.temp[x], 1.0);
-            prop_assert_eq!(c.temp[x + 16 * 8], 0.0);
         }
     }
 }

@@ -56,16 +56,6 @@ pub struct GigabitTestbedWest {
     pub e5000: NodeId,
 }
 
-/// The Section-5 extension sites, attached by [`GigabitTestbedWest::extend`].
-pub struct Extensions {
-    /// German Aerospace Research Center (dark fibre to the GMD).
-    pub dlr: NodeId,
-    /// University of Cologne (dark fibre to the GMD).
-    pub cologne: NodeId,
-    /// University of Bonn (new 622 Mbit/s ATM link to the GMD).
-    pub bonn: NodeId,
-}
-
 /// One measured path of the Figure-1 throughput matrix.
 #[derive(Clone, Debug)]
 pub struct MeasuredPath {
@@ -153,46 +143,6 @@ impl GigabitTestbedWest {
             onyx_gmd,
             e5000,
         }
-    }
-
-    /// Attach the Section-5 extensions: "A dark fibre that links the
-    /// national German Aerospace Research Center (DLR) and the
-    /// University of Cologne to the GMD has just been set up. ... A new
-    /// 622 Mbit/s ATM-link between the University of Bonn and the GMD
-    /// will be the basis for metacomputing projects."
-    pub fn extend(&mut self) -> Extensions {
-        let t = &mut self.topology;
-        let sw_gmd = t.find("ASX-4000 (GMD)").expect("GMD switch exists");
-        let us = SimDuration::from_micros(5);
-        // Dark fibre runs at the sites' ATM equipment rate (622-class
-        // gear on a private fibre; ~40 km and ~25 km spans).
-        let atm622 = Medium::Atm { cell_rate: StmLevel::Stm4.payload_rate() };
-        let dlr = t.add_host("DLR (Cologne/Porz)", HostNic::workstation_atm622());
-        let cologne = t.add_host("University of Cologne", HostNic::workstation_atm622());
-        let bonn = t.add_host("University of Bonn", HostNic::workstation_atm622());
-        t.connect(
-            dlr,
-            sw_gmd,
-            atm622,
-            gtw_net::link::StageConfig::fibre_propagation(40.0),
-            "dark fibre",
-        );
-        t.connect(
-            cologne,
-            sw_gmd,
-            atm622,
-            gtw_net::link::StageConfig::fibre_propagation(25.0),
-            "dark fibre",
-        );
-        t.connect(
-            bonn,
-            sw_gmd,
-            atm622,
-            gtw_net::link::StageConfig::fibre_propagation(30.0),
-            "ATM 622",
-        );
-        let _ = us;
-        Extensions { dlr, cologne, bonn }
     }
 
     /// Attach the production B-WiN as a fallback path between the sites:
@@ -346,45 +296,6 @@ mod tests {
         let e5000 = by_name("T3E-600", "SUN E5000");
         assert!(local > sp2, "local {local} vs SP2 {sp2}");
         assert!(e5000 > sp2, "E5000 {e5000} vs SP2 {sp2}");
-    }
-
-    #[test]
-    fn extensions_reach_both_sites() {
-        let mut tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
-        let ext = tb.extend();
-        // Cologne <-> Jülich crosses dark fibre + the OC-48 WAN.
-        let m = tb.measure(ext.cologne, tb.t3e_600, 16 * 1024 * 1024, 4 * 1024 * 1024);
-        assert!(m.report.goodput.mbps() > 200.0, "{m:?}");
-        // Bonn reaches the SP2 locally at the GMD.
-        let m2 = tb.measure(ext.bonn, tb.sp2, 16 * 1024 * 1024, 4 * 1024 * 1024);
-        assert!(m2.report.goodput.mbps() > 200.0, "{m2:?}");
-        // DLR <-> Cologne (virtual TV production pairing) via the GMD.
-        assert!(tb.topology.route(ext.dlr, ext.cologne).is_some());
-    }
-
-    #[test]
-    fn extension_links_carry_d1_video() {
-        // The dark fibre's purpose: distributed virtual TV production
-        // needs a D1 stream DLR <-> Cologne.
-        let mut tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
-        let ext = tb.extend();
-        let (_, mtu, hops) = tb.topology.path(ext.dlr, ext.cologne).unwrap();
-        let d1 = gtw_apps_d1();
-        let report = gtw_apps_stream(&d1, &hops, mtu);
-        assert!(report, "dark fibre must sustain a D1 stream");
-    }
-
-    // Thin wrappers so the test reads cleanly without a gtw-apps dev-dep
-    // cycle (gtw-core already depends on gtw-apps).
-    fn gtw_apps_d1() -> gtw_apps::video::D1Stream {
-        gtw_apps::video::D1Stream::pal()
-    }
-    fn gtw_apps_stream(
-        d1: &gtw_apps::video::D1Stream,
-        hops: &[gtw_net::tcp::HopModel],
-        mtu: u64,
-    ) -> bool {
-        gtw_apps::video::stream_over(d1, hops, IpConfig { mtu }, 15).sustained
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! A source's send counter only grows, so the events one source
 //! schedules with non-decreasing fire times already arrive in key order.
 //! Each source therefore owns a *run* (run 0 for [`EXTERNAL_SRC`], run
-//! `1 + src` for a component): a `VecDeque` of pending events whose keys
+//! `1 + src` for a component): a deque of pending events whose keys
 //! strictly increase front to back, the front (the run's *head*) also
 //! entered in a small binary heap. A push appends to its run if its key
 //! is above the run's back (no heap work; an empty run also enters the
@@ -34,6 +34,17 @@
 //! reached: `Simulator::add_boxed` refuses a component id that would
 //! pack as `0xFF_FFFF`, and one source needs over 13 hours of ~45 ns
 //! events to count to 2⁴⁰.
+//!
+//! **A run grows by whole buffers.** Its first buffer doubles up to
+//! [`CHUNK`] events like any `VecDeque`; past that, each further
+//! [`CHUNK`] events go into a buffer of their own, freed as soon as the
+//! pops empty it. A run that doubled one buffer instead left the
+//! buffers it outgrew (3 MiB, 1.5 MiB, …) free among the event boxes
+//! pushed in between, and where the allocator placed the next large
+//! blocks then depended on how many simulations the process had run
+//! before: one process running the benchmark's 80 k-cell `atm_cells`
+//! simulation over and over peaked anywhere between 22.5 and 28 MB RSS,
+//! and peaks at 26.3 ± 0.1 MB with whole buffers.
 //!
 //! Events injected from outside the component graph (scenario glue,
 //! closures) carry the [`EXTERNAL_SRC`] source and a per-queue FIFO
@@ -106,13 +117,72 @@ struct Entry {
     at: usize,
 }
 
+/// Most events one buffer of a run holds.
+const CHUNK: usize = 4096;
+
+/// One source's pending events, keys strictly increasing front to back:
+/// the buffer pops take from, then the buffers behind it, each holding
+/// [`CHUNK`] events but the last, which pushes fill.
+struct Run<T> {
+    front: VecDeque<(u128, T)>,
+    rest: VecDeque<Vec<(u128, T)>>,
+}
+
+impl<T> Run<T> {
+    fn new() -> Self {
+        Run { front: VecDeque::new(), rest: VecDeque::new() }
+    }
+
+    /// The head's key.
+    fn front_key(&self) -> Option<u128> {
+        self.front.front().map(|&(key, _)| key)
+    }
+
+    fn back_key(&self) -> Option<u128> {
+        match self.rest.back() {
+            Some(buffer) => buffer.last().map(|&(key, _)| key),
+            None => self.front.back().map(|&(key, _)| key),
+        }
+    }
+
+    fn push_back(&mut self, event: (u128, T)) {
+        match self.rest.back_mut() {
+            Some(buffer) if buffer.len() < CHUNK => buffer.push(event),
+            None if self.front.len() < CHUNK => self.front.push_back(event),
+            _ => {
+                let mut buffer = Vec::with_capacity(CHUNK);
+                buffer.push(event);
+                self.rest.push_back(buffer);
+            }
+        }
+    }
+
+    /// Take the head; the next buffer moves to the front once the front
+    /// one is empty.
+    fn pop_front(&mut self) -> Option<(u128, T)> {
+        let head = self.front.pop_front();
+        if self.front.is_empty() {
+            if let Some(next) = self.rest.pop_front() {
+                self.front = next.into();
+            }
+        }
+        head
+    }
+
+    /// Every pending event, in key order.
+    fn drain(&mut self) -> impl Iterator<Item = (u128, T)> + '_ {
+        let rest = std::mem::take(&mut self.rest);
+        self.front.drain(..).chain(rest.into_iter().flatten())
+    }
+}
+
 /// Min-queue of timed events ordered by [`EventKey`]: a merge of
 /// per-source sorted runs (see the module docs).
 pub struct EventQueue<T> {
     /// Run heads and stragglers, a binary min-heap on `key`.
     heap: Vec<Entry>,
     /// Run 0 is [`EXTERNAL_SRC`], run `1 + src` a component's.
-    runs: Vec<VecDeque<(u128, T)>>,
+    runs: Vec<Run<T>>,
     /// Straggler payloads, the empty slots listed in `free`.
     stragglers: Vec<Option<T>>,
     free: Vec<usize>,
@@ -173,12 +243,12 @@ impl<T> EventQueue<T> {
         // `EXTERNAL_SRC` is `u64::MAX` and wraps to run 0.
         let r = key.src.wrapping_add(1) as usize;
         if r >= self.runs.len() {
-            self.runs.resize_with(r + 1, VecDeque::new);
+            self.runs.resize_with(r + 1, Run::new);
         }
         let key = key.pack();
         let run = &mut self.runs[r];
-        match run.back() {
-            Some(&(back, _)) if key > back => run.push_back((key, payload)),
+        match run.back_key() {
+            Some(back) if key > back => run.push_back((key, payload)),
             Some(_) => {
                 let slot = self.free.pop().unwrap_or_else(|| {
                     self.stragglers.push(None);
@@ -208,8 +278,8 @@ impl<T> EventQueue<T> {
         let payload = match self.runs.get_mut(top.at) {
             Some(run) => {
                 let (_, payload) = run.pop_front().expect("a run head is its run's front");
-                match run.front() {
-                    Some(&(next, _)) => {
+                match run.front_key() {
+                    Some(next) => {
                         self.heap[0].key = next;
                         self.sift_down();
                     }
@@ -296,7 +366,7 @@ impl<T> EventQueue<T> {
             }
         }
         for run in &mut self.runs {
-            entries.extend(run.drain(..).map(|(key, payload)| (EventKey::unpack(key), payload)));
+            entries.extend(run.drain().map(|(key, payload)| (EventKey::unpack(key), payload)));
         }
         self.stragglers.clear();
         self.free.clear();
@@ -759,6 +829,49 @@ mod tests {
             }
             prop_assert!(q.is_empty());
         }
+    }
+
+    #[test]
+    fn long_runs_fill_whole_buffers_and_pop_like_the_payload_heap() {
+        // Two sources, one keyed and the external one, each several
+        // buffers long; pops, a drain and its re-push in between.
+        let keyed =
+            |e: QueuedEvent<u32>| (EventKey { time: e.time, src: e.src, seq: e.seq }, e.payload);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut reference: payload_heap::EventQueue<u32> = payload_heap::EventQueue::new();
+        let n = 3 * CHUNK as u32 + 5;
+        for i in 0..n {
+            let key =
+                EventKey { time: SimTime::from_nanos(u64::from(i) * 10), src: 7, seq: i.into() };
+            q.push_keyed(key, i);
+            reference.push_keyed(key, i);
+            let time = SimTime::from_nanos(u64::from(i) * 10 + 5);
+            assert_eq!(q.push(time, i), reference.push(time, i));
+            if i % 3 == 0 {
+                assert_eq!(q.pop().map(keyed), reference.pop().map(keyed));
+            }
+            if i == 2 * CHUNK as u32 {
+                let mut drained = q.drain_entries();
+                let mut want = reference.drain_entries();
+                drained.sort();
+                want.sort();
+                assert_eq!(drained, want);
+                for (key, payload) in drained {
+                    q.push_keyed(key, payload);
+                    reference.push_keyed(key, payload);
+                }
+            }
+        }
+        for run in &q.runs {
+            assert!(run.front.capacity() <= CHUNK);
+            assert!(run.rest.iter().all(|buffer| buffer.capacity() == CHUNK));
+        }
+        assert!(q.runs.iter().any(|run| run.rest.len() >= 2));
+        while let Some(want) = reference.pop() {
+            assert_eq!(q.pop().map(keyed), Some(keyed(want)));
+        }
+        assert!(q.is_empty());
+        assert!(q.runs.iter().all(|run| run.front.is_empty() && run.rest.is_empty()));
     }
 
     #[test]

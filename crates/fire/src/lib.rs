@@ -35,9 +35,6 @@
 //!   opportunity),
 //! * [`realtime`] — the same chain run event-driven, measuring skipped
 //!   scans and steady-state periods under scanner pressure,
-//! * [`biofeedback`] — the closed neurofeedback loop the paper's <5 s
-//!   delay "enables": a subject model whose self-regulation learning
-//!   degrades with display latency,
 //! * [`linalg`] — the small dense solver kit (Gaussian elimination,
 //!   least squares, Jacobi eigendecomposition, conjugate gradients)
 //!   shared across the workspace.
@@ -50,7 +47,6 @@
 //! count.
 
 pub mod analysis;
-pub mod biofeedback;
 pub mod checkpoint;
 pub mod decomp;
 pub mod detrend;

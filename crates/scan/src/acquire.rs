@@ -6,8 +6,9 @@
 //! through the subject's head-motion trajectory. All corruption has
 //! ground truth available for validation.
 //!
-//! Timing follows the paper: one scan every `tr_s` (typically 2–3 s), raw
-//! data available at the RT-server `raw_delay_s` ≈ 1.5 s after the scan.
+//! Timing follows the paper: one scan every `tr_s` (typically 2–3 s). The
+//! ~1.5 s from scan to raw data at the RT-server belongs to the chain
+//! (`gtw_fire::pipeline::ChainTiming`), not to the scanner.
 
 use gtw_desim::StreamRng;
 
@@ -39,9 +40,6 @@ pub struct ScannerConfig {
     pub motion_step: f32,
     /// Master seed for all randomness.
     pub seed: u64,
-    /// Delay from scan completion to raw data at the RT-server, seconds
-    /// (the paper: ~1.5 s for a 64×64×16 image).
-    pub raw_delay_s: f64,
 }
 
 impl ScannerConfig {
@@ -58,18 +56,7 @@ impl ScannerConfig {
             drift_fraction: 0.02,
             motion_step: 0.003,
             seed,
-            raw_delay_s: 1.5,
         }
-    }
-
-    /// A quiet configuration: no noise, no drift, no motion (unit-test
-    /// baseline).
-    pub fn noiseless(scans: usize) -> Self {
-        let mut cfg = Self::paper_default(scans, 0);
-        cfg.noise_sd = 0.0;
-        cfg.drift_fraction = 0.0;
-        cfg.motion_step = 0.0;
-        cfg
     }
 }
 
@@ -181,18 +168,20 @@ impl Scanner {
     pub fn series(&self) -> Vec<Volume> {
         (0..self.scan_count()).map(|t| self.acquire(t)).collect()
     }
-
-    /// Wall-clock (experiment) time at which scan `t`'s raw data reaches
-    /// the RT-server, seconds from experiment start: the scan completes at
-    /// `(t+1)·TR` and reconstruction/transfer adds `raw_delay_s`.
-    pub fn raw_available_at_s(&self, t: usize) -> f64 {
-        (t as f64 + 1.0) * self.cfg.tr_s + self.cfg.raw_delay_s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A quiet configuration: no noise, no drift, no motion.
+    fn noiseless(scans: usize) -> ScannerConfig {
+        let mut cfg = ScannerConfig::paper_default(scans, 0);
+        cfg.noise_sd = 0.0;
+        cfg.drift_fraction = 0.0;
+        cfg.motion_step = 0.0;
+        cfg
+    }
 
     #[test]
     fn acquisition_is_deterministic() {
@@ -211,7 +200,7 @@ mod tests {
 
     #[test]
     fn noiseless_rest_scan_equals_anatomy() {
-        let s = Scanner::new(ScannerConfig::noiseless(16), Phantom::standard());
+        let s = Scanner::new(noiseless(16), Phantom::standard());
         // Scan 0 is rest (block design starts off) with zero drift.
         let v = s.acquire(0);
         assert!(v.rms_diff(s.anatomy()) < 1e-4);
@@ -219,7 +208,7 @@ mod tests {
 
     #[test]
     fn activation_raises_signal_in_active_voxels() {
-        let s = Scanner::new(ScannerConfig::noiseless(32), Phantom::standard());
+        let s = Scanner::new(noiseless(32), Phantom::standard());
         // Find the scan with peak response.
         let peak_t = (0..32)
             .max_by(|&a, &b| s.true_response(a).partial_cmp(&s.true_response(b)).unwrap())
@@ -241,7 +230,7 @@ mod tests {
 
     #[test]
     fn drift_grows_over_the_run() {
-        let mut cfg = ScannerConfig::noiseless(32);
+        let mut cfg = noiseless(32);
         cfg.drift_fraction = 0.05;
         let s = Scanner::new(cfg, Phantom::inactive());
         let early = s.acquire(0).mean();
@@ -261,17 +250,9 @@ mod tests {
     }
 
     #[test]
-    fn timing_matches_paper() {
-        let s = Scanner::new(ScannerConfig::paper_default(4, 0), Phantom::standard());
-        // Scan 0 completes at 2.0 s, raw at server at 3.5 s.
-        assert!((s.raw_available_at_s(0) - 3.5).abs() < 1e-12);
-        assert!((s.raw_available_at_s(1) - 5.5).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "beyond protocol")]
     fn scan_index_checked() {
-        let s = Scanner::new(ScannerConfig::noiseless(4), Phantom::standard());
+        let s = Scanner::new(noiseless(4), Phantom::standard());
         let _ = s.acquire(4);
     }
 }

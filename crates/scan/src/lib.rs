@@ -13,23 +13,14 @@
 //! * [`hrf`] — the hemodynamic response model: gamma-variate HRF with
 //!   adjustable delay/dispersion, stimulus boxcars, and the reference
 //!   vector (stimulus ⊛ HRF) the correlation analysis fits against,
-//! * [`kspace`] — EPI k-space acquisition and reconstruction (radix-2
-//!   FFT, the N/2 Nyquist ghost and its phase correction) — the physics
-//!   behind the paper's 1.5 s scan→server delay,
 //! * [`motion`] — rigid-body transforms for injected head movement,
-//! * [`multiecho`] — the single-shot multi-echo extension of the paper's
-//!   outlook (Posse et al., reference \[9\]): per-echo T2*-weighted
-//!   volumes and the data-rate multiplication they bring,
 //! * [`acquire`] — the scanner loop: per-repetition volumes = anatomy +
 //!   BOLD modulation + baseline drift + Gaussian noise, resampled through
-//!   the subject's motion trajectory, with the paper's acquisition timing
-//!   (raw image available ~1.5 s after the scan).
+//!   the subject's motion trajectory, one scan per repetition time.
 
 pub mod acquire;
 pub mod hrf;
-pub mod kspace;
 pub mod motion;
-pub mod multiecho;
 pub mod phantom;
 pub mod volume;
 

@@ -24,9 +24,6 @@ impl Dims {
     /// The paper's standard functional matrix: 64×64×16.
     pub const EPI: Dims = Dims::new(64, 64, 16);
 
-    /// The paper's anatomical matrix: 256×256×128.
-    pub const ANATOMY: Dims = Dims::new(256, 256, 128);
-
     /// Total voxel count.
     pub const fn len(self) -> usize {
         self.nx * self.ny * self.nz
@@ -281,7 +278,6 @@ mod tests {
     #[test]
     fn epi_dims_match_paper() {
         assert_eq!(Dims::EPI.len(), 64 * 64 * 16);
-        assert_eq!(Dims::ANATOMY.len(), 256 * 256 * 128);
         // 64x64x16 f32 volume = 256 KiB.
         assert_eq!(Volume::zeros(Dims::EPI).byte_len(), 262_144);
     }

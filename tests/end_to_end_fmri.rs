@@ -8,9 +8,11 @@ use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_desim::fault::ProcessFaultPlan;
 use gtw_fire::analysis::score_detection;
-use gtw_fire::pipeline::{FireConfig, FirePipeline};
+use gtw_fire::pipeline::{ChainTiming, FireConfig, FirePipeline};
+use gtw_fire::realtime::{run_chain, ChainMode, RealtimeConfig};
 use gtw_fire::rt::run_rt_session;
 use gtw_fire::rvo::{intensity_mask, recovery_error, RvoMethod};
+use gtw_fire::t3e::T3eModel;
 use gtw_net::ip::IpConfig;
 use gtw_scan::acquire::{Scanner, ScannerConfig};
 use gtw_scan::hrf::ReferenceVector;
@@ -203,4 +205,38 @@ fn upgrade_era_shortens_fmri_transfers() {
     assert!(new.transfers_s <= old.transfers_s * 1.05);
     // Both eras achieve the <5 s headline (the compute dominates).
     assert!(new.total_s < 5.0 && old.total_s < 5.0);
+}
+
+#[test]
+fn realtime_chain_consistent_with_scenario_budget() {
+    // The event-driven chain's measured latency equals the scenario's
+    // analytic latency for matching stage times.
+    let compute = T3eModel::t3e_600().row(256, Dims::EPI).total_s;
+    let timing = ChainTiming::paper(compute);
+    let r = run_chain(RealtimeConfig::paper(compute, 3.0, 30), ChainMode::Sequential);
+    assert!((r.mean_latency_s - timing.latency_s()).abs() < 0.05);
+    assert_eq!(r.skipped, 0);
+    // Pipelined at TR 2 s: the paper's chain could have kept up.
+    let p = run_chain(RealtimeConfig::paper(compute, 2.0, 30), ChainMode::Pipelined);
+    assert_eq!(p.skipped, 0);
+}
+
+#[test]
+fn sliding_window_in_the_full_pipeline_context() {
+    // Feed a scanner run into both cumulative and sliding analyses; on a
+    // stationary run the final maps agree at activated voxels.
+    let mut cfg = ScannerConfig::paper_default(24, 505);
+    cfg.dims = Dims::new(16, 16, 4);
+    cfg.noise_sd = 2.0;
+    cfg.motion_step = 0.0;
+    let scanner = Scanner::new(cfg, Phantom::standard());
+    let rv = ReferenceVector::canonical(&scanner.config().stimulus);
+    let mut full = gtw_fire::analysis::CorrelationState::new(scanner.config().dims, &rv);
+    let mut sliding = gtw_fire::analysis::SlidingCorrelation::new(scanner.config().dims, &rv, 24);
+    for t in 0..scanner.scan_count() {
+        let v = scanner.acquire(t);
+        full.push(&v);
+        sliding.push(&v);
+    }
+    assert!(full.correlation_map().rms_diff(&sliding.correlation_map()) < 1e-4);
 }
