@@ -4,12 +4,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use gtw_desim::StreamRng;
-use gtw_fire::decomp::distributed_rvo;
-use gtw_fire::rvo::{RvoBounds, RvoMethod};
+use gtw_apps::meg::{distributed_music, head_grid, synthesize, Dipole, SensorArray};
 use gtw_mpi::Universe;
-use gtw_scan::hrf::Stimulus;
-use gtw_scan::volume::{Dims, Volume};
 
 /// Live threads of this process, where the host says (Linux).
 fn live_threads() -> Option<usize> {
@@ -17,18 +13,16 @@ fn live_threads() -> Option<usize> {
 }
 
 #[test]
-fn eight_rvo_ranks_stay_eight_threads() {
+fn eight_music_ranks_stay_eight_threads() {
     const RANKS: usize = 8;
+    const GRID_STEPS: usize = 41;
     let Some(before) = live_threads() else { return };
-    let mut rng = StreamRng::new(8, "nested-width");
-    let dims = Dims::new(64, 64, 8);
-    let stimulus = Stimulus::block_design(4, 4, 32, 2.0);
-    let series: Vec<Volume> = (0..stimulus.len())
-        .map(|_| Volume::from_vec(dims, (0..dims.len()).map(|_| rng.normal() as f32).collect()))
-        .collect();
+    let array = SensorArray::helmet(5, 12);
+    let dipole = Dipole { position: [0.35, 0.1, 0.45], moment: [0.0, 1.0, 0.2], frequency: 0.05 };
+    let x = synthesize(&array, &[dipole], 200, 0.02, 8);
 
     let (done, high_water) = (AtomicBool::new(false), AtomicUsize::new(0));
-    let fit = std::thread::scope(|s| {
+    let scan = std::thread::scope(|s| {
         s.spawn(|| {
             while !done.load(Ordering::SeqCst) {
                 high_water.fetch_max(live_threads().unwrap_or(0), Ordering::SeqCst);
@@ -36,13 +30,13 @@ fn eight_rvo_ranks_stay_eight_threads() {
             }
         });
         let out = Universe::run(RANKS, move |comm| {
-            let root = (comm.rank() == 0).then_some(&series[..]);
-            distributed_rvo(&comm, root, &stimulus, RvoBounds::default(), RvoMethod::paper_grid())
+            let root = (comm.rank() == 0).then_some(&x);
+            distributed_music(&comm, &array, root, 1, GRID_STEPS)
         });
         done.store(true, Ordering::SeqCst);
-        out.into_iter().next().flatten().expect("root returns the fit")
+        out.into_iter().next().expect("rank 0 returns the scan")
     });
-    assert_eq!(fit.evaluations, (dims.len() * 13 * 7) as u64);
+    assert_eq!(scan.spectrum.len(), head_grid(GRID_STEPS).len());
     // The sampler itself, then one thread per rank — and not one more.
     let peak = high_water.load(Ordering::SeqCst);
     assert!(peak > before, "the sampler never saw the ranks (peak {peak}, before {before})");

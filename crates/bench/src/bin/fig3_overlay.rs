@@ -10,11 +10,11 @@
 //! cargo run --release -p gtw-bench --bin fig3_overlay -- --json
 //! ```
 //!
-//! With `--json` the ROI course, overlay statistics and the measured
-//! wall-clock per-stage times of the FIRE pipeline (filter, motion,
-//! correlate, detrend) are emitted as one machine-readable document.
+//! With `--json` the stimulus, the ROI course and the overlay statistics
+//! are emitted as one machine-readable document, the same bytes on every
+//! run.
 
-use gtw_desim::{Json, Observer};
+use gtw_desim::Json;
 use gtw_fire::analysis::RoiStats;
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
 use gtw_scan::acquire::{Scanner, ScannerConfig};
@@ -53,11 +53,8 @@ fn main() {
         println!("  (stimulus ⊛ gamma HRF, delay 6 s / dispersion 1 s)");
     }
 
-    // Run the pipeline, tracking an ROI at the motor site. Stage spans
-    // record the measured wall-clock cost of each FIRE module.
-    let sink = Observer::recording();
+    // Run the pipeline, tracking an ROI at the motor site.
     let mut fire = FirePipeline::new(FireConfig::default(), scanner.config().dims, rv);
-    fire.observe(&sink);
     let mut roi = RoiStats::sphere(scanner.config().dims, (20, 27, 12), 4.0);
     for t in 0..scanner.scan_count() {
         let out = fire.process(&scanner.acquire(t));
@@ -68,18 +65,6 @@ fn main() {
     let over = map.data.iter().filter(|&&c| c >= fire.config().clip_level).count();
 
     if json {
-        // Aggregate the wall-clock spans into per-stage totals.
-        let mut stages: Vec<(String, f64, u64)> = Vec::new();
-        for s in sink.snapshot() {
-            let d = s.end.saturating_since(s.begin).as_secs_f64();
-            match stages.iter_mut().find(|(n, _, _)| *n == s.name) {
-                Some((_, total, n)) => {
-                    *total += d;
-                    *n += 1;
-                }
-                None => stages.push((s.name.clone(), d, 1)),
-            }
-        }
         let doc = Json::obj([
             ("experiment", Json::from("fig3_overlay_roi")),
             ("scans", Json::from(scanner.scan_count())),
@@ -93,15 +78,6 @@ fn main() {
             ("clip_level", Json::from(fire.config().clip_level as f64)),
             ("voxels_above_clip", Json::from(over)),
             ("max_correlation", Json::from(map.min_max().1 as f64)),
-            (
-                "stage_wall_s",
-                Json::obj(
-                    stages
-                        .iter()
-                        .map(|(name, total, _)| (name.as_str(), Json::from(*total)))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
         ]);
         println!("{}", doc.pretty());
         return;

@@ -145,32 +145,6 @@ impl GigabitTestbedWest {
         }
     }
 
-    /// Attach the production B-WiN as a fallback path between the sites:
-    /// the 155 Mbit/s scientific network ran in parallel with the
-    /// testbed throughout (it is what the testbed exists to replace).
-    /// Routing prefers the testbed WAN (inserted first, fewer-hop ties
-    /// break by insertion order); when the OC-48 is failed, traffic
-    /// falls back to the B-WiN at an order of magnitude less capacity.
-    pub fn add_bwin_fallback(&mut self) {
-        let t = &mut self.topology;
-        let sw_fzj = t.find("ASX-4000 (FZJ)").expect("FZJ switch");
-        let sw_gmd = t.find("ASX-4000 (GMD)").expect("GMD switch");
-        t.connect(
-            sw_fzj,
-            sw_gmd,
-            Medium::Atm { cell_rate: StmLevel::Stm1.payload_rate() },
-            // The B-WiN routes through the national backbone: longer.
-            gtw_net::link::StageConfig::fibre_propagation(400.0),
-            "B-WiN fallback",
-        );
-    }
-
-    /// Fail or restore the testbed WAN (the beta-test instability).
-    pub fn set_wan_state(&mut self, up: bool) -> usize {
-        let a = self.topology.set_link_state("OC-48 WAN", up);
-        a + self.topology.set_link_state("OC-12 WAN", up)
-    }
-
     /// Measure a TCP bulk transfer between two nodes (event-driven) and
     /// compare with the analytic bound.
     pub fn measure(&self, from: NodeId, to: NodeId, bytes: u64, window_bytes: u64) -> MeasuredPath {
@@ -296,34 +270,6 @@ mod tests {
         let e5000 = by_name("T3E-600", "SUN E5000");
         assert!(local > sp2, "local {local} vs SP2 {sp2}");
         assert!(e5000 > sp2, "E5000 {e5000} vs SP2 {sp2}");
-    }
-
-    #[test]
-    fn wan_failure_partitions_without_fallback() {
-        let mut tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
-        assert!(tb.topology.route(tb.t3e_600, tb.sp2).is_some());
-        assert_eq!(tb.set_wan_state(false), 1);
-        assert!(tb.topology.route(tb.t3e_600, tb.sp2).is_none(), "no redundancy in Figure 1");
-        assert_eq!(tb.set_wan_state(true), 1);
-        assert!(tb.topology.route(tb.t3e_600, tb.sp2).is_some());
-    }
-
-    #[test]
-    fn bwin_fallback_carries_degraded_service() {
-        let mut tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
-        tb.add_bwin_fallback();
-        let healthy =
-            tb.measure(tb.t3e_600, tb.e5000, 16 * 1024 * 1024, 4 * 1024 * 1024).report.goodput;
-        tb.set_wan_state(false);
-        let degraded =
-            tb.measure(tb.t3e_600, tb.e5000, 8 * 1024 * 1024, 4 * 1024 * 1024).report.goodput;
-        assert!(degraded.mbps() < 140.0, "B-WiN fallback should cap near 155 Mbit/s: {degraded}");
-        assert!(healthy.mbps() > degraded.mbps() * 2.0, "{healthy} vs {degraded}");
-        // The fMRI chain survives but can no longer feed the workbench:
-        // functional images still fit 155 Mbit/s.
-        let scanner_ok =
-            tb.measure(tb.scanner_frontend, tb.t3e_600, 1024 * 1024, 1024 * 1024).report.goodput;
-        assert!(scanner_ok.mbps() > 50.0);
     }
 
     #[test]

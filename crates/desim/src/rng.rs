@@ -174,11 +174,6 @@ impl StreamRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
-
     /// Exponential draw with the given rate (mean `1/rate`).
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0);

@@ -23,9 +23,8 @@
 //!   instead of restarting the protocol,
 //! * [`rvo`] — reference-vector optimization: per-voxel least-squares fit
 //!   of HRF delay and dispersion by rastering the parameter space, plus
-//!   the paper's planned coarse-grid + conjugate-gradient refinement,
-//! * [`decomp`] — the domain decomposition used on the T3E, run as a
-//!   `gtw-mpi` scatter/gather over in-process ranks,
+//!   the paper's planned coarse grid with a local refinement (a per-axis
+//!   search standing in for its conjugate-gradient step),
 //! * [`t3e`] — the calibrated Cray T3E-600 cost model that regenerates
 //!   Table 1,
 //! * [`rt`] — the RT-server / RT-client protocol and the end-to-end delay
@@ -36,7 +35,7 @@
 //! * [`realtime`] — the same chain run event-driven, measuring skipped
 //!   scans and steady-state periods under scanner pressure,
 //! * [`linalg`] — the small dense solver kit (Gaussian elimination,
-//!   least squares, Jacobi eigendecomposition, conjugate gradients)
+//!   least squares, Jacobi eigendecomposition)
 //!   shared across the workspace.
 //!
 //! The per-voxel kernels (`filters`, `rvo`, the detrended and the
@@ -48,7 +47,6 @@
 
 pub mod analysis;
 pub mod checkpoint;
-pub mod decomp;
 pub mod detrend;
 pub mod filters;
 pub mod linalg;

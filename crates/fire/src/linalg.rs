@@ -1,10 +1,10 @@
 //! Small dense linear algebra, implemented in-repo (no external math
-//! crates): Gaussian elimination, linear least squares, symmetric Jacobi
-//! eigendecomposition and conjugate gradients.
+//! crates): Gaussian elimination, linear least squares and symmetric
+//! Jacobi eigendecomposition.
 //!
 //! Sized for the workspace's needs: detrending projections (a handful of
-//! basis vectors), RVO refinement (2-parameter fits), and the MUSIC
-//! algorithm's covariance eigendecompositions (tens of channels).
+//! basis vectors), the motion fit's 6-parameter normal equations, and the
+//! MUSIC algorithm's covariance eigendecompositions (tens of channels).
 
 /// A dense row-major matrix of `f64`.
 #[derive(Clone, Debug, PartialEq)]
@@ -277,35 +277,6 @@ pub fn jacobi_eigen(a: &Matrix, max_sweeps: usize) -> (Vec<f64>, Matrix) {
     (eigenvalues, vectors)
 }
 
-/// Conjugate-gradient solve of `A x = b` for symmetric positive-definite
-/// `A` (the refinement solver RVO's planned optimization calls for).
-pub fn conjugate_gradient(a: &Matrix, b: &[f64], tol: f64, max_iters: usize) -> Vec<f64> {
-    assert_eq!(a.rows, a.cols, "CG needs a square matrix");
-    let n = a.rows;
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
-    for _ in 0..max_iters {
-        if rs_old.sqrt() < tol {
-            break;
-        }
-        let ap = a.matvec(&p);
-        let alpha = rs_old / p.iter().zip(&ap).map(|(pi, api)| pi * api).sum::<f64>();
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,17 +472,6 @@ mod tests {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((vtv[(i, j)] - expect).abs() < 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn cg_matches_direct_solve() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0, 0.0], vec![1.0, 3.0, 1.0], vec![0.0, 1.0, 5.0]]);
-        let b = [1.0, 2.0, 3.0];
-        let x_cg = conjugate_gradient(&a, &b, 1e-12, 100);
-        let x_direct = solve(&a, &b).unwrap();
-        for (c, d) in x_cg.iter().zip(&x_direct) {
-            assert!((c - d).abs() < 1e-9);
         }
     }
 

@@ -1,10 +1,9 @@
 //! Property-based tests for the FIRE processing modules.
 
 use gtw_desim::StreamRng;
-use gtw_fire::decomp::{balanced_range, block_grid, extract_slab};
 use gtw_fire::detrend::DetrendBasis;
 use gtw_fire::filters::{average_filter, median_filter};
-use gtw_fire::linalg::{conjugate_gradient, jacobi_eigen, solve, Matrix};
+use gtw_fire::linalg::{jacobi_eigen, solve, Matrix};
 use gtw_fire::rvo::{optimize, RvoBounds, RvoMethod};
 use gtw_scan::hrf::{ReferenceVector, Stimulus, CANONICAL_DELAY_S, CANONICAL_DISPERSION_S};
 use gtw_scan::volume::{Dims, Volume};
@@ -138,67 +137,6 @@ proptest! {
             }
         }
         prop_assert!(err < 1e-8, "reconstruction error {err}");
-    }
-
-    /// CG and direct solve agree on SPD systems.
-    #[test]
-    fn cg_agrees_with_direct(n in 1usize..8, seed in 0u64..500) {
-        let mut state = seed.wrapping_mul(0xDA942042E4DD58B5).wrapping_add(3);
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        // SPD via AᵀA + n·I.
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                m[(i, j)] = next();
-            }
-        }
-        let mut a = m.transpose().matmul(&m);
-        for i in 0..n {
-            a[(i, i)] += n as f64;
-        }
-        let b: Vec<f64> = (0..n).map(|_| next() * 5.0).collect();
-        let x_cg = conjugate_gradient(&a, &b, 1e-12, 500);
-        let x_dir = solve(&a, &b).unwrap();
-        for (c, d) in x_cg.iter().zip(&x_dir) {
-            prop_assert!((c - d).abs() < 1e-6 * (1.0 + d.abs()));
-        }
-    }
-
-    /// Balanced ranges tile [0, n) exactly for any n/parts.
-    #[test]
-    fn balanced_ranges_tile(n in 0usize..1000, parts in 1usize..32) {
-        let mut cursor = 0;
-        for i in 0..parts {
-            let (s, e) = balanced_range(n, parts, i);
-            prop_assert_eq!(s, cursor);
-            prop_assert!(e >= s);
-            cursor = e;
-        }
-        prop_assert_eq!(cursor, n);
-    }
-
-    /// Block grids multiply back to the PE count.
-    #[test]
-    fn block_grid_product(pes in 1usize..512) {
-        let (px, py, pz) = block_grid(pes);
-        prop_assert_eq!(px * py * pz, pes);
-    }
-
-    /// Slab extraction round-trips content for any in-range slab.
-    #[test]
-    fn slab_content_matches(vol in arb_volume(5), z0_frac in 0.0f64..1.0, halo in 0usize..3) {
-        let nz = vol.dims.nz;
-        let z0 = ((z0_frac * (nz - 1) as f64) as usize).min(nz - 1);
-        let z1 = (z0 + 1).min(nz);
-        let (slab, interior) = extract_slab(&vol, z0, z1, halo);
-        for y in 0..vol.dims.ny {
-            for x in 0..vol.dims.nx {
-                prop_assert_eq!(slab.at(x, y, interior), vol.at(x, y, z0));
-            }
-        }
     }
 }
 

@@ -42,12 +42,6 @@ impl FabricSpec {
         FabricSpec { latency_s: 1.5e-3, bandwidth_bytes_per_s: 30.0e6 }
     }
 
-    /// The production B-WiN at 155 Mbit/s access, shared: ~15 ms latency,
-    /// ~5 MB/s effective — what the applications were escaping from.
-    pub fn wan_bwin() -> Self {
-        FabricSpec { latency_s: 15.0e-3, bandwidth_bytes_per_s: 5.0e6 }
-    }
-
     /// Modeled time to move `bytes` over this fabric.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
@@ -123,11 +117,6 @@ impl Placement {
     /// is what the topology layer groups sites by.
     pub fn machine_index(&self, rank: usize) -> usize {
         self.machine_of[rank]
-    }
-
-    /// Number of distinct machines in the placement.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
     }
 
     /// Whether two ranks share a machine.

@@ -69,11 +69,6 @@ impl TraceCollector {
         }
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event.
     pub fn record(&self, rank: usize, kind: EventKind, peer: Option<usize>, bytes: u64) {
         if !self.enabled {

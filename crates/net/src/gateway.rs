@@ -20,7 +20,6 @@ use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, Simulator};
 
 use crate::link::Medium;
 use crate::sdh::StmLevel;
-use crate::signaling::LinkFailure;
 use crate::tcp::HopModel;
 use crate::units::{Bandwidth, DataSize};
 
@@ -168,11 +167,9 @@ pub struct GatewayEpochGrant {
 /// active unit (routing cost + memory copy). A silent failure of the
 /// active unit is detected after `miss_threshold` consecutive unanswered
 /// probes; failover then discards the one datagram that was mid-copy in
-/// the dead unit (the bounded in-flight loss), promotes the standby, and
-/// notifies every registered [`ResilientRoute`](crate::signaling) with a
-/// [`LinkFailure`] so affected VCs re-signal. Queued datagrams survive —
-/// delivery is exactly-once for everything not mid-copy at the instant
-/// of failure.
+/// the dead unit (the bounded in-flight loss) and promotes the standby.
+/// Queued datagrams survive — delivery is exactly-once for everything
+/// not mid-copy at the instant of failure.
 pub struct GatewayPair {
     units: [Gateway; 2],
     up: [bool; 2],
@@ -184,8 +181,6 @@ pub struct GatewayPair {
     pub miss_threshold: u32,
     /// Upstream buffer capacity in datagrams.
     pub queue_cap: usize,
-    /// Routes to notify (via [`LinkFailure`]) when a failover happens.
-    pub routes: Vec<ComponentId>,
     queue: VecDeque<GwPacket>,
     /// True while the active unit is copying the queue head.
     transmitting: bool,
@@ -237,7 +232,6 @@ impl GatewayPair {
             probe_interval: SimDuration::from_millis(10),
             miss_threshold: 3,
             queue_cap: 64,
-            routes: Vec::new(),
             queue: VecDeque::new(),
             transmitting: false,
             epoch: 0,
@@ -265,12 +259,6 @@ impl GatewayPair {
         assert!(miss_threshold >= 1);
         self.probe_interval = interval;
         self.miss_threshold = miss_threshold;
-        self
-    }
-
-    /// Builder: notify `route` (a `ResilientRoute`) on every failover.
-    pub fn notify_route(mut self, route: ComponentId) -> Self {
-        self.routes.push(route);
         self
     }
 
@@ -348,8 +336,7 @@ impl GatewayPair {
 
     /// Promote the standby under `epoch`, which invalidates the dead
     /// unit's pending completion: the one datagram mid-copy in it is
-    /// gone, everything still queued upstream survives, and every route
-    /// hears [`LinkFailure`].
+    /// gone, and everything still queued upstream survives.
     fn complete_fail_over(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
         self.epoch = epoch;
         self.missed = 0;
@@ -360,9 +347,6 @@ impl GatewayPair {
         }
         self.active = 1 - self.active;
         self.failovers += 1;
-        for &r in &self.routes {
-            ctx.send_in(SimDuration::ZERO, r, msg(LinkFailure));
-        }
         self.try_start(ctx);
     }
 }
@@ -587,28 +571,9 @@ mod tests {
     }
 
     #[test]
-    fn silent_failure_fails_over_with_bounded_loss_and_notifies_routes() {
+    fn silent_failure_fails_over_with_bounded_loss() {
         let mut sim = Simulator::new();
         let (p, s) = pair(&mut sim);
-        // A resilient route that should hear about the failover. Paths
-        // are placeholders; the route never connects, so LinkFailure
-        // only increments its counter.
-        use crate::signaling::{CallId, ResilientRoute, SignallingAgent};
-        let hop = sim.add_component(SignallingAgent::new(
-            "hop",
-            Bandwidth::from_mbps(622.0),
-            SimDuration::from_micros(500),
-        ));
-        let route = sim.add_component(ResilientRoute::new(
-            CallId(1),
-            Bandwidth::from_mbps(100.0),
-            vec![hop],
-            vec![hop],
-        ));
-        {
-            let gp = sim.component_mut::<GatewayPair>(p);
-            gp.routes.push(route);
-        }
         stream(&mut sim, p, 40);
         // Primary dies silently at 5 ms and never comes back.
         sim.send_at(SimTime::from_millis(5), p, msg(GatewayDown(0)));
@@ -626,8 +591,6 @@ mod tests {
         seen.dedup();
         assert_eq!(seen.len(), sink.delivered.len(), "exactly-once delivery");
         assert_eq!(sink.delivered.len() as u64 + gp.inflight_lost, 40);
-        let r = sim.component::<ResilientRoute>(route);
-        assert_eq!(r.link_failures, 1, "failover must re-signal affected VCs");
     }
 
     #[test]

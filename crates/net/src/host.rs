@@ -91,17 +91,6 @@ impl HostNic {
         }
     }
 
-    /// A single SP2 node's 155 Mbit/s ATM adapter (per-node path).
-    pub fn sp2_node_atm155() -> Self {
-        HostNic {
-            label: "SP2 node ATM 155 (microchannel)",
-            medium: Medium::Atm { cell_rate: StmLevel::Stm1.payload_rate() },
-            per_packet: SimDuration::from_micros(250),
-            max_mtu: crate::ip::CLIP_DEFAULT_MTU,
-            ingest_rate: Some(Bandwidth::from_mbytes_per_sec(8.0)),
-        }
-    }
-
     /// SGI Onyx 2 visualization server: HiPPI locally; the paper waits on
     /// 622 Mbit/s ATM adapters for it, so its testbed path runs through a
     /// gateway.

@@ -6,8 +6,7 @@
 //! * [`cell`] — 53-byte ATM cells with real HEC (CRC-8) header protection,
 //! * [`aal5`] — AAL5 segmentation/reassembly with the CPCS trailer and
 //!   CRC-32 over the full PDU,
-//! * [`sdh`] — SDH/SONET line vs payload rates (STM-1/4/16 ↔ OC-3/12/48)
-//!   and the signal-quality model behind the testbed's early instability,
+//! * [`sdh`] — SDH/SONET line vs payload rates (STM-1/4/16 ↔ OC-3/12/48),
 //! * [`hippi`] — the 800 Mbit/s High Performance Parallel Interface with
 //!   its burst framing,
 //! * [`link`], [`switch`] — event-driven cell/frame transport with

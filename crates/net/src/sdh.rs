@@ -1,15 +1,9 @@
-//! SDH/SONET framing: line rate vs usable payload rate, plus the
-//! signal-quality model behind the testbed's early instability.
+//! SDH/SONET framing: line rate vs usable payload rate.
 //!
 //! The testbed's WAN was carried on SDH: STM-4 (OC-12, 622 Mbit/s) in the
 //! first year, upgraded to STM-16 (OC-48, 2.4 Gbit/s) in August 1998. SDH
 //! spends a fixed fraction of the line rate on section/path overhead; the
-//! ATM cell stream rides in the C-4 container. The paper reports "initial
-//! stability problems ... related to signal attenuation and timing" that
-//! were later solved — modelled here as an attenuation/jitter margin that
-//! maps to an errored-second rate.
-
-use gtw_desim::StreamRng;
+//! ATM cell stream rides in the C-4 container.
 
 use crate::units::Bandwidth;
 
@@ -60,84 +54,6 @@ impl StmLevel {
     }
 }
 
-/// Optical signal quality on an SDH section.
-///
-/// The two knobs mirror the two failure causes the paper names: signal
-/// attenuation (received power margin) and timing (jitter). Both erode the
-/// margin; a negative margin yields a rapidly growing errored-second
-/// probability.
-#[derive(Clone, Copy, Debug)]
-pub struct SignalQuality {
-    /// Received optical power margin above receiver sensitivity, in dB.
-    /// Healthy installations have several dB; the testbed's early problems
-    /// correspond to ≈ 0 or below.
-    pub power_margin_db: f64,
-    /// Timing jitter in unit intervals (UI). > ~0.3 UI starts producing
-    /// errors.
-    pub jitter_ui: f64,
-}
-
-impl SignalQuality {
-    /// A healthy section (post-fix state: "in stable operation now").
-    pub fn stable() -> Self {
-        SignalQuality { power_margin_db: 6.0, jitter_ui: 0.05 }
-    }
-
-    /// The beta-test state with attenuation and timing trouble.
-    pub fn degraded() -> Self {
-        SignalQuality { power_margin_db: 0.5, jitter_ui: 0.4 }
-    }
-
-    /// Effective margin after jitter penalty (1 dB per 0.1 UI beyond
-    /// 0.15 UI, a standard rule-of-thumb penalty curve).
-    pub fn effective_margin_db(&self) -> f64 {
-        let jitter_penalty = ((self.jitter_ui - 0.15).max(0.0)) * 10.0;
-        self.power_margin_db - jitter_penalty
-    }
-
-    /// Probability that any given second is errored (contains at least one
-    /// severely errored block). Logistic in the effective margin: ~0 above
-    /// +3 dB, ~1 below −3 dB.
-    pub fn errored_second_probability(&self) -> f64 {
-        let m = self.effective_margin_db();
-        1.0 / (1.0 + (2.0 * m).exp())
-    }
-
-    /// Cell loss ratio implied by the margin; errored seconds produce
-    /// bursts, so the average CLR is the errored-second probability times
-    /// an in-burst loss fraction.
-    pub fn cell_loss_ratio(&self) -> f64 {
-        const IN_BURST_LOSS: f64 = 1e-3;
-        (self.errored_second_probability() * IN_BURST_LOSS).min(1.0)
-    }
-}
-
-/// Outcome of an SDH section acceptance test over `seconds` observed
-/// seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SectionTestReport {
-    /// Seconds observed.
-    pub seconds: u64,
-    /// Errored seconds counted.
-    pub errored_seconds: u64,
-    /// Whether the section meets a production availability bar
-    /// (< 0.2 % errored seconds, the G.826-flavoured target used here).
-    pub acceptable: bool,
-}
-
-/// Run a (virtual) acceptance test of a section: Bernoulli errored-seconds
-/// draws from the quality model.
-pub fn section_test(
-    quality: SignalQuality,
-    seconds: u64,
-    rng: &mut StreamRng,
-) -> SectionTestReport {
-    let p = quality.errored_second_probability();
-    let errored = (0..seconds).filter(|_| rng.uniform() < p).count() as u64;
-    let ratio = errored as f64 / seconds.max(1) as f64;
-    SectionTestReport { seconds, errored_seconds: errored, acceptable: ratio < 0.002 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,31 +87,5 @@ mod tests {
             // Combined SDH+ATM tax is ~12.8 %.
             assert!((p / l - 0.872).abs() < 0.01, "{}", p / l);
         }
-    }
-
-    #[test]
-    fn stable_vs_degraded_quality() {
-        let ok = SignalQuality::stable();
-        let bad = SignalQuality::degraded();
-        assert!(ok.errored_second_probability() < 1e-4);
-        assert!(bad.errored_second_probability() > 0.5);
-        assert!(ok.cell_loss_ratio() < bad.cell_loss_ratio());
-    }
-
-    #[test]
-    fn jitter_erodes_margin() {
-        let lo = SignalQuality { power_margin_db: 3.0, jitter_ui: 0.05 };
-        let hi = SignalQuality { power_margin_db: 3.0, jitter_ui: 0.5 };
-        assert!(hi.effective_margin_db() < lo.effective_margin_db());
-        assert!(hi.errored_second_probability() > lo.errored_second_probability());
-    }
-
-    #[test]
-    fn acceptance_test_discriminates() {
-        let mut rng = StreamRng::new(1, "sdh-test");
-        let good = section_test(SignalQuality::stable(), 10_000, &mut rng);
-        assert!(good.acceptable, "stable link failed acceptance: {good:?}");
-        let bad = section_test(SignalQuality::degraded(), 10_000, &mut rng);
-        assert!(!bad.acceptable, "degraded link passed acceptance: {bad:?}");
     }
 }

@@ -272,11 +272,6 @@ impl AtmSwitch {
         assert!(route.port < self.ports.len(), "route to nonexistent port");
         self.routes.insert(key, route);
     }
-
-    /// Number of output ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
 }
 
 /// After a cell of an admitted frame was dropped (overflow or selective

@@ -108,15 +108,6 @@ pub struct TcpConfig {
     /// progress doubles the timeout up to this cap; any advancing ACK
     /// resets it to `rto`.
     pub rto_max: SimDuration,
-    /// Estimate the RTO from measured round-trip times (RFC 6298
-    /// SRTT/RTTVAR with Karn's algorithm) instead of resetting to the
-    /// fixed base `rto` on every advancing ACK. Off by default so
-    /// existing experiment runs stay byte-identical; `rto` still seeds
-    /// the timeout until the first valid sample.
-    pub adaptive_rto: bool,
-    /// Floor for the adaptive RTO (RFC 6298 uses 1 s; a gigabit testbed
-    /// with sub-millisecond RTTs wants something far smaller).
-    pub rto_min: SimDuration,
 }
 
 impl TcpConfig {
@@ -131,15 +122,7 @@ impl TcpConfig {
             initial_cwnd_bytes: 4 * ip.mss(),
             rto,
             rto_max: rto * 8,
-            adaptive_rto: false,
-            rto_min: SimDuration::from_millis(10),
         }
-    }
-
-    /// Builder form: switch on the RFC 6298 adaptive timeout.
-    pub fn with_adaptive_rto(mut self) -> Self {
-        self.adaptive_rto = true;
-        self
     }
 }
 
@@ -196,17 +179,6 @@ pub struct TcpSender {
     /// Total RTO watchdog arms (observability; compare against
     /// `segments_sent` to see the watchdog is not per-packet).
     pub rto_armed: u64,
-    /// Smoothed RTT and RTT variation in nanoseconds (RFC 6298); `None`
-    /// until the first valid sample.
-    srtt: Option<(u64, u64)>,
-    /// In-flight RTT probe: the cumulative-ACK level that completes the
-    /// sampled segment and its send time. Karn's algorithm: one probe at
-    /// a time, armed only on first transmissions, invalidated by any
-    /// retransmission so an ambiguous (original-or-resend) ACK never
-    /// pollutes the estimator.
-    rtt_probe: Option<(u64, SimTime)>,
-    /// Valid RTT samples folded into the estimator.
-    pub rtt_samples: u64,
     /// Messages the sender could not act on (unknown type, a packet that
     /// is not an ACK): dropped and counted instead of aborting the run.
     /// Not part of any report.
@@ -235,9 +207,6 @@ impl TcpSender {
             recover_until: 0,
             rto_outstanding: false,
             rto_armed: 0,
-            srtt: None,
-            rtt_probe: None,
-            rtt_samples: 0,
             dropped_msgs: 0,
         }
     }
@@ -284,9 +253,6 @@ impl TcpSender {
             ctx.send_in(SimDuration::ZERO, hop, gtw_desim::component::msg(Arrive(pkt)));
             if self.next_byte < self.high_water {
                 self.segments_retransmitted += 1;
-            } else if self.cfg.adaptive_rto && self.rtt_probe.is_none() {
-                // First transmission with no probe in flight: time it.
-                self.rtt_probe = Some((self.next_byte + payload, ctx.now()));
             }
             self.next_byte += payload;
             self.high_water = self.high_water.max(self.next_byte);
@@ -305,28 +271,6 @@ impl TcpSender {
                 }),
             );
         }
-    }
-
-    /// Fold a measured round-trip time into the RFC 6298 estimator and
-    /// recompute the timeout: `RTO = SRTT + 4 * RTTVAR`, clamped to
-    /// `[rto_min, rto_max]`.
-    fn take_rtt_sample(&mut self, r: SimDuration) {
-        let r = r.as_nanos();
-        let (srtt, rttvar) = match self.srtt {
-            // First sample: SRTT = R, RTTVAR = R/2.
-            None => (r, r / 2),
-            // RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R'| (with the *old*
-            // SRTT), then SRTT = 7/8 SRTT + 1/8 R'.
-            Some((srtt, rttvar)) => {
-                let rttvar = (3 * rttvar) / 4 + srtt.abs_diff(r) / 4;
-                let srtt = (7 * srtt) / 8 + r / 8;
-                (srtt, rttvar)
-            }
-        };
-        self.srtt = Some((srtt, rttvar));
-        self.rtt_samples += 1;
-        self.rto_current = SimDuration::from_nanos(srtt.saturating_add(rttvar.saturating_mul(4)))
-            .clamp(self.cfg.rto_min, self.cfg.rto_max);
     }
 }
 
@@ -350,22 +294,9 @@ impl Component for TcpSender {
                 // segments fill the gap; never resend acked bytes.
                 self.next_byte = self.next_byte.max(self.acked);
                 self.cwnd = (self.cwnd + self.cfg.ip.mss()).min(self.cfg.window_bytes);
-                // Fresh progress: duplicate count resets. The timeout
-                // either resets to the fixed base, or — adaptive mode —
-                // is recomputed only from an unambiguous sample (Karn:
-                // the backed-off value sticks until a never-retransmitted
-                // segment round-trips).
+                // Fresh progress: duplicate count and timeout reset.
                 self.dup_acks = 0;
-                if self.cfg.adaptive_rto {
-                    if let Some((probe_end, sent_at)) = self.rtt_probe {
-                        if self.acked >= probe_end {
-                            self.rtt_probe = None;
-                            self.take_rtt_sample(ctx.now().saturating_since(sent_at));
-                        }
-                    }
-                } else {
-                    self.rto_current = self.cfg.rto;
-                }
+                self.rto_current = self.cfg.rto;
             } else if pkt.seq == self.acked && self.next_byte > self.acked {
                 // Duplicate ACK while data is outstanding: the receiver
                 // saw a gap. Three in a row trigger fast retransmit —
@@ -378,8 +309,6 @@ impl Component for TcpSender {
                     self.retransmits += 1;
                     self.recover_until = self.high_water;
                     self.next_byte = self.acked;
-                    // Karn: the resend makes any in-flight probe ambiguous.
-                    self.rtt_probe = None;
                     // Multiplicative decrease, never below the initial
                     // window.
                     self.cwnd = (self.cwnd / 2).max(self.cfg.initial_cwnd_bytes);
@@ -416,8 +345,6 @@ impl Component for TcpSender {
             self.next_byte = self.acked;
             self.cwnd = self.cfg.initial_cwnd_bytes;
             self.dup_acks = 0;
-            // Karn: the go-back-N resend invalidates any in-flight probe.
-            self.rtt_probe = None;
             // Exponential backoff: each expiry without progress doubles
             // the timeout, up to the configured cap.
             self.rto_current = (self.rto_current * 2).min(self.cfg.rto_max);
@@ -994,128 +921,5 @@ mod tests {
         );
         let r = sim.component::<TcpReceiver>(receiver);
         assert_eq!(r.expected, cfg.total_bytes, "every byte delivered exactly once");
-    }
-
-    #[test]
-    fn adaptive_rto_avoids_spurious_retransmits_on_long_rtt() {
-        // A path whose RTT (~250 ms) exceeds the fixed 200 ms base RTO,
-        // window-limited so every round has a silent gap of a full RTT.
-        // The fixed sender resets its timeout to the too-short base on
-        // every advancing ACK, times out every round, and resends data
-        // that was never lost. The adaptive sender measures the path
-        // once and stops: RTO jumps to SRTT + 4*RTTVAR >> RTT.
-        let ip = IpConfig { mtu: 9180 };
-        let total = 512 * 1024;
-        // Two-segment initial window: a spurious go-back-N resend then
-        // yields at most two duplicate ACKs, below the fast-retransmit
-        // threshold, so the test isolates the watchdog behavior from
-        // dup-ACK recovery.
-        let mut base = TcpConfig::bulk(20, total, ip, 64 * 1024);
-        base.initial_cwnd_bytes = 2 * ip.mss();
-        let run = |cfg: TcpConfig| {
-            let (sim, sender) = run_transfer(
-                Bandwidth::from_mbps(622.0),
-                SimDuration::from_millis(125),
-                SimDuration::ZERO,
-                cfg,
-            );
-            let s = sim.component::<TcpSender>(sender);
-            assert!(s.finished_at.is_some(), "transfer stalled");
-            assert_eq!(s.acked, total);
-            (s.rto_timeouts, s.segments_retransmitted, s.current_rto(), s.rtt_samples)
-        };
-        let fixed = run(base);
-        let adaptive = run(base.with_adaptive_rto());
-        assert!(fixed.0 >= 2, "fixed RTO must fire spuriously more than once, got {}", fixed.0);
-        assert!(fixed.1 > 0, "fixed RTO resends unlost data");
-        // The adaptive sender may suffer at most the pre-sample expiries
-        // of the (identical) initial timeout, then learns the path.
-        assert!(adaptive.0 <= 1, "adaptive kept timing out: {}", adaptive.0);
-        assert!(adaptive.0 < fixed.0);
-        assert!(adaptive.1 < fixed.1);
-        assert!(adaptive.3 > 0, "estimator never took a sample");
-        // The learned timeout comfortably exceeds the actual RTT.
-        assert!(adaptive.2 > SimDuration::from_millis(250), "learned RTO {:?}", adaptive.2);
-    }
-
-    #[test]
-    fn adaptive_rto_changes_nothing_on_a_clean_short_path() {
-        // No losses and RTT << RTO: the estimator runs but the watchdog
-        // never fires, so throughput and wire behavior are unchanged.
-        let ip = IpConfig { mtu: 9180 };
-        let total = 4 * 1024 * 1024;
-        let base = TcpConfig::bulk(21, total, ip, 512 * 1024);
-        assert!(!base.adaptive_rto, "bulk defaults to the fixed RTO");
-        let run = |cfg: TcpConfig| {
-            let (sim, sender) = run_transfer(
-                Bandwidth::from_mbps(622.0),
-                SimDuration::from_micros(500),
-                SimDuration::ZERO,
-                cfg,
-            );
-            let s = sim.component::<TcpSender>(sender);
-            (s.elapsed().unwrap(), s.segments_sent, s.retransmits)
-        };
-        let fixed = run(base);
-        let adaptive = run(base.with_adaptive_rto());
-        assert_eq!(fixed, adaptive);
-        assert_eq!(fixed.2, 0);
-    }
-
-    #[test]
-    fn adaptive_rto_keeps_exponential_backoff_under_karn() {
-        use gtw_desim::fault::{FaultInjector, FaultSpec, Schedule, Window};
-        // Same outage harness as the fixed-RTO backoff test, adaptive on.
-        // The estimator locks onto the ~1 ms path quickly, so the outage
-        // hits a sub-base RTO; each expiry without progress must still
-        // double the timeout (Karn's backoff survives adaptation), and no
-        // sample may be taken from the retransmitted segments.
-        let ip = IpConfig { mtu: 9180 };
-        let cfg = TcpConfig::bulk(22, 8 * 1024 * 1024, ip, 512 * 1024).with_adaptive_rto();
-        let mut sim = Simulator::new();
-        let sink = gtw_desim::Observer::recording();
-        sim.observe(&sink);
-        let outage = FaultSpec {
-            outages: Schedule::new(vec![Window::new(
-                SimTime::ZERO + SimDuration::from_millis(50),
-                SimTime::ZERO + SimDuration::from_millis(450),
-            )]),
-            ..FaultSpec::default()
-        };
-        let cfg_stage = StageConfig {
-            medium: Medium::Raw { rate: Bandwidth::from_mbps(622.0) },
-            per_packet: SimDuration::ZERO,
-            propagation: SimDuration::from_micros(500),
-            buffer_bytes: u64::MAX,
-        };
-        let fwd = sim.add_component(
-            PipeStage::new("fwd", cfg_stage.clone(), ComponentId::placeholder())
-                .with_faults(FaultInjector::new(1, "fwd", outage)),
-        );
-        let rev = sim.add_component(PipeStage::new("rev", cfg_stage, ComponentId::placeholder()));
-        let receiver = sim.add_component(TcpReceiver::new(cfg.flow, cfg.total_bytes, rev));
-        let sender = sim.add_component(TcpSender::new(cfg, fwd));
-        sim.component_mut::<PipeStage>(fwd).next = receiver;
-        sim.component_mut::<PipeStage>(rev).next = sender;
-        sim.send_in(SimDuration::ZERO, sender, msg(StartTransfer));
-        sim.run();
-        let s = sim.component::<TcpSender>(sender);
-        assert!(s.finished_at.is_some(), "transfer stalled");
-        assert!(s.rto_timeouts >= 2, "outage must force repeated timeouts: {}", s.rto_timeouts);
-        let waits: Vec<SimDuration> = sink
-            .snapshot()
-            .iter()
-            .filter(|sp| sp.name == "rto-wait")
-            .map(|sp| sp.end.saturating_since(sp.begin))
-            .collect();
-        assert!(waits.len() >= 2, "{waits:?}");
-        for pair in waits.windows(2).take(2) {
-            assert_eq!(pair[1], pair[0] * 2, "{waits:?}");
-        }
-        assert!(waits.iter().all(|&w| w <= cfg.rto_max), "{waits:?}");
-        // Post-outage the estimator is live again and the timeout sits in
-        // the configured band — not stuck at the backed-off ceiling.
-        assert!(s.rtt_samples > 0);
-        assert!(s.current_rto() >= cfg.rto_min && s.current_rto() < cfg.rto_max);
     }
 }

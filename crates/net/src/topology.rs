@@ -66,9 +66,6 @@ pub struct LinkSpec {
     pub propagation: SimDuration,
     /// Display label ("OC-48 WAN", "HiPPI", ...).
     pub label: String,
-    /// Whether the link is currently operational (the SDH sections of
-    /// the testbed's first beta months were not always).
-    pub up: bool,
 }
 
 /// The testbed graph.
@@ -118,7 +115,7 @@ impl Topology {
     ) {
         assert!(a != b, "self-links are not allowed");
         let idx = self.links.len();
-        self.links.push(LinkSpec { a, b, medium, propagation, label: label.into(), up: true });
+        self.links.push(LinkSpec { a, b, medium, propagation, label: label.into() });
         self.adjacency[a.0].push(idx);
         self.adjacency[b.0].push(idx);
     }
@@ -133,32 +130,13 @@ impl Topology {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
-    /// All links.
-    pub fn links(&self) -> &[LinkSpec] {
-        &self.links
-    }
-
     /// Find a node by name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| n.name == name).map(NodeId)
     }
 
-    /// Mark every link with the given label as failed (or restored).
-    /// Returns how many links changed state.
-    pub fn set_link_state(&mut self, label: &str, up: bool) -> usize {
-        let mut n = 0;
-        for l in &mut self.links {
-            if l.label == label && l.up != up {
-                l.up = up;
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Shortest path (fewest hops, deterministic tie-break by insertion
-    /// order) from `src` to `dst`, as a node sequence. Failed links are
-    /// not traversed.
+    /// order) from `src` to `dst`, as a node sequence.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         if src == dst {
             return Some(vec![src]);
@@ -171,9 +149,6 @@ impl Topology {
         while let Some(u) = q.pop_front() {
             for &li in &self.adjacency[u] {
                 let l = &self.links[li];
-                if !l.up {
-                    continue;
-                }
                 let v = if l.a.0 == u { l.b.0 } else { l.a.0 };
                 if !seen[v] {
                     seen[v] = true;
@@ -202,7 +177,7 @@ impl Topology {
         self.adjacency[a.0]
             .iter()
             .map(|&li| &self.links[li])
-            .find(|l| l.up && ((l.a == a && l.b == b) || (l.a == b && l.b == a)))
+            .find(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
     }
 
     /// Largest MTU usable on the path: the minimum of the endpoints'

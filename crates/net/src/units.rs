@@ -149,11 +149,6 @@ impl DataSize {
         self.0 as f64 / 1024.0
     }
 
-    /// Binary megabytes as `f64`.
-    pub fn mib(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Ceiling division into chunks of `chunk` bytes (e.g. cells, MTUs).
     pub fn chunks_of(self, chunk: DataSize) -> u64 {
         assert!(chunk.0 > 0, "chunk size must be positive");

@@ -12,8 +12,6 @@
 //! * [`raycast`] — a software volume renderer standing in for AVS /
 //!   Onyx 2 (Figure 4): front-to-back compositing of the anatomy with
 //!   activation highlighting,
-//! * [`stereo`] — stereo-pair rendering for the workbench's projection
-//!   planes, with anaglyph compositing and a disparity check,
 //! * [`workbench`] — the Responsive Workbench: two projection planes of
 //!   stereo 1024×768 true-colour frames, and the remote-display frame
 //!   transport over the testbed (the paper's "<8 frames/s over 622
@@ -24,7 +22,6 @@ pub mod color;
 pub mod image;
 pub mod overlay;
 pub mod raycast;
-pub mod stereo;
 pub mod workbench;
 
 pub use image::{Image, Rgb};
