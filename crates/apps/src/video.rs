@@ -147,6 +147,7 @@ pub fn stream_over(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gtw_net::ip::CLIP_DEFAULT_MTU;
     use gtw_net::link::Medium;
     use gtw_net::sdh::StmLevel;
 
@@ -204,7 +205,8 @@ mod tests {
     #[test]
     fn small_mtu_adds_overhead_but_oc12_still_carries_one_stream() {
         let d1 = D1Stream::pal();
-        let r = stream_over(&d1, &[atm_hop(StmLevel::Stm4)], IpConfig::clip_default(), 12);
+        let r =
+            stream_over(&d1, &[atm_hop(StmLevel::Stm4)], IpConfig { mtu: CLIP_DEFAULT_MTU }, 12);
         assert!(r.sustained, "{r:?}");
         let r1500 = stream_over(&d1, &[atm_hop(StmLevel::Stm4)], IpConfig { mtu: 1500 }, 12);
         // Ethernet-size fragments: more header+cell padding overhead,

@@ -422,16 +422,6 @@ impl FaultInjector {
         FaultInjector { spec, rng, in_bad_state: false, stats: FaultStats::default() }
     }
 
-    /// True when the target is *not* inside an outage window at `now`.
-    pub fn link_up(&self, now: SimTime) -> bool {
-        !self.spec.outages.contains(now)
-    }
-
-    /// End of the outage window covering `now`, if any.
-    pub fn outage_end(&self, now: SimTime) -> Option<SimTime> {
-        self.spec.outages.window_end_at(now)
-    }
-
     /// Decide the fate of one arriving unit: `Some(cause)` means drop
     /// it and count the cause; `None` means let it through.
     ///
@@ -823,9 +813,6 @@ mod tests {
         assert_eq!(inj.judge(t(100)), Some(FaultCause::Outage));
         assert_eq!(inj.judge(t(149)), Some(FaultCause::Outage));
         assert_eq!(inj.judge(t(150)), None);
-        assert!(inj.link_up(t(99)));
-        assert!(!inj.link_up(t(120)));
-        assert_eq!(inj.outage_end(t(120)), Some(t(150)));
         assert_eq!(inj.stats().outage, 2);
     }
 

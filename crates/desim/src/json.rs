@@ -87,7 +87,8 @@ impl Json {
         Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
     }
 
-    /// Append a key to an object (panics on non-objects).
+    /// Append a key to an object. Panics on a non-object: pushing a key
+    /// onto an array or a scalar is a report-building bug.
     pub fn push(&mut self, key: impl Into<String>, value: impl Into<Json>) -> &mut Self {
         match self {
             Json::Obj(pairs) => pairs.push((key.into(), value.into())),
@@ -380,6 +381,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
+        // Never fires: the scan above consumed ASCII bytes only.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if integral {
             if let Ok(i) = text.parse::<i128>() {
@@ -442,6 +444,12 @@ fn write_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "Json::push on non-object")]
+    fn push_on_a_non_object_panics() {
+        Json::Arr(Vec::new()).push("k", 1u64);
+    }
 
     #[test]
     fn scalars() {

@@ -22,10 +22,10 @@
 //! ## Quick example
 //!
 //! ```
-//! use gtw_desim::{Simulator, SimDuration};
+//! use gtw_desim::{SimTime, Simulator};
 //!
 //! let mut sim = Simulator::new();
-//! sim.call_in(SimDuration::from_millis(5), |sim| {
+//! sim.call_at(SimTime::from_millis(5), |sim| {
 //!     assert_eq!(sim.now().as_millis_f64(), 5.0);
 //! });
 //! sim.run();
@@ -45,7 +45,6 @@ pub mod shard;
 pub mod sim;
 pub mod span;
 pub mod time;
-pub mod traffic;
 
 pub use component::{Component, ComponentId, Ctx, Msg};
 pub use fault::{
@@ -63,7 +62,6 @@ pub use shard::ShardedSimulator;
 pub use sim::{RunResult, Simulator};
 pub use span::{chrome_trace, chrome_trace_with_counters, validate_chrome_trace, Span, TraceCheck};
 pub use time::{SimDuration, SimTime};
-pub use traffic::{BgFlowSpec, TrafficPlan};
 
 /// Pinned by the frozen `gtw-benchmark` adapter; use [`Observer`].
 #[doc(hidden)]

@@ -364,8 +364,8 @@ mod tests {
         let mut sim = Simulator::new();
         let obs = Observer::recording();
         sim.observe(&obs);
-        sim.call_in(SimDuration::from_secs(1), |_| {});
-        sim.call_in(SimDuration::from_secs(2), |_| {});
+        sim.call_at(SimTime::from_secs(1), |_| {});
+        sim.call_at(SimTime::from_secs(2), |_| {});
         sim.run();
         assert_eq!(obs.calls(), 2);
         assert_eq!(Observer::disabled().calls(), 0);

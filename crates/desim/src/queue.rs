@@ -190,8 +190,6 @@ pub struct EventQueue<T> {
     len: usize,
     /// FIFO counter for externally pushed events.
     next_seq: u64,
-    /// Total number of events ever pushed (keyed or external).
-    pushed: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -210,7 +208,6 @@ impl<T> EventQueue<T> {
             free: Vec::new(),
             len: 0,
             next_seq: 0,
-            pushed: 0,
         }
     }
 
@@ -238,7 +235,6 @@ impl<T> EventQueue<T> {
     /// Schedule `payload` under an explicit key (component-sourced
     /// events; cross-shard arrivals re-inserted with their original key).
     pub fn push_keyed(&mut self, key: EventKey, payload: T) {
-        self.pushed += 1;
         self.len += 1;
         // `EXTERNAL_SRC` is `u64::MAX` and wraps to run 0.
         let r = key.src.wrapping_add(1) as usize;
@@ -327,6 +323,7 @@ impl<T> EventQueue<T> {
 
     /// Drop the heap top.
     fn remove_top(&mut self) {
+        // Never fires: both callers have just read the top they remove.
         let last = self.heap.pop().expect("the heap has a top");
         if let Some(top) = self.heap.first_mut() {
             *top = last;
@@ -360,7 +357,8 @@ impl<T> EventQueue<T> {
     pub(crate) fn drain_entries(&mut self) -> Vec<(EventKey, T)> {
         let mut entries = Vec::with_capacity(self.len);
         for e in self.heap.drain(..) {
-            // Run heads leave with their runs below.
+            // Run heads leave with their runs below. A straggler's slot
+            // holds its payload until a pop takes it (`expect` never fires).
             if let Some(slot) = self.stragglers.get_mut(!e.at) {
                 entries.push((EventKey::unpack(e.key), slot.take().expect("a straggler's slot")));
             }
@@ -383,11 +381,6 @@ impl<T> EventQueue<T> {
     /// The external FIFO counter.
     pub(crate) fn fifo_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.pushed
     }
 
     /// Heap entries (run heads + stragglers), as opposed to `len()`.
@@ -445,12 +438,11 @@ mod payload_heap {
         runs: Vec<Run<T>>,
         len: usize,
         next_seq: u64,
-        pushed: u64,
     }
 
     impl<T> EventQueue<T> {
         pub fn new() -> Self {
-            EventQueue { heap: BinaryHeap::new(), runs: Vec::new(), len: 0, next_seq: 0, pushed: 0 }
+            EventQueue { heap: BinaryHeap::new(), runs: Vec::new(), len: 0, next_seq: 0 }
         }
 
         pub fn len(&self) -> usize {
@@ -465,7 +457,6 @@ mod payload_heap {
         }
 
         pub fn push_keyed(&mut self, key: EventKey, payload: T) {
-            self.pushed += 1;
             self.len += 1;
             let r = key.src.wrapping_add(1) as usize;
             if r >= self.runs.len() {
@@ -537,10 +528,6 @@ mod payload_heap {
             }
             self.len = 0;
             entries
-        }
-
-        pub fn scheduled_total(&self) -> u64 {
-            self.pushed
         }
     }
 }
@@ -671,7 +658,6 @@ mod tests {
             let mut model: BTreeMap<EventKey, u32> = BTreeMap::new();
             // Last fire time and next send counter per source (4 = external).
             let mut cursor = [(100u64, 0u64); 5];
-            let mut pushed = 0u64;
             for (id, &(op, src, step, horizon)) in ops.iter().enumerate() {
                 let id = id as u32;
                 match op {
@@ -691,7 +677,6 @@ mod tests {
                             key
                         };
                         *seq += 1;
-                        pushed += 1;
                         prop_assert!(model.insert(key, id).is_none());
                     }
                     10..=12 => {
@@ -721,7 +706,6 @@ mod tests {
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.is_empty(), model.is_empty());
                 prop_assert_eq!(q.peek_time(), model.first_key_value().map(|(k, _)| k.time));
-                prop_assert_eq!(q.scheduled_total(), pushed);
                 prop_assert!(q.heap_len() <= q.len());
             }
         }
@@ -822,7 +806,6 @@ mod tests {
                 }
                 prop_assert_eq!(q.len(), reference.len());
                 prop_assert_eq!(q.peek_time(), reference.peek_time());
-                prop_assert_eq!(q.scheduled_total(), reference.scheduled_total());
             }
             while let Some(want) = reference.pop() {
                 prop_assert_eq!(q.pop().map(keyed), Some(keyed(want)));
@@ -881,9 +864,7 @@ mod tests {
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

@@ -34,6 +34,7 @@ impl ChaCha8 {
     fn from_seed(seed: [u8; 32]) -> Self {
         let mut key = [0u32; 8];
         for (i, k) in key.iter_mut().enumerate() {
+            // Never fires: a 4-byte window of the 32-byte seed converts.
             *k = u32::from_le_bytes(seed[i * 4..i * 4 + 4].try_into().unwrap());
         }
         ChaCha8 { key, counter: 0, buf: [0; 16], idx: 16 }

@@ -213,8 +213,8 @@ impl Shard {
                 self.now = ev.time;
                 self.processed += 1;
                 self.dispatch_counts[t] += 1;
-                // `from_simulator` put every component on the shard its
-                // events are routed to; an empty slot is a wiring bug.
+                // Never fires: `from_simulator` put every component on the
+                // shard its events are routed to.
                 let comp = self.components[t]
                     .as_deref_mut()
                     .unwrap_or_else(|| panic!("dispatch to empty slot {target:?}"));
@@ -712,7 +712,7 @@ mod tests {
     #[should_panic(expected = "Call events cannot be partitioned")]
     fn pending_call_events_are_rejected() {
         let mut sim = Simulator::new();
-        sim.call_in(SimDuration::from_secs(1), |_| {});
+        sim.call_at(SimTime::from_secs(1), |_| {});
         let _ = ShardedSimulator::from_simulator(sim, &ShardPlan::new(2, SimDuration::MAX));
     }
 

@@ -139,12 +139,13 @@ impl Simulator {
 
     /// Immutable access to a component's concrete type.
     ///
-    /// Panics if the id is stale or the type does not match — both are
-    /// programming errors in a closed simulation, and the two panics here
-    /// and in [`component_mut`](Self::component_mut) name them. (A slot is
-    /// never empty outside a dispatch; the kernel fills it at registration
-    /// and borrows it in place.)
+    /// Panics if the id is out of range or the type does not match — both
+    /// are programming errors in a closed simulation, and the second names
+    /// the id and the type asked for (here and in
+    /// [`component_mut`](Self::component_mut)).
     pub fn component<C: Component>(&self, id: ComponentId) -> &C {
+        // Never fires: `add_component` fills a slot and nothing empties
+        // one (a dispatch borrows the component in place).
         let c = self.components[id.0]
             .as_deref()
             .unwrap_or_else(|| panic!("component {:?} is currently dispatched", id));
@@ -155,6 +156,7 @@ impl Simulator {
 
     /// Mutable access to a component's concrete type.
     pub fn component_mut<C: Component>(&mut self, id: ComponentId) -> &mut C {
+        // Never fires: every slot is filled, as in `component`.
         let c = self.components[id.0]
             .as_deref_mut()
             .unwrap_or_else(|| panic!("component {:?} is currently dispatched", id));
@@ -178,16 +180,6 @@ impl Simulator {
     pub fn send_at(&mut self, at: SimTime, target: ComponentId, m: Msg) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, Event::Deliver { target, msg: m });
-    }
-
-    /// Schedule a closure after `delay`.
-    pub fn call_in<F: FnOnce(&mut Simulator) + Send + 'static>(
-        &mut self,
-        delay: SimDuration,
-        f: F,
-    ) {
-        let t = self.now + delay;
-        self.queue.push(t, Event::Call(Box::new(f)));
     }
 
     /// Schedule a closure at the absolute instant `at`.
@@ -218,9 +210,10 @@ impl Simulator {
                 // The component, the queue, its send counter and the
                 // observation buffer are disjoint fields, so the component
                 // handles the event in its slot while `Ctx` borrows the rest.
-                self.dispatch_counts[target.0] += 1;
-                // Only a never-patched `ComponentId::placeholder()` gets
-                // here: a wiring bug, reported by name.
+                // A never-patched `ComponentId::placeholder()` is out of range.
+                let count = self.dispatch_counts.get_mut(target.0);
+                *count.unwrap_or_else(|| panic!("dispatch to unpatched {target:?}")) += 1;
+                // Never fires: every slot is filled, as in `component`.
                 let comp = self.components[target.0]
                     .as_deref_mut()
                     .unwrap_or_else(|| panic!("dispatch to empty slot {:?}", target));
@@ -339,11 +332,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is not a")]
+    fn component_of_the_wrong_type_panics() {
+        struct Idle;
+        impl Component for Idle {
+            fn handle(&mut self, _: &mut Ctx<'_>, _: Msg) {}
+        }
+        let mut sim = Simulator::new();
+        let id = sim.add_component(Idle);
+        let _ = sim.component::<Counter>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatch to unpatched")]
+    fn dispatch_to_an_unpatched_placeholder_panics() {
+        let mut sim = Simulator::new();
+        sim.send_at(SimTime::ZERO, ComponentId::placeholder(), msg(Tick));
+        sim.run();
+    }
+
+    #[test]
     fn closure_events_advance_clock() {
         let mut sim = Simulator::new();
-        sim.call_in(SimDuration::from_secs(2), |s| {
+        sim.call_at(SimTime::from_secs(2), |s| {
             assert_eq!(s.now(), SimTime::from_secs(2));
-            s.call_in(SimDuration::from_secs(3), |s2| {
+            s.call_at(s.now() + SimDuration::from_secs(3), |s2| {
                 assert_eq!(s2.now(), SimTime::from_secs(5));
             });
         });

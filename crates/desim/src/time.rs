@@ -6,7 +6,7 @@
 //! convenient reporting.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Kernel-wide float→nanosecond conversion policy: round to nearest.
 ///
@@ -248,14 +248,6 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    #[inline]
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        debug_assert!(self.0 >= rhs.0, "SimDuration subtraction underflow");
-        self.0 -= rhs.0;
-    }
-}
-
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
@@ -275,12 +267,6 @@ impl Div<u64> for SimDuration {
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={:.6}s", self.as_secs_f64())
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
     }
 }
 

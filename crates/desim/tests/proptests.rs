@@ -43,7 +43,7 @@ proptest! {
         let last = Arc::new(AtomicU64::new(0));
         for &d in &delays {
             let last = Arc::clone(&last);
-            sim.call_in(SimDuration::from_nanos(d), move |s| {
+            sim.call_at(SimTime::from_nanos(d), move |s| {
                 let now = s.now().as_nanos();
                 let prev = last.swap(now, Ordering::SeqCst);
                 assert!(now >= prev, "clock went backwards: {prev} -> {now}");
@@ -79,7 +79,7 @@ proptest! {
         let fired = Arc::new(AtomicU64::new(0));
         for &d in &delays {
             let fired = Arc::clone(&fired);
-            sim.call_in(SimDuration::from_nanos(d), move |_| {
+            sim.call_at(SimTime::from_nanos(d), move |_| {
                 fired.fetch_add(1, Ordering::SeqCst);
             });
         }

@@ -100,16 +100,6 @@ pub fn wire_bits_for_pdu(payload_len: usize) -> u64 {
     cells_for_pdu(payload_len) as u64 * 53 * 8
 }
 
-/// Efficiency of AAL5 transport for a given payload size: payload bits /
-/// wire bits. Approaches 48/53 · (1 - ε) for large payloads; collapses for
-/// tiny ones (a 1-byte payload still costs one 53-byte cell).
-pub fn aal5_efficiency(payload_len: usize) -> f64 {
-    if payload_len == 0 {
-        return 0.0;
-    }
-    (payload_len as f64 * 8.0) / wire_bits_for_pdu(payload_len) as f64
-}
-
 /// Build the CPCS-PDU octets for `payload`: what [`segment`] puts in its
 /// cells, in one piece (the reference its tests hold it to).
 pub fn build_cpcs_pdu(payload: &[u8], uu: u8, cpi: u8) -> Vec<u8> {
@@ -199,11 +189,6 @@ impl Reassembler {
         Self::default()
     }
 
-    /// Number of buffered (incomplete) bytes.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Feed one cell payload. Returns `Some(Ok(payload))` when a PDU
     /// completes, `Some(Err(..))` when a PDU completes but fails
     /// validation, `None` while mid-PDU.
@@ -234,6 +219,8 @@ impl Reassembler {
             self.errs_length += 1;
             return Err(ReassemblyError::LengthMismatch);
         }
+        // Never fire: the check above leaves at least a trailer, and the
+        // two slices below are 4 and 2 bytes long.
         let body = &pdu[..pdu.len() - 4];
         let wire_crc = u32::from_be_bytes(pdu[pdu.len() - 4..].try_into().unwrap());
         if crc32_aal5(body) != wire_crc {
@@ -313,7 +300,7 @@ mod tests {
         // Conservation: the total equals the per-cause sum.
         assert_eq!(r.pdus_err, r.errs_crc + r.errs_length + r.errs_oversize);
         assert!(r.errs_crc > 0);
-        assert_eq!(r.pending_bytes(), 0);
+        assert!(r.buf.is_empty());
     }
 
     #[test]
@@ -366,13 +353,14 @@ mod tests {
 
     #[test]
     fn efficiency_shape() {
-        // Tiny payloads are brutally inefficient; big ones approach 48/53
-        // minus trailer amortization.
-        assert!(aal5_efficiency(1) < 0.02);
-        let e64k = aal5_efficiency(65535);
+        // Payload bits over wire bits: tiny payloads are brutally
+        // inefficient; big ones approach 48/53 minus trailer amortization.
+        let efficiency = |len: usize| (len as f64 * 8.0) / wire_bits_for_pdu(len) as f64;
+        assert!(efficiency(1) < 0.02);
+        let e64k = efficiency(65535);
         assert!(e64k > 0.90 && e64k < 48.0 / 53.0 + 1e-9, "{e64k}");
         // 9180-byte CLIP MTU: 192 cells for 9188 bytes.
-        let e = aal5_efficiency(9180);
+        let e = efficiency(9180);
         assert!((e - (9180.0 * 8.0) / (192.0 * 53.0 * 8.0)).abs() < 1e-12);
     }
 
@@ -441,7 +429,7 @@ mod tests {
             }
         }
         assert_eq!(r.pdus_ok, 10);
-        assert_eq!(r.pending_bytes(), 0);
+        assert!(r.buf.is_empty());
     }
 
     #[test]

@@ -21,8 +21,6 @@
 pub const ATM_CELL_BYTES: usize = 53;
 /// Payload carried per cell.
 pub const ATM_PAYLOAD_BYTES: usize = 48;
-/// Header size.
-pub const ATM_HEADER_BYTES: usize = 5;
 
 /// One step of the bit-at-a-time CRC-8: `crc` shifted through eight
 /// times under the generator x⁸ + x² + x + 1 (0x07).
@@ -171,16 +169,6 @@ impl AtmCell {
     }
 }
 
-/// Number of cells needed to carry `payload_bytes` of AAL payload (without
-/// any AAL trailer accounting — see [`crate::aal5`] for PDU-level math).
-pub fn cells_for_payload(payload_bytes: u64) -> u64 {
-    payload_bytes.div_ceil(ATM_PAYLOAD_BYTES as u64)
-}
-
-/// The raw cell tax: fraction of line bits that are payload bits when
-/// streaming back-to-back cells (48/53 ≈ 0.9057).
-pub const CELL_PAYLOAD_FRACTION: f64 = ATM_PAYLOAD_BYTES as f64 / ATM_CELL_BYTES as f64;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,20 +241,6 @@ mod tests {
         assert!(Pti::USER_DATA_END.is_aal5_end());
         assert!(!Pti(0b100).is_aal5_end()); // OAM cell, not user data
         assert!(!Pti(0b101).is_aal5_end());
-    }
-
-    #[test]
-    fn cell_count_math() {
-        assert_eq!(cells_for_payload(0), 0);
-        assert_eq!(cells_for_payload(1), 1);
-        assert_eq!(cells_for_payload(48), 1);
-        assert_eq!(cells_for_payload(49), 2);
-        assert_eq!(cells_for_payload(9180), 192); // default CLIP MTU: 191.25
-    }
-
-    #[test]
-    fn payload_fraction() {
-        assert!((CELL_PAYLOAD_FRACTION - 0.90566).abs() < 1e-4);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Default for HippiChannel {
 }
 
 impl HippiChannel {
-    /// Raw signalling rate: 32 bits per 25 MHz clock = 800 Mbit/s.
-    pub fn raw_rate(&self) -> Bandwidth {
-        Bandwidth::from_bps(WORD_CLOCK_HZ * 32.0)
-    }
-
     /// Time on the channel for one packet of `block` bytes (excluding
     /// connection setup).
     pub fn packet_time(&self, block: DataSize) -> SimDuration {
@@ -81,11 +76,6 @@ impl HippiChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raw_rate_is_800() {
-        assert!((HippiChannel::default().raw_rate().mbps() - 800.0).abs() < 1e-9);
-    }
 
     #[test]
     fn large_blocks_approach_peak() {

@@ -108,7 +108,7 @@ impl HostNic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip::IpConfig;
+    use crate::ip::{IpConfig, CLIP_DEFAULT_MTU};
     use crate::units::DataSize;
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
                 HostNic::cray_hippi().hop(SimDuration::from_micros(10)),
                 HostNic::cray_hippi().hop(SimDuration::from_micros(10)),
             ],
-            ip: IpConfig::clip_default(),
+            ip: IpConfig { mtu: CLIP_DEFAULT_MTU },
             window: DataSize::from_mib(4),
         };
         let tp = model.steady_state_throughput().mbps();

@@ -19,8 +19,6 @@ pub const CLIP_DEFAULT_MTU: u64 = 9180;
 /// datagram tops out at 65535 bytes; "64 KByte MTU" in the paper means
 /// the adapter allows datagrams up to that limit.
 pub const FORE_LARGE_MTU: u64 = 65535;
-/// Classic Ethernet MTU, for contrast experiments.
-pub const ETHERNET_MTU: u64 = 1500;
 
 /// MTU-derived sizing for a TCP connection.
 #[derive(Clone, Copy, Debug)]
@@ -30,11 +28,6 @@ pub struct IpConfig {
 }
 
 impl IpConfig {
-    /// Classical IP over ATM default.
-    pub fn clip_default() -> Self {
-        IpConfig { mtu: CLIP_DEFAULT_MTU }
-    }
-
     /// The testbed's large-MTU configuration.
     pub fn large_mtu() -> Self {
         IpConfig { mtu: FORE_LARGE_MTU }
@@ -50,16 +43,6 @@ impl IpConfig {
     pub fn segment_ip_bytes(&self, payload: u64) -> DataSize {
         debug_assert!(payload <= self.mss());
         DataSize::from_bytes(payload + IP_HEADER_BYTES + TCP_HEADER_BYTES)
-    }
-
-    /// Number of full-MSS segments plus tail for `total` payload bytes.
-    pub fn segments_for(&self, total: u64) -> u64 {
-        total.div_ceil(self.mss()).max(if total == 0 { 0 } else { 1 })
-    }
-
-    /// Header overhead fraction of a full-size segment (headers / MTU).
-    pub fn header_overhead(&self) -> f64 {
-        (IP_HEADER_BYTES + TCP_HEADER_BYTES) as f64 / self.mtu as f64
     }
 }
 
@@ -89,25 +72,9 @@ mod tests {
 
     #[test]
     fn mss_math() {
-        assert_eq!(IpConfig::clip_default().mss(), 9140);
+        assert_eq!(IpConfig { mtu: CLIP_DEFAULT_MTU }.mss(), 9140);
         assert_eq!(IpConfig::large_mtu().mss(), 65495);
-        assert_eq!(IpConfig { mtu: ETHERNET_MTU }.mss(), 1460);
-    }
-
-    #[test]
-    fn segment_counts() {
-        let cfg = IpConfig { mtu: 1500 };
-        assert_eq!(cfg.segments_for(0), 0);
-        assert_eq!(cfg.segments_for(1), 1);
-        assert_eq!(cfg.segments_for(1460), 1);
-        assert_eq!(cfg.segments_for(1461), 2);
-        assert_eq!(cfg.segments_for(14600), 10);
-    }
-
-    #[test]
-    fn large_mtu_has_tiny_overhead() {
-        assert!(IpConfig::large_mtu().header_overhead() < 0.001);
-        assert!(IpConfig { mtu: ETHERNET_MTU }.header_overhead() > 0.025);
+        assert_eq!(IpConfig { mtu: 1500 }.mss(), 1460);
     }
 
     #[test]

@@ -219,44 +219,13 @@ impl CacState {
     /// first, so for CBR (`pcr == scr`) at peak factor 1.0 the sustained
     /// budget is always the one reported.
     pub fn fits(&self, td: &TrafficDescriptor) -> Result<(), RejectCause> {
-        self.fits_above(self.in_use(), td)
-    }
-
-    /// How many of `requested` virtual circuits of contract `td` would
-    /// be admitted, stopping at the first that fails [`fits`](Self::fits)
-    /// — a trial-admission loop, nothing is admitted. Drives the stream
-    /// count of striped WAN transfers
-    /// ([`adaptive_streams_with_cac`](crate::stripe::adaptive_streams_with_cac)):
-    /// each stripe is one VC, so the aggregate must fit both budgets.
-    pub fn admissible_streams(&self, td: &TrafficDescriptor, requested: usize) -> usize {
-        let (mut scr, mut pcr) = self.in_use();
-        let mut granted = 0;
-        while granted < requested && self.fits_above((scr, pcr), td).is_ok() {
-            scr += td.scr.bps();
-            pcr += td.pcr.bps();
-            granted += 1;
-        }
-        granted
-    }
-
-    /// `(scr, pcr)` bandwidth spoken for: admitted calls plus holds.
-    fn in_use(&self) -> (f64, f64) {
         let held_scr: f64 = self.pending.values().map(|&(_, scr)| f64::from_bits(scr)).sum();
         let held_pcr: f64 = self.pending.values().map(|&(pcr, _)| f64::from_bits(pcr)).sum();
-        (self.committed_bps() + held_scr, self.committed_pcr_bps() + held_pcr)
-    }
-
-    /// The admission arithmetic: does `td` fit on top of `(scr, pcr)`?
-    fn fits_above(
-        &self,
-        (scr, pcr): (f64, f64),
-        td: &TrafficDescriptor,
-    ) -> Result<(), RejectCause> {
         let capacity = self.capacity_bps();
         let peak = capacity * f64::from_bits(self.peak_factor_bits);
-        if scr + td.scr.bps() > capacity {
+        if self.committed_bps() + held_scr + td.scr.bps() > capacity {
             Err(RejectCause::ScrExceeded)
-        } else if pcr + td.pcr.bps() > peak {
+        } else if self.committed_pcr_bps() + held_pcr + td.pcr.bps() > peak {
             Err(RejectCause::PcrExceeded)
         } else {
             Ok(())

@@ -163,6 +163,7 @@ pub fn control_fault_report(seed: u64) -> Json {
     let horizon = SimTime::from_secs(30);
     let mut sim = Simulator::new();
     let cfg = GroupConfig::new(seed, horizon);
+    // Never fires: `build` refuses only an even, sub-3 or over-32 group.
     let group = ReplicaGroup::build(&mut sim, "cp", 3, 0, Bandwidth::from_gbps(10.0), cfg)
         .expect("a group of 3 is odd and tolerates one failure");
     let pump = sim.add_component(CallPump::new(

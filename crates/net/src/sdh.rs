@@ -28,15 +28,10 @@ impl StmLevel {
         }
     }
 
-    /// Gross line rate. An STM-N frame is 9 rows × 270·N columns of bytes
-    /// at 8000 frames/s.
-    pub fn line_rate(self) -> Bandwidth {
-        let n = self.factor() as f64;
-        Bandwidth::from_bps(9.0 * 270.0 * n * 8000.0 * 8.0)
-    }
-
     /// Payload (C-4 / C-4-Nc container) rate available to the ATM cell
-    /// stream: 260·N of the 270·N columns.
+    /// stream: 260·N of the 270·N columns of an STM-N frame (9 rows of
+    /// bytes at 8000 frames/s; the gross line rate is `Bandwidth::OC3`,
+    /// `OC12`, `OC48`).
     pub fn payload_rate(self) -> Bandwidth {
         let n = self.factor() as f64;
         Bandwidth::from_bps(9.0 * 260.0 * n * 8000.0 * 8.0)
@@ -60,9 +55,17 @@ mod tests {
 
     #[test]
     fn line_rates_match_standards() {
-        assert!((StmLevel::Stm1.line_rate().mbps() - 155.52).abs() < 1e-6);
-        assert!((StmLevel::Stm4.line_rate().mbps() - 622.08).abs() < 1e-6);
-        assert!((StmLevel::Stm16.line_rate().mbps() - 2488.32).abs() < 1e-6);
+        // An STM-N line carries 270·N columns of which the container gets
+        // 260·N: each level's payload is 26/27 of its OC-N line constant.
+        let levels = [
+            (StmLevel::Stm1, 1, Bandwidth::OC3),
+            (StmLevel::Stm4, 4, Bandwidth::OC12),
+            (StmLevel::Stm16, 16, Bandwidth::OC48),
+        ];
+        for (lvl, n, line) in levels {
+            assert_eq!(lvl.factor(), n);
+            assert!((lvl.payload_rate().bps() - line.bps() * 260.0 / 270.0).abs() < 1e-3);
+        }
     }
 
     #[test]
@@ -80,9 +83,14 @@ mod tests {
 
     #[test]
     fn atm_payload_rate_under_line_rate() {
-        for lvl in [StmLevel::Stm1, StmLevel::Stm4, StmLevel::Stm16] {
+        let levels = [
+            (StmLevel::Stm1, Bandwidth::OC3),
+            (StmLevel::Stm4, Bandwidth::OC12),
+            (StmLevel::Stm16, Bandwidth::OC48),
+        ];
+        for (lvl, line) in levels {
             let p = lvl.atm_payload_rate().bps();
-            let l = lvl.line_rate().bps();
+            let l = line.bps();
             assert!(p < l);
             // Combined SDH+ATM tax is ~12.8 %.
             assert!((p / l - 0.872).abs() < 0.01, "{}", p / l);

@@ -220,13 +220,6 @@ pub(crate) struct Release {
 }
 
 impl Release {
-    /// The RELEASE that tears `call` down along `path`, and the first
-    /// hop to deliver it to.
-    fn along(call: CallId, path: &[ComponentId]) -> (ComponentId, Release) {
-        assert!(!path.is_empty(), "a circuit has at least one hop");
-        (path[0], Release { call, path: path[1..].to_vec() })
-    }
-
     /// At a hop: pass the RELEASE on down the path, if any is left.
     pub(crate) fn relay(mut self, ctx: &mut Ctx<'_>, delay: SimDuration) {
         if !self.path.is_empty() {
@@ -398,179 +391,8 @@ pub fn place_call_with(
 
 /// Helper: release a connected call along its path.
 pub fn release_call(sim: &mut Simulator, path: &[ComponentId], call: CallId, at: SimTime) {
-    let (first, release) = Release::along(call, path);
-    sim.send_at(at, first, msg(release));
-}
-
-// ---- resilient routing ------------------------------------------------
-
-/// Notice to a [`ResilientRoute`] that a link on its active path went
-/// down (e.g. the start of a fault-plan outage window).
-pub struct LinkFailure;
-
-/// Kick-off message for a [`ResilientRoute`].
-pub struct StartCall;
-
-/// Self-timer: retry the pending call attempt after a backoff.
-struct RetryCall;
-
-/// A call originator that keeps one VC alive across link failures: it
-/// places the call on the primary path, and on [`LinkFailure`] releases
-/// the circuit and re-SETUPs on the backup path. Rejected attempts are
-/// retried on an exponential-backoff schedule (doubling from
-/// `retry_backoff` up to `backoff_cap`) until `max_retries` consecutive
-/// rejections, after which the route gives up.
-pub struct ResilientRoute {
-    /// The call this route maintains.
-    pub call: CallId,
-    /// Traffic contract to request (CBR when built via [`Self::new`]).
-    pub td: TrafficDescriptor,
-    /// Primary path (signalling agents, in order).
-    pub primary: Vec<ComponentId>,
-    /// Backup path used after a failure on the active one.
-    pub backup: Vec<ComponentId>,
-    /// Initial delay before retrying a rejected attempt.
-    pub retry_backoff: SimDuration,
-    /// Ceiling for the doubling retry backoff.
-    pub backoff_cap: SimDuration,
-    /// Consecutive rejections tolerated before giving up.
-    pub max_retries: u32,
-    /// The path of the currently connected circuit, if any.
-    pub active: Option<Vec<ComponentId>>,
-    /// Successful failovers (connected again after a link failure).
-    pub reroutes: u64,
-    /// Link failures observed on the active circuit.
-    pub link_failures: u64,
-    /// Rejected attempts that were retried.
-    pub retries: u64,
-    /// True once `max_retries` consecutive rejections exhausted the
-    /// retry budget.
-    pub gave_up: bool,
-    /// Setup latency of every successful connect, in order.
-    pub setup_latencies_s: Vec<f64>,
-    /// Stray messages (foreign call ids, unknown types) dropped instead
-    /// of crashing the route.
-    pub dropped_msgs: u64,
-    on_backup: bool,
-    rerouting: bool,
-    cur_backoff: SimDuration,
-    retries_left: u32,
-}
-
-impl ResilientRoute {
-    /// New route for `call` over `primary` with `backup` standing by.
-    pub fn new(
-        call: CallId,
-        rate: Bandwidth,
-        primary: Vec<ComponentId>,
-        backup: Vec<ComponentId>,
-    ) -> Self {
-        assert!(!primary.is_empty() && !backup.is_empty(), "paths need at least one hop");
-        let retry_backoff = SimDuration::from_millis(10);
-        ResilientRoute {
-            call,
-            td: TrafficDescriptor::cbr(rate),
-            primary,
-            backup,
-            retry_backoff,
-            backoff_cap: retry_backoff * 8,
-            max_retries: 5,
-            active: None,
-            reroutes: 0,
-            link_failures: 0,
-            retries: 0,
-            gave_up: false,
-            setup_latencies_s: Vec::new(),
-            dropped_msgs: 0,
-            on_backup: false,
-            rerouting: false,
-            cur_backoff: retry_backoff,
-            retries_left: 5,
-        }
-    }
-
-    /// True when the connected circuit runs over the backup path.
-    pub fn on_backup(&self) -> bool {
-        self.on_backup
-    }
-
-    fn target_path(&self) -> &[ComponentId] {
-        if self.on_backup {
-            &self.backup
-        } else {
-            &self.primary
-        }
-    }
-
-    fn attempt(&mut self, ctx: &mut Ctx<'_>) {
-        let (first, setup) =
-            Setup::first(self.call, self.td, self.target_path(), ctx.self_id(), ctx.now());
-        ctx.send_in(SimDuration::ZERO, first, msg(setup));
-    }
-}
-
-impl Component for ResilientRoute {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        if m.is::<StartCall>() {
-            let _ = downcast::<StartCall>(m);
-            self.attempt(ctx);
-        } else if m.is::<CallResult>() {
-            let CallResult(id, outcome) = *downcast::<CallResult>(m);
-            if id != self.call {
-                // A result for a call this route never placed — e.g. a
-                // completion that raced a teardown. Drop, don't crash.
-                self.dropped_msgs += 1;
-                return;
-            }
-            if let CallOutcome::Connected { setup_s } = outcome {
-                self.active = Some(self.target_path().to_vec());
-                self.setup_latencies_s.push(setup_s);
-                if self.rerouting {
-                    self.rerouting = false;
-                    self.reroutes += 1;
-                }
-                self.cur_backoff = self.retry_backoff;
-                self.retries_left = self.max_retries;
-            }
-        } else if m.is::<Reject>() {
-            // Roll back the hops that tentatively admitted, then retry
-            // after the current backoff.
-            downcast::<Reject>(m).roll_back(ctx);
-            if self.retries_left == 0 {
-                self.gave_up = true;
-                return;
-            }
-            self.retries_left -= 1;
-            self.retries += 1;
-            ctx.timer_in(self.cur_backoff, msg(RetryCall));
-            self.cur_backoff = (self.cur_backoff * 2).min(self.backoff_cap);
-        } else if m.is::<RetryCall>() {
-            let _ = downcast::<RetryCall>(m);
-            if !self.gave_up {
-                self.attempt(ctx);
-            }
-        } else if m.is::<LinkFailure>() {
-            let _ = downcast::<LinkFailure>(m);
-            self.link_failures += 1;
-            if let Some(path) = self.active.take() {
-                // Tear down what is left of the broken circuit and
-                // re-SETUP on the other path.
-                let (first, release) = Release::along(self.call, &path);
-                ctx.send_in(SimDuration::ZERO, first, msg(release));
-                self.on_backup = !self.on_backup;
-                self.rerouting = true;
-                self.attempt(ctx);
-            }
-        } else {
-            // Unknown message type: replication traffic or strays from a
-            // foreign protocol must not panic the route.
-            self.dropped_msgs += 1;
-        }
-    }
-
-    fn name(&self) -> &str {
-        "resilient-route"
-    }
+    assert!(!path.is_empty(), "a circuit has at least one hop");
+    sim.send_at(at, path[0], msg(Release { call, path: path[1..].to_vec() }));
 }
 
 #[cfg(test)]
@@ -613,26 +435,6 @@ mod tests {
             let agent = sim.component::<SignallingAgent>(a);
             assert!((agent.committed_bps() - 270e6).abs() < 1.0);
         }
-    }
-
-    #[test]
-    fn admissible_streams_counts_without_admitting() {
-        let mut agent =
-            SignallingAgent::new("sw", Bandwidth::from_mbps(622.0), SimDuration::from_micros(500));
-        let td = TrafficDescriptor::cbr(Bandwidth::from_mbps(100.0));
-        // 6 × 100 fit a 622 port, the 7th does not; the cap respects an
-        // already-committed call; nothing is ever actually admitted.
-        assert_eq!(agent.cac.admissible_streams(&td, 8), 6);
-        assert_eq!(agent.cac.admissible_streams(&td, 4), 4);
-        agent.cac.admitted.insert(CallId(9), (300e6f64.to_bits(), 300e6f64.to_bits()));
-        assert_eq!(agent.cac.admissible_streams(&td, 8), 3);
-        assert!((agent.committed_bps() - 300e6).abs() < 1.0, "trial admission must not commit");
-        // VBR under an overbooked peak budget: the PCR check binds.
-        let agent =
-            SignallingAgent::new("sw2", Bandwidth::from_mbps(200.0), SimDuration::from_micros(500))
-                .with_peak_factor(1.5);
-        let vbr = TrafficDescriptor::vbr(Bandwidth::from_mbps(100.0), Bandwidth::from_mbps(50.0));
-        assert_eq!(agent.cac.admissible_streams(&vbr, 8), 3);
     }
 
     #[test]
@@ -708,99 +510,6 @@ mod tests {
             o.results.iter().filter(|(_, r)| matches!(r, CallOutcome::Connected { .. })).count();
         assert_eq!(connected, 4);
         assert_eq!(o.results.len(), 5);
-    }
-
-    #[test]
-    fn reroutes_onto_backup_path_on_link_failure() {
-        let mut sim = Simulator::new();
-        let (_origin, primary) = chain(&mut sim, &[622.0, 622.0]);
-        let (_o2, backup) = chain(&mut sim, &[622.0, 622.0, 622.0]);
-        let route = sim.add_component(ResilientRoute::new(
-            CallId(7),
-            Bandwidth::from_mbps(270.0),
-            primary.clone(),
-            backup.clone(),
-        ));
-        sim.send_at(SimTime::ZERO, route, msg(StartCall));
-        sim.send_at(SimTime::from_millis(50), route, msg(LinkFailure));
-        sim.run();
-        let r = sim.component::<ResilientRoute>(route);
-        assert_eq!(r.link_failures, 1);
-        assert_eq!(r.reroutes, 1);
-        assert!(r.on_backup());
-        assert_eq!(r.active.as_deref(), Some(&backup[..]));
-        assert_eq!(r.setup_latencies_s.len(), 2, "primary connect + backup connect");
-        // The broken primary circuit was torn down on every hop; the
-        // backup carries the bandwidth now.
-        for &a in &primary {
-            assert_eq!(sim.component::<SignallingAgent>(a).committed_bps(), 0.0);
-        }
-        for &a in &backup {
-            assert!((sim.component::<SignallingAgent>(a).committed_bps() - 270e6).abs() < 1.0);
-        }
-    }
-
-    #[test]
-    fn reroute_retries_with_backoff_until_capacity_frees() {
-        let mut sim = Simulator::new();
-        let (origin, primary) = chain(&mut sim, &[622.0]);
-        // Backup only fits one call and is occupied until t = 80 ms.
-        let (_o2, backup) = chain(&mut sim, &[300.0]);
-        place_call(
-            &mut sim,
-            origin,
-            &backup,
-            CallId(1),
-            Bandwidth::from_mbps(270.0),
-            SimTime::ZERO,
-        );
-        release_call(&mut sim, &backup, CallId(1), SimTime::from_millis(80));
-        let route = sim.add_component(ResilientRoute::new(
-            CallId(2),
-            Bandwidth::from_mbps(270.0),
-            primary,
-            backup.clone(),
-        ));
-        sim.send_at(SimTime::ZERO, route, msg(StartCall));
-        sim.send_at(SimTime::from_millis(10), route, msg(LinkFailure));
-        sim.run();
-        let r = sim.component::<ResilientRoute>(route);
-        // The first backup attempts are rejected; the backoff schedule
-        // (10, 20, 40, 80 ms...) carries the route past the release.
-        assert!(r.retries >= 2, "expected backoff retries, got {}", r.retries);
-        assert!(!r.gave_up);
-        assert_eq!(r.reroutes, 1);
-        assert_eq!(r.active.as_deref(), Some(&backup[..]));
-    }
-
-    #[test]
-    fn reroute_gives_up_after_max_retries() {
-        let mut sim = Simulator::new();
-        let (origin, primary) = chain(&mut sim, &[622.0]);
-        // Backup permanently full.
-        let (_o2, backup) = chain(&mut sim, &[300.0]);
-        place_call(
-            &mut sim,
-            origin,
-            &backup,
-            CallId(1),
-            Bandwidth::from_mbps(270.0),
-            SimTime::ZERO,
-        );
-        let route = sim.add_component(ResilientRoute::new(
-            CallId(2),
-            Bandwidth::from_mbps(100.0),
-            primary,
-            backup,
-        ));
-        sim.send_at(SimTime::ZERO, route, msg(StartCall));
-        sim.send_at(SimTime::from_millis(10), route, msg(LinkFailure));
-        sim.run();
-        let r = sim.component::<ResilientRoute>(route);
-        assert!(r.gave_up);
-        assert_eq!(r.retries, r.max_retries as u64);
-        assert_eq!(r.reroutes, 0);
-        assert!(r.active.is_none());
     }
 
     #[test]

@@ -21,7 +21,6 @@ use gtw_desim::{Component, ComponentId, Ctx, Msg, SimDuration, Simulator};
 
 use crate::ip::IpConfig;
 use crate::link::Arrive;
-use crate::signaling::{SignallingAgent, TrafficDescriptor};
 use crate::stats::{RunReport, StatsRegistry};
 use crate::tcp::{HopModel, StartTransfer, TcpConfig, TcpModel, TcpReceiver, TcpSender};
 use crate::transfer::{build_chain, execute, register_stages, wan_split, RunOptions, ShardSplit};
@@ -68,23 +67,6 @@ pub fn adaptive_streams(hops: &[HopModel], ip: IpConfig, window_bytes: u64) -> u
     let bdp = model.required_window().bytes();
     let need = bdp.div_ceil(window_bytes.max(1)).max(1);
     (need as usize).min(MAX_STRIPES)
-}
-
-/// [`adaptive_streams`] gated by signalling: each stripe is a virtual
-/// circuit that must pass the path's connection-admission check, so the
-/// final count is the smaller of what the BDP wants and what the
-/// admission point will accept ([`CacState::admissible_streams`]
-/// (crate::replica::CacState::admissible_streams)),
-/// never below one.
-pub fn adaptive_streams_with_cac(
-    hops: &[HopModel],
-    ip: IpConfig,
-    window_bytes: u64,
-    agent: &SignallingAgent,
-    per_stream: &TrafficDescriptor,
-) -> usize {
-    let want = adaptive_streams(hops, ip, window_bytes);
-    agent.cac().admissible_streams(per_stream, want).max(1)
 }
 
 /// Routes packets to the per-stripe endpoint owning their flow id with a

@@ -42,15 +42,6 @@ pub struct CellArrive {
     pub cell: AtmCell,
 }
 
-/// A cell arriving as raw wire octets; the switch performs HEC
-/// verification and discards on mismatch (the `hec_discard` counter).
-pub struct WireCellArrive {
-    /// Input port index at the receiver.
-    pub port: usize,
-    /// The 53 wire octets.
-    pub wire: [u8; ATM_CELL_BYTES],
-}
-
 /// Routing key: where the cell came in and on which VC.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VcKey {
@@ -293,21 +284,11 @@ fn mark_ppd(
 
 impl Component for AtmSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-        let mut arrive = match m.downcast::<CellArrive>() {
-            Ok(arrive) => arrive,
-            Err(m) => {
-                // A stray message of an unknown type must not crash the
-                // fabric: drop it and count it.
-                let Ok(w) = m.downcast::<WireCellArrive>() else {
-                    self.dropped_msgs += 1;
-                    return;
-                };
-                let Some(cell) = AtmCell::from_wire(&w.wire) else {
-                    self.stats.hec_discard += 1;
-                    return;
-                };
-                Box::new(CellArrive { port: w.port, cell })
-            }
+        let Ok(mut arrive) = m.downcast::<CellArrive>() else {
+            // A stray message of an unknown type must not crash the
+            // fabric: drop it and count it.
+            self.dropped_msgs += 1;
+            return;
         };
         let now = ctx.now();
         let mut buffer_factor = 1.0;
@@ -548,22 +529,8 @@ mod two_event {
 
     impl Component for TwoEventSwitch {
         fn handle(&mut self, ctx: &mut Ctx<'_>, m: Msg) {
-            if m.is::<CellArrive>() || m.is::<WireCellArrive>() {
-                let (port, cell) = if m.is::<WireCellArrive>() {
-                    let WireCellArrive { port, wire } =
-                        *gtw_desim::component::downcast::<WireCellArrive>(m);
-                    match AtmCell::from_wire(&wire) {
-                        Some(cell) => (port, cell),
-                        None => {
-                            self.stats.hec_discard += 1;
-                            return;
-                        }
-                    }
-                } else {
-                    let CellArrive { port, cell } =
-                        *gtw_desim::component::downcast::<CellArrive>(m);
-                    (port, cell)
-                };
+            if m.is::<CellArrive>() {
+                let CellArrive { port, cell } = *gtw_desim::component::downcast::<CellArrive>(m);
                 let mut buffer_factor = 1.0;
                 if let Some(inj) = self.injector.as_mut() {
                     if let Some(cause) = inj.judge(ctx.now()) {
@@ -769,18 +736,22 @@ mod tests {
 
     #[test]
     fn corrupted_header_discarded_at_input() {
+        // Every header corrupted: each cell fails HEC at the input stage
+        // and is counted as a discard, never switched.
         let (mut sim, sw, ep) = one_switch_setup(1000);
-        let mut cells = segment(&[1u8; 40], 1, 100);
-        assert_eq!(cells.len(), 1);
-        let ok = cells.pop().unwrap();
-        let mut wire = ok.to_wire();
-        wire[1] ^= 0x10; // flip a VPI bit -> HEC mismatch on the wire
-        sim.send_in(SimDuration::ZERO, sw, msg(WireCellArrive { port: 0, wire }));
-        // And an intact wire cell for contrast.
-        sim.send_in(SimDuration::ZERO, sw, msg(WireCellArrive { port: 0, wire: ok.to_wire() }));
+        let spec = FaultSpec { header_error_rate: 1.0, ..FaultSpec::default() };
+        let injector = FaultInjector::new(1, "asx4000", spec);
+        sim.component_mut::<AtmSwitch>(sw).injector = Some(injector);
+        let cells = segment(&[1u8; 100], 1, 100);
+        for cell in cells.iter().cloned() {
+            sim.send_in(SimDuration::ZERO, sw, msg(CellArrive { port: 0, cell }));
+        }
         sim.run();
-        assert_eq!(sim.component::<AtmSwitch>(sw).stats.hec_discard, 1);
-        assert_eq!(sim.component::<CellEndpoint>(ep).delivered.len(), 1);
+        let s = sim.component::<AtmSwitch>(sw);
+        assert_eq!(s.stats.hec_discard, cells.len() as u64);
+        assert_eq!(s.stats.fault_hec, cells.len() as u64);
+        assert_eq!(s.stats.switched, 0);
+        assert!(sim.component::<CellEndpoint>(ep).delivered.is_empty());
     }
 
     #[test]
@@ -1058,7 +1029,6 @@ mod tests {
     /// What is fed to the head switch.
     enum Injected {
         Parsed(AtmCell),
-        Wire([u8; ATM_CELL_BYTES]),
         Stray,
     }
 
@@ -1143,7 +1113,6 @@ mod tests {
         for (at, injected) in &sc.arrivals {
             let m = match injected {
                 Injected::Parsed(cell) => msg(CellArrive { port: 0, cell: cell.clone() }),
-                Injected::Wire(wire) => msg(WireCellArrive { port: 0, wire: *wire }),
                 Injected::Stray => msg("stray"),
             };
             sim.send_at(*at, ids[0], m);
@@ -1195,9 +1164,8 @@ mod tests {
     /// upstream and one downstream share a nanosecond), every buffer, EPD
     /// and selective-discard regime, a seeded injector on a third of the
     /// switches; and 1–2 VCs of AAL5 frames interleaved cell by cell,
-    /// some tagged, some as wire octets with a header bit flipped, some
-    /// unroutable, in same-instant bursts and at gaps that are exact
-    /// multiples of the head switch's cell time.
+    /// some tagged, some unroutable, in same-instant bursts and at gaps
+    /// that are exact multiples of the head switch's cell time.
     fn scenario(seed: u64) -> Scenario {
         let mut draw = Draw(StreamRng::new(seed, "switch-differential"));
         let rates = [Bandwidth::OC3, Bandwidth::OC12, Bandwidth::OC48];
@@ -1264,20 +1232,7 @@ mod tests {
             if draw.one_in(40) {
                 cell.header.vci = 999; // no route
             }
-            arrivals.push((
-                at,
-                match draw.pick(&[0, 0, 0, 0, 0, 0, 1, 2]) {
-                    0 => Injected::Parsed(cell),
-                    1 => Injected::Wire(cell.to_wire()),
-                    _ => {
-                        // One of the 40 header bits, HEC octet included.
-                        let mut wire = cell.to_wire();
-                        wire[draw.pick(&[0, 1, 2, 3, 4])] ^=
-                            1 << draw.pick(&[0, 1, 2, 3, 4, 5, 6, 7]);
-                        Injected::Wire(wire)
-                    }
-                },
-            ));
+            arrivals.push((at, Injected::Parsed(cell)));
             if draw.one_in(200) {
                 arrivals.push((at, Injected::Stray));
             }

@@ -211,12 +211,6 @@ impl TcpSender {
         }
     }
 
-    /// The retransmission timeout currently in effect (base RTO, or the
-    /// backed-off value after expiries without progress).
-    pub fn current_rto(&self) -> SimDuration {
-        self.rto_current
-    }
-
     /// Cumulative bytes acknowledged so far.
     pub fn bytes_acked(&self) -> u64 {
         self.acked
@@ -637,8 +631,12 @@ mod tests {
         for mtu in [1500u64, 9180, 65535] {
             let ip = IpConfig { mtu };
             let cfg = TcpConfig::bulk(4, 16 * 1024 * 1024, ip, 4 * 1024 * 1024);
-            let (sim, sender) =
-                run_transfer(Bandwidth::HIPPI, SimDuration::from_micros(10), per_packet, cfg);
+            let (sim, sender) = run_transfer(
+                Bandwidth::from_mbps(800.0),
+                SimDuration::from_micros(10),
+                per_packet,
+                cfg,
+            );
             results.push(sim.component::<TcpSender>(sender).goodput().unwrap().mbps());
         }
         assert!(results[0] < results[1] && results[1] < results[2], "{results:?}");
@@ -877,7 +875,7 @@ mod tests {
         }
         assert!(waits.iter().all(|&w| w <= cfg.rto_max), "{waits:?}");
         // The fresh post-outage ACK reset the backoff to the base RTO.
-        assert_eq!(s.current_rto(), cfg.rto);
+        assert_eq!(s.rto_current, cfg.rto);
     }
 
     #[test]

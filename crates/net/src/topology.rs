@@ -195,7 +195,8 @@ impl Topology {
     }
 
     /// Derive the hop models for a routed path, for datagrams of size
-    /// `mtu`. Panics if consecutive nodes are not connected.
+    /// `mtu`. Panics, naming the pair, if consecutive nodes are not
+    /// connected: a path not taken from [`route`](Self::route).
     pub fn path_hops(&self, path: &[NodeId], mtu: u64) -> Vec<HopModel> {
         assert!(path.len() >= 2, "path needs at least two nodes");
         let mut hops = Vec::with_capacity(path.len());
@@ -275,6 +276,14 @@ mod tests {
         assert_eq!(t.route(cray, cray).unwrap(), vec![cray]);
         let lonely = t.add_host("island", HostNic::workstation_atm155());
         assert!(t.route(cray, lonely).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "no link T3E -> island")]
+    fn path_hops_rejects_an_unlinked_pair() {
+        let (mut t, cray, _, _) = mini_testbed();
+        let lonely = t.add_host("island", HostNic::workstation_atm155());
+        let _ = t.path_hops(&[cray, lonely], 9180);
     }
 
     #[test]

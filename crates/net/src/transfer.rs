@@ -451,6 +451,7 @@ impl TransferSet {
             .iter()
             .enumerate()
             .map(|(k, xfer)| {
+                // Never fires: `items` is private and `add` admits TCP only.
                 let Protocol::Tcp { window_bytes } = xfer.protocol else {
                     unreachable!("add() rejects non-TCP transfers");
                 };

@@ -1,7 +1,7 @@
 //! Bandwidth and data-size quantities with the line rates of the testbed.
 
 use std::fmt;
-use std::ops::{Add, Div, Mul, Sub};
+use std::ops::Mul;
 
 use gtw_desim::SimDuration;
 
@@ -17,8 +17,6 @@ impl Bandwidth {
     /// OC-48 / STM-16 line rate: 2488.32 Mbit/s (the 2.4 Gbit/s upgrade of
     /// August 1998).
     pub const OC48: Bandwidth = Bandwidth(2488.32e6);
-    /// HiPPI peak: 800 Mbit/s.
-    pub const HIPPI: Bandwidth = Bandwidth(800e6);
     /// B-WiN maximum access capacity: 155 Mbit/s (the paper's motivation —
     /// every application needs more than this).
     pub const BWIN_ACCESS: Bandwidth = Bandwidth(155e6);
@@ -59,11 +57,6 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// Megabytes per second.
-    pub fn mbytes_per_sec(self) -> f64 {
-        self.0 / 8e6
-    }
-
     /// Time to serialize `size` at this rate.
     pub fn time_for(self, size: DataSize) -> SimDuration {
         SimDuration::transmission(size.bits(), self.0)
@@ -100,13 +93,6 @@ impl Mul<f64> for Bandwidth {
     type Output = Bandwidth;
     fn mul(self, rhs: f64) -> Bandwidth {
         Bandwidth(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Bandwidth {
-    type Output = Bandwidth;
-    fn div(self, rhs: f64) -> Bandwidth {
-        Bandwidth(self.0 / rhs)
     }
 }
 
@@ -149,12 +135,6 @@ impl DataSize {
         self.0 as f64 / 1024.0
     }
 
-    /// Ceiling division into chunks of `chunk` bytes (e.g. cells, MTUs).
-    pub fn chunks_of(self, chunk: DataSize) -> u64 {
-        assert!(chunk.0 > 0, "chunk size must be positive");
-        self.0.div_ceil(chunk.0)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: DataSize) -> DataSize {
         DataSize(self.0.saturating_sub(other.0))
@@ -163,28 +143,6 @@ impl DataSize {
     /// The smaller of two sizes.
     pub fn min(self, other: DataSize) -> DataSize {
         DataSize(self.0.min(other.0))
-    }
-}
-
-impl Add for DataSize {
-    type Output = DataSize;
-    fn add(self, rhs: DataSize) -> DataSize {
-        DataSize(self.0 + rhs.0)
-    }
-}
-
-impl Sub for DataSize {
-    type Output = DataSize;
-    fn sub(self, rhs: DataSize) -> DataSize {
-        debug_assert!(self.0 >= rhs.0, "DataSize subtraction underflow");
-        DataSize(self.0 - rhs.0)
-    }
-}
-
-impl Mul<u64> for DataSize {
-    type Output = DataSize;
-    fn mul(self, rhs: u64) -> DataSize {
-        DataSize(self.0 * rhs)
     }
 }
 
@@ -218,14 +176,12 @@ mod tests {
         assert!((Bandwidth::OC3.mbps() - 155.52).abs() < 1e-9);
         assert!((Bandwidth::OC12.mbps() - 622.08).abs() < 1e-9);
         assert!((Bandwidth::OC48.gbps() - 2.48832).abs() < 1e-9);
-        assert!((Bandwidth::HIPPI.mbps() - 800.0).abs() < 1e-9);
     }
 
     #[test]
     fn bandwidth_conversions() {
         let b = Bandwidth::from_mbytes_per_sec(30.0); // TRACE->PARTRACE
         assert!((b.mbps() - 240.0).abs() < 1e-9);
-        assert!((b.mbytes_per_sec() - 30.0).abs() < 1e-9);
         assert_eq!(Bandwidth::from_gbps(2.4).bps(), 2.4e9);
     }
 
@@ -234,14 +190,6 @@ mod tests {
         assert_eq!(DataSize::from_kib(64).bytes(), 65536);
         assert_eq!(DataSize::from_mib(1).bytes(), 1 << 20);
         assert_eq!(DataSize::from_bytes(53).bits(), 424);
-    }
-
-    #[test]
-    fn chunking() {
-        let pdu = DataSize::from_bytes(100);
-        assert_eq!(pdu.chunks_of(DataSize::from_bytes(48)), 3);
-        assert_eq!(DataSize::from_bytes(96).chunks_of(DataSize::from_bytes(48)), 2);
-        assert_eq!(DataSize::ZERO.chunks_of(DataSize::from_bytes(48)), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use gtw_desim::rng::StreamRng;
 use gtw_desim::{ComponentId, SimDuration, SimTime, Simulator};
-use gtw_net::aal5::{aal5_efficiency, build_cpcs_pdu, cells_for_pdu, segment, Reassembler};
+use gtw_net::aal5::{build_cpcs_pdu, cells_for_pdu, segment, wire_bits_for_pdu, Reassembler};
 use gtw_net::cell::{AtmCell, CellHeader, Pti};
 use gtw_net::ip::{fragment_sizes, IpConfig, IP_HEADER_BYTES};
 use gtw_net::link::Medium;
@@ -88,10 +88,11 @@ proptest! {
         prop_assert_eq!(AtmCell::from_wire(&cell.to_wire()).unwrap(), cell);
     }
 
-    /// AAL5 efficiency is bounded by the raw cell tax and positive.
+    /// AAL5 efficiency (payload bits over wire bits) is bounded by the
+    /// raw cell tax and positive.
     #[test]
     fn aal5_efficiency_bounds(len in 1usize..=65535) {
-        let e = aal5_efficiency(len);
+        let e = (len as f64 * 8.0) / wire_bits_for_pdu(len) as f64;
         prop_assert!(e > 0.0);
         prop_assert!(e <= 48.0 / 53.0 + 1e-12);
     }

@@ -12,8 +12,10 @@ cargo clippy --all-targets -- -D warnings
 # pathspecs, outside the lines the exemption matches (an exemption is
 # anchored at the start of git grep's `path:line:` prefix, so a last
 # argument that starts with `^` is one). `budget <limit> <files…>`: the
-# files' non-test lines (up to the first `#[cfg(test)]`) stay within the
-# limit.
+# files' non-test lines stay within the limit. A non-test line is any
+# line outside a `#[cfg(test)]` item, brace-matched
+# (`scripts/nontest_lines.awk`), so a test-only function above `mod
+# tests` no longer ends the count early.
 gone() {
     local why=$1 ere=$2 exempt='^$' last
     shift 2
@@ -28,11 +30,9 @@ gone() {
     fi
 }
 budget() {
-    local limit=$1 lines=0 f
+    local limit=$1 lines
     shift
-    for f in "$@"; do
-        lines=$((lines + $(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' "$f")))
-    done
+    lines=$(awk -f scripts/nontest_lines.awk "$@")
     if [ "$lines" -gt "$limit" ]; then
         echo "check.sh: $* have $lines non-test lines, budget $limit" >&2
         exit 1
@@ -79,7 +79,7 @@ gone "$ext_why" '\b(traffic_sim|moldyn|lithosphere|tv_production|multiecho|biofe
     '*.rs' '*.toml' ':!crates/gtw-benchmark/'
 gone "$ext_why" 'fn extend\(' crates/core/src/testbed.rs
 # And the two crates they sat in stay at most their size without them:
-# non-test lines (up to the first `#[cfg(test)]`) of crates/apps/src
+# non-test lines of crates/apps/src
 # plus crates/scan/src, 2087 + 1345 = 3432 before.
 budget 2225 crates/apps/src/*.rs crates/scan/src/*.rs
 # Every library item earns a non-test caller, second pass: the slab/block
@@ -114,7 +114,7 @@ if git ls-files 'crates/mpi/src/*.rs' | xargs awk '
     exit 1
 fi
 # And the typed path stays smaller than the codec it replaced: non-test
-# lines (up to the first `#[cfg(test)]`) of the files it lives in,
+# lines of the files it lives in,
 # 1350 + 153 + 206 = 1709 before envelopes carried typed buffers, 1669
 # before `irecv` and `Mailbox::try_claim` were deleted, 1622 before a
 # handle cached its peers' mailboxes and an envelope's buffer was an
@@ -149,8 +149,10 @@ budget 1739 crates/desim/src/{observer,span,metrics,shard,sim,component}.rs
 gone "a deleted control-plane or rt-session name is back" '\bSetupCtx\b|fn try_build_with_spares|fn run_rt_session_resilient' '*.rs'
 # And the split removed more than it added: non-test lines of the plain
 # hop plus the replicated one, 608 + 2703 = 3311 when `replica.rs` was
-# one file. No file of the directory may pass 1000 lines, tests included.
-budget 3050 crates/net/src/signaling.rs crates/net/src/replica/*.rs
+# one file, 3050 before `ResilientRoute` and the CAC-gated stripe count
+# were deleted. No file of the directory may pass 1000 lines, tests
+# included.
+budget 2842 crates/net/src/signaling.rs crates/net/src/replica/*.rs
 for f in crates/net/src/replica/*.rs; do
     if [ "$(wc -l < "$f")" -gt 1000 ]; then
         echo "check.sh: $f is over 1000 lines" >&2
@@ -190,8 +192,26 @@ gone "a deleted second path is back" "$second_paths" '*.rs' ':!crates/gtw-benchm
 # And the net files they sat in stay at most their size without them:
 # non-test lines of stats, gateway, topology, signaling and stripe, 2643
 # before, 2358 before the B-WiN fail-over and the gateway's route
-# notification were deleted.
-budget 2317 crates/net/src/{stats,gateway,topology,signaling,stripe}.rs
+# notification were deleted, 2317 before `ResilientRoute` and the
+# CAC-gated stripe count were.
+budget 2122 crates/net/src/{stats,gateway,topology,signaling,stripe}.rs
+# Every library item earns a non-test caller, third pass over gtw-net and
+# gtw-desim: the resilient route and its messages, the CAC-gated stripe
+# count with its trial admission, the switch's wire-octet ingress, the
+# seeded background-traffic module (its one user, `tests/overload.rs`,
+# keeps what it draws as a private helper), the helpers only tests called
+# and the unit operators nothing used stay deleted. Generic names are
+# matched only as the definitions they were.
+third_why="a gtw-net/gtw-desim item that only tests reached is back"
+gone "$third_why" \
+    '\b(ResilientRoute|LinkFailure|StartCall|RetryCall|adaptive_streams_with_cac|admissible_streams|fits_above|WireCellArrive|TrafficPlan|BgFlowSpec|ETHERNET_MTU|CELL_PAYLOAD_FRACTION|ATM_HEADER_BYTES)\b|gtw_desim::traffic|Bandwidth::HIPPI\b' \
+    '*.rs' ':!crates/gtw-benchmark/'
+gone "$third_why" \
+    'mod traffic\b|fn (current_rto|chunks_of|mbytes_per_sec|raw_rate|header_overhead|segments_for|cells_for_payload|aal5_efficiency|pending_bytes|scheduled_total|link_up|outage_end|clip_default|call_in|line_rate)\b|impl (Div<f64> for Bandwidth|(Add|Sub|Mul<u64>) for DataSize|SubAssign for SimDuration|fmt::Display for SimTime)\b' \
+    crates/net/src crates/desim/src
+# And the two crates stay within their size without them: non-test lines
+# of crates/{net,desim}/src, 12 165 before (7878 + 4287).
+budget 11632 crates/{net,desim}/src/*.rs crates/net/src/replica/*.rs
 # A packet crosses a run of hops in one event: the stage and its wiring
 # stay within 920 non-test lines (864 when every hop was a component of
 # its own), and outside its tests crates/net/src builds a `PipeStage`

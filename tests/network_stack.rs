@@ -99,9 +99,9 @@ fn mtu_sweep_shows_the_64k_argument() {
 #[test]
 fn sdh_line_vs_payload_consistency() {
     // The topology's WAN media must match the SDH payload arithmetic.
-    for lvl in [StmLevel::Stm4, StmLevel::Stm16] {
+    for (lvl, line) in [(StmLevel::Stm4, Bandwidth::OC12), (StmLevel::Stm16, Bandwidth::OC48)] {
         let payload = lvl.payload_rate().bps();
-        let line = lvl.line_rate().bps();
+        let line = line.bps();
         assert!((payload / line - 0.9630).abs() < 1e-3); // 260/270 columns
     }
     let tb = GigabitTestbedWest::build(LinkEra::Oc48Upgrade);
