@@ -43,24 +43,10 @@ impl ChaCha8 {
     /// Produce the next 64-byte keystream block into `buf`.
     fn refill(&mut self) {
         // "expand 32-byte k" constants, key, 64-bit block counter, zero nonce.
-        let mut state = [
-            0x6170_7865,
-            0x3320_646e,
-            0x7962_2d32,
-            0x6b20_6574,
-            self.key[0],
-            self.key[1],
-            self.key[2],
-            self.key[3],
-            self.key[4],
-            self.key[5],
-            self.key[6],
-            self.key[7],
-            self.counter as u32,
-            (self.counter >> 32) as u32,
-            0,
-            0,
-        ];
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
+        state[4..12].copy_from_slice(&self.key);
+        state[12..14].copy_from_slice(&[self.counter as u32, (self.counter >> 32) as u32]);
         let initial = state;
         for _ in 0..4 {
             // Column round.
@@ -115,6 +101,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The Box–Muller transform of `u1` in `(0, 1)` and `u2` in `[0, 1)`: a
+/// standard normal value.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 impl StreamRng {
     /// Create the stream `name` under `master_seed`.
     pub fn new(master_seed: u64, name: &str) -> Self {
@@ -132,14 +124,17 @@ impl StreamRng {
         &self.name
     }
 
-    /// Next raw 32-bit draw.
-    pub fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
+    }
+
+    /// Move to draw `n` of [`next_u64`](Self::next_u64), counted from the
+    /// stream's start: ChaCha8 is counter mode, so that is block `n / 8`.
+    pub fn seek(&mut self, n: u64) {
+        self.inner.counter = n / 8;
+        self.inner.refill();
+        self.inner.idx = 2 * (n % 8) as usize;
     }
 
     /// Fill `dest` with keystream bytes.
@@ -171,8 +166,7 @@ impl StreamRng {
                 break u;
             }
         };
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        box_muller(u1, self.uniform())
     }
 
     /// Exponential draw with the given rate (mean `1/rate`).

@@ -2,7 +2,9 @@
 
 use gtw_desim::fault::{FaultInjector, FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::hist::SUB_BUCKETS;
-use gtw_desim::{EventQueue, Histogram, MetricsRegistry, SimDuration, SimTime, Simulator};
+use gtw_desim::{
+    EventQueue, Histogram, MetricsRegistry, SimDuration, SimTime, Simulator, StreamRng,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,6 +17,32 @@ fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 proptest! {
+    /// A stream moved to draw `n` yields the sequential stream's draws
+    /// from `n` on, wherever `n` falls in a keystream block and whatever
+    /// the moved stream drew before.
+    #[test]
+    fn a_seeked_stream_continues_the_sequential_one(
+        seed in any::<u64>(),
+        name in proptest::collection::vec(32u8..127, 0..12),
+        n in 0u64..100,
+        drawn in 0u64..40,
+        after in 1usize..40,
+    ) {
+        let name = String::from_utf8(name).expect("printable ASCII");
+        let mut sequential = StreamRng::new(seed, &name);
+        for _ in 0..n {
+            sequential.next_u64();
+        }
+        let mut seeked = StreamRng::new(seed, &name);
+        for _ in 0..drawn {
+            seeked.next_u64();
+        }
+        seeked.seek(n);
+        for _ in 0..after {
+            prop_assert_eq!(seeked.next_u64(), sequential.next_u64());
+        }
+    }
+
     /// Events always pop in non-decreasing time order, and FIFO among ties.
     #[test]
     fn queue_pops_sorted(times in proptest::collection::vec(0u64..1_000, 1..200)) {

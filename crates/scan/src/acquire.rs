@@ -10,6 +10,9 @@
 //! ~1.5 s from scan to raw data at the RT-server belongs to the chain
 //! (`gtw_fire::pipeline::ChainTiming`), not to the scanner.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use gtw_desim::rng::box_muller;
 use gtw_desim::StreamRng;
 
 use crate::hrf::{raw_convolution, Stimulus};
@@ -138,7 +141,44 @@ impl Scanner {
 
     /// Acquire scan `t`: deterministic for a given `(seed, t)`.
     pub fn acquire(&self, t: usize) -> Volume {
+        self.acquire_drawing(t, StreamRng::uniform)
+    }
+
+    /// [`acquire`](Self::acquire) with the slab-parallel noise drawing its
+    /// uniforms through `uniform`.
+    fn acquire_drawing(&self, t: usize, uniform: impl Fn(&mut StreamRng) -> f64 + Sync) -> Volume {
         assert!(t < self.scan_count(), "scan {t} beyond protocol");
+        let (mut vol, sd) = (self.noiseless(t), self.cfg.noise_sd);
+        // Thermal noise, fresh stream per scan for determinism: voxel `i`
+        // takes draws `2i` and `2i + 1` of the stream, so each z-slab seeks
+        // to its first voxel's and draws on its own `gtw-par` item.
+        let slab = (vol.dims.nx * vol.dims.ny).max(1);
+        let redraw = AtomicBool::new(false);
+        if sd > 0.0 {
+            gtw_par::for_each(vol.data.chunks_mut(slab).enumerate(), |(z, voxels)| {
+                let mut rng = StreamRng::new(self.cfg.seed, &format!("scan-noise-{t}"));
+                rng.seek(2 * (z * slab) as u64);
+                for v in voxels {
+                    let u1 = uniform(&mut rng);
+                    if u1 == 0.0 {
+                        redraw.store(true, Ordering::Relaxed);
+                    }
+                    *v += sd * box_muller(u1, uniform(&mut rng)) as f32;
+                }
+            });
+        }
+        // `StreamRng::normal` draws a zero `u1` again (one voxel in 2⁵³),
+        // which moves every later voxel's draws: then the scan is made
+        // again in voxel order.
+        if redraw.into_inner() {
+            vol = self.sequential_noise(t);
+        }
+        vol
+    }
+
+    /// Scan `t` before thermal noise: the anatomy modulated by BOLD
+    /// response and drift, then moved by the subject.
+    fn noiseless(&self, t: usize) -> Volume {
         let dims = self.cfg.dims;
         let mut ideal = Volume::zeros(dims);
         let resp = self.response[t] as f32;
@@ -148,18 +188,19 @@ impl Scanner {
             let base = self.anatomy.data[i];
             ideal.data[i] = base * (1.0 + self.activation.data[i] * resp + drift);
         }
-        // Subject motion.
-        let mut vol = if self.trajectory[t] == RigidTransform::IDENTITY {
+        if self.trajectory[t] == RigidTransform::IDENTITY {
             ideal
         } else {
             self.trajectory[t].resample(&ideal)
-        };
-        // Thermal noise, fresh stream per scan for determinism.
-        if self.cfg.noise_sd > 0.0 {
-            let mut rng = StreamRng::new(self.cfg.seed, &format!("scan-noise-{t}"));
-            for v in &mut vol.data {
-                *v += self.cfg.noise_sd * rng.normal() as f32;
-            }
+        }
+    }
+
+    /// Scan `t` with its thermal noise drawn in voxel order.
+    fn sequential_noise(&self, t: usize) -> Volume {
+        let mut vol = self.noiseless(t);
+        let mut rng = StreamRng::new(self.cfg.seed, &format!("scan-noise-{t}"));
+        for v in &mut vol.data {
+            *v += self.cfg.noise_sd * rng.normal() as f32;
         }
         vol
     }
@@ -247,6 +288,56 @@ mod tests {
         assert!(m10 > 0.0);
         // Random walk grows on average; allow noise but expect drift out.
         assert!(m63 > 0.0);
+    }
+
+    fn bits(v: &Volume) -> Vec<u32> {
+        v.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The slab-parallel noise is the voxel-order draw bit for bit, also
+    /// where a slab starts inside a keystream block (15 voxels a slab).
+    #[test]
+    fn slab_noise_is_the_voxel_order_draw() {
+        let mut cfg = ScannerConfig::paper_default(6, 11);
+        cfg.dims = Dims::new(5, 3, 7);
+        let s = Scanner::new(cfg, Phantom::standard());
+        for width in [1, 2, 3] {
+            for t in 0..6 {
+                let got = gtw_par::with_threads(width, || s.acquire(t));
+                assert_eq!(bits(&got), bits(&s.sequential_noise(t)), "scan {t} at {width} threads");
+            }
+        }
+    }
+
+    /// A zero `u1` anywhere sends the scan back to the voxel-order draw.
+    #[test]
+    fn a_zero_u1_redraws_in_voxel_order() {
+        let s = Scanner::new(ScannerConfig::paper_default(4, 3), Phantom::standard());
+        let zeros = std::sync::atomic::AtomicUsize::new(0);
+        let with_zeros = |rng: &mut StreamRng| {
+            let u = rng.uniform();
+            if u < 1e-4 {
+                zeros.fetch_add(1, Ordering::Relaxed);
+                return 0.0;
+            }
+            u
+        };
+        let got = s.acquire_drawing(2, with_zeros);
+        assert!(zeros.into_inner() > 0, "no zero was drawn");
+        assert_eq!(bits(&got), bits(&s.sequential_noise(2)));
+        assert!(got.data.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn a_single_slice_scan_is_finite() {
+        let mut cfg = ScannerConfig::paper_default(2, 5);
+        cfg.dims = Dims::new(32, 32, 1);
+        let s = Scanner::new(cfg, Phantom::standard());
+        for t in 0..2 {
+            let v = s.acquire(t);
+            assert!(v.data.iter().all(|x| x.is_finite()), "NaN voxels in scan {t}");
+            assert!(v.mean() > 0.0);
+        }
     }
 
     #[test]

@@ -38,6 +38,14 @@ budget() {
         exit 1
     fi
 }
+# `nontest <awk program> <files…>`: the per-file scans below run their
+# program on the files' non-test lines only, by the same brace-matched
+# rule, so code below a test-only item is still scanned.
+nontest() {
+    local program=$1
+    shift
+    awk -v filter=1 -f scripts/nontest_lines.awk -f <(printf '%s\n' "$program") "$@"
+}
 
 # Deleted-code gate: gtw-mpi has one typed path (`PointToPoint::send`/
 # `recv`/`try_send`/`try_recv` over `Payload`), so the per-type spellings,
@@ -102,14 +110,14 @@ budget 4700 crates/fire/src/*.rs crates/viz/src/*.rs crates/core/src/*.rs
 # element types. So outside its tests gtw-mpi has no `dyn Any`, no
 # `downcast`, no shared `costs:` table, and asks the universe for a
 # mailbox nowhere else.
-if git ls-files 'crates/mpi/src/*.rs' | xargs awk '
-    FNR == 1 {fn = ""; imp = ""; live = 1}
-    /^#\[cfg\(test\)\]/ {live = 0}
-    live && /^impl/ {imp = $0}
-    live && /^}/ {imp = ""}
-    live && /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
-    live && (/dyn Any|downcast|(^|[^a-z_])costs:/ || (/\.mailbox\(/ && FILENAME !~ /universe\.rs$/ &&
-        !(imp ~ /^impl Comm \{/ && (fn == "new" || fn == "intercomm")))) {print FILENAME ":" FNR ": " $0}' | grep .; then
+if nontest '
+    FILENAME != file {file = FILENAME; fn = ""; imp = ""}
+    /^impl/ {imp = $0}
+    /^}/ {imp = ""}
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
+    /dyn Any|downcast|(^|[^a-z_])costs:/ || (/\.mailbox\(/ && FILENAME !~ /universe\.rs$/ &&
+        !(imp ~ /^impl Comm \{/ && (fn == "new" || fn == "intercomm"))) {print FILENAME ":" FNR ": " $0}' \
+    $(git ls-files 'crates/mpi/src/*.rs') | grep .; then
     echo "check.sh: gtw-mpi looks a mailbox up per message, shares a cost table or boxes a payload (see above)" >&2
     exit 1
 fi
@@ -163,7 +171,7 @@ done
 # encodes the applied state only to fill the snapshot cache (once per
 # applied state) and in `digest()`, never once per snapshot shipped.
 raft_rs=crates/net/src/replica/raft.rs
-if awk '/^#\[cfg\(test\)\]/{exit}
+if nontest '
     /state\.encode\(\)/ && !/snapshot\.get_or_insert_with\(/ && prev !~ /pub fn digest\(/ {
         print FILENAME ":" FNR ": " $0; bad = 1
     }
@@ -210,19 +218,21 @@ gone "$third_why" \
     'mod traffic\b|fn (current_rto|chunks_of|mbytes_per_sec|raw_rate|header_overhead|segments_for|cells_for_payload|aal5_efficiency|pending_bytes|scheduled_total|link_up|outage_end|clip_default|call_in|line_rate)\b|impl (Div<f64> for Bandwidth|(Add|Sub|Mul<u64>) for DataSize|SubAssign for SimDuration|fmt::Display for SimTime)\b' \
     crates/net/src crates/desim/src
 # And the two crates stay within their size without them: non-test lines
-# of crates/{net,desim}/src, 12 165 before (7878 + 4287).
-budget 11632 crates/{net,desim}/src/*.rs crates/net/src/replica/*.rs
+# of crates/{net,desim}/src, 12 165 before (7878 + 4287), 11 632 before
+# `StreamRng` traded `next_u32` for `seek` and `normal` lent its
+# Box–Muller transform to the scanner.
+budget 11626 crates/{net,desim}/src/*.rs crates/net/src/replica/*.rs
 # A packet crosses a run of hops in one event: the stage and its wiring
 # stay within 920 non-test lines (864 when every hop was a component of
 # its own), and outside its tests crates/net/src builds a `PipeStage`
 # only in `transfer::build_chain`, which makes at most two runs a
 # direction, split at the WAN hop on either kernel.
 budget 920 crates/net/src/{link,transfer}.rs
-if git ls-files 'crates/net/src/*.rs' | xargs awk '
-    FNR == 1 {fn = ""; live = 1}
-    /^#\[cfg\(test\)\]/ {live = 0}
-    live && /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
-    live && /PipeStage::(new|run)\(/ && fn != "build_chain" {print FILENAME ":" FNR ": " $0}' | grep .; then
+if nontest '
+    FILENAME != file {file = FILENAME; fn = ""}
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
+    /PipeStage::(new|run)\(/ && fn != "build_chain" {print FILENAME ":" FNR ": " $0}' \
+    $(git ls-files 'crates/net/src/*.rs') | grep .; then
     echo "check.sh: crates/net/src builds a PipeStage outside transfer::build_chain (see above)" >&2
     exit 1
 fi
@@ -358,15 +368,15 @@ test "$(sort -u "$trace_tmp/real_a.json" | tr -d ' ,')" = '"digest":"04cb5b6e2fc
 # RVO itself: digests pinned on the per-voxel raster (1/2/3/8 threads),
 # and the blocked product held to that loop over random shapes, masks and
 # non-finite voxels. The per-voxel raster — a list of reference vectors
-# each voxel walks — lives on only in tests, not in `rvo.rs` above its
-# `#[cfg(test)]`.
+# each voxel walks — lives on only in tests, not in the non-test lines of
+# `rvo.rs`.
 timeout 300 cargo test -q -p gtw-fire --test rvo_pinned
 timeout 300 cargo test -q -p gtw-fire --test proptests blocked_raster
 # One chunk fit, compiled twice: the baseline instance and an AVX2 one
 # chosen at run time must agree bit for bit over random chunks.
 timeout 300 cargo test -q -p gtw-fire --lib both_instances_fit_every_chunk_alike
 rvo_rs=crates/fire/src/rvo.rs
-if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
+if nontest '{print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
     grep -E 'Vec<\(f64, f64, ReferenceVector\)>|for \(d, w, rv\) in'; then
     echo "check.sh: the per-voxel raster is back in $rvo_rs (see above)" >&2
     exit 1
@@ -378,13 +388,17 @@ fi
 # dims, coordinates and voxels, non-finite ones included.
 timeout 300 cargo test -q -p gtw-fire --test motion_pinned
 timeout 300 cargo test -q -p gtw-scan --lib lanes_sample_as_the_reference_bit_for_bit
+# The setup-time generators: the phantom's three volumes at three shapes
+# and all 64 scans of two seeds, pinned on the commit before the phantom
+# skipped air and texture-free tissue and the scanner drew its noise
+# slab-parallel (1/2/3 threads), and the skipping phantom held to the
+# full evaluation over random shapes.
+timeout 300 cargo test -q -p gtw-scan --test generators_pinned
+timeout 300 cargo test -q -p gtw-scan --lib generators_match_the_full_evaluation
 # One trilinear body: its last lerp appears in the non-test sources only
 # in `volume.rs`, where `sample` is the one-lane case of `sample_lanes`.
-if git ls-files 'crates/*/src/*.rs' | xargs awk '
-    FNR == 1 {live = 1}
-    /^#\[cfg\(test\)\]/ {live = 0}
-    live && /fz \* \(c1 - c0\)/ && FILENAME != "crates/scan/src/volume.rs" {print FILENAME ":" FNR ": " $0}' |
-    grep .; then
+if nontest '/fz \* \(c1 - c0\)/ && FILENAME != "crates/scan/src/volume.rs" {print FILENAME ":" FNR ": " $0}' \
+    $(git ls-files 'crates/*/src/*.rs') | grep .; then
     echo "check.sh: a second trilinear body is back outside crates/scan/src/volume.rs (see above)" >&2
     exit 1
 fi
@@ -392,16 +406,15 @@ fi
 # frozen benchmark crate aside): its `unsafe fn` declaration, which the
 # 1.85 MSRV still requires of a `#[target_feature]` function, and the one
 # dispatch that calls it, with a `// SAFETY:` line directly above.
-unsafe_uses=$(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/' | xargs awk '
-    FNR == 1 {live = 1; prev = ""}
-    /^#\[cfg\(test\)\]/ {live = 0}
-    live && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+unsafe_uses=$(nontest '
+    FILENAME != file {file = FILENAME; prev = ""}
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
         kind = "other"
         if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx2\(/) kind = "decl"
         if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit_chunk_avx2\(/ && prev ~ /^ *\/\/ SAFETY: /) kind = "dispatch"
         print kind " " FILENAME ":" FNR ": " $0
     }
-    {prev = $0}')
+    {prev = $0}' $(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/'))
 if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != "decl dispatch " ]; then
     printf '%s\n' "$unsafe_uses" >&2
     echo "check.sh: non-test sources must hold exactly one unsafe block, the RVO dispatch under a // SAFETY: line, beside its unsafe fn fit_chunk_avx2 (see above)" >&2
@@ -410,7 +423,7 @@ fi
 # Both instances are one body, vectorised by the compiler: no FMA (it
 # would round differently from the baseline instance) and no hand-written
 # intrinsics in the non-test `rvo.rs`.
-if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
+if nontest '{print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
     grep -E 'mul_add|(^|[^A-Za-z0-9])_mm[0-9]*_|arch::x86(_64)?::'; then
     echo "check.sh: $rvo_rs names an FMA or a vector intrinsic (see above)" >&2
     exit 1
@@ -433,7 +446,7 @@ timeout 300 cargo test -q -p gtw-viz
 # fetches eight steps per `Volume::sample_lanes` call, so the non-test
 # `raycast.rs` never calls the scalar `sample` on it.
 raycast_rs=crates/viz/src/raycast.rs
-if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$raycast_rs" |
+if nontest '{print FILENAME ":" FNR ": " $0}' "$raycast_rs" |
     grep -F 'self.anatomy.sample('; then
     echo "check.sh: $raycast_rs fetches the anatomy one step at a time (see above)" >&2
     exit 1

@@ -2,7 +2,9 @@
 # item. An item runs from its attribute to the line that closes its
 # braces (or, brace-less, to its first code line ending in `;` or `,`);
 # braces inside strings, char literals and line comments do not count,
-# and a blank line right after an item goes with it.
+# and a blank line right after an item goes with it. With `-v filter=1`
+# it prints nothing: a program given after it by a second `-f` then sees
+# only the non-test lines (`nontest` in scripts/check.sh).
 function braces(s,   i, c, d) {
     d = 0
     for (i = 1; i <= length(s); i++) {
@@ -35,4 +37,4 @@ skip {
 }
 after && /^[ \t]*$/ { after = 0; next }
 { after = 0; n++ }
-END { print n + 0 }
+END { if (!filter) print n + 0 }
