@@ -8,31 +8,25 @@
 //! cargo run --release -p gtw-bench --bin fig2_latency -- --trace-out trace.json
 //! ```
 //!
-//! With `--json` the delay budget and the measured chain runs (including
-//! the scan-to-display latency histograms) are emitted as one
-//! machine-readable document. With `--trace-out <path>` the measured
-//! chain run is traced — per-stage spans on the event kernel — and
-//! written as a Chrome trace-event file loadable in Perfetto.
+//! The measured chain runs the 256-PE stages on the event kernel at the
+//! paper's TR 3 s and at TR 2 s, where the sequential chain falls behind
+//! and the pipelined one keeps up. With `--json` the delay budget and
+//! the measured chain runs (including the scan-to-display latency
+//! histograms) are emitted as one machine-readable document. With
+//! `--trace-out <path>` the TR 3 s chain run is traced — per-stage spans
+//! on the event kernel — and written as a Chrome trace-event file
+//! loadable in Perfetto.
 
 use gtw_core::scenario::FmriScenario;
 use gtw_desim::{Json, Observer};
-use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
-use gtw_fire::rt::paper_headline_delay;
+use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeReport};
 
 const PES_SWEEP: [usize; 7] = [1, 8, 16, 32, 64, 128, 256];
 
-/// The measured chain at the paper's operating point (256 PEs, TR 3 s),
-/// in both modes, optionally traced.
-fn run_chains(sink: &Observer) -> [(ChainMode, gtw_fire::realtime::RealtimeReport); 2] {
-    let r = FmriScenario::paper(256).run();
-    let cfg = RealtimeConfig {
-        tr_s: 3.0,
-        acquire_s: r.acquire_s,
-        transfer_s: r.transfers_s,
-        compute_s: r.compute_s,
-        display_s: r.display_s,
-        scans: 40,
-    };
+/// The measured chain at 256 PEs and scanner TR `tr_s`, in both modes,
+/// optionally traced.
+fn run_chains(tr_s: f64, sink: &Observer) -> [(ChainMode, RealtimeReport); 2] {
+    let cfg = FmriScenario::paper(256).run().chain(tr_s, 40);
     let opts = ChainOptions { observer: sink.clone(), ..ChainOptions::default() };
     [ChainMode::Sequential, ChainMode::Pipelined]
         .map(|mode| (mode, run_chain_with(cfg, mode, &opts)))
@@ -54,22 +48,25 @@ fn emit_json() {
             ("safe_tr_s", Json::from(r.safe_tr_s)),
         ]));
     }
-    let chains = run_chains(&Observer::disabled()).map(|(mode, m)| {
-        Json::obj([
-            ("mode", Json::from(format!("{mode:?}").as_str())),
-            ("scanned", Json::from(m.scanned)),
-            ("displayed", Json::from(m.displayed)),
-            ("skipped", Json::from(m.skipped)),
-            ("mean_latency_s", Json::from(m.mean_latency_s)),
-            ("period_s", Json::from(m.period_s)),
-            ("latency", m.latency.to_json()),
-        ])
-    });
+    let chains = |tr_s| {
+        let runs = run_chains(tr_s, &Observer::disabled()).map(|(mode, m)| {
+            Json::obj([
+                ("mode", Json::from(format!("{mode:?}").as_str())),
+                ("scanned", Json::from(m.scanned)),
+                ("displayed", Json::from(m.displayed)),
+                ("skipped", Json::from(m.skipped)),
+                ("mean_latency_s", Json::from(m.mean_latency_s)),
+                ("period_s", Json::from(m.period_s)),
+                ("latency", m.latency.to_json()),
+            ])
+        });
+        Json::Arr(runs.into_iter().collect())
+    };
     let doc = Json::obj([
         ("experiment", Json::from("fig2_delay_budget")),
         ("rows", Json::Arr(rows)),
-        ("headline_delay_s", Json::from(paper_headline_delay())),
-        ("measured_chains", Json::Arr(chains.into_iter().collect())),
+        ("measured_chains", chains(3.0)),
+        ("measured_chains_tr2", chains(2.0)),
     ]);
     println!("{}", doc.pretty());
 }
@@ -82,7 +79,7 @@ fn main() {
     }
     if let Some(path) = args.trace_out {
         let sink = Observer::recording();
-        for (mode, m) in run_chains(&sink) {
+        for (mode, m) in run_chains(3.0, &sink) {
             println!(
                 "{mode:?}: displayed {}/{} skipped {} p50 {:.2}s p99 {:.2}s period {:.2}s",
                 m.displayed,
@@ -127,21 +124,26 @@ fn main() {
         );
     }
 
-    println!("\n== Measured chain at 256 PEs, TR 3 s (40 scans, event-driven) ==");
-    for (mode, m) in run_chains(&Observer::disabled()) {
-        println!(
-            "{mode:?}: displayed {}/{} skipped {}  latency p50 {:.2}s p90 {:.2}s p99 {:.2}s max {:.2}s",
-            m.displayed,
-            m.scanned,
-            m.skipped,
-            m.latency.p50().as_secs_f64(),
-            m.latency.p90().as_secs_f64(),
-            m.latency.p99().as_secs_f64(),
-            m.latency.max().as_secs_f64()
-        );
+    println!("\n== Measured chain at 256 PEs (40 scans, event-driven) ==");
+    for tr_s in [3.0, 2.0] {
+        for (mode, m) in run_chains(tr_s, &Observer::disabled()) {
+            println!(
+                "TR {tr_s:.0} s {:>10}: displayed {:>2}/{} skipped {:>2}  period {:.2}s  \
+                 latency p50 {:.2}s p90 {:.2}s p99 {:.2}s max {:.2}s",
+                format!("{mode:?}"),
+                m.displayed,
+                m.scanned,
+                m.skipped,
+                m.period_s,
+                m.latency.p50().as_secs_f64(),
+                m.latency.p90().as_secs_f64(),
+                m.latency.p99().as_secs_f64(),
+                m.latency.max().as_secs_f64()
+            );
+        }
     }
 
     println!("\npaper anchors @256 PEs: transfers+control ≈ 1.1 s, total < 5 s,");
-    println!("sequential throughput 2.7 s -> scanner safely operated at TR = 3 s");
-    println!("headline delay (paper budget + Table-1 compute): {:.2} s", paper_headline_delay());
+    println!("sequential throughput 2.7 s -> scanner safely operated at TR = 3 s;");
+    println!("at TR 2 s the sequential chain skips scans, the pipelined one keeps up");
 }

@@ -8,9 +8,10 @@
 //! Jülich. The derived per-stage times reproduce the paper's delay
 //! budget (≈1.1 s transfers+control, <5 s total at 256 PEs, 2.7 s
 //! sequential throughput) from first principles rather than by quoting
-//! it.
+//! it. No other library code states a Figure 2 stage time: the
+//! event-driven chain runs these through [`ScenarioReport::chain`].
 
-use gtw_fire::pipeline::ChainTiming;
+use gtw_fire::realtime::{ChainTiming, RealtimeConfig};
 use gtw_fire::t3e::T3eModel;
 use gtw_net::ip::IpConfig;
 use gtw_net::transfer::{BulkTransfer, Protocol};
@@ -21,6 +22,13 @@ use crate::testbed::{GigabitTestbedWest, LinkEra};
 /// Calibrated per-round control-message cost of the FIRE RPC protocol
 /// (see `FmriScenario::run`).
 const CONTROL_ROUND_S: f64 = 0.12;
+
+/// Scan end → raw image at the RT-server: the scanner's reconstruction
+/// (paper: ~1.5 s).
+const ACQUIRE_S: f64 = 1.5;
+
+/// The RT-client's Motif GUI update (paper: 0.6 s).
+const DISPLAY_S: f64 = 0.6;
 
 /// The configured scenario.
 pub struct FmriScenario {
@@ -54,6 +62,21 @@ pub struct ScenarioReport {
     pub pipelined_period_s: f64,
     /// Safe scanner TR for sequential operation.
     pub safe_tr_s: f64,
+}
+
+impl ScenarioReport {
+    /// These stage times as the event-driven chain's configuration, at
+    /// scanner repetition time `tr_s` over `scans` scans.
+    pub fn chain(&self, tr_s: f64, scans: usize) -> RealtimeConfig {
+        RealtimeConfig {
+            tr_s,
+            acquire_s: self.acquire_s,
+            transfer_s: self.transfers_s,
+            compute_s: self.compute_s,
+            display_s: self.display_s,
+            scans,
+        }
+    }
 }
 
 impl FmriScenario {
@@ -95,8 +118,8 @@ impl FmriScenario {
     /// Derive the full per-image timing.
     pub fn run(&self) -> ScenarioReport {
         let tb = &self.testbed;
-        // Stage 1: reconstruction at the scanner (paper: ~1.5 s).
-        let acquire_s = 1.5;
+        // Stage 1: reconstruction at the scanner.
+        let acquire_s = ACQUIRE_S;
         // Stage 2: transfers. Raw image scanner→T3E, result T3E→client
         // (client = scanner front-end workstation running the GUI) and
         // T3E→Onyx for 3-D. Control-message overhead: one small RPC
@@ -113,8 +136,8 @@ impl FmriScenario {
         let transfers_s = raw_s + result_s + onyx_s + control_s;
         // Stage 3: T3E compute from the calibrated Table 1 model.
         let compute_s = T3eModel::t3e_600().row(self.pes, self.dims).total_s;
-        // Stage 4: display (paper: 0.6 s for the Motif GUI update).
-        let display_s = 0.6;
+        // Stage 4: display.
+        let display_s = DISPLAY_S;
         let timing = ChainTiming { acquire_s, transfer_s: transfers_s, compute_s, display_s };
         ScenarioReport {
             pes: self.pes,

@@ -98,11 +98,14 @@ impl<'a> Reader<'a> {
         self.pos = end;
         Ok(s)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        self.take(N)?.first_chunk().copied().ok_or(CheckpointError::Truncated)
+    }
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn f32(&mut self) -> Result<f32, CheckpointError> {
         Ok(f32::from_bits(self.u32()?))
@@ -111,12 +114,10 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
     fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
-        let raw = self.take(n.checked_mul(8).ok_or(CheckpointError::Truncated)?)?;
-        Ok(raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8"))).collect())
+        (0..n).map(|_| self.f64()).collect()
     }
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        let raw = self.take(n.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
-        Ok(raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4"))).collect())
+        (0..n).map(|_| self.f32()).collect()
     }
 }
 
@@ -178,8 +179,12 @@ impl Checkpoint {
         if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        let dims = Dims::new(r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
-        let voxels = dims.len();
+        let (nx, ny, nz) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+        let dims = Dims::new(nx, ny, nz);
+        let voxels = nx
+            .checked_mul(ny)
+            .and_then(|v| v.checked_mul(nz))
+            .ok_or(CheckpointError::Inconsistent("volume too large"))?;
         if voxels == 0 {
             return Err(CheckpointError::Inconsistent("empty volume"));
         }
@@ -193,10 +198,9 @@ impl Checkpoint {
         if n_series != scans {
             return Err(CheckpointError::Inconsistent("series/scan count mismatch"));
         }
-        let mut series = Vec::with_capacity(n_series);
-        for _ in 0..n_series {
-            series.push(r.f32s(voxels)?);
-        }
+        // Counts read from the blob size no allocation up front: a forged
+        // one runs out of bytes instead of asking for terabytes.
+        let series = (0..n_series).map(|_| r.f32s(voxels)).collect::<Result<Vec<_>, _>>()?;
         let n_motion = r.u64()? as usize;
         if n_motion > scans {
             return Err(CheckpointError::Inconsistent("more motion entries than scans"));
@@ -257,7 +261,7 @@ mod tests {
     #[test]
     fn truncation_and_corruption_are_detected() {
         let bytes = sample().encode();
-        for cut in [0, 4, 11, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert_eq!(Checkpoint::decode(&bytes[..cut]), Err(CheckpointError::Truncated), "{cut}");
         }
         let mut bad = bytes.clone();
@@ -266,9 +270,21 @@ mod tests {
         let mut vers = bytes.clone();
         vers[4] = 99;
         assert_eq!(Checkpoint::decode(&vers), Err(CheckpointError::BadVersion(99)));
-        let mut long = bytes;
+        let mut long = bytes.clone();
         long.push(0);
         assert_eq!(Checkpoint::decode(&long), Err(CheckpointError::Inconsistent("trailing bytes")));
+        // Forged sizes: extents whose product overflows, and a scan count
+        // (at bytes 20 and 332 of this 3×2×2 blob) no buffer could hold.
+        let mut wide = bytes.clone();
+        wide[8..20].fill(0xff);
+        assert_eq!(
+            Checkpoint::decode(&wide),
+            Err(CheckpointError::Inconsistent("volume too large"))
+        );
+        let mut many = bytes;
+        many[20..28].fill(0xff);
+        many[332..340].fill(0xff);
+        assert_eq!(Checkpoint::decode(&many), Err(CheckpointError::Truncated));
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub fn median_filter(vol: &Volume) -> Volume {
     filter_rows(vol, |rows, out_row| {
         for (block, out) in out_row.chunks_mut(LANES).enumerate() {
             let vals = std::array::from_fn(|k| {
+                // `filter_rows` pads a row to a whole number of blocks,
+                // so the slice is in bounds and exactly `LANES` long.
                 let lanes = &rows.shifted(k)[block * LANES..][..LANES];
                 lanes.try_into().expect("a padded row ends on a whole block")
             });

@@ -27,13 +27,13 @@
 //!   search standing in for its conjugate-gradient step),
 //! * [`t3e`] — the calibrated Cray T3E-600 cost model that regenerates
 //!   Table 1,
-//! * [`rt`] — the RT-server / RT-client protocol and the end-to-end delay
-//!   budget of Figure 2 (< 5 s scan-to-display),
-//! * [`pipeline`] — sequential vs pipelined operation of the
+//! * [`rt`] — the RT-server / RT-client protocol run over MPI (results
+//!   only: Figure 2's stage times are `gtw_core::scenario`'s),
+//! * [`pipeline`] — the module chain, one scan at a time,
+//! * [`realtime`] — sequential vs pipelined operation of the
 //!   acquire→compute→display chain (the paper's stated improvement
-//!   opportunity),
-//! * [`realtime`] — the same chain run event-driven, measuring skipped
-//!   scans and steady-state periods under scanner pressure,
+//!   opportunity): `ChainTiming`'s steady state, and the chain run
+//!   event-driven, measuring skipped scans under scanner pressure,
 //! * [`linalg`] — the small dense solver kit (Gaussian elimination,
 //!   least squares, Jacobi eigendecomposition)
 //!   shared across the workspace.

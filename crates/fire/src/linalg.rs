@@ -266,7 +266,9 @@ pub fn jacobi_eigen(a: &Matrix, max_sweeps: usize) -> (Vec<f64>, Matrix) {
         }
     }
     let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[(i, i)], i)).collect();
-    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    // Descending; a NaN eigenvalue (from a NaN entry) sorts last. Not
+    // `total_cmp`, which would order -0.0 below +0.0 and reorder ties.
+    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan())));
     let eigenvalues: Vec<f64> = pairs.iter().map(|&(l, _)| l).collect();
     let mut vectors = Matrix::zeros(n, n);
     for (new_col, &(_, old_col)) in pairs.iter().enumerate() {
@@ -484,5 +486,23 @@ mod tests {
         let aa = a.matmul(&Matrix::identity(2));
         assert_eq!(aa, a);
         assert!((a.frobenius() - (30.0f64).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eigen_sort_puts_nan_last_and_keeps_signed_zero_ties() {
+        let a = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, f64::NAN, 0.0],
+            vec![0.0, 0.0, 2.0],
+        ]);
+        let (vals, vecs) = jacobi_eigen(&a, 4);
+        assert_eq!(&vals[..2], &[2.0, 1.0]);
+        assert!(vals[2].is_nan());
+        assert_eq!(vecs[(1, 2)], 1.0, "the NaN's eigenvector moves with it");
+        // -0.0 and +0.0 tie, so they keep their diagonal order.
+        let z = Matrix::from_rows(&[vec![-0.0, 0.0], vec![0.0, 0.0]]);
+        let (vals, _) = jacobi_eigen(&z, 4);
+        let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
     }
 }

@@ -339,57 +339,10 @@ impl FirePipeline {
     }
 }
 
-/// Sequential vs pipelined operation of the acquire→transfer→compute→
-/// display chain (the paper's stated drawback and our implemented
-/// extension). Stage times in seconds.
-#[derive(Clone, Copy, Debug)]
-pub struct ChainTiming {
-    /// Scan completion to raw data at the RT-server.
-    pub acquire_s: f64,
-    /// Data transfers + control messages (server ↔ T3E ↔ client).
-    pub transfer_s: f64,
-    /// T3E processing.
-    pub compute_s: f64,
-    /// RT-client display update.
-    pub display_s: f64,
-}
-
-impl ChainTiming {
-    /// The paper's measured budget with a given compute time: 1.5 s
-    /// scanner→server, 1.1 s transfers, 0.6 s display.
-    pub fn paper(compute_s: f64) -> Self {
-        ChainTiming { acquire_s: 1.5, transfer_s: 1.1, compute_s, display_s: 0.6 }
-    }
-
-    /// End-to-end latency of one image (identical in both modes).
-    pub fn latency_s(&self) -> f64 {
-        self.acquire_s + self.transfer_s + self.compute_s + self.display_s
-    }
-
-    /// Sequential-mode period: "a new image is requested from the
-    /// RT-server only after the processing and displaying of the previous
-    /// one is completed", so the achievable period is the sum of the
-    /// client/T3E-side delays.
-    pub fn sequential_period_s(&self) -> f64 {
-        self.transfer_s + self.compute_s + self.display_s
-    }
-
-    /// Pipelined-mode period: stages overlap, the slowest stage sets the
-    /// rate.
-    pub fn pipelined_period_s(&self) -> f64 {
-        self.acquire_s.max(self.transfer_s).max(self.compute_s).max(self.display_s)
-    }
-
-    /// The smallest safe scanner repetition time for a mode period (the
-    /// paper rounds 2.7 s up to TR = 3 s).
-    pub fn safe_tr_s(period_s: f64) -> f64 {
-        (period_s * 10.0).ceil() / 10.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::realtime::ChainTiming;
     use gtw_scan::acquire::{Scanner, ScannerConfig};
     use gtw_scan::phantom::Phantom;
 
@@ -599,10 +552,16 @@ mod tests {
         assert_eq!(err, CheckpointError::BadMagic);
     }
 
+    /// The paper's quoted stage budget (1.5 s acquire, 1.1 s transfers
+    /// and control, 0.6 s display) around a given compute time.
+    fn quoted(compute_s: f64) -> ChainTiming {
+        ChainTiming { acquire_s: 1.5, transfer_s: 1.1, compute_s, display_s: 0.6 }
+    }
+
     #[test]
     fn chain_timing_matches_paper_numbers() {
         // 256 PEs: T3E total 1.01 s (paper) -> latency < 5 s.
-        let t = ChainTiming::paper(1.01);
+        let t = quoted(1.01);
         assert!(t.latency_s() < 5.0, "latency {}", t.latency_s());
         // Throughput 2.7 s sequential -> TR 3 s is safe.
         assert!((t.sequential_period_s() - 2.71).abs() < 0.02);
@@ -617,8 +576,8 @@ mod tests {
         // With few PEs the T3E stage dominates and pipelining gains are
         // modest relative to the compute time; with many PEs the
         // acquisition stage binds.
-        let slow = ChainTiming::paper(13.74); // 8 PEs
-        let fast = ChainTiming::paper(1.01); // 256 PEs
+        let slow = quoted(13.74); // 8 PEs
+        let fast = quoted(1.01); // 256 PEs
         assert_eq!(slow.pipelined_period_s(), 13.74);
         assert!((slow.sequential_period_s() / slow.pipelined_period_s()) < 1.2);
         assert!((fast.sequential_period_s() / fast.pipelined_period_s()) > 1.7);

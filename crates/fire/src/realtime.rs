@@ -1,8 +1,8 @@
 //! Event-driven simulation of the realtime chain: sequential vs
 //! pipelined operation, with image skipping.
 //!
-//! The analytic periods in [`crate::pipeline::ChainTiming`] assume steady
-//! state; this module *runs* the chain on the discrete-event kernel and
+//! The analytic periods of [`ChainTiming`] assume steady state; this
+//! module also *runs* the chain on the discrete-event kernel and
 //! measures it, including the behaviour the analytics cannot see: in
 //! sequential mode ("a new image is requested from the RT-server only
 //! after the processing and displaying of the previous one is
@@ -45,10 +45,46 @@ pub struct RealtimeConfig {
     pub scans: usize,
 }
 
-impl RealtimeConfig {
-    /// The paper's budget with a given compute time and TR.
-    pub fn paper(compute_s: f64, tr_s: f64, scans: usize) -> Self {
-        RealtimeConfig { tr_s, acquire_s: 1.5, transfer_s: 1.1, compute_s, display_s: 0.6, scans }
+/// Sequential vs pipelined operation of the acquire→transfer→compute→
+/// display chain (the paper's stated drawback and our implemented
+/// extension), in steady state. Stage times in seconds; the scenario
+/// that derives them is `gtw_core::scenario::FmriScenario`.
+#[derive(Clone, Copy, Debug)]
+pub struct ChainTiming {
+    /// Scan completion to raw data at the RT-server.
+    pub acquire_s: f64,
+    /// Data transfers + control messages (server ↔ T3E ↔ client).
+    pub transfer_s: f64,
+    /// T3E processing.
+    pub compute_s: f64,
+    /// RT-client display update.
+    pub display_s: f64,
+}
+
+impl ChainTiming {
+    /// End-to-end latency of one image (identical in both modes).
+    pub fn latency_s(&self) -> f64 {
+        self.acquire_s + self.transfer_s + self.compute_s + self.display_s
+    }
+
+    /// Sequential-mode period: "a new image is requested from the
+    /// RT-server only after the processing and displaying of the previous
+    /// one is completed", so the achievable period is the sum of the
+    /// client/T3E-side delays.
+    pub fn sequential_period_s(&self) -> f64 {
+        self.transfer_s + self.compute_s + self.display_s
+    }
+
+    /// Pipelined-mode period: stages overlap, the slowest stage sets the
+    /// rate.
+    pub fn pipelined_period_s(&self) -> f64 {
+        self.acquire_s.max(self.transfer_s).max(self.compute_s).max(self.display_s)
+    }
+
+    /// The smallest safe scanner repetition time for a mode period (the
+    /// paper rounds 2.7 s up to TR = 3 s).
+    pub fn safe_tr_s(period_s: f64) -> f64 {
+        (period_s * 10.0).ceil() / 10.0
     }
 }
 
@@ -118,7 +154,8 @@ pub struct Congestion {
 }
 
 impl Congestion {
-    /// Congested over `windows`, transfers stretched by `slowdown`.
+    /// Congested over `windows`, transfers stretched by `slowdown`;
+    /// panics if `slowdown` is below 1 or NaN.
     pub fn new(windows: Schedule, slowdown: f64) -> Self {
         assert!(slowdown >= 1.0, "a slowdown below 1 would be a speedup");
         Congestion { windows, slowdown }
@@ -531,6 +568,9 @@ impl Component for ChainDriver {
             // The transfer completed under the live incarnation: deliver
             // downstream now.
             if let Some((k, scan_end)) = self.in_flight.take() {
+                // Only the pipelined driver arms an epoch-tagged
+                // `StageDone`, and `run_chain_with` wires its compute
+                // stage before the first event.
                 let compute = self.compute.expect("pipelined mode wires a compute stage");
                 ctx.send_in(SimDuration::ZERO, compute, msg(WorkItem(k, scan_end)));
             }
@@ -798,13 +838,24 @@ pub fn run_chain_with(cfg: RealtimeConfig, mode: ChainMode, opts: &ChainOptions)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ChainTiming;
     use crate::t3e::T3eModel;
     use gtw_scan::volume::Dims;
 
+    /// The paper's quoted stage budget (1.5 s acquire, 1.1 s transfers
+    /// and control, 0.6 s display) around a given compute time, at
+    /// scanner TR `tr_s`. The pinned digests below were taken with it.
+    fn quoted(compute_s: f64, tr_s: f64, scans: usize) -> RealtimeConfig {
+        RealtimeConfig { tr_s, acquire_s: 1.5, transfer_s: 1.1, compute_s, display_s: 0.6, scans }
+    }
+
+    /// Its steady-state formulas.
+    fn quoted_timing(cfg: RealtimeConfig) -> ChainTiming {
+        let RealtimeConfig { acquire_s, transfer_s, compute_s, display_s, .. } = cfg;
+        ChainTiming { acquire_s, transfer_s, compute_s, display_s }
+    }
+
     fn paper_256(tr: f64, scans: usize) -> RealtimeConfig {
-        let compute = T3eModel::t3e_600().row(256, Dims::EPI).total_s;
-        RealtimeConfig::paper(compute, tr, scans)
+        quoted(T3eModel::t3e_600().row(256, Dims::EPI).total_s, tr, scans)
     }
 
     fn with_outages(outages: &Schedule) -> ChainOptions {
@@ -828,7 +879,7 @@ mod tests {
         // Measured period equals the TR (source-limited).
         assert!((r.period_s - 3.0).abs() < 0.05, "{r:?}");
         // Latency matches the analytic budget.
-        let t = ChainTiming::paper(T3eModel::t3e_600().row(256, Dims::EPI).total_s);
+        let t = quoted_timing(paper_256(3.0, 40));
         assert!((r.mean_latency_s - t.latency_s()).abs() < 0.1, "{r:?}");
     }
 
@@ -839,8 +890,7 @@ mod tests {
         let seq = run_chain(paper_256(2.0, 60), ChainMode::Sequential);
         assert!(seq.skipped > 10, "{seq:?}");
         // Its display period is the chain service time, not the TR.
-        let service = ChainTiming::paper(T3eModel::t3e_600().row(256, Dims::EPI).total_s)
-            .sequential_period_s();
+        let service = quoted_timing(paper_256(2.0, 60)).sequential_period_s();
         assert!((seq.period_s - service).abs() < 0.4, "{seq:?} vs service {service}");
 
         let pipe = run_chain(paper_256(2.0, 60), ChainMode::Pipelined);
@@ -904,7 +954,7 @@ mod tests {
         // 8 PEs: 13.7 s of compute. Even the pipeline drops scans; the
         // display period equals the compute service time.
         let compute = T3eModel::t3e_600().row(8, Dims::EPI).total_s;
-        let cfg = RealtimeConfig::paper(compute, 3.0, 40);
+        let cfg = quoted(compute, 3.0, 40);
         let r = run_chain(cfg, ChainMode::Pipelined);
         assert!(r.skipped > 20, "{r:?}");
         assert!((r.period_s - compute).abs() < 0.5, "{r:?}");
@@ -1005,8 +1055,8 @@ mod tests {
         // Saturate both modes (TR 0.5 s) and compare measured periods
         // with the ChainTiming formulas.
         let compute = T3eModel::t3e_600().row(256, Dims::EPI).total_s;
-        let t = ChainTiming::paper(compute);
-        let cfg = RealtimeConfig::paper(compute, 0.5, 200);
+        let cfg = quoted(compute, 0.5, 200);
+        let t = quoted_timing(cfg);
         let seq = run_chain(cfg, ChainMode::Sequential);
         let pipe = run_chain(cfg, ChainMode::Pipelined);
         assert!(
@@ -1189,6 +1239,12 @@ mod tests {
         // The final images run at full quality again, so not every
         // image of the protocol is degraded.
         assert!(stats.degraded_images < r.displayed, "{stats:?} vs {} displayed", r.displayed);
+    }
+
+    #[test]
+    #[should_panic(expected = "would be a speedup")]
+    fn congestion_refuses_a_speedup() {
+        Congestion::new(Schedule::empty(), 0.5);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! dynamic-process-creation feature the paper highlights), streams raw
 //! volumes to it, and receives correlation maps back — keeping the last
 //! acknowledged FIRE checkpoint, so a compute world that dies
-//! mid-protocol is respawned and resumed. Virtual timing is accounted
-//! with the calibrated [`T3eModel`] and the paper's delay budget, so the
-//! session reports both *correct results* (validated against ground
-//! truth) and *paper-comparable delays*.
+//! mid-protocol is respawned and resumed. The session reports *results*
+//! (validated against ground truth) and what recovery cost; how long
+//! each stage takes is `gtw_core::scenario::FmriScenario`'s to say.
 
 use std::time::Duration;
 
@@ -24,8 +23,7 @@ use gtw_scan::acquire::Scanner;
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::volume::{Dims, Volume};
 
-use crate::pipeline::{ChainTiming, FireConfig, FirePipeline};
-use crate::t3e::T3eModel;
+use crate::pipeline::{FireConfig, FirePipeline};
 
 /// Protocol tags of the RT chain.
 const TAG_RAW: Tag = Tag(200);
@@ -39,17 +37,6 @@ const TAG_CKPT: Tag = Tag(203);
 /// cap, so a live-but-slow chain never trips it.
 const OP_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Virtual timing of one processed scan.
-#[derive(Clone, Copy, Debug)]
-pub struct ScanDelay {
-    /// Scan index.
-    pub scan: usize,
-    /// Seconds from scan completion to display (the <5 s headline).
-    pub total_delay_s: f64,
-    /// The T3E compute share.
-    pub compute_s: f64,
-}
-
 /// Result of a realtime session.
 #[derive(Clone, Debug)]
 pub struct SessionReport {
@@ -62,13 +49,6 @@ pub struct SessionReport {
     pub respawns: usize,
     /// Scans re-processed from a checkpoint after a failure.
     pub reprocessed_scans: usize,
-    /// Virtual per-scan delays.
-    pub delays: Vec<ScanDelay>,
-    /// Virtual sustainable period in sequential mode (the paper's
-    /// 2.7 s).
-    pub sequential_period_s: f64,
-    /// Virtual sustainable period with pipelining enabled.
-    pub pipelined_period_s: f64,
 }
 
 /// One compute-world incarnation: restore from the handshake checkpoint
@@ -79,6 +59,7 @@ pub struct SessionReport {
 fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVector) -> InterComm {
     let rv = rv.clone();
     client.spawn(1, MachineSpec::new("Cray T3E-600 (FZJ)", FabricSpec::t3e_torus()), move |t3e| {
+        // `Comm::spawn` gives every rank of the world it starts a parent.
         let parent = t3e.parent().expect("spawned world has a parent");
         let Ok((d, _)) = parent.try_recv::<f64>(0, TAG_RAW, Some(OP_TIMEOUT)) else {
             return;
@@ -90,6 +71,8 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
         let mut pipeline = if ckpt.is_empty() {
             FirePipeline::new(config, dims, rv.clone())
         } else {
+            // The client replays only blobs an earlier incarnation sent
+            // it from `checkpoint_bytes`, byte for byte.
             FirePipeline::restore(config, rv.clone(), &ckpt)
                 .expect("client sent a checkpoint this build wrote")
         };
@@ -113,24 +96,24 @@ fn spawn_compute_incarnation(client: &Comm, config: FireConfig, rv: &ReferenceVe
     })
 }
 
-/// Run a realtime session at `pes` virtual T3E PEs (one compute rank
-/// does the work; virtual timing comes from the model at `pes`). The
-/// session *survives compute-world failures*: the RT-client keeps the
-/// last acknowledged FIRE checkpoint, and when the T3E world dies
-/// mid-protocol (scripted via `plan` — global ids: the client world is
-/// rank 0, the first compute incarnation rank 1, respawns 2, 3, …; an
-/// empty plan is the clean run) it spawns a fresh world, replays the
-/// checkpoint, and resumes from the first unacknowledged scan. Results
-/// are *state-level exactly-once*: a scan whose map was delivered but
-/// whose checkpoint was lost is re-processed deterministically from a
-/// checkpoint that predates it, so the final map is bit-identical to an
-/// uninterrupted session.
+/// Run a realtime session: one compute rank of a spawned T3E world
+/// processes every scan. The session *survives compute-world failures*:
+/// the RT-client keeps the last acknowledged FIRE checkpoint, and when
+/// the T3E world dies mid-protocol (scripted via `plan` — global ids:
+/// the client world is rank 0, the first compute incarnation rank 1,
+/// respawns 2, 3, …; an empty plan is the clean run) it spawns a fresh
+/// world, replays the checkpoint, and resumes from the first
+/// unacknowledged scan. Results are *state-level exactly-once*: a scan
+/// whose map was delivered but whose checkpoint was lost is re-processed
+/// deterministically from a checkpoint that predates it, so the final
+/// map is bit-identical to an uninterrupted session. Panics if `plan`
+/// faults rank 0: the RT-client holds the checkpoint, nothing can restore it.
 pub fn run_rt_session(
     scanner: &Scanner,
     config: FireConfig,
-    pes: usize,
     plan: &ProcessFaultPlan,
 ) -> SessionReport {
+    assert!(plan.fault(0).is_none(), "the plan faults the RT-client (rank 0), not a compute world");
     let dims = scanner.config().dims;
     let scans = scanner.scan_count();
     let rv = ReferenceVector::canonical(&scanner.config().stimulus);
@@ -138,9 +121,10 @@ pub fn run_rt_session(
 
     let universe = Universe::new();
     universe.install_process_faults(plan);
-    // Every incarnation a scripted fault can kill, plus slack for the
-    // clean tail — a plan that somehow killed more worlds than it names
-    // is a bug, not a retry loop.
+    // Invariant of the `respawns <= max_respawns` asserts below: each
+    // incarnation is a new global rank and a plan faults a rank at most
+    // once, so k faults kill at most k worlds (the spare covers a live
+    // world missing `OP_TIMEOUT` once). Past it is a bug, not a retry.
     let max_respawns = plan.faults.len() + 1;
     let outputs = universe.launch_and_join(
         Placement::single(1, MachineSpec::new("RT-client", FabricSpec::smp_shared())),
@@ -194,32 +178,15 @@ pub fn run_rt_session(
             (last_map, respawns, reprocessed)
         },
     );
+    // Every incarnation exits within `OP_TIMEOUT` of its last message
+    // (a hung one declares itself dead at its 2 s cap), well inside 30 s.
     universe
         .join_spawned_timeout(Duration::from_secs(30))
         .expect("all compute incarnations exited");
+    // One output per rank of the single-rank client placement.
     let (final_map, respawns, reprocessed_scans) =
         outputs.into_iter().next().expect("client produced a map");
-    let compute_s = T3eModel::t3e_600().row(pes, dims).total_s;
-    let timing = ChainTiming::paper(compute_s);
-    let delays = (0..scans)
-        .map(|scan| ScanDelay { scan, total_delay_s: timing.latency_s(), compute_s })
-        .collect();
-    SessionReport {
-        scans,
-        final_map,
-        respawns,
-        reprocessed_scans,
-        delays,
-        sequential_period_s: timing.sequential_period_s(),
-        pipelined_period_s: timing.pipelined_period_s(),
-    }
-}
-
-/// The headline delay statement of the paper: with 256 PEs the total
-/// scan-to-display delay stays under 5 s.
-pub fn paper_headline_delay() -> f64 {
-    let model = T3eModel::t3e_600();
-    ChainTiming::paper(model.row(256, Dims::EPI).total_s).latency_s()
+    SessionReport { scans, final_map, respawns, reprocessed_scans }
 }
 
 #[cfg(test)]
@@ -247,7 +214,6 @@ mod tests {
                 detrend: None,
                 ..FireConfig::default()
             },
-            256,
             &ProcessFaultPlan::new(0),
         );
         assert_eq!(report.scans, 16);
@@ -272,7 +238,7 @@ mod tests {
             smoothing: false,
             clip_level: 0.5,
         };
-        let report = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let report = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(0));
         let rv = ReferenceVector::canonical(&scanner.config().stimulus);
         let mut local = FirePipeline::new(cfg, scanner.config().dims, rv);
         let mut last = Volume::zeros(scanner.config().dims);
@@ -297,10 +263,10 @@ mod tests {
             smoothing: false,
             clip_level: 0.5,
         };
-        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let clean = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(0));
         let mut plan = ProcessFaultPlan::new(1999);
         plan.crash_after_ops(1, 8);
-        let r = run_rt_session(&scanner, cfg, 64, &plan);
+        let r = run_rt_session(&scanner, cfg, &plan);
         assert_eq!(r.scans, 12);
         assert_eq!(r.respawns, 1, "exactly one respawn");
         assert_eq!(r.reprocessed_scans, 1, "the unacked scan was re-run");
@@ -309,7 +275,7 @@ mod tests {
             "checkpoint restart must be bit-identical"
         );
         // Same seed, same plan: the whole recovery replays.
-        let again = run_rt_session(&scanner, cfg, 64, &plan);
+        let again = run_rt_session(&scanner, cfg, &plan);
         assert_eq!(again.respawns, 1);
         assert_eq!(again.final_map.data, r.final_map.data);
     }
@@ -327,10 +293,10 @@ mod tests {
             detrend: None,
             ..FireConfig::default()
         };
-        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let clean = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(0));
         let mut plan = ProcessFaultPlan::new(2026);
         plan.hang_after_ops(1, 8);
-        let r = run_rt_session(&scanner, cfg, 64, &plan);
+        let r = run_rt_session(&scanner, cfg, &plan);
         assert_eq!(r.respawns, 1, "exactly one respawn");
         assert_eq!(r.reprocessed_scans, 1, "the unacked scan was re-run");
         assert_eq!(r.final_map.data, clean.final_map.data);
@@ -345,9 +311,9 @@ mod tests {
             detrend: None,
             ..FireConfig::default()
         };
-        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let clean = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(0));
         // The plan's seed only steers faults; with none it must not matter.
-        let r = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(7));
+        let r = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(7));
         assert_eq!((clean.respawns, clean.reprocessed_scans), (0, 0));
         assert_eq!((r.respawns, r.reprocessed_scans), (0, 0));
         assert_eq!(r.final_map.data, clean.final_map.data);
@@ -365,32 +331,21 @@ mod tests {
             detrend: None,
             ..FireConfig::default()
         };
-        let clean = run_rt_session(&scanner, cfg, 64, &ProcessFaultPlan::new(0));
+        let clean = run_rt_session(&scanner, cfg, &ProcessFaultPlan::new(0));
         let mut plan = ProcessFaultPlan::new(42);
         plan.crash_after_ops(1, 2);
-        let r = run_rt_session(&scanner, cfg, 64, &plan);
+        let r = run_rt_session(&scanner, cfg, &plan);
         assert_eq!(r.respawns, 1, "{r:?}");
         assert_eq!(r.final_map.data, clean.final_map.data);
     }
 
     #[test]
-    fn headline_delay_under_five_seconds() {
-        let d = paper_headline_delay();
-        assert!(d < 5.0, "scan-to-display delay {d}");
-        assert!(d > 4.0, "delay implausibly low: {d}");
-    }
-
-    #[test]
-    fn virtual_delays_scale_with_pes() {
-        let scanner = tiny_scanner(4);
-        let cfg = FireConfig::workstation();
-        let few = run_rt_session(&scanner, cfg, 8, &ProcessFaultPlan::new(0));
-        let many = run_rt_session(&scanner, cfg, 256, &ProcessFaultPlan::new(0));
-        assert!(few.delays[0].total_delay_s > many.delays[0].total_delay_s);
-        assert!(many.pipelined_period_s < many.sequential_period_s);
-        // At the paper's full 64x64x16 matrix the sequential period is
-        // the 2.7 s the paper quotes.
-        let timing = ChainTiming::paper(T3eModel::t3e_600().row(256, Dims::EPI).total_s);
-        assert!((timing.sequential_period_s() - 2.71).abs() < 0.05);
+    #[should_panic(expected = "faults the RT-client")]
+    fn a_plan_that_faults_the_client_is_refused() {
+        // Before the check, this plan failed every handshake send and
+        // tripped the respawn cap instead ("keeps dying in handshake").
+        let mut plan = ProcessFaultPlan::new(1);
+        plan.crash_after_ops(0, 1);
+        run_rt_session(&tiny_scanner(4), FireConfig::workstation(), &plan);
     }
 }

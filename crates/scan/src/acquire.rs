@@ -8,7 +8,7 @@
 //!
 //! Timing follows the paper: one scan every `tr_s` (typically 2–3 s). The
 //! ~1.5 s from scan to raw data at the RT-server belongs to the chain
-//! (`gtw_fire::pipeline::ChainTiming`), not to the scanner.
+//! (`gtw_core::scenario::FmriScenario` states it), not to the scanner.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -147,14 +147,7 @@ fn main() {
         "stage breakdown {stage_sum} s does not account for the end-to-end {} s",
         fire.total_s
     );
-    let chain_cfg = gtw_fire::realtime::RealtimeConfig {
-        tr_s: 3.0,
-        acquire_s: fire.acquire_s,
-        transfer_s: fire.transfers_s,
-        compute_s: fire.compute_s,
-        display_s: fire.display_s,
-        scans: 40,
-    };
+    let chain_cfg = fire.chain(3.0, 40);
     let chain = gtw_fire::realtime::run_chain(chain_cfg, gtw_fire::realtime::ChainMode::Pipelined);
     // The resilient chain: a scripted T3E crash and hang, recovered by
     // checkpoint-restart. Only run (and only reported) under the flag.

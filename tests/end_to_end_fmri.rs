@@ -6,13 +6,10 @@
 
 use gtw_core::scenario::FmriScenario;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
-use gtw_desim::fault::ProcessFaultPlan;
 use gtw_fire::analysis::score_detection;
-use gtw_fire::pipeline::{ChainTiming, FireConfig, FirePipeline};
-use gtw_fire::realtime::{run_chain, ChainMode, RealtimeConfig};
-use gtw_fire::rt::run_rt_session;
+use gtw_fire::pipeline::{FireConfig, FirePipeline};
+use gtw_fire::realtime::{run_chain, ChainMode};
 use gtw_fire::rvo::{intensity_mask, recovery_error, RvoMethod};
-use gtw_fire::t3e::T3eModel;
 use gtw_net::ip::IpConfig;
 use gtw_scan::acquire::{Scanner, ScannerConfig};
 use gtw_scan::hrf::ReferenceVector;
@@ -97,21 +94,6 @@ fn rvo_recovers_subject_hrf_end_to_end() {
 }
 
 #[test]
-fn rt_session_and_scenario_agree_on_period() {
-    // The functional MPI session and the analytic scenario must tell the
-    // same sequential-throughput story.
-    let scanner = test_scanner(8, Dims::new(16, 16, 4), 5);
-    let session =
-        run_rt_session(&scanner, FireConfig::workstation(), 256, &ProcessFaultPlan::new(0));
-    let scenario = FmriScenario::paper(256).run();
-    // Both use the paper's stage budget; sessions at EPI dims match the
-    // scenario's compute share at 256 PEs.
-    assert!(session.pipelined_period_s <= session.sequential_period_s);
-    assert!(scenario.pipelined_period_s <= scenario.sequential_period_s);
-    assert!(scenario.total_s < 5.0);
-}
-
-#[test]
 fn traced_fmri_chain_exports_one_cross_layer_timeline() {
     // The observability layer end to end: the FIRE compute pipeline
     // (wall-clock stage spans), the event-driven realtime chain
@@ -119,7 +101,7 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
     // spans) each export valid Chrome traces, and the chain's latency
     // histogram accounts for the scenario's end-to-end budget.
     use gtw_desim::{validate_chrome_trace, Observer};
-    use gtw_fire::realtime::{run_chain_with, ChainMode, ChainOptions, RealtimeConfig};
+    use gtw_fire::realtime::{run_chain_with, ChainOptions};
     use gtw_net::transfer::{BulkTransfer, Protocol, RunOptions};
 
     // 1. Compute layer: real FIRE modules with wall-clock spans.
@@ -136,14 +118,7 @@ fn traced_fmri_chain_exports_one_cross_layer_timeline() {
 
     // 2. Chain layer: the scenario's stage budget run on the kernel.
     let scenario = FmriScenario::paper(256).run();
-    let cfg = RealtimeConfig {
-        tr_s: 3.0,
-        acquire_s: scenario.acquire_s,
-        transfer_s: scenario.transfers_s,
-        compute_s: scenario.compute_s,
-        display_s: scenario.display_s,
-        scans: 20,
-    };
+    let cfg = scenario.chain(3.0, 20);
     let chain_sink = Observer::recording();
     let chain = run_chain_with(
         cfg,
@@ -209,15 +184,18 @@ fn upgrade_era_shortens_fmri_transfers() {
 
 #[test]
 fn realtime_chain_consistent_with_scenario_budget() {
-    // The event-driven chain's measured latency equals the scenario's
-    // analytic latency for matching stage times.
-    let compute = T3eModel::t3e_600().row(256, Dims::EPI).total_s;
-    let timing = ChainTiming::paper(compute);
-    let r = run_chain(RealtimeConfig::paper(compute, 3.0, 30), ChainMode::Sequential);
-    assert!((r.mean_latency_s - timing.latency_s()).abs() < 0.05);
+    // The event-driven chain, run on the scenario's own stage times,
+    // measures the scenario's analytic latency and periods.
+    let scenario = FmriScenario::paper(256).run();
+    let r = run_chain(scenario.chain(3.0, 30), ChainMode::Sequential);
+    assert!((r.mean_latency_s - scenario.total_s).abs() < 0.05, "{r:?} vs {scenario:?}");
     assert_eq!(r.skipped, 0);
-    // Pipelined at TR 2 s: the paper's chain could have kept up.
-    let p = run_chain(RealtimeConfig::paper(compute, 2.0, 30), ChainMode::Pipelined);
+    // At TR 2 s the sequential chain falls behind and shows its service
+    // time; pipelined, the paper's chain could have kept up.
+    let s = run_chain(scenario.chain(2.0, 30), ChainMode::Sequential);
+    assert!(s.skipped > 0, "{s:?}");
+    assert!((s.period_s - scenario.sequential_period_s).abs() < 0.4, "{s:?} vs {scenario:?}");
+    let p = run_chain(scenario.chain(2.0, 30), ChainMode::Pipelined);
     assert_eq!(p.skipped, 0);
 }
 
