@@ -36,11 +36,6 @@ impl Machine {
     pub fn spec(&self) -> MachineSpec {
         MachineSpec::new(self.name, self.fabric)
     }
-
-    /// Aggregate nominal peak in GFLOPS.
-    pub fn peak_gflops(&self) -> f64 {
-        self.pes as f64 * self.mflops_per_pe / 1e3
-    }
 }
 
 /// The full catalogue.
@@ -116,11 +111,6 @@ impl MachineCatalog {
     pub fn at(&self, site: Site) -> impl Iterator<Item = &Machine> {
         self.machines.iter().filter(move |m| m.site == site)
     }
-
-    /// Total PEs across the metacomputer.
-    pub fn total_pes(&self) -> usize {
-        self.machines.iter().map(|m| m.pes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -154,13 +144,14 @@ mod tests {
         let slow = c.find("Cray T3E-600").unwrap();
         let fast = c.find("Cray T3E-1200").unwrap();
         assert_eq!(fast.mflops_per_pe, 2.0 * slow.mflops_per_pe);
-        assert!(fast.peak_gflops() > 600.0);
+        assert!(fast.pes as f64 * fast.mflops_per_pe / 1e3 > 600.0, "peak GFLOPS");
     }
 
     #[test]
     fn total_capacity() {
         let c = MachineCatalog::paper();
-        assert!(c.total_pes() > 1000, "{}", c.total_pes());
+        let pes: usize = c.machines.iter().map(|m| m.pes).sum();
+        assert!(pes > 1000, "{pes}");
         // Every machine exposes a usable MPI spec.
         for m in &c.machines {
             assert_eq!(m.spec().name, m.name);

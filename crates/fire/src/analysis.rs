@@ -124,14 +124,6 @@ impl CorrelationState {
         }
         out
     }
-
-    /// Clip-level thresholding: voxels at or above `clip` keep their
-    /// correlation, the rest become `None` (the overlay rule of the 2-D
-    /// display).
-    pub fn thresholded(&self, clip: f32) -> Vec<Option<f32>> {
-        let map = self.correlation_map();
-        map.data.iter().map(|&c| if c >= clip { Some(c) } else { None }).collect()
-    }
 }
 
 /// Sliding-window correlation: the last `window` scans only.
@@ -387,20 +379,6 @@ mod tests {
             let direct = rv.correlate(&voxel_series) as f32;
             let incr = state.voxel_correlation(idx);
             assert!((direct - incr).abs() < 1e-4, "({x},{y},{z}): {direct} vs {incr}");
-        }
-    }
-
-    #[test]
-    fn thresholding_respects_clip() {
-        let cfg = ScannerConfig { noise_sd: 3.0, ..ScannerConfig::paper_default(32, 9) };
-        let (state, _) = run_analysis(cfg, Phantom::standard());
-        let t = state.thresholded(0.4);
-        let map = state.correlation_map();
-        for (o, &c) in t.iter().zip(&map.data) {
-            match o {
-                Some(v) => assert!(*v >= 0.4 && *v == c),
-                None => assert!(c < 0.4),
-            }
         }
     }
 

@@ -72,14 +72,6 @@ impl DetrendBasis {
             *s = (*s as f64 - f + mean) as f32;
         }
     }
-
-    /// Detrend every voxel of a series of equal-length time courses laid
-    /// out as `[voxel][scan]`.
-    pub fn detrend_all(&self, voxels: &mut [Vec<f32>]) {
-        for series in voxels.iter_mut() {
-            self.detrend(series);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,18 +132,6 @@ mod tests {
             series.iter().enumerate().map(|(t, &r)| (t as f32 - t_m) * (r - m)).sum();
         let drift_den: f32 = (0..n).map(|t| (t as f32 - t_m).powi(2)).sum();
         assert!((drift_num / drift_den).abs() < 0.05, "drift residual {}", drift_num / drift_den);
-    }
-
-    #[test]
-    fn detrend_all_handles_many_voxels() {
-        let n = 16;
-        let basis = DetrendBasis::linear(n);
-        let mut voxels: Vec<Vec<f32>> =
-            (0..10).map(|v| (0..n).map(|t| v as f32 * 10.0 + t as f32 * 0.3).collect()).collect();
-        basis.detrend_all(&mut voxels);
-        for series in &voxels {
-            assert!(almost_flat(series));
-        }
     }
 
     #[test]

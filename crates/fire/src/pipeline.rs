@@ -3,10 +3,10 @@
 //!
 //! Processing order per image, as in the paper: median filter → 3-D
 //! movement correction → (detrending) → correlation against the
-//! reference vector → optional smoothing of the result. RVO runs over
-//! the accumulated series (it needs history by definition).
+//! reference vector → optional smoothing of the result. RVO
+//! ([`crate::rvo::optimize`]) runs over a whole series, not per image.
 
-use gtw_scan::hrf::{ReferenceVector, Stimulus};
+use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::motion::RigidTransform;
 use gtw_scan::volume::{Dims, Volume};
 
@@ -15,7 +15,6 @@ use crate::checkpoint::{Checkpoint, CheckpointError, MotionEntry};
 use crate::detrend::DetrendBasis;
 use crate::filters::{average_filter, median_filter};
 use crate::motion::{MotionCorrector, MotionEstimate};
-use crate::rvo::{self, RvoBounds, RvoMethod, RvoResult};
 use crate::VOXEL_CHUNK;
 
 /// Which modules are enabled (the checkboxes of the FIRE GUI).
@@ -321,21 +320,6 @@ impl FirePipeline {
     pub fn overlay(&self) -> Vec<Option<f32>> {
         let map = self.correlation_map();
         map.data.iter().map(|&c| if c >= self.config.clip_level { Some(c) } else { None }).collect()
-    }
-
-    /// Run reference-vector optimization over the accumulated series.
-    pub fn run_rvo(
-        &self,
-        stimulus: &Stimulus,
-        method: RvoMethod,
-        mask: Option<&[bool]>,
-    ) -> RvoResult {
-        let truncated =
-            Stimulus { course: stimulus.course[..self.series.len()].to_vec(), tr_s: stimulus.tr_s };
-        let t = self.epoch.elapsed();
-        let out = rvo::optimize(&self.series, &truncated, RvoBounds::default(), method, mask);
-        self.stage_span("rvo", t);
-        out
     }
 }
 

@@ -16,13 +16,15 @@
 //!   iterative local refinement. The X3 ablation bench compares both.
 //!
 //! The raster is one matrix product, centred voxels × reference vectors,
-//! computed a register tile at a time (`TILE_VOXELS` × `TILE_REFS` dot
-//! products per walk of the scans). Each dot product keeps its own
-//! accumulator and its own summation order, so the result is the bits
-//! of correlating one voxel with one vector at a time. The fit of a
-//! chunk of voxels is one body compiled twice, for the baseline target
-//! and for AVX2, and `optimize` picks the widest the CPU has at run
-//! time: the same multiplies and adds in the same order, the same bits.
+//! computed a register tile at a time: `V` neighbouring voxels, one per
+//! vector lane, times `J` points, over one walk of the scans. Each dot
+//! product keeps its own accumulator and its own summation order, so the
+//! result is the bits of correlating one voxel with one vector at a time;
+//! the best point is the old walk's first strict improvement, run on all
+//! lanes at once. The fit of a chunk is one body compiled three times:
+//! 4 × 4 tiles for the baseline target and AVX2, 8 × 8 for AVX-512F, and
+//! `optimize` picks the widest the CPU has at run time: the same
+//! multiplies, adds and divisions per (voxel, point), the same bits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,61 +97,93 @@ pub struct RvoResult {
     pub evaluations: u64,
 }
 
-/// Voxels per register tile of the raster product.
-const TILE_VOXELS: usize = 4;
-/// Reference vectors per register tile of the raster product.
-const TILE_REFS: usize = 4;
-
-/// One voxel's time series with its mean removed, kept so the raster
-/// correlates it against many reference vectors without re-deriving the
-/// mean, the centred series and Σd² each time. [`CentredVoxel::correlate`]
-/// returns the bits [`ReferenceVector::correlate`] would: the same sums
-/// in the same operand order.
-struct CentredVoxel {
-    /// `x[t] − mean`, one per scan.
-    d: Vec<f64>,
-    /// `sqrt(Σd²)`, or 0 for a series that correlates with nothing
-    /// (fewer than two scans, or constant).
-    norm: f64,
+/// A block of `V` voxels' time series with their means removed, one lane
+/// per voxel, kept so the raster correlates them against many reference
+/// vectors without re-deriving the mean, the centred series and Σd² each
+/// time. [`CentredBlock::correlate`] returns the bits
+/// [`ReferenceVector::correlate`] would: the same sums in the same operand
+/// order.
+struct CentredBlock<const V: usize> {
+    /// `d[t][v]` = `x[t] − mean` of lane `v`, one row per scan.
+    d: Vec<[f64; V]>,
+    /// Per lane `sqrt(Σd²)`, or 0 for a series that correlates with
+    /// nothing (fewer than two scans, or constant).
+    norm: [f64; V],
 }
 
-impl CentredVoxel {
+impl<const V: usize> CentredBlock<V> {
     fn new(scans: usize) -> Self {
-        CentredVoxel { d: vec![0.0; scans], norm: 0.0 }
+        CentredBlock { d: vec![[0.0; V]; scans], norm: [0.0; V] }
     }
 
-    /// Centre voxel `idx` of `series` into the buffer.
+    /// Centre the `W` contiguous voxels from `idx` on into lanes `lane..
+    /// lane + W`: one `W`-wide read per volume and pass, and each lane's
+    /// sums in scan order.
     #[inline(always)]
-    fn load(&mut self, series: &[Volume], idx: usize) {
+    fn load<const W: usize>(&mut self, series: &[Volume], idx: usize, lane: usize) {
         let n = series.len() as f64;
-        let mean = series.iter().map(|v| v.data[idx] as f64).sum::<f64>() / n;
-        let mut ss = 0.0;
-        for (d, v) in self.d.iter_mut().zip(series) {
-            *d = v.data[idx] as f64 - mean;
-            ss += *d * *d;
+        let read = |vol: &Volume| -> [f64; W] {
+            let x: &[f32; W] = vol.data[idx..idx + W].try_into().expect("W voxels");
+            x.map(f64::from)
+        };
+        // From `-0.0`, where `Iterator::sum` starts.
+        let sum =
+            series.iter().map(read).fold([-0.0; W], |s, x| std::array::from_fn(|k| s[k] + x[k]));
+        let mean = sum.map(|s| s / n);
+        let mut ss = [0.0f64; W];
+        for (row, vol) in self.d.iter_mut().zip(series) {
+            let x = read(vol);
+            let d: [f64; W] = std::array::from_fn(|k| x[k] - mean[k]);
+            for k in 0..W {
+                ss[k] += d[k] * d[k];
+            }
+            row[lane..lane + W].copy_from_slice(&d);
         }
-        self.norm = if n < 2.0 || ss <= 0.0 { 0.0 } else { ss.sqrt() };
+        for (norm, ss) in self.norm[lane..lane + W].iter_mut().zip(ss) {
+            *norm = if n < 2.0 || ss <= 0.0 { 0.0 } else { ss.sqrt() };
+        }
     }
 
-    /// The correlation whose numerator is `dot`, the loaded voxel's dot
-    /// product with a reference vector (whose `values` already have zero
-    /// mean and unit norm).
-    #[inline(always)]
-    fn score(&self, dot: f64) -> f64 {
-        if self.norm == 0.0 {
-            return 0.0;
+    /// Pearson correlation of lane `lane` against `rv`, whose `values`
+    /// already have zero mean and unit norm.
+    fn correlate(&self, lane: usize, rv: &ReferenceVector) -> f64 {
+        let dot = self.d.iter().zip(&rv.values).fold(0.0, |dot, (d, r)| dot + d[lane] * r);
+        let norm = self.norm[lane];
+        if norm == 0.0 {
+            0.0
+        } else {
+            (dot / norm).clamp(-1.0, 1.0)
         }
-        (dot / self.norm).clamp(-1.0, 1.0)
     }
+}
 
-    /// Pearson correlation of the loaded voxel against `rv`.
-    fn correlate(&self, rv: &ReferenceVector) -> f64 {
-        let mut dot = 0.0;
-        for (d, r) in self.d.iter().zip(&rv.values) {
-            dot += d * r;
+/// The best raster point of each lane, with its correlation: `dots[j][v]`
+/// is lane `v`'s dot product with point `j`. Per lane it is the first
+/// strict improvement over `f64::MIN` in point order, so of equal
+/// (`==`, ±0.0 alike) scores the first wins, a NaN score never does, and
+/// a lane of NaNs keeps point 0 with `f64::MIN`. The lanes run side by
+/// side: one vector divide, clamp, compare and select per point. A lane
+/// of norm 0 scores 0 everywhere, so point 0 wins it with 0; it is
+/// divided like the rest and its result set afterwards, which keeps the
+/// walk free of branches.
+#[inline(always)]
+fn best_points<const V: usize>(dots: &[[f64; V]], norm: &[f64; V]) -> ([usize; V], [f64; V]) {
+    let mut best = [f64::MIN; V];
+    let mut at = [0; V];
+    for (j, dots) in dots.iter().enumerate() {
+        for v in 0..V {
+            let c = (dots[v] / norm[v]).clamp(-1.0, 1.0);
+            let up = c > best[v];
+            best[v] = if up { c } else { best[v] };
+            at[v] = if up { j } else { at[v] };
         }
-        self.score(dot)
     }
+    for v in 0..V {
+        if norm[v] == 0.0 {
+            (at[v], best[v]) = (0, 0.0);
+        }
+    }
+    (at, best)
 }
 
 /// The raster's reference vectors as one scan-major table, so a block of
@@ -180,17 +214,16 @@ impl Raster {
         Raster { points, table }
     }
 
-    /// `dots[v * R + j]` = the dot product of `block[v]` with point `j`'s
-    /// vector, for the first `V` voxels of `block` and all `R` points:
-    /// whole tiles of [`TILE_REFS`] points, then the ragged rest one
-    /// point at a time.
+    /// `dots[j][v]` = the dot product of lane `v` of `block` with point
+    /// `j`'s vector, for all `R` points: whole tiles of `J` points, then
+    /// the ragged rest one point at a time.
     #[inline(always)]
-    fn dots<const V: usize>(&self, block: &[CentredVoxel], dots: &mut [f64]) {
+    fn dots<const V: usize, const J: usize>(&self, block: &CentredBlock<V>, dots: &mut [[f64; V]]) {
         let r = self.points.len();
         let mut j0 = 0;
-        while j0 + TILE_REFS <= r {
-            self.tile::<V, TILE_REFS>(block, j0, dots);
-            j0 += TILE_REFS;
+        while j0 + J <= r {
+            self.tile::<V, J>(block, j0, dots);
+            j0 += J;
         }
         for j in j0..r {
             self.tile::<V, 1>(block, j, dots);
@@ -200,31 +233,26 @@ impl Raster {
     /// One register tile: `V × J` accumulators, one per (voxel, point)
     /// pair, over one walk of the scans. Each starts at `+0.0` and adds
     /// `d[t] * r[t]` in scan order with a separate multiply and add, so
-    /// it rounds exactly as [`CentredVoxel::correlate`]'s `dot` does;
+    /// it rounds exactly as [`CentredBlock::correlate`]'s `dot` does;
     /// only the interleaving of pairs differs.
     #[inline(always)]
     fn tile<const V: usize, const J: usize>(
         &self,
-        block: &[CentredVoxel],
+        block: &CentredBlock<V>,
         j0: usize,
-        dots: &mut [f64],
+        dots: &mut [[f64; V]],
     ) {
         let r = self.points.len();
-        let scans = self.table.len() / r;
-        let d: [&[f64]; V] = std::array::from_fn(|v| &block[v].d[..scans]);
-        let mut acc = [[0.0f64; J]; V];
-        for (t, row) in self.table.chunks_exact(r).enumerate() {
-            let row = &row[j0..j0 + J];
-            for (acc, d) in acc.iter_mut().zip(&d) {
-                let x = d[t];
-                for (a, &y) in acc.iter_mut().zip(row) {
-                    *a += x * y;
+        let mut acc = [[0.0f64; V]; J];
+        for (row, d) in self.table.chunks_exact(r).zip(&block.d) {
+            let y: &[f64; J] = row[j0..j0 + J].try_into().expect("J points");
+            for j in 0..J {
+                for v in 0..V {
+                    acc[j][v] += d[v] * y[j];
                 }
             }
         }
-        for (v, acc) in acc.iter().enumerate() {
-            dots[v * r + j0..v * r + j0 + J].copy_from_slice(acc);
-        }
+        dots[j0..j0 + J].copy_from_slice(&acc);
     }
 }
 
@@ -263,9 +291,15 @@ pub fn optimize(
     let raster = Raster::new(stimulus, bounds, steps);
     let shared =
         Chunk { series, stimulus, bounds, raster: &raster, steps, refine_iters, mask, base: 0 };
-    // Which instance of the raster this host runs, read once.
+    // Which instance of the raster this host runs, read once: the widest.
     #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    let fit = if std::arch::is_x86_feature_detected!("avx512f") {
+        fit_chunk_avx512
+    } else if std::arch::is_x86_feature_detected!("avx2") {
+        fit_chunk_avx2
+    } else {
+        fit_chunk::<4, 4>
+    };
 
     let evaluations = AtomicU64::new(0);
     let n_vox = dims.len();
@@ -281,14 +315,10 @@ pub fn optimize(
     gtw_par::for_each(chunks, |(k, ((d, w), c))| {
         let job = Chunk { base: k * VOXEL_CHUNK, ..shared };
         #[cfg(target_arch = "x86_64")]
-        let evals = if avx2 {
-            // SAFETY: `avx2` is set only when this CPU reports AVX2.
-            unsafe { fit_chunk_avx2(&job, d, w, c) }
-        } else {
-            fit_chunk(&job, d, w, c)
-        };
+        // SAFETY: `fit` is an instance whose target features this CPU reported.
+        let evals = unsafe { fit(&job, d, w, c) };
         #[cfg(not(target_arch = "x86_64"))]
-        let evals = fit_chunk(&job, d, w, c);
+        let evals = fit_chunk::<4, 4>(&job, d, w, c);
         // An integer sum: the one cross-chunk reduction, order-free.
         evaluations.fetch_add(evals, Ordering::Relaxed);
     });
@@ -318,16 +348,22 @@ struct Chunk<'a> {
 }
 
 /// Fit the voxels of `job` into `d_chunk`, `w_chunk` and `c_chunk` (one
-/// entry per voxel, from `job.base` on) and return the evaluations made.
-/// Always inlined, together with the raster kernels it calls, so each
-/// instance — this baseline one and [`fit_chunk_avx2`] — compiles the
-/// whole fit for its own vector width.
+/// entry per voxel, from `job.base` on) and return the evaluations made,
+/// `V` voxels and `J` raster points per register tile. Always inlined,
+/// together with the raster kernels it calls, so each instance — this
+/// baseline one at 4 × 4, [`fit_chunk_avx2`] and [`fit_chunk_avx512`] —
+/// compiles the whole fit for its own vector width.
 #[inline(always)]
-fn fit_chunk(job: &Chunk, d_chunk: &mut [f32], w_chunk: &mut [f32], c_chunk: &mut [f32]) -> u64 {
+fn fit_chunk<const V: usize, const J: usize>(
+    job: &Chunk,
+    d_chunk: &mut [f32],
+    w_chunk: &mut [f32],
+    c_chunk: &mut [f32],
+) -> u64 {
     let raster = job.raster;
     let r = raster.points.len();
     // Masked voxels take the canonical parameters; the rest are fitted
-    // in blocks of `TILE_VOXELS`, in voxel order.
+    // in blocks of `V`, in voxel order.
     let mut fitted = Vec::with_capacity(d_chunk.len());
     for (i, (d_out, w_out)) in d_chunk.iter_mut().zip(w_chunk.iter_mut()).enumerate() {
         if job.mask.is_some_and(|m| !m[job.base + i]) {
@@ -337,42 +373,28 @@ fn fit_chunk(job: &Chunk, d_chunk: &mut [f32], w_chunk: &mut [f32], c_chunk: &mu
             fitted.push(i);
         }
     }
-    let mut block: Vec<CentredVoxel> =
-        (0..TILE_VOXELS).map(|_| CentredVoxel::new(job.series.len())).collect();
-    let mut dots = vec![0.0; TILE_VOXELS * r];
+    let mut block = CentredBlock::<V>::new(job.series.len());
+    let mut dots = vec![[0.0; V]; r];
     let mut evals = 0u64;
-    let (d0, w0) = raster.points[0];
-    for ids in fitted.chunks(TILE_VOXELS) {
-        for (voxel, &i) in block.iter_mut().zip(ids) {
-            voxel.load(job.series, job.base + i);
-        }
-        if ids.len() == TILE_VOXELS {
-            raster.dots::<TILE_VOXELS>(&block, &mut dots);
+    for ids in fitted.chunks(V) {
+        // A run of `V` neighbours is one `V`-wide read per volume, a masked
+        // or ragged block a lane at a time; lanes past a ragged block's end
+        // keep stale voxels whose fits are not read.
+        if ids.len() == V && ids[V - 1] - ids[0] == V - 1 {
+            block.load::<V>(job.series, job.base + ids[0], 0);
         } else {
-            for v in 0..ids.len() {
-                raster.dots::<1>(&block[v..], &mut dots[v * r..]);
+            for (lane, &i) in ids.iter().enumerate() {
+                block.load::<1>(job.series, job.base + i, lane);
             }
         }
-        for ((voxel, &i), dots) in block.iter().zip(ids).zip(dots.chunks_exact(r)) {
-            // Raster, in point order.
-            let mut best = (d0, w0, f64::MIN);
-            for (&(d, w), &dot) in raster.points.iter().zip(dots) {
-                let c = voxel.score(dot);
-                evals += 1;
-                if c > best.2 {
-                    best = (d, w, c);
-                }
-            }
+        raster.dots::<V, J>(&block, &mut dots);
+        let (at, best) = best_points(&dots, &block.norm);
+        for (lane, &i) in ids.iter().enumerate() {
+            let (d, w) = raster.points[at[lane]];
+            let mut best = (d, w, best[lane]);
+            evals += r as u64;
             if job.refine_iters > 0 {
-                best = refine(
-                    voxel,
-                    job.stimulus,
-                    job.bounds,
-                    job.steps,
-                    job.refine_iters,
-                    best,
-                    &mut evals,
-                );
+                best = refine(job, |rv| block.correlate(lane, rv), best, &mut evals);
             }
             d_chunk[i] = best.0 as f32;
             w_chunk[i] = best.1 as f32;
@@ -382,46 +404,53 @@ fn fit_chunk(job: &Chunk, d_chunk: &mut [f32], w_chunk: &mut [f32], c_chunk: &mu
     evals
 }
 
-/// [`fit_chunk`] compiled for AVX2: its register tiles take four `f64`
-/// lanes where the baseline x86-64 target has two. The separate
-/// multiplies and adds run in the same order per accumulator (Rust never
-/// fuses them), so every output has the baseline instance's bits.
+/// [`fit_chunk`] compiled for AVX2, 4 × 4 tiles: four `f64` lanes where
+/// the baseline x86-64 target has two. The separate multiplies and adds
+/// run in the same order per accumulator (Rust never fuses them), so
+/// every output has the baseline instance's bits.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn fit_chunk_avx2(
-    job: &Chunk,
-    d_chunk: &mut [f32],
-    w_chunk: &mut [f32],
-    c_chunk: &mut [f32],
-) -> u64 {
-    fit_chunk(job, d_chunk, w_chunk, c_chunk)
+unsafe fn fit_chunk_avx2(job: &Chunk, d: &mut [f32], w: &mut [f32], c: &mut [f32]) -> u64 {
+    fit_chunk::<4, 4>(job, d, w, c)
+}
+
+/// [`fit_chunk`] compiled for AVX-512F, 8 × 8 tiles: a block of eight
+/// voxels is one eight-lane vector, and a tile's 64 accumulators are
+/// eight of the 32 vector registers (a tile that size spills on AVX2's
+/// 16). The same bits as the baseline instance, for the same reason.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fit_chunk_avx512(job: &Chunk, d: &mut [f32], w: &mut [f32], c: &mut [f32]) -> u64 {
+    fit_chunk::<8, 8>(job, d, w, c)
 }
 
 /// Optional refinement of the `(delay, dispersion, correlation)` `best`
-/// found on a raster of `steps` points per axis: `iters` rounds of
-/// per-axis parabolic steps with radius halving from half a raster
-/// step, the CG-flavoured local search of the paper's outlook. Every
-/// candidate is one more evaluation.
+/// that `job`'s raster found for the voxel `correlate` scores:
+/// `job.refine_iters` rounds of per-axis parabolic steps with radius
+/// halving from half a raster step, the CG-flavoured local search of the
+/// paper's outlook. Every candidate is one more evaluation.
 fn refine(
-    voxel: &CentredVoxel,
-    stimulus: &Stimulus,
-    bounds: RvoBounds,
-    steps: (usize, usize),
-    iters: usize,
+    job: &Chunk,
+    correlate: impl Fn(&ReferenceVector) -> f64,
     (mut best_d, mut best_w, mut best_c): (f64, f64, f64),
     evals: &mut u64,
 ) -> (f64, f64, f64) {
+    let (bounds, steps) = (job.bounds, job.steps);
     let mut h_d = (bounds.delay_s.1 - bounds.delay_s.0) / (steps.0 - 1) as f64 / 2.0;
     let mut h_w = (bounds.dispersion_s.1 - bounds.dispersion_s.0) / (steps.1 - 1) as f64 / 2.0;
     let mut eval = |d: f64, w: f64| {
         *evals += 1;
-        voxel.correlate(&ReferenceVector::from_stimulus(stimulus, d, w))
+        correlate(&ReferenceVector::from_stimulus(job.stimulus, d, w))
     };
-    for _ in 0..iters {
+    for _ in 0..job.refine_iters {
         // Delay axis.
         let lo = (best_d - h_d).max(bounds.delay_s.0);
         let hi = (best_d + h_d).min(bounds.delay_s.1);
@@ -687,17 +716,82 @@ mod tests {
         }
     }
 
+    /// An instance of [`fit_chunk`].
+    type Fit = unsafe fn(&Chunk, &mut [f32], &mut [f32], &mut [f32]) -> u64;
+
+    /// The scoring walk as it was before it ran on lanes: one voxel,
+    /// its points in order, the first strict improvement over
+    /// `f64::MIN`.
+    fn reference_walk(dots: impl Iterator<Item = f64>, norm: f64) -> (usize, f64) {
+        let mut best = (0, f64::MIN);
+        for (j, dot) in dots.enumerate() {
+            let c = if norm == 0.0 { 0.0 } else { (dot / norm).clamp(-1.0, 1.0) };
+            if c > best.1 {
+                best = (j, c);
+            }
+        }
+        best
+    }
+
+    /// [`best_points`] on random lanes of `r` points against
+    /// [`reference_walk`] per lane, bit for bit.
+    fn scorer_matches_the_walk<const V: usize>(r: usize, seed: u64) -> Result<(), TestCaseError> {
+        let mut rng = StreamRng::new(seed, "rvo-scorer");
+        let norm: [f64; V] = std::array::from_fn(|_| match rng.below(8) {
+            0 => 0.0,
+            1 => f64::NAN,
+            2 => 1e-300,
+            _ => rng.uniform_in(0.5, 4.0),
+        });
+        // Few distinct values, so exact ties are common; ±0.0, values past
+        // ±norm (scores clamped to ±1), NaN, and some lanes all NaN.
+        let all_nan: [bool; V] = std::array::from_fn(|_| rng.below(6) == 0);
+        let dots: Vec<[f64; V]> = (0..r)
+            .map(|_| {
+                std::array::from_fn(|v| match rng.below(9) {
+                    _ if all_nan[v] => f64::NAN,
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::NAN,
+                    3 => 9.0 * norm[v],
+                    4 => -9.0 * norm[v],
+                    k => (k as f64 - 6.0) * 0.25,
+                })
+            })
+            .collect();
+        let (at, best) = best_points(&dots, &norm);
+        for v in 0..V {
+            let (j, c) = reference_walk(dots.iter().map(|d| d[v]), norm[v]);
+            prop_assert!(
+                (at[v], best[v].to_bits()) == (j, c.to_bits()),
+                "lane {v} of {V}, norm {}: ({}, {}) against ({j}, {c})",
+                norm[v],
+                at[v],
+                best[v]
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The AVX2 instance of [`fit_chunk`] has the baseline one's bits
-        /// and evaluation count: ragged voxel tiles and point tiles, any
-        /// scan count and grid, the full raster and the refined one, with
-        /// and without a mask, over constant, non-finite and signed-zero
-        /// voxels, in a chunk that starts anywhere.
+        /// The lane-parallel scorer picks each lane's point and score as
+        /// the point-by-point walk did, at both tile widths.
+        #[test]
+        fn lane_parallel_scorer_matches_the_point_walk(r in 1usize..40, seed in any::<u64>()) {
+            scorer_matches_the_walk::<4>(r, seed)?;
+            scorer_matches_the_walk::<8>(r, seed)?;
+        }
+
+        /// Every instance of [`fit_chunk`] this CPU can run has the
+        /// baseline one's bits and evaluation count: ragged and masked
+        /// voxel blocks, ragged point tiles, any scan count and grid, the
+        /// full raster and the refined one, over constant, non-finite and
+        /// signed-zero voxels, in a chunk that starts anywhere.
         #[cfg(target_arch = "x86_64")]
         #[test]
-        fn both_instances_fit_every_chunk_alike(
+        fn every_instance_fits_every_chunk_alike(
             shape in (0usize..2700, 0usize..8),
             scans in 1usize..=40,
             steps in (2usize..15, 2usize..9),
@@ -705,10 +799,6 @@ mod tests {
             masked in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                eprintln!("no AVX2 on this host: only the baseline instance runs, nothing compared");
-                return Ok(());
-            }
             let (voxels, skip) = shape;
             let dims = Dims::new(voxels, 1, 1);
             let mut rng = StreamRng::new(seed, "rvo-instances");
@@ -748,29 +838,37 @@ mod tests {
                 base: skip.min(voxels),
             };
             let len = voxels - job.base;
-            let mut baseline = [vec![0.0f32; len], vec![0.0; len], vec![0.0; len]];
-            let mut avx2 = baseline.clone();
-            let [d, w, c] = &mut baseline;
-            let baseline_evals = fit_chunk(&job, d, w, c);
-            let [d, w, c] = &mut avx2;
-            // SAFETY: this CPU reported AVX2 above.
-            let avx2_evals = unsafe { fit_chunk_avx2(&job, d, w, c) };
-            let bits = |out: [Vec<f32>; 3]| {
-                out.map(|m| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            let run = |fit: Fit| {
+                let mut out = [vec![0.0f32; len], vec![0.0; len], vec![0.0; len]];
+                let [d, w, c] = &mut out;
+                // SAFETY: only instances whose features this CPU reported
+                // are passed in.
+                let evals = unsafe { fit(&job, d, w, c) };
+                (out.map(|m| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>()), evals)
             };
-            prop_assert!(
-                bits(baseline) == bits(avx2),
-                "{len} voxels from {} × {scans} scans, grid {steps:?}, refine {refine:?}",
-                job.base
-            );
-            prop_assert_eq!(baseline_evals, avx2_evals);
+            let baseline = run(fit_chunk::<4, 4>);
+            let wide: [(&str, bool, Fit); 2] = [
+                ("AVX2", std::arch::is_x86_feature_detected!("avx2"), fit_chunk_avx2),
+                ("AVX-512F", std::arch::is_x86_feature_detected!("avx512f"), fit_chunk_avx512),
+            ];
+            for (name, present, fit) in wide {
+                if !present {
+                    eprintln!("no {name} on this host: its instance is not compared");
+                    continue;
+                }
+                prop_assert!(
+                    run(fit) == baseline,
+                    "{name}: {len} voxels from {} × {scans} scans, grid {steps:?}, refine {refine:?}",
+                    job.base
+                );
+            }
         }
     }
 
     #[cfg(not(target_arch = "x86_64"))]
     #[test]
-    fn both_instances_fit_every_chunk_alike() {
-        eprintln!("no AVX2 instance on this target: nothing compared");
+    fn every_instance_fits_every_chunk_alike() {
+        eprintln!("only the baseline instance exists on this target: nothing compared");
     }
 
     #[test]

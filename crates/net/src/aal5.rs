@@ -214,7 +214,7 @@ impl Reassembler {
         // A well-formed PDU is a nonzero multiple of the cell payload
         // size; anything else (e.g. an end cell with no preceding data
         // from a hand-built cell stream) is an error, not a panic.
-        if pdu.len() < TRAILER_BYTES || pdu.len() % ATM_PAYLOAD_BYTES != 0 {
+        if pdu.len() < TRAILER_BYTES || !pdu.len().is_multiple_of(ATM_PAYLOAD_BYTES) {
             self.pdus_err += 1;
             self.errs_length += 1;
             return Err(ReassemblyError::LengthMismatch);

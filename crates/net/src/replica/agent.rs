@@ -253,7 +253,7 @@ impl ReplicatedAgent {
     /// fully acknowledged, so the replicated dedup table stays bounded.
     fn maybe_ack(&mut self, ctx: &mut Ctx<'_>) {
         self.completed_reqs += 1;
-        if self.completed_reqs % 32 != 0 {
+        if !self.completed_reqs.is_multiple_of(32) {
             return;
         }
         let floor = match self.pending.keys().next() {

@@ -40,7 +40,7 @@ impl ReplicaGroup {
         cfg: GroupConfig,
     ) -> Result<Self, String> {
         let label = label.into();
-        if n % 2 == 0 {
+        if n.is_multiple_of(2) {
             return Err(format!(
                 "replica group '{label}': even size {n} has degenerate majority math; \
                  use 2f+1 (odd) replicas"

@@ -148,9 +148,9 @@ impl DataSize {
 
 impl fmt::Display for DataSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1024 * 1024 && self.0 % (1024 * 1024) == 0 {
+        if self.0 >= 1024 * 1024 && self.0.is_multiple_of(1024 * 1024) {
             write!(f, "{} MiB", self.0 / (1024 * 1024))
-        } else if self.0 >= 1024 && self.0 % 1024 == 0 {
+        } else if self.0 >= 1024 && self.0.is_multiple_of(1024) {
             write!(f, "{} KiB", self.0 / 1024)
         } else {
             write!(f, "{} B", self.0)

@@ -105,6 +105,14 @@ gone "an item no paper number reached is back" \
 # non-test lines of crates/{fire,viz,core}/src, 5290 before, 4662 before
 # Figure 2's quoted stage budgets were deleted.
 budget 4652 crates/fire/src/*.rs crates/viz/src/*.rs crates/core/src/*.rs
+# Third pass, the items only tests called: the clip threshold of the
+# cumulative map, the per-voxel-list detrend, the pipeline's RVO stage
+# and the catalogue's peak and PE totals. And the RVO raster's scalar
+# per-voxel centring and its fixed 4 × 4 tile, which the per-instance
+# tile shape and the block gather replaced.
+gone "an item only tests called is back" \
+    '\b(thresholded|detrend_all|run_rvo|peak_gflops|total_pes|CentredVoxel|TILE_VOXELS|TILE_REFS)\b' \
+    '*.rs' ':!crates/gtw-benchmark/'
 # Figure 2's stage budget is stated once, by `gtw_core::scenario::
 # FmriScenario`: the quoted copies, the RT session's stamped delays and
 # the X2 `pipeline` bin built on them stay deleted (`'^'` matches any
@@ -388,9 +396,12 @@ test "$(sort -u "$trace_tmp/real_a.json" | tr -d ' ,')" = '"digest":"04cb5b6e2fc
 # `rvo.rs`.
 timeout 300 cargo test -q -p gtw-fire --test rvo_pinned
 timeout 300 cargo test -q -p gtw-fire --test proptests blocked_raster
-# One chunk fit, compiled twice: the baseline instance and an AVX2 one
-# chosen at run time must agree bit for bit over random chunks.
-timeout 300 cargo test -q -p gtw-fire --lib both_instances_fit_every_chunk_alike
+# One chunk fit, compiled three times: the AVX2 and AVX-512F instances
+# chosen at run time must agree with the baseline one bit for bit over
+# random chunks, and the lane-parallel scorer with the point-by-point
+# walk it replaced over random dot products.
+timeout 300 cargo test -q -p gtw-fire --lib every_instance_fits_every_chunk_alike
+timeout 300 cargo test -q -p gtw-fire --lib lane_parallel_scorer_matches_the_point_walk
 rvo_rs=crates/fire/src/rvo.rs
 if nontest '{print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
     grep -E 'Vec<\(f64, f64, ReferenceVector\)>|for \(d, w, rv\) in'; then
@@ -418,25 +429,26 @@ if nontest '/fz \* \(c1 - c0\)/ && FILENAME != "crates/scan/src/volume.rs" {prin
     echo "check.sh: a second trilinear body is back outside crates/scan/src/volume.rs (see above)" >&2
     exit 1
 fi
-# The AVX2 instance is the only `unsafe` in the non-test sources (the
-# frozen benchmark crate aside): its `unsafe fn` declaration, which the
-# 1.85 MSRV still requires of a `#[target_feature]` function, and the one
-# dispatch that calls it, with a `// SAFETY:` line directly above.
+# The wide RVO instances are the only `unsafe` in the non-test sources
+# (the frozen benchmark crate aside): the two `unsafe fn` declarations of
+# `#[target_feature]` functions, and the one dispatch that calls the
+# instance `optimize` picked, with a `// SAFETY:` line directly above.
 unsafe_uses=$(nontest '
     FILENAME != file {file = FILENAME; prev = ""}
     /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
         kind = "other"
-        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx2\(/) kind = "decl"
-        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit_chunk_avx2\(/ && prev ~ /^ *\/\/ SAFETY: /) kind = "dispatch"
+        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx2\(/) kind = "decl_avx2"
+        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx512\(/) kind = "decl_avx512"
+        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit\(/ && prev ~ /^ *\/\/ SAFETY: /) kind = "dispatch"
         print kind " " FILENAME ":" FNR ": " $0
     }
     {prev = $0}' $(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/'))
-if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != "decl dispatch " ]; then
+if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != "decl_avx2 decl_avx512 dispatch " ]; then
     printf '%s\n' "$unsafe_uses" >&2
-    echo "check.sh: non-test sources must hold exactly one unsafe block, the RVO dispatch under a // SAFETY: line, beside its unsafe fn fit_chunk_avx2 (see above)" >&2
+    echo "check.sh: non-test sources must hold exactly one unsafe block, the RVO dispatch under a // SAFETY: line, beside the unsafe fn declarations of fit_chunk_avx2 and fit_chunk_avx512 (see above)" >&2
     exit 1
 fi
-# Both instances are one body, vectorised by the compiler: no FMA (it
+# All instances are one body, vectorised by the compiler: no FMA (it
 # would round differently from the baseline instance) and no hand-written
 # intrinsics in the non-test `rvo.rs`.
 if nontest '{print FILENAME ":" FNR ": " $0}' "$rvo_rs" |

@@ -9,7 +9,7 @@ use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_fire::analysis::score_detection;
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
 use gtw_fire::realtime::{run_chain, ChainMode};
-use gtw_fire::rvo::{intensity_mask, recovery_error, RvoMethod};
+use gtw_fire::rvo::{intensity_mask, optimize, recovery_error, RvoBounds, RvoMethod};
 use gtw_net::ip::IpConfig;
 use gtw_scan::acquire::{Scanner, ScannerConfig};
 use gtw_scan::hrf::ReferenceVector;
@@ -56,8 +56,9 @@ fn scan_process_display_chain() {
 
 #[test]
 fn rvo_recovers_subject_hrf_end_to_end() {
-    // A subject with a non-canonical HRF: the full chain (scanner with
-    // true delay 7.5 s -> FIRE -> RVO) must recover the parameters.
+    // A subject with a non-canonical HRF: the chain (scanner with true
+    // delay 7.5 s -> RVO over the acquired series) must recover the
+    // parameters.
     let mut cfg = ScannerConfig::paper_default(48, 77);
     cfg.dims = Dims::new(24, 24, 6);
     cfg.noise_sd = 2.0;
@@ -66,25 +67,14 @@ fn rvo_recovers_subject_hrf_end_to_end() {
     cfg.true_delay_s = 7.5;
     cfg.true_dispersion_s = 1.4;
     let scanner = Scanner::new(cfg, Phantom::standard());
-    let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-    let mut fire = FirePipeline::new(
-        FireConfig {
-            median_filter: false,
-            motion_correction: false,
-            detrend: None,
-            ..FireConfig::default()
-        },
-        scanner.config().dims,
-        rv,
-    );
-    for t in 0..scanner.scan_count() {
-        fire.process(&scanner.acquire(t));
-    }
+    let series: Vec<_> = (0..scanner.scan_count()).map(|t| scanner.acquire(t)).collect();
     // Only strongly activated voxels carry HRF information.
     let amp = scanner.activation();
     let mask: Vec<bool> = amp.data.iter().map(|&a| a > 0.02).collect();
     assert!(mask.iter().any(|&b| b), "no activated voxels in mask");
-    let rvo = fire.run_rvo(&scanner.config().stimulus, RvoMethod::paper_grid(), Some(&mask));
+    let stimulus = &scanner.config().stimulus;
+    let rvo =
+        optimize(&series, stimulus, RvoBounds::default(), RvoMethod::paper_grid(), Some(&mask));
     let (d_err, w_err) = recovery_error(&rvo, &mask, 7.5, 1.4);
     assert!(d_err < 1.0, "delay error {d_err}");
     assert!(w_err < 0.6, "dispersion error {w_err}");
