@@ -10,10 +10,11 @@
 //! Both are vectorised across x. Per output row the nine edge-clamped
 //! source rows are copied once into x-padded buffers, so neighbour `k`
 //! of every voxel of the row is one contiguous, shifted slice. The
-//! average adds the 27 slices into the output row; the median takes
-//! [`LANES`] neighbouring voxels at a time and runs one selection step
-//! on all lanes at once (plain `[f32; LANES]` loops, which LLVM turns
-//! into SSE `minps`/`maxps`).
+//! average adds the 27 slices into the output row; the median takes a
+//! block of neighbouring voxels at a time and runs each selection step
+//! on all its lanes at once: 16 in one AVX-512F register where the CPU
+//! has it (`vminps`/`vmaxps`), else 8 (`[f32; 8]` loops, which LLVM turns
+//! into SSE `minps`/`maxps`). The instance is chosen once per call.
 //!
 //! **Median.** [`median27`] is a selection network of compare-exchanges
 //! (`if b < a { swap }`) run by *forgetful selection*: of any 15 of the
@@ -33,24 +34,20 @@
 
 use gtw_scan::volume::Volume;
 
-/// Output voxels per step of the median network: neighbours along x,
-/// one per lane.
+/// Output voxels per step of the median network, one per lane; rows are
+/// padded to whole blocks of the AVX-512F instance's [`WIDE_LANES`].
 const LANES: usize = 8;
+const WIDE_LANES: usize = 16;
 type Lanes = [f32; LANES];
 
 /// 3×3×3 median filter (the FIRE noise-reduction module).
 pub fn median_filter(vol: &Volume) -> Volume {
-    filter_rows(vol, |rows, out_row| {
-        for (block, out) in out_row.chunks_mut(LANES).enumerate() {
-            let vals = std::array::from_fn(|k| {
-                // `filter_rows` pads a row to a whole number of blocks,
-                // so the slice is in bounds and exactly `LANES` long.
-                let lanes = &rows.shifted(k)[block * LANES..][..LANES];
-                lanes.try_into().expect("a padded row ends on a whole block")
-            });
-            out.copy_from_slice(&median27(&vals)[..out.len()]);
-        }
-    })
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: this CPU reported AVX-512F, the instance's one feature.
+        return filter_rows(vol, |rows, out_row| unsafe { median_row_avx512(rows, out_row) });
+    }
+    filter_rows(vol, median_row_baseline)
 }
 
 /// 3×3×3 averaging (boxcar) filter (the FIRE smoothing module).
@@ -68,61 +65,97 @@ pub fn average_filter(vol: &Volume) -> Volume {
     })
 }
 
+/// The baseline instance of the median: [`LANES`] voxels a step.
+fn median_row_baseline(rows: &PaddedRows, out_row: &mut [f32]) {
+    for (block, out) in out_row.chunks_mut(LANES).enumerate() {
+        let m = median27(|k| *rows.block::<LANES>(k, block), &|a: Lanes, b: Lanes| {
+            let (mut lo, mut hi) = (a, b);
+            for l in 0..LANES {
+                let swap = b[l] < a[l];
+                lo[l] = if swap { b[l] } else { a[l] };
+                hi[l] = if swap { a[l] } else { b[l] };
+            }
+            (lo, hi)
+        });
+        out.copy_from_slice(&m[..out.len()]);
+    }
+}
+
+/// The AVX-512F instance: [`WIDE_LANES`] voxels a step. `vminps(b, a)`
+/// is `b < a ? b : a` and `vmaxps(a, b)` is `a > b ? a : b`, lane by
+/// lane: the baseline's exchange exactly, NaN payloads and ±0 included,
+/// since both return their second operand unless the comparison holds.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn median_row_avx512(rows: &PaddedRows, out_row: &mut [f32]) {
+    use std::arch::x86_64::*;
+    for (block, out) in out_row.chunks_mut(WIDE_LANES).enumerate() {
+        // SAFETY: a block is 16 readable `f32`s; `loadu` needs no alignment.
+        let load = |k| unsafe { _mm512_loadu_ps(rows.block::<WIDE_LANES>(k, block).as_ptr()) };
+        let m = median27(load, &|a, b| (_mm512_min_ps(b, a), _mm512_max_ps(a, b)));
+        // SAFETY: the mask writes the first `out.len()` ≤ 16 lanes, all in `out`.
+        unsafe { _mm512_mask_storeu_ps(out.as_mut_ptr(), ((1u32 << out.len()) - 1) as u16, m) };
+    }
+}
+
 /// Order lanes of `w[i]` and `w[j]` so that `w[i] <= w[j]` in each.
 #[inline(always)]
-fn compare_exchange(w: &mut [Lanes; 15], i: usize, j: usize) {
-    let (a, b) = (w[i], w[j]);
-    for l in 0..LANES {
-        let swap = b[l] < a[l];
-        w[i][l] = if swap { b[l] } else { a[l] };
-        w[j][l] = if swap { a[l] } else { b[l] };
-    }
+fn compare_exchange<T: Copy>(w: &mut [T; 15], i: usize, j: usize, cx: &impl Fn(T, T) -> (T, T)) {
+    (w[i], w[j]) = cx(w[i], w[j]);
 }
 
 /// One round of forgetful selection on `w[..N]`: move the minimum to
-/// `w[0]` and the maximum to `w[N - 1]`, then forget both: `next` takes
+/// `w[0]` and the maximum to `w[N - 1]`, then forget both: `new` takes
 /// the minimum's place and the next round is one shorter. `N` is a
 /// constant so that every index is one and `w` can live in registers.
 #[inline(always)]
-fn forget_extremes<const N: usize>(w: &mut [Lanes; 15], next: Lanes) {
+fn forget_extremes<const N: usize, T: Copy>(w: &mut [T; 15], new: T, cx: &impl Fn(T, T) -> (T, T)) {
     // Pair the ends inwards: every pair's smaller value goes left, so
     // the minimum is in the left half and the maximum in the right.
     for i in 0..N / 2 {
-        compare_exchange(w, i, N - 1 - i);
+        compare_exchange(w, i, N - 1 - i, cx);
     }
     // An odd N's middle value plays in both halves.
     for i in 1..N.div_ceil(2) {
-        compare_exchange(w, 0, i);
-        compare_exchange(w, N - 1 - i, N - 1);
+        compare_exchange(w, 0, i, cx);
+        compare_exchange(w, N - 1 - i, N - 1, cx);
     }
-    w[0] = next;
+    w[0] = new;
 }
 
-/// Per lane, the median (rank 13) of 27 values; see the module docs.
-fn median27(vals: &[Lanes; 27]) -> Lanes {
-    let mut w = [[0.0f32; LANES]; 15];
-    w.copy_from_slice(&vals[..15]);
-    forget_extremes::<15>(&mut w, vals[15]);
-    forget_extremes::<14>(&mut w, vals[16]);
-    forget_extremes::<13>(&mut w, vals[17]);
-    forget_extremes::<12>(&mut w, vals[18]);
-    forget_extremes::<11>(&mut w, vals[19]);
-    forget_extremes::<10>(&mut w, vals[20]);
-    forget_extremes::<9>(&mut w, vals[21]);
-    forget_extremes::<8>(&mut w, vals[22]);
-    forget_extremes::<7>(&mut w, vals[23]);
-    forget_extremes::<6>(&mut w, vals[24]);
-    forget_extremes::<5>(&mut w, vals[25]);
-    forget_extremes::<4>(&mut w, vals[26]);
-    compare_exchange(&mut w, 0, 1);
-    compare_exchange(&mut w, 1, 2);
-    compare_exchange(&mut w, 0, 1);
+/// Per lane, the median (rank 13) of `vals(0..27)`; see the module docs.
+/// `cx` returns `(min, max)` lane by lane, as `if b < a { swap }` would.
+#[inline(always)]
+fn median27<T: Copy>(vals: impl Fn(usize) -> T, cx: &impl Fn(T, T) -> (T, T)) -> T {
+    let mut w = [vals(0); 15];
+    for (i, w) in w.iter_mut().enumerate().skip(1) {
+        *w = vals(i);
+    }
+    forget_extremes::<15, T>(&mut w, vals(15), cx);
+    forget_extremes::<14, T>(&mut w, vals(16), cx);
+    forget_extremes::<13, T>(&mut w, vals(17), cx);
+    forget_extremes::<12, T>(&mut w, vals(18), cx);
+    forget_extremes::<11, T>(&mut w, vals(19), cx);
+    forget_extremes::<10, T>(&mut w, vals(20), cx);
+    forget_extremes::<9, T>(&mut w, vals(21), cx);
+    forget_extremes::<8, T>(&mut w, vals(22), cx);
+    forget_extremes::<7, T>(&mut w, vals(23), cx);
+    forget_extremes::<6, T>(&mut w, vals(24), cx);
+    forget_extremes::<5, T>(&mut w, vals(25), cx);
+    forget_extremes::<4, T>(&mut w, vals(26), cx);
+    compare_exchange(&mut w, 0, 1, cx);
+    compare_exchange(&mut w, 1, 2, cx);
+    compare_exchange(&mut w, 0, 1, cx);
     w[1]
 }
 
 /// The nine edge-clamped source rows around one output row, each padded
 /// along x: the clamped voxel x = -1, the nx voxels, then the clamped
-/// x = nx repeated to the end of a whole last block of [`LANES`].
+/// x = nx repeated to the end of a whole last block of [`WIDE_LANES`].
 struct PaddedRows {
     buf: Vec<f32>,
     stride: usize,
@@ -135,6 +168,12 @@ impl PaddedRows {
     fn shifted(&self, k: usize) -> &[f32] {
         &self.buf[(k / 3) * self.stride + k % 3..][..self.stride - 2]
     }
+
+    /// Block `b` of `N` lanes of neighbour `k` (rows pad to whole blocks).
+    #[inline(always)]
+    fn block<const N: usize>(&self, k: usize, b: usize) -> &[f32; N] {
+        self.shifted(k)[b * N..][..N].try_into().expect("a padded row ends on a whole block")
+    }
 }
 
 /// Shared kernel driver: `kernel` fills one output row from its padded
@@ -146,7 +185,7 @@ fn filter_rows(vol: &Volume, kernel: impl Fn(&PaddedRows, &mut [f32]) + Sync) ->
     if d.is_empty() {
         return out;
     }
-    let stride = d.nx.next_multiple_of(LANES) + 2;
+    let stride = d.nx.next_multiple_of(WIDE_LANES) + 2;
     gtw_par::for_each(out.data.chunks_mut(d.nx * d.ny).enumerate(), |(z, out_slab)| {
         let mut rows = PaddedRows { buf: vec![0.0f32; 9 * stride], stride };
         for (y, out_row) in out_slab.chunks_mut(d.nx).enumerate() {
@@ -244,6 +283,51 @@ mod tests {
         let v0 = var(&v);
         assert!(var(&median_filter(&v)) < v0 * 0.5);
         assert!(var(&average_filter(&v)) < v0 * 0.2);
+    }
+
+    /// A voxel for the instance comparison: a tie-prone small integer,
+    /// a NaN with a random sign and payload, ±0, ±∞, a subnormal, or
+    /// any bit pattern at all.
+    fn awkward_voxel(rng: &mut gtw_desim::StreamRng) -> f32 {
+        let bits = rng.next_u64() as u32;
+        match rng.below(8) {
+            0 => f32::from_bits(bits | 0x7f80_0001),
+            1 => [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY][rng.below(4) as usize],
+            2 => f32::from_bits(bits & 0x807f_ffff),
+            3 => f32::from_bits(bits),
+            _ => rng.below(7) as f32 - 3.0,
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_median_instance_filters_alike() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            eprintln!("no AVX-512F on this host: its median instance is not compared");
+            return;
+        }
+        let mut rng = gtw_desim::StreamRng::new(44, "median-instances");
+        for nx in [1, 15, 16, 17, 33, 64] {
+            for case in 0..35 {
+                let d = Dims::new(nx, 1 + rng.below(6) as usize, 1 + rng.below(5) as usize);
+                let v =
+                    Volume::from_vec(d, (0..d.len()).map(|_| awkward_voxel(&mut rng)).collect());
+                let bits = |m: Volume| m.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let baseline = bits(filter_rows(&v, median_row_baseline));
+                let wide = bits(filter_rows(&v, |rows, out_row| {
+                    // SAFETY: this CPU reported AVX-512F above.
+                    unsafe { median_row_avx512(rows, out_row) }
+                }));
+                assert!(wide == baseline, "{d:?}, case {case}: the AVX-512F median differs");
+                assert!(bits(median_filter(&v)) == baseline, "{d:?}, case {case}");
+            }
+        }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    #[test]
+    fn every_median_instance_filters_alike() {
+        eprintln!("only the baseline median instance exists on this target: nothing compared");
     }
 
     #[test]

@@ -21,16 +21,17 @@
 //! iteration's base (same parameters, same bits), and the last one
 //! gives `residual_rms`.
 //!
-//! Every trilinear fetch of the fit is a lane of
-//! [`Volume::sample_lanes`]: a point's 12 Jacobian probes are one 12-lane
-//! call, and a residual vector is 8 points per call with its ragged end
-//! one point at a time. Each lane computes the scalar `Volume::sample`
-//! expression in its order (Rust never contracts to FMA), and each
-//! Jacobian entry is still `((v_hi − ref) as f64 − (v_lo − ref) as f64)
-//! · scale`, so the fit has the bits it had one sample at a time.
+//! Every trilinear fetch of the fit is a lane of [`Volume::sample_lanes`]
+//! and every probe position a lane of [`TransformLanes::apply`]: a
+//! point's 12 Jacobian probes are one 12-lane call of each, a residual
+//! vector 8 points per call (its ragged end padded). Each lane computes
+//! the `apply_point` and `Volume::sample` expressions in their order
+//! (Rust never contracts to FMA), and each Jacobian entry is still
+//! `((v_hi − ref) as f64 − (v_lo − ref) as f64) · scale`, so the fit has
+//! the bits it had one sample at a time.
 
-use gtw_scan::motion::RigidTransform;
-use gtw_scan::volume::{lanes_of, Volume};
+use gtw_scan::motion::{RigidTransform, TransformLanes};
+use gtw_scan::volume::Volume;
 
 use crate::filters::average_filter;
 use crate::linalg::{solve, Matrix};
@@ -81,19 +82,6 @@ const POINT_CHUNK: usize = 256;
 /// Sample points per `sample_lanes` call of [`MotionCorrector::residuals`].
 const RESIDUAL_LANES: usize = 8;
 
-/// A trial transform with its rotation matrix built once.
-struct Probe {
-    transform: RigidTransform,
-    rot: [[f32; 3]; 3],
-}
-
-impl Probe {
-    fn new(params: [f32; 6]) -> Self {
-        let transform = RigidTransform::from_params(params);
-        Probe { transform, rot: transform.rotation_matrix() }
-    }
-}
-
 impl MotionCorrector {
     /// Build a corrector; `stride` subsamples the grid (2 or 3 is
     /// realtime-appropriate for 64×64×16), `intensity_floor` excludes
@@ -136,57 +124,41 @@ impl MotionCorrector {
         self.sample_points.len()
     }
 
-    /// Intensity residual of sample point `k` with `moved` seen through
-    /// `probe`.
-    #[inline]
-    fn residual(&self, moved: &Volume, probe: &Probe, k: usize) -> f64 {
-        let centre = self.reference.dims.centre();
-        let (sx, sy, sz) = probe.transform.apply_rotated(&probe.rot, self.sample_points[k], centre);
-        (moved.sample(sx, sy, sz) - self.ref_values[k]) as f64
-    }
-
     /// The residuals of every sample point with `moved` seen through
-    /// `params`: [`RESIDUAL_LANES`] points per `sample_lanes` call, the
-    /// ragged end through [`MotionCorrector::residual`].
+    /// `params`, [`RESIDUAL_LANES`] points per call; the last chunk's
+    /// spare lanes repeat the last point.
     fn residuals(&self, moved: &Volume, params: [f32; 6], out: &mut [f64]) {
-        let probe = Probe::new(params);
+        let probe = TransformLanes::new([RigidTransform::from_params(params); RESIDUAL_LANES]);
         let centre = self.reference.dims.centre();
-        let lanes_end = out.len() - out.len() % RESIDUAL_LANES;
-        let (lanes, tail) = out.split_at_mut(lanes_end);
-        for (c, o) in lanes.chunks_exact_mut(RESIDUAL_LANES).enumerate() {
+        let pts = &self.sample_points;
+        for (c, o) in out.chunks_mut(RESIDUAL_LANES).enumerate() {
             let k = c * RESIDUAL_LANES;
-            let [x, y, z] = lanes_of(|i| {
-                probe.transform.apply_rotated(&probe.rot, self.sample_points[k + i], centre)
-            });
-            let v: [f32; RESIDUAL_LANES] = moved.sample_lanes(x, y, z);
+            let p: [_; RESIDUAL_LANES] = std::array::from_fn(|i| pts[(k + i).min(pts.len() - 1)]);
+            let [x, y, z] = probe.apply([p.map(|p| p.0), p.map(|p| p.1), p.map(|p| p.2)], centre);
+            let v = moved.sample_lanes(x, y, z);
             for (i, o) in o.iter_mut().enumerate() {
                 *o = (v[i] - self.ref_values[k + i]) as f64;
             }
-        }
-        for (i, o) in tail.iter_mut().enumerate() {
-            *o = self.residual(moved, &probe, lanes_end + i);
         }
     }
 
     /// Central-difference Jacobian of the residuals around `params`:
     /// the fused, parallel pass of the module docs. A point's 12 probe
-    /// positions are one `sample_lanes` call.
+    /// positions are one [`TransformLanes::apply`], its 12 samples one
+    /// `sample_lanes` call.
     fn jacobian(&self, moved: &Volume, params: [f32; 6], jac: &mut [[f64; 6]]) {
-        let probes: [[Probe; 2]; 6] = std::array::from_fn(|p| {
-            let (mut lo, mut hi) = (params, params);
-            lo[p] -= EPS[p];
-            hi[p] += EPS[p];
-            [Probe::new(lo), Probe::new(hi)]
-        });
+        // Lane 2p is parameter p's low probe, lane 2p + 1 its high.
+        let probes = TransformLanes::new(std::array::from_fn(|j| {
+            let mut q = params;
+            q[j / 2] += if j % 2 == 0 { -EPS[j / 2] } else { EPS[j / 2] };
+            RigidTransform::from_params(q)
+        }));
         let centre = self.reference.dims.centre();
         gtw_par::for_each(jac.chunks_mut(POINT_CHUNK).enumerate(), |(c, rows)| {
             for (i, row) in rows.iter_mut().enumerate() {
                 let k = c * POINT_CHUNK + i;
-                // Lane 2p is parameter p's low probe, lane 2p + 1 its high.
-                let [x, y, z] = lanes_of(|j| {
-                    let probe = &probes[j / 2][j % 2];
-                    probe.transform.apply_rotated(&probe.rot, self.sample_points[k], centre)
-                });
+                let p = self.sample_points[k];
+                let [x, y, z] = probes.apply([[p.0; 12], [p.1; 12], [p.2; 12]], centre);
                 let v: [f32; 12] = moved.sample_lanes(x, y, z);
                 let rk = self.ref_values[k];
                 for (p, d) in row.iter_mut().enumerate() {

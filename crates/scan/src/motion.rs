@@ -6,14 +6,13 @@
 //! 3-D movement-correction module estimates and undoes them.
 //!
 //! A transform is applied in matrix form: `rotation_matrix()` (three
-//! `sin_cos`) is computed once per transform, and `apply_rotated` maps
-//! each point with nine multiplies. `apply_point` is the same expression
-//! on a freshly built matrix, so both give the same bits.
+//! `sin_cos`) is computed once per transform. [`TransformLanes`] maps `L`
+//! points at once, each through its own transform, each rotation entry
+//! and translation one lane array; `apply_point` is its one-lane case.
 
-use crate::volume::{lanes_of, Volume};
+use crate::volume::Volume;
 
-/// Voxels of a row per [`Volume::sample_lanes`] call in
-/// [`RigidTransform::resample`].
+/// Voxels of a row per `sample_lanes` call in [`RigidTransform::resample`].
 const RESAMPLE_LANES: usize = 8;
 
 /// A rigid-body transform: rotation (Euler angles, radians, applied in
@@ -62,28 +61,11 @@ impl RigidTransform {
         ]
     }
 
-    /// Map a point (about `centre`) through the transform.
+    /// Map a point (about `centre`) through the transform: the one-lane
+    /// case of [`TransformLanes::apply`].
     pub fn apply_point(&self, p: (f32, f32, f32), centre: (f32, f32, f32)) -> (f32, f32, f32) {
-        self.apply_rotated(&self.rotation_matrix(), p, centre)
-    }
-
-    /// [`RigidTransform::apply_point`] with this transform's
-    /// [`RigidTransform::rotation_matrix`] already in hand: a loop over
-    /// points pays the six trig calls once, and maps every point to the
-    /// same bits `apply_point` gives.
-    #[inline]
-    pub fn apply_rotated(
-        &self,
-        r: &[[f32; 3]; 3],
-        p: (f32, f32, f32),
-        centre: (f32, f32, f32),
-    ) -> (f32, f32, f32) {
-        let (px, py, pz) = (p.0 - centre.0, p.1 - centre.1, p.2 - centre.2);
-        (
-            r[0][0] * px + r[0][1] * py + r[0][2] * pz + centre.0 + self.tx,
-            r[1][0] * px + r[1][1] * py + r[1][2] * pz + centre.1 + self.ty,
-            r[2][0] * px + r[2][1] * py + r[2][2] * pz + centre.2 + self.tz,
-        )
+        let [[x], [y], [z]] = TransformLanes::new([*self]).apply([[p.0], [p.1], [p.2]], centre);
+        (x, y, z)
     }
 
     /// Inverse transform (transpose rotation, rotated-negated
@@ -106,28 +88,21 @@ impl RigidTransform {
     /// Resample `vol` through this transform: output voxel `o` takes the
     /// value of the input at `T(o)` (pull/backward warping, trilinear).
     /// One z-slab per `gtw_par::for_each` item, one writer per voxel:
-    /// the same bits at any thread count. A row is sampled
-    /// [`RESAMPLE_LANES`] voxels per [`Volume::sample_lanes`] call and
-    /// its ragged end one voxel at a time.
+    /// the same bits at any thread count. A row is mapped and sampled
+    /// [`RESAMPLE_LANES`] voxels at a time; the lanes past a ragged end
+    /// sample clamped positions nobody reads.
     pub fn resample(&self, vol: &Volume) -> Volume {
         let dims = vol.dims;
         let centre = dims.centre();
-        let r = self.rotation_matrix();
+        let t = TransformLanes::new([*self; RESAMPLE_LANES]);
         let mut out = Volume::zeros(dims);
         let slab = (dims.nx * dims.ny).max(1);
-        let lanes_end = dims.nx - dims.nx % RESAMPLE_LANES;
         gtw_par::for_each(out.data.chunks_mut(slab).enumerate(), |(z, out_slab)| {
             for (y, out_row) in out_slab.chunks_mut(dims.nx).enumerate() {
-                let pull =
-                    |x: usize| self.apply_rotated(&r, (x as f32, y as f32, z as f32), centre);
-                let (lanes, tail) = out_row.split_at_mut(lanes_end);
-                for (c, o) in lanes.chunks_exact_mut(RESAMPLE_LANES).enumerate() {
-                    let [x, y, z] = lanes_of(|i| pull(c * RESAMPLE_LANES + i));
-                    o.copy_from_slice(&vol.sample_lanes::<RESAMPLE_LANES>(x, y, z));
-                }
-                for (i, o) in tail.iter_mut().enumerate() {
-                    let (sx, sy, sz) = pull(lanes_end + i);
-                    *o = vol.sample(sx, sy, sz);
+                for (c, o) in out_row.chunks_mut(RESAMPLE_LANES).enumerate() {
+                    let x = std::array::from_fn(|i| (c * RESAMPLE_LANES + i) as f32);
+                    let [x, y, z] = t.apply([x, [y as f32; _], [z as f32; _]], centre);
+                    o.copy_from_slice(&vol.sample_lanes(x, y, z)[..o.len()]);
                 }
             }
         });
@@ -154,6 +129,37 @@ impl RigidTransform {
     /// From a parameter array.
     pub fn from_params(p: [f32; 6]) -> Self {
         RigidTransform { rx: p[0], ry: p[1], rz: p[2], tx: p[3], ty: p[4], tz: p[5] }
+    }
+}
+
+/// `L` transforms as lane arrays, one per rotation entry and translation.
+pub struct TransformLanes<const L: usize> {
+    rot: [[[f32; L]; 3]; 3],
+    t: [[f32; L]; 3],
+}
+
+impl<const L: usize> TransformLanes<L> {
+    /// Lane `i` applies `ts[i]`.
+    pub fn new(ts: [RigidTransform; L]) -> Self {
+        let rots = ts.map(|t| t.rotation_matrix());
+        let rot = std::array::from_fn(|a| std::array::from_fn(|b| rots.map(|r| r[a][b])));
+        TransformLanes { rot, t: [ts.map(|t| t.tx), ts.map(|t| t.ty), ts.map(|t| t.tz)] }
+    }
+
+    /// Lane `i` maps `(p[0][i], p[1][i], p[2][i])` about `centre` through
+    /// lane `i`'s transform: per axis `a`, `r[a][0]·px + r[a][1]·py +
+    /// r[a][2]·pz + centre[a] + t[a]` in that order (never an FMA).
+    #[inline(always)]
+    pub fn apply(&self, p: [[f32; L]; 3], centre: (f32, f32, f32)) -> [[f32; L]; 3] {
+        let (r, c) = (&self.rot, [centre.0, centre.1, centre.2]);
+        let mut out = [[0.0f32; L]; 3];
+        for (a, out) in out.iter_mut().enumerate() {
+            for i in 0..L {
+                let (px, py, pz) = (p[0][i] - c[0], p[1][i] - c[1], p[2][i] - c[2]);
+                out[i] = r[a][0][i] * px + r[a][1][i] * py + r[a][2][i] * pz + c[a] + self.t[a][i];
+            }
+        }
+        out
     }
 }
 
@@ -238,6 +244,35 @@ mod tests {
         let c = (0.0, 0.0, 0.0);
         let (x, y, z) = t.apply_point((1.0, 0.0, 0.0), c);
         assert!((x - 0.0).abs() < 1e-6 && (y - 1.0).abs() < 1e-6 && z.abs() < 1e-6);
+    }
+
+    #[test]
+    fn lanes_map_as_the_scalar_expression_bit_for_bit() {
+        let mut rng = gtw_desim::StreamRng::new(3, "transform-lanes");
+        let mut draw = |s: f64| rng.uniform_in(-s, s) as f32;
+        for _ in 0..200 {
+            let ts: [RigidTransform; 12] = std::array::from_fn(|_| {
+                RigidTransform::from_params([0.3, 0.3, 0.3, 4.0, 4.0, 4.0].map(&mut draw))
+            });
+            let p: [[f32; 12]; 3] = std::array::from_fn(|_| std::array::from_fn(|_| draw(70.0)));
+            let centre = (draw(40.0), draw(40.0), draw(10.0));
+            let got = TransformLanes::new(ts).apply(p, centre);
+            for (i, t) in ts.iter().enumerate() {
+                // The matrix form as `apply_point` stated it before lanes.
+                let r = t.rotation_matrix();
+                let (px, py, pz) = (p[0][i] - centre.0, p[1][i] - centre.1, p[2][i] - centre.2);
+                let want = [
+                    r[0][0] * px + r[0][1] * py + r[0][2] * pz + centre.0 + t.tx,
+                    r[1][0] * px + r[1][1] * py + r[1][2] * pz + centre.1 + t.ty,
+                    r[2][0] * px + r[2][1] * py + r[2][2] * pz + centre.2 + t.tz,
+                ];
+                for a in 0..3 {
+                    assert_eq!(got[a][i].to_bits(), want[a].to_bits(), "lane {i} axis {a}");
+                }
+                let one = t.apply_point((p[0][i], p[1][i], p[2][i]), centre);
+                assert_eq!([one.0, one.1, one.2].map(f32::to_bits), want.map(f32::to_bits));
+            }
+        }
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl Dims {
     }
 }
 
-/// The `L` points `point(0..L)` as the x, y and z lanes that
-/// [`Volume::sample_lanes`] takes.
-#[inline(always)]
-pub fn lanes_of<const L: usize>(point: impl Fn(usize) -> (f32, f32, f32)) -> [[f32; L]; 3] {
-    let points: [(f32, f32, f32); L] = std::array::from_fn(point);
-    [points.map(|p| p.0), points.map(|p| p.1), points.map(|p| p.2)]
-}
-
 /// A 3-D scalar volume of `f32` voxels.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Volume {
@@ -115,13 +107,13 @@ impl Volume {
 
     /// [`Volume::sample`] at `L` points at once: lane `i` is
     /// `sample(x[i], y[i], z[i])`, bit for bit. Three passes over
-    /// `[_; L]` arrays, the first and last of which the compiler
-    /// vectorises across lanes: clamp, truncate and index; read the
+    /// `[_; L]` arrays, the first and last of which compile to vector
+    /// instructions across lanes: clamp, truncate and index; read the
     /// eight corners from one bounds-checked slice per lane; the seven
-    /// lerps in the scalar order. After the clamp `as i32` truncates as
-    /// `as usize` did (`-0.0` and NaN both to 0), and the index math is
-    /// `i32`, so the volume must hold at most `i32::MAX` voxels (8 GiB
-    /// of `f32`); a larger one panics.
+    /// lerps in the scalar order. After the clamp the truncation sends
+    /// `-0.0` and NaN to 0, as `as usize` did, and the index math is
+    /// `i32`, so the volume must hold at most `i32::MAX` voxels (8 GiB of
+    /// `f32`); a larger one panics.
     #[inline(always)]
     pub fn sample_lanes<const L: usize>(&self, x: [f32; L], y: [f32; L], z: [f32; L]) -> [f32; L] {
         let d = self.dims;
@@ -133,24 +125,33 @@ impl Volume {
             "sample_lanes indexes in i32: {d:?} holds more than i32::MAX voxels"
         );
         let (nx, ny, nz) = (d.nx as i32, d.ny as i32, d.nz as i32);
-        let (hx, hy, hz) = ((d.nx - 1) as f32, (d.ny - 1) as f32, (d.nz - 1) as f32);
-        // Pass 1: the cell's base index, its +1 step along each axis (0
-        // on the last plane, as `min(x0 + 1, n - 1)` gave) and the
-        // fractions.
+        // Pass 1: each axis clamped to [0, h], h below 2³¹ (`(n − 1) as f32`
+        // rounds up to 2³¹ near `i32::MAX`), and truncated as one lane
+        // array (`as i32` converts lane by lane, with NaN fix-ups); then
+        // the cell's base index, its +1 step along each axis (0 on the
+        // last plane, as `min(x0 + 1, n - 1)` gave) and the fractions.
+        let (mut c, mut c0) = ([[0.0f32; L]; 3], [[0i32; L]; 3]);
+        for (a, (v, n)) in [(x, d.nx), (y, d.ny), (z, d.nz)].into_iter().enumerate() {
+            let h = ((n - 1) as f32).min(2_147_483_520.0);
+            for i in 0..L {
+                c[a][i] = v[i].clamp(0.0, h);
+                let t = if c[a][i] >= 0.0 { c[a][i] } else { 0.0 };
+                // SAFETY: the clamp left the lane in [0, h] or NaN, and NaN
+                // became 0, so `t` is finite in [0, 2³¹) and fits an `i32`.
+                c0[a][i] = unsafe { t.to_int_unchecked::<i32>() };
+            }
+        }
         let (mut base, mut ox, mut oy, mut oz) = ([0i32; L], [0i32; L], [0i32; L], [0i32; L]);
         let (mut fx, mut fy, mut fz) = ([0.0f32; L], [0.0f32; L], [0.0f32; L]);
         for i in 0..L {
-            let cx = x[i].clamp(0.0, hx);
-            let cy = y[i].clamp(0.0, hy);
-            let cz = z[i].clamp(0.0, hz);
-            let (x0, y0, z0) = (cx as i32, cy as i32, cz as i32);
+            let (x0, y0, z0) = (c0[0][i], c0[1][i], c0[2][i]);
             base[i] = x0 + nx * (y0 + ny * z0);
             ox[i] = if x0 + 1 < nx { 1 } else { 0 };
             oy[i] = if y0 + 1 < ny { nx } else { 0 };
             oz[i] = if z0 + 1 < nz { nx * ny } else { 0 };
-            fx[i] = cx - x0 as f32;
-            fy[i] = cy - y0 as f32;
-            fz[i] = cz - z0 as f32;
+            fx[i] = c[0][i] - x0 as f32;
+            fy[i] = c[1][i] - y0 as f32;
+            fz[i] = c[2][i] - z0 as f32;
         }
         // Pass 2: the corners, `cXYZ` one step along each axis marked 1.
         let mut c = [[0.0f32; L]; 8];
@@ -413,8 +414,10 @@ mod tests {
             for _ in 0..4 {
                 lanes_match::<1>(&vol, &mut rng).map_err(TestCaseError::fail)?;
                 lanes_match::<3>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+                lanes_match::<4>(&vol, &mut rng).map_err(TestCaseError::fail)?;
                 lanes_match::<8>(&vol, &mut rng).map_err(TestCaseError::fail)?;
                 lanes_match::<12>(&vol, &mut rng).map_err(TestCaseError::fail)?;
+                lanes_match::<16>(&vol, &mut rng).map_err(TestCaseError::fail)?;
             }
         }
     }
@@ -429,6 +432,37 @@ mod tests {
                 lanes_match::<12>(&vol, &mut rng).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn lanes_sample_a_long_axis_whose_last_index_rounds() {
+        // (n − 1) as f32 rounds 2^24 + 1 down to 2^24: both bodies clamp
+        // to the same rounded plane, and truncate alike around it.
+        let dims = Dims::new((1 << 24) + 2, 1, 1);
+        let vol = Volume::from_vec(dims, (0..dims.len()).map(|i| (i % 1000) as f32).collect());
+        let mut rng = gtw_desim::StreamRng::new(5, "sample-lanes-long-axis");
+        for _ in 0..64 {
+            let x: [f32; 16] = std::array::from_fn(|_| match rng.below(3) {
+                0 => (1u64 << 24) as f32 - rng.below(8) as f32,
+                1 => rng.uniform_in(16_777_200.0, 16_777_230.0) as f32,
+                _ => coordinate(&mut rng, dims.nx),
+            });
+            let got = vol.sample_lanes(x, [0.0; 16], [0.0; 16]);
+            for i in 0..16 {
+                assert!(same(got[i], vol.sample_reference(x[i], 0.0, 0.0)), "lane {i} at {}", x[i]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "range start index 2147483520 out of range")]
+    fn lanes_truncate_below_2_31_on_an_axis_near_i32_max() {
+        // (i32::MAX − 1) as f32 rounds up to 2^31, which no i32 holds:
+        // the clamp stops at the largest f32 below it, 2^31 − 128, so
+        // the lanes reach the bounds-checked cell read (there is no
+        // data) at x0 = 2 147 483 520.
+        let vol = Volume { dims: Dims::new(i32::MAX as usize, 1, 1), data: Vec::new() };
+        let _ = vol.sample_lanes([f32::INFINITY; 16], [0.0; 16], [0.0; 16]);
     }
 
     #[test]

@@ -144,9 +144,11 @@ impl Occupancy {
     }
 
     /// Brick coordinates of the cell `Volume::sample` reads `pos` from.
-    #[inline]
+    /// The axes written out: an array `map` here compiled to a call.
+    #[inline(always)]
     fn brick_of(&self, pos: [f32; 3]) -> [usize; 3] {
-        [0, 1, 2].map(|i| pos[i].clamp(0.0, (self.dims[i] - 1) as f32) as usize / BRICK)
+        let axis = |i: usize| pos[i].clamp(0.0, (self.dims[i] - 1) as f32) as usize / BRICK;
+        [axis(0), axis(1), axis(2)]
     }
 
     #[inline]

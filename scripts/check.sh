@@ -415,6 +415,16 @@ fi
 # dims, coordinates and voxels, non-finite ones included.
 timeout 300 cargo test -q -p gtw-fire --test motion_pinned
 timeout 300 cargo test -q -p gtw-scan --lib lanes_sample_as_the_reference_bit_for_bit
+# The probe positions are lanes of one `TransformLanes::apply`, held to
+# the scalar matrix form; the tuple-per-point helpers it replaced stay
+# deleted.
+timeout 300 cargo test -q -p gtw-scan --lib lanes_map_as_the_scalar_expression_bit_for_bit
+gone "a tuple-per-point probe helper is back" '\b(lanes_of|apply_rotated)\b' \
+    '*.rs' ':!crates/gtw-benchmark/'
+# The median network, compiled twice: the AVX-512F instance chosen at
+# run time must filter random volumes (NaN payloads, ±0, ±∞, subnormals,
+# any bits) exactly as the baseline one does.
+timeout 300 cargo test -q -p gtw-fire --lib every_median_instance_filters_alike
 # The setup-time generators: the phantom's three volumes at three shapes
 # and all 64 scans of two seeds, pinned on the commit before the phantom
 # skipped air and texture-free tissue and the scanner drew its noise
@@ -429,31 +439,55 @@ if nontest '/fz \* \(c1 - c0\)/ && FILENAME != "crates/scan/src/volume.rs" {prin
     echo "check.sh: a second trilinear body is back outside crates/scan/src/volume.rs (see above)" >&2
     exit 1
 fi
-# The wide RVO instances are the only `unsafe` in the non-test sources
-# (the frozen benchmark crate aside): the two `unsafe fn` declarations of
-# `#[target_feature]` functions, and the one dispatch that calls the
-# instance `optimize` picked, with a `// SAFETY:` line directly above.
+# The wide instances and the sampler's truncation are the only `unsafe`
+# in the non-test sources (the frozen benchmark crate aside): the three
+# `unsafe fn` declarations of `#[target_feature]` functions (two RVO
+# instances, one median instance); the two dispatches that call the
+# instance `optimize` or `median_filter` picked; the median instance's
+# 16-lane load and masked store; and the one unchecked float-to-int
+# conversion in `Volume::sample_lanes`. Each block has a `// SAFETY:`
+# comment directly above it.
 unsafe_uses=$(nontest '
-    FILENAME != file {file = FILENAME; prev = ""}
+    FILENAME != file {file = FILENAME; safety = 0}
     /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
         kind = "other"
         if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx2\(/) kind = "decl_avx2"
         if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /^unsafe fn fit_chunk_avx512\(/) kind = "decl_avx512"
-        if (FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit\(/ && prev ~ /^ *\/\/ SAFETY: /) kind = "dispatch"
+        if (FILENAME == "crates/fire/src/filters.rs" && $0 ~ /^unsafe fn median_row_avx512\(/) kind = "decl_median"
+        if (safety && FILENAME == "crates/fire/src/rvo.rs" && $0 ~ /unsafe \{ fit\(/) kind = "dispatch"
+        if (safety && FILENAME == "crates/fire/src/filters.rs") {
+            if ($0 ~ /unsafe \{ median_row_avx512\(/) kind = "dispatch_median"
+            if ($0 ~ /unsafe \{ _mm512_loadu_ps\(/) kind = "load_median"
+            if ($0 ~ /unsafe \{ _mm512_mask_storeu_ps\(/) kind = "store_median"
+        }
+        if (safety && FILENAME == "crates/scan/src/volume.rs" && $0 ~ /unsafe \{ t\.to_int_unchecked::<i32>\(\) \}/) kind = "truncate"
         print kind " " FILENAME ":" FNR ": " $0
     }
-    {prev = $0}' $(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/'))
-if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != "decl_avx2 decl_avx512 dispatch " ]; then
+    # Inside a comment block that holds a `// SAFETY:` line.
+    {safety = ($0 ~ /^ *\/\/ SAFETY: /) || (safety && $0 ~ /^ *\/\/ /)}' \
+    $(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/'))
+if [ "$(printf '%s\n' "$unsafe_uses" | cut -d' ' -f1 | sort | tr '\n' ' ')" != \
+    "decl_avx2 decl_avx512 decl_median dispatch dispatch_median load_median store_median truncate " ]; then
     printf '%s\n' "$unsafe_uses" >&2
-    echo "check.sh: non-test sources must hold exactly one unsafe block, the RVO dispatch under a // SAFETY: line, beside the unsafe fn declarations of fit_chunk_avx2 and fit_chunk_avx512 (see above)" >&2
+    echo "check.sh: non-test sources must hold exactly the unsafe items named above, each block under a // SAFETY: comment (see above)" >&2
     exit 1
 fi
-# All instances are one body, vectorised by the compiler: no FMA (it
-# would round differently from the baseline instance) and no hand-written
-# intrinsics in the non-test `rvo.rs`.
-if nontest '{print FILENAME ":" FNR ": " $0}' "$rvo_rs" |
-    grep -E 'mul_add|(^|[^A-Za-z0-9])_mm[0-9]*_|arch::x86(_64)?::'; then
-    echo "check.sh: $rvo_rs names an FMA or a vector intrinsic (see above)" >&2
+# No FMA where the bits are argued from separate multiplies and adds
+# (it would round differently from the baseline or the scalar body): the
+# RVO instances, the median filter, the motion fit, the lane transforms
+# and the trilinear sampler.
+if nontest '/mul_add/ {print FILENAME ":" FNR ": " $0}' "$rvo_rs" crates/fire/src/{filters,motion}.rs \
+    crates/scan/src/{motion,volume}.rs | grep .; then
+    echo "check.sh: an FMA is named where the bits rest on separate multiplies and adds (see above)" >&2
+    exit 1
+fi
+# Vector intrinsics appear only inside the median's AVX-512F instance:
+# the RVO instances are one body the compiler vectorises.
+if nontest '
+    FILENAME == "crates/fire/src/filters.rs" && /^unsafe fn median_row_avx512\(/ {inside = 1}
+    !inside && /(^|[^A-Za-z0-9])_mm[0-9]*_|arch::x86(_64)?::/ {print FILENAME ":" FNR ": " $0}
+    inside && /^}/ {inside = 0}' $(git ls-files 'crates/*/src/*.rs' ':!crates/gtw-benchmark/') | grep .; then
+    echo "check.sh: a vector intrinsic outside median_row_avx512 (see above)" >&2
     exit 1
 fi
 # And no build-wide CPU knob: the wide instance is chosen at run time, so
