@@ -1,7 +1,6 @@
 //! Regenerate **Figure 1**'s quantitative content: the testbed
 //! configuration's throughput matrix, the MTU sweep behind the
-//! "64 KByte MTU" argument, the HiPPI block-size curve, and the
-//! gateway-mode ablation.
+//! "64 KByte MTU" argument, and the HiPPI block-size curve.
 //!
 //! ```text
 //! cargo run --release -p gtw-bench --bin fig1_network
@@ -20,9 +19,6 @@
 //! * `--shards N` — the transfers run on the sharded kernel, split at
 //!   the WAN link. The output is byte-identical to the sequential run
 //!   (that is the kernel's contract and is gated in CI).
-//! * `--stripes N` — every transfer is carried on N parallel TCP streams
-//!   (MPWide-style WAN striping). JSON reports then gain the per-flow
-//!   demux attribution block and a top-level `stripes` key.
 //! * `--kernel-metrics` (needs `--shards N`) — each run report gains the
 //!   `kernel_metrics` summary block and the document a host `meta`
 //!   block; behind a flag so the default sharded output stays
@@ -35,18 +31,15 @@
 //! `--shards N` also the per-shard kernel metrics (events, queue depth,
 //! lookahead utilization, cross-shard events) sampled at each
 //! conservative-window boundary, as counter tracks. In table mode
-//! `--faults` prints the
-//! degraded T3E → SP2 transfer and `--stripes` the striping comparison
-//! instead of the figure; output without any flag is unchanged.
+//! `--faults` prints the degraded T3E → SP2 transfer instead of the
+//! figure.
 
 use gtw_bench::BenchArgs;
 use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_desim::fault::FaultPlan;
 use gtw_desim::{Json, Observer};
-use gtw_net::gateway::{ForwardingMode, Gateway};
 use gtw_net::hippi::HippiChannel;
 use gtw_net::ip::IpConfig;
-use gtw_net::stripe::{adaptive_streams, StripedTransfer};
 use gtw_net::tcp::HopModel;
 use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions};
 use gtw_net::units::DataSize;
@@ -58,9 +51,7 @@ fn wan_plan(faults: Option<u64>, hops: &[HopModel]) -> Option<FaultPlan> {
 }
 
 /// The MTU sweep as a JSON document: one entry per MTU with the goodput
-/// and the full per-hop run report. With `--stripes N` every transfer is
-/// carried on N parallel TCP streams and the reports gain the demux
-/// attribution block (single-stream output is untouched).
+/// and the full per-hop run report.
 fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
     if args.kernel_metrics {
         assert!(args.shards > 0, "--kernel-metrics instruments the sharded kernel; add --shards N");
@@ -81,21 +72,14 @@ fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
             ..RunOptions::default()
         };
         let (ip, window_bytes) = (IpConfig { mtu }, 4 * 1024 * 1024);
-        let mut entry = Json::obj([("mtu", Json::from(mtu))]);
-        let run = if args.stripes > 0 {
-            let xfer = StripedTransfer { hops, ip, bytes, window_bytes, streams: args.stripes };
-            let (report, run) = xfer.run_with(&opts);
-            entry.push("goodput_mbps", Json::from(report.goodput.mbps()));
-            run
-        } else {
-            let xfer = BulkTransfer { hops, ip, bytes, protocol: Protocol::Tcp { window_bytes } };
-            let (report, run) = xfer.run_with(&opts);
-            entry.push("goodput_mbps", Json::from(report.goodput.mbps()));
-            entry.push("predicted_mbps", Json::from(xfer.predict().mbps()));
-            run
-        };
-        entry.push("run", run.to_json());
-        sweep.push(entry);
+        let xfer = BulkTransfer { hops, ip, bytes, protocol: Protocol::Tcp { window_bytes } };
+        let (report, run) = xfer.run_with(&opts);
+        sweep.push(Json::obj([
+            ("mtu", Json::from(mtu)),
+            ("goodput_mbps", Json::from(report.goodput.mbps())),
+            ("predicted_mbps", Json::from(xfer.predict().mbps())),
+            ("run", run.to_json()),
+        ]));
     }
     let mut doc = Json::obj([
         ("experiment", Json::from("mtu_sweep_t3e600_to_e5000")),
@@ -105,48 +89,11 @@ fn emit_json(tb: &GigabitTestbedWest, bytes: u64, args: &BenchArgs) {
     if let Some(seed) = args.faults {
         doc.push("fault_seed", Json::from(seed));
     }
-    if args.stripes > 0 {
-        doc.push("stripes", Json::from(args.stripes as u64));
-    }
     if args.kernel_metrics {
         doc.push("meta", gtw_bench::meta_json(args.shards));
     }
     doc.push("sweep", Json::Arr(sweep));
     println!("{}", doc.pretty());
-}
-
-/// Table mode for `--stripes`: the WAN striping argument on the
-/// T3E-600 → E5000 path — single stream vs N stripes vs the adaptive
-/// stream count the path's BDP asks for.
-fn stripes_table(tb: &GigabitTestbedWest, bytes: u64, streams: usize, shards: usize) {
-    let (path, _, _) = tb.topology.path(tb.t3e_600, tb.e5000).expect("path");
-    let mtu = 9180;
-    let hops = tb.topology.path_hops(&path, mtu);
-    // Each socket stuck at the classic small socket window — the MPWide
-    // scenario: one stream is window-limited on the long-haul path, so
-    // every extra stream adds another window's worth of pipe coverage.
-    let per_stream = 16 * 1024u64;
-    println!(
-        "== WAN striping (T3E-600 -> E5000, {} MiB, {} KiB window per stream) ==",
-        bytes >> 20,
-        per_stream >> 10
-    );
-    println!("{:>8} {:>14} {:>12}", "streams", "goodput", "slowest");
-    let adaptive = adaptive_streams(&hops, IpConfig { mtu }, per_stream);
-    for n in [1usize, streams] {
-        let xfer = StripedTransfer {
-            hops: hops.clone(),
-            ip: IpConfig { mtu },
-            bytes,
-            window_bytes: per_stream * n as u64,
-            streams: n,
-        };
-        let (report, _) = xfer.run_with(&RunOptions { shards, ..RunOptions::default() });
-        let slowest =
-            report.stripes.iter().filter_map(|s| s.elapsed).max().map_or(0.0, |e| e.as_secs_f64());
-        println!("{:>8} {:>9.1} Mb/s {:>10.3} s", n, report.goodput.mbps(), slowest);
-    }
-    println!("streams needed to cover this path's BDP at that window: {adaptive}");
 }
 
 /// Trace one transfer (the MTU-argument configuration at 9180 bytes)
@@ -228,13 +175,6 @@ fn main() {
         return;
     }
 
-    if args.stripes > 0 {
-        // Table mode with striping: the MPWide-style WAN striping
-        // argument, isolated from the default figure output.
-        stripes_table(&tb, bytes, args.stripes, shards);
-        return;
-    }
-
     println!("== Figure 1: measured TCP throughput over the testbed (32 MiB transfers) ==");
     println!(
         "{:<24} {:<24} {:>7} {:>12} {:>12} {:>7}",
@@ -276,21 +216,4 @@ fn main() {
         println!("{:>7} KiB {:>9.1} Mb/s", kib, tp.mbps());
     }
     println!("paper: \"peak performance of 800 Mbit/s when ... large transfer blocks (1 MByte or more) are used\"");
-
-    println!("\n== Gateway ablation: store-and-forward vs cut-through (T3E -> E5000) ==");
-    for mode in [ForwardingMode::StoreAndForward, ForwardingMode::CutThrough] {
-        let mut gw = Gateway::sgi_o200_to_atm();
-        gw.mode = mode;
-        let (path, mtu, _) = tb.topology.path(tb.t3e_600, tb.e5000).unwrap();
-        let mut hops = tb.topology.path_hops(&path, mtu);
-        // Swap in the ablated gateway hop (index 1 on this path).
-        hops[1] = gw.hop_for_mtu(hops[1].propagation, mtu);
-        let xfer = BulkTransfer {
-            hops,
-            ip: IpConfig { mtu },
-            bytes,
-            protocol: Protocol::Tcp { window_bytes: 4 * 1024 * 1024 },
-        };
-        println!("  {:?}: {:.1} Mbit/s", mode, xfer.run().goodput.mbps());
-    }
 }

@@ -10,8 +10,6 @@
 //! | `fig3_overlay`    | Figure 3 — 2-D overlay + ROI time courses |
 //! | `fig4_workbench`  | Figure 4 — 3-D rendering + workbench frame rates |
 //! | `apps_matrix`     | §3 — application traffic vs link feasibility (X1) |
-//! | `pipeline`        | §4 — sequential vs pipelined throughput (X2) |
-//! | `rvo_ablation`    | §4 — RVO grid vs coarse+refine (X3) |
 //! | `results`         | every number the paper prints, ours beside it, gated (`RESULTS.md`) |
 //!
 //! [`results`] is the answer to "what number should I see": its rows are
@@ -22,10 +20,22 @@ use gtw_desim::Json;
 
 pub mod results;
 
+/// Every flag a fig/table bench bin reads: the shared ones [`BenchArgs`]
+/// holds and `table1`'s `--real`.
+const KNOWN_FLAGS: [&str; 7] = [
+    "--json",
+    "--trace-out",
+    "--shards",
+    "--faults",
+    "--kernel-metrics",
+    "--topo-collectives",
+    "--real",
+];
+
 /// The flags shared by the fig/table bench bins, parsed once from
-/// `std::env::args` instead of hand-rolled per binary. Unknown flags are
-/// ignored — each bin may still read its own extras with
-/// [`has_flag`]/[`arg_value`].
+/// `std::env::args` instead of hand-rolled per binary. A `--` argument
+/// that no bin reads is refused, so a mistyped or retired flag cannot
+/// print the default output as if it had been honoured.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--json`: emit machine-readable output instead of tables.
@@ -39,9 +49,6 @@ pub struct BenchArgs {
     /// `--kernel-metrics`: include the `kernel_metrics` block in JSON
     /// reports (sharded runs only).
     pub kernel_metrics: bool,
-    /// `--stripes <n>`: carry bulk transfers on `n` parallel TCP
-    /// streams (MPWide-style WAN striping; `0` = single stream).
-    pub stripes: usize,
     /// `--topo-collectives`: use the topology-aware multi-level
     /// collectives instead of the flat ones where a bench runs MPI
     /// worlds.
@@ -49,21 +56,39 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parse the shared flags from the process arguments.
+    /// Parse the shared flags from the process arguments; an unknown
+    /// flag ends the process with status 2.
     pub fn parse() -> Self {
-        BenchArgs {
-            json: has_flag("--json"),
-            trace_out: arg_value("--trace-out"),
-            shards: arg_value("--shards")
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the shared flags from `args` (program name excluded).
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        if let Some(bad) =
+            args.iter().find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str()))
+        {
+            return Err(format!(
+                "unknown flag {bad}; the bench bins read {}",
+                KNOWN_FLAGS.join(" ")
+            ));
+        }
+        let has = |name: &str| args.iter().any(|a| a == name);
+        let value =
+            |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
+        Ok(BenchArgs {
+            json: has("--json"),
+            trace_out: value("--trace-out"),
+            shards: value("--shards")
                 .map(|s| s.parse().expect("--shards takes a shard count"))
                 .unwrap_or(0),
-            faults: arg_value("--faults").map(|s| s.parse().expect("--faults takes a u64 seed")),
-            kernel_metrics: has_flag("--kernel-metrics"),
-            stripes: arg_value("--stripes")
-                .map(|s| s.parse().expect("--stripes takes a stream count"))
-                .unwrap_or(0),
-            topo_collectives: has_flag("--topo-collectives"),
-        }
+            faults: value("--faults").map(|s| s.parse().expect("--faults takes a u64 seed")),
+            kernel_metrics: has("--kernel-metrics"),
+            topo_collectives: has("--topo-collectives"),
+        })
     }
 }
 
@@ -82,20 +107,10 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Whether `--name` was passed on the command line.
+/// Whether `--name` was passed on the command line (a bin's own flag,
+/// which must also be listed in `KNOWN_FLAGS`).
 pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
-}
-
-/// The value following `--name` on the command line, if present.
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
 }
 
 /// Write an observer's Chrome trace to `path` and print where it went
@@ -132,5 +147,24 @@ mod tests {
         assert_eq!(fmt_s(1.01), "1.01");
         assert!((rel_pct(110.0, 100.0) - 10.0).abs() < 1e-12);
         assert_eq!(rel_pct(1.0, 0.0), 0.0);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn known_flags_parse_and_unknown_ones_are_refused() {
+        let a = BenchArgs::from_args(&args("--json --faults 1999 --shards 2 --real")).unwrap();
+        assert!(a.json && !a.kernel_metrics);
+        assert_eq!((a.faults, a.shards, a.trace_out), (Some(1999), 2, None));
+        // A retired flag and a typo are errors, not a silent default run.
+        for bad in ["--stripes 4", "--json --jsn", "--shards 2 --kernel_metrics"] {
+            let err = BenchArgs::from_args(&args(bad)).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{bad}: {err}");
+        }
+        // Values are not flags, even when they are not numbers.
+        let a = BenchArgs::from_args(&args("--trace-out out.json")).unwrap();
+        assert_eq!(a.trace_out.as_deref(), Some("out.json"));
     }
 }

@@ -169,18 +169,6 @@ impl StreamRng {
         box_muller(u1, self.uniform())
     }
 
-    /// Exponential draw with the given rate (mean `1/rate`).
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0);
-        let u = loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -u.ln() / rate
-    }
-
     /// Uniform integer in `[0, n)`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0);
@@ -270,14 +258,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = StreamRng::new(13, "e");
-        let n = 50_000;
-        let mean = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 
     #[test]

@@ -10,8 +10,6 @@
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::volume::{Dims, Volume};
 
-use crate::VOXEL_CHUNK;
-
 /// Running per-voxel correlation state.
 pub struct CorrelationState {
     dims: Dims,
@@ -122,88 +120,6 @@ impl CorrelationState {
         for (i, v) in out.data.iter_mut().enumerate() {
             *v = self.voxel_correlation(i);
         }
-        out
-    }
-}
-
-/// Sliding-window correlation: the last `window` scans only.
-///
-/// The cumulative map ([`CorrelationState`]) assumes stationary
-/// activation; during a running experiment the operator also wants to
-/// see *recent* activity — e.g. when the subject stops cooperating or a
-/// stimulus block ends, the cumulative map stays bright long after the
-/// activation is gone. The windowed map follows such changes within
-/// `window` scans.
-pub struct SlidingCorrelation {
-    dims: Dims,
-    reference: Vec<f64>,
-    window: usize,
-    /// Ring of the last `window` volumes (scan index, data).
-    ring: std::collections::VecDeque<(usize, Volume)>,
-    next_scan: usize,
-}
-
-impl SlidingCorrelation {
-    /// New sliding analysis over `window` scans.
-    pub fn new(dims: Dims, reference: &ReferenceVector, window: usize) -> Self {
-        assert!(window >= 4, "window too short for a correlation");
-        SlidingCorrelation {
-            dims,
-            reference: reference.values.clone(),
-            window,
-            ring: std::collections::VecDeque::new(),
-            next_scan: 0,
-        }
-    }
-
-    /// Scans seen so far.
-    pub fn scans(&self) -> usize {
-        self.next_scan
-    }
-
-    /// Incorporate the next scan.
-    pub fn push(&mut self, vol: &Volume) {
-        assert_eq!(vol.dims, self.dims, "volume dims mismatch");
-        assert!(self.next_scan < self.reference.len(), "more scans than the protocol has");
-        if self.ring.len() == self.window {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((self.next_scan, vol.clone()));
-        self.next_scan += 1;
-    }
-
-    /// Correlation map over the current window.
-    pub fn correlation_map(&self) -> Volume {
-        let n = self.ring.len();
-        let mut out = Volume::zeros(self.dims);
-        if n < 3 {
-            return out;
-        }
-        // Window reference stats.
-        let refs: Vec<f64> = self.ring.iter().map(|&(t, _)| self.reference[t]).collect();
-        let r_mean = refs.iter().sum::<f64>() / n as f64;
-        let r_var: f64 = refs.iter().map(|r| (r - r_mean).powi(2)).sum();
-        if r_var <= 0.0 {
-            return out; // constant reference in the window: undefined
-        }
-        gtw_par::for_each(out.data.chunks_mut(VOXEL_CHUNK).enumerate(), |(k, chunk)| {
-            let mut xs = vec![0.0f64; n];
-            for (i, c) in (k * VOXEL_CHUNK..).zip(chunk) {
-                for (x, (_, v)) in xs.iter_mut().zip(&self.ring) {
-                    *x = v.data[i] as f64;
-                }
-                let x_mean = xs.iter().sum::<f64>() / n as f64;
-                let mut cov = 0.0;
-                let mut x_var = 0.0;
-                for (x, r) in xs.iter().zip(&refs) {
-                    cov += (x - x_mean) * (r - r_mean);
-                    x_var += (x - x_mean).powi(2);
-                }
-                if x_var > 0.0 {
-                    *c = ((cov / (x_var * r_var).sqrt()) as f32).clamp(-1.0, 1.0);
-                }
-            }
-        });
         out
     }
 }
@@ -403,67 +319,6 @@ mod tests {
         // And the peak lags stimulation onset (scan 8).
         let peak_t = pc.iter().position(|&v| v == peak).unwrap();
         assert!(peak_t > 8, "peak at {peak_t}");
-    }
-
-    #[test]
-    fn sliding_matches_cumulative_on_stationary_signal() {
-        let cfg = ScannerConfig {
-            noise_sd: 2.0,
-            motion_step: 0.0,
-            ..ScannerConfig::paper_default(24, 15)
-        };
-        let scanner = Scanner::new(cfg, Phantom::standard());
-        let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-        // Window covering everything == cumulative state.
-        let mut sliding = SlidingCorrelation::new(scanner.config().dims, &rv, 24);
-        let mut full = CorrelationState::new(scanner.config().dims, &rv);
-        for t in 0..24 {
-            let v = scanner.acquire(t);
-            sliding.push(&v);
-            full.push(&v);
-        }
-        let a = sliding.correlation_map();
-        let b = full.correlation_map();
-        assert!(a.rms_diff(&b) < 1e-4, "{}", a.rms_diff(&b));
-    }
-
-    #[test]
-    fn sliding_window_detects_vanished_activation() {
-        // Build a series where the activation is present for the first
-        // 24 scans and absent afterwards (a subject who stopped doing
-        // the task): the windowed map must fall while the cumulative map
-        // stays elevated.
-        let dims = Dims::new(8, 8, 2);
-        let stim = Stimulus::block_design(4, 4, 48, 2.0);
-        let rv = ReferenceVector::canonical(&stim);
-        let resp = gtw_scan::hrf::raw_convolution(&stim, 6.0, 1.0);
-        let peak = resp.iter().cloned().fold(0.0f64, f64::max);
-        let mk = |t: usize, active: bool| -> Volume {
-            let mut v = Volume::filled(dims, 100.0);
-            if active {
-                let a = 8.0 * (resp[t] / peak) as f32;
-                for i in 0..dims.len() / 2 {
-                    v.data[i] += a;
-                }
-            }
-            // Deterministic dither so variance never vanishes.
-            for (i, x) in v.data.iter_mut().enumerate() {
-                *x += ((t * 31 + i * 7) % 13) as f32 * 0.01;
-            }
-            v
-        };
-        let mut sliding = SlidingCorrelation::new(dims, &rv, 16);
-        let mut full = CorrelationState::new(dims, &rv);
-        for t in 0..48 {
-            let v = mk(t, t < 24);
-            sliding.push(&v);
-            full.push(&v);
-        }
-        let idx = 0; // an "activated" voxel
-        let windowed = sliding.correlation_map().data[idx];
-        let cumulative = full.correlation_map().data[idx];
-        assert!(windowed < 0.35, "window should see the activation gone: {windowed}");
-        assert!(cumulative > windowed + 0.2, "cumulative {cumulative} vs windowed {windowed}");
     }
 
     #[test]

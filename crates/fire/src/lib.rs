@@ -22,9 +22,7 @@
 //!   respawned compute world resumes from the last completed scan
 //!   instead of restarting the protocol,
 //! * [`rvo`] — reference-vector optimization: per-voxel least-squares fit
-//!   of HRF delay and dispersion by rastering the parameter space, plus
-//!   the paper's planned coarse grid with a local refinement (a per-axis
-//!   search standing in for its conjugate-gradient step),
+//!   of HRF delay and dispersion by rastering the parameter space,
 //! * [`t3e`] — the calibrated Cray T3E-600 cost model that regenerates
 //!   Table 1,
 //! * [`rt`] — the RT-server / RT-client protocol run over MPI (results
@@ -38,8 +36,8 @@
 //!   least squares, Jacobi eigendecomposition)
 //!   shared across the workspace.
 //!
-//! The per-voxel kernels (`filters`, `rvo`, the detrended and the
-//! sliding-window correlation maps) run on `gtw-par` scoped threads:
+//! The per-voxel kernels (`filters`, `rvo`, the detrended correlation
+//! map) run on `gtw-par` scoped threads:
 //! the output is cut into chunks and each chunk is written by exactly
 //! one call, with no reduction across chunks except the integer
 //! `evaluations` sum, so every result is bit-identical at any thread
@@ -61,7 +59,7 @@ pub mod t3e;
 /// work to pay for the queue lock, few enough to balance 64×64×16.
 pub(crate) const VOXEL_CHUNK: usize = 1024;
 
-pub use analysis::{CorrelationState, RoiStats, SlidingCorrelation};
+pub use analysis::{CorrelationState, RoiStats};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use pipeline::{FireConfig, FirePipeline, ProcessedImage};
 pub use t3e::{T3eModel, Table1Row};

@@ -6,14 +6,9 @@
 //! For each voxel the HRF parameters (delay, dispersion) maximizing the
 //! correlation with the measured series are found — equivalently, the
 //! least-squares amplitude fit with minimal residual, since the reference
-//! vectors are unit-normalized. Two methods are provided:
-//!
-//! * [`RvoMethod::FullGrid`] — the paper's production method: raster the
-//!   whole parameter space (this dominates Table 1's runtime),
-//! * [`RvoMethod::CoarseRefine`] — the paper's *planned* optimization
-//!   ("the resolution of the grid can be reduced and the solution refined
-//!   using a conjugate gradient method"): a coarse raster followed by
-//!   iterative local refinement. The X3 ablation bench compares both.
+//! vectors are unit-normalized. The method is the paper's production one,
+//! [`RvoMethod::FullGrid`]: raster the whole parameter space (this
+//! dominates Table 1's runtime).
 //!
 //! The raster is one matrix product, centred voxels × reference vectors,
 //! computed a register tile at a time: `V` neighbouring voxels, one per
@@ -59,27 +54,12 @@ pub enum RvoMethod {
         /// Grid resolution in dispersion.
         dispersion_steps: usize,
     },
-    /// Coarse raster plus `refine_iters` rounds of per-axis parabolic
-    /// refinement with halving step size.
-    CoarseRefine {
-        /// Coarse grid resolution in delay.
-        delay_steps: usize,
-        /// Coarse grid resolution in dispersion.
-        dispersion_steps: usize,
-        /// Refinement iterations.
-        refine_iters: usize,
-    },
 }
 
 impl RvoMethod {
     /// The paper's production setting: a fine raster.
     pub fn paper_grid() -> Self {
         RvoMethod::FullGrid { delay_steps: 13, dispersion_steps: 7 }
-    }
-
-    /// The planned optimization: coarse raster + refinement.
-    pub fn paper_refined() -> Self {
-        RvoMethod::CoarseRefine { delay_steps: 5, dispersion_steps: 3, refine_iters: 4 }
     }
 }
 
@@ -92,8 +72,8 @@ pub struct RvoResult {
     pub dispersion: Volume,
     /// Correlation achieved at the best fit.
     pub correlation: Volume,
-    /// Total reference-vector correlation evaluations (the cost metric
-    /// for the X3 ablation).
+    /// Total reference-vector correlation evaluations: raster points
+    /// times fitted voxels.
     pub evaluations: u64,
 }
 
@@ -141,18 +121,6 @@ impl<const V: usize> CentredBlock<V> {
         }
         for (norm, ss) in self.norm[lane..lane + W].iter_mut().zip(ss) {
             *norm = if n < 2.0 || ss <= 0.0 { 0.0 } else { ss.sqrt() };
-        }
-    }
-
-    /// Pearson correlation of lane `lane` against `rv`, whose `values`
-    /// already have zero mean and unit norm.
-    fn correlate(&self, lane: usize, rv: &ReferenceVector) -> f64 {
-        let dot = self.d.iter().zip(&rv.values).fold(0.0, |dot, (d, r)| dot + d[lane] * r);
-        let norm = self.norm[lane];
-        if norm == 0.0 {
-            0.0
-        } else {
-            (dot / norm).clamp(-1.0, 1.0)
         }
     }
 }
@@ -279,18 +247,10 @@ pub fn optimize(
         assert_eq!(m.len(), dims.len(), "mask length mismatch");
     }
 
-    let (steps, refine_iters) = match method {
-        RvoMethod::FullGrid { delay_steps, dispersion_steps } => {
-            ((delay_steps, dispersion_steps), 0)
-        }
-        RvoMethod::CoarseRefine { delay_steps, dispersion_steps, refine_iters } => {
-            ((delay_steps, dispersion_steps), refine_iters)
-        }
-    };
+    let RvoMethod::FullGrid { delay_steps, dispersion_steps } = method;
     // The raster's reference vectors, shared across voxels.
-    let raster = Raster::new(stimulus, bounds, steps);
-    let shared =
-        Chunk { series, stimulus, bounds, raster: &raster, steps, refine_iters, mask, base: 0 };
+    let raster = Raster::new(stimulus, bounds, (delay_steps, dispersion_steps));
+    let shared = Chunk { series, raster: &raster, mask, base: 0 };
     // Which instance of the raster this host runs, read once: the widest.
     #[cfg(target_arch = "x86_64")]
     let fit = if std::arch::is_x86_feature_detected!("avx512f") {
@@ -336,12 +296,7 @@ pub fn optimize(
 #[derive(Clone, Copy)]
 struct Chunk<'a> {
     series: &'a [Volume],
-    stimulus: &'a Stimulus,
-    bounds: RvoBounds,
     raster: &'a Raster,
-    /// Raster points per axis, (delay, dispersion).
-    steps: (usize, usize),
-    refine_iters: usize,
     mask: Option<&'a [bool]>,
     /// Voxel index of the chunk's first voxel.
     base: usize,
@@ -391,14 +346,10 @@ fn fit_chunk<const V: usize, const J: usize>(
         let (at, best) = best_points(&dots, &block.norm);
         for (lane, &i) in ids.iter().enumerate() {
             let (d, w) = raster.points[at[lane]];
-            let mut best = (d, w, best[lane]);
             evals += r as u64;
-            if job.refine_iters > 0 {
-                best = refine(job, |rv| block.correlate(lane, rv), best, &mut evals);
-            }
-            d_chunk[i] = best.0 as f32;
-            w_chunk[i] = best.1 as f32;
-            c_chunk[i] = best.2 as f32;
+            d_chunk[i] = d as f32;
+            w_chunk[i] = w as f32;
+            c_chunk[i] = best[lane] as f32;
         }
     }
     evals
@@ -432,78 +383,9 @@ unsafe fn fit_chunk_avx512(job: &Chunk, d: &mut [f32], w: &mut [f32], c: &mut [f
     fit_chunk::<8, 8>(job, d, w, c)
 }
 
-/// Optional refinement of the `(delay, dispersion, correlation)` `best`
-/// that `job`'s raster found for the voxel `correlate` scores:
-/// `job.refine_iters` rounds of per-axis parabolic steps with radius
-/// halving from half a raster step, the CG-flavoured local search of the
-/// paper's outlook. Every candidate is one more evaluation.
-fn refine(
-    job: &Chunk,
-    correlate: impl Fn(&ReferenceVector) -> f64,
-    (mut best_d, mut best_w, mut best_c): (f64, f64, f64),
-    evals: &mut u64,
-) -> (f64, f64, f64) {
-    let (bounds, steps) = (job.bounds, job.steps);
-    let mut h_d = (bounds.delay_s.1 - bounds.delay_s.0) / (steps.0 - 1) as f64 / 2.0;
-    let mut h_w = (bounds.dispersion_s.1 - bounds.dispersion_s.0) / (steps.1 - 1) as f64 / 2.0;
-    let mut eval = |d: f64, w: f64| {
-        *evals += 1;
-        correlate(&ReferenceVector::from_stimulus(job.stimulus, d, w))
-    };
-    for _ in 0..job.refine_iters {
-        // Delay axis.
-        let lo = (best_d - h_d).max(bounds.delay_s.0);
-        let hi = (best_d + h_d).min(bounds.delay_s.1);
-        for cand in [lo, hi] {
-            let c = eval(cand, best_w);
-            if c > best_c {
-                best_c = c;
-                best_d = cand;
-            }
-        }
-        // Dispersion axis.
-        let lo = (best_w - h_w).max(bounds.dispersion_s.0);
-        let hi = (best_w + h_w).min(bounds.dispersion_s.1);
-        for cand in [lo, hi] {
-            let c = eval(best_d, cand);
-            if c > best_c {
-                best_c = c;
-                best_w = cand;
-            }
-        }
-        h_d /= 2.0;
-        h_w /= 2.0;
-    }
-    (best_d, best_w, best_c)
-}
-
 /// Build a brain mask from a mean image: voxels above `floor`.
 pub fn intensity_mask(mean_image: &Volume, floor: f32) -> Vec<bool> {
     mean_image.data.iter().map(|&v| v > floor).collect()
-}
-
-/// Parameter-recovery error statistics against ground truth (for masked
-/// voxels only): mean absolute delay and dispersion error.
-pub fn recovery_error(
-    result: &RvoResult,
-    mask: &[bool],
-    true_delay_s: f64,
-    true_dispersion_s: f64,
-) -> (f64, f64) {
-    let mut d_err = 0.0;
-    let mut w_err = 0.0;
-    let mut n = 0usize;
-    for (i, &m) in mask.iter().enumerate() {
-        if m {
-            d_err += (result.delay.data[i] as f64 - true_delay_s).abs();
-            w_err += (result.dispersion.data[i] as f64 - true_dispersion_s).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    (d_err / n as f64, w_err / n as f64)
 }
 
 #[cfg(test)]
@@ -513,6 +395,22 @@ mod tests {
     use gtw_scan::hrf::raw_convolution;
     use gtw_scan::volume::Dims;
     use proptest::prelude::*;
+
+    /// Mean absolute delay and dispersion error of `result` against the
+    /// truth, over the voxels `mask` keeps.
+    fn recovery_error(
+        result: &RvoResult,
+        mask: &[bool],
+        delay_s: f64,
+        dispersion_s: f64,
+    ) -> (f64, f64) {
+        let kept: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+        let n = kept.len().max(1) as f64;
+        let err = |map: &Volume, truth: f64| {
+            kept.iter().map(|&i| (map.data[i] as f64 - truth).abs()).sum::<f64>() / n
+        };
+        (err(&result.delay, delay_s), err(&result.dispersion, dispersion_s))
+    }
 
     /// Build a tiny series where every "brain" voxel follows the HRF at
     /// (true_delay, true_disp) plus noise, and air voxels are pure noise.
@@ -595,25 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_refine_is_cheaper_and_close() {
-        let dims = Dims::new(6, 6, 2);
-        let (series, stim, mask) = synthetic_series(dims, 36, 5.5, 1.0, 0.3, 3);
-        let full =
-            optimize(&series, &stim, RvoBounds::default(), RvoMethod::paper_grid(), Some(&mask));
-        let refined =
-            optimize(&series, &stim, RvoBounds::default(), RvoMethod::paper_refined(), Some(&mask));
-        assert!(
-            refined.evaluations < full.evaluations / 2,
-            "refined {} vs full {} evaluations",
-            refined.evaluations,
-            full.evaluations
-        );
-        let (d_full, _) = recovery_error(&full, &mask, 5.5, 1.0);
-        let (d_ref, _) = recovery_error(&refined, &mask, 5.5, 1.0);
-        assert!(d_ref < d_full + 0.3, "refined delay error {d_ref} vs full {d_full}");
-    }
-
-    #[test]
     fn masked_voxels_report_canonical() {
         let dims = Dims::new(4, 4, 1);
         let (series, stim, mask) = synthetic_series(dims, 24, 6.0, 1.0, 0.2, 4);
@@ -637,7 +516,7 @@ mod tests {
         let dims = Dims::new(4, 4, 2);
         let (series, stim, _) = synthetic_series(dims, 24, 6.0, 1.0, 3.0, 5);
         let b = RvoBounds::default();
-        let res = optimize(&series, &stim, b, RvoMethod::paper_refined(), None);
+        let res = optimize(&series, &stim, b, RvoMethod::paper_grid(), None);
         for i in 0..dims.len() {
             let d = res.delay.data[i] as f64;
             let w = res.dispersion.data[i] as f64;
@@ -708,12 +587,11 @@ mod tests {
         scan.data[1] = f32::INFINITY;
         let stim = Stimulus { course: vec![1.0], tr_s: 2.0 };
         let b = RvoBounds::default();
-        for method in [RvoMethod::paper_grid(), RvoMethod::paper_refined()] {
-            let res = optimize(std::slice::from_ref(&scan), &stim, b, method, None);
-            assert_eq!(result_bits(&res), reference_raster(&[scan.clone()], &stim, (2, 2)));
-            assert!(res.correlation.data.iter().all(|&c| c == 0.0));
-            assert!(res.delay.data.iter().all(|&d| d == b.delay_s.0 as f32));
-        }
+        let method = RvoMethod::FullGrid { delay_steps: 2, dispersion_steps: 2 };
+        let res = optimize(std::slice::from_ref(&scan), &stim, b, method, None);
+        assert_eq!(result_bits(&res), reference_raster(&[scan.clone()], &stim, (2, 2)));
+        assert!(res.correlation.data.iter().all(|&c| c == 0.0));
+        assert!(res.delay.data.iter().all(|&d| d == b.delay_s.0 as f32));
     }
 
     /// An instance of [`fit_chunk`].
@@ -786,16 +664,15 @@ mod tests {
 
         /// Every instance of [`fit_chunk`] this CPU can run has the
         /// baseline one's bits and evaluation count: ragged and masked
-        /// voxel blocks, ragged point tiles, any scan count and grid, the
-        /// full raster and the refined one, over constant, non-finite and
-        /// signed-zero voxels, in a chunk that starts anywhere.
+        /// voxel blocks, ragged point tiles, any scan count and grid, over
+        /// constant, non-finite and signed-zero voxels, in a chunk that
+        /// starts anywhere.
         #[cfg(target_arch = "x86_64")]
         #[test]
         fn every_instance_fits_every_chunk_alike(
             shape in (0usize..2700, 0usize..8),
             scans in 1usize..=40,
             steps in (2usize..15, 2usize..9),
-            refine in (any::<bool>(), 1usize..5),
             masked in any::<bool>(),
             seed in any::<u64>(),
         ) {
@@ -828,12 +705,7 @@ mod tests {
             let raster = Raster::new(&stimulus, bounds, steps);
             let job = Chunk {
                 series: &series,
-                stimulus: &stimulus,
-                bounds,
                 raster: &raster,
-                steps,
-                // 0 is the full raster, more the coarse one refined.
-                refine_iters: if refine.0 { refine.1 } else { 0 },
                 mask: masked.then_some(&mask[..]),
                 base: skip.min(voxels),
             };
@@ -858,7 +730,7 @@ mod tests {
                 }
                 prop_assert!(
                     run(fit) == baseline,
-                    "{name}: {len} voxels from {} × {scans} scans, grid {steps:?}, refine {refine:?}",
+                    "{name}: {len} voxels from {} × {scans} scans, grid {steps:?}",
                     job.base
                 );
             }

@@ -58,16 +58,13 @@ fn assert_pinned(
 }
 
 #[test]
-fn small_series_is_pinned_for_both_methods_with_and_without_a_mask() {
+fn small_series_is_pinned_with_and_without_a_mask() {
     let small = series(Dims::new(32, 32, 8), 24, 1999);
     let mask = intensity_mask(&small.0[0], 100.0);
     assert!(mask.iter().any(|&m| m) && mask.iter().any(|&m| !m), "the mask must cut");
     let grid = RvoMethod::paper_grid();
-    let refined = RvoMethod::paper_refined();
     assert_pinned("paper_grid", &small, grid, None, 0x7e85_2eca_194f_307d);
     assert_pinned("paper_grid, masked", &small, grid, Some(&mask), 0xaf49_cf1e_36c8_516e);
-    assert_pinned("paper_refined", &small, refined, None, 0x15db_23db_cca4_0ab1);
-    assert_pinned("paper_refined, masked", &small, refined, Some(&mask), 0x9c05_0e84_c833_4d08);
 }
 
 /// The `fire_rvo` benchmark's op: the 13×7 raster over 32 scans of

@@ -1,7 +1,7 @@
 //! Collectives on a [`Comm`]: the condvar barrier, the flat broadcast and
-//! allreduce, and the metacomputing-aware (site-topology) broadcast,
-//! allreduce and barrier. Each message pattern is one function over a
-//! wait policy, shared by the blocking entry point and its `try_` twin.
+//! allreduce, and the metacomputing-aware (site-topology) allreduce. Each
+//! message pattern is one function over a wait policy, shared by the
+//! blocking entry point and its `try_` twin.
 
 use std::time::{Duration, Instant};
 
@@ -225,60 +225,6 @@ impl Comm {
         CommTopology::from_placement(&self.placement)
     }
 
-    /// Topology-aware broadcast — the defining optimization of a
-    /// metacomputing-aware MPI ("the communication both inside and
-    /// between the machines that form the metacomputer should be
-    /// efficient"): the root sends one copy per foreign site to that
-    /// site's leader (the only WAN crossings) plus direct copies to its
-    /// own site; foreign leaders re-broadcast over their fast local
-    /// fabric. Returns the payload on every rank, bit-identical to
-    /// [`Comm::bcast`].
-    pub fn bcast_topo_f64s(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        infallible(self.bcast_topo_with(Wait::Blocking, root, data))
-    }
-
-    /// Failure-aware [`Comm::bcast_topo_f64s`]: the same messages with
-    /// whole-collective failure semantics (any member death or deadline
-    /// expiry fails every caller). Polls the fault injector exactly once,
-    /// at entry.
-    pub fn try_bcast_topo_f64s(
-        &self,
-        root: usize,
-        data: &[f64],
-        timeout: Option<Duration>,
-    ) -> CommResult<Vec<f64>> {
-        self.check_health()?;
-        self.bcast_topo_with(Wait::until(timeout), root, data)
-    }
-
-    fn bcast_topo_with<T: Payload>(
-        &self,
-        wait: Wait,
-        root: usize,
-        data: &[T],
-    ) -> CommResult<Vec<T>> {
-        let tag = self.begin_collective();
-        let topo = self.topology();
-        let me = self.rank();
-        let (root_site, my_site) = (topo.site_of(root), topo.site_of(me));
-        let my_members = topo.sites()[my_site].members.iter().copied();
-        if me == root {
-            // One WAN send per foreign site's leader, then the root's own site.
-            let sites = topo.sites().iter().enumerate();
-            let foreign = sites.filter(|&(s, _)| s != root_site).map(|(_, site)| site.leader);
-            self.post_each(wait, foreign, tag, data)?;
-            self.post_each(wait, my_members, tag, data)?;
-            return Ok(data.to_vec());
-        }
-        let relays = my_site != root_site && topo.is_leader(me);
-        let from = if relays || my_site == root_site { root } else { topo.leader_of(me) };
-        let data: Vec<T> = self.claim_from(wait, from, tag)?.payload();
-        if relays {
-            self.post_each(wait, my_members, tag, &data)?;
-        }
-        Ok(data)
-    }
-
     /// Topology-aware allreduce: intra-site reduce to each leader, one
     /// WAN crossing per foreign site up to the global leader and one
     /// back down, then intra-site re-broadcast. WAN crossings:
@@ -356,53 +302,5 @@ impl Comm {
         // Phase 3: intra-site re-broadcast from each leader.
         self.post_each(wait, members.iter().copied(), down, &total)?;
         Ok(total)
-    }
-
-    /// Topology-aware barrier: a message-based tree barrier — members
-    /// report to their site leader, leaders to the global leader, then
-    /// the release fans back out the same way. Crosses the WAN twice per
-    /// foreign site. Unlike [`Comm::barrier`] (an in-memory condvar with
-    /// zero modeled messages), this barrier accounts what synchronizing
-    /// a metacomputer actually costs on the wire.
-    pub fn barrier_topo(&self) {
-        infallible(self.barrier_topo_with(Wait::Blocking));
-    }
-
-    /// Failure-aware [`Comm::barrier_topo`]: the same message tree with
-    /// whole-collective failure semantics. Polls the fault injector
-    /// exactly once, at entry.
-    pub fn try_barrier_topo(&self, timeout: Option<Duration>) -> CommResult<()> {
-        self.check_health()?;
-        if let Some(rank) = self.first_failed_peer() {
-            return Err(CommError::RankFailed { rank });
-        }
-        self.barrier_topo_with(Wait::until(timeout))
-    }
-
-    fn barrier_topo_with(&self, wait: Wait) -> CommResult<()> {
-        let (up, across, down) = (self.next_coll_tag(), self.next_coll_tag(), self.next_coll_tag());
-        let topo = self.topology();
-        let me = self.rank();
-        let my_leader = topo.leader_of(me);
-        let token: &[u8] = &[];
-        if me != my_leader {
-            self.post(wait, my_leader, up, token)?;
-            self.claim_from(wait, my_leader, down)?;
-        } else {
-            let members = &topo.sites()[topo.site_of(me)].members;
-            self.claim_each::<u8>(wait, up, members.len() - 1)?;
-            let global_leader = topo.global_leader();
-            if me == global_leader {
-                self.claim_each::<u8>(wait, across, topo.num_sites() - 1)?;
-                let leaders = topo.sites().iter().map(|site| site.leader);
-                self.post_each(wait, leaders, down, token)?;
-            } else {
-                self.post(wait, global_leader, across, token)?;
-                self.claim_from(wait, global_leader, down)?;
-            }
-            self.post_each(wait, members.iter().copied(), down, token)?;
-        }
-        self.record(EventKind::Barrier, 0);
-        Ok(())
     }
 }

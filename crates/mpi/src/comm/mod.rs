@@ -524,65 +524,6 @@ mod tests {
         assert_eq!(compute_out, vec![4.0]);
     }
 
-    fn t3e_sp2(n: usize, split: usize) -> Placement {
-        Placement::split(
-            n,
-            split,
-            MachineSpec::new("T3E", FabricSpec::t3e_torus()),
-            MachineSpec::new("SP2", FabricSpec::sp2_switch()),
-            FabricSpec::wan_testbed(),
-        )
-    }
-
-    #[test]
-    fn bcast_topo_delivers_everywhere_from_either_site() {
-        for root in [0usize, 4] {
-            let out = Universe::run_placed(t3e_sp2(6, 3), move |comm| {
-                let data = if comm.rank() == root { vec![1.0, 2.0, 3.0] } else { vec![] };
-                comm.bcast_topo_f64s(root, &data)
-            });
-            for v in out {
-                assert_eq!(v, vec![1.0, 2.0, 3.0], "root {root}");
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_topo_crosses_wan_once_per_site() {
-        // Flat bcast from rank 0: 3 WAN messages (to ranks 3,4,5).
-        // Topology-aware: 1 WAN message (to the SP2 leader, rank 3).
-        let payload = vec![0.5f64; 4096]; // 32 KB
-        let pay_flat = payload.clone();
-        let flat = Universe::run_placed(t3e_sp2(6, 3), move |comm| {
-            let data = if comm.rank() == 0 { pay_flat.clone() } else { vec![] };
-            comm.bcast(0, &data);
-            comm.comm_cost().wan_seconds
-        });
-        let topo = Universe::run_placed(t3e_sp2(6, 3), move |comm| {
-            let data = if comm.rank() == 0 { payload.clone() } else { vec![] };
-            comm.bcast_topo_f64s(0, &data);
-            comm.comm_cost().wan_seconds
-        });
-        let flat_wan: f64 = flat.iter().sum();
-        let topo_wan: f64 = topo.iter().sum();
-        assert!(
-            topo_wan < flat_wan / 2.0,
-            "topo should cut WAN time ~3x: flat {flat_wan} vs topo {topo_wan}"
-        );
-        assert!(topo_wan > 0.0, "one WAN crossing remains");
-    }
-
-    #[test]
-    fn bcast_topo_single_machine_degenerates_gracefully() {
-        let out = Universe::run(4, |comm| {
-            let data = if comm.rank() == 0 { vec![9.0] } else { vec![] };
-            comm.bcast_topo_f64s(0, &data)
-        });
-        for v in out {
-            assert_eq!(v, vec![9.0]);
-        }
-    }
-
     /// A wildcard receive on the world communicator must not take a
     /// spawned child's message: that belongs to the inter-communicator.
     #[test]

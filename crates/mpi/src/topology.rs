@@ -92,11 +92,6 @@ impl CommTopology {
         self.sites[self.site_of[rank]].leader
     }
 
-    /// Whether `rank` leads its site.
-    pub fn is_leader(&self, rank: usize) -> bool {
-        self.leader_of(rank) == rank
-    }
-
     /// Leader of the first site — always rank 0 by construction.
     pub fn global_leader(&self) -> usize {
         self.sites[0].leader
@@ -168,8 +163,7 @@ mod tests {
         assert_eq!(topo.sites()[0].members, vec![0, 1]);
         assert_eq!(topo.sites()[1].members, vec![2, 3, 4, 5]);
         assert_eq!(topo.leader_of(4), 2);
-        assert!(topo.is_leader(2));
-        assert!(!topo.is_leader(3));
+        assert_eq!((topo.leader_of(2), topo.leader_of(3)), (2, 2));
         assert_eq!(topo.global_leader(), 0);
     }
 

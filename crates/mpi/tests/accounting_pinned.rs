@@ -6,9 +6,11 @@
 //! wire bytes, modeled seconds and the trace are those of the encoded
 //! message. The second runs the failure-aware sends, receives and
 //! collectives under a `Slow` plan, and a spawn round trip. Both were
-//! captured on the commit before the revoke/shrink layer, `dup`/`split`
-//! and the uncalled collectives were deleted (earlier forms of the two
-//! scripts pinned the byte-encoded path and the per-handle books).
+//! captured on the commit before the topology broadcast and barrier were
+//! deleted, with those two calls taken out of each script (earlier forms
+//! pinned the byte-encoded path, the per-handle books, and the scripts
+//! before the revoke/shrink layer, `dup`/`split` and the uncalled
+//! collectives went).
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -22,16 +24,16 @@ use gtw_mpi::{
 /// Per rank: `(seconds, intra_seconds, wan_seconds)`, then
 /// `(messages, wan_messages, bytes)`.
 const EXPECTED: [([f64; 3], [u64; 3]); 4] = [
-    ([0.030027434285714298, 1.6734285714285712e-5, 0.03001070000000001], [36, 20, 578]),
-    ([0.019525300952380958, 1.6734285714285712e-5, 0.01950856666666667], [29, 13, 514]),
-    ([0.029077738095238104, 0.0005675714285714286, 0.028510166666666673], [33, 19, 570]),
-    ([0.021576671428571434, 0.0005675714285714286, 0.021009100000000003], [28, 14, 538]),
+    ([0.025523565714285722, 1.3665714285714285e-5, 0.02550990000000001], [30, 17, 530]),
+    ([0.019522232380952385, 1.3665714285714283e-5, 0.01950856666666667], [26, 13, 490]),
+    ([0.02595705238095239, 0.0004468857142857143, 0.02551016666666667], [28, 17, 546]),
+    ([0.01995518571428572, 0.0004468857142857143, 0.019508300000000003], [24, 13, 490]),
 ];
 
 const EXPECTED_SUMMARY: &str = "VampirSummary { ranks: 4, \
-    messages: [[0, 11, 5, 2], [5, 0, 9, 2], [4, 1, 0, 9], [9, 1, 5, 0]], \
-    bytes: [[0, 185, 72, 48], [72, 0, 169, 56], [48, 16, 0, 161], [153, 16, 104, 0]], \
-    sends: [18, 16, 14, 15], recvs: [9, 9, 12, 9], collectives: [7, 7, 7, 7] }";
+    messages: [[0, 9, 4, 2], [4, 0, 9, 2], [3, 1, 0, 8], [8, 1, 3, 0]], \
+    bytes: [[0, 161, 72, 48], [72, 0, 169, 56], [48, 16, 0, 161], [129, 16, 80, 0]], \
+    sends: [15, 15, 12, 12], recvs: [9, 9, 12, 9], collectives: [5, 5, 5, 5] }";
 
 /// Two ranks on a T3E, two on an SP2, joined by the testbed WAN.
 fn two_sites() -> Placement {
@@ -99,9 +101,6 @@ fn comm_cost_and_trace_are_those_of_the_byte_encoded_path() {
         }
         assert_eq!(comm.allreduce_f64s(ReduceOp::Min, &[me as f64, 0.5])[0], 0.0);
         assert_eq!(comm.allreduce_topo_f64s(ReduceOp::Sum, &[1.0, me as f64, -0.0])[0], 4.0);
-        let root = if me == 3 { vec![2.5; 3] } else { vec![] };
-        assert_eq!(comm.bcast_topo_f64s(3, &root), [2.5; 3]);
-        comm.barrier_topo();
         comm.barrier();
         books(comm.comm_cost())
     });
@@ -115,10 +114,10 @@ const OP_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
 
 /// Per rank: the world's books.
 const EXPECTED_WORLD: [Books; 4] = [
-    ([0.016515965714285714, 9.465714285714286e-6, 0.0165065], [20, 11, 358]),
-    ([0.009021394285714282, 1.3894285714285714e-5, 0.009007500000000002], [11, 2, 238]),
-    ([0.01378917619047619, 0.00028374285714285715, 0.013505433333333332], [16, 9, 294]),
-    ([0.006287309523809525, 0.00028374285714285715, 0.006003566666666666], [11, 4, 238]),
+    ([0.012011518095238094, 6.351428571428571e-6, 0.012005166666666666], [14, 8, 278]),
+    ([0.009018279999999998, 1.0779999999999998e-5, 0.009007500000000002], [8, 2, 198]),
+    ([0.0091667, 0.00016260000000000002, 0.0090041], [10, 6, 214]),
+    ([0.006166166666666668, 0.00016260000000000002, 0.006003566666666666], [8, 4, 198]),
 ];
 
 /// Per child rank of the spawned world: its world's books.
@@ -126,9 +125,9 @@ const EXPECTED_CHILDREN: [Books; 2] =
     [([5.16e-7, 5.16e-7, 0.0], [1, 0, 16]), ([5.16e-7, 5.16e-7, 0.0], [1, 0, 16])];
 
 const EXPECTED_WORLD_SUMMARY: &str = "VampirSummary { ranks: 6, \
-    messages: [[0, 5, 3, 2, 1, 0], [4, 0, 1, 0, 0, 0], [4, 1, 0, 4, 0, 0], [2, 0, 3, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]], \
-    bytes: [[0, 136, 24, 19, 16, 0], [27, 0, 72, 0, 0, 0], [64, 3, 0, 120, 0, 0], [88, 0, 11, 0, 0, 0], [0, 0, 0, 0, 0, 16], [16, 0, 0, 0, 0, 0]], \
-    sends: [11, 5, 9, 5, 1, 1], recvs: [3, 2, 2, 2, 1, 1], collectives: [5, 5, 5, 5, 0, 0] }";
+    messages: [[0, 3, 2, 2, 1, 0], [3, 0, 1, 0, 0, 0], [2, 1, 0, 2, 0, 0], [2, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]], \
+    bytes: [[0, 96, 24, 19, 16, 0], [27, 0, 72, 0, 0, 0], [24, 3, 0, 80, 0, 0], [88, 0, 11, 0, 0, 0], [0, 0, 0, 0, 0, 16], [16, 0, 0, 0, 0, 0]], \
+    sends: [8, 4, 5, 4, 1, 1], recvs: [3, 2, 2, 2, 1, 1], collectives: [3, 3, 3, 3, 0, 0] }";
 
 #[test]
 fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
@@ -153,9 +152,6 @@ fn each_handle_the_guarded_charge_and_a_spawn_round_trip_are_pinned() {
         comm.try_barrier(OP_TIMEOUT).unwrap();
         let max = comm.try_allreduce_topo_f64s(ReduceOp::Max, &[me as f64], OP_TIMEOUT);
         assert_eq!(max.unwrap()[0], 3.0);
-        let root = if me == 2 { vec![-1.0; 5] } else { vec![] };
-        assert_eq!(comm.try_bcast_topo_f64s(2, &root, OP_TIMEOUT).unwrap(), [-1.0; 5]);
-        comm.try_barrier_topo(OP_TIMEOUT).unwrap();
 
         if me == 0 {
             let kids = Arc::clone(&kids);

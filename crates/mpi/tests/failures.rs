@@ -387,17 +387,6 @@ fn topo_try_collectives_fail_cleanly_with_a_dead_member() {
             Err(CommError::RankFailed { .. }) => {}
             other => panic!("expected clean failure, got {other:?}"),
         }
-        // Follow-up topo collectives on the broken communicator keep
-        // failing fast instead of deadlocking. A barrier can never
-        // complete with a dead member; a bcast may still succeed for
-        // ranks the payload reaches before the dead rank is on the path
-        // (failure knowledge is not global), so only the dead
-        // rank's site must see the error.
-        assert!(comm.try_barrier_topo(Some(OP_TIMEOUT)).is_err());
-        let b = comm.try_bcast_topo_f64s(0, &[1.0], Some(OP_TIMEOUT));
-        if comm.rank() >= 2 {
-            assert!(b.is_err(), "the victim's site must observe the failure");
-        }
         true
     });
     assert_eq!(outs.len(), 6);

@@ -23,17 +23,6 @@ use crate::sdh::StmLevel;
 use crate::tcp::HopModel;
 use crate::units::{Bandwidth, DataSize};
 
-/// Cut-through vs store-and-forward operation (an ablation knob; the real
-/// gateways were store-and-forward IP routers).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ForwardingMode {
-    /// Full datagram received before transmission starts.
-    StoreAndForward,
-    /// Transmission begins after the header: hides the copy latency (not
-    /// the bandwidth cap).
-    CutThrough,
-}
-
 /// A workstation IP gateway between HiPPI and ATM.
 #[derive(Clone, Debug)]
 pub struct Gateway {
@@ -45,8 +34,6 @@ pub struct Gateway {
     pub per_packet: SimDuration,
     /// Memory-copy bandwidth of the workstation's I/O bus.
     pub copy_rate: Bandwidth,
-    /// Operation mode.
-    pub mode: ForwardingMode,
 }
 
 impl Gateway {
@@ -57,7 +44,6 @@ impl Gateway {
             egress: Medium::Atm { cell_rate: StmLevel::Stm4.payload_rate() },
             per_packet: SimDuration::from_micros(80),
             copy_rate: Bandwidth::from_gbps(1.6),
-            mode: ForwardingMode::StoreAndForward,
         }
     }
 
@@ -68,7 +54,6 @@ impl Gateway {
             egress: Medium::Atm { cell_rate: StmLevel::Stm4.payload_rate() },
             per_packet: SimDuration::from_micros(100),
             copy_rate: Bandwidth::from_gbps(1.2),
-            mode: ForwardingMode::StoreAndForward,
         }
     }
 
@@ -79,35 +64,15 @@ impl Gateway {
             egress: Medium::Hippi { channel: crate::hippi::HippiChannel::default() },
             per_packet: SimDuration::from_micros(90),
             copy_rate: Bandwidth::from_gbps(2.0),
-            mode: ForwardingMode::StoreAndForward,
         }
     }
 
-    /// The gateway's contribution as an analytic hop: per-packet routing
-    /// cost plus (in store-and-forward mode) the memory copy, with egress
-    /// framing as the medium.
-    pub fn hop(&self, propagation: SimDuration) -> HopModel {
-        let per_packet = match self.mode {
-            ForwardingMode::StoreAndForward => {
-                // Copy cost is per byte; fold the *fixed* part into
-                // per_packet and keep it proportional via an effective
-                // service applied on a reference datagram. For hop
-                // algebra we approximate the copy as a fixed cost at the
-                // path MTU — see `hop_for_mtu` for the exact variant.
-                self.per_packet
-            }
-            ForwardingMode::CutThrough => self.per_packet,
-        };
-        HopModel { medium: self.egress, per_packet, propagation }
-    }
-
-    /// Exact hop for a known datagram size: the store-and-forward copy of
-    /// `mtu` bytes is charged as fixed per-packet time.
+    /// The gateway's contribution as an analytic hop for a known datagram
+    /// size: routing cost plus the store-and-forward copy of `mtu` bytes,
+    /// charged as fixed per-packet time, with egress framing as the
+    /// medium.
     pub fn hop_for_mtu(&self, propagation: SimDuration, mtu: u64) -> HopModel {
-        let copy = match self.mode {
-            ForwardingMode::StoreAndForward => self.copy_rate.time_for(DataSize::from_bytes(mtu)),
-            ForwardingMode::CutThrough => SimDuration::ZERO,
-        };
+        let copy = self.copy_rate.time_for(DataSize::from_bytes(mtu));
         HopModel { medium: self.egress, per_packet: self.per_packet + copy, propagation }
     }
 }
@@ -289,11 +254,7 @@ impl GatewayPair {
     /// store-and-forward memory copy.
     fn service(&self, bytes: u64) -> SimDuration {
         let g = &self.units[self.active];
-        let copy = match g.mode {
-            ForwardingMode::StoreAndForward => g.copy_rate.time_for(DataSize::from_bytes(bytes)),
-            ForwardingMode::CutThrough => SimDuration::ZERO,
-        };
-        g.per_packet + copy
+        g.per_packet + g.copy_rate.time_for(DataSize::from_bytes(bytes))
     }
 
     fn try_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -502,12 +463,8 @@ mod tests {
     fn store_and_forward_charges_the_copy() {
         let g = Gateway::sgi_o200_to_atm();
         let sf = g.hop_for_mtu(SimDuration::ZERO, 65535);
-        let mut ct = g.clone();
-        ct.mode = ForwardingMode::CutThrough;
-        let ct = ct.hop_for_mtu(SimDuration::ZERO, 65535);
-        assert!(sf.per_packet > ct.per_packet);
         // Copy of 64 KiB at 1.6 Gbit/s ≈ 328 µs.
-        let copy_us = sf.per_packet.as_micros_f64() - ct.per_packet.as_micros_f64();
+        let copy_us = sf.per_packet.as_micros_f64() - g.per_packet.as_micros_f64();
         assert!((copy_us - 327.7).abs() < 2.0, "{copy_us}");
     }
 

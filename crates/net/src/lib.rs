@@ -11,8 +11,6 @@
 //!   its burst framing,
 //! * [`link`], [`switch`] — event-driven cell/frame transport with
 //!   propagation delay, output queues and loss,
-//! * [`policing`] — GCRA leaky-bucket usage-parameter control with CLP
-//!   tagging and selective discard (ATM QoS for mixed video/bulk loads),
 //! * [`signaling`] — SVC call setup/teardown: the hop-by-hop
 //!   SETUP/CONNECT/REJECT/RELEASE walk, the plain per-switch agent and
 //!   the call originators (the automated "simultaneous resource
@@ -28,10 +26,7 @@
 //! * [`gateway`], [`host`] — HiPPI↔ATM IP gateways and host adapters with
 //!   per-device I/O caps (the SP2 microchannel bottleneck of the paper),
 //! * [`topology`], [`transfer`] — the node/link graph of Figure 1 and
-//!   high-level bulk-transfer experiments over it,
-//! * [`stripe`] — MPWide-style WAN striping: one logical transfer over
-//!   N parallel TCP streams with per-stream pacing and an adaptive
-//!   stream count driven by the path's bandwidth-delay product.
+//!   high-level bulk-transfer experiments over it.
 //!
 //! All timing flows through `gtw-desim` virtual time, so every throughput
 //! number the paper quotes (430 Mbit/s local HiPPI TCP at 64 KB MTU,
@@ -45,12 +40,10 @@ pub mod hippi;
 pub mod host;
 pub mod ip;
 pub mod link;
-pub mod policing;
 pub mod replica;
 pub mod sdh;
 pub mod signaling;
 pub mod stats;
-pub mod stripe;
 pub mod switch;
 pub mod tcp;
 pub mod topology;
@@ -63,7 +56,6 @@ pub use replica::{
     Replica, ReplicaGroup, ReplicatedAgent,
 };
 pub use stats::{RunReport, StatsRegistry};
-pub use stripe::{StripedReport, StripedTransfer, MAX_STRIPES};
 pub use topology::{LinkSpec, NodeId, NodeKind, Topology};
 pub use transfer::{BulkTransfer, Protocol, TransferReport, TransferSet};
 pub use units::{Bandwidth, DataSize};

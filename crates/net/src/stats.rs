@@ -160,8 +160,6 @@ enum ProbeKind {
     TcpSender,
     TcpReceiver,
     Sink,
-    Policer,
-    Demux,
 }
 
 /// Records which components of a wired-up simulation should appear in the
@@ -205,16 +203,6 @@ impl StatsRegistry {
     /// Register a [`Sink`](crate::link::Sink).
     pub fn add_sink(&mut self, id: ComponentId) {
         self.probes.push((id, ProbeKind::Sink));
-    }
-
-    /// Register a [`UniPolicer`](crate::policing::UniPolicer).
-    pub fn add_policer(&mut self, id: ComponentId) {
-        self.probes.push((id, ProbeKind::Policer));
-    }
-
-    /// Register a [`FlowDemux`](crate::stripe::FlowDemux).
-    pub fn add_demux(&mut self, id: ComponentId) {
-        self.probes.push((id, ProbeKind::Demux));
     }
 
     /// Number of registered probes.
@@ -305,23 +293,6 @@ impl StatsRegistry {
                 ProbeKind::Sink => {
                     let s = sim.component::<crate::link::Sink>(id);
                     report.flows.push(FlowReport { label, recorder: s.recorder.clone() });
-                }
-                ProbeKind::Policer => {
-                    let p = sim.component::<crate::policing::UniPolicer>(id);
-                    report.policers.push(PolicerReport {
-                        label,
-                        per_vc: p.per_vc_counters(),
-                        unpoliced: p.unpoliced,
-                        dropped_msgs: p.dropped_msgs,
-                    });
-                }
-                ProbeKind::Demux => {
-                    let d = sim.component::<crate::stripe::FlowDemux>(id);
-                    report.demuxes.push(DemuxReport {
-                        label,
-                        routed: d.routed(),
-                        unroutable: d.unroutable,
-                    });
                 }
             }
         }
@@ -417,32 +388,6 @@ pub struct FlowReport {
     pub recorder: FlowRecorder,
 }
 
-/// UNI policer snapshot: verdict counters attributed per virtual
-/// circuit, in VC order.
-#[derive(Debug, Clone)]
-pub struct PolicerReport {
-    /// Policer label.
-    pub label: String,
-    /// `(vpi, vci, conforming, tagged, discarded)` per contracted VC.
-    pub per_vc: Vec<(u8, u16, u64, u64, u64)>,
-    /// Cells forwarded for VCs without a contract.
-    pub unpoliced: u64,
-    /// Stray messages the policer dropped instead of crashing.
-    pub dropped_msgs: u64,
-}
-
-/// Flow-demultiplexer snapshot: per-stripe packet attribution at the
-/// point where a shared chain fans back out into per-flow endpoints.
-#[derive(Debug, Clone)]
-pub struct DemuxReport {
-    /// Demux label.
-    pub label: String,
-    /// `(flow, packets routed)` per registered route, in route order.
-    pub routed: Vec<(u64, u64)>,
-    /// Packets dropped for want of a route.
-    pub unroutable: u64,
-}
-
 /// A full machine-readable run report.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -460,11 +405,6 @@ pub struct RunReport {
     pub receivers: Vec<ReceiverReport>,
     /// Registered sinks.
     pub flows: Vec<FlowReport>,
-    /// Registered UNI policers.
-    pub policers: Vec<PolicerReport>,
-    /// Registered flow demultiplexers (striped transfers only). Empty —
-    /// and absent from the JSON — for single-stream wirings.
-    pub demuxes: Vec<DemuxReport>,
     /// Per-shard kernel metrics registries, when the run was executed on
     /// a [`ShardedSimulator`](gtw_desim::ShardedSimulator) under a
     /// recording [`Observer`](gtw_desim::Observer). Empty (and absent
@@ -536,9 +476,6 @@ impl RunReport {
                     ("unroutable", s.stats.unroutable),
                     ("overflow", s.stats.overflow),
                     ("hec_discard", s.stats.hec_discard),
-                    ("clp_discard", s.stats.clp_discard),
-                    ("epd_discard", s.stats.epd_discard),
-                    ("ppd_discard", s.stats.ppd_discard),
                     ("dropped_msgs", s.dropped_msgs),
                 ] {
                     if count > 0 {
@@ -614,77 +551,6 @@ impl RunReport {
             ("tcp_receivers", Json::Arr(receivers)),
             ("flows", Json::Arr(flows)),
         ]);
-        if !self.policers.is_empty() {
-            // The policers key appears only when a policing point was
-            // registered, so reports from pre-policing wirings stay
-            // byte-identical.
-            let policers: Vec<Json> = self
-                .policers
-                .iter()
-                .map(|p| {
-                    let per_vc: Vec<Json> = p
-                        .per_vc
-                        .iter()
-                        .map(|&(vpi, vci, conforming, tagged, discarded)| {
-                            let mut o = Json::obj([
-                                ("vpi", Json::from(u64::from(vpi))),
-                                ("vci", Json::from(u64::from(vci))),
-                                ("conforming", Json::from(conforming)),
-                            ]);
-                            if tagged > 0 {
-                                o.push("tagged", Json::from(tagged));
-                            }
-                            if discarded > 0 {
-                                o.push("discarded", Json::from(discarded));
-                            }
-                            o
-                        })
-                        .collect();
-                    let mut o = Json::obj([
-                        ("label", Json::from(p.label.as_str())),
-                        ("per_vc", Json::Arr(per_vc)),
-                    ]);
-                    if p.unpoliced > 0 {
-                        o.push("unpoliced", Json::from(p.unpoliced));
-                    }
-                    if p.dropped_msgs > 0 {
-                        o.push("dropped_msgs", Json::from(p.dropped_msgs));
-                    }
-                    o
-                })
-                .collect();
-            doc.push("policers", Json::Arr(policers));
-        }
-        if !self.demuxes.is_empty() {
-            // The demux key appears only when a striped wiring registered
-            // demultiplexers, so single-stream reports stay byte-identical
-            // to builds predating the striping layer.
-            let demuxes: Vec<Json> = self
-                .demuxes
-                .iter()
-                .map(|d| {
-                    let routed: Vec<Json> = d
-                        .routed
-                        .iter()
-                        .map(|&(flow, packets)| {
-                            Json::obj([
-                                ("flow", Json::from(flow)),
-                                ("packets", Json::from(packets)),
-                            ])
-                        })
-                        .collect();
-                    let mut o = Json::obj([
-                        ("label", Json::from(d.label.as_str())),
-                        ("routed", Json::Arr(routed)),
-                    ]);
-                    if d.unroutable > 0 {
-                        o.push("unroutable", Json::from(d.unroutable));
-                    }
-                    o
-                })
-                .collect();
-            doc.push("demux", Json::Arr(demuxes));
-        }
         if self.faults_injected() > 0 {
             doc.push("faults_injected", Json::from(self.faults_injected()));
         }
@@ -790,13 +656,11 @@ mod tests {
         assert_eq!(hop.propagation_total, SimDuration::from_millis(4));
         assert_eq!(report.flows[0].recorder.packets, 4);
         assert_eq!(hop.stats.packets_dropped, 0);
-        // The JSON rendering carries the same numbers — and no policer
-        // key, since none was registered (clean-run identity).
+        // The JSON rendering carries the same numbers.
         let j = report.to_json().dump();
         assert!(j.contains("\"label\":\"hop0\""), "{j}");
         assert!(j.contains("\"packets_out\":4"), "{j}");
         assert!(j.contains("\"events_processed\":"), "{j}");
-        assert!(!j.contains("\"policers\""), "{j}");
     }
 
     #[test]
@@ -815,14 +679,10 @@ mod tests {
             senders: Vec::new(),
             receivers: Vec::new(),
             flows: Vec::new(),
-            policers: Vec::new(),
-            demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
         };
         let j = report.to_json().dump();
-        for absent in
-            ["unroutable", "overflow", "hec_discard", "clp_discard", "dropped_msgs", "epd_discard"]
-        {
+        for absent in ["unroutable", "overflow", "hec_discard", "dropped_msgs"] {
             assert!(!j.contains(&format!("\"{absent}\"")), "{absent} leaked into {j}");
         }
         assert!(j.contains("\"switched\":5"), "{j}");
@@ -848,8 +708,6 @@ mod tests {
             senders: Vec::new(),
             receivers: Vec::new(),
             flows: Vec::new(),
-            policers: Vec::new(),
-            demuxes: Vec::new(),
             kernel_metrics: Vec::new(),
         };
         assert!(!report.to_json().dump().contains("kernel_metrics"));
@@ -859,74 +717,5 @@ mod tests {
         report.kernel_metrics.push(reg);
         let j = report.to_json().dump();
         assert!(j.contains("\"kernel_metrics\":[{\"label\":\"shard0\",\"events\":7}]"), "{j}");
-    }
-
-    #[test]
-    fn demux_block_appears_only_when_registered() {
-        let mut report = RunReport {
-            elapsed: SimDuration::from_secs(1),
-            events_processed: 1,
-            hops: Vec::new(),
-            switches: Vec::new(),
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            flows: Vec::new(),
-            policers: Vec::new(),
-            demuxes: Vec::new(),
-            kernel_metrics: Vec::new(),
-        };
-        assert!(!report.to_json().dump().contains("\"demux\""));
-        report.demuxes.push(DemuxReport {
-            label: "data-demux".into(),
-            routed: vec![(1, 10), (2, 12)],
-            unroutable: 0,
-        });
-        let j = report.to_json().dump();
-        assert!(j.contains("\"demux\":[{\"label\":\"data-demux\""), "{j}");
-        assert!(j.contains("\"flow\":2,\"packets\":12"), "{j}");
-        // Zero unroutable stays out of the rendering.
-        assert!(!j.contains("\"unroutable\""), "{j}");
-    }
-
-    #[test]
-    fn registry_attributes_policer_drops_per_vc() {
-        use crate::aal5::segment;
-        use crate::policing::{LeakyBucket, PolicingAction, UniPolicer};
-        use crate::switch::{CellArrive, CellEndpoint};
-        use gtw_desim::component::msg;
-
-        let mut sim = Simulator::new();
-        let sink = sim.add_component(CellEndpoint::default());
-        let mut pol = UniPolicer::new("uni-fzj", sink);
-        pol.add_contract(
-            1,
-            100,
-            LeakyBucket::new(1000.0, SimDuration::ZERO, PolicingAction::Discard),
-        );
-        let pol = sim.add_component(pol);
-        let mut reg = StatsRegistry::new();
-        reg.add_policer(pol);
-        // 2× the contract on the policed VC.
-        for k in 0..100u64 {
-            for cell in segment(b"x", 1, 100) {
-                sim.send_at(SimTime::from_micros(500 * k), pol, msg(CellArrive { port: 0, cell }));
-            }
-        }
-        sim.run();
-        let report = reg.collect(&sim);
-        assert_eq!(report.policers.len(), 1);
-        let p = &report.policers[0];
-        assert_eq!(p.per_vc.len(), 1);
-        let (vpi, vci, conforming, tagged, discarded) = p.per_vc[0];
-        assert_eq!((vpi, vci), (1, 100));
-        assert!(conforming > 0 && discarded > 0 && tagged == 0, "{p:?}");
-        assert_eq!(p.unpoliced, 0);
-        let j = report.to_json().dump();
-        assert!(j.contains("\"policers\":"), "{j}");
-        assert!(j.contains("\"vci\":100"), "{j}");
-        assert!(j.contains("\"discarded\":"), "{j}");
-        // Tag counter is zero, so its key stays out of the report.
-        assert!(!j.contains("\"tagged\""), "{j}");
-        assert!(!j.contains("\"unpoliced\""), "{j}");
     }
 }

@@ -12,9 +12,9 @@
 //! start + cell time`, `start` the departure of the cell ahead, or now),
 //! so the cell's [`CellArrive`] is its only event here: the handler
 //! forwards the box it received to `next` at `depart + fabric_latency +
-//! propagation`. Admission (EPD, selective discard, overflow) reads the
-//! queue at *arrival*, when it holds the admitted cells departing after
-//! now, so a port keeps departure instants, not cells. Stats, injector
+//! propagation`. Admission (tail drop on a full buffer) reads the queue
+//! at *arrival*, when it holds the admitted cells departing after now, so
+//! a port keeps departure instants, not cells. Stats, injector
 //! draws, `cell` spans and downstream arrival instants are those of the
 //! timer-per-cell switch kept as `two_event` below (DESIGN.md §4g).
 //!
@@ -75,24 +75,13 @@ pub struct OutputPort {
     pub rate: Bandwidth,
     /// Propagation delay to the downstream component.
     pub propagation: SimDuration,
-    /// Cell buffer capacity.
+    /// Cell buffer capacity: a cell that finds it full is dropped,
+    /// whatever its CLP bit.
     pub buffer_cells: usize,
-    /// Selective-discard threshold: once the queue holds this many
-    /// cells, arriving CLP-tagged cells are dropped (set to
-    /// `buffer_cells` to disable). Protects contracted traffic when a
-    /// policer upstream tagged the excess.
-    pub clp_threshold: usize,
-    /// Early-packet-discard threshold: once the queue holds this many
-    /// cells, a *newly starting* AAL5 frame is dropped whole instead of
-    /// being mutilated cell by cell, and any frame that loses a cell to
-    /// overflow has its remaining cells discarded too (partial packet
-    /// discard). `None` (the default) reproduces plain tail-drop
-    /// bit-identically.
-    pub epd_threshold: Option<usize>,
 }
 
 impl OutputPort {
-    /// A port without selective discard.
+    /// A tail-drop port.
     pub fn simple(
         next: ComponentId,
         next_port: usize,
@@ -100,38 +89,8 @@ impl OutputPort {
         propagation: SimDuration,
         buffer_cells: usize,
     ) -> Self {
-        OutputPort {
-            next,
-            next_port,
-            rate,
-            propagation,
-            buffer_cells,
-            clp_threshold: buffer_cells,
-            epd_threshold: None,
-        }
+        OutputPort { next, next_port, rate, propagation, buffer_cells }
     }
-
-    /// Enable early packet discard at `threshold` queued cells (builder
-    /// form).
-    pub fn with_epd(mut self, threshold: usize) -> Self {
-        self.epd_threshold = Some(threshold);
-        self
-    }
-}
-
-/// Per-VC frame-discard state of an output port (EPD/PPD bookkeeping;
-/// only populated when the port has an EPD threshold).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FrameState {
-    /// Mid-frame, cells being admitted normally.
-    Passing,
-    /// The frame was refused at its first cell (EPD): discard it whole,
-    /// end cell included.
-    DropEpd,
-    /// The frame lost a cell after admission started (PPD): discard the
-    /// remainder, but forward the end cell so the reassembler sees the
-    /// frame boundary and the *next* frame is not corrupted too.
-    DropPpd,
 }
 
 struct PortState {
@@ -143,9 +102,6 @@ struct PortState {
     departures: VecDeque<SimTime>,
     /// Span track of this port's transmitter.
     track: String,
-    /// Per-VC AAL5 frame state, keyed by the outgoing `(VPI, VCI)`.
-    /// Empty (and never touched) unless `cfg.epd_threshold` is set.
-    frames: BTreeMap<(u8, u16), FrameState>,
 }
 
 /// Per-switch counters.
@@ -159,14 +115,6 @@ pub struct SwitchStats {
     pub overflow: u64,
     /// Cells dropped: HEC failure at input.
     pub hec_discard: u64,
-    /// CLP-tagged cells shed by selective discard.
-    pub clp_discard: u64,
-    /// Cells dropped by early packet discard: whole AAL5 frames refused
-    /// at the queue threshold before any of their cells were admitted.
-    pub epd_discard: u64,
-    /// Cells dropped by partial packet discard: the remainder of a frame
-    /// that already lost a cell to overflow or selective discard.
-    pub ppd_discard: u64,
     /// Cells removed by an injected link outage.
     pub fault_outage: u64,
     /// Cells removed by injected i.i.d. loss.
@@ -187,17 +135,9 @@ impl SwitchStats {
             + self.unroutable
             + self.overflow
             + self.hec_discard
-            + self.clp_discard
-            + self.epd_discard
-            + self.ppd_discard
             + self.fault_outage
             + self.fault_loss
             + self.fault_burst
-    }
-
-    /// Total cells shed at AAL5 frame granularity (EPD + PPD).
-    pub fn frame_discards(&self) -> u64 {
-        self.epd_discard + self.ppd_discard
     }
 
     /// Total cells removed or corrupted by injected faults.
@@ -238,7 +178,6 @@ impl AtmSwitch {
                     cfg,
                     departures: VecDeque::new(),
                     track: format!("{label}/p{port}"),
-                    frames: BTreeMap::new(),
                 })
                 .collect(),
             fabric_latency: SimDuration::from_micros(10),
@@ -262,23 +201,6 @@ impl AtmSwitch {
         // checking here lets the handler index `ports[route.port]` per cell.
         assert!(route.port < self.ports.len(), "route to nonexistent port");
         self.routes.insert(key, route);
-    }
-}
-
-/// After a cell of an admitted frame was dropped (overflow or selective
-/// discard), switch the frame to PPD so its remaining cells are shed
-/// instead of wasting queue space on a frame that can no longer
-/// reassemble. No-op when EPD is off or the dropped cell ended the frame.
-fn mark_ppd(
-    frames: &mut BTreeMap<(u8, u16), FrameState>,
-    frame_key: Option<((u8, u16), bool, usize)>,
-) {
-    if let Some((vc, end, _)) = frame_key {
-        if end {
-            frames.remove(&vc);
-        } else {
-            frames.insert(vc, FrameState::DropPpd);
-        }
     }
 }
 
@@ -320,7 +242,6 @@ impl Component for AtmSwitch {
         };
         header.vpi = route.vpi;
         header.vci = route.vci;
-        let (clp, end) = (header.clp, header.pti.is_aal5_end());
         let p = &mut self.ports[route.port];
         // The tie rule: departures at `now` have left before this arrival.
         while p.departures.front().is_some_and(|&d| d <= now) {
@@ -332,54 +253,8 @@ impl Component for AtmSwitch {
         } else {
             (p.cfg.buffer_cells as f64 * buffer_factor) as usize
         };
-        // EPD/PPD frame-level discard, only when the port opts in —
-        // with `epd_threshold: None` this whole block is one branch
-        // and clean runs are bit-identical to tail-drop builds.
-        let frame_key = p.cfg.epd_threshold.map(|thresh| ((route.vpi, route.vci), end, thresh));
-        if let Some((vc, end, thresh)) = frame_key {
-            match p.frames.get(&vc).copied() {
-                Some(FrameState::DropEpd) => {
-                    self.stats.epd_discard += 1;
-                    if end {
-                        p.frames.remove(&vc);
-                    }
-                    return;
-                }
-                Some(FrameState::DropPpd) if !end => {
-                    self.stats.ppd_discard += 1;
-                    return;
-                }
-                // The end cell of a mutilated frame is forwarded too
-                // (buffer permitting), to preserve the boundary.
-                Some(FrameState::DropPpd | FrameState::Passing) => {
-                    if end {
-                        p.frames.remove(&vc);
-                    }
-                }
-                None => {
-                    if queued >= thresh {
-                        // EPD: a new frame starts past the threshold
-                        // — refuse it whole, end cell included.
-                        self.stats.epd_discard += 1;
-                        if !end {
-                            p.frames.insert(vc, FrameState::DropEpd);
-                        }
-                        return;
-                    }
-                    if !end {
-                        p.frames.insert(vc, FrameState::Passing);
-                    }
-                }
-            }
-        }
-        if clp && queued >= p.cfg.clp_threshold.min(buffer_cells) {
-            self.stats.clp_discard += 1;
-            mark_ppd(&mut p.frames, frame_key);
-            return;
-        }
         if queued >= buffer_cells {
             self.stats.overflow += 1;
-            mark_ppd(&mut p.frames, frame_key);
             return;
         }
         self.stats.switched += 1;
@@ -461,9 +336,6 @@ mod two_event {
         pub cfg: OutputPort,
         queue: VecDeque<AtmCell>,
         transmitting: bool,
-        /// Per-VC AAL5 frame state, keyed by the outgoing `(VPI, VCI)`.
-        /// Empty (and never touched) unless `cfg.epd_threshold` is set.
-        frames: BTreeMap<(u8, u16), FrameState>,
     }
 
     pub struct TwoEventSwitch {
@@ -490,12 +362,7 @@ mod two_event {
                 routes: BTreeMap::new(),
                 ports: ports
                     .into_iter()
-                    .map(|cfg| PortState {
-                        cfg,
-                        queue: VecDeque::new(),
-                        transmitting: false,
-                        frames: BTreeMap::new(),
-                    })
+                    .map(|cfg| PortState { cfg, queue: VecDeque::new(), transmitting: false })
                     .collect(),
                 fabric_latency: SimDuration::from_micros(10),
                 stats: SwitchStats::default(),
@@ -568,59 +435,8 @@ mod two_event {
                 } else {
                     (p.cfg.buffer_cells as f64 * buffer_factor) as usize
                 };
-                // EPD/PPD frame-level discard, only when the port opts in —
-                // with `epd_threshold: None` this whole block is one branch
-                // and clean runs are bit-identical to tail-drop builds.
-                let frame_key = p.cfg.epd_threshold.map(|thresh| {
-                    ((out.header.vpi, out.header.vci), out.header.pti.is_aal5_end(), thresh)
-                });
-                if let Some((vc, end, thresh)) = frame_key {
-                    match p.frames.get(&vc).copied() {
-                        Some(FrameState::DropEpd) => {
-                            self.stats.epd_discard += 1;
-                            if end {
-                                p.frames.remove(&vc);
-                            }
-                            return;
-                        }
-                        Some(FrameState::DropPpd) if !end => {
-                            self.stats.ppd_discard += 1;
-                            return;
-                        }
-                        Some(FrameState::DropPpd) => {
-                            // Forward the end cell of the mutilated frame
-                            // (buffer permitting) to preserve the boundary.
-                            p.frames.remove(&vc);
-                        }
-                        Some(FrameState::Passing) => {
-                            if end {
-                                p.frames.remove(&vc);
-                            }
-                        }
-                        None => {
-                            if p.queue.len() >= thresh {
-                                // EPD: a new frame starts past the threshold
-                                // — refuse it whole, end cell included.
-                                self.stats.epd_discard += 1;
-                                if !end {
-                                    p.frames.insert(vc, FrameState::DropEpd);
-                                }
-                                return;
-                            }
-                            if !end {
-                                p.frames.insert(vc, FrameState::Passing);
-                            }
-                        }
-                    }
-                }
-                if out.header.clp && p.queue.len() >= p.cfg.clp_threshold.min(buffer_cells) {
-                    self.stats.clp_discard += 1;
-                    mark_ppd(&mut p.frames, frame_key);
-                    return;
-                }
                 if p.queue.len() >= buffer_cells {
                     self.stats.overflow += 1;
-                    mark_ppd(&mut p.frames, frame_key);
                     return;
                 }
                 p.queue.push_back(out);
@@ -732,6 +548,25 @@ mod tests {
         // The mutilated PDU must not be delivered as valid.
         assert!(e.delivered.is_empty());
         assert!(e.errors > 0 || e.delivered.is_empty());
+
+        // A CLP-tagged cell that finds the buffer full is tail-dropped
+        // like any other: thirty one-cell PDUs arriving together, tagged
+        // or not, leave the same counters and the same delivery log.
+        let train = |tagged: bool| {
+            let (mut sim, sw, ep) = one_switch_setup(2);
+            for k in 0..30u8 {
+                for mut cell in segment(&[k; 40], 1, 100) {
+                    cell.header.clp = tagged;
+                    sim.send_in(SimDuration::ZERO, sw, msg(CellArrive { port: 0, cell }));
+                }
+            }
+            sim.run();
+            let e = sim.component::<CellEndpoint>(ep);
+            (sim.component::<AtmSwitch>(sw).stats.clone(), e.delivered.clone(), e.errors)
+        };
+        let tagged = train(true);
+        assert_eq!((tagged.0.overflow, tagged.1.len()), (28, 2), "{:?}", tagged.0);
+        assert_eq!(tagged, train(false));
     }
 
     #[test]
@@ -788,147 +623,6 @@ mod tests {
         assert_eq!(e.delivered[0].1, payload);
         // End-to-end time exceeds the WAN propagation alone.
         assert!(sim.now().as_micros_f64() > 500.0);
-    }
-
-    #[test]
-    fn selective_discard_protects_contracted_cells() {
-        use crate::policing::{LeakyBucket, PolicingAction};
-        // Overload an OC-3 port with a policed 2x-contract stream; the
-        // CLP-tagged half is shed first, the conforming half survives.
-        let mut sim = Simulator::new();
-        let ep = sim.add_component(CellEndpoint::default());
-        let mut sw = AtmSwitch::new(
-            "qos",
-            vec![OutputPort {
-                next: ep,
-                next_port: 0,
-                rate: Bandwidth::OC3,
-                propagation: SimDuration::from_micros(5),
-                buffer_cells: 64,
-                clp_threshold: 8,
-                epd_threshold: None,
-            }],
-        );
-        sw.add_route(VcKey { port: 0, vpi: 1, vci: 100 }, VcRoute { port: 0, vpi: 1, vci: 100 });
-        let sw = sim.add_component(sw);
-        // Police a raw cell stream at half the offered rate.
-        let offered_interval = SimDuration::from_micros(2); // ~500k cells/s offered
-        let mut bucket = LeakyBucket::new(
-            250_000.0, // contract: half of offered
-            SimDuration::from_micros(4),
-            PolicingAction::Tag,
-        );
-        let mut t = gtw_desim::SimTime::ZERO;
-        let mut sent_conforming = 0u64;
-        for i in 0..2000u64 {
-            let mut cell = AtmCell::new(
-                {
-                    let mut h = crate::cell::CellHeader::data(1, 100);
-                    h.pti = crate::cell::Pti::USER_DATA;
-                    h
-                },
-                &i.to_le_bytes(),
-            );
-            if bucket.police(&mut cell, t) != crate::policing::Verdict::Discarded {
-                if !cell.header.clp {
-                    sent_conforming += 1;
-                }
-                sim.send_at(t, sw, msg(CellArrive { port: 0, cell }));
-            }
-            t += offered_interval;
-        }
-        sim.run();
-        let stats = &sim.component::<AtmSwitch>(sw).stats;
-        assert!(stats.clp_discard > 300, "tagged cells should be shed: {stats:?}");
-        // Conforming cells survive (no untagged overflow at this load).
-        assert_eq!(stats.overflow, 0, "{stats:?}");
-        assert_eq!(stats.switched, sent_conforming + (bucket.tagged - stats.clp_discard));
-    }
-
-    /// Offered load for EPD tests: `frames` AAL5 frames of `frame_bytes`
-    /// back to back on VC (1, 100), injected at `interval` per cell.
-    fn blast(sim: &mut Simulator, sw: ComponentId, frames: usize, frame_bytes: usize) {
-        let interval = SimDuration::from_micros(1);
-        let mut t = gtw_desim::SimTime::ZERO;
-        for k in 0..frames {
-            let payload = vec![k as u8; frame_bytes];
-            for cell in segment(&payload, 1, 100) {
-                sim.send_at(t, sw, msg(CellArrive { port: 0, cell }));
-                t += interval;
-            }
-        }
-    }
-
-    fn epd_switch(epd: Option<usize>, buffer: usize) -> (Simulator, ComponentId, ComponentId) {
-        let mut sim = Simulator::new();
-        let ep = sim.add_component(CellEndpoint::default());
-        let mut port =
-            OutputPort::simple(ep, 0, Bandwidth::OC3, SimDuration::from_micros(5), buffer);
-        port.epd_threshold = epd;
-        let mut sw = AtmSwitch::new("epd", vec![port]);
-        sw.add_route(VcKey { port: 0, vpi: 1, vci: 100 }, VcRoute { port: 0, vpi: 1, vci: 100 });
-        let sw = sim.add_component(sw);
-        (sim, sw, ep)
-    }
-
-    #[test]
-    fn epd_drops_whole_frames_tail_drop_mutilates() {
-        // Same overload (20 × 2000-byte frames at ~3× line rate into a
-        // 128-cell buffer): tail drop mutilates most frames, EPD (with
-        // one frame's worth of headroom below the ceiling) delivers
-        // complete ones and never overflows.
-        let (mut sim, sw, ep) = epd_switch(None, 128);
-        blast(&mut sim, sw, 20, 2000);
-        sim.run();
-        let tail_delivered = sim.component::<CellEndpoint>(ep).delivered.len();
-        let tail_errors = sim.component::<CellEndpoint>(ep).errors;
-        assert!(sim.component::<AtmSwitch>(sw).stats.overflow > 0);
-
-        let (mut sim, sw, ep) = epd_switch(Some(64), 128);
-        blast(&mut sim, sw, 20, 2000);
-        sim.run();
-        let s = sim.component::<AtmSwitch>(sw);
-        assert!(s.stats.epd_discard > 0, "{:?}", s.stats);
-        assert_eq!(s.stats.overflow, 0, "EPD headroom must prevent overflow: {:?}", s.stats);
-        let e = sim.component::<CellEndpoint>(ep);
-        assert!(
-            e.delivered.len() > tail_delivered,
-            "EPD {} vs tail-drop {tail_delivered} complete frames",
-            e.delivered.len()
-        );
-        assert!(e.errors <= tail_errors, "EPD must not increase mutilation: {} errors", e.errors);
-    }
-
-    #[test]
-    fn epd_preserves_cell_conservation() {
-        let (mut sim, sw, _ep) = epd_switch(Some(16), 32);
-        blast(&mut sim, sw, 30, 3000);
-        sim.run();
-        let s = sim.component::<AtmSwitch>(sw);
-        let injected: u64 = (0..30).map(|_| segment(&vec![0u8; 3000], 1, 100).len() as u64).sum();
-        assert_eq!(s.stats.cells_in(), injected, "{:?}", s.stats);
-        assert!(s.stats.frame_discards() > 0);
-    }
-
-    #[test]
-    fn ppd_sheds_frame_remainder_after_overflow() {
-        // A tiny buffer with a high EPD threshold: frames get admitted,
-        // overflow mid-frame, and PPD sheds the rest.
-        let (mut sim, sw, _ep) = epd_switch(Some(30), 8);
-        blast(&mut sim, sw, 10, 4000);
-        sim.run();
-        let s = sim.component::<AtmSwitch>(sw);
-        assert!(s.stats.overflow > 0, "{:?}", s.stats);
-        assert!(s.stats.ppd_discard > 0, "{:?}", s.stats);
-    }
-
-    #[test]
-    fn epd_off_has_no_frame_counters() {
-        let (mut sim, sw, _ep) = epd_switch(None, 8);
-        blast(&mut sim, sw, 10, 4000);
-        sim.run();
-        let s = sim.component::<AtmSwitch>(sw);
-        assert_eq!(s.stats.frame_discards(), 0, "{:?}", s.stats);
     }
 
     #[test]
@@ -1161,10 +855,10 @@ mod tests {
     }
 
     /// A random tandem: 1–3 switches, mostly at one rate (so a departure
-    /// upstream and one downstream share a nanosecond), every buffer, EPD
-    /// and selective-discard regime, a seeded injector on a third of the
-    /// switches; and 1–2 VCs of AAL5 frames interleaved cell by cell,
-    /// some tagged, some unroutable, in same-instant bursts and at gaps
+    /// upstream and one downstream share a nanosecond), every buffer
+    /// size, a seeded injector on a third of the switches; and 1–2 VCs of
+    /// AAL5 frames interleaved cell by cell, some CLP-tagged (which no
+    /// switch reads), some unroutable, in same-instant bursts and at gaps
     /// that are exact multiples of the head switch's cell time.
     fn scenario(seed: u64) -> Scenario {
         let mut draw = Draw(StreamRng::new(seed, "switch-differential"));
@@ -1175,20 +869,12 @@ mod tests {
         };
         let hops: Vec<Hop> = (0..draw.pick(&[1, 2, 3]))
             .map(|_| {
-                let buffer_cells = draw.pick(&[2, 8, 64, 4096]);
                 let port = OutputPort {
                     next: ComponentId::placeholder(),
                     next_port: 0,
                     rate: if draw.one_in(3) { draw.pick(&rates) } else { base_rate },
                     propagation: SimDuration::from_micros(draw.pick(&[0, 0, 500])),
-                    buffer_cells,
-                    clp_threshold: draw.pick(&[buffer_cells / 2, buffer_cells]),
-                    epd_threshold: draw.pick(&[
-                        None,
-                        Some(1),
-                        Some(buffer_cells / 2),
-                        Some(buffer_cells),
-                    ]),
+                    buffer_cells: draw.pick(&[2, 8, 64, 4096]),
                 };
                 let faults = draw.one_in(3).then(|| FaultSpec {
                     outages: Schedule::new(vec![window(200, 400)]),

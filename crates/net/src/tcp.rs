@@ -80,13 +80,6 @@ impl TcpModel {
         let window_rate = self.window.bits() as f64 / self.rtt().as_secs_f64();
         Bandwidth::from_bps(pipe_rate.min(window_rate))
     }
-
-    /// The window needed to fill the pipe (bandwidth-delay product at the
-    /// bottleneck rate), in bytes.
-    pub fn required_window(&self) -> DataSize {
-        let rate = self.ip.mss() as f64 / self.bottleneck_service().as_secs_f64();
-        DataSize::from_bytes((rate * self.rtt().as_secs_f64()).ceil() as u64)
-    }
 }
 
 /// Parameters for the event-driven sender.
@@ -721,26 +714,6 @@ mod tests {
         // Cross-check against the kernel's own timer accounting: the
         // sender's only self-timers are RTO watchdogs.
         assert_eq!(observer.timers_armed_by(sender), rto_armed);
-    }
-
-    #[test]
-    fn analytic_required_window_fills_pipe() {
-        let ip = IpConfig { mtu: 9180 };
-        let model = TcpModel {
-            hops: vec![HopModel {
-                medium: Medium::Raw { rate: Bandwidth::from_mbps(622.0) },
-                per_packet: SimDuration::ZERO,
-                propagation: SimDuration::from_millis(5),
-            }],
-            ip,
-            window: DataSize::from_kib(64),
-        };
-        let needed = model.required_window();
-        let filled = TcpModel { window: needed, ..model.clone() };
-        let tp = filled.steady_state_throughput().mbps();
-        // With the BDP window the pipe rate is achieved (within rounding).
-        let pipe = (ip.mss() as f64 * 8.0) / filled.bottleneck_service().as_secs_f64() / 1e6;
-        assert!((tp - pipe).abs() / pipe < 0.01, "tp {tp} pipe {pipe}");
     }
 
     /// Deterministic single-loss harness: forwards every packet except

@@ -9,9 +9,8 @@
 //!
 //! How a transfer is run — on which kernel, under which fault plan,
 //! observed or not, bounded by which horizon — is one
-//! [`RunOptions`] value passed to `run_with` on [`BulkTransfer`],
-//! [`TransferSet`] and [`StripedTransfer`](crate::stripe::StripedTransfer)
-//! alike, so the axes compose.
+//! [`RunOptions`] value passed to `run_with` on [`BulkTransfer`] and
+//! [`TransferSet`] alike, so the axes compose.
 
 use gtw_desim::fault::{FaultPlan, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::{
@@ -108,11 +107,11 @@ pub struct TransferReport {
 /// The two shard sides of one wired transfer plus the cut edge's
 /// propagation (`None` when the path has no positive-propagation hop and
 /// therefore must stay on one shard).
-pub(crate) type ShardSplit = (Vec<ComponentId>, Vec<ComponentId>, Option<SimDuration>);
+type ShardSplit = (Vec<ComponentId>, Vec<ComponentId>, Option<SimDuration>);
 
 /// A hop of a wired chain: the run ([`PipeStage`]) holding it and its
 /// index in that run.
-pub(crate) type HopId = (ComponentId, usize);
+type HopId = (ComponentId, usize);
 
 /// The path's WAN hop: the widest propagation, the first of equals, or
 /// `None` when no hop propagates.
@@ -128,7 +127,7 @@ fn wan_hop(hops: &[HopModel]) -> Option<usize> {
 /// `reverse` builds the ACK path, `hops` last to first. Chain hop `i` is
 /// labelled `{label}{i}`; returns the chain's hops in order. Runs are
 /// created back to front so each knows its successor.
-pub(crate) fn build_chain(
+fn build_chain(
     sim: &mut Simulator,
     hops: &[HopModel],
     reverse: bool,
@@ -157,7 +156,7 @@ pub(crate) fn build_chain(
 
 /// Register a wired path's hops in report order: the forward hops far
 /// end first, then the ACK hops in path order.
-pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[HopId], rev: &[HopId]) {
+fn register_stages(reg: &mut StatsRegistry, fwd: &[HopId], rev: &[HopId]) {
     fwd.iter().rev().chain(rev).for_each(|&(id, k)| reg.add_hop(id, k));
 }
 
@@ -169,7 +168,7 @@ pub(crate) fn register_stages(reg: &mut StatsRegistry, fwd: &[HopId], rev: &[Hop
 /// callers seed the two sides with their endpoints. With no
 /// positive-propagation hop there is nothing to cut and every run stays
 /// `near`.
-pub(crate) fn wan_split(
+fn wan_split(
     hops: &[HopModel],
     fwd: &[HopId],
     rev: &[HopId],
@@ -192,7 +191,7 @@ pub(crate) fn wan_split(
 /// Run a wired simulation as `opts` asks and collect `reg`'s report from
 /// it: the sequential kernel (horizon-bounded) for `shards == 0`,
 /// otherwise the sharded kernel over `splits`.
-pub(crate) fn execute(
+fn execute(
     mut sim: Simulator,
     reg: &StatsRegistry,
     splits: &[ShardSplit],

@@ -60,7 +60,7 @@ proptest! {
         // Conservation at the first switch: arrivals fully accounted.
         prop_assert_eq!(s1.cells_in(), injected);
         prop_assert_eq!(
-            s1.switched + s1.unroutable + s1.overflow + s1.hec_discard + s1.clp_discard,
+            s1.switched + s1.unroutable + s1.overflow + s1.hec_discard,
             injected
         );
         prop_assert_eq!(s1.unroutable, unroutable_cells as u64);

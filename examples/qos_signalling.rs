@@ -1,17 +1,11 @@
-//! ATM control-plane demo: SVC call admission along the trunk, and GCRA
-//! policing with CLP-based selective discard protecting a video
-//! contract from a misbehaving bulk flow.
+//! ATM control-plane demo: SVC call admission of D1 video streams along
+//! the trunk.
 //!
 //! ```text
 //! cargo run --release --example qos_signalling
 //! ```
 
 use gtw_core::coalloc::signal_wan_share;
-use gtw_desim::{SimDuration, SimTime, Simulator};
-use gtw_net::aal5::segment;
-use gtw_net::policing::{LeakyBucket, PolicingAction};
-use gtw_net::switch::{AtmSwitch, CellEndpoint, OutputPort, VcKey, VcRoute};
-use gtw_net::units::Bandwidth;
 
 fn main() {
     println!("== SVC signalling: admitting D1 streams onto the trunk ==");
@@ -28,70 +22,4 @@ fn main() {
             ),
         }
     }
-
-    println!("\n== Policing + selective discard under congestion ==");
-    let mut sim = Simulator::new();
-    let ep = sim.add_component(CellEndpoint::default());
-    let mut sw = AtmSwitch::new(
-        "asx",
-        vec![OutputPort {
-            next: ep,
-            next_port: 0,
-            rate: Bandwidth::OC3,
-            propagation: SimDuration::from_micros(5),
-            buffer_cells: 96,
-            clp_threshold: 12,
-            epd_threshold: None,
-        }],
-    );
-    // VC 10: contracted video; VC 20: greedy bulk flow, policed to a
-    // quarter of the port.
-    sw.add_route(VcKey { port: 0, vpi: 0, vci: 10 }, VcRoute { port: 0, vpi: 0, vci: 10 });
-    sw.add_route(VcKey { port: 0, vpi: 0, vci: 20 }, VcRoute { port: 0, vpi: 0, vci: 20 });
-    let sw = sim.add_component(sw);
-
-    let mut bulk_policer = LeakyBucket::new(
-        Bandwidth::OC3.bps() / (53.0 * 8.0) / 4.0, // quarter of the port
-        SimDuration::from_micros(300),
-        PolicingAction::Tag,
-    );
-    let mut t = SimTime::ZERO;
-    let mut video_pdus = 0;
-    let mut bulk_pdus = 0;
-    for round in 0..150u64 {
-        // Video: steady 1-KB PDUs, within contract (no tagging).
-        let vid = vec![round as u8; 1024];
-        for cell in segment(&vid, 0, 10) {
-            sim.send_at(
-                t,
-                sw,
-                gtw_desim::component::msg(gtw_net::switch::CellArrive { port: 0, cell }),
-            );
-            t += SimDuration::from_micros(8);
-        }
-        video_pdus += 1;
-        // Bulk: bursts at far beyond its contract; excess gets tagged.
-        let blk = vec![(round + 128) as u8; 2048];
-        for mut cell in segment(&blk, 0, 20) {
-            bulk_policer.police(&mut cell, t);
-            sim.send_at(
-                t,
-                sw,
-                gtw_desim::component::msg(gtw_net::switch::CellArrive { port: 0, cell }),
-            );
-            t += SimDuration::from_micros(1); // burst
-        }
-        bulk_pdus += 1;
-    }
-    sim.run();
-    let e = sim.component::<CellEndpoint>(ep);
-    let stats = &sim.component::<AtmSwitch>(sw).stats;
-    let video_ok = e.delivered.iter().filter(|((_, vci), _)| *vci == 10).count();
-    let bulk_ok = e.delivered.iter().filter(|((_, vci), _)| *vci == 20).count();
-    println!("  video:  {video_ok}/{video_pdus} PDUs intact (contracted traffic protected)");
-    println!(
-        "  bulk:   {bulk_ok}/{bulk_pdus} PDUs intact; {} tagged cells shed, {} PDUs flagged corrupt by AAL5",
-        stats.clp_discard, e.errors
-    );
-    println!("  switch: {} cells forwarded, {} untagged drops", stats.switched, stats.overflow);
 }

@@ -103,8 +103,9 @@ gone "an item no paper number reached is back" \
     '*.rs' ':!crates/gtw-benchmark/'
 # And the three crates they sat in stay within their size without them:
 # non-test lines of crates/{fire,viz,core}/src, 5290 before, 4662 before
-# Figure 2's quoted stage budgets were deleted.
-budget 4652 crates/fire/src/*.rs crates/viz/src/*.rs crates/core/src/*.rs
+# Figure 2's quoted stage budgets were deleted, 4652 before X3's
+# refinement and the sliding correlation were.
+budget 4450 crates/fire/src/*.rs crates/viz/src/*.rs crates/core/src/*.rs
 # Third pass, the items only tests called: the clip threshold of the
 # cumulative map, the per-voxel-list detrend, the pipeline's RVO stage
 # and the catalogue's peak and PE totals. And the RVO raster's scalar
@@ -150,8 +151,9 @@ fi
 # 1350 + 153 + 206 = 1709 before envelopes carried typed buffers, 1669
 # before `irecv` and `Mailbox::try_claim` were deleted, 1622 before a
 # handle cached its peers' mailboxes and an envelope's buffer was an
-# enum, and 1620 before the functions named above were deleted.
-budget 1424 crates/mpi/src/comm/*.rs crates/mpi/src/envelope.rs crates/mpi/src/mailbox.rs
+# enum, 1620 before the functions named above were deleted, and 1420
+# before the topology broadcast and barrier were.
+budget 1318 crates/mpi/src/comm/*.rs crates/mpi/src/envelope.rs crates/mpi/src/mailbox.rs
 # The same for the run entries: a transfer runs through `run_with` and
 # one `RunOptions`, a chain through `run_chain_with` and one
 # `ChainOptions`, and the sharded kernel has one executor. The per-axis
@@ -211,8 +213,10 @@ fi
 gone "a deleted harness, flag or knob is back" '\b(kernel_bench|BENCH_trajectory|DegradeConfig)\b|--bin trajectory|--(deterministic|tolerance)\b' \
     '*.rs' '*.toml' ':!crates/gtw-benchmark/'
 # And the bench crate stays smaller than the two harnesses left it:
-# non-test lines of crates/bench/src, 2025 before.
-budget 1675 crates/bench/src/*.rs crates/bench/src/bin/*.rs
+# non-test lines of crates/bench/src, 2025 before, 1493 before
+# `--stripes`, the gateway ablation table and `rvo_ablation` were
+# deleted.
+budget 1355 crates/bench/src/*.rs crates/bench/src/bin/*.rs
 # One mechanism per job: each superseded second path stays deleted — the
 # virtual-time heartbeat monitor beside the wall-clock detector, the
 # replica-group report block no run registered, the gateway's epoch
@@ -222,11 +226,12 @@ budget 1675 crates/bench/src/*.rs crates/bench/src/bin/*.rs
 second_paths='HeartbeatMonitor|HeartbeatConfig|add_replica_group|ReplicationReport|ReplicaReport|GatewayEpochUpdate|notify_control|set_event_budget|BudgetExhausted|fn run_for|shard_cut|fn irecv|RecvRequest|try_claim|schedule_link_failures|with_adaptive_streams'
 gone "a deleted second path is back" "$second_paths" '*.rs' ':!crates/gtw-benchmark/'
 # And the net files they sat in stay at most their size without them:
-# non-test lines of stats, gateway, topology, signaling and stripe, 2643
-# before, 2358 before the B-WiN fail-over and the gateway's route
-# notification were deleted, 2317 before `ResilientRoute` and the
-# CAC-gated stripe count were.
-budget 2122 crates/net/src/{stats,gateway,topology,signaling,stripe}.rs
+# non-test lines of stats, gateway, topology and signaling (with stripe,
+# since deleted), 2643 before, 2358 before the B-WiN fail-over and the
+# gateway's route notification were deleted, 2317 before `ResilientRoute`
+# and the CAC-gated stripe count were, 2122 before striping, the
+# policer probe and the cut-through gateway mode were.
+budget 1661 crates/net/src/{stats,gateway,topology,signaling}.rs
 # Every library item earns a non-test caller, third pass over gtw-net and
 # gtw-desim: the resilient route and its messages, the CAC-gated stripe
 # count with its trial admission, the switch's wire-octet ingress, the
@@ -244,14 +249,27 @@ gone "$third_why" \
 # And the two crates stay within their size without them: non-test lines
 # of crates/{net,desim}/src, 12 165 before (7878 + 4287), 11 632 before
 # `StreamRng` traded `next_u32` for `seek` and `normal` lent its
-# Box–Muller transform to the scanner.
-budget 11626 crates/{net,desim}/src/*.rs crates/net/src/replica/*.rs
+# Box–Muller transform to the scanner, 11 626 before the fourth caller
+# audit (below).
+budget 10816 crates/{net,desim}/src/*.rs crates/net/src/replica/*.rs
+# Every library item earns a non-test caller, fourth pass: the
+# extension and ablation rows no paper number reaches — WAN striping,
+# UNI policing with selective and frame-level discard, the cut-through
+# gateway knob, X3's coarse-plus-refine RVO and its bin, the sliding
+# correlation, the topology broadcast and barrier — and the helpers that
+# only they called stay deleted. (`sp2_microchannel_striped`, the SP2
+# host model, is not matched: it stays.)
+fourth_why="an extension or ablation row no paper number reaches is back"
+gone "$fourth_why" \
+    '\b(StripedTransfer|StripedReport|FlowDemux|adaptive_streams|stripe_sizes|stripe_offsets|MAX_STRIPES|add_demux|DemuxReport|UniPolicer|LeakyBucket|PolicingAction|add_policer|PolicerReport|clp_threshold|epd_threshold|with_epd|FrameState|mark_ppd|clp_discard|epd_discard|ppd_discard|frame_discards|ForwardingMode|CutThrough|CoarseRefine|paper_refined|refine_iters|SlidingCorrelation|(try_)?bcast_topo_f64s|(try_)?barrier_topo|required_window)\b|gtw_net::(stripe|policing)|pub fn (recovery_error|exponential)\b|fn refine\(' \
+    '*.rs' ':!crates/gtw-benchmark/'
+gone "$fourth_why" '^' crates/net/src/stripe.rs crates/net/src/policing.rs crates/bench/src/bin/rvo_ablation.rs
 # A packet crosses a run of hops in one event: the stage and its wiring
-# stay within 920 non-test lines (864 when every hop was a component of
+# stay within 919 non-test lines (864 when every hop was a component of
 # its own), and outside its tests crates/net/src builds a `PipeStage`
 # only in `transfer::build_chain`, which makes at most two runs a
 # direction, split at the WAN hop on either kernel.
-budget 920 crates/net/src/{link,transfer}.rs
+budget 919 crates/net/src/{link,transfer}.rs
 if nontest '
     FILENAME != file {file = FILENAME; fn = ""}
     /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn)}
@@ -315,8 +333,8 @@ timeout 300 cargo test -q -p gtw-fire realtime
 timeout 300 cargo test -q -p gtw-fire rt::
 same_twice pfaulted run_report --process-faults 1999
 
-# Overload gate: the congestion scenario-fuzz suite (CAC, EPD vs tail
-# drop, gateway failover, FIRE degradation) under the pinned master seed
+# Overload gate: the congestion scenario-fuzz suite (CAC, gateway
+# failover, FIRE degradation) under the pinned master seed
 # (reproduce any failure locally with the same GTW_OVERLOAD_SEED) and a
 # hard timeout, then the congested-chain determinism check: two
 # congestion-seeded run_report runs with one seed must emit
@@ -531,23 +549,13 @@ same_twice fig3 cargo run --release -q -p gtw-bench --bin fig3_overlay -- --json
 timeout 300 cargo test -q -p gtw-mpi
 timeout 300 cargo test -q -p gtw-core --test collectives
 
-# Striping gate: two striped fig1 MTU sweeps (4 parallel TCP streams per
-# transfer) must emit byte-identical JSON — the stripe split, per-flow
-# demux attribution, and merge order are all deterministic — and the
-# striped sweep must also be shard-invariant.
-same_twice striped fig1 --stripes 4
-fig1 --stripes 4 --shards 2 > "$trace_tmp/striped_2shard.json"
-cmp "$trace_tmp/striped_a.json" "$trace_tmp/striped_2shard.json"
-# The flags are fields of one `RunOptions`, so they combine: a striped
-# sweep under the degraded-WAN plan is shard-invariant too, and
-# instrumenting a faulted sharded sweep adds the `meta` and
-# `kernel_metrics` blocks and changes nothing else (trailing commas are
-# dropped from both sides: a block removed from the end of an object
-# leaves one behind).
-fig1 --faults 1999 --stripes 4 > "$trace_tmp/striped_faulted.json"
-fig1 --faults 1999 --stripes 4 --shards 2 > "$trace_tmp/striped_faulted_2shard.json"
-cmp "$trace_tmp/striped_faulted.json" "$trace_tmp/striped_faulted_2shard.json"
+# The flags are fields of one `RunOptions`, so they combine: a sweep
+# under the degraded-WAN plan is shard-invariant too, and instrumenting
+# a faulted sharded sweep adds the `meta` and `kernel_metrics` blocks
+# and changes nothing else (trailing commas are dropped from both sides:
+# a block removed from the end of an object leaves one behind).
 fig1 --faults 1999 --shards 2 > "$trace_tmp/faulted_2shard.json"
+cmp "$trace_tmp/faulted_a.json" "$trace_tmp/faulted_2shard.json"
 fig1 --faults 1999 --shards 2 --kernel-metrics > "$trace_tmp/faulted_2shard_metrics.json"
 grep -q '"kernel_metrics"' "$trace_tmp/faulted_2shard_metrics.json"
 uninstrumented() {

@@ -6,13 +6,17 @@
 //! switch must reproduce every admission decision, every injector draw
 //! and every downstream arrival instant. Only the kernel's event count
 //! moved — two of a cell's five events were those timers — so it is
-//! pinned at its new value beside the old one.
+//! pinned at its new value beside the old one. The PVC digest, the
+//! tail-drop overload and the faulted tandem (no policer, no selective
+//! or frame-level discard) were re-captured, digesting the surviving
+//! counters by name, on the commit before the CLP threshold and EPD/PPD
+//! left the switch; those runs read 0 in each of the three deleted
+//! counters there.
 
 use gtw_desim::component::{msg, Component, Ctx, Msg};
 use gtw_desim::fault::{FaultInjector, FaultSpec, LossModel, Schedule, Window};
 use gtw_desim::{ComponentId, SimDuration, SimTime, Simulator, StreamRng};
 use gtw_net::aal5::segment;
-use gtw_net::policing::{LeakyBucket, PolicingAction};
 use gtw_net::switch::{AtmSwitch, CellArrive, CellEndpoint, OutputPort, VcKey, VcRoute};
 use gtw_net::units::Bandwidth;
 
@@ -24,15 +28,15 @@ const PVC_DELIVERED_DIGEST: u64 = 0x0ac5_8e0a_e61b_5aae;
 /// Five events per cell (arrival and timer at each switch, arrival at
 /// the endpoint) were 399 680; three are 239 808.
 const PVC_EVENTS: u64 = 3 * PVC_CELLS;
+/// [`digest`] of the whole PVC run.
+const PVC_DIGEST: u64 = 0x1994_b6d6_a7e1_35a9;
 
-/// `(seed, EPD on, EPD off)` of the 2× frame overload, and `(seed,
-/// digest)` of the CLP-policed, injector-faulted tandem.
-const PINNED_OVERLOAD: [(u64, u64, u64); 2] = [
-    (1999, 0xc742_bfd0_efbb_e618, 0x4063_d5c9_6d4e_a0d7),
-    (2026, 0xce32_fb04_27ec_6a9f, 0x1f37_d556_19d9_37ee),
-];
+/// `(seed, digest)` of the tail-drop frame overload and of the
+/// injector-faulted tandem.
+const PINNED_OVERLOAD: [(u64, u64); 2] =
+    [(1999, 0xb0d7_8052_0ab3_fd15), (2026, 0x8a99_b83b_77ed_1718)];
 const PINNED_FAULTED_TANDEM: [(u64, u64); 2] =
-    [(1999, 0x2ba8_1090_edce_dfde), (2026, 0x0033_d409_0885_0e5f)];
+    [(1999, 0x6f7b_1fab_44ca_bfe8), (2026, 0x6fa9_9f7d_a8d6_7737)];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -69,7 +73,20 @@ fn digest(sim: &Simulator, switches: &[ComponentId], endpoint: ComponentId) -> u
     for &id in switches {
         let sw = sim.component::<AtmSwitch>(id);
         let faults = sw.injector.as_ref().map(|i| i.stats());
-        h = fnv(h, format!("{:?}|{faults:?}|{}", sw.stats, sw.dropped_msgs).bytes());
+        let s = &sw.stats;
+        let counters = format!(
+            "switched={} unroutable={} overflow={} hec_discard={} fault_outage={} \
+             fault_loss={} fault_burst={} fault_hec={}",
+            s.switched,
+            s.unroutable,
+            s.overflow,
+            s.hec_discard,
+            s.fault_outage,
+            s.fault_loss,
+            s.fault_burst,
+            s.fault_hec
+        );
+        h = fnv(h, format!("{counters}|{faults:?}|{}", sw.dropped_msgs).bytes());
     }
     let ep = sim.component::<TimedEndpoint>(endpoint);
     for &(at, delivered, errors) in &ep.log {
@@ -92,7 +109,7 @@ fn kernel_bench_cell_pvc_is_pinned() {
     // The deleted kernel-bench bin's `cell_pvc`, component for
     // component and byte for byte.
     let mut sim = Simulator::new();
-    let endpoint = sim.add_component(CellEndpoint::default());
+    let endpoint = sim.add_component(TimedEndpoint::default());
     let port = |next, rate, prop_us| {
         vec![OutputPort::simple(next, 0, rate, SimDuration::from_micros(prop_us), 4096)]
     };
@@ -118,24 +135,25 @@ fn kernel_bench_cell_pvc_is_pinned() {
     assert_eq!(cells, PVC_CELLS);
     let switched = |id| sim.component::<AtmSwitch>(id).stats.switched;
     assert_eq!((switched(fzj), switched(gmd)), (cells, cells));
-    let ep = sim.component::<CellEndpoint>(endpoint);
+    let ep = &sim.component::<TimedEndpoint>(endpoint).inner;
     assert_eq!((ep.delivered.len(), ep.errors + ep.dropped_msgs), (PVC_PDUS, 0));
     let got = fnv(FNV_OFFSET, ep.delivered.iter().flat_map(|(_, p)| p.iter().copied()));
     assert_eq!(got, PVC_DELIVERED_DIGEST, "delivered digest {got:#018x}");
     assert_eq!(sim.events_processed(), PVC_EVENTS);
+    let got = digest(&sim, &[fzj, gmd], endpoint);
+    assert_eq!(got, PVC_DIGEST, "run digest {got:#018x}");
 }
 
-/// `tests/overload.rs`'s `frame_overload` with that suite's seeded
-/// draws: 200 frames of 1000–3000 bytes blasted at 2–4× the OC-3 cell
-/// rate into a 128-cell buffer, with EPD at 64 cells or plain tail drop.
-fn frame_overload(seed: u64, epd: Option<usize>) -> u64 {
+/// The 2× frame overload `tests/overload.rs` once ran against EPD, with
+/// that suite's seeded draws: 200 frames of 1000–3000 bytes blasted at
+/// 2–4× the OC-3 cell rate into a 128-cell tail-drop buffer.
+fn frame_overload(seed: u64) -> u64 {
     let mut rng = StreamRng::new(seed, "overload/epd-ab");
     let frame_bytes = 1000 + rng.below(2000) as usize;
     let overload = rng.uniform_in(2.0, 4.0);
     let mut sim = Simulator::new();
     let ep = sim.add_component(TimedEndpoint::default());
-    let mut port = OutputPort::simple(ep, 0, Bandwidth::OC3, SimDuration::from_micros(5), 128);
-    port.epd_threshold = epd;
+    let port = OutputPort::simple(ep, 0, Bandwidth::OC3, SimDuration::from_micros(5), 128);
     let mut sw = AtmSwitch::new("epd-ab", vec![port]);
     sw.add_route(VcKey { port: 0, vpi: 1, vci: 100 }, VcRoute { port: 0, vpi: 1, vci: 100 });
     let sw = sim.add_component(sw);
@@ -151,41 +169,30 @@ fn frame_overload(seed: u64, epd: Option<usize>) -> u64 {
     }
     sim.run();
     let stats = &sim.component::<AtmSwitch>(sw).stats;
-    match epd {
-        Some(_) => assert!(stats.epd_discard > 0, "{stats:?}"),
-        None => assert!(stats.overflow > 0 && stats.frame_discards() == 0, "{stats:?}"),
-    }
+    assert!(stats.overflow > 0, "{stats:?}");
     digest(&sim, &[sw], ep)
 }
 
 #[test]
-fn frame_overload_with_and_without_epd_is_pinned() {
-    for (seed, epd_on, epd_off) in PINNED_OVERLOAD {
-        let got = (frame_overload(seed, Some(64)), frame_overload(seed, None));
-        assert_eq!(
-            got,
-            (epd_on, epd_off),
-            "seed {seed}: digests ({:#018x}, {:#018x})",
-            got.0,
-            got.1
-        );
+fn tail_drop_frame_overload_is_pinned() {
+    for (seed, pinned) in PINNED_OVERLOAD {
+        let got = frame_overload(seed);
+        assert_eq!(got, pinned, "seed {seed}: digest {got:#018x}");
     }
 }
 
-/// Two VCs of seeded frames, policed (tagging) at the UNI to half of
-/// what they offer, through a faulted OC-12 switch with selective
-/// discard and EPD, a 500 µs trunk, and an OC-3 switch that is the
-/// bottleneck: every admission branch and every injector verdict fires.
+/// Two VCs of seeded frames through a faulted OC-12 switch, a 500 µs
+/// trunk, and an OC-3 switch that is the bottleneck: every admission
+/// branch and every injector verdict fires, and tail drop mutilates all
+/// but a few frames.
 fn faulted_tandem(seed: u64) -> u64 {
     let vcis = [100u16, 101];
     let mut sim = Simulator::new();
     let ep = sim.add_component(TimedEndpoint::default());
-    let port = |next, rate, prop_us, buffer_cells, clp_threshold, epd| {
-        let simple =
-            OutputPort::simple(next, 0, rate, SimDuration::from_micros(prop_us), buffer_cells);
-        vec![OutputPort { clp_threshold, ..simple }.with_epd(epd)]
+    let port = |next, rate, prop_us, buffer_cells| {
+        vec![OutputPort::simple(next, 0, rate, SimDuration::from_micros(prop_us), buffer_cells)]
     };
-    let mut edge = AtmSwitch::new("edge", port(ep, Bandwidth::OC3, 5, 48, 24, 32));
+    let mut edge = AtmSwitch::new("edge", port(ep, Bandwidth::OC3, 5, 48));
     for vci in vcis {
         edge.add_route(VcKey { port: 0, vpi: 2, vci }, VcRoute { port: 0, vpi: 3, vci });
     }
@@ -198,7 +205,7 @@ fn faulted_tandem(seed: u64) -> u64 {
         header_error_rate: 0.005,
         degrade: vec![(window(1_500, 2_500), 0.25)],
     };
-    let mut core = AtmSwitch::new("core", port(edge, Bandwidth::OC12, 500, 64, 16, 40))
+    let mut core = AtmSwitch::new("core", port(edge, Bandwidth::OC12, 500, 64))
         .with_faults(FaultInjector::new(seed, "core", spec));
     for (k, vci) in vcis.into_iter().enumerate() {
         core.add_route(VcKey { port: k, vpi: 1, vci }, VcRoute { port: 0, vpi: 2, vci });
@@ -207,15 +214,13 @@ fn faulted_tandem(seed: u64) -> u64 {
 
     let mut rng = StreamRng::new(seed, "cell-path-pinned/tandem");
     for (k, vci) in vcis.into_iter().enumerate() {
-        // Each VC offers a cell per µs in bursts (together more than the
-        // OC-12 carries); its contract is a cell per 2 µs.
-        let mut bucket = LeakyBucket::new(0.5e6, SimDuration::from_micros(6), PolicingAction::Tag);
+        // Each VC offers a cell per µs in bursts: together more than the
+        // OC-12 carries.
         let mut t = SimTime::from_nanos(rng.below(2_000));
         for _ in 0..150 {
             let mut payload = vec![0u8; 1 + rng.below(1_500) as usize];
             rng.fill_bytes(&mut payload);
-            for mut cell in segment(&payload, 1, vci) {
-                bucket.police(&mut cell, t);
+            for cell in segment(&payload, 1, vci) {
                 sim.send_at(t, core, msg(CellArrive { port: k, cell }));
                 t += SimDuration::from_micros(1);
             }
@@ -225,14 +230,13 @@ fn faulted_tandem(seed: u64) -> u64 {
     sim.run();
     let (c, e) = (&sim.component::<AtmSwitch>(core).stats, &sim.component::<AtmSwitch>(edge).stats);
     assert!(c.fault_outage > 0 && c.fault_loss > 0 && c.fault_hec > 0, "{c:?}");
-    assert!(c.overflow > 0 && c.clp_discard > 0 && c.ppd_discard > 0, "{c:?}");
-    assert!(e.clp_discard > 0 && e.epd_discard > 0 && e.ppd_discard > 0, "{e:?}");
-    assert!(e.switched > 0 && sim.component::<TimedEndpoint>(ep).inner.delivered.len() > 10);
+    assert!(c.overflow > 0 && e.overflow > 0, "{c:?} {e:?}");
+    assert!(e.switched > 0 && !sim.component::<TimedEndpoint>(ep).inner.delivered.is_empty());
     digest(&sim, &[core, edge], ep)
 }
 
 #[test]
-fn clp_policed_faulted_tandem_is_pinned() {
+fn faulted_tandem_is_pinned() {
     for (seed, pinned) in PINNED_FAULTED_TANDEM {
         let got = faulted_tandem(seed);
         assert_eq!(got, pinned, "seed {seed}: digest {got:#018x}");

@@ -1,6 +1,6 @@
-//! Equivalence suite for the topology-aware collectives (gtw-mpi).
+//! Equivalence suite for the topology-aware allreduce (gtw-mpi).
 //!
-//! The multi-level collectives change the *message pattern* — intra-site
+//! The multi-level allreduce changes the *message pattern* — intra-site
 //! reduce, one WAN crossing per foreign site, intra-site broadcast —
 //! but must never change the *result*: both the flat and the topo paths
 //! fold along the same canonical site tree, so every reduction is
@@ -86,25 +86,16 @@ proptest! {
         }
 
         // Broadcast from a random root: every rank must hold the root's
-        // exact bits on both paths, and the topo barrier must complete.
+        // exact bits.
         let root = root_pick % n;
         let data = contribs[root].clone();
         let expect = bits(&data);
-        let d = data.clone();
         let flat = Universe::run_placed(placement.clone(), move |comm| {
-            let payload = if comm.rank() == root { d.clone() } else { vec![] };
+            let payload = if comm.rank() == root { data.clone() } else { vec![] };
             comm.bcast(root, &payload)
         });
-        let d = data.clone();
-        let topo = Universe::run_placed(placement.clone(), move |comm| {
-            let payload = if comm.rank() == root { d.clone() } else { vec![] };
-            let out = comm.bcast_topo_f64s(root, &payload);
-            comm.barrier_topo();
-            out
-        });
-        for r in 0..n {
-            prop_assert_eq!(bits(&flat[r]), expect.clone(), "flat bcast rank {}", r);
-            prop_assert_eq!(bits(&topo[r]), expect.clone(), "topo bcast rank {}", r);
+        for (r, got) in flat.iter().enumerate() {
+            prop_assert_eq!(bits(got), expect.clone(), "flat bcast rank {}", r);
         }
     }
 
@@ -248,8 +239,8 @@ fn nan_and_signed_zero_payloads_are_bit_stable_across_paths() {
 
 #[test]
 fn try_variants_agree_with_blocking_results_on_clean_worlds() {
-    // With no fault plan the try-topo collectives are the blocking topo
-    // collectives plus health checks: same bits, all Ok.
+    // With no fault plan the try-topo allreduce is the blocking one plus
+    // health checks: same bits, all Ok.
     let placement = Placement::split(
         5,
         2,
@@ -264,60 +255,37 @@ fn try_variants_agree_with_blocking_results_on_clean_worlds() {
     });
     let c = contribs.clone();
     let tried = Universe::run_placed(placement.clone(), move |comm| {
-        let sum = comm
-            .try_allreduce_topo_f64s(ReduceOp::Sum, &c[comm.rank()], Some(OP_TIMEOUT))
-            .expect("clean world");
-        let root_payload = if comm.rank() == 0 { sum.clone() } else { vec![] };
-        let echoed =
-            comm.try_bcast_topo_f64s(0, &root_payload, Some(OP_TIMEOUT)).expect("clean world");
-        comm.try_barrier_topo(Some(OP_TIMEOUT)).expect("clean world");
-        (sum, echoed)
+        comm.try_allreduce_topo_f64s(ReduceOp::Sum, &c[comm.rank()], Some(OP_TIMEOUT))
+            .expect("clean world")
     });
-    for (r, (sum, echoed)) in tried.iter().enumerate() {
+    for (r, sum) in tried.iter().enumerate() {
         assert_eq!(bits(sum), bits(&blocking[r]), "rank {r}");
-        assert_eq!(bits(echoed), bits(&blocking[0]), "rank {r}");
     }
 
-    // What lets each topo collective keep one body for both forms: on a
+    // What lets the topo allreduce keep one body for both forms: on a
     // clean world the blocking and the failure-aware entry move the same
-    // messages. Per rank the result bits and the modeled cost after each
-    // of the three collectives are equal, and so is the trace summary.
+    // messages. Per rank the result bits and the modeled cost are equal,
+    // and so is the trace summary.
     let run = |guarded: bool| {
         let u = Universe::traced();
         let c = contribs.clone();
         let per_rank = u.launch_and_join(placement.clone(), move |comm| {
             let mine = &c[comm.rank()];
-            let cost = || {
-                let c = comm.comm_cost();
-                let seconds = [c.seconds, c.intra_seconds, c.wan_seconds].map(f64::to_bits);
-                (seconds, c.messages, c.wan_messages, c.bytes)
-            };
             let sum = if guarded {
                 comm.try_allreduce_topo_f64s(ReduceOp::Sum, mine, Some(OP_TIMEOUT)).expect("clean")
             } else {
                 comm.allreduce_topo_f64s(ReduceOp::Sum, mine)
             };
-            let after_allreduce = cost();
-            let root_payload = if comm.rank() == 0 { sum.clone() } else { vec![] };
-            let echoed = if guarded {
-                comm.try_bcast_topo_f64s(0, &root_payload, Some(OP_TIMEOUT)).expect("clean")
-            } else {
-                comm.bcast_topo_f64s(0, &root_payload)
-            };
-            let after_bcast = cost();
-            if guarded {
-                comm.try_barrier_topo(Some(OP_TIMEOUT)).expect("clean");
-            } else {
-                comm.barrier_topo();
-            }
-            (bits(&sum), bits(&echoed), [after_allreduce, after_bcast, cost()])
+            let c = comm.comm_cost();
+            let seconds = [c.seconds, c.intra_seconds, c.wan_seconds].map(f64::to_bits);
+            (bits(&sum), (seconds, c.messages, c.wan_messages, c.bytes))
         });
         (per_rank, format!("{:?}", u.trace().summary(u.total_ranks())))
     };
     let (blocking, guarded) = (run(false), run(true));
     assert_eq!(blocking.0, guarded.0, "per-rank bits and CommCost");
     assert_eq!(blocking.1, guarded.1, "VampirSummary");
-    assert!(blocking.0.iter().all(|(_, _, costs)| costs[2].1 > 0), "every rank was charged");
+    assert!(blocking.0.iter().all(|(_, cost)| cost.1 > 0), "every rank was charged");
 }
 
 #[test]

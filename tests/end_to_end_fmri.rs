@@ -9,15 +9,31 @@ use gtw_core::testbed::{GigabitTestbedWest, LinkEra};
 use gtw_fire::analysis::score_detection;
 use gtw_fire::pipeline::{FireConfig, FirePipeline};
 use gtw_fire::realtime::{run_chain, ChainMode};
-use gtw_fire::rvo::{intensity_mask, optimize, recovery_error, RvoBounds, RvoMethod};
+use gtw_fire::rvo::{intensity_mask, optimize, RvoBounds, RvoMethod, RvoResult};
 use gtw_net::ip::IpConfig;
 use gtw_scan::acquire::{Scanner, ScannerConfig};
 use gtw_scan::hrf::ReferenceVector;
 use gtw_scan::phantom::Phantom;
-use gtw_scan::volume::Dims;
+use gtw_scan::volume::{Dims, Volume};
 use gtw_viz::overlay::{render_montage, render_overlay};
 use gtw_viz::raycast::{RenderParams, VolumeRenderer};
 use gtw_viz::workbench::{workbench_frame_rate, FrameTransport, Workbench};
+
+/// Mean absolute delay and dispersion error of an RVO fit against the
+/// truth, over the voxels `mask` keeps.
+fn recovery_error(
+    result: &RvoResult,
+    mask: &[bool],
+    delay_s: f64,
+    dispersion_s: f64,
+) -> (f64, f64) {
+    let kept: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+    let n = kept.len().max(1) as f64;
+    let err = |map: &Volume, truth: f64| {
+        kept.iter().map(|&i| (map.data[i] as f64 - truth).abs()).sum::<f64>() / n
+    };
+    (err(&result.delay, delay_s), err(&result.dispersion, dispersion_s))
+}
 
 fn test_scanner(scans: usize, dims: Dims, seed: u64) -> Scanner {
     let mut cfg = ScannerConfig::paper_default(scans, seed);
@@ -187,24 +203,4 @@ fn realtime_chain_consistent_with_scenario_budget() {
     assert!((s.period_s - scenario.sequential_period_s).abs() < 0.4, "{s:?} vs {scenario:?}");
     let p = run_chain(scenario.chain(2.0, 30), ChainMode::Pipelined);
     assert_eq!(p.skipped, 0);
-}
-
-#[test]
-fn sliding_window_in_the_full_pipeline_context() {
-    // Feed a scanner run into both cumulative and sliding analyses; on a
-    // stationary run the final maps agree at activated voxels.
-    let mut cfg = ScannerConfig::paper_default(24, 505);
-    cfg.dims = Dims::new(16, 16, 4);
-    cfg.noise_sd = 2.0;
-    cfg.motion_step = 0.0;
-    let scanner = Scanner::new(cfg, Phantom::standard());
-    let rv = ReferenceVector::canonical(&scanner.config().stimulus);
-    let mut full = gtw_fire::analysis::CorrelationState::new(scanner.config().dims, &rv);
-    let mut sliding = gtw_fire::analysis::SlidingCorrelation::new(scanner.config().dims, &rv, 24);
-    for t in 0..scanner.scan_count() {
-        let v = scanner.acquire(t);
-        full.push(&v);
-        sliding.push(&v);
-    }
-    assert!(full.correlation_map().rms_diff(&sliding.correlation_map()) < 1e-4);
 }

@@ -9,7 +9,6 @@ use gtw_desim::component::{msg, Component, ComponentId, Ctx, Msg};
 use gtw_desim::{Observer, ShardPlan, ShardedSimulator, SimDuration, SimTime, Simulator};
 use gtw_net::aal5::segment;
 use gtw_net::ip::IpConfig;
-use gtw_net::stripe::StripedTransfer;
 use gtw_net::switch::{
     AtmSwitch, CellArrive, CellEndpoint, OutputPort, SwitchStats, VcKey, VcRoute,
 };
@@ -149,32 +148,6 @@ proptest! {
         }
     }
 
-    /// Striped streams share one degraded path: loss recovery on every
-    /// stream, the demuxes and the merge order must not see the cut.
-    #[test]
-    fn faulted_striped_transfers_are_kernel_invariant(
-        seed in any::<u64>(),
-        wan_prop_us in 200u64..1_000,
-        streams in 2usize..=4,
-    ) {
-        let xfer = StripedTransfer {
-            hops: vec![raw_hop(622.0, 10), raw_hop(155.0, wan_prop_us), raw_hop(622.0, 10)],
-            ip: IpConfig { mtu: 9180 },
-            bytes: 2 * 1024 * 1024,
-            window_bytes: 512 * 1024,
-            streams,
-        };
-        let plan = degraded_plan(seed, "hop1");
-        let faulted = RunOptions { faults: Some(&plan), ..RunOptions::default() };
-        let (seq_report, seq) = xfer.run_with(&faulted);
-        prop_assert!(seq_report.completed);
-        let seq_json = seq.to_json().dump();
-        for shards in [1usize, 2, 4] {
-            let (_, run) = xfer.run_with(&RunOptions { shards, ..faulted.clone() });
-            prop_assert_eq!(run.to_json().dump(), seq_json.clone(), "{} shards diverged", shards);
-        }
-    }
-
     /// Multi-flow sets place different transfers on different shards;
     /// the merged report must still match the sequential ordering.
     #[test]
@@ -282,14 +255,13 @@ fn sharded_pingpong_agrees_with_sequential_at_every_shard_count() {
 /// The FZJ → GMD cell PVC of `cell_path_pinned.rs`, smaller: 600 one-cell PDUs
 /// and 12 CLIP-MTU ones, a cell per `gap_ns` into the FZJ switch, a
 /// 500 µs OC-48 trunk, and the GMD switch's OC-12 port (`gmd_buffer`
-/// cells, optionally EPD) into a reassembling endpoint. Returns the
-/// simulator and `[fzj, gmd, endpoint]`.
-fn cell_pvc(gap_ns: u64, gmd_buffer: usize, epd: Option<usize>) -> (Simulator, [ComponentId; 3]) {
+/// cells) into a reassembling endpoint. Returns the simulator and
+/// `[fzj, gmd, endpoint]`.
+fn cell_pvc(gap_ns: u64, gmd_buffer: usize) -> (Simulator, [ComponentId; 3]) {
     let mut sim = Simulator::new();
     let endpoint = sim.add_component(CellEndpoint::default());
-    let mut port =
+    let port =
         OutputPort::simple(endpoint, 0, Bandwidth::OC12, SimDuration::from_micros(5), gmd_buffer);
-    port.epd_threshold = epd;
     let mut gmd = AtmSwitch::new("gmd", vec![port]);
     gmd.add_route(VcKey { port: 0, vpi: 2, vci: 200 }, VcRoute { port: 0, vpi: 3, vci: 300 });
     let gmd = sim.add_component(gmd);
@@ -343,9 +315,9 @@ fn cell_outcome(sim: &Simulator, [fzj, gmd, endpoint]: [ComponentId; 3]) -> Cell
 #[test]
 fn sharded_cell_pvc_agrees_with_sequential() {
     // Clean: a cell per 700 ns, just under the OC-12 cell time. Lossy: a
-    // cell per 300 ns into a 64-cell buffer with EPD at 32.
-    for (gap_ns, gmd_buffer, epd) in [(700, 4096, None), (300, 64, Some(32))] {
-        let (mut seq, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+    // cell per 300 ns into a 64-cell tail-drop buffer.
+    for (gap_ns, gmd_buffer) in [(700, 4096), (300, 64)] {
+        let (mut seq, ids) = cell_pvc(gap_ns, gmd_buffer);
         let seq_observer = Observer::recording();
         seq.observe(&seq_observer);
         seq.run();
@@ -353,15 +325,16 @@ fn sharded_cell_pvc_agrees_with_sequential() {
         let base_spans = seq_observer.snapshot();
         assert!(base_spans.iter().any(|s| s.track == "gmd/p0" && s.name == "cell"));
         let gmd = &base.gmd;
-        match epd {
-            None => assert_eq!((gmd.switched, base.reassembly_errors), (gmd.cells_in(), 0)),
-            Some(_) => assert!(gmd.epd_discard > 0 && !base.delivered.is_empty(), "{gmd:?}"),
+        if gmd_buffer == 4096 {
+            assert_eq!((gmd.switched, base.reassembly_errors), (gmd.cells_in(), 0));
+        } else {
+            assert!(gmd.overflow > 0 && !base.delivered.is_empty(), "{gmd:?}");
         }
         // One event per cell per switch, one per cell that reaches the
         // endpoint.
         assert_eq!(base.events, base.fzj.cells_in() + gmd.cells_in() + gmd.switched);
         for n_shards in [1usize, 2] {
-            let (mut sim, ids) = cell_pvc(gap_ns, gmd_buffer, epd);
+            let (mut sim, ids) = cell_pvc(gap_ns, gmd_buffer);
             let observer = Observer::recording();
             sim.observe(&observer);
             let mut plan = ShardPlan::new(n_shards, SimDuration::from_micros(500));

@@ -1,6 +1,6 @@
 //! The transfer run reports, pinned: one FNV-1a digest each of
-//! `RunReport::to_json().dump()` for a clean multi-flow `TransferSet`,
-//! the same set with a degraded WAN hop, and a striped transfer. The
+//! `RunReport::to_json().dump()` for a clean multi-flow `TransferSet` and
+//! the same set with a degraded WAN hop. The
 //! constants were captured while `PipeStage` still armed a `TxDone`
 //! timer per packet; the one-event-per-hop stage must reproduce every
 //! per-hop counter, latency histogram and endpoint block to the byte, on
@@ -16,15 +16,12 @@ use gtw_desim::{Observer, SimDuration, SimTime};
 use gtw_net::ip::IpConfig;
 use gtw_net::link::Medium;
 use gtw_net::stats::RunReport;
-use gtw_net::stripe::StripedTransfer;
 use gtw_net::tcp::HopModel;
 use gtw_net::transfer::{degraded_plan, BulkTransfer, Protocol, RunOptions, TransferSet};
 use gtw_net::units::Bandwidth;
 
 const PINNED_CLEAN: u64 = 0x85ab_400d_5875_d661;
 const PINNED_DEGRADED: u64 = 0x0c7e_a45a_7718_0c2c;
-const PINNED_STRIPED: u64 = 0x88b3_a815_e8df_fd06;
-const PINNED_STRIPED_CUT: u64 = 0x99f0_569c_1966_8b53;
 const PINNED_DEGRADED_SPANS: u64 = 0x7aef_e6cd_585c_e062;
 const PINNED_DEGRADED_CUT: u64 = 0x1461_6b8f_823c_7e71;
 const PINNED_RAW_CUT: u64 = 0x3bdb_fa19_a498_30aa;
@@ -81,16 +78,6 @@ fn transfer_set(flows: u64, bytes_per_flow: u64) -> TransferSet {
 
 fn sharded(shards: usize) -> RunOptions<'static> {
     RunOptions { shards, ..RunOptions::default() }
-}
-
-fn striped() -> StripedTransfer {
-    StripedTransfer {
-        hops: ladder(0),
-        ip: IpConfig { mtu: 9180 },
-        bytes: FLOWS * BYTES_PER_FLOW,
-        window_bytes: 512 * 1024,
-        streams: 4,
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -159,30 +146,6 @@ fn wide_transfer_set_report_is_pinned_on_two_kernels() {
         let got = digest(run);
         assert_eq!(got, PINNED_WIDE, "{shards} shards: digest {got:#018x}");
     }
-}
-
-#[test]
-fn striped_transfer_report_is_pinned_on_every_kernel() {
-    for shards in [0usize, 1, 2, 4] {
-        let got = digest(striped().run_with(&sharded(shards)).1);
-        assert_eq!(got, PINNED_STRIPED, "{shards} shards: digest {got:#018x}");
-    }
-}
-
-/// A horizon-bounded run stops with packets admitted to a stage but not
-/// yet departed: every per-hop counter (`packets_out`, `bytes_out`,
-/// `busy`) and the clock must read as they did when each departure was
-/// an event of its own. One digest over 40 cuts of a lossy striped run,
-/// 1.37 ms apart so they land at every phase of a 474 µs segment time.
-#[test]
-fn striped_transfer_cut_at_a_horizon_is_pinned() {
-    let plan = degraded_plan(1999, "hop3");
-    let got = (1..=40u64).fold(FNV_OFFSET, |h, k| {
-        let horizon = SimTime::from_micros(1370 * k);
-        let opts = RunOptions { faults: Some(&plan), horizon: Some(horizon), ..sharded(0) };
-        fold(h, striped().run_with(&opts).1)
-    });
-    assert_eq!(got, PINNED_STRIPED_CUT, "digest {got:#018x}");
 }
 
 /// What a stage records, and when, is part of what it does: the sorted
